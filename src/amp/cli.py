@@ -162,7 +162,7 @@ def cmd_project(args) -> int:
         "validity": "structural-filter + bounded semantic oracle",
     }
     if args.strong:
-        strong = projection.strong_projection_check(machine, k=args.bound)
+        strong = projection.strong_report(result.csm)
         report["strong"] = strong.strong
         report["witnesses"] = [list(w) for w in strong.witnesses]
         summary.append(f"strong: {strong.strong}"
@@ -430,6 +430,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except json.JSONDecodeError as exc:
+        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return USAGE
     except (ValueError, KeyError, typecheck.TypeCheckError,
             program_mod.ProgramSyntaxError, transform.TypeSyntaxError) as exc:

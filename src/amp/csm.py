@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
+from operator import getitem, itemgetter
 from typing import Optional
 
 from .core import (Event, PAIR, SEND, StateMachine, Word,
@@ -26,7 +28,7 @@ class Csm:
     """One state machine per participant, each over that participant's
     send/receive alphabet."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_kernel")
 
     def __init__(self, components: dict[str, StateMachine]):
         for name, machine in components.items():
@@ -39,6 +41,7 @@ class Csm:
                     raise ValueError(
                         f"component {name!r} has foreign event {ev}")
         self.components = dict(sorted(components.items()))
+        self._kernel: Optional[_Kernel] = None
 
     @property
     def participants(self) -> tuple[str, ...]:
@@ -84,44 +87,138 @@ def is_final_sink_config(csm: Csm, config: Configuration) -> bool:
         csm.components[p].is_sink(q) for p, q in config.states)
 
 
-def _with_state(config: Configuration, participant: str, state: str) -> tuple:
-    return tuple((p, state if p == participant else q) for p, q in config.states)
+# Move kinds in the compiled out-tables.
+_EPS, _SEND, _RECV = range(3)
+
+# Sort order of a move: the event's key, then the successor's state ids.
+_MOVE_ORDER = itemgetter(0, 1)
 
 
-def _with_queue(config: Configuration, channel: Channel, content: tuple) -> tuple:
-    rest = [(ch, c) for ch, c in config.channels if ch != channel]
-    if content:
-        rest.append((channel, content))
-    return tuple(sorted(rest))
+class _Kernel:
+    """A CSM compiled to integers, built once per `Csm` by `_compiled`.
+
+    Each participant's states are numbered in sorted name order and the
+    channels in sorted order, so comparing state-id tuples orders
+    configurations as comparing their `Configuration.states` does.  An
+    internal configuration is (tuple of state ids, tuple with one queue
+    per channel).  `out[i][s]` holds the transitions of participant i in
+    state s as (event sort key, event, destination id, kind, channel
+    index, message).
+    """
+
+    __slots__ = ("participants", "ids", "pairs", "channels", "channel_index",
+                 "out", "eps", "final", "final_sink", "initial")
+
+    def __init__(self, components: dict[str, StateMachine]):
+        self.participants = tuple(components)
+        names = [sorted(m.states) for m in components.values()]
+        self.ids = tuple({q: s for s, q in enumerate(qs)} for qs in names)
+        # Shared (participant, state) pairs for the public configurations.
+        self.pairs = tuple(tuple((p, q) for q in qs)
+                           for p, qs in zip(components, names))
+        self.channels = tuple(sorted({
+            ev.channel for m in components.values()
+            for _, ev, _ in m.transitions if ev is not None}))
+        self.channel_index = {ch: c for c, ch in enumerate(self.channels)}
+        out, eps, final, final_sink = [], [], [], []
+        for ids, qs, m in zip(self.ids, names, components.values()):
+            tables = []
+            for q in qs:
+                table = []
+                for ev, dst in m.out(q):
+                    if ev is None:
+                        table.append(((0,), None, ids[dst], _EPS, -1, None))
+                    else:
+                        table.append(((1,) + ev.sort_key(), ev, ids[dst],
+                                      _SEND if ev.kind == SEND else _RECV,
+                                      self.channel_index[ev.channel],
+                                      ev.message()))
+                tables.append(tuple(table))
+            out.append(tuple(tables))
+            eps.append(tuple(tuple(ids[dst] for ev, dst in m.out(q)
+                                   if ev is None) for q in qs))
+            final.append(tuple(q in m.finals for q in qs))
+            final_sink.append(tuple(q in m.finals and m.is_sink(q)
+                                    for q in qs))
+        self.out, self.eps = tuple(out), tuple(eps)
+        self.final, self.final_sink = tuple(final), tuple(final_sink)
+        self.initial = (tuple(ids[m.initial] for ids, m
+                              in zip(self.ids, components.values())),
+                        ((),) * len(self.channels))
+
+    def public(self, config: tuple) -> Configuration:
+        states, queues = config
+        return Configuration(
+            tuple(map(getitem, self.pairs, states)),
+            tuple((ch, q) for ch, q in zip(self.channels, queues) if q))
+
+    def internal(self, config: Configuration) -> tuple:
+        named = dict(config.states)
+        queues = [()] * len(self.channels)
+        for ch, content in config.channels:
+            queues[self.channel_index[ch]] = content
+        return (tuple(ids[named[p]]
+                      for p, ids in zip(self.participants, self.ids)),
+                tuple(queues))
+
+    def moves(self, config: tuple) -> list:
+        """Every move as (event key, successor state ids, event,
+        successor, length of the queue a send grew or 0), unsorted."""
+        states, queues = config
+        found = []
+        for i, s in enumerate(states):
+            for key, ev, dst, kind, c, msg in self.out[i][s]:
+                size = 0
+                succ_queues = queues
+                if kind != _EPS:
+                    queue = queues[c]
+                    if kind == _SEND:
+                        queue += (msg,)
+                        size = len(queue)
+                    elif queue and queue[0] == msg:
+                        queue = queue[1:]
+                    else:
+                        continue
+                    succ_queues = queues[:c] + (queue,) + queues[c + 1:]
+                succ_states = states[:i] + (dst,) + states[i + 1:]
+                found.append((key, succ_states, ev,
+                              (succ_states, succ_queues), size))
+        return found
+
+    def sorted_moves(self, config: tuple) -> list:
+        found = self.moves(config)
+        found.sort(key=_MOVE_ORDER)
+        return found
+
+    def is_final(self, config: tuple) -> bool:
+        states, queues = config
+        return not any(queues) and all(map(getitem, self.final, states))
+
+    def is_final_sink(self, config: tuple) -> bool:
+        states, queues = config
+        return not any(queues) and all(map(getitem, self.final_sink, states))
+
+
+def _compiled(csm: Csm) -> _Kernel:
+    if csm._kernel is None:
+        csm._kernel = _Kernel(csm.components)
+    return csm._kernel
 
 
 def step(csm: Csm, config: Configuration) -> tuple:
     """All (event-or-None, successor) moves from a configuration.
 
     A send appends to its channel, a receive pops a matching head, and an
-    epsilon transition moves one participant.  The result is sorted, so
+    epsilon transition moves one participant.  Moves are sorted by the
+    event (epsilon first, then `Event.sort_key`) and then by the
+    successor's local states in participant and state-name order; two
+    moves equal on both are the same move, so the order is total and
     exploration and simulation are deterministic.
     """
-    moves = []
-    for p, q in config.states:
-        for ev, dst in csm.components[p].out(q):
-            if ev is None:
-                moves.append((None, Configuration(_with_state(config, p, dst),
-                                                  config.channels)))
-            elif ev.kind == SEND:
-                content = config.queue(ev.channel)
-                moves.append((ev, Configuration(
-                    _with_state(config, p, dst),
-                    _with_queue(config, ev.channel, content + (ev.message(),)))))
-            else:
-                content = config.queue(ev.channel)
-                if content and content[0] == ev.message():
-                    moves.append((ev, Configuration(
-                        _with_state(config, p, dst),
-                        _with_queue(config, ev.channel, content[1:]))))
-    moves.sort(key=lambda m: ((0,) if m[0] is None else (1,) + m[0].sort_key(),
-                              m[1].states, m[1].channels))
-    return tuple(moves)
+    kernel = _compiled(csm)
+    return tuple((ev, kernel.public(succ))
+                 for _, _, ev, succ, _ in kernel.sorted_moves(
+                     kernel.internal(config)))
 
 
 @dataclass
@@ -154,41 +251,46 @@ def explore(csm: Csm, *, queue_cap: int = 8,
     A configuration only counts as stuck when it has no moves even
     before the queue cap is applied, so capped sends never masquerade as
     deadlocks; hitting either cap sets the truncated flag instead.
+    Configurations are visited, and successors listed, in `step` order.
     """
+    kernel = _compiled(csm)
     report = ExploreReport()
-    start = initial_config(csm)
-    seen = {start}
-    report.configs.append(start)
-    frontier = [start]
+    start = kernel.initial
+    # internal configuration -> its public one, for every admitted config
+    seen = {start: kernel.public(start)}
+    beyond: dict = {}  # the same for successors dropped by the config cap
+    report.configs.append(seen[start])
+    frontier = deque([start])
     while frontier:
-        config = frontier.pop(0)
-        moves = step(csm, config)
+        config = frontier.popleft()
+        here = seen[config]
+        moves = kernel.sorted_moves(config)
         allowed = []
-        for ev, succ in moves:
-            if ev is not None and ev.kind == SEND and \
-                    len(succ.queue(ev.channel)) > queue_cap:
+        for _, _, ev, succ, size in moves:
+            if size and size > queue_cap:  # only sends have a size
                 report.truncated = True
                 continue
-            allowed.append((ev, succ))
-        report.edges[config] = tuple(allowed)
-        if not moves:
-            if is_final_config(csm, config):
-                report.finals.append(config)
-            else:
-                report.deadlocks.append(config)
-            if not is_final_sink_config(csm, config):
-                report.soft_deadlocks.append(config)
-        elif is_final_config(csm, config):
-            report.finals.append(config)
-        for ev, succ in allowed:
-            if succ not in seen:
+            public = seen.get(succ)
+            if public is None:
                 if len(seen) >= config_cap:
                     report.truncated = True
-                    continue
-                seen.add(succ)
-                report.parent[succ] = (config, ev)
-                report.configs.append(succ)
-                frontier.append(succ)
+                    public = beyond.get(succ)
+                    if public is None:
+                        public = beyond[succ] = kernel.public(succ)
+                else:
+                    public = seen[succ] = kernel.public(succ)
+                    report.parent[public] = (here, ev)
+                    report.configs.append(public)
+                    frontier.append(succ)
+            allowed.append((ev, public))
+        report.edges[here] = tuple(allowed)
+        final = kernel.is_final(config)
+        if not moves:
+            (report.finals if final else report.deadlocks).append(here)
+            if not kernel.is_final_sink(config):
+                report.soft_deadlocks.append(here)
+        elif final:
+            report.finals.append(here)
     return report
 
 
@@ -197,44 +299,52 @@ def csm_language_upto(csm: Csm, k: int, *,
     """Traces of runs of length <= k, flagged complete on final configs.
 
     Words map to the set of configurations they reach, so the flags are
-    exact even for non-deterministic components.
+    exact even for non-deterministic components.  Words are listed by
+    length, each length in the order of its prefixes and then by
+    `Event.sort_key` of the last letter.
     """
     from .core import TraceFlags
+    kernel = _compiled(csm)
     result: dict[Word, TraceFlags] = {}
-    frontier: dict[Word, frozenset[Configuration]] = {
-        (): _eps_reach(csm, frozenset([initial_config(csm)]))}
+    frontier: dict[Word, frozenset] = {
+        (): _eps_reach(kernel, (kernel.initial,))}
     for length in range(k + 1):
-        nxt: dict[Word, frozenset[Configuration]] = {}
+        nxt: dict[Word, frozenset] = {}
         for word, configs in frontier.items():
-            moves: dict[Event, set[Configuration]] = {}
+            moves: dict[tuple, tuple[Event, set]] = {}
             for config in configs:
-                for ev, succ in step(csm, config):
-                    if ev is None:
+                for key, _, ev, succ, size in kernel.moves(config):
+                    if ev is None or (queue_cap is not None and size
+                                      and size > queue_cap):
                         continue
-                    if (queue_cap is not None and ev.kind == SEND
-                            and len(succ.queue(ev.channel)) > queue_cap):
-                        continue
-                    moves.setdefault(ev, set()).add(succ)
+                    if key in moves:
+                        moves[key][1].add(succ)
+                    else:
+                        moves[key] = (ev, {succ})
             result[word] = TraceFlags(
-                complete=any(is_final_config(csm, c) for c in configs),
+                complete=any(map(kernel.is_final, configs)),
                 extendable=bool(moves),
             )
             if length < k:
-                for ev in sorted(moves, key=Event.sort_key):
-                    nxt[word + (ev,)] = _eps_reach(csm, frozenset(moves[ev]))
+                for key in sorted(moves):
+                    ev, succs = moves[key]
+                    nxt[word + (ev,)] = _eps_reach(kernel, succs)
         frontier = nxt
     return result
 
 
-def _eps_reach(csm: Csm, configs: frozenset) -> frozenset:
+def _eps_reach(kernel: _Kernel, configs) -> frozenset:
+    """The internal configurations reachable by epsilon moves alone."""
     seen = set(configs)
-    stack = list(configs)
+    stack = list(seen)
     while stack:
-        config = stack.pop()
-        for ev, succ in step(csm, config):
-            if ev is None and succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
+        states, queues = stack.pop()
+        for i, s in enumerate(states):
+            for dst in kernel.eps[i][s]:
+                succ = (states[:i] + (dst,) + states[i + 1:], queues)
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
     return frozenset(seen)
 
 
@@ -257,10 +367,14 @@ def word_embeds(machine: StateMachine, word: Word) -> bool:
     pairs on the trimmed machine, where every state extends maximally.
     """
     from .core import expand_pairs
+    return _embeds(expand_pairs(machine).trim(), word)
+
+
+def _embeds(machine: StateMachine, word: Word) -> bool:
+    """`word_embeds` on a machine already pair-expanded and trimmed."""
     from .fifo import VIOLATION, is_fifo, project
     if is_fifo(word).status == VIOLATION:
         return False
-    machine = expand_pairs(machine).trim()
     subjects = sorted({ev.subject for ev in word})
     targets = {p: project(word, participant=p) for p in subjects}
     done = tuple(len(targets[p]) for p in subjects)
@@ -304,7 +418,7 @@ def check_projection(psm: Psm, csm: Csm, k: int, *,
     must embed into the machine's prefix semantics, and conversely the
     closure of the machine's bounded traces must be CSM-reachable.
     """
-    from .core import complete_traces, maximal_traces_upto
+    from .core import complete_traces, expand_pairs, maximal_traces_upto
     reasons: list[str] = []
     if queue_cap is None:
         per_channel = max(psm.bound_by_channel.values(), default=psm.bound_total)
@@ -329,8 +443,9 @@ def check_projection(psm: Psm, csm: Csm, k: int, *,
         if extra:
             reasons.append(f"CSM adds complete word {_fmt(extra[0])}")
 
+    trimmed = expand_pairs(psm.machine).trim()
     for word in sorted(csm_traces, key=len):
-        if not word_embeds(psm.machine, word):
+        if not _embeds(trimmed, word):
             reasons.append(f"CSM adds prefix {_fmt(word)}")
             break
 
@@ -352,13 +467,14 @@ def _fmt(word: Word) -> str:
 def simulate(csm: Csm, seed: int = 0, max_steps: int = 100) -> Word:
     """One pseudorandom scheduler run; deterministic for a given seed."""
     rng = random.Random(seed)
-    config = initial_config(csm)
+    kernel = _compiled(csm)
+    config = kernel.initial
     trace: list[Event] = []
     for _ in range(max_steps):
-        moves = step(csm, config)
+        moves = kernel.sorted_moves(config)
         if not moves:
             break
-        ev, config = moves[rng.randrange(len(moves))]
+        _, _, ev, config, _ = moves[rng.randrange(len(moves))]
         if ev is not None:
             trace.append(ev)
     return tuple(trace)

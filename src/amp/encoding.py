@@ -9,6 +9,7 @@ and per-participant machines can all be encoded and decoded.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -165,11 +166,11 @@ def encode_psm(machine: StateMachine, bounds: dict) -> StateMachine:
     zero = tuple((ch, 0) for ch in channels)
     start = (machine.initial, zero, zero)
     index = {start: _counter_state(machine.initial, zero, zero)}
-    frontier = [start]
+    frontier = deque([start])
     transitions = []
     finals = set()
     while frontier:
-        node = frontier.pop(0)
+        node = frontier.popleft()
         q, snd, rcv_ = node
         name = index[node]
         if q in machine.finals and snd == zero and rcv_ == zero:
@@ -215,11 +216,11 @@ def encode_fsm(machine: StateMachine, participant: str, bounds: dict) -> StateMa
     zero_in = tuple((ch, 0) for ch in in_channels)
     start = (machine.initial, zero_out, zero_in)
     index = {start: _counter_state(machine.initial, zero_out, zero_in)}
-    frontier = [start]
+    frontier = deque([start])
     transitions = []
     finals = set()
     while frontier:
-        node = frontier.pop(0)
+        node = frontier.popleft()
         q, snd, rcv_ = node
         name = index[node]
         if q in machine.finals and snd == zero_out and rcv_ == zero_in:

@@ -8,6 +8,7 @@ passes the structural validity filter and the bounded semantic oracle
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,10 +62,10 @@ def subset_construction(machine: StateMachine, participant: str) -> StateMachine
 
     start = closure(frozenset({machine.initial}))
     index = {start: name(start)}
-    frontier = [start]
+    frontier = deque([start])
     transitions = []
     while frontier:
-        states = frontier.pop(0)
+        states = frontier.popleft()
         moves: dict[Event, set] = {}
         for q in states:
             for label, dst in erased[q]:
@@ -116,9 +117,9 @@ def minimize(machine: StateMachine) -> StateMachine:
 def canonical_names(machine: StateMachine, prefix: str = "s") -> StateMachine:
     """Rename states to s0, s1, ... in breadth-first transition order."""
     names = {machine.initial: f"{prefix}0"}
-    frontier = [machine.initial]
+    frontier = deque([machine.initial])
     while frontier:
-        q = frontier.pop(0)
+        q = frontier.popleft()
         for _, dst in machine.out(q):
             if dst not in names:
                 names[dst] = f"{prefix}{len(names)}"
@@ -239,9 +240,13 @@ def strong_projection_check(source, *, k: int = 6) -> StrongReport:
     transitions; an empty witness list means the produced CSM is also
     free of soft deadlocks.
     """
-    result = project_tame(source, k=k)
+    return strong_report(project_tame(source, k=k).csm)
+
+
+def strong_report(csm: Csm) -> StrongReport:
+    """The final non-sink states of an already projected CSM."""
     witnesses = []
-    for participant, machine in result.csm.components.items():
+    for participant, machine in csm.components.items():
         for q in sorted(machine.finals):
             if not machine.is_sink(q):
                 witnesses.append((participant, q))

@@ -9,6 +9,7 @@ this determinised view answers language-level questions exactly.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -114,9 +115,9 @@ def build_config_graph(machine: StateMachine, *,
     start: Config = (machine.eps_closure({machine.initial}), ())
     graph.nodes.append(start)
     graph.index[start] = 0
-    frontier = [0]
+    frontier = deque([0])
     while frontier:
-        node_id = frontier.pop(0)
+        node_id = frontier.popleft()
         stateset, queues = graph.nodes[node_id]
         if stateset & machine.finals and queues:
             raise NonFifo("complete trace leaves unmatched sends",

@@ -204,6 +204,34 @@ def test_usage_error_exit_code(capsys):
     assert main(["validate", "/nonexistent/file.json"]) == 2
 
 
+def test_malformed_json_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"states": ["a"], ')
+    for argv in (["validate", str(bad)], ["check-csm", str(bad)],
+                 ["encode", str(PROTOCOLS / "kle.psm.json"),
+                  "--bounds", str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSON: ")
+        assert err.count("\n") == 1
+
+
+def test_project_strong_projects_once(monkeypatch, capsys):
+    from amp import projection
+    calls = []
+    real = projection.project_tame
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(projection, "project_tame", counted)
+    code, out = run(capsys, "project", str(PROTOCOLS / "kle.psm.json"),
+                    "--strong", "--json")
+    assert code == 0 and json.loads(out)["strong"] is True
+    assert len(calls) == 1
+
+
 def test_reports_are_byte_stable(capsys):
     _, first = run(capsys, "validate", str(PROTOCOLS / "kle.psm.json"),
                    "--json")

@@ -1,0 +1,246 @@
+"""Differential tests: the compiled CSM kernel against the reference.
+
+`csm_reference` keeps the semantics as they were before the kernel.
+Reports, languages, verdicts and schedules must be equal, in the same
+order, on the shipped CSMs, random tame projections, the concurrent
+`pairs` family, a hand-built CSM with tied moves and the hand-drawn
+three-party CSMs with epsilon back edges.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from amp import csm as kernel
+from amp import projection
+from amp.cli import _load_machine
+from amp.core import StateMachine, pair, recv, send
+from amp.csm import Csm, initial_config, load_csm
+from amp.fifo import VIOLATION, is_fifo
+from amp.projection import NotProjectable, NotTame, project_tame
+from amp.psm import Psm, validate
+
+from . import csm_reference as reference
+from .conftest import random_tame_psm, three_party_csm
+
+PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
+
+SHIPPED = sorted(PROTOCOLS.glob("*.csm.json"))
+
+QUEUE_CAPS = (1, 2, 8)
+
+
+def pairs(n: int, m: int, wrong: bool = False) -> tuple[StateMachine, Csm]:
+    """n disjoint pairs p<i> -> q<i> of m messages each, as a protocol
+    machine and its projection; with `wrong`, q1 expects its labels in
+    reverse order (or one nobody sends) and the CSM deadlocks."""
+    labels = [f"l{j}" for j in range(m)]
+    messages = [(f"p{i}", f"q{i}", label)
+                for i in range(1, n + 1) for label in labels]
+    protocol = StateMachine(
+        {f"s{j}" for j in range(len(messages) + 1)}, "s0",
+        {f"s{len(messages)}"},
+        [(f"s{j}", pair(*msg), f"s{j + 1}") for j, msg in enumerate(messages)])
+    components = {}
+    for i in range(1, n + 1):
+        sender, receiver = f"p{i}", f"q{i}"
+        received = labels
+        if wrong and i == 1:
+            received = labels[::-1] if m > 1 else ["never"]
+        components[sender] = _line(
+            sender, [send(sender, receiver, label) for label in labels])
+        components[receiver] = _line(
+            receiver, [recv(sender, receiver, label) for label in received])
+    return protocol, Csm(components)
+
+
+def _line(owner: str, events) -> StateMachine:
+    states = [f"{owner}_{i}" for i in range(len(events) + 1)]
+    return StateMachine(states, states[0], [states[-1]],
+                        [(states[i], ev, states[i + 1])
+                         for i, ev in enumerate(events)])
+
+
+def tied_csm() -> Csm:
+    """One send to two destinations, and epsilon self-loops in two
+    participants, so some moves tie on event and successor."""
+    p = StateMachine(
+        {"a", "b", "c", "d"}, "a", {"b", "d"},
+        [("a", send("p", "q", "m"), "b"), ("a", send("p", "q", "m"), "c"),
+         ("b", None, "b"), ("c", send("p", "q", "n"), "d"),
+         ("a", None, "a")])
+    q = StateMachine(
+        {"x", "y", "z"}, "x", {"y", "z"},
+        [("x", None, "x"), ("x", recv("p", "q", "m"), "y"),
+         ("y", recv("p", "q", "n"), "z"), ("y", None, "y")])
+    return Csm({"p": p, "q": q})
+
+
+def random_projections(count: int = 6) -> list[Csm]:
+    rng = random.Random(20240811)
+    found = []
+    while len(found) < count:
+        try:
+            found.append(project_tame(validate(random_tame_psm(rng)),
+                                      k=4).csm)
+        except (NotTame, NotProjectable):
+            continue
+    return found
+
+
+def corpus() -> list[tuple[str, Csm]]:
+    cases = [(path.name, load_csm(path.read_text())) for path in SHIPPED]
+    cases += [(f"random{i}", csm)
+              for i, csm in enumerate(random_projections())]
+    for n, m in ((2, 2), (3, 1), (2, 3)):
+        for wrong in (False, True):
+            cases.append((f"pairs({n},{m}){' wrong' * wrong}",
+                          pairs(n, m, wrong)[1]))
+    cases.append(("tied", tied_csm()))
+    # Hand-drawn, with epsilon back edges that projections never have.
+    cases.append(("three_party", three_party_csm()))
+    cases.append(("three_party mismatch", three_party_csm(v1="v1", v2="v2")))
+    return cases
+
+
+CORPUS = corpus()
+IDS = [name for name, _ in CORPUS]
+
+
+def assert_same_report(new, old) -> None:
+    assert new.configs == old.configs
+    assert list(new.edges.items()) == list(old.edges.items())
+    assert list(new.parent.items()) == list(old.parent.items())
+    assert new.deadlocks == old.deadlocks
+    assert new.soft_deadlocks == old.soft_deadlocks
+    assert new.finals == old.finals
+    assert new.truncated == old.truncated
+    for config in new.configs:
+        assert new.witness(config) == old.witness(config)
+
+
+@pytest.mark.parametrize("queue_cap", QUEUE_CAPS)
+@pytest.mark.parametrize("name,csm", CORPUS, ids=IDS)
+def test_explore_matches_reference(name, csm, queue_cap):
+    assert_same_report(kernel.explore(csm, queue_cap=queue_cap),
+                       reference.explore(csm, queue_cap=queue_cap))
+
+
+@pytest.mark.parametrize("name,csm", CORPUS, ids=IDS)
+def test_explore_matches_reference_when_truncated(name, csm):
+    for config_cap in (1, 2, 5):
+        assert_same_report(
+            kernel.explore(csm, queue_cap=2, config_cap=config_cap),
+            reference.explore(csm, queue_cap=2, config_cap=config_cap))
+
+
+@pytest.mark.parametrize("name,csm", CORPUS, ids=IDS)
+def test_step_matches_reference_everywhere(name, csm):
+    for config in reference.explore(csm, queue_cap=2).configs:
+        assert kernel.step(csm, config) == reference.step(csm, config)
+
+
+@pytest.mark.parametrize("name,csm", CORPUS, ids=IDS)
+def test_language_matches_reference_in_order(name, csm):
+    for queue_cap in (None, 1):
+        new = kernel.csm_language_upto(csm, 5, queue_cap=queue_cap)
+        old = reference.csm_language_upto(csm, 5, queue_cap=queue_cap)
+        assert list(new.items()) == list(old.items())
+
+
+@pytest.mark.parametrize("name,csm", CORPUS, ids=IDS)
+def test_simulate_matches_reference(name, csm):
+    for seed in range(4):
+        assert (kernel.simulate(csm, seed=seed, max_steps=30)
+                == reference.simulate(csm, seed=seed, max_steps=30))
+
+
+def test_tied_moves_are_listed_once_each():
+    csm = tied_csm()
+    moves = kernel.step(csm, initial_config(csm))
+    assert moves == reference.step(csm, initial_config(csm))
+    # Both epsilon self-loops lead back to the initial configuration.
+    assert [succ for ev, succ in moves if ev is None] == \
+        [initial_config(csm)] * 2
+    assert len([ev for ev, _ in moves if ev is not None]) == 2
+
+
+@pytest.mark.parametrize("name", [
+    "three_party_reply_mismatch", "three_party_label_clash",
+    "leader_election_lose"])
+def test_check_projection_matches_reference_on_negative_controls(
+        name, monkeypatch):
+    calls = []
+    real = projection.check_projection
+
+    def spy(psm, csm, k, **options):
+        calls.append((psm, csm, k, options))
+        return real(psm, csm, k, **options)
+
+    monkeypatch.setattr(projection, "check_projection", spy)
+    with pytest.raises(NotProjectable) as excinfo:
+        project_tame(_load_machine(str(PROTOCOLS / f"{name}.gt")), k=6)
+    (psm, csm, k, options), = calls
+    old = reference.check_projection(psm, csm, k, **options)
+    assert real(psm, csm, k, **options) == old
+    assert not old.passed
+    assert str(excinfo.value) == "; ".join(old.reasons)
+
+
+@pytest.mark.parametrize("n,m,k", [(2, 2, 5), (3, 1, 6)])
+@pytest.mark.parametrize("wrong", [False, True])
+def test_check_projection_matches_reference_on_pairs(n, m, k, wrong):
+    machine, csm = pairs(n, m, wrong)
+    psm = validate(machine)
+    old = reference.check_projection(psm, csm, k)
+    assert kernel.check_projection(psm, csm, k) == old
+    assert old.passed != wrong
+
+
+@pytest.mark.parametrize("stem", ["kle", "three_party_choice", "one_buyer",
+                                  "early_commit", "leader_election"])
+def test_check_projection_matches_reference_on_goldens(stem):
+    source = next(path for path in (PROTOCOLS / f"{stem}.psm.json",
+                                    PROTOCOLS / f"{stem}.gt")
+                  if path.exists())
+    psm = validate(_load_machine(str(source)))
+    csm = load_csm((PROTOCOLS / f"{stem}.csm.json").read_text())
+    assert kernel.check_projection(psm, csm, 5) == \
+        reference.check_projection(psm, csm, 5)
+
+
+def test_word_embeds_matches_reference(rng):
+    for machine in (pairs(2, 2)[0], _load_machine(
+            str(PROTOCOLS / "three_party_choice.gt"))):
+        alphabet = sorted({letter for ev in machine.alphabet()
+                           for letter in ev.letters()},
+                          key=lambda ev: ev.sort_key())
+        checked = 0
+        while checked < 300:
+            word = tuple(alphabet[rng.randrange(len(alphabet))]
+                         for _ in range(rng.randrange(1, 6)))
+            if is_fifo(word).status == VIOLATION and rng.random() < 0.8:
+                continue
+            checked += 1
+            assert kernel.word_embeds(machine, word) == \
+                reference.word_embeds(machine, word)
+
+
+def test_check_projection_matches_reference_past_a_dead_end():
+    """The b branch of the protocol can never finish, so trimming drops
+    it and the CSM's b words must not embed, also when the machine
+    comes untrimmed, not from `validate`."""
+    machine = StateMachine(
+        {"s0", "s1", "s2", "s3"}, "s0", {"s1"},
+        [("s0", pair("p", "q", "a"), "s1"), ("s0", pair("p", "q", "b"), "s2"),
+         ("s2", pair("p", "q", "c"), "s3")])
+    csm = Csm({owner: StateMachine(
+        {"a", "b", "c", "d"}, "a", {"b"},
+        [("a", act("p", "q", "a"), "b"), ("a", act("p", "q", "b"), "c"),
+         ("c", act("p", "q", "c"), "d")])
+        for owner, act in (("p", send), ("q", recv))})
+    for psm in (validate(machine), Psm(machine, 1, {("p", "q"): 1})):
+        old = reference.check_projection(psm, csm, 4)
+        assert kernel.check_projection(psm, csm, 4) == old
+        assert "CSM adds prefix p>q!b" in old.reasons
