@@ -438,7 +438,7 @@ def main(argv=None) -> int:
             program_mod.ProgramSyntaxError, transform.TypeSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NEGATIVE
-    except fifo.ClosureCapExceeded as exc:
+    except (fifo.ClosureCapExceeded, RecursionError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return RESOURCE
 

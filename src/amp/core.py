@@ -4,6 +4,13 @@ Everything downstream (protocol validation, communicating machines,
 projection, the type checker) is built on the two types defined here:
 `Event` and `StateMachine`.  Machines are immutable once constructed and
 all derived data is precomputed, so they are safe to share freely.
+
+The graph-analysis section (`nodes_on_cycles`, `backward_closure`,
+`maximal_capable`, `fer_violation`) answers "can this node still reach a
+maximal run?" and "can every pending message still be received?" for any
+graph given as nodes and an out-edge function: state machines, protocol
+configuration graphs and explored CSMs alike.  The channel-queue and
+payload-key helpers shared by those layers live here too.
 """
 
 from __future__ import annotations
@@ -32,12 +39,22 @@ class StateRef:
 Payload = Union[None, str, StateRef]
 
 
-def _payload_key(payload: Payload) -> str:
+def payload_key(payload: Payload) -> str:
+    """A payload as a string that orders and compares like the payload."""
     if payload is None:
         return ""
     if isinstance(payload, StateRef):
         return "@" + payload.state
     return "#" + payload
+
+
+def payload_from_key(key: str) -> Payload:
+    """The inverse of `payload_key`."""
+    if not key:
+        return None
+    if key.startswith("@"):
+        return StateRef(key[1:])
+    return key[1:]
 
 
 @dataclass(frozen=True)
@@ -76,7 +93,7 @@ class Event:
 
     def sort_key(self):
         return (self.sender, self.receiver, self.label,
-                _KIND_ORDER[self.kind], _payload_key(self.payload))
+                _KIND_ORDER[self.kind], payload_key(self.payload))
 
     def letters(self) -> tuple["Event", ...]:
         """The trace letters this transition label contributes."""
@@ -86,7 +103,7 @@ class Event:
         return (self,)
 
     def message(self) -> tuple[str, str]:
-        return (self.label, _payload_key(self.payload))
+        return (self.label, payload_key(self.payload))
 
     def __str__(self) -> str:
         if self.payload is None:
@@ -201,20 +218,9 @@ class StateMachine:
 
     def has_pure_eps_cycle(self) -> bool:
         """Detect a cycle consisting solely of epsilon transitions."""
-        colour: dict[str, int] = {}
-
-        def visit(q: str) -> bool:
-            colour[q] = 1
-            for ev, dst in self._out[q]:
-                if ev is not None:
-                    continue
-                c = colour.get(dst, 0)
-                if c == 1 or (c == 0 and visit(dst)):
-                    return True
-            colour[q] = 2
-            return False
-
-        return any(visit(q) for q in self.states if colour.get(q, 0) == 0)
+        return bool(nodes_on_cycles(
+            self.states,
+            lambda q: [(ev, dst) for ev, dst in self._out[q] if ev is None]))
 
     # -- reachability ----------------------------------------------------
 
@@ -242,19 +248,7 @@ class StateMachine:
 
     def useful_states(self) -> frozenset[str]:
         """States from which some maximal run exists (a final, or a cycle)."""
-        on_cycle = _states_on_cycles(self)
-        good = set(self.finals) | on_cycle
-        incoming: dict[str, set[str]] = {q: set() for q in self.states}
-        for src, _, dst in self.transitions:
-            incoming[dst].add(src)
-        stack = list(good)
-        while stack:
-            q = stack.pop()
-            for p in incoming[q]:
-                if p not in good:
-                    good.add(p)
-                    stack.append(p)
-        return frozenset(good)
+        return frozenset(maximal_capable(self.states, self.out, self.finals))
 
     def trim(self) -> "StateMachine":
         """Drop states that are unreachable or admit no maximal run."""
@@ -274,26 +268,34 @@ class StateMachine:
                             [(m(s), e, m(d)) for s, e, d in self.transitions])
 
 
-def _states_on_cycles(m: StateMachine) -> set[str]:
-    """States lying on some cycle (Tarjan SCCs plus self loops)."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    result: set[str] = set()
+# -- graph analyses -----------------------------------------------------
+#
+# A graph is given as (nodes, out): `out(v)` returns the (label,
+# successor) pairs leaving node v, as `StateMachine.out`,
+# `psm.ConfigGraph.edges` and `csm.ExploreReport.edges` do.
 
-    def strongconnect(v: str) -> None:
+
+def nodes_on_cycles(nodes: Iterable, out) -> set:
+    """Nodes lying on some cycle (iterative Tarjan SCCs plus self loops)."""
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    counter = 0
+    result: set = set()
+    for v in nodes:
+        if v in index:
+            continue
         work = [(v, 0)]
         while work:
             node, i = work.pop()
             if i == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
+                index[node] = low[node] = counter
+                counter += 1
                 stack.append(node)
                 on_stack.add(node)
             recurse = False
-            outs = m.out(node)
+            outs = out(node)
             while i < len(outs):
                 _, w = outs[i]
                 i += 1
@@ -316,16 +318,85 @@ def _states_on_cycles(m: StateMachine) -> set[str]:
                         break
                 if len(comp) > 1:
                     result.update(comp)
-                elif any(d == node for _, d in m.out(node)):
+                elif any(d == node for _, d in outs):
                     result.add(node)
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
-
-    for q in m.states:
-        if q not in index:
-            strongconnect(q)
     return result
+
+
+def backward_closure(nodes: Iterable, out, targets: Iterable) -> set:
+    """The targets and every node with a path to one of them."""
+    incoming: dict = {}
+    for v in nodes:
+        for _, w in out(v):
+            incoming.setdefault(w, []).append(v)
+    closed = set(targets)
+    work = list(closed)
+    while work:
+        for p in incoming.get(work.pop(), ()):
+            if p not in closed:
+                closed.add(p)
+                work.append(p)
+    return closed
+
+
+def maximal_capable(nodes: Iterable, out, finals: Iterable) -> set:
+    """Nodes from which a maximal run exists: reach a final node or a cycle."""
+    nodes = list(nodes)
+    return backward_closure(nodes, out,
+                            set(finals) | nodes_on_cycles(nodes, out))
+
+
+def fer_violation(pending: Iterable, out, capable: set):
+    """Feasible eventual reception over a graph labelled with events.
+
+    `pending` holds (node, channel, backlog) triples.  Returns the first
+    node from which no path receives `backlog` messages on `channel` and
+    ends in a `capable` node, or None.  `capable` must be closed under
+    predecessors, as `maximal_capable` is.
+    """
+    for node, channel, backlog in pending:
+        seen = {(node, 0)}
+        work = [(node, 0)]
+        while work:
+            v, consumed = work.pop()
+            if consumed == backlog:
+                if v in capable:
+                    break
+                continue
+            for ev, w in out(v):
+                if ev is not None and ev.kind == RECV and ev.channel == channel:
+                    succ = (w, consumed + 1)
+                else:
+                    succ = (w, consumed)
+                if succ not in seen:
+                    seen.add(succ)
+                    work.append(succ)
+        else:
+            return node
+    return None
+
+
+# -- channel queues -----------------------------------------------------
+#
+# Channel contents are kept as a sorted tuple of (channel, non-empty
+# message tuple) pairs, so equal contents compare and hash equal.
+
+
+def queue_get(queues: tuple, channel) -> tuple:
+    for ch, content in queues:
+        if ch == channel:
+            return content
+    return ()
+
+
+def queue_set(queues: tuple, channel, content: tuple) -> tuple:
+    rest = [(ch, c) for ch, c in queues if ch != channel]
+    if content:
+        rest.append((channel, content))
+    return tuple(sorted(rest))
 
 
 def expand_pairs(m: StateMachine) -> StateMachine:

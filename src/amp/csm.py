@@ -16,12 +16,11 @@ from operator import getitem, itemgetter
 from typing import Optional
 
 from .core import (Event, PAIR, SEND, StateMachine, Word,
-                   machine_from_json, machine_to_json)
+                   machine_from_json, machine_to_json, queue_get)
 from .fifo import closure_upto
 from .psm import Psm
 
 Channel = tuple[str, str]
-Msg = tuple[str, str]
 
 
 class Csm:
@@ -66,10 +65,7 @@ class Configuration:
         raise KeyError(participant)
 
     def queue(self, channel: Channel) -> tuple:
-        for ch, content in self.channels:
-            if ch == channel:
-                return content
-        return ()
+        return queue_get(self.channels, channel)
 
 
 def initial_config(csm: Csm) -> Configuration:

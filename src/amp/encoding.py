@@ -13,8 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, pair, recv,
-                   send)
+from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, pair,
+                   payload_from_key, recv, send)
 
 Channel = tuple[str, str]
 
@@ -46,10 +46,6 @@ def channel_participants(bounds: dict) -> tuple[ChannelParticipant, ...]:
     for (p, q), b in sorted(bounds.items()):
         cps.extend(ChannelParticipant(p, q, i) for i in range(b))
     return tuple(cps)
-
-
-def _bounds_violated(channel: Channel, pending: int, bounds: dict) -> bool:
-    return channel in bounds and pending > bounds[channel]
 
 
 def encode_word(word: Word, bounds: dict) -> Word:
@@ -153,6 +149,50 @@ def _counter_state(q: str, snd: tuple, rcv_: tuple) -> str:
     return "|".join(parts)
 
 
+def _thread_counters(machine: StateMachine, bounds: dict, out_channels: tuple,
+                     in_channels: tuple, hop) -> StateMachine:
+    """Breadth-first product of `machine` with ring counters.
+
+    Each state carries a send counter per channel in `out_channels` and a
+    receive counter per channel in `in_channels`.  `hop(ev, cp)` gives the
+    exchange with forwarder `cp`, the one at the current counter, that
+    replaces the send or receive `ev` and advances its counter, or None to
+    keep `ev` and the counters as they are.  Only states with every counter
+    at zero stay final.
+    """
+    zero_out = tuple((ch, 0) for ch in out_channels)
+    zero_in = tuple((ch, 0) for ch in in_channels)
+    start = (machine.initial, zero_out, zero_in)
+    index = {start: _counter_state(*start)}
+    frontier = deque([start])
+    transitions = []
+    finals = set()
+    while frontier:
+        node = frontier.popleft()
+        q, snd, rcv_ = node
+        name = index[node]
+        if q in machine.finals and snd == zero_out and rcv_ == zero_in:
+            finals.add(name)
+        for ev, dst in machine.out(q):
+            label, succ = ev, (dst, snd, rcv_)
+            if ev is not None:
+                sending = ev.kind == SEND
+                counters = snd if sending else rcv_
+                idx = dict(counters).get(ev.channel, 0)
+                rerouted = hop(ev, ChannelParticipant(*ev.channel, idx).name)
+                if rerouted is not None:
+                    label = rerouted
+                    ticked = tuple(
+                        (ch, (v + 1) % bounds[ch] if ch == ev.channel else v)
+                        for ch, v in counters)
+                    succ = (dst, ticked, rcv_) if sending else (dst, snd, ticked)
+            if succ not in index:
+                index[succ] = _counter_state(*succ)
+                frontier.append(succ)
+            transitions.append((name, label, index[succ]))
+    return StateMachine(set(index.values()), index[start], finals, transitions)
+
+
 def encode_psm(machine: StateMachine, bounds: dict) -> StateMachine:
     """Encode a protocol machine into one over the extended alphabet.
 
@@ -163,44 +203,15 @@ def encode_psm(machine: StateMachine, bounds: dict) -> StateMachine:
     machine = merge_immediate_pairs(machine, bounds)
     # Rings of size one have a constant counter; no need to track them.
     channels = tuple(sorted(ch for ch, b in bounds.items() if b >= 2))
-    zero = tuple((ch, 0) for ch in channels)
-    start = (machine.initial, zero, zero)
-    index = {start: _counter_state(machine.initial, zero, zero)}
-    frontier = deque([start])
-    transitions = []
-    finals = set()
-    while frontier:
-        node = frontier.popleft()
-        q, snd, rcv_ = node
-        name = index[node]
-        if q in machine.finals and snd == zero and rcv_ == zero:
-            finals.add(name)
-        for ev, dst in machine.out(q):
-            if ev is None:
-                succ = (dst, snd, rcv_)
-                label = None
-            elif ev.kind == PAIR:
-                succ = (dst, snd, rcv_)
-                label = ev
-            elif ev.kind == SEND:
-                idx = dict(snd).get(ev.channel, 0)
-                cp = ChannelParticipant(*ev.channel, idx).name
-                label = pair(ev.sender, cp, ev.label, ev.payload)
-                snd2 = tuple((ch, (v + 1) % bounds[ch] if ch == ev.channel else v)
-                             for ch, v in snd)
-                succ = (dst, snd2, rcv_)
-            else:
-                idx = dict(rcv_).get(ev.channel, 0)
-                cp = ChannelParticipant(*ev.channel, idx).name
-                label = pair(cp, ev.receiver, ev.label, ev.payload)
-                rcv2 = tuple((ch, (v + 1) % bounds[ch] if ch == ev.channel else v)
-                             for ch, v in rcv_)
-                succ = (dst, snd, rcv2)
-            if succ not in index:
-                index[succ] = _counter_state(*succ)
-                frontier.append(succ)
-            transitions.append((name, label, index[succ]))
-    return StateMachine(set(index.values()), index[start], finals, transitions)
+
+    def hop(ev: Event, cp: str) -> Optional[Event]:
+        if ev.kind == PAIR:
+            return None
+        if ev.kind == SEND:
+            return pair(ev.sender, cp, ev.label, ev.payload)
+        return pair(cp, ev.receiver, ev.label, ev.payload)
+
+    return _thread_counters(machine, bounds, channels, channels, hop)
 
 
 # -- per-participant machines ----------------------------------------------
@@ -212,41 +223,15 @@ def encode_fsm(machine: StateMachine, participant: str, bounds: dict) -> StateMa
                                 if ch[0] == participant and bounds[ch] >= 2))
     in_channels = tuple(sorted(ch for ch in bounds
                                if ch[1] == participant and bounds[ch] >= 2))
-    zero_out = tuple((ch, 0) for ch in out_channels)
-    zero_in = tuple((ch, 0) for ch in in_channels)
-    start = (machine.initial, zero_out, zero_in)
-    index = {start: _counter_state(machine.initial, zero_out, zero_in)}
-    frontier = deque([start])
-    transitions = []
-    finals = set()
-    while frontier:
-        node = frontier.popleft()
-        q, snd, rcv_ = node
-        name = index[node]
-        if q in machine.finals and snd == zero_out and rcv_ == zero_in:
-            finals.add(name)
-        for ev, dst in machine.out(q):
-            if ev is None or ev.channel not in bounds:
-                label, succ = ev, (dst, snd, rcv_)
-            elif ev.kind == SEND:
-                idx = dict(snd).get(ev.channel, 0)
-                cp = ChannelParticipant(*ev.channel, idx).name
-                label = send(participant, cp, ev.label, ev.payload)
-                snd2 = tuple((ch, (v + 1) % bounds[ch] if ch == ev.channel else v)
-                             for ch, v in snd)
-                succ = (dst, snd2, rcv_)
-            else:
-                idx = dict(rcv_).get(ev.channel, 0)
-                cp = ChannelParticipant(*ev.channel, idx).name
-                label = recv(cp, participant, ev.label, ev.payload)
-                rcv2 = tuple((ch, (v + 1) % bounds[ch] if ch == ev.channel else v)
-                             for ch, v in rcv_)
-                succ = (dst, snd, rcv2)
-            if succ not in index:
-                index[succ] = _counter_state(*succ)
-                frontier.append(succ)
-            transitions.append((name, label, index[succ]))
-    return StateMachine(set(index.values()), index[start], finals, transitions)
+
+    def hop(ev: Event, cp: str) -> Optional[Event]:
+        if ev.channel not in bounds:
+            return None
+        if ev.kind == SEND:
+            return send(participant, cp, ev.label, ev.payload)
+        return recv(cp, participant, ev.label, ev.payload)
+
+    return _thread_counters(machine, bounds, out_channels, in_channels, hop)
 
 
 def decode_fsm(machine: StateMachine) -> StateMachine:
@@ -349,7 +334,7 @@ def machine_is_forwarding(machine: StateMachine, cp: ChannelParticipant) -> bool
                 nxt = ev.message()
             else:
                 if ev != send(cp.name, cp.target, held[0],
-                              _payload_from_key(held[1])):
+                              payload_from_key(held[1])):
                     return False
                 nxt = None
             if dst in states:
@@ -359,15 +344,6 @@ def machine_is_forwarding(machine: StateMachine, cp: ChannelParticipant) -> bool
                 states[dst] = nxt
                 stack.append(dst)
     return True
-
-
-def _payload_from_key(key: str):
-    from .core import StateRef
-    if not key:
-        return None
-    if key.startswith("@"):
-        return StateRef(key[1:])
-    return key[1:]
 
 
 def is_amicable(components: dict[str, StateMachine], bounds: dict,
@@ -395,8 +371,8 @@ def is_amicable(components: dict[str, StateMachine], bounds: dict,
                     if ev.kind == SEND and ev.receiver == name]
             run = []
             for label, payload in msgs:
-                run.append(recv(cp.source, name, label, _payload_from_key(payload)))
-                run.append(send(name, cp.target, label, _payload_from_key(payload)))
+                run.append(recv(cp.source, name, label, payload_from_key(payload)))
+                run.append(send(name, cp.target, label, payload_from_key(payload)))
             if not _machine_accepts_prefix(machine, tuple(run)):
                 return False
     return True

@@ -13,12 +13,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, expand_pairs)
+from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, expand_pairs,
+                   fer_violation, maximal_capable, queue_get, queue_set)
 
 DEFAULT_CONFIG_CAP = 1_000_000
 
 Channel = tuple[str, str]
-Msg = tuple[str, str]  # (label, payload key)
 
 
 class PsmError(Exception):
@@ -85,20 +85,6 @@ class ConfigGraph:
         return tuple(reversed(events))
 
 
-def _queues_get(queues: tuple, channel: Channel) -> tuple:
-    for ch, content in queues:
-        if ch == channel:
-            return content
-    return ()
-
-
-def _queues_set(queues: tuple, channel: Channel, content: tuple) -> tuple:
-    rest = [(ch, c) for ch, c in queues if ch != channel]
-    if content:
-        rest.append((channel, content))
-    return tuple(sorted(rest))
-
-
 def build_config_graph(machine: StateMachine, *,
                        config_cap: int = DEFAULT_CONFIG_CAP,
                        queue_cap: Optional[int] = None) -> ConfigGraph:
@@ -130,19 +116,19 @@ def build_config_graph(machine: StateMachine, *,
         out = []
         for ev in sorted(moves, key=Event.sort_key):
             targets = machine.eps_closure(moves[ev])
-            content = _queues_get(queues, ev.channel)
+            content = queue_get(queues, ev.channel)
             if ev.kind == SEND:
                 if len(content) >= queue_cap:
                     raise UnboundedChannel(
                         f"channel {ev.channel} exceeded queue cap {queue_cap}",
                         graph.word_to(node_id) + (ev,))
-                new_queues = _queues_set(queues, ev.channel, content + (ev.message(),))
+                new_queues = queue_set(queues, ev.channel, content + (ev.message(),))
             elif ev.kind == RECV:
                 if not content or content[0] != ev.message():
                     raise NonFifo(
                         f"receive {ev} does not match the channel head",
                         graph.word_to(node_id) + (ev,))
-                new_queues = _queues_set(queues, ev.channel, content[1:])
+                new_queues = queue_set(queues, ev.channel, content[1:])
             else:  # pragma: no cover - pairs were expanded above
                 raise AssertionError(ev)
             succ: Config = (targets, new_queues)
@@ -159,60 +145,6 @@ def build_config_graph(machine: StateMachine, *,
     return graph
 
 
-def _maximal_capable(graph: ConfigGraph) -> set[int]:
-    """Nodes from which a maximal run exists: reach a final node or a cycle."""
-    finals = {i for i, (states, _) in enumerate(graph.nodes)
-              if states & graph.machine.finals}
-    on_cycle: set[int] = set()
-    colour: dict[int, int] = {}
-
-    def visit(v: int) -> None:
-        stack = [(v, 0)]
-        path: list[int] = []
-        on_path: set[int] = set()
-        while stack:
-            node, i = stack.pop()
-            if i == 0:
-                colour[node] = 1
-                path.append(node)
-                on_path.add(node)
-            succs = graph.edges.get(node, ())
-            advanced = False
-            while i < len(succs):
-                _, w = succs[i]
-                i += 1
-                if colour.get(w, 0) == 0:
-                    stack.append((node, i))
-                    stack.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_path or w == node:
-                    on_cycle.add(w)
-            if advanced:
-                continue
-            colour[node] = 2
-            path.pop()
-            on_path.discard(node)
-
-    for v in range(len(graph.nodes)):
-        if colour.get(v, 0) == 0:
-            visit(v)
-
-    good = finals | on_cycle
-    incoming: dict[int, set[int]] = {i: set() for i in range(len(graph.nodes))}
-    for src, succs in graph.edges.items():
-        for _, dst in succs:
-            incoming[dst].add(src)
-    work = list(good)
-    while work:
-        v = work.pop()
-        for p in incoming[v]:
-            if p not in good:
-                good.add(p)
-                work.append(p)
-    return good
-
-
 def check_fer(graph: ConfigGraph) -> tuple[bool, Optional[Word]]:
     """Feasible eventual reception on the configuration graph.
 
@@ -220,31 +152,14 @@ def check_fer(graph: ConfigGraph) -> tuple[bool, Optional[Word]]:
     fully consumable along some continuation that still extends to a
     maximal run.  Returns a witness word reaching the stuck send if not.
     """
-    capable = _maximal_capable(graph)
-    for node_id, (_, queues) in enumerate(graph.nodes):
-        for channel, content in queues:
-            need = len(content)
-            seen = {(node_id, 0)}
-            stack = [(node_id, 0)]
-            found = False
-            while stack and not found:
-                v, consumed = stack.pop()
-                if consumed == need:
-                    if v in capable:
-                        found = True
-                    continue
-                for ev, w in graph.edges.get(v, ()):
-                    c2 = consumed + (1 if ev.kind == RECV and ev.channel == channel
-                                     else 0)
-                    c2 = min(c2, need)
-                    if c2 == need and w in capable:
-                        found = True
-                        break
-                    if (w, c2) not in seen:
-                        seen.add((w, c2))
-                        stack.append((w, c2))
-            if not found:
-                return False, graph.word_to(node_id)
+    nodes = range(len(graph.nodes))
+    out = lambda v: graph.edges.get(v, ())
+    finals = [i for i in nodes if graph.nodes[i][0] & graph.machine.finals]
+    pending = ((i, ch, len(content)) for i in nodes
+               for ch, content in graph.nodes[i][1])
+    stuck = fer_violation(pending, out, maximal_capable(nodes, out, finals))
+    if stuck is not None:
+        return False, graph.word_to(stuck)
     return True, None
 
 

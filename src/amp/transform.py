@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .core import (Event, PAIR, RECV, SEND, StateMachine, StateRef, Word,
-                   pair, recv, send)
+                   backward_closure, pair, recv, send)
 
 # -- global and local types -------------------------------------------------
 
@@ -519,7 +519,8 @@ def psm_to_regex(machine: StateMachine) -> Regex:
     machine = machine.trim()
     if not machine.is_sink_final():
         raise ValueError("psm_to_regex requires a sink-final machine")
-    reaches_final = frozenset(_states_reaching(machine, machine.finals))
+    reaches_final = backward_closure(machine.states, machine.out,
+                                     machine.finals)
     if machine.states - reaches_final:
         # An expression's infinite words are limits of its finite ones,
         # so a branch that can never complete has no flat representation.
@@ -549,21 +550,6 @@ def psm_to_regex(machine: StateMachine) -> Regex:
     if any(dst is not None for _, dst in equations[machine.initial]):
         raise AssertionError("elimination left an unresolved state")
     return rsum(constants)
-
-
-def _states_reaching(machine: StateMachine, targets: frozenset) -> set[str]:
-    incoming: dict[str, set[str]] = {q: set() for q in machine.states}
-    for src, _, dst in machine.transitions:
-        incoming[dst].add(src)
-    reached = set(targets)
-    work = list(targets)
-    while work:
-        q = work.pop()
-        for p in incoming[q]:
-            if p not in reached:
-                reached.add(p)
-                work.append(p)
-    return reached
 
 
 def _elimination_order(machine: StateMachine) -> list[str]:

@@ -17,7 +17,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from .core import RECV, SEND, StateMachine, StateRef
+from .core import (RECV, SEND, StateMachine, StateRef, fer_violation,
+                   maximal_capable, payload_from_key, payload_key, queue_get,
+                   queue_set)
 from .csm import (Configuration, Csm, explore, is_final_config, step)
 
 # -- terms ---------------------------------------------------------------
@@ -136,10 +138,7 @@ class RQueue:
     contents: tuple  # tuple[((p, q), tuple[Msg, ...]), ...] non-empty, sorted
 
     def queue(self, channel) -> tuple:
-        for ch, msgs in self.contents:
-            if ch == channel:
-                return msgs
-        return ()
+        return queue_get(self.contents, channel)
 
     def __str__(self) -> str:
         if not self.contents:
@@ -474,8 +473,8 @@ def reduce_config(config: NormalConfig, defs: Mapping[str, Definition],
                 continue
             for b in thread.branches:
                 channel = (sender, b.receiver)
-                queue = _queue_get(contents, channel)
-                new_contents = _queue_set(contents, channel,
+                queue = queue_get(contents, channel)
+                new_contents = queue_set(contents, channel,
                                           queue + ((b.label, b.payload),))
                 succ = normalize(PPar(
                     tuple(rest) + (r2c(b.cont),)
@@ -492,7 +491,7 @@ def reduce_config(config: NormalConfig, defs: Mapping[str, Definition],
             mismatch_everywhere = True
             for b in thread.branches:
                 channel = (b.sender, receiver)
-                queue = _queue_get(contents, channel)
+                queue = queue_get(contents, channel)
                 if not queue:
                     mismatch_everywhere = False
                     continue
@@ -501,7 +500,7 @@ def reduce_config(config: NormalConfig, defs: Mapping[str, Definition],
                     mismatch_everywhere = False
                     candidates.append((b, channel, queue, value))
             for b, channel, queue, value in candidates:
-                new_contents = _queue_set(contents, channel, queue[1:])
+                new_contents = queue_set(contents, channel, queue[1:])
                 cont = b.cont if b.binder is None else substitute(
                     b.cont, b.binder, value)
                 succ = normalize(PPar(
@@ -551,20 +550,6 @@ def _session_terms(config: NormalConfig, replace: Optional[dict] = None,
         terms.append(PRes(name, csm_name, PPar(tuple(inner))
                           if len(inner) != 1 else inner[0]))
     return tuple(terms)
-
-
-def _queue_get(contents: tuple, channel) -> tuple:
-    for ch, msgs in contents:
-        if ch == channel:
-            return msgs
-    return ()
-
-
-def _queue_set(contents: tuple, channel, msgs: tuple) -> tuple:
-    rest = [(ch, m) for ch, m in contents if ch != channel]
-    if msgs:
-        rest.append((channel, msgs))
-    return tuple(sorted(rest))
 
 
 # -- the type system ----------------------------------------------------------
@@ -886,25 +871,17 @@ def _queues_compatible(registry: StateRegistry, concrete: tuple,
     channels = {ch for ch, _ in concrete} | {ch for ch, _ in
                                              machine_config.channels}
     for channel in channels:
-        actual = _queue_get(concrete, channel)
+        actual = queue_get(concrete, channel)
         typed = machine_config.queue(channel)
         if len(actual) != len(typed):
             return False
         for (label, value), (tl, tp) in zip(actual, typed):
             if label != tl:
                 return False
-            payload = _payload_from_key_str(tp)
+            payload = payload_from_key(tp)
             if not registry.payload_matches(payload, value):
                 return False
     return True
-
-
-def _payload_from_key_str(key: str):
-    if not key:
-        return None
-    if key.startswith("@"):
-        return StateRef(key[1:])
-    return key[1:]
 
 
 def _check_with_configs(checker: Checker, config: NormalConfig,
@@ -923,7 +900,7 @@ def _check_with_configs(checker: Checker, config: NormalConfig,
         for channel, msgs in concrete:
             typed = machine_config.queue(channel)
             for (label, value), (tl, tp) in zip(msgs, typed):
-                payload = _payload_from_key_str(tp)
+                payload = payload_from_key(tp)
                 if isinstance(payload, StateRef):
                     actual = gamma.pop(value, None)
                     if actual != payload.state:
@@ -951,7 +928,7 @@ def context_reduce(registry: StateRegistry, gamma: Mapping, delta: Mapping
         for ev, target in registry.transitions(state):
             if ev is None:
                 continue
-            msg = (ev.label, _payload_key_str(ev.payload))
+            msg = (ev.label, payload_key(ev.payload))
             if ev.kind == SEND:
                 key = (ref.session, ev.sender, ev.receiver)
                 if key not in delta:
@@ -971,14 +948,6 @@ def context_reduce(registry: StateRegistry, gamma: Mapping, delta: Mapping
                     new_delta[key] = entry[1:]
                     successors.append((new_gamma, new_delta))
     return successors
-
-
-def _payload_key_str(payload) -> str:
-    if payload is None:
-        return ""
-    if isinstance(payload, StateRef):
-        return "@" + payload.state
-    return "#" + payload
 
 
 # -- well-annotation ----------------------------------------------------------
@@ -1001,84 +970,18 @@ def check_well_annotated(csm: Csm, *, queue_cap: int = 4,
 
 
 def _csm_fer(csm: Csm, report) -> bool:
+    # Configurations are numbered once: hashing them costs more than the
+    # searches themselves.  Successors beyond the config cap are dropped.
     configs = report.configs
     index = {c: i for i, c in enumerate(configs)}
-    edges = {index[c]: tuple((ev, index[d]) for ev, d in report.edges[c]
-                             if d in index)
-             for c in configs}
-    capable = _capable_nodes(csm, configs, edges)
-    for i, config in enumerate(configs):
-        for channel, content in config.channels:
-            need = len(content)
-            if not need:
-                continue
-            seen = {(i, 0)}
-            stack = [(i, 0)]
-            found = False
-            while stack and not found:
-                v, consumed = stack.pop()
-                if consumed >= need and v in capable:
-                    found = True
-                    break
-                for ev, w in edges.get(v, ()):
-                    c2 = consumed + (1 if ev is not None and ev.kind == RECV
-                                     and ev.channel == channel else 0)
-                    c2 = min(c2, need)
-                    if (w, c2) not in seen:
-                        seen.add((w, c2))
-                        stack.append((w, c2))
-            if not found:
-                return False
-    return True
-
-
-def _capable_nodes(csm: Csm, configs, edges) -> set[int]:
-    finals = {i for i, c in enumerate(configs) if is_final_config(csm, c)}
-    n = len(configs)
-    on_cycle: set[int] = set()
-    colour = [0] * n
-
-    def visit(v: int) -> None:
-        stack = [(v, 0)]
-        on_path: set[int] = set()
-        while stack:
-            node, i = stack.pop()
-            if i == 0:
-                colour[node] = 1
-                on_path.add(node)
-            succs = edges.get(node, ())
-            advanced = False
-            while i < len(succs):
-                _, w = succs[i]
-                i += 1
-                if colour[w] == 0:
-                    stack.append((node, i))
-                    stack.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_path:
-                    on_cycle.add(w)
-            if advanced:
-                continue
-            colour[node] = 2
-            on_path.discard(node)
-
-    for v in range(n):
-        if colour[v] == 0:
-            visit(v)
-    good = finals | on_cycle
-    incoming: dict[int, set[int]] = {i: set() for i in range(n)}
-    for src, succs in edges.items():
-        for _, dst in succs:
-            incoming[dst].add(src)
-    work = list(good)
-    while work:
-        v = work.pop()
-        for p in incoming[v]:
-            if p not in good:
-                good.add(p)
-                work.append(p)
-    return good
+    edges = [tuple((ev, index[d]) for ev, d in report.edges[c] if d in index)
+             for c in configs]
+    nodes = range(len(configs))
+    finals = [i for i in nodes if is_final_config(csm, configs[i])]
+    pending = ((i, ch, len(content)) for i in nodes
+               for ch, content in configs[i].channels)
+    capable = maximal_capable(nodes, edges.__getitem__, finals)
+    return fer_violation(pending, edges.__getitem__, capable) is None
 
 
 # -- harnesses ------------------------------------------------------------------

@@ -318,3 +318,12 @@ def random_local_tree(rng: random.Random, participant: str = "p",
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)
+
+
+def epsilon_chain(n: int) -> StateMachine:
+    """n states joined by epsilon steps, then one exchange to a final."""
+    states = [f"s{i}" for i in range(n + 1)]
+    transitions = [(states[i], None, states[i + 1]) for i in range(n - 1)]
+    transitions.append((states[n - 1], send("p", "q", "m"), f"s{n}~"))
+    transitions.append((f"s{n}~", recv("p", "q", "m"), states[n]))
+    return StateMachine(states + [f"s{n}~"], "s0", {states[n]}, transitions)

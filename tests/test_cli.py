@@ -238,3 +238,31 @@ def test_reports_are_byte_stable(capsys):
     _, second = run(capsys, "validate", str(PROTOCOLS / "kle.psm.json"),
                     "--json")
     assert first == second
+
+
+def _write_machine(path: Path, machine) -> str:
+    from amp.core import dump_machine
+    path.write_text(dump_machine(machine))
+    return str(path)
+
+
+def test_long_epsilon_chain_is_analysed(tmp_path, capsys):
+    from .conftest import epsilon_chain
+    source = _write_machine(tmp_path / "eps.psm.json", epsilon_chain(3000))
+    for command in ("validate", "classify", "bounds", "encode", "project"):
+        code, _ = run(capsys, command, source)
+        assert code == 0, command
+
+
+def test_recursion_limit_is_a_resource_cap(tmp_path, capsys):
+    from amp.core import StateMachine, pair
+    states = [f"s{i}" for i in range(401)]
+    chain = StateMachine(
+        states, "s0", {"s400"},
+        [(states[i], pair("p", "q", f"l{i}") if i % 2 == 0
+          else pair("q", "p", f"l{i}"), states[i + 1]) for i in range(400)])
+    code = main(["to-global", _write_machine(tmp_path / "chain.psm.json",
+                                             chain)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("resource cap: ") and err.count("\n") == 1

@@ -11,7 +11,7 @@ from amp.psm import (DIRECTED, FerViolation, MIXED, NON_DETERMINISTIC, NonFifo,
                      is_tame, single_sender_branching, validate)
 from amp.transform import global_to_psm, parse_global_type
 
-from .conftest import kle_machine, three_party_machine
+from .conftest import epsilon_chain, kle_machine, three_party_machine
 
 
 def test_three_party_is_sum_one():
@@ -204,3 +204,11 @@ def test_bounds_respected_by_traces(rng):
             for channel, bound in bounds.items():
                 restricted = project(word, channel=channel)
                 assert is_b_bounded(restricted, bound)
+
+
+def test_validate_long_epsilon_chain():
+    # Deeper than the default recursion limit: no analysis may recurse
+    # once per state.
+    psm = validate(epsilon_chain(3000))
+    assert psm.bound_by_channel == {("p", "q"): 1}
+    assert not psm.machine.has_pure_eps_cycle()
