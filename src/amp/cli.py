@@ -41,6 +41,14 @@ def _witness_lines(exc) -> list[str]:
     return [f"witness: {fifo.format_word(witness)}"]
 
 
+def _cap_or_negative(exc: psm_mod.PsmError) -> int:
+    """Exit 3 when exploration hit the configuration cap, else 1."""
+    if isinstance(exc, psm_mod.UnboundedChannel) \
+            and str(exc).startswith("exploration exceeded"):
+        return RESOURCE
+    return NEGATIVE
+
+
 def _load_machine(path: str) -> core.StateMachine:
     text = Path(path).read_text()
     if path.endswith(".gt"):
@@ -71,7 +79,7 @@ def cmd_validate(args) -> int:
         _emit(args, {"error": "unbounded-channel", "detail": str(exc),
                      "witness": _witness_of(exc)},
               [f"unbounded channel: {exc}"] + _witness_lines(exc))
-        return RESOURCE if "configurations" in str(exc) else NEGATIVE
+        return _cap_or_negative(exc)
     except psm_mod.PsmError as exc:
         _emit(args, {"error": type(exc).__name__, "detail": str(exc),
                      "witness": _witness_of(exc)},
@@ -251,7 +259,7 @@ def cmd_from_global(args) -> int:
 
 def cmd_to_local(args) -> int:
     machine = _load_machine(args.file)
-    local_events = all(ev.subject == args.participant
+    local_events = all(ev.kind != core.PAIR and ev.subject == args.participant
                        for ev in machine.alphabet())
     if not local_events:
         # A whole protocol: project it, then read off the component.
@@ -438,6 +446,9 @@ def main(argv=None) -> int:
             program_mod.ProgramSyntaxError, transform.TypeSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NEGATIVE
+    except psm_mod.PsmError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _cap_or_negative(exc)
     except (fifo.ClosureCapExceeded, RecursionError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return RESOURCE

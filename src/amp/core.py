@@ -5,18 +5,24 @@ projection, the type checker) is built on the two types defined here:
 `Event` and `StateMachine`.  Machines are immutable once constructed and
 all derived data is precomputed, so they are safe to share freely.
 
-The graph-analysis section (`nodes_on_cycles`, `backward_closure`,
-`maximal_capable`, `fer_violation`) answers "can this node still reach a
-maximal run?" and "can every pending message still be received?" for any
-graph given as nodes and an out-edge function: state machines, protocol
-configuration graphs and explored CSMs alike.  The channel-queue and
-payload-key helpers shared by those layers live here too.
+The graph-analysis section holds the one copy of each walker that the
+other layers share, for any graph given as nodes and an out-edge
+function: state machines, protocol configuration graphs and compiled
+CSMs alike.  `reachable`, `eps_closure` and `backward_closure` walk
+forwards and backwards; `subset_moves` is the step of the subset
+construction, which PSM validation, projection and the bounded oracle
+all read machines through; `bounded_traces` lists the words of length
+up to k of such a determinised walk; `parent_word` reads a witness off
+a breadth-first parent chain; and `nodes_on_cycles`, `maximal_capable`
+and `fer_violation` answer "can this node still reach a maximal run?"
+and "can every pending message still be received?".  The channel-queue
+and payload-key helpers shared by those layers live here too.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 SEND = "send"
@@ -71,6 +77,7 @@ class Event:
     receiver: str
     label: str
     payload: Payload = None
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (SEND, RECV, PAIR):
@@ -79,6 +86,13 @@ class Event:
             raise ValueError("events need a sender, receiver, and label")
         if self.sender == self.receiver:
             raise ValueError(f"self-channel event {self.sender}>{self.receiver}")
+        # Injective, since `payload_key` is: equal keys mean equal events.
+        object.__setattr__(self, "_key", (
+            self.sender, self.receiver, self.label, _KIND_ORDER[self.kind],
+            payload_key(self.payload)))
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @property
     def channel(self) -> tuple[str, str]:
@@ -91,9 +105,8 @@ class Event:
             return self.receiver
         return self.sender
 
-    def sort_key(self):
-        return (self.sender, self.receiver, self.label,
-                _KIND_ORDER[self.kind], payload_key(self.payload))
+    def sort_key(self) -> tuple:
+        return self._key
 
     def letters(self) -> tuple["Event", ...]:
         """The trace letters this transition label contributes."""
@@ -225,26 +238,11 @@ class StateMachine:
     # -- reachability ----------------------------------------------------
 
     def eps_closure(self, states: Iterable[str]) -> frozenset[str]:
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            q = stack.pop()
-            for ev, dst in self._out[q]:
-                if ev is None and dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return frozenset(seen)
+        return eps_closure(states, self._out.__getitem__)
 
     def reachable_states(self) -> frozenset[str]:
-        seen = {self.initial}
-        stack = [self.initial]
-        while stack:
-            q = stack.pop()
-            for _, dst in self._out[q]:
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return frozenset(seen)
+        return frozenset(reachable(
+            (self.initial,), lambda q: [dst for _, dst in self._out[q]]))
 
     def useful_states(self) -> frozenset[str]:
         """States from which some maximal run exists (a final, or a cycle)."""
@@ -272,7 +270,49 @@ class StateMachine:
 #
 # A graph is given as (nodes, out): `out(v)` returns the (label,
 # successor) pairs leaving node v, as `StateMachine.out`,
-# `psm.ConfigGraph.edges` and `csm.ExploreReport.edges` do.
+# `psm.ConfigGraph.edges` and `csm.ExploreReport.edges` do.  A None
+# label is an epsilon edge.
+
+
+def reachable(starts: Iterable, successors) -> set:
+    """The starts and every node reachable from one of them, where
+    `successors(v)` lists the nodes one step from v."""
+    seen = set(starts)
+    work = list(seen)
+    while work:
+        for w in successors(work.pop()):
+            if w not in seen:
+                seen.add(w)
+                work.append(w)
+    return seen
+
+
+def eps_closure(starts: Iterable, out) -> frozenset:
+    """The nodes `reachable` from the starts along epsilon edges alone."""
+    return frozenset(reachable(
+        starts, lambda v: [w for ev, w in out(v) if ev is None]))
+
+
+def subset_moves(nodes: Iterable, out) -> dict:
+    """A node set's labelled moves, grouped as event -> set of successors:
+    one step of the subset construction, before closing the successors."""
+    moves: dict = {}
+    for v in nodes:
+        for ev, w in out(v):
+            if ev is not None:
+                moves.setdefault(ev, set()).add(w)
+    return moves
+
+
+def parent_word(parent: Mapping, node) -> Word:
+    """The events on the parent chain from the root to `node`, epsilon
+    left out; `parent` maps a node to (its parent, the event between)."""
+    events = []
+    while node in parent:
+        node, ev = parent[node]
+        if ev is not None:
+            events.append(ev)
+    return tuple(reversed(events))
 
 
 def nodes_on_cycles(nodes: Iterable, out) -> set:
@@ -431,6 +471,33 @@ class TraceFlags:
 TraceSet = dict  # Word -> TraceFlags
 
 
+def bounded_traces(start: Iterable, out, close, is_final, k: int) -> TraceSet:
+    """The words of length <= k of a graph read through the subset
+    construction, flagged complete and/or extendable.
+
+    A word reaches the node set `close` gives for the start nodes or for
+    the `subset_moves` successors of the word before it.  It is complete
+    when one of its nodes `is_final`, and extendable when one has a
+    labelled move.  Words are listed by length, each length in the order
+    of its prefixes and then by `Event.sort_key` of the last letter.
+    """
+    if k < 0:
+        raise ValueError("bound must be non-negative")
+    result: TraceSet = {}
+    frontier: dict = {(): close(start)}
+    for length in range(k + 1):
+        nxt: dict = {}
+        for word, nodes in frontier.items():
+            moves = subset_moves(nodes, out)
+            result[word] = TraceFlags(complete=any(map(is_final, nodes)),
+                                      extendable=bool(moves))
+            if length < k:
+                for ev in sorted(moves, key=Event.sort_key):
+                    nxt[word + (ev,)] = close(moves[ev])
+        frontier = nxt
+    return result
+
+
 def maximal_traces_upto(m: StateMachine, k: int) -> TraceSet:
     """All run traces of length <= k, flagged complete and/or extendable.
 
@@ -438,28 +505,9 @@ def maximal_traces_upto(m: StateMachine, k: int) -> TraceSet:
     state, and extendable when some such run can consume a further
     letter.  Epsilon transitions contribute no letters.
     """
-    if k < 0:
-        raise ValueError("bound must be non-negative")
     m = expand_pairs(m)
-    result: TraceSet = {}
-    frontier: dict[Word, frozenset[str]] = {(): m.eps_closure({m.initial})}
-    for length in range(k + 1):
-        nxt: dict[Word, frozenset[str]] = {}
-        for word, stateset in frontier.items():
-            moves: dict[Event, set[str]] = {}
-            for q in stateset:
-                for ev, dst in m.out(q):
-                    if ev is not None:
-                        moves.setdefault(ev, set()).add(dst)
-            result[word] = TraceFlags(
-                complete=bool(stateset & m.finals),
-                extendable=bool(moves),
-            )
-            if length < k:
-                for ev in sorted(moves, key=Event.sort_key):
-                    nxt[word + (ev,)] = m.eps_closure(moves[ev])
-        frontier = nxt
-    return result
+    return bounded_traces((m.initial,), m.out, m.eps_closure,
+                          m.finals.__contains__, k)
 
 
 def complete_traces(traces: TraceSet) -> frozenset[Word]:

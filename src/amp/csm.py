@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from operator import getitem, itemgetter
 from typing import Optional
 
-from .core import (Event, PAIR, SEND, StateMachine, Word,
-                   machine_from_json, machine_to_json, queue_get)
+from .core import (Event, PAIR, SEND, StateMachine, Word, bounded_traces,
+                   machine_from_json, machine_to_json, parent_word,
+                   queue_get, reachable)
 from .fifo import closure_upto
 from .psm import Psm
 
@@ -232,12 +233,7 @@ class ExploreReport:
         return not self.deadlocks
 
     def witness(self, config: Configuration) -> Word:
-        events = []
-        while config in self.parent:
-            config, ev = self.parent[config]
-            if ev is not None:
-                events.append(ev)
-        return tuple(reversed(events))
+        return parent_word(self.parent, config)
 
 
 def explore(csm: Csm, *, queue_cap: int = 8,
@@ -299,49 +295,25 @@ def csm_language_upto(csm: Csm, k: int, *,
     length, each length in the order of its prefixes and then by
     `Event.sort_key` of the last letter.
     """
-    from .core import TraceFlags
     kernel = _compiled(csm)
-    result: dict[Word, TraceFlags] = {}
-    frontier: dict[Word, frozenset] = {
-        (): _eps_reach(kernel, (kernel.initial,))}
-    for length in range(k + 1):
-        nxt: dict[Word, frozenset] = {}
-        for word, configs in frontier.items():
-            moves: dict[tuple, tuple[Event, set]] = {}
-            for config in configs:
-                for key, _, ev, succ, size in kernel.moves(config):
-                    if ev is None or (queue_cap is not None and size
-                                      and size > queue_cap):
-                        continue
-                    if key in moves:
-                        moves[key][1].add(succ)
-                    else:
-                        moves[key] = (ev, {succ})
-            result[word] = TraceFlags(
-                complete=any(map(kernel.is_final, configs)),
-                extendable=bool(moves),
-            )
-            if length < k:
-                for key in sorted(moves):
-                    ev, succs = moves[key]
-                    nxt[word + (ev,)] = _eps_reach(kernel, succs)
-        frontier = nxt
-    return result
+
+    def out(config: tuple) -> list:
+        return [(ev, succ) for _, _, ev, succ, size in kernel.moves(config)
+                if queue_cap is None or not size or size <= queue_cap]
+
+    return bounded_traces((kernel.initial,), out,
+                          lambda configs: _eps_reach(kernel, configs),
+                          kernel.is_final, k)
 
 
 def _eps_reach(kernel: _Kernel, configs) -> frozenset:
     """The internal configurations reachable by epsilon moves alone."""
-    seen = set(configs)
-    stack = list(seen)
-    while stack:
-        states, queues = stack.pop()
-        for i, s in enumerate(states):
-            for dst in kernel.eps[i][s]:
-                succ = (states[:i] + (dst,) + states[i + 1:], queues)
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append(succ)
-    return frozenset(seen)
+    def successors(config: tuple) -> list:
+        states, queues = config
+        return [(states[:i] + (dst,) + states[i + 1:], queues)
+                for i, s in enumerate(states) for dst in kernel.eps[i][s]]
+
+    return frozenset(reachable(configs, successors))
 
 
 @dataclass(frozen=True)

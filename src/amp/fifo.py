@@ -102,16 +102,6 @@ def is_fifo(word: Word) -> FifoReport:
     return FifoReport(COMPLETE)
 
 
-def pending_counts(word: Word) -> dict[tuple[str, str], int]:
-    counts: dict[tuple[str, str], int] = {}
-    for ev in word:
-        if ev.kind == SEND:
-            counts[ev.channel] = counts.get(ev.channel, 0) + 1
-        elif ev.kind == RECV:
-            counts[ev.channel] = counts.get(ev.channel, 0) - 1
-    return counts
-
-
 def is_b_bounded(word: Word, bound: int, mode: str = "per-channel") -> bool:
     """Check that no prefix leaves more than `bound` messages in flight.
 

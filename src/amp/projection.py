@@ -12,7 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Event, PAIR, SEND, StateMachine, recv, send
+from .core import (Event, PAIR, SEND, StateMachine, eps_closure, recv, send,
+                   subset_moves)
 from .csm import Csm, ProjectionVerdict, check_projection
 from .encoding import (channel_participants, decode_fsm, encode_psm,
                        is_amicable)
@@ -46,33 +47,20 @@ def subset_construction(machine: StateMachine, participant: str) -> StateMachine
         label = None if ev is None else _local_label(ev, participant)
         erased[src].append((label, dst))
 
-    def closure(states: frozenset) -> frozenset:
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for label, dst in erased[q]:
-                if label is None and dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return frozenset(seen)
+    out = erased.__getitem__
 
     def name(states: frozenset) -> str:
         return "{" + ",".join(sorted(states)) + "}"
 
-    start = closure(frozenset({machine.initial}))
+    start = eps_closure((machine.initial,), out)
     index = {start: name(start)}
     frontier = deque([start])
     transitions = []
     while frontier:
         states = frontier.popleft()
-        moves: dict[Event, set] = {}
-        for q in states:
-            for label, dst in erased[q]:
-                if label is not None:
-                    moves.setdefault(label, set()).add(dst)
+        moves = subset_moves(states, out)
         for label in sorted(moves, key=Event.sort_key):
-            succ = closure(frozenset(moves[label]))
+            succ = eps_closure(moves[label], out)
             if succ not in index:
                 index[succ] = name(succ)
                 frontier.append(succ)
@@ -169,8 +157,7 @@ class ProjectionResult:
 
 
 def project_tame(source, *, k: int = 6,
-                 queue_cap: Optional[int] = None,
-                 validity_filters=(check_validity,)) -> ProjectionResult:
+                 queue_cap: Optional[int] = None) -> ProjectionResult:
     """Project a tame protocol machine to a deadlock-free CSM.
 
     Encodes bounded channels through forwarder participants, runs the
@@ -180,7 +167,7 @@ def project_tame(source, *, k: int = 6,
     (multi-sender branching, non-sink-final, no inferable bounds) and
     NotProjectable with a report when a candidate exists but is wrong.
 
-    `validity_filters` are fast structural pre-filters over the subset
+    `check_validity` is a fast structural pre-filter over the subset
     machines; the bounded semantic oracle always runs afterwards and is
     what acceptance rests on.
     """
@@ -206,14 +193,11 @@ def project_tame(source, *, k: int = 6,
     cp_machines = {cp.name: minimize(subset_construction(encoded, cp.name))
                    for cp in cps}
 
-    validity = ValidityReport(True, ())
-    for check in validity_filters:
-        validity = check({**projections, **cp_machines})
-        if not validity.ok:
-            participant, state, event = validity.violations[0]
-            raise NotProjectable(
-                f"check {getattr(check, '__name__', 'validity')}: "
-                f"state {state} of {participant} rejects {event}")
+    validity = check_validity({**projections, **cp_machines})
+    if not validity.ok:
+        participant, state, event = validity.violations[0]
+        raise NotProjectable(f"check check_validity: state {state} of "
+                             f"{participant} rejects {event}")
 
     if cps and not is_amicable({**projections, **cp_machines}, bounds, k=k + 2):
         raise NotProjectable("forwarder components are not amicable")

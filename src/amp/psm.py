@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, expand_pairs,
-                   fer_violation, maximal_capable, queue_get, queue_set)
+                   fer_violation, maximal_capable, parent_word, queue_get,
+                   queue_set, subset_moves)
 
 DEFAULT_CONFIG_CAP = 1_000_000
 
@@ -78,11 +79,7 @@ class ConfigGraph:
     parent: dict = field(default_factory=dict)  # node id -> (id, Event)
 
     def word_to(self, node_id: int) -> Word:
-        events = []
-        while node_id in self.parent:
-            node_id, ev = self.parent[node_id]
-            events.append(ev)
-        return tuple(reversed(events))
+        return parent_word(self.parent, node_id)
 
 
 def build_config_graph(machine: StateMachine, *,
@@ -108,11 +105,7 @@ def build_config_graph(machine: StateMachine, *,
         if stateset & machine.finals and queues:
             raise NonFifo("complete trace leaves unmatched sends",
                           graph.word_to(node_id))
-        moves: dict[Event, set] = {}
-        for q in stateset:
-            for ev, dst in machine.out(q):
-                if ev is not None:
-                    moves.setdefault(ev, set()).add(dst)
+        moves = subset_moves(stateset, machine.out)
         out = []
         for ev in sorted(moves, key=Event.sort_key):
             targets = machine.eps_closure(moves[ev])

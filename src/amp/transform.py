@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
 from .core import (Event, PAIR, RECV, SEND, StateMachine, StateRef, Word,
-                   backward_closure, pair, recv, send)
+                   backward_closure, pair, reachable, recv, send)
 
 # -- global and local types -------------------------------------------------
 
@@ -136,60 +136,46 @@ def global_to_psm(g: GlobalType) -> StateMachine:
     epsilon transitions; the end subterms are final.
     """
     _check_global(g)
-    counter = itertools.count(1)
-    states: list[str] = []
-    finals: set[str] = set()
-    transitions: list = []
-    binders: dict[str, str] = {}
-
-    def visit(term: GlobalType) -> str:
-        sid = f"g{next(counter)}"
-        states.append(sid)
-        if isinstance(term, GEnd):
-            finals.add(sid)
-        elif isinstance(term, GVar):
-            transitions.append((sid, None, binders[term.name]))
-        elif isinstance(term, GRec):
-            binders[term.var] = sid
-            body = visit(term.body)
-            transitions.append((sid, None, body))
-        else:
-            for ev, cont in term.branches:
-                transitions.append((sid, ev, visit(cont)))
-        return sid
-
-    initial = visit(g)
-    return StateMachine(states, initial, finals, transitions)
+    return _type_to_machine(g, "g", lambda choice: choice.branches)
 
 
 def local_to_fsm(l: LocalType, participant: str) -> StateMachine:
     """The state-machine reading of a local type for one participant."""
+    def branches(choice: LChoice) -> list:
+        return [(send(participant, peer, label, payload)
+                 if choice.kind == SEND
+                 else recv(peer, participant, label, payload), cont)
+                for peer, label, payload, cont in choice.branches]
+
+    return _type_to_machine(l, "l", branches)
+
+
+def _type_to_machine(term, prefix: str, branches) -> StateMachine:
+    """The machine of a global or local type: states `prefix`1, 2, ...
+    name the subterms in preorder, and `branches(choice)` lists a
+    choice's (event, continuation) pairs."""
     counter = itertools.count(1)
     states: list[str] = []
     finals: set[str] = set()
     transitions: list = []
     binders: dict[str, str] = {}
 
-    def visit(term: LocalType) -> str:
-        sid = f"l{next(counter)}"
+    def visit(term) -> str:
+        sid = f"{prefix}{next(counter)}"
         states.append(sid)
-        if isinstance(term, LEnd):
+        if isinstance(term, (GEnd, LEnd)):
             finals.add(sid)
-        elif isinstance(term, LVar):
+        elif isinstance(term, (GVar, LVar)):
             transitions.append((sid, None, binders[term.name]))
-        elif isinstance(term, LRec):
+        elif isinstance(term, (GRec, LRec)):
             binders[term.var] = sid
             transitions.append((sid, None, visit(term.body)))
         else:
-            for peer, label, payload, cont in term.branches:
-                if term.kind == SEND:
-                    ev = send(participant, peer, label, payload)
-                else:
-                    ev = recv(peer, participant, label, payload)
+            for ev, cont in branches(term):
                 transitions.append((sid, ev, visit(cont)))
         return sid
 
-    initial = visit(l)
+    initial = visit(term)
     return StateMachine(states, initial, finals, transitions)
 
 
@@ -421,10 +407,16 @@ def regex_choice_class(r: Regex) -> str:
     sender-driven choice the alternatives must further be sends by one
     participant, and for directed choice share the receiver too.
     """
-    from .psm import DIRECTED, MIXED, NON_DETERMINISTIC, SENDER_DRIVEN
     marked = mark(r)
     decision_points = [first_letters(marked)]
     decision_points.extend(_follow_sets(marked).values())
+    return _classify_decision_points(decision_points)
+
+
+def _classify_decision_points(decision_points: Iterable) -> str:
+    """The choice class of a marked expression's decision points: sets
+    of marked letters that may come next at one point of a run."""
+    from .psm import DIRECTED, MIXED, NON_DETERMINISTIC, SENDER_DRIVEN
     directed = True
     sender_driven = True
     for letters in decision_points:
@@ -457,31 +449,13 @@ def regex_choice_class_bounded(r: Regex, k: int) -> str:
     letters can follow each prefix; agrees with the first/follow
     characterisation on star-free-enough samples.
     """
-    from .psm import DIRECTED, MIXED, NON_DETERMINISTIC, SENDER_DRIVEN
     marked = mark(r)
     words = regex_lang_upto(marked, k)
     prefixes: dict[Word, set[Event]] = {}
     for w in words:
         for i in range(len(w)):
             prefixes.setdefault(w[:i], set()).add(w[i])
-    directed = True
-    sender_driven = True
-    for nexts in prefixes.values():
-        if len(nexts) <= 1:
-            continue
-        unmarked = [unmark(a) for a in sorted(nexts, key=Event.sort_key)]
-        if len(set(unmarked)) != len(unmarked):
-            return NON_DETERMINISTIC
-        if any(ev.kind == RECV for ev in unmarked) \
-                or len({ev.sender for ev in unmarked}) != 1:
-            sender_driven = directed = False
-        elif len({ev.receiver for ev in unmarked}) != 1:
-            directed = False
-    if directed:
-        return DIRECTED
-    if sender_driven:
-        return SENDER_DRIVEN
-    return MIXED
+    return _classify_decision_points(prefixes.values())
 
 
 # -- sink-finalisation and the machine-to-regex direction --------------------
@@ -624,11 +598,6 @@ def brz_deriv(a: Event, r: Regex) -> Optional[Regex]:
     return None
 
 
-def _forward_edges(machine: StateMachine):
-    """Labelled transitions; epsilon transitions are the back edges."""
-    return [(s, e, d) for s, e, d in machine.transitions if e is not None]
-
-
 def psm_deriv(a: Event, machine: StateMachine) -> StateMachine:
     """The machine derivative for tree-shaped sink-final machines.
 
@@ -649,18 +618,10 @@ def psm_deriv(a: Event, machine: StateMachine) -> StateMachine:
 
 def psm_deriv_rooted(machine: StateMachine, new_root: str) -> StateMachine:
     root = machine.initial
-    # Descendants of the new root along forward (labelled) edges.
-    keep = {new_root}
-    stack = [new_root]
-    forward: dict[str, list[tuple[Event, str]]] = {}
-    for s, e, d in _forward_edges(machine):
-        forward.setdefault(s, []).append((e, d))
-    while stack:
-        q = stack.pop()
-        for _, dst in forward.get(q, []):
-            if dst not in keep:
-                keep.add(dst)
-                stack.append(dst)
+    # Descendants of the new root along forward (labelled) edges;
+    # epsilon transitions are the back edges.
+    keep = reachable((new_root,), lambda q: [
+        dst for ev, dst in machine.out(q) if ev is not None])
 
     copies = itertools.count(1)
     states = set(keep)
@@ -868,23 +829,10 @@ def is_ancestor_recursive(machine: StateMachine) -> bool:
             continue
         # dst must be an ancestor: reachable from the initial state
         # without src, and able to reach src again.
-        if not _reaches(machine, dst, src):
+        if src not in reachable((dst,), lambda q: [
+                d for _, d in machine.out(q)]):
             return False
     return True
-
-
-def _reaches(machine: StateMachine, source: str, target: str) -> bool:
-    seen = {source}
-    stack = [source]
-    while stack:
-        q = stack.pop()
-        if q == target:
-            return True
-        for _, dst in machine.out(q):
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return False
 
 
 def is_non_merging(machine: StateMachine) -> bool:
@@ -923,26 +871,31 @@ class MixedChoiceState(ValueError):
         self.state = state
 
 
-def _back_edge_targets(machine: StateMachine) -> frozenset[str]:
-    return frozenset(dst for _, ev, dst in machine.transitions if ev is None)
+def _recursion_vars(machine: StateMachine) -> dict[str, str]:
+    """Variables X1, X2, ... for the targets of epsilon (back) edges."""
+    targets = sorted({dst for _, ev, dst in machine.transitions if ev is None})
+    return {q: f"X{i + 1}" for i, q in enumerate(targets)}
 
 
-def _prune_unused_recs(g: GlobalType) -> GlobalType:
-    if isinstance(g, GRec):
-        body = _prune_unused_recs(g.body)
-        return GRec(g.var, body) if _uses_var(body, g.var) else body
-    if isinstance(g, GChoice):
-        return GChoice(tuple((ev, _prune_unused_recs(c)) for ev, c in g.branches))
-    return g
+def _prune_unused_recs(t):
+    """Drop the recursion binders of a global or local type whose
+    variable is unused; a choice's continuation ends every branch."""
+    if isinstance(t, (GRec, LRec)):
+        body = _prune_unused_recs(t.body)
+        return replace(t, body=body) if _uses_var(body, t.var) else body
+    if isinstance(t, (GChoice, LChoice)):
+        return replace(t, branches=tuple(
+            b[:-1] + (_prune_unused_recs(b[-1]),) for b in t.branches))
+    return t
 
 
-def _uses_var(g: GlobalType, var: str) -> bool:
-    if isinstance(g, GVar):
-        return g.name == var
-    if isinstance(g, GRec):
-        return g.var != var and _uses_var(g.body, var)
-    if isinstance(g, GChoice):
-        return any(_uses_var(c, var) for _, c in g.branches)
+def _uses_var(t, var: str) -> bool:
+    if isinstance(t, (GVar, LVar)):
+        return t.name == var
+    if isinstance(t, (GRec, LRec)):
+        return t.var != var and _uses_var(t.body, var)
+    if isinstance(t, (GChoice, LChoice)):
+        return any(_uses_var(b[-1], var) for b in t.branches)
     return False
 
 
@@ -955,9 +908,7 @@ def psm_to_global_type(machine: StateMachine) -> GlobalType:
     epsilon edges bind a recursion variable, pruned again if unused.
     """
     machine = machine.trim()
-    rec_targets = _back_edge_targets(machine)
-    var_names: dict[str, str] = {
-        q: f"X{i + 1}" for i, q in enumerate(sorted(rec_targets))}
+    var_names = _recursion_vars(machine)
 
     def traverse(q: str, seen: frozenset) -> GlobalType:
         if q in machine.finals:
@@ -979,7 +930,7 @@ def psm_to_global_type(machine: StateMachine) -> GlobalType:
             if not branches:
                 raise ValueError(f"non-final sink state {q!r}")
             body = GChoice(tuple(branches))
-        if q in rec_targets:
+        if q in var_names:
             return GRec(var_names[q], body)
         return body
 
@@ -993,7 +944,7 @@ def fsm_to_local_type(machine: StateMachine, participant: str) -> LocalType:
     offending state is reported otherwise.
     """
     machine = machine.trim()
-    for ev in machine.alphabet():
+    for ev in sorted(machine.alphabet(), key=Event.sort_key):
         if ev.kind == PAIR or ev.subject != participant:
             raise ValueError(
                 f"event {ev} is not an action of {participant}; project "
@@ -1008,9 +959,7 @@ def fsm_to_local_type(machine: StateMachine, participant: str) -> LocalType:
         return LEnd()
     regex = psm_to_regex(machine)
     tree = regex_to_psm(regex)
-    rec_targets = _back_edge_targets(tree)
-    var_names: dict[str, str] = {
-        q: f"X{i + 1}" for i, q in enumerate(sorted(rec_targets))}
+    var_names = _recursion_vars(tree)
 
     def traverse(q: str, seen: frozenset) -> LocalType:
         if q in tree.finals and tree.is_sink(q):
@@ -1033,31 +982,11 @@ def fsm_to_local_type(machine: StateMachine, participant: str) -> LocalType:
             if len(kinds) != 1:
                 raise MixedChoiceState(q)
             body = LChoice(kinds.pop(), tuple(branches))
-        if q in rec_targets:
+        if q in var_names:
             return LRec(var_names[q], body)
         return body
 
-    return _prune_unused_lrecs(traverse(tree.initial, frozenset()))
-
-
-def _prune_unused_lrecs(l: LocalType) -> LocalType:
-    if isinstance(l, LRec):
-        body = _prune_unused_lrecs(l.body)
-        return LRec(l.var, body) if _uses_lvar(body, l.var) else body
-    if isinstance(l, LChoice):
-        return LChoice(l.kind, tuple((p, lb, pl, _prune_unused_lrecs(c))
-                                     for p, lb, pl, c in l.branches))
-    return l
-
-
-def _uses_lvar(l: LocalType, var: str) -> bool:
-    if isinstance(l, LVar):
-        return l.name == var
-    if isinstance(l, LRec):
-        return l.var != var and _uses_lvar(l.body, var)
-    if isinstance(l, LChoice):
-        return any(_uses_lvar(c, var) for _, _, _, c in l.branches)
-    return False
+    return _prune_unused_recs(traverse(tree.initial, frozenset()))
 
 
 # -- text formats --------------------------------------------------------------

@@ -639,19 +639,19 @@ class Checker:
             self._discharge(gamma, term)
             return
         if isinstance(term, PPar):
-            self._split_parallel(gamma, term.parts, self.check_process)
+            self._split_parallel(gamma, term.parts)
             return
         if isinstance(term, PRes):
-            self._enter_restriction(gamma, term, self.check_process)
+            self._enter_restriction(gamma, term)
             return
         if isinstance(term, PCall):
             self._check_call(gamma, term)
             return
         if isinstance(term, PSend):
-            self._check_send(gamma, term, self.check_process)
+            self._check_send(gamma, term)
             return
         if isinstance(term, PRecv):
-            self._check_recv(gamma, term, self.check_process)
+            self._check_recv(gamma, term)
             return
         if isinstance(term, (RQueue, RErr)):
             raise TypeCheckError(f"runtime term {term} in a process position")
@@ -663,7 +663,7 @@ class Checker:
                 raise TypeCheckError(
                     f"capability {ref}:{t} left unused at {term}")
 
-    def _split_parallel(self, gamma: dict, parts, check) -> None:
+    def _split_parallel(self, gamma: dict, parts) -> None:
         remaining = dict(gamma)
         claimed: dict = {}
         for part in parts:
@@ -676,10 +676,10 @@ class Checker:
         for part in parts:
             share = {ref: remaining.pop(ref) for ref in list(remaining)
                      if claimed.get(ref) is part}
-            check(share, part)
+            self.check_process(share, part)
         self._discharge(remaining, PPar(tuple(parts)))
 
-    def _enter_restriction(self, gamma: dict, term: PRes, check) -> None:
+    def _enter_restriction(self, gamma: dict, term: PRes) -> None:
         csm = self.registry.machines.get(term.csm_name)
         if csm is None:
             raise TypeCheckError(f"unknown machine {term.csm_name}")
@@ -689,7 +689,7 @@ class Checker:
             if ref in gamma:
                 raise TypeCheckError(f"shadowed endpoint {ref}")
             gamma[ref] = machine.initial
-        check(gamma, term.body)
+        self.check_process(gamma, term.body)
 
     def _check_call(self, gamma: dict, term: PCall) -> None:
         if term.name not in self.theta:
@@ -712,7 +712,7 @@ class Checker:
                     f"expects {expected}")
         self._discharge(gamma, term)
 
-    def _check_send(self, gamma: dict, term: PSend, check) -> None:
+    def _check_send(self, gamma: dict, term: PSend) -> None:
         q = gamma.get(term.subject)
         if q is None:
             raise TypeCheckError(f"no capability for {term.subject} at {term}")
@@ -754,9 +754,9 @@ class Checker:
             for ref, t in payload_types.items():
                 if ref != b.payload:
                     ctx[ref] = t
-            check(ctx, b.cont)
+            self.check_process(ctx, b.cont)
 
-    def _check_recv(self, gamma: dict, term: PRecv, check) -> None:
+    def _check_recv(self, gamma: dict, term: PRecv) -> None:
         q = gamma.get(term.subject)
         if q is None:
             raise TypeCheckError(f"no capability for {term.subject} at {term}")
@@ -790,7 +790,7 @@ class Checker:
                 ctx[Var(b.binder)] = (ev.payload.state
                                       if isinstance(ev.payload, StateRef)
                                       else ev.payload)
-            check(ctx, b.cont)
+            self.check_process(ctx, b.cont)
 
 
 def typecheck_defs(program: Program,
@@ -908,7 +908,7 @@ def _check_with_configs(checker: Checker, config: NormalConfig,
                             f"queued capability {value} has type {actual}, "
                             f"queue type says {payload.state}")
 
-    checker._split_parallel(gamma, config.threads, checker.check_process)
+    checker._split_parallel(gamma, config.threads)
 
 
 # -- typing-context reductions ---------------------------------------------

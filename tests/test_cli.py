@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from amp.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -266,3 +268,65 @@ def test_recursion_limit_is_a_resource_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("resource cap: ") and err.count("\n") == 1
+
+
+def _non_fifo_source(tmp_path: Path) -> str:
+    """p sends x then y on p>q, and q receives y first."""
+    from amp.core import StateMachine, recv, send
+    states = [f"s{i}" for i in range(5)]
+    events = [send("p", "q", "x"), send("p", "q", "y"),
+              recv("p", "q", "y"), recv("p", "q", "x")]
+    return _write_machine(tmp_path / "nonfifo.psm.json", StateMachine(
+        states, "s0", {"s4"},
+        [(states[i], ev, states[i + 1]) for i, ev in enumerate(events)]))
+
+
+@pytest.mark.parametrize("command", [
+    ("project",), ("encode",), ("to-global",),
+    ("to-local", "--participant", "p"),
+    ("check-csm", str(PROTOCOLS / "ping.csm.json"), "--against")])
+def test_invalid_protocol_is_one_error_line(tmp_path, capsys, command):
+    source = _non_fifo_source(tmp_path)
+    argv = [command[0], source, *command[1:]]
+    if command[0] == "check-csm":
+        argv = [*command, source]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: receive p>q?y does not match the channel head\n"
+
+
+def test_configuration_cap_outside_validate_is_a_resource_cap(
+        monkeypatch, capsys):
+    from amp import psm
+
+    def capped(*args, **kwargs):
+        raise psm.UnboundedChannel("exploration exceeded 5 configurations")
+
+    monkeypatch.setattr(psm, "validate", capped)
+    assert main(["to-global", str(PROTOCOLS / "kle.psm.json")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: exploration exceeded 5 configurations\n"
+
+
+def test_to_local_projects_a_protocol_sent_by_the_participant(capsys):
+    code, out = run(capsys, "to-local", str(PROTOCOLS / "nonsink_choice.gt"),
+                    "--participant", "p")
+    assert code == 0
+    assert out == "(+ !q:m1 . !r:m1 . 0 !q:m2 . 0 )\n"
+
+
+def test_queue_cap_on_a_participant_named_configurations_is_negative(
+        tmp_path, capsys):
+    from amp.core import StateMachine, send
+    loop = StateMachine({"s0"}, "s0", set(),
+                        [("s0", send("configurations", "q", "m"), "s0")])
+    source = _write_machine(tmp_path / "loop.psm.json", loop)
+    assert main(["validate", source]) == 1
+    assert "exceeded queue cap" in capsys.readouterr().out
+
+
+def test_configuration_cap_in_validate_is_a_resource_cap(capsys):
+    code, out = run(capsys, "validate", str(PROTOCOLS / "kle.psm.json"),
+                    "--config-cap", "3")
+    assert code == 3
+    assert out == "unbounded channel: exploration exceeded 3 configurations\n"

@@ -438,3 +438,17 @@ def test_local_roundtrip_random(rng):
         assert languages_equal_upto(machine, back, 8)
         again = fsm_to_local_type(back, "p")
         assert languages_equal_upto(local_to_fsm(again, "p"), machine, 8)
+
+
+def test_to_local_type_names_the_least_foreign_event():
+    """The rejected event is the least by `Event.sort_key`, whatever the
+    hash order of the alphabet."""
+    events = [pair("p", receiver, label) for receiver in ("q", "r")
+              for label in ("m1", "m2", "m3", "m4")]
+    events += [send("q", "p", "n1"), send("p", "r", "a")]
+    states = [f"s{i}" for i in range(len(events) + 1)]
+    machine = StateMachine(states, "s0", {states[-1]},
+                           [(states[i], ev, states[i + 1])
+                            for i, ev in enumerate(events)])
+    with pytest.raises(ValueError, match=r"^event p->q:m1 is not an action"):
+        fsm_to_local_type(machine, "p")
