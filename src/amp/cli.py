@@ -262,17 +262,18 @@ def cmd_to_local(args) -> int:
     local_events = all(ev.kind != core.PAIR and ev.subject == args.participant
                        for ev in machine.alphabet())
     if not local_events:
-        # A whole protocol: project it, then read off the component.
+        # A whole protocol: project it, then read off the component, which
+        # exists for every participant of the trimmed protocol.
+        if args.participant not in machine.trim().participants():
+            _emit(args, {"error": "unknown-participant"},
+                  [f"no participant {args.participant!r} in the protocol"])
+            return USAGE
         try:
             result = projection.project_tame(machine, k=args.bound)
         except (projection.NotTame, projection.NotProjectable) as exc:
             _emit(args, {"error": type(exc).__name__, "detail": str(exc)},
                   [f"cannot project: {exc}"])
             return NEGATIVE
-        if args.participant not in result.csm.components:
-            _emit(args, {"error": "unknown-participant"},
-                  [f"no participant {args.participant!r} in the protocol"])
-            return USAGE
         machine = result.csm.components[args.participant]
     try:
         local = transform.fsm_to_local_type(machine, args.participant)

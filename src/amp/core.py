@@ -54,6 +54,15 @@ def payload_key(payload: Payload) -> str:
     return "#" + payload
 
 
+def payload_suffix(payload: Payload) -> str:
+    """A payload as printed after a message label."""
+    if payload is None:
+        return ""
+    if isinstance(payload, StateRef):
+        return f"<@{payload.state}>"
+    return f"<{payload}>"
+
+
 def payload_from_key(key: str) -> Payload:
     """The inverse of `payload_key`."""
     if not key:
@@ -119,12 +128,7 @@ class Event:
         return (self.label, payload_key(self.payload))
 
     def __str__(self) -> str:
-        if self.payload is None:
-            suffix = ""
-        elif isinstance(self.payload, StateRef):
-            suffix = f"<@{self.payload.state}>"
-        else:
-            suffix = f"<{self.payload}>"
+        suffix = payload_suffix(self.payload)
         if self.kind == SEND:
             return f"{self.sender}>{self.receiver}!{self.label}{suffix}"
         if self.kind == RECV:
@@ -228,6 +232,17 @@ class StateMachine:
             if len(labels) != len(set(labels)):
                 return False
         return True
+
+    def immediate_receive(self, ev: Event, dst: str) -> Optional[str]:
+        """Where the matching receive leads when it is the only exit of
+        `dst`, the target of the send `ev`; None otherwise."""
+        outs = self._out[dst]
+        if len(outs) == 1 and outs[0][0] is not None \
+                and outs[0][0].kind == RECV \
+                and outs[0][0].channel == ev.channel \
+                and outs[0][0].message() == ev.message():
+            return outs[0][1]
+        return None
 
     def has_pure_eps_cycle(self) -> bool:
         """Detect a cycle consisting solely of epsilon transitions."""

@@ -23,6 +23,9 @@ from .psm import Psm
 
 Channel = tuple[str, str]
 
+# Swap-closure size at which the bounded oracle gives up (exit 3 in the CLI).
+CLOSURE_CAP = 1_000_000
+
 
 class Csm:
     """One state machine per participant, each over that participant's
@@ -376,9 +379,7 @@ def _embeds(machine: StateMachine, word: Word) -> bool:
     return False
 
 
-def check_projection(psm: Psm, csm: Csm, k: int, *,
-                     queue_cap: Optional[int] = None,
-                     closure_cap: int = 1_000_000) -> ProjectionVerdict:
+def check_projection(psm: Psm, csm: Csm, k: int) -> ProjectionVerdict:
     """Bounded oracle: deadlock-freedom plus language agreement up to k.
 
     Complete words are compared exactly against the swap closure of the
@@ -388,28 +389,25 @@ def check_projection(psm: Psm, csm: Csm, k: int, *,
     """
     from .core import complete_traces, expand_pairs, maximal_traces_upto
     reasons: list[str] = []
-    if queue_cap is None:
-        per_channel = max(psm.bound_by_channel.values(), default=psm.bound_total)
-        queue_cap = max(per_channel, 1) + 1
-    report = explore(csm, queue_cap=queue_cap)
+    per_channel = max(psm.bound_by_channel.values(), default=psm.bound_total)
+    report = explore(csm, queue_cap=max(per_channel, 1) + 1)
     if report.deadlocks:
         reasons.append(
             f"deadlock after {_fmt(report.witness(report.deadlocks[0]))}")
 
     machine_traces = maximal_traces_upto(psm.machine, k)
-    psm_complete = closure_upto(
-        complete_traces(machine_traces), closure_cap)
+    psm_complete = closure_upto(complete_traces(machine_traces), CLOSURE_CAP)
 
     csm_traces = csm_language_upto(csm, k)
     csm_complete = complete_traces(csm_traces)
 
     if psm_complete != csm_complete:
-        missing = sorted(psm_complete - csm_complete, key=len)
-        extra = sorted(csm_complete - psm_complete, key=len)
+        missing = psm_complete - csm_complete
+        extra = csm_complete - psm_complete
         if missing:
-            reasons.append(f"CSM misses complete word {_fmt(missing[0])}")
+            reasons.append(f"CSM misses complete word {_fmt(_first(missing))}")
         if extra:
-            reasons.append(f"CSM adds complete word {_fmt(extra[0])}")
+            reasons.append(f"CSM adds complete word {_fmt(_first(extra))}")
 
     trimmed = expand_pairs(psm.machine).trim()
     for word in sorted(csm_traces, key=len):
@@ -417,14 +415,20 @@ def check_projection(psm: Psm, csm: Csm, k: int, *,
             reasons.append(f"CSM adds prefix {_fmt(word)}")
             break
 
-    genuine = {w[:i] for w in closure_upto(set(machine_traces), closure_cap)
+    genuine = {w[:i] for w in closure_upto(set(machine_traces), CLOSURE_CAP)
                for i in range(len(w) + 1)}
     missing_prefixes = genuine - set(csm_traces)
     if missing_prefixes:
-        shortest = min(missing_prefixes, key=lambda w: (len(w), _fmt(w)))
-        reasons.append(f"CSM misses prefix {_fmt(shortest)}")
+        reasons.append(f"CSM misses prefix {_fmt(_first(missing_prefixes))}")
     return ProjectionVerdict(not reasons, tuple(reasons),
                              bounded_only=report.truncated)
+
+
+def _first(words) -> Word:
+    """The shortest word, ties broken by its printed form, so witnesses
+    do not depend on set iteration order."""
+    shortest = min(map(len, words))
+    return min((w for w in words if len(w) == shortest), key=_fmt)
 
 
 def _fmt(word: Word) -> str:

@@ -117,15 +117,12 @@ def merge_immediate_pairs(machine: StateMachine, bounds: dict) -> StateMachine:
     for src, ev, dst in machine.transitions:
         if ev is None or ev.kind != SEND or ev.channel in bounds:
             continue
-        outs = machine.out(dst)
-        if not (len(outs) == 1 and outs[0][0] is not None
-                and outs[0][0].kind == RECV
-                and outs[0][0].channel == ev.channel
-                and outs[0][0].message() == ev.message()):
+        after = machine.immediate_receive(ev, dst)
+        if after is None:
             raise ValueError(
                 f"send {ev} on unbounded channel lacks an immediate receive")
         replaced[(src, ev, dst)] = (src, pair(ev.sender, ev.receiver,
-                                              ev.label, ev.payload), outs[0][1])
+                                              ev.label, ev.payload), after)
         drop.add(dst)
     for src, ev, dst in machine.transitions:
         if dst in drop and (src, ev, dst) not in replaced:

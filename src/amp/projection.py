@@ -156,8 +156,7 @@ class ProjectionResult:
     verdict: ProjectionVerdict
 
 
-def project_tame(source, *, k: int = 6,
-                 queue_cap: Optional[int] = None) -> ProjectionResult:
+def project_tame(source, *, k: int = 6) -> ProjectionResult:
     """Project a tame protocol machine to a deadlock-free CSM.
 
     Encodes bounded channels through forwarder participants, runs the
@@ -205,7 +204,7 @@ def project_tame(source, *, k: int = 6,
     # Distinct state names across components, so the CSM can type sessions.
     csm = Csm({p: canonical_names(decode_fsm(m), prefix=f"{p}_")
                for p, m in projections.items()})
-    verdict = check_projection(psm, csm, k, queue_cap=queue_cap)
+    verdict = check_projection(psm, csm, k)
     if not verdict.passed:
         raise NotProjectable("; ".join(verdict.reasons))
     return ProjectionResult(csm, bounds, encoded, validity, verdict)

@@ -266,12 +266,7 @@ def detected_channels(machine: StateMachine) -> frozenset[Channel]:
     for src, ev, dst in machine.transitions:
         if ev is None or ev.kind != SEND:
             continue
-        outs = machine.out(dst)
-        immediate = (len(outs) == 1 and outs[0][0] is not None
-                     and outs[0][0].kind == RECV
-                     and outs[0][0].channel == ev.channel
-                     and outs[0][0].message() == ev.message())
-        if not immediate:
+        if machine.immediate_receive(ev, dst) is None:
             detected.add(ev.channel)
     return frozenset(detected)
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
 from .core import (Event, PAIR, RECV, SEND, StateMachine, StateRef, Word,
-                   backward_closure, pair, reachable, recv, send)
+                   backward_closure, pair, payload_suffix, reachable, recv,
+                   send)
 
 # -- global and local types -------------------------------------------------
 
@@ -89,13 +90,8 @@ class LChoice:
         mark = "!" if self.kind == SEND else "?"
         parts = []
         for peer, label, payload, cont in self.branches:
-            if payload is None:
-                suffix = ""
-            elif isinstance(payload, StateRef):
-                suffix = f"<@{payload.state}>"
-            else:
-                suffix = f"<{payload}>"
-            parts.append(f"{mark}{peer}:{label}{suffix} . {cont}")
+            parts.append(
+                f"{mark}{peer}:{label}{payload_suffix(payload)} . {cont}")
         if len(parts) == 1:
             return parts[0]
         op = "+" if self.kind == SEND else "&"

@@ -176,36 +176,12 @@ class Program:
 # -- free names, substitution, renaming ------------------------------------
 
 
-def free_sessions(term: Term) -> frozenset[str]:
-    if isinstance(term, Endpoint):
-        return frozenset({term.session})
-    if isinstance(term, (PEnd, RErr, Var, Unit)) or term is None:
-        return frozenset()
-    if isinstance(term, PSend):
-        out = free_sessions(term.subject)
-        for b in term.branches:
-            out |= free_sessions(b.payload) | free_sessions(b.cont)
-        return out
-    if isinstance(term, PRecv):
-        out = free_sessions(term.subject)
-        for b in term.branches:
-            out |= free_sessions(b.cont)
-        return out
-    if isinstance(term, PPar):
-        return frozenset().union(*(free_sessions(p) for p in term.parts))
-    if isinstance(term, PRes):
-        return free_sessions(term.body) - {term.session}
-    if isinstance(term, PCall):
-        return frozenset().union(*(free_sessions(a) for a in term.args)) \
-            if term.args else frozenset()
-    if isinstance(term, RQueue):
-        out = {term.session}
-        for _, msgs in term.contents:
-            for _, value in msgs:
-                if isinstance(value, Endpoint):
-                    out.add(value.session)
-        return frozenset(out)
-    raise AssertionError(term)
+def _queued_endpoints(contents: tuple):
+    """The endpoints carried as payloads by queued messages."""
+    for _, msgs in contents:
+        for _, value in msgs:
+            if isinstance(value, Endpoint):
+                yield value
 
 
 def free_refs(term: Term) -> frozenset:
@@ -234,98 +210,83 @@ def free_refs(term: Term) -> frozenset:
                          if not (isinstance(r, Endpoint)
                                  and r.session == term.session))
     if isinstance(term, PCall):
-        out: frozenset = frozenset()
-        for a in term.args:
-            out |= free_refs(a)
-        return out
+        return frozenset().union(*(free_refs(a) for a in term.args))
     if isinstance(term, RQueue):
-        out = set()
-        for _, msgs in term.contents:
-            for _, value in msgs:
-                if isinstance(value, Endpoint):
-                    out.add(value)
-        return frozenset(out)
+        return frozenset(_queued_endpoints(term.contents))
     raise AssertionError(term)
 
 
-def substitute(term: Term, var: str, value) -> Term:
-    """Replace the free variable `var` by a closed value."""
-    def sub_ref(ref):
-        if isinstance(ref, Var) and ref.name == var:
-            return value
-        return ref
+def free_sessions(term: Term) -> frozenset[str]:
+    """Sessions of the free endpoints, and a queue's own session."""
+    sessions = frozenset(ref.session for ref in free_refs(term)
+                         if isinstance(ref, Endpoint))
+    return sessions | {term.session} if isinstance(term, RQueue) else sessions
+
+
+def _rename(term: Term, refs: Mapping, sessions: Mapping,
+            suffix: Optional[str]) -> Term:
+    """Rename the free references of a term.
+
+    A variable named in `refs` becomes its value there, and an endpoint
+    of a session named in `sessions` moves to the new session name.
+    Under a `suffix`, every binder and restricted session is renamed
+    with it; otherwise they keep their names and shadow.
+    """
+    if suffix is None and not refs and not sessions:
+        return term
+
+    def ref(r):
+        if isinstance(r, Var):
+            return refs.get(r.name, r)
+        if isinstance(r, Endpoint) and r.session in sessions:
+            return Endpoint(sessions[r.session], r.participant)
+        return r
 
     if isinstance(term, (PEnd, RErr, RQueue)):
         return term
     if isinstance(term, PSend):
-        return PSend(sub_ref(term.subject), tuple(
-            SendBranch(b.receiver, b.label,
-                       sub_ref(b.payload) if isinstance(b.payload, Var)
-                       else b.payload,
-                       substitute(b.cont, var, value))
+        return PSend(ref(term.subject), tuple(
+            SendBranch(b.receiver, b.label, ref(b.payload),
+                       _rename(b.cont, refs, sessions, suffix))
             for b in term.branches))
     if isinstance(term, PRecv):
-        return PRecv(sub_ref(term.subject), tuple(
-            RecvBranch(b.sender, b.label, b.binder,
-                       b.cont if b.binder == var
-                       else substitute(b.cont, var, value))
-            for b in term.branches))
+        branches = []
+        for b in term.branches:
+            binder, inner = b.binder, refs
+            if binder is not None:
+                binder, inner = _bind(refs, binder, suffix, Var)
+            branches.append(RecvBranch(b.sender, b.label, binder,
+                                       _rename(b.cont, inner, sessions,
+                                               suffix)))
+        return PRecv(ref(term.subject), tuple(branches))
     if isinstance(term, PPar):
-        return PPar(tuple(substitute(p, var, value) for p in term.parts))
+        return PPar(tuple(_rename(p, refs, sessions, suffix)
+                          for p in term.parts))
     if isinstance(term, PRes):
-        return PRes(term.session, term.csm_name,
-                    substitute(term.body, var, value))
+        session, inner = _bind(sessions, term.session, suffix, str)
+        return PRes(session, term.csm_name,
+                    _rename(term.body, refs, inner, suffix))
     if isinstance(term, PCall):
-        return PCall(term.name, tuple(sub_ref(a) for a in term.args))
+        return PCall(term.name, tuple(ref(a) for a in term.args))
     raise AssertionError(term)
+
+
+def _bind(renaming: Mapping, name: str, suffix: Optional[str], wrap):
+    """A binder's new name, and the renaming that holds under it."""
+    if suffix is None:
+        return name, {k: v for k, v in renaming.items() if k != name}
+    fresh = name + suffix
+    return fresh, {**renaming, name: wrap(fresh)}
+
+
+def substitute(term: Term, var: str, value) -> Term:
+    """Replace the free variable `var` by a closed value."""
+    return _rename(term, {var: value}, {}, None)
 
 
 def _freshen(term: Term, suffix: str) -> Term:
     """Rename bound sessions and binders so unfoldings never collide."""
-    def walk(term: Term, bound_sessions: dict, bound_vars: dict) -> Term:
-        def ref(r):
-            if isinstance(r, Var) and r.name in bound_vars:
-                return Var(bound_vars[r.name])
-            if isinstance(r, Endpoint) and r.session in bound_sessions:
-                return Endpoint(bound_sessions[r.session], r.participant)
-            return r
-
-        if isinstance(term, (PEnd, RErr, RQueue)):
-            return term
-        if isinstance(term, PSend):
-            return PSend(ref(term.subject), tuple(
-                SendBranch(b.receiver, b.label,
-                           ref(b.payload) if isinstance(b.payload, (Var, Endpoint))
-                           else b.payload,
-                           walk(b.cont, bound_sessions, bound_vars))
-                for b in term.branches))
-        if isinstance(term, PRecv):
-            branches = []
-            for b in term.branches:
-                if b.binder is None:
-                    branches.append(RecvBranch(
-                        b.sender, b.label, None,
-                        walk(b.cont, bound_sessions, bound_vars)))
-                else:
-                    fresh = b.binder + suffix
-                    branches.append(RecvBranch(
-                        b.sender, b.label, fresh,
-                        walk(b.cont, bound_sessions,
-                             {**bound_vars, b.binder: fresh})))
-            return PRecv(ref(term.subject), tuple(branches))
-        if isinstance(term, PPar):
-            return PPar(tuple(walk(p, bound_sessions, bound_vars)
-                              for p in term.parts))
-        if isinstance(term, PRes):
-            fresh = term.session + suffix
-            return PRes(fresh, term.csm_name,
-                        walk(term.body, {**bound_sessions, term.session: fresh},
-                             bound_vars))
-        if isinstance(term, PCall):
-            return PCall(term.name, tuple(ref(a) for a in term.args))
-        raise AssertionError(term)
-
-    return walk(term, {}, {})
+    return _rename(term, {}, {}, suffix)
 
 
 # -- runtime configurations -------------------------------------------------
@@ -408,18 +369,17 @@ def normalize(term: Term) -> NormalConfig:
         threads.append(term)
 
     collect(term)
-    used = set()
-    for t in threads:
-        used |= free_sessions(t)
-    for contents in queues.values():
-        for _, msgs in contents:
-            for _, value in msgs:
-                if isinstance(value, Endpoint):
-                    used.add(value.session)
-    for name in list(sessions):
-        if name not in used and not queues.get(name, ()):
-            del sessions[name]
-            queues.pop(name, None)
+    idle = [name for name in sessions if not queues.get(name, ())]
+    if idle:
+        used = set()
+        for t in threads:
+            used |= free_sessions(t)
+        for contents in queues.values():
+            used.update(ref.session for ref in _queued_endpoints(contents))
+        for name in idle:
+            if name not in used:
+                del sessions[name]
+                queues.pop(name, None)
     return NormalConfig(
         tuple(sorted(sessions.items())),
         tuple(sorted((name, queues.get(name, ())) for name in sessions)),
@@ -515,9 +475,9 @@ def reduce_config(config: NormalConfig, defs: Mapping[str, Definition],
                 successors.append((f"{thread.subject} stuck: label mismatch",
                                    succ))
     for session, contents in config.queues:
-        in_flight = any(isinstance(value, Endpoint) and value.session == session
-                        for other, msgs_by_ch in config.queues if other != session
-                        for _, msgs in msgs_by_ch for _, value in msgs)
+        in_flight = any(ref.session == session
+                        for other, queued in config.queues if other != session
+                        for ref in _queued_endpoints(queued))
         if contents and not in_flight and not any(
                 session in free_sessions(t) for t in config.threads):
             succ = normalize(PPar(
@@ -712,13 +672,18 @@ class Checker:
                     f"expects {expected}")
         self._discharge(gamma, term)
 
-    def _check_send(self, gamma: dict, term: PSend) -> None:
+    def _capability(self, gamma: dict, term: Union[PSend, PRecv],
+                    action: str) -> tuple[str, str]:
+        """The machine state typing the subject of a prefix, and its owner."""
         q = gamma.get(term.subject)
         if q is None:
             raise TypeCheckError(f"no capability for {term.subject} at {term}")
         if not self.registry.is_state(q):
-            raise TypeCheckError(f"{term.subject}:{q} cannot send")
-        sender = self.registry.participant_of(q)
+            raise TypeCheckError(f"{term.subject}:{q} cannot {action}")
+        return q, self.registry.participant_of(q)
+
+    def _check_send(self, gamma: dict, term: PSend) -> None:
+        q, sender = self._capability(gamma, term, "send")
         outs = {(ev.receiver, ev.label): (ev, dst)
                 for ev, dst in self.registry.transitions(q)
                 if ev is not None and ev.kind == SEND}
@@ -757,12 +722,7 @@ class Checker:
             self.check_process(ctx, b.cont)
 
     def _check_recv(self, gamma: dict, term: PRecv) -> None:
-        q = gamma.get(term.subject)
-        if q is None:
-            raise TypeCheckError(f"no capability for {term.subject} at {term}")
-        if not self.registry.is_state(q):
-            raise TypeCheckError(f"{term.subject}:{q} cannot receive")
-        receiver = self.registry.participant_of(q)
+        q, receiver = self._capability(gamma, term, "receive")
         expected = {}
         for ev, dst in self.registry.transitions(q):
             if ev is None or ev.kind != RECV:
@@ -793,20 +753,15 @@ class Checker:
             self.check_process(ctx, b.cont)
 
 
-def typecheck_defs(program: Program,
-                   theta: Optional[Mapping] = None) -> Checker:
-    if theta is None:
-        theta = program.theta
-    registry = StateRegistry.build(program.csms)
-    checker = Checker(registry, dict(theta))
+def typecheck_defs(program: Program) -> Checker:
+    checker = Checker(StateRegistry.build(program.csms), dict(program.theta))
     checker.check_defs(program.defs)
     return checker
 
 
-def typecheck_process(program: Program, theta: Optional[Mapping] = None,
-                      gamma: Optional[dict] = None) -> Checker:
-    checker = typecheck_defs(program, theta)
-    checker.check_process(dict(gamma or {}), program.main)
+def typecheck_process(program: Program) -> Checker:
+    checker = typecheck_defs(program)
+    checker.check_process({}, program.main)
     return checker
 
 
@@ -820,9 +775,7 @@ class RuntimeTypingReport:
     error: Optional[str] = None
 
 
-def typecheck_runtime(program: Program, config_or_term,
-                      theta: Optional[Mapping] = None,
-                      explore_cap: int = 50_000) -> RuntimeTypingReport:
+def typecheck_runtime(program: Program, config_or_term) -> RuntimeTypingReport:
     """Type a runtime configuration with empty outer contexts.
 
     For every active session the checker picks a reachable machine
@@ -831,7 +784,7 @@ def typecheck_runtime(program: Program, config_or_term,
     queues and threads under the usual linear discipline, backtracking
     over the candidate configurations.
     """
-    checker = typecheck_defs(program, theta)
+    checker = typecheck_defs(program)
     registry = checker.registry
     config = (config_or_term if isinstance(config_or_term, NormalConfig)
               else normalize(config_or_term))
@@ -843,20 +796,16 @@ def typecheck_runtime(program: Program, config_or_term,
         csm = registry.machines.get(csm_name)
         if csm is None:
             return RuntimeTypingReport(False, {}, f"unknown machine {csm_name}")
-        concrete = config.queue_of(name) or ()
-        max_len = max((len(m) for _, m in concrete), default=0)
-        report = explore(csm, queue_cap=max(2, max_len + 1),
-                         config_cap=explore_cap)
-        matching = [c for c in report.configs
-                    if _queues_compatible(registry, concrete, c)]
+        matching = [(name, c) for c in _matching_configs(
+            registry, csm, config.queue_of(name), config_cap=50_000)]
         if not matching:
             return RuntimeTypingReport(
                 False, {}, f"no reachable configuration of {csm_name} matches "
                            f"the queues of session {name}")
-        candidates.append([(name, c) for c in matching])
+        candidates.append(matching)
 
     last_error = "untypable"
-    for choice in itertools.product(*candidates) if candidates else [()]:
+    for choice in itertools.product(*candidates):
         chosen = dict(choice)
         try:
             _check_with_configs(checker, config, chosen)
@@ -864,6 +813,17 @@ def typecheck_runtime(program: Program, config_or_term,
         except TypeCheckError as exc:
             last_error = str(exc)
     return RuntimeTypingReport(False, {}, last_error)
+
+
+def _matching_configs(registry: StateRegistry, csm: Csm,
+                      concrete: Optional[tuple], **caps):
+    """The reachable configurations of `csm` whose queue types match the
+    concrete queue contents of a session, in exploration order."""
+    concrete = concrete or ()
+    max_len = max((len(m) for _, m in concrete), default=0)
+    report = explore(csm, queue_cap=max(2, max_len + 1), **caps)
+    return (c for c in report.configs
+            if _queues_compatible(registry, concrete, c))
 
 
 def _queues_compatible(registry: StateRegistry, concrete: tuple,
@@ -995,15 +955,14 @@ class HarnessReport:
 
 
 def subject_reduction_harness(program: Program, steps: int = 30,
-                              seed: int = 0,
-                              theta: Optional[Mapping] = None) -> HarnessReport:
+                              seed: int = 0) -> HarnessReport:
     """Random reduction walk checking typability at every configuration.
 
     The starting process must typecheck with empty contexts; every
     reached configuration must typecheck as a runtime configuration and
     never contain `err`.
     """
-    typecheck_process(program, theta)
+    typecheck_process(program)
     for name, csm in program.csms.items():
         annotation = check_well_annotated(csm)
         if not (annotation.deadlock_free and annotation.fer):
@@ -1012,22 +971,19 @@ def subject_reduction_harness(program: Program, steps: int = 30,
     rng = random.Random(seed)
     config = normalize(r2c(program.main))
     walk: list[str] = []
-    for _ in range(steps):
-        report = typecheck_runtime(program, config, theta)
+    while True:
+        # Runtime typing rejects every configuration that contains err.
+        report = typecheck_runtime(program, config)
         if not report.ok:
             return HarnessReport(False, walk,
                                  f"untypable after {walk}: {report.error}")
-        if any(isinstance(t, RErr) for t in config.threads):
-            return HarnessReport(False, walk, f"reached err after {walk}")
+        if len(walk) >= steps:
+            break
         successors = reduce_config(config, program.defs)
         if not successors:
             break
         desc, config = successors[rng.randrange(len(successors))]
         walk.append(desc)
-    report = typecheck_runtime(program, config, theta)
-    if not report.ok:
-        return HarnessReport(False, walk,
-                             f"untypable after {walk}: {report.error}")
     return HarnessReport(True, walk)
 
 
@@ -1054,15 +1010,14 @@ def _contains_restriction(term: Term) -> bool:
     return False
 
 
-def sf_typecheck(program: Program, config_or_term,
-                 theta: Optional[Mapping] = None) -> SfReport:
+def sf_typecheck(program: Program, config_or_term) -> SfReport:
     """The restricted judgement: one session, one thread per participant.
 
     Each participant's thread is typed against its component of the one
     annotated machine, seeded from a reachable configuration matching
     the queues; threads may not open further sessions.
     """
-    checker = typecheck_defs(program, theta)
+    checker = typecheck_defs(program)
     registry = checker.registry
     config = (config_or_term if isinstance(config_or_term, NormalConfig)
               else normalize(config_or_term))
@@ -1085,12 +1040,8 @@ def sf_typecheck(program: Program, config_or_term,
             return SfReport(False, error=f"two threads for participant {owner}")
         by_participant[owner] = thread
 
-    concrete = config.queue_of(session) or ()
-    max_len = max((len(m) for _, m in concrete), default=0)
-    report = explore(csm, queue_cap=max(2, max_len + 1))
-    for machine_config in report.configs:
-        if not _queues_compatible(registry, concrete, machine_config):
-            continue
+    for machine_config in _matching_configs(registry, csm,
+                                            config.queue_of(session)):
         try:
             for participant in csm.participants:
                 state = machine_config.state_of(participant)
@@ -1110,8 +1061,7 @@ def sf_typecheck(program: Program, config_or_term,
     return SfReport(False, error="no reachable configuration types the threads")
 
 
-def progress_harness(program: Program, max_steps: int = 100,
-                     theta: Optional[Mapping] = None) -> HarnessReport:
+def progress_harness(program: Program, max_steps: int = 100) -> HarnessReport:
     """Whenever the seeded machine configuration can step, the process
     must step too, staying typable under the restricted judgement."""
     registry = StateRegistry.build(program.csms)
@@ -1121,7 +1071,7 @@ def progress_harness(program: Program, max_steps: int = 100,
     for _ in range(max_steps):
         if not config.sessions and not config.threads:
             break  # the session ran to completion and was absorbed
-        report = sf_typecheck(program, config, theta)
+        report = sf_typecheck(program, config)
         if not report.ok:
             return HarnessReport(False, walk, report.error)
         csm = registry.machines[dict(config.sessions)[report.session]]

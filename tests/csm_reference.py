@@ -1,6 +1,8 @@
 """The CSM semantics, oracle and scheduler as they stood before the
 compiled kernel, kept as a test-only reference: verbatim but for
-absolute imports.
+absolute imports and one later fix, shared with `amp.csm`: the oracle's
+complete-word witnesses break length ties by their printed form, so they
+do not depend on the hash seed.
 
 `test_csm_kernel.py` runs these next to `amp.csm` and requires equal
 reports, languages and verdicts, in the same order.
@@ -224,8 +226,10 @@ def check_projection(psm: Psm, csm: Csm, k: int, *,
     csm_complete = complete_traces(csm_traces)
 
     if psm_complete != csm_complete:
-        missing = sorted(psm_complete - csm_complete, key=len)
-        extra = sorted(csm_complete - psm_complete, key=len)
+        missing = sorted(psm_complete - csm_complete,
+                         key=lambda w: (len(w), _fmt(w)))
+        extra = sorted(csm_complete - psm_complete,
+                       key=lambda w: (len(w), _fmt(w)))
         if missing:
             reasons.append(f"CSM misses complete word {_fmt(missing[0])}")
         if extra:

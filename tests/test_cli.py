@@ -1,6 +1,9 @@
 """End-to-end tests of the command line."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -330,3 +333,37 @@ def test_configuration_cap_in_validate_is_a_resource_cap(capsys):
                     "--config-cap", "3")
     assert code == 3
     assert out == "unbounded channel: exploration exceeded 3 configurations\n"
+
+
+@pytest.mark.parametrize("source,participant", [
+    ("mixed_choice_toy.gt", "s"), ("kle_encoded.psm.json", "b"),
+    ("kle.psm.json", "p")])
+def test_to_local_unknown_participant_is_a_usage_error(capsys, source,
+                                                       participant):
+    code, out = run(capsys, "to-local", str(PROTOCOLS / source),
+                    "--participant", participant, "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": "unknown-participant"}
+
+
+def test_to_local_known_participant_of_an_untame_protocol_is_negative(capsys):
+    code, out = run(capsys, "to-local", str(PROTOCOLS / "mixed_choice_toy.gt"),
+                    "--participant", "p", "--json")
+    assert code == 1
+    assert json.loads(out)["error"] == "NotTame"
+
+
+def test_oracle_witnesses_do_not_depend_on_the_hash_seed():
+    argv = [sys.executable, "-m", "amp.cli", "check-csm",
+            str(PROTOCOLS / "three_party_choice.csm.json"), "--against",
+            str(PROTOCOLS / "three_party_reply_mismatch.gt"), "-K", "6"]
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 1, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    assert "projection check: fail" in outputs.pop()

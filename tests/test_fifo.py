@@ -136,6 +136,33 @@ def test_equal_projections_imply_equivalence(rng):
             assert u in closure
 
 
+def _interleavings(parts: tuple):
+    """Every shuffle of the given sequences."""
+    if not any(parts):
+        yield ()
+        return
+    for i, part in enumerate(parts):
+        if part:
+            rest = parts[:i] + (part[1:],) + parts[i + 1:]
+            for tail in _interleavings(rest):
+                yield (part[0],) + tail
+
+
+@pytest.mark.parametrize("complete", [False, True])
+def test_closure_is_the_fifo_interleavings_of_the_projections(complete):
+    """The swap closure of a FIFO word holds exactly the FIFO words with
+    the same projection onto every participant."""
+    for seed in range(100):
+        rng = random.Random(seed)
+        w = (random_bounded_complete_word(rng, 4) if complete
+             else random_fifo_word(rng, 7))
+        subjects = sorted({ev.subject for ev in w})
+        parts = tuple(project(w, participant=p) for p in subjects)
+        same_views = {u for u in _interleavings(parts)
+                      if is_fifo(u).status != VIOLATION}
+        assert closure_upto([w]) == same_views, format_word(w)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 30))
 def test_closure_idempotence_property(seed):

@@ -404,3 +404,16 @@ def test_sf_rejects_two_sessions():
     report = sf_typecheck(program, normalize(r2c(program.main)))
     assert not report.ok
     assert "one session" in report.error
+
+
+def test_prefix_capability_errors():
+    """Sends and receives look their subject up the same way."""
+    from amp.typecheck import Checker
+    checker = Checker(StateRegistry.build({"Inner": inner_csm()}), {})
+    send_l = PSend(Var("x"), (SendBranch("q", "l", Unit(), PEnd()),))
+    recv_l = PRecv(Var("x"), (RecvBranch("p", "l", "y", PEnd()),))
+    for term, action in ((send_l, "send"), (recv_l, "receive")):
+        with pytest.raises(TypeCheckError, match="no capability for x at"):
+            checker.check_process({}, term)
+        with pytest.raises(TypeCheckError, match=f"^x:unit cannot {action}$"):
+            checker.check_process({Var("x"): "unit"}, term)

@@ -1,0 +1,218 @@
+"""Differential tests: the session calculus's shared walkers and the
+runtime typing built on them against the copies they replaced.
+
+`typecheck_reference` keeps the old free-name walkers, substitution,
+renaming, normalisation, reduction, runtime typing and harnesses.  Free
+names, terms, configurations, exceptions, successor lists and typing
+and harness reports must be equal on random terms (binders that shadow
+the substituted variable, nested restrictions, calls and endpoint
+payloads in queues) and on every configuration reachable within a few
+steps in the shipped programs.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from amp.program import parse_program
+from amp.typecheck import (Definition, Endpoint, PCall, PEnd, PPar, PRecv,
+                           PRes, PSend, RErr, RQueue, RecvBranch, SendBranch,
+                           StuckCall, TypeCheckError, Unit, Var, _freshen,
+                           free_refs, free_sessions, normalize,
+                           progress_harness, r2c, reduce_config, sf_typecheck,
+                           subject_reduction_harness, substitute,
+                           typecheck_runtime)
+
+from . import typecheck_reference as reference
+
+PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "protocols"
+                   / "programs").glob("*.amp"))
+
+VARS = ("x", "y", "z")
+SESSIONS = ("s", "t", "u")
+PEERS = ("p", "q", "r")
+LABELS = ("a", "b")
+
+# Definitions for random calls; a call to R is stuck.
+DEFS = {
+    "P": Definition(("x",), PRecv(Var("x"), (
+        RecvBranch("q", "a", "y", PSend(Var("y"), (
+            SendBranch("r", "b", Var("x"), PCall("P", (Var("x"),))),))),
+        RecvBranch("r", "b", None, PRes("s", "A", PEnd()))))),
+    "Q": Definition(("x", "y"), PSend(Var("y"), (
+        SendBranch("q", "a", Var("x"), PPar((
+            PCall("P", (Var("y"),)),
+            PRes("t", "A", PRecv(Endpoint("t", "p"), (
+                RecvBranch("q", "a", "x", PEnd()),)))))),))),
+}
+
+
+def outcome(fn, *args):
+    """The result of a call, or its exception as (type, message)."""
+    try:
+        return fn(*args)
+    except (ValueError, StuckCall, TypeCheckError) as exc:
+        return type(exc), str(exc)
+
+
+def random_ref(rng: random.Random, var_share: float = 0.5):
+    if rng.random() < var_share:
+        return Var(rng.choice(VARS))
+    return Endpoint(rng.choice(SESSIONS), rng.choice(PEERS))
+
+
+def random_value(rng: random.Random):
+    return rng.choice((None, Unit(), Endpoint(rng.choice(SESSIONS),
+                                              rng.choice(PEERS))))
+
+
+def random_process(rng: random.Random, depth: int = 4,
+                   var_share: float = 0.5):
+    """A process over few names, so binders shadow and sessions nest.
+    Calls mostly match the arity of `DEFS`."""
+    kind = rng.choice(("end", "call") if depth == 0 else
+                      ("end", "call", "send", "recv", "recv", "par", "res"))
+    if kind == "end":
+        return PEnd()
+    if kind == "call":
+        name = rng.choice(("P", "Q", "R"))
+        arity = (len(DEFS[name].params) if name in DEFS and rng.random() < 0.9
+                 else rng.randrange(3))
+        return PCall(name, tuple(rng.choice((Unit(), random_ref(rng, var_share)))
+                                 for _ in range(arity)))
+    if kind == "send":
+        return PSend(random_ref(rng, var_share), tuple(
+            SendBranch(rng.choice(PEERS), label,
+                       rng.choice((None, Unit(), random_ref(rng, var_share))),
+                       random_process(rng, depth - 1, var_share))
+            for label in LABELS[:rng.randrange(1, 3)]))
+    if kind == "recv":
+        return PRecv(random_ref(rng, var_share), tuple(
+            RecvBranch(rng.choice(PEERS), label,
+                       rng.choice((None,) + VARS),
+                       random_process(rng, depth - 1, var_share))
+            for label in LABELS[:rng.randrange(1, 3)]))
+    if kind == "par":
+        return PPar(tuple(random_process(rng, depth - 1, var_share)
+                          for _ in range(rng.randrange(2, 4))))
+    return PRes(rng.choice(SESSIONS), "A",
+                random_process(rng, depth - 1, var_share))
+
+
+def random_queue(rng: random.Random, session: str) -> RQueue:
+    channels = rng.sample([(p, q) for p in PEERS for q in PEERS if p != q],
+                          rng.randrange(3))
+    return RQueue(session, tuple(sorted(
+        (channel, tuple((rng.choice(LABELS), random_value(rng))
+                        for _ in range(rng.randrange(1, 3))))
+        for channel in channels)))
+
+
+def random_runtime(rng: random.Random):
+    """A runtime term: distinct restrictions, each beside its own queue,
+    around threads that mostly act on endpoints; queues may carry
+    endpoints of the other sessions."""
+    unused = list(SESSIONS)
+    rng.shuffle(unused)
+
+    def build(depth: int):
+        if depth == 0 or not unused or rng.random() < 0.2:
+            return random_process(rng, 3, var_share=0.15)
+        session = unused.pop()
+        return PRes(session, "A", PPar((random_queue(rng, session),) + tuple(
+            build(depth - 1) for _ in range(rng.randrange(1, 4)))))
+
+    return build(2)
+
+
+def random_terms(seed: int, count: int):
+    rng = random.Random(seed)
+    for i in range(count):
+        pick = i % 5
+        if pick == 3:
+            yield random_queue(rng, rng.choice(SESSIONS))
+        elif pick == 4:
+            yield rng.choice((RErr(), PEnd()))
+        elif pick == 2:
+            yield random_runtime(rng)
+        else:
+            yield random_process(rng)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_free_names_match_reference(seed):
+    for term in random_terms(seed, 500):
+        assert free_refs(term) == reference.free_refs(term), term
+        assert free_sessions(term) == reference.free_sessions(term), term
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_substitute_and_freshen_match_reference(seed):
+    rng = random.Random(100 + seed)
+    for term in random_terms(seed, 500):
+        for var in VARS:
+            value = rng.choice((Unit(), Endpoint(rng.choice(SESSIONS),
+                                                 rng.choice(PEERS))))
+            assert substitute(term, var, value) == \
+                reference.substitute(term, var, value), (term, var)
+        suffix = f"~{rng.randrange(1, 4)}"
+        fresh = _freshen(term, suffix)
+        assert fresh == reference._freshen(term, suffix), term
+        assert str(fresh) == str(reference._freshen(term, suffix))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_normalize_and_reduce_match_reference(seed):
+    rng = random.Random(200 + seed)
+    stepped = 0
+    for _ in range(500):
+        runtime = random_runtime(rng)
+        config = outcome(normalize, runtime)
+        assert config == outcome(reference.normalize, runtime), runtime
+        if isinstance(config, tuple):
+            continue
+        successors = outcome(reduce_config, config, DEFS)
+        assert successors == outcome(reference.reduce_config, config, DEFS)
+        stepped += isinstance(successors, list) and bool(successors)
+    assert stepped > 60
+
+
+def reachable_configs(program, depth: int = 8, cap: int = 150):
+    start = normalize(r2c(program.main))
+    seen, frontier = [start], [start]
+    for _ in range(depth):
+        level = []
+        for config in frontier:
+            for _, succ in reduce_config(config, program.defs):
+                if succ not in seen and len(seen) < cap:
+                    seen.append(succ)
+                    level.append(succ)
+        frontier = level
+    return seen
+
+
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
+def test_shipped_programs_reduce_and_type_like_reference(path):
+    program = parse_program(path.read_text(), base_dir=path.parent)
+    configs = reachable_configs(program)
+    assert len(configs) > 1
+    for config in configs:
+        assert outcome(reduce_config, config, program.defs) == \
+            outcome(reference.reduce_config, config, program.defs)
+        assert typecheck_runtime(program, config) == \
+            reference.typecheck_runtime(program, config), str(config)
+        assert sf_typecheck(program, config) == \
+            reference.sf_typecheck(program, config), str(config)
+
+
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
+def test_shipped_program_harnesses_match_reference(path):
+    program = parse_program(path.read_text(), base_dir=path.parent)
+    for seed in range(3):
+        for steps in (0, 3, 30):
+            assert outcome(subject_reduction_harness, program, steps, seed) \
+                == outcome(reference.subject_reduction_harness, program,
+                           steps, seed)
+    assert outcome(progress_harness, program) == \
+        outcome(reference.progress_harness, program)
