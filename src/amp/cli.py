@@ -335,6 +335,18 @@ def cmd_dot(args) -> int:
     return OK
 
 
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amp",
@@ -347,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="print a machine-readable report only")
         if caps:
-            p.add_argument("--config-cap", type=int, default=1_000_000,
+            p.add_argument("--config-cap", type=_count, default=1_000_000,
                            help="configuration exploration cap")
 
     p = sub.add_parser("validate", help="certify a protocol machine")
@@ -378,22 +390,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, caps=False)
     p.add_argument("--strong", action="store_true",
                    help="also require every component to be sink-final")
-    p.add_argument("-K", "--bound", type=int, default=6,
+    p.add_argument("-K", "--bound", type=_count, default=6,
                    help="trace bound for the semantic oracle")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("check-csm", help="explore a CSM for deadlocks")
     common(p, caps=False)
-    p.add_argument("--queue-cap", type=int, default=8)
+    p.add_argument("--queue-cap", type=_count, default=8)
     p.add_argument("--against", help="protocol machine to compare against")
-    p.add_argument("-K", "--bound", type=int, default=6)
+    p.add_argument("-K", "--bound", type=_count, default=6)
     p.set_defaults(func=cmd_check_csm)
 
     p = sub.add_parser("simulate", help="run one pseudorandom schedule")
     common(p, caps=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=100)
+    p.add_argument("--max-steps", type=_count, default=100)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("to-global", help="reconstruct a global type")
@@ -409,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("to-local", help="read a local type off a machine")
     common(p, caps=False)
     p.add_argument("--participant", required=True)
-    p.add_argument("-K", "--bound", type=int, default=6,
+    p.add_argument("-K", "--bound", type=_count, default=6,
                    help="oracle bound when projecting a whole protocol")
     p.set_defaults(func=cmd_to_local)
 
@@ -417,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, caps=False)
     p.add_argument("--harness", action="store_true",
                    help="also run the subject-reduction harness")
-    p.add_argument("--steps", type=int, default=30)
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--steps", type=_count, default=30)
+    p.add_argument("--seeds", type=_count, default=5)
     p.set_defaults(func=cmd_typecheck)
 
     p = sub.add_parser("dot", help="export a machine or CSM to DOT")
@@ -450,7 +462,7 @@ def main(argv=None) -> int:
     except psm_mod.PsmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _cap_or_negative(exc)
-    except (fifo.ClosureCapExceeded, RecursionError) as exc:
+    except (fifo.ClosureCapExceeded, RecursionError, MemoryError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return RESOURCE
 

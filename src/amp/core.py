@@ -13,9 +13,10 @@ forwards and backwards; `subset_moves` is the step of the subset
 construction, which PSM validation, projection and the bounded oracle
 all read machines through; `bounded_traces` lists the words of length
 up to k of such a determinised walk; `parent_word` reads a witness off
-a breadth-first parent chain; and `nodes_on_cycles`, `maximal_capable`
-and `fer_violation` answer "can this node still reach a maximal run?"
-and "can every pending message still be received?".  The channel-queue
+a breadth-first parent chain; `strongly_connected_components` is the one
+Tarjan; and `nodes_on_cycles`, `maximal_capable` and `fer_violation`
+answer "can this node still reach a maximal run?" and "can every
+pending message still be received?".  The channel-queue
 and payload-key helpers shared by those layers live here too.
 """
 
@@ -330,14 +331,16 @@ def parent_word(parent: Mapping, node) -> Word:
     return tuple(reversed(events))
 
 
-def nodes_on_cycles(nodes: Iterable, out) -> set:
-    """Nodes lying on some cycle (iterative Tarjan SCCs plus self loops)."""
+def strongly_connected_components(nodes: Iterable, out) -> list:
+    """The strongly connected components, as lists of nodes, in the order
+    an iterative Tarjan closes them: every component comes before the
+    components that reach it."""
     index: dict = {}
     low: dict = {}
     on_stack: set = set()
     stack: list = []
     counter = 0
-    result: set = set()
+    components: list = []
     for v in nodes:
         if v in index:
             continue
@@ -371,13 +374,22 @@ def nodes_on_cycles(nodes: Iterable, out) -> set:
                     comp.append(w)
                     if w == node:
                         break
-                if len(comp) > 1:
-                    result.update(comp)
-                elif any(d == node for _, d in outs):
-                    result.add(node)
+                components.append(comp)
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
+    return components
+
+
+def nodes_on_cycles(nodes: Iterable, out) -> set:
+    """Nodes lying on some cycle: a component of two or more nodes, or a
+    node with a self loop."""
+    result: set = set()
+    for comp in strongly_connected_components(nodes, out):
+        if len(comp) > 1:
+            result.update(comp)
+        elif any(d == comp[0] for _, d in out(comp[0])):
+            result.add(comp[0])
     return result
 
 

@@ -72,30 +72,50 @@ def subset_construction(machine: StateMachine, participant: str) -> StateMachine
 def minimize(machine: StateMachine) -> StateMachine:
     """Merge language-equivalent states of a deterministic machine.
 
-    Partition refinement with an implicit dead state; class names are
-    derived from their members so the result is canonical.
+    Hopcroft's partition refinement in Valmari & Lehtinen's form for
+    partial transition functions (STACS 2008): a missing transition
+    leads to an implicit dead state, so every initial block starts on
+    the worklist, and after that only the smaller half of each split.
+    A splitter is refined by just the events that enter it.  Class
+    names are derived from their members so the result is canonical.
     """
     machine = machine.trim()
-    partition: dict[str, int] = {
-        q: (1 if q in machine.finals else 0) for q in machine.states}
-    while True:
-        signature = {}
-        for q in machine.states:
-            moves = tuple(sorted((ev.sort_key() if ev is not None else (),
-                                  partition[dst]) for ev, dst in machine.out(q)))
-            signature[q] = (partition[q], moves)
-        classes = {}
-        for q in sorted(machine.states):
-            classes.setdefault(signature[q], []).append(q)
-        new_partition = {}
-        for i, (_, members) in enumerate(sorted(classes.items(),
-                                                key=lambda kv: kv[1][0])):
-            for q in members:
-                new_partition[q] = i
-        if new_partition == partition:
-            break
-        partition = new_partition
-    rename = {q: f"c{partition[q]}" for q in machine.states}
+    # incoming[dst][event] = the states with an `event` transition to dst
+    incoming: dict = {q: {} for q in machine.states}
+    for src, ev, dst in machine.transitions:
+        incoming[dst].setdefault(ev, []).append(src)
+    blocks = [block for block in (set(machine.finals),
+                                  set(machine.states - machine.finals))
+              if block]
+    block_of = {q: b for b, block in enumerate(blocks) for q in block}
+    work = list(range(len(blocks)))
+    waiting = set(work)
+    while work:
+        splitter = work.pop()
+        waiting.discard(splitter)
+        preimages: dict = {}
+        for dst in blocks[splitter]:
+            for ev, sources in incoming[dst].items():
+                preimages.setdefault(ev, set()).update(sources)
+        for sources in preimages.values():
+            touched: dict = {}
+            for q in sources:
+                touched.setdefault(block_of[q], []).append(q)
+            for b, members in touched.items():
+                if len(members) == len(blocks[b]):
+                    continue
+                split = len(blocks)
+                blocks[b].difference_update(members)
+                blocks.append(set(members))
+                for q in members:
+                    block_of[q] = split
+                if b not in waiting and len(blocks[b]) < len(members):
+                    split = b
+                work.append(split)
+                waiting.add(split)
+    order = sorted(range(len(blocks)), key=lambda b: min(blocks[b]))
+    number = {b: i for i, b in enumerate(order)}
+    rename = {q: f"c{number[block_of[q]]}" for q in machine.states}
     transitions = {(rename[s], ev, rename[d]) for s, ev, d in machine.transitions}
     merged = StateMachine(set(rename.values()), rename[machine.initial],
                           {rename[q] for q in machine.finals}, transitions)

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, expand_pairs,
                    fer_violation, maximal_capable, parent_word, queue_get,
-                   queue_set, subset_moves)
+                   queue_set, strongly_connected_components, subset_moves)
 
 DEFAULT_CONFIG_CAP = 1_000_000
 
@@ -272,25 +272,34 @@ def detected_channels(machine: StateMachine) -> frozenset[Channel]:
 
 
 def _simple_cycles(machine: StateMachine):
-    """Yield simple cycles as lists of (src, event, dst) transitions."""
-    order = sorted(machine.states)
-    for root in order:
-        # Only cycles whose smallest state is `root`, to avoid duplicates.
+    """Yield simple cycles as lists of (src, event, dst) transitions.
+
+    Each cycle comes once, from its smallest state, and the walk from a
+    root stays inside the root's strongly connected component, where all
+    of its cycles lie.
+    """
+    component = {q: i for i, comp in enumerate(
+        strongly_connected_components(machine.states, machine.out))
+        for q in comp}
+    for root in sorted(machine.states):
         path: list = []
         on_path = {root}
-
-        def walk(q: str):
-            for ev, dst in machine.out(q):
+        stack = [(root, iter(machine.out(root)))]
+        while stack:
+            q, edges = stack[-1]
+            for ev, dst in edges:
                 if dst == root:
                     yield path + [(q, ev, dst)]
-                elif dst > root and dst not in on_path:
+                elif (dst > root and dst not in on_path
+                      and component[dst] == component[root]):
                     on_path.add(dst)
                     path.append((q, ev, dst))
-                    yield from walk(dst)
-                    path.pop()
-                    on_path.discard(dst)
-
-        yield from walk(root)
+                    stack.append((dst, iter(machine.out(dst))))
+                    break
+            else:
+                stack.pop()
+                if path:
+                    on_path.discard(path.pop()[2])
 
 
 def _has_return_chain(events: list[Event], start: str, goal: str) -> bool:
@@ -330,7 +339,9 @@ def infer_channel_bounds(psm: Psm) -> dict:
     Detect channels needing a bound; reject loops that send on a detected
     channel without a completed message chain from the receiver back to
     the sender; then bound each detected channel by its maximum backlog
-    over loop-free paths from the initial state.
+    over the configuration graph that `validate` explored.  Validation
+    leaves every loop with no net effect on any channel, so this is the
+    maximum over loop-free paths from the initial state.
     """
     machine = expand_pairs(psm.machine).trim()
     detected = detected_channels(machine)
@@ -350,26 +361,7 @@ def infer_channel_bounds(psm: Psm) -> dict:
                     f"loop sends on channel {(p, q)} with no message chain "
                     f"from {q} back to {p}", witness)
 
-    bounds = {ch: 0 for ch in detected}
-    counts = {ch: 0 for ch in detected}
-
-    def dfs(q: str, on_path: set[str]) -> None:
-        for ev, dst in machine.out(q):
-            if dst in on_path:
-                continue
-            delta = 0
-            if ev is not None and ev.channel in detected:
-                delta = 1 if ev.kind == SEND else -1
-                counts[ev.channel] += delta
-                bounds[ev.channel] = max(bounds[ev.channel], counts[ev.channel])
-            on_path.add(dst)
-            dfs(dst, on_path)
-            on_path.discard(dst)
-            if delta:
-                counts[ev.channel] -= delta
-
-    dfs(machine.initial, {machine.initial})
-    return dict(sorted(bounds.items()))
+    return {ch: psm.bound_by_channel.get(ch, 0) for ch in sorted(detected)}
 
 
 @dataclass(frozen=True)

@@ -749,37 +749,39 @@ def regex_to_psm(r: Regex) -> StateMachine:
         states.append(name)
         return name
 
-    def attach(sid: str, a: Event, term: Regex, here: tuple) -> None:
-        ancestor = next((anc for anc_term, anc in here if anc_term == term),
-                        None)
+    ancestors: dict = {}  # term on the current path -> its state
+
+    def attach(sid: str, a: Event, term: Regex) -> None:
+        ancestor = ancestors.get(term)
         if ancestor is not None:
             hook = fresh()
             transitions.append((sid, a, hook))
             transitions.append((hook, None, ancestor))
         else:
-            transitions.append((sid, a, expand(term, here)))
+            transitions.append((sid, a, expand(term)))
 
-    def expand(term: Regex, path: tuple) -> str:
+    def expand(term: Regex) -> str:
         sid = fresh()
         if nullable(term):
             finals.add(sid)
-        here = path + ((term, sid),)
+        ancestors[term] = sid
         for a in sorted(first_letters(term), key=Event.sort_key):
             derived = brz_deriv(a, term)
             assert derived is not None
             derived = canon(derived)
-            if derived in [anc_term for anc_term, _ in here]:
-                attach(sid, a, derived, here)
+            if derived in ancestors:
+                attach(sid, a, derived)
             elif nullable(derived) and first_letters(derived):
                 stop = fresh()
                 finals.add(stop)
                 transitions.append((sid, a, stop))
-                attach(sid, a, canon(remove_eps(derived)), here)
+                attach(sid, a, canon(remove_eps(derived)))
             else:
-                attach(sid, a, derived, here)
+                attach(sid, a, derived)
+        del ancestors[term]
         return sid
 
-    root = expand(canon(r), ())
+    root = expand(canon(r))
     return StateMachine(states, root, finals, transitions)
 
 

@@ -367,3 +367,52 @@ def test_oracle_witnesses_do_not_depend_on_the_hash_seed():
         outputs.add(done.stdout)
     assert len(outputs) == 1
     assert "projection check: fail" in outputs.pop()
+
+
+@pytest.mark.parametrize("command,option", [
+    (["validate", "kle.psm.json"], "--config-cap"),
+    (["classify", "kle.psm.json"], "--config-cap"),
+    (["bounds", "kle.psm.json"], "--config-cap"),
+    (["project", "kle.psm.json"], "-K"),
+    (["project", "kle.psm.json"], "--bound"),
+    (["check-csm", "kle.csm.json"], "--queue-cap"),
+    (["check-csm", "kle.csm.json"], "-K"),
+    (["simulate", "ping.csm.json"], "--max-steps"),
+    (["to-local", "kle.psm.json", "--participant", "e"], "-K"),
+    (["typecheck", "programs/ping.amp", "--harness"], "--steps"),
+    (["typecheck", "programs/ping.amp", "--harness"], "--seeds"),
+])
+@pytest.mark.parametrize("value", ["-1", "-5", "two"])
+def test_negative_counts_are_usage_errors(capsys, command, option, value):
+    subcommand, source, *rest = command
+    argv = [subcommand, str(PROTOCOLS / source), *rest, option, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    shown = "-K/--bound" if option in ("-K", "--bound") else option
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"amp {subcommand}: error: argument {shown}: "
+                      f"expected a non-negative integer, got '{value}'"]
+    assert "Traceback" not in captured.err
+
+
+def test_zero_counts_are_accepted(capsys):
+    code, out = run(capsys, "simulate", str(PROTOCOLS / "ping.csm.json"),
+                    "--max-steps", "0")
+    assert code == 0 and out == "ε\n"
+    code, out = run(capsys, "typecheck", str(PROTOCOLS / "programs/ping.amp"),
+                    "--harness", "--seeds", "0")
+    assert code == 0 and "harness: 0 seeds x 30 steps, 0 failures" in out
+
+
+def test_memory_error_is_a_resource_cap(monkeypatch, capsys):
+    from amp import psm
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(psm, "validate", exhausted)
+    assert main(["validate", str(PROTOCOLS / "kle.psm.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource cap: out of memory\n"
