@@ -455,6 +455,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return USAGE
+    except core.MalformedInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     except (ValueError, KeyError, typecheck.TypeCheckError,
             program_mod.ProgramSyntaxError, transform.TypeSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -462,7 +465,7 @@ def main(argv=None) -> int:
     except psm_mod.PsmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _cap_or_negative(exc)
-    except (fifo.ClosureCapExceeded, RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return RESOURCE
 

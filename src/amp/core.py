@@ -167,7 +167,8 @@ class StateMachine:
     and serialise identically.
     """
 
-    __slots__ = ("states", "initial", "finals", "transitions", "_out", "_key")
+    __slots__ = ("states", "initial", "finals", "transitions", "_out", "_key",
+                 "_trimmed")
 
     def __init__(self, states: Iterable[str], initial: str,
                  finals: Iterable[str], transitions: Iterable[Transition]):
@@ -186,6 +187,8 @@ class StateMachine:
             out[src].append((ev, dst))
         self._out = {q: tuple(v) for q, v in out.items()}
         self._key = (self.states, self.initial, self.finals, self.transitions)
+        # Set on machines `trim` returns, which trim to themselves.
+        self._trimmed = False
 
     def out(self, q: str) -> tuple[tuple[Optional[Event], str], ...]:
         return self._out[q]
@@ -265,13 +268,24 @@ class StateMachine:
         return frozenset(maximal_capable(self.states, self.out, self.finals))
 
     def trim(self) -> "StateMachine":
-        """Drop states that are unreachable or admit no maximal run."""
+        """Drop states that are unreachable or admit no maximal run.
+
+        The result remembers that it is trimmed, so trimming it again
+        returns it unchanged at no cost."""
+        if self._trimmed:
+            return self
         keep = self.reachable_states() & self.useful_states()
         if self.initial not in keep:
             # Empty language: keep a lone initial state.
-            return StateMachine({self.initial}, self.initial, frozenset(), ())
-        trans = [(s, e, d) for s, e, d in self.transitions if s in keep and d in keep]
-        return StateMachine(keep, self.initial, self.finals & keep, trans)
+            trimmed = StateMachine({self.initial}, self.initial, frozenset(), ())
+        elif keep == self.states:
+            trimmed = self
+        else:
+            trans = [(s, e, d) for s, e, d in self.transitions
+                     if s in keep and d in keep]
+            trimmed = StateMachine(keep, self.initial, self.finals & keep, trans)
+        trimmed._trimmed = True
+        return trimmed
 
     def rename(self, mapping: Mapping[str, str]) -> "StateMachine":
         def m(q: str) -> str:
@@ -483,7 +497,10 @@ def expand_pairs(m: StateMachine) -> StateMachine:
         snd, rcv = ev.letters()
         trans.append((src, snd, mid))
         trans.append((mid, rcv, dst))
-    return StateMachine(states, m.initial, m.finals, trans)
+    expanded = StateMachine(states, m.initial, m.finals, trans)
+    # A pair's middle state is as reachable and useful as its ends.
+    expanded._trimmed = m._trimmed
+    return expanded
 
 
 # -- bounded trace languages -------------------------------------------
@@ -622,11 +639,27 @@ def _payload_to_json(payload: Payload):
     return payload
 
 
+class MalformedInput(ValueError):
+    """A machine or CSM document that does not have the shape its
+    reader expects."""
+
+
+def _fields(data, what: str, *names: str) -> list:
+    """The named fields of a JSON object, or MalformedInput."""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"malformed {what}: expected a JSON object, "
+                             f"got {type(data).__name__}")
+    for name in names:
+        if name not in data:
+            raise MalformedInput(f"malformed {what}: no {name!r} field")
+    return [data[name] for name in names]
+
+
 def _payload_from_json(data) -> Payload:
     if data is None:
         return None
     if isinstance(data, dict):
-        return StateRef(data["state"])
+        return StateRef(*_fields(data, "payload", "state"))
     return data
 
 
@@ -653,17 +686,28 @@ def machine_to_json(m: StateMachine) -> dict:
     }
 
 
-def machine_from_json(data: dict) -> StateMachine:
-    transitions: list[Transition] = []
-    for t in data["transitions"]:
-        event = t["event"]
-        if event["kind"] == "eps":
-            ev = None
-        else:
-            ev = Event(event["kind"], event["sender"], event["receiver"],
-                       event["label"], _payload_from_json(event.get("payload")))
-        transitions.append((t["from"], ev, t["to"]))
-    return StateMachine(data["states"], data["initial"], data["finals"], transitions)
+def machine_from_json(data) -> StateMachine:
+    """The machine a `machine_to_json` document describes; raises
+    MalformedInput on any other JSON value."""
+    states, initial, finals, raw = _fields(
+        data, "machine", "states", "initial", "finals", "transitions")
+    try:
+        transitions: list[Transition] = []
+        for t in raw:
+            src, event, dst = _fields(t, "transition", "from", "event", "to")
+            (kind,) = _fields(event, "event", "kind")
+            if kind == "eps":
+                ev = None
+            else:
+                ev = Event(kind, *_fields(event, "event", "sender",
+                                          "receiver", "label"),
+                           _payload_from_json(event.get("payload")))
+            transitions.append((src, ev, dst))
+        return StateMachine(states, initial, finals, transitions)
+    except MalformedInput:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"malformed machine: {exc}") from None
 
 
 def dump_machine(m: StateMachine) -> str:

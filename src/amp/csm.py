@@ -15,16 +15,13 @@ from dataclasses import dataclass, field
 from operator import getitem, itemgetter
 from typing import Optional
 
-from .core import (Event, PAIR, SEND, StateMachine, Word, bounded_traces,
-                   machine_from_json, machine_to_json, parent_word,
-                   queue_get, reachable)
-from .fifo import closure_upto
+from .core import (Event, MalformedInput, PAIR, RECV, SEND, StateMachine,
+                   Word, bounded_traces, machine_from_json, machine_to_json,
+                   parent_word, queue_get, reachable)
+from .fifo import format_word, project
 from .psm import Psm
 
 Channel = tuple[str, str]
-
-# Swap-closure size at which the bounded oracle gives up (exit 3 in the CLI).
-CLOSURE_CAP = 1_000_000
 
 
 class Csm:
@@ -338,16 +335,20 @@ def word_embeds(machine: StateMachine, word: Word) -> bool:
     pairs on the trimmed machine, where every state extends maximally.
     """
     from .core import expand_pairs
-    return _embeds(expand_pairs(machine).trim(), word)
-
-
-def _embeds(machine: StateMachine, word: Word) -> bool:
-    """`word_embeds` on a machine already pair-expanded and trimmed."""
-    from .fifo import VIOLATION, is_fifo, project
+    from .fifo import VIOLATION, is_fifo
     if is_fifo(word).status == VIOLATION:
         return False
-    subjects = sorted({ev.subject for ev in word})
-    targets = {p: project(word, participant=p) for p in subjects}
+    return _embeds(expand_pairs(machine).trim(),
+                   {p: project(word, participant=p)
+                    for p in {ev.subject for ev in word}})
+
+
+def _embeds(machine: StateMachine, targets: dict) -> bool:
+    """`word_embeds` for a FIFO word given by its participants'
+    non-empty projections, on a machine already pair-expanded and
+    trimmed."""
+    subjects = sorted(targets)
+    slot = {p: i for i, p in enumerate(subjects)}
     done = tuple(len(targets[p]) for p in subjects)
     start = (machine.initial, tuple(0 for _ in subjects))
     seen = {start}
@@ -357,37 +358,188 @@ def _embeds(machine: StateMachine, word: Word) -> bool:
         if positions == done:
             return True
         for ev, dst in machine.out(q):
-            if ev is None:
-                nxt = (dst, positions)
-            else:
-                p = ev.subject
-                if p in targets:
-                    i = subjects.index(p)
-                    if positions[i] < done[i]:
-                        if targets[p][positions[i]] != ev:
-                            continue
-                        advanced = list(positions)
-                        advanced[i] += 1
-                        nxt = (dst, tuple(advanced))
-                    else:
-                        nxt = (dst, positions)
-                else:
-                    nxt = (dst, positions)
+            nxt = (dst, positions)
+            if ev is not None:
+                i = slot.get(ev.subject)
+                if i is not None and positions[i] < done[i]:
+                    if targets[subjects[i]][positions[i]] != ev:
+                        continue
+                    nxt = (dst, positions[:i] + (positions[i] + 1,)
+                           + positions[i + 1:])
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return False
 
 
+class _Views:
+    """Per-participant projections of words, interned in one trie.
+
+    A participant's projection of a word is a trie node, an int (0 is
+    the empty word), and the word's projection vector is the tuple of
+    its participants' nodes in `participants` order.  A CSM observes a
+    protocol only through these vectors: the FIFO words with the vector
+    of a FIFO word w are exactly the swap closure of w, the
+    indistinguishability characterisation of Majumdar, Mukund, Stutz
+    and Zufferey (CONCUR 2021).  A vector is realisable when some FIFO
+    word has it.
+    """
+
+    def __init__(self, participants):
+        self.participants = tuple(participants)
+        self.slot = {p: i for i, p in enumerate(self.participants)}
+        self.empty = (0,) * len(self.participants)
+        self.words: list = [()]    # node -> the projection it stands for
+        self.parent: list = [0]    # node -> the node one letter shorter
+        self._child: dict = {}     # (node, event) -> node
+
+    def extend(self, vector: tuple, ev: Event) -> tuple:
+        i = self.slot[ev.subject]
+        node = self._child.get((vector[i], ev))
+        if node is None:
+            node = self._child[vector[i], ev] = len(self.words)
+            self.words.append(self.words[vector[i]] + (ev,))
+            self.parent.append(vector[i])
+        return vector[:i] + (node,) + vector[i + 1:]
+
+    def of(self, word: Word) -> tuple:
+        vector = self.empty
+        for ev in word:
+            vector = self.extend(vector, ev)
+        return vector
+
+    def length(self, vector: tuple) -> int:
+        return sum(len(self.words[node]) for node in vector)
+
+    def parts(self, vector: tuple) -> dict:
+        """Each participant's non-empty projection."""
+        return {p: self.words[node]
+                for p, node in zip(self.participants, vector) if node}
+
+    def prefixes(self, vectors) -> set:
+        """Every realisable vector whose projections are prefixes of
+        those of one of the realisable `vectors`.
+
+        Dropping a participant's last letter keeps a vector realisable
+        unless the letter is a send its receiver has already received,
+        and the realisable prefixes of a realisable vector are all
+        reached that way."""
+        found = set(vectors)
+        work = list(found)
+        while work:
+            vector = work.pop()
+            for i, node in enumerate(vector):
+                if not node:
+                    continue
+                word = self.words[node]
+                ev = word[-1]
+                if ev.kind == SEND:
+                    received = self.words[vector[self.slot[ev.receiver]]]
+                    if len(project(received, channel=ev.channel)) \
+                            >= len(project(word, channel=ev.channel)):
+                        continue
+                shorter = vector[:i] + (self.parent[node],) + vector[i + 1:]
+                if shorter not in found:
+                    found.add(shorter)
+                    work.append(shorter)
+        return found
+
+    def least(self, vector: tuple, key) -> Word:
+        """The FIFO word with a realisable vector that `key` puts
+        first, where `key` orders words with a common first letter as
+        their remainders.
+
+        Every FIFO word whose projections are prefixes of the vector's
+        extends to one with the whole vector, so the least way to finish
+        is found back to front over the participants' progress."""
+        parts = self.parts(vector)
+        names = list(parts)
+        where = {p: j for j, p in enumerate(names)}
+
+        def moves(progress: tuple) -> list:
+            found = []
+            for j, p in enumerate(names):
+                i = progress[j]
+                if i == len(parts[p]):
+                    continue
+                ev = parts[p][i]
+                if ev.kind == RECV:
+                    sender = where.get(ev.sender)
+                    sent = () if sender is None \
+                        else parts[ev.sender][:progress[sender]]
+                    if len(project(sent, channel=ev.channel)) <= \
+                            len(project(parts[p][:i], channel=ev.channel)):
+                        continue  # nothing in flight to receive
+                found.append((ev, progress[:j] + (i + 1,) + progress[j + 1:]))
+            return found
+
+        order = [(0,) * len(names)]
+        seen = set(order)
+        for progress in order:
+            for _, nxt in moves(progress):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    order.append(nxt)
+        best: dict = {}
+        for progress in reversed(order):
+            options = [(ev,) + best[nxt] for ev, nxt in moves(progress)]
+            best[progress] = min(options, key=key) if options else ()
+        return best[order[0]]
+
+    def first(self, vectors) -> Word:
+        """The shortest word of the realisable `vectors`, ties broken by
+        its printed form, so witnesses do not depend on set order."""
+        shortest = min(map(self.length, vectors))
+        return min((self.least(v, _fmt) for v in vectors
+                    if self.length(v) == shortest), key=_fmt)
+
+
+def _letter_keys(word: Word) -> list:
+    """Orders words of one length as `csm_language_upto` lists them."""
+    return [ev.sort_key() for ev in word]
+
+
+def _csm_vectors(kernel: _Kernel, views: _Views, k: int) -> dict:
+    """The projection vectors of the CSM's words of length <= k, each
+    mapped to whether one of its runs ends in a final configuration.
+
+    Walks (configuration, vector) pairs, so each is visited once however
+    many interleavings lead there.  Receives consume their channel's
+    head and epsilon moves leave the vector alone, as in `moves`.
+    """
+    length = {(kernel.initial, views.empty): 0}  # pair -> vector length
+    work = list(length)
+    complete: dict = {}
+    while work:
+        config, vector = pair = work.pop()
+        complete[vector] = complete.get(vector) or kernel.is_final(config)
+        for _, _, ev, succ, _ in kernel.moves(config):
+            if ev is None:
+                nxt, size = (succ, vector), length[pair]
+            elif length[pair] < k:
+                nxt, size = (succ, views.extend(vector, ev)), length[pair] + 1
+            else:
+                continue
+            if nxt not in length:
+                length[nxt] = size
+                work.append(nxt)
+    return complete
+
+
 def check_projection(psm: Psm, csm: Csm, k: int) -> ProjectionVerdict:
     """Bounded oracle: deadlock-freedom plus language agreement up to k.
 
-    Complete words are compared exactly against the swap closure of the
-    machine's complete traces (swaps preserve length).  Every CSM trace
-    must embed into the machine's prefix semantics, and conversely the
-    closure of the machine's bounded traces must be CSM-reachable.
+    The languages are compared as sets of projection vectors (`_Views`),
+    which stand for the swap closures of their words: the complete
+    vectors of the CSM and of the machine's complete traces must agree,
+    every CSM vector must embed into the machine's prefix semantics,
+    and every realisable prefix of a vector of the machine's bounded
+    traces must be a CSM vector.  The machine's words must be FIFO, as
+    `validate` certifies.  Witnesses are rebuilt from their vectors: the
+    shortest word, ties broken by printed form, except that an added
+    prefix is the first word `csm_language_upto` lists.
     """
-    from .core import complete_traces, expand_pairs, maximal_traces_upto
+    from .core import expand_pairs, maximal_traces_upto
     reasons: list[str] = []
     per_channel = max(psm.bound_by_channel.values(), default=psm.bound_total)
     report = explore(csm, queue_cap=max(per_channel, 1) + 1)
@@ -395,44 +547,44 @@ def check_projection(psm: Psm, csm: Csm, k: int) -> ProjectionVerdict:
         reasons.append(
             f"deadlock after {_fmt(report.witness(report.deadlocks[0]))}")
 
-    machine_traces = maximal_traces_upto(psm.machine, k)
-    psm_complete = closure_upto(complete_traces(machine_traces), CLOSURE_CAP)
+    kernel = _compiled(csm)
+    views = _Views(sorted(set(kernel.participants)
+                          | set(psm.machine.participants())))
+    csm_vectors = _csm_vectors(kernel, views, k)
+    machine_vectors: dict = {}
+    for word, flags in maximal_traces_upto(psm.machine, k).items():
+        vector = views.of(word)
+        machine_vectors[vector] = machine_vectors.get(vector) or flags.complete
 
-    csm_traces = csm_language_upto(csm, k)
-    csm_complete = complete_traces(csm_traces)
-
-    if psm_complete != csm_complete:
-        missing = psm_complete - csm_complete
-        extra = csm_complete - psm_complete
-        if missing:
-            reasons.append(f"CSM misses complete word {_fmt(_first(missing))}")
-        if extra:
-            reasons.append(f"CSM adds complete word {_fmt(_first(extra))}")
+    psm_complete = {v for v, complete in machine_vectors.items() if complete}
+    csm_complete = {v for v, complete in csm_vectors.items() if complete}
+    if psm_complete - csm_complete:
+        reasons.append("CSM misses complete word "
+                       + _fmt(views.first(psm_complete - csm_complete)))
+    if csm_complete - psm_complete:
+        reasons.append("CSM adds complete word "
+                       + _fmt(views.first(csm_complete - psm_complete)))
 
     trimmed = expand_pairs(psm.machine).trim()
-    for word in sorted(csm_traces, key=len):
-        if not _embeds(trimmed, word):
-            reasons.append(f"CSM adds prefix {_fmt(word)}")
+    unembedded: list = []
+    for vector in sorted(csm_vectors, key=views.length):
+        if unembedded and views.length(vector) > views.length(unembedded[0]):
             break
+        if not _embeds(trimmed, views.parts(vector)):
+            unembedded.append(vector)
+    if unembedded:
+        word = min((views.least(v, _letter_keys) for v in unembedded),
+                   key=_letter_keys)
+        reasons.append(f"CSM adds prefix {_fmt(word)}")
 
-    genuine = {w[:i] for w in closure_upto(set(machine_traces), CLOSURE_CAP)
-               for i in range(len(w) + 1)}
-    missing_prefixes = genuine - set(csm_traces)
-    if missing_prefixes:
-        reasons.append(f"CSM misses prefix {_fmt(_first(missing_prefixes))}")
+    missing = views.prefixes(machine_vectors) - csm_vectors.keys()
+    if missing:
+        reasons.append(f"CSM misses prefix {_fmt(views.first(missing))}")
     return ProjectionVerdict(not reasons, tuple(reasons),
                              bounded_only=report.truncated)
 
 
-def _first(words) -> Word:
-    """The shortest word, ties broken by its printed form, so witnesses
-    do not depend on set iteration order."""
-    shortest = min(map(len, words))
-    return min((w for w in words if len(w) == shortest), key=_fmt)
-
-
 def _fmt(word: Word) -> str:
-    from .fifo import format_word
     return format_word(word) if word else "ε"
 
 
@@ -459,8 +611,17 @@ def csm_to_json(csm: Csm) -> dict:
     return {p: machine_to_json(m) for p, m in csm.components.items()}
 
 
-def csm_from_json(data: dict) -> Csm:
-    return Csm({p: machine_from_json(m) for p, m in data.items()})
+def csm_from_json(data) -> Csm:
+    """The CSM a `csm_to_json` document describes; raises MalformedInput
+    on any other JSON value."""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"malformed CSM: expected a JSON object, "
+                             f"got {type(data).__name__}")
+    components = {p: machine_from_json(m) for p, m in data.items()}
+    try:
+        return Csm(components)
+    except ValueError as exc:
+        raise MalformedInput(f"malformed CSM: {exc}") from None
 
 
 def dump_csm(csm: Csm) -> str:

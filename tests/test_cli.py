@@ -221,6 +221,52 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+KLE = json.loads((PROTOCOLS / "kle.psm.json").read_text())
+FOREIGN = {"states": ["a"], "initial": "a", "finals": ["a"], "transitions": [
+    {"from": "a", "to": "a", "event": {"kind": "send", "sender": "q",
+                                       "receiver": "p", "label": "m"}}]}
+
+
+@pytest.mark.parametrize("command,document,message", [
+    (command, document, message)
+    for command in ("validate", "project")
+    for document, message in [
+        ([1, 2], "malformed machine: expected a JSON object, got list"),
+        ({key: value for key, value in KLE.items() if key != "transitions"},
+         "malformed machine: no 'transitions' field"),
+        ({**KLE, "states": 5},
+         "malformed machine: 'int' object is not iterable"),
+        ({**KLE, "transitions": [{"from": "k0", "to": "WE"}]},
+         "malformed transition: no 'event' field"),
+    ]] + [
+    ("check-csm", [1, 2], "malformed CSM: expected a JSON object, got list"),
+    ("check-csm", {"p": [1]},
+     "malformed machine: expected a JSON object, got list"),
+    ("check-csm", {"p": {"states": ["a"]}},
+     "malformed machine: no 'initial' field"),
+    ("check-csm", {"p": FOREIGN},
+     "malformed CSM: component 'p' has foreign event q>p!m"),
+])
+def test_wrong_shaped_file_is_a_usage_error(tmp_path, capsys, command,
+                                            document, message):
+    """A document of the wrong shape is malformed input, like malformed
+    JSON: exit 2 and one error line, never a traceback or exit 1."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    assert main([command, str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_csm_against_a_wrong_shaped_machine_is_a_usage_error(
+        tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"states": ["a"]}))
+    assert main(["check-csm", str(PROTOCOLS / "kle.csm.json"),
+                 "--against", str(bad)]) == 2
+    assert capsys.readouterr().err == \
+        "error: malformed machine: no 'initial' field\n"
+
+
 def test_project_strong_projects_once(monkeypatch, capsys):
     from amp import projection
     calls = []

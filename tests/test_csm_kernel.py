@@ -5,6 +5,13 @@ Reports, languages, verdicts and schedules must be equal, in the same
 order, on the shipped CSMs, random tame projections, the concurrent
 `pairs` family, a hand-built CSM with tied moves and the hand-drawn
 three-party CSMs with epsilon back edges.
+
+It also keeps the word-level oracle, which enumerates every CSM word
+and the swap closure of the protocol's words, while `amp.csm` compares
+projection vectors.  Their verdicts must be equal, reasons and
+witnesses included, on random tame projections and a mutated candidate
+for each, on the `pairs` family, on the negative controls and on the
+shipped goldens.
 """
 
 import random
@@ -15,18 +22,23 @@ import pytest
 from amp import csm as kernel
 from amp import projection
 from amp.cli import _load_machine
-from amp.core import StateMachine, pair, recv, send
+from amp.core import RECV, Event, StateMachine, pair, recv, send
 from amp.csm import Csm, initial_config, load_csm
 from amp.fifo import VIOLATION, is_fifo
 from amp.projection import NotProjectable, NotTame, project_tame
 from amp.psm import Psm, validate
 
 from . import csm_reference as reference
-from .conftest import random_tame_psm, three_party_csm
+from .conftest import random_tame_psm, three_party_csm, three_party_machine
 
 PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
 
 SHIPPED = sorted(PROTOCOLS.glob("*.csm.json"))
+
+# Shipped CSMs with the protocol they project.
+GOLDENS = [path.name[:-len(".csm.json")] for path in SHIPPED
+           if any(path.with_name(path.name.replace(".csm.json", ext)).exists()
+                  for ext in (".psm.json", ".gt"))]
 
 QUEUE_CAPS = (1, 2, 8)
 
@@ -62,13 +74,15 @@ def _line(owner: str, events) -> StateMachine:
                          for i, ev in enumerate(events)])
 
 
-def tied_csm() -> Csm:
+def tied_csm(swap: bool = False) -> Csm:
     """One send to two destinations, and epsilon self-loops in two
-    participants, so some moves tie on event and successor."""
+    participants, so some moves tie on event and successor; `swap`
+    swaps the names of the two destinations, and so their order."""
+    b, c = ("c", "b") if swap else ("b", "c")
     p = StateMachine(
-        {"a", "b", "c", "d"}, "a", {"b", "d"},
-        [("a", send("p", "q", "m"), "b"), ("a", send("p", "q", "m"), "c"),
-         ("b", None, "b"), ("c", send("p", "q", "n"), "d"),
+        {"a", "b", "c", "d"}, "a", {b, "d"},
+        [("a", send("p", "q", "m"), b), ("a", send("p", "q", "m"), c),
+         (b, None, b), (c, send("p", "q", "n"), "d"),
          ("a", None, "a")])
     q = StateMachine(
         {"x", "y", "z"}, "x", {"y", "z"},
@@ -188,7 +202,14 @@ def test_check_projection_matches_reference_on_negative_controls(
     assert str(excinfo.value) == "; ".join(old.reasons)
 
 
-@pytest.mark.parametrize("n,m,k", [(2, 2, 5), (3, 1, 6)])
+# Every n * m <= 6, at the largest k <= 8 the word-level oracle does in
+# about a second.
+PAIRS = [(2, 2, 5), (3, 1, 6)] + [
+    (n, m, {1: 8, 2: 8, 3: 7, 4: 6}.get(n, 5))
+    for n in range(1, 7) for m in range(1, 7) if n * m <= 6]
+
+
+@pytest.mark.parametrize("n,m,k", PAIRS)
 @pytest.mark.parametrize("wrong", [False, True])
 def test_check_projection_matches_reference_on_pairs(n, m, k, wrong):
     machine, csm = pairs(n, m, wrong)
@@ -198,16 +219,85 @@ def test_check_projection_matches_reference_on_pairs(n, m, k, wrong):
     assert old.passed != wrong
 
 
-@pytest.mark.parametrize("stem", ["kle", "three_party_choice", "one_buyer",
-                                  "early_commit", "leader_election"])
+@pytest.mark.parametrize("wrong", [False, True])
+def test_check_projection_on_large_pairs(wrong):
+    """pairs(3,3) at k = 10 has 2,468,158 CSM words but 687 projection
+    vectors, too many words for the word-level oracle to enumerate."""
+    machine, csm = pairs(3, 3, wrong)
+    verdict = kernel.check_projection(validate(machine), csm, 10)
+    assert verdict.passed != wrong
+
+
+@pytest.mark.parametrize("stem", GOLDENS)
 def test_check_projection_matches_reference_on_goldens(stem):
     source = next(path for path in (PROTOCOLS / f"{stem}.psm.json",
                                     PROTOCOLS / f"{stem}.gt")
                   if path.exists())
     psm = validate(_load_machine(str(source)))
     csm = load_csm((PROTOCOLS / f"{stem}.csm.json").read_text())
-    assert kernel.check_projection(psm, csm, 5) == \
-        reference.check_projection(psm, csm, 5)
+    assert kernel.check_projection(psm, csm, 6) == \
+        reference.check_projection(psm, csm, 6)
+
+
+def mutate(csm: Csm, rng: random.Random) -> Csm:
+    """The CSM with one receive relabelled or one transition dropped."""
+    components = dict(csm.components)
+    name = rng.choice([p for p, m in components.items() if m.transitions])
+    machine = components[name]
+    transitions = list(machine.transitions)
+    index = rng.randrange(len(transitions))
+    src, ev, dst = transitions[index]
+    if ev is not None and ev.kind == RECV and rng.random() < 0.5:
+        transitions[index] = (src, Event(RECV, ev.sender, ev.receiver,
+                                         ev.label + "x", ev.payload), dst)
+    else:
+        del transitions[index]
+    components[name] = StateMachine(machine.states, machine.initial,
+                                    machine.finals, transitions)
+    return Csm(components)
+
+
+def test_check_projection_matches_reference_on_random_projections():
+    rng = random.Random(8)
+    checked = failed = 0
+    while checked < 300:
+        psm = validate(random_tame_psm(rng, rng.choice((5, 8))))
+        try:
+            csm = project_tame(psm, k=4).csm
+        except (NotTame, NotProjectable):
+            continue
+        checked += 1
+        k = rng.randrange(7)
+        verdicts = []
+        for candidate in (csm, mutate(csm, rng)):
+            verdicts.append(kernel.check_projection(psm, candidate, k))
+            assert verdicts[-1] == reference.check_projection(psm, candidate, k)
+        assert verdicts[0].passed
+        failed += not verdicts[1].passed
+    # The mutants exercise the failing reasons, not only passes.
+    assert failed > 100
+
+
+TIED_PROTOCOL = StateMachine({"s0", "s1", "s2"}, "s0", {"s1", "s2"},
+                             [("s0", pair("p", "q", "m"), "s1"),
+                              ("s1", pair("p", "q", "n"), "s2")])
+
+
+@pytest.mark.parametrize("machine,csm", [
+    (three_party_machine(), three_party_csm()),
+    (three_party_machine(), three_party_csm(v1="v1", v2="v2")),
+    (three_party_machine(v1="v1", v2="v2"), three_party_csm(v1="v1", v2="v2")),
+    (TIED_PROTOCOL, tied_csm()),
+    (TIED_PROTOCOL, tied_csm(swap=True)),
+], ids=["three_party", "three_party mismatch", "three_party replies",
+        "tied", "tied swapped"])
+def test_check_projection_matches_reference_on_hand_drawn_csms(machine, csm):
+    """Epsilon back edges and non-determinism: one projection vector
+    reaches final and non-final configurations."""
+    psm = validate(machine)
+    for k in range(9):
+        assert kernel.check_projection(psm, csm, k) == \
+            reference.check_projection(psm, csm, k)
 
 
 def test_word_embeds_matches_reference(rng):
