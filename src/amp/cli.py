@@ -189,12 +189,12 @@ def cmd_check_csm(args) -> int:
     machine_csm = csm_mod.load_csm(Path(args.file).read_text())
     report = csm_mod.explore(machine_csm, queue_cap=args.queue_cap)
     data = {
-        "configurations": len(report.configs),
+        "configurations": len(report),
         "deadlocks": len(report.deadlocks),
         "softDeadlocks": len(report.soft_deadlocks),
         "truncated": report.truncated,
     }
-    summary = [f"{len(report.configs)} configurations explored"
+    summary = [f"{len(report)} configurations explored"
                + (" (truncated)" if report.truncated else ""),
                f"deadlocks: {len(report.deadlocks)}  "
                f"soft deadlocks: {len(report.soft_deadlocks)}"]

@@ -703,11 +703,20 @@ def machine_from_json(data) -> StateMachine:
                                           "receiver", "label"),
                            _payload_from_json(event.get("payload")))
             transitions.append((src, ev, dst))
-        return StateMachine(states, initial, finals, transitions)
+        machine = StateMachine(states, initial, finals, transitions)
     except MalformedInput:
         raise
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"malformed machine: {exc}") from None
+    # Other types would meet strings where names are sorted together.
+    names = list(machine.states)
+    for _, ev, _ in machine.transitions:
+        if ev is not None:
+            names += (ev.sender, ev.receiver, ev.label)
+    odd = [name for name in names if not isinstance(name, str)]
+    if odd:
+        raise MalformedInput(f"malformed machine: {odd[0]!r} is not a string")
+    return machine
 
 
 def dump_machine(m: StateMachine) -> str:

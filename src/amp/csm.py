@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
-from dataclasses import dataclass, field
-from operator import getitem, itemgetter
+from dataclasses import dataclass
+from operator import getitem
 from typing import Optional
 
 from .core import (Event, MalformedInput, PAIR, RECV, SEND, StateMachine,
                    Word, bounded_traces, machine_from_json, machine_to_json,
-                   parent_word, queue_get, reachable)
+                   queue_get, reachable)
 from .fifo import format_word, project
 from .psm import Psm
 
@@ -84,27 +83,119 @@ def is_final_sink_config(csm: Csm, config: Configuration) -> bool:
         csm.components[p].is_sink(q) for p, q in config.states)
 
 
+# Width in bits of a channel's field in a packed configuration.  Each
+# distinct queue content a channel reaches takes one id, and 2**32 of
+# them do not fit in memory, so `_Queues` raises before a field can
+# overflow.
+_QUEUE_BITS = 32
+_QUEUE_MASK = (1 << _QUEUE_BITS) - 1
+# A queue cap no queue reaches: its ids outnumber its lengths.
+_NO_CAP = 1 << _QUEUE_BITS
+
 # Move kinds in the compiled out-tables.
 _EPS, _SEND, _RECV = range(3)
 
-# Sort order of a move: the event's key, then the successor's state ids.
-_MOVE_ORDER = itemgetter(0, 1)
+
+class _Queues:
+    """The contents one channel has reached, interned as ids in a trie
+    of appended messages: 0 is the empty queue, and id q is `prefix[q]`
+    with message `last[q]` appended.  Messages are indices into
+    `messages`.
+
+    `push[m]` maps an id to the id after appending message m.  `pop[m]`
+    maps an id to the id after removing its head, or to -1 when the
+    head is not m; both fill on first use.
+    """
+
+    __slots__ = ("channel", "messages", "number", "prefix", "last", "first",
+                 "length", "push", "pop", "_contents")
+
+    def __init__(self, channel: Channel, messages):
+        self.channel = channel
+        self.messages = list(messages)
+        self.number = {msg: m for m, msg in enumerate(self.messages)}
+        self.prefix, self.last, self.first, self.length = [-1], [-1], [-1], [0]
+        self.push = [{} for _ in self.messages]
+        self.pop = [{} for _ in self.messages]
+        self._contents = {0: ()}
+
+    def appended(self, q: int, m: int) -> int:
+        r = self.push[m].get(q)
+        if r is None:
+            r = self.push[m][q] = len(self.length)
+            if r > _QUEUE_MASK:
+                raise MemoryError(
+                    f"channel {self.channel[0]}>{self.channel[1]} reached "
+                    f"more than {_QUEUE_MASK} distinct queue contents")
+            self.prefix.append(q)
+            self.last.append(m)
+            self.first.append(self.first[q] if q else m)
+            self.length.append(self.length[q] + 1)
+        return r
+
+    def popped(self, q: int, m: int) -> int:
+        pop = self.pop[m]
+        if self.first[q] != m:
+            pop[q] = -1
+            return -1
+        # q's prefixes start with m too: remove it from the shortest
+        # one not yet popped, then append their last messages back.
+        chain = []
+        while q not in pop and self.length[q] > 1:
+            chain.append(q)
+            q = self.prefix[q]
+        r = pop.setdefault(q, 0)  # one message leaves the empty queue
+        for q in reversed(chain):
+            r = pop[q] = self.appended(r, self.last[q])
+        return r
+
+    def content(self, q: int) -> tuple:
+        found = self._contents.get(q)
+        if found is None:
+            messages = []
+            r = q
+            while r:
+                messages.append(self.messages[self.last[r]])
+                r = self.prefix[r]
+            found = self._contents[q] = tuple(reversed(messages))
+        return found
+
+    def intern(self, content: tuple) -> int:
+        q = 0
+        for msg in content:
+            m = self.number.get(msg)
+            if m is None:  # a message no component sends on this channel
+                m = self.number[msg] = len(self.messages)
+                self.messages.append(msg)
+                self.push.append({})
+                self.pop.append({})
+            q = self.appended(q, m)
+        return q
 
 
 class _Kernel:
     """A CSM compiled to integers, built once per `Csm` by `_compiled`.
 
-    Each participant's states are numbered in sorted name order and the
-    channels in sorted order, so comparing state-id tuples orders
-    configurations as comparing their `Configuration.states` does.  An
-    internal configuration is (tuple of state ids, tuple with one queue
-    per channel).  `out[i][s]` holds the transitions of participant i in
-    state s as (event sort key, event, destination id, kind, channel
-    index, message).
+    A configuration is one int.  Each participant's state id, states
+    numbered in sorted name order, has a field sized from its state
+    count, participant 0 most significant.  Below them each channel, in
+    sorted order, has a `_QUEUE_BITS` field holding the id its
+    `_Queues` gave the channel's contents.  Comparing two
+    configurations' ints therefore compares their state vectors first,
+    as comparing `Configuration.states` does.
+
+    Events are ranked from 1 in `Event.sort_key` order, epsilon being
+    0, and a move is the int `rank << bits | successor`, so sorting
+    moves as ints orders them as `step` promises.  `parts[i]` holds
+    participant i's field shift and mask and its out-table: `out[s]`
+    lists the transitions from state s as (kind, what the move adds to
+    the configuration besides the queue change, the channel field's
+    shift, the push or pop table, the channel's `_Queues`, the message).
     """
 
-    __slots__ = ("participants", "ids", "pairs", "channels", "channel_index",
-                 "out", "eps", "final", "final_sink", "initial")
+    __slots__ = ("participants", "ids", "pairs", "channel_index", "queues",
+                 "queue_shifts", "queue_mask", "events", "bits", "full",
+                 "fields", "parts", "eps", "final", "final_sink", "initial")
 
     def __init__(self, components: dict[str, StateMachine]):
         self.participants = tuple(components)
@@ -113,87 +204,134 @@ class _Kernel:
         # Shared (participant, state) pairs for the public configurations.
         self.pairs = tuple(tuple((p, q) for q in qs)
                            for p, qs in zip(components, names))
-        self.channels = tuple(sorted({
-            ev.channel for m in components.values()
-            for _, ev, _ in m.transitions if ev is not None}))
-        self.channel_index = {ch: c for c, ch in enumerate(self.channels)}
-        out, eps, final, final_sink = [], [], [], []
-        for ids, qs, m in zip(self.ids, names, components.values()):
+        events = {ev for m in components.values()
+                  for _, ev, _ in m.transitions if ev is not None}
+        channels = sorted({ev.channel for ev in events})
+        self.channel_index = {ch: c for c, ch in enumerate(channels)}
+        self.queues = tuple(
+            _Queues(ch, sorted({ev.message() for ev in events
+                                if ev.channel == ch})) for ch in channels)
+        self.queue_shifts = tuple(_QUEUE_BITS * (len(channels) - 1 - c)
+                                  for c in range(len(channels)))
+        self.queue_mask = (1 << _QUEUE_BITS * len(channels)) - 1
+        self.events = (None,) + tuple(sorted(events, key=Event.sort_key))
+        rank = {ev: r for r, ev in enumerate(self.events)}
+        widths = [(len(qs) - 1).bit_length() for qs in names]
+        self.bits = _QUEUE_BITS * len(channels) + sum(widths)
+        self.full = (1 << self.bits) - 1
+        fields, shift = [], self.bits
+        for width in widths:
+            shift -= width
+            fields.append((shift, (1 << width) - 1))
+        self.fields = tuple(fields)
+        parts, eps, final, final_sink = [], [], [], []
+        for ids, qs, m, (shift, mask) in zip(self.ids, names,
+                                             components.values(), fields):
             tables = []
-            for q in qs:
+            for s, q in enumerate(qs):
                 table = []
                 for ev, dst in m.out(q):
+                    delta = (ids[dst] - s) << shift
                     if ev is None:
-                        table.append(((0,), None, ids[dst], _EPS, -1, None))
-                    else:
-                        table.append(((1,) + ev.sort_key(), ev, ids[dst],
-                                      _SEND if ev.kind == SEND else _RECV,
-                                      self.channel_index[ev.channel],
-                                      ev.message()))
+                        table.append((_EPS, delta, 0, None, None, -1))
+                        continue
+                    c = self.channel_index[ev.channel]
+                    queues = self.queues[c]
+                    msg = queues.number[ev.message()]
+                    kind, moves = ((_SEND, queues.push) if ev.kind == SEND
+                                   else (_RECV, queues.pop))
+                    table.append((kind, (rank[ev] << self.bits) + delta,
+                                  self.queue_shifts[c], moves[msg], queues,
+                                  msg))
                 tables.append(tuple(table))
-            out.append(tuple(tables))
-            eps.append(tuple(tuple(ids[dst] for ev, dst in m.out(q)
-                                   if ev is None) for q in qs))
+            parts.append((shift, mask, tuple(tables)))
+            eps.append(tuple(tuple((ids[dst] - s) << shift
+                                   for ev, dst in m.out(q) if ev is None)
+                             for s, q in enumerate(qs)))
             final.append(tuple(q in m.finals for q in qs))
             final_sink.append(tuple(q in m.finals and m.is_sink(q)
                                     for q in qs))
-        self.out, self.eps = tuple(out), tuple(eps)
+        self.parts, self.eps = tuple(parts), tuple(eps)
         self.final, self.final_sink = tuple(final), tuple(final_sink)
-        self.initial = (tuple(ids[m.initial] for ids, m
-                              in zip(self.ids, components.values())),
-                        ((),) * len(self.channels))
+        self.initial = self.pack(
+            ids[m.initial] for ids, m in zip(self.ids, components.values()))
 
-    def public(self, config: tuple) -> Configuration:
-        states, queues = config
+    def pack(self, states, queues=()) -> int:
+        """The configuration with these state ids and (channel index,
+        queue id) pairs."""
+        config = 0
+        for s, (shift, _) in zip(states, self.fields):
+            config |= s << shift
+        for c, q in queues:
+            config |= q << self.queue_shifts[c]
+        return config
+
+    def states(self, config: int) -> list:
+        return [(config >> shift) & mask for shift, mask in self.fields]
+
+    def public(self, config: int) -> Configuration:
+        channels = []
+        for queues, shift in zip(self.queues, self.queue_shifts):
+            q = (config >> shift) & _QUEUE_MASK
+            if q:
+                channels.append((queues.channel, queues.content(q)))
         return Configuration(
-            tuple(map(getitem, self.pairs, states)),
-            tuple((ch, q) for ch, q in zip(self.channels, queues) if q))
+            tuple(map(getitem, self.pairs, self.states(config))),
+            tuple(channels))
 
-    def internal(self, config: Configuration) -> tuple:
+    def internal(self, config: Configuration) -> int:
         named = dict(config.states)
-        queues = [()] * len(self.channels)
+        queues = []
         for ch, content in config.channels:
-            queues[self.channel_index[ch]] = content
-        return (tuple(ids[named[p]]
-                      for p, ids in zip(self.participants, self.ids)),
-                tuple(queues))
+            c = self.channel_index[ch]
+            queues.append((c, self.queues[c].intern(content)))
+        return self.pack(
+            (ids[named[p]] for p, ids in zip(self.participants, self.ids)),
+            queues)
 
-    def moves(self, config: tuple) -> list:
-        """Every move as (event key, successor state ids, event,
-        successor, length of the queue a send grew or 0), unsorted."""
-        states, queues = config
+    def event(self, move: int) -> Optional[Event]:
+        return self.events[move >> self.bits]
+
+    def moves(self, config: int, cap: int = _NO_CAP) -> tuple[list, bool]:
+        """Every move from a configuration, unsorted, and whether a send
+        was left out because its queue would grow past `cap`."""
         found = []
-        for i, s in enumerate(states):
-            for key, ev, dst, kind, c, msg in self.out[i][s]:
-                size = 0
-                succ_queues = queues
-                if kind != _EPS:
-                    queue = queues[c]
-                    if kind == _SEND:
-                        queue += (msg,)
-                        size = len(queue)
-                    elif queue and queue[0] == msg:
-                        queue = queue[1:]
-                    else:
+        capped = False
+        for shift, mask, out in self.parts:
+            for kind, delta, at, table, queues, m in out[(config >> shift)
+                                                         & mask]:
+                if kind == _EPS:
+                    found.append(config + delta)
+                    continue
+                q = (config >> at) & _QUEUE_MASK
+                if kind == _SEND:
+                    if queues.length[q] >= cap:
+                        capped = True
                         continue
-                    succ_queues = queues[:c] + (queue,) + queues[c + 1:]
-                succ_states = states[:i] + (dst,) + states[i + 1:]
-                found.append((key, succ_states, ev,
-                              (succ_states, succ_queues), size))
-        return found
+                    r = table.get(q)
+                    if r is None:
+                        r = queues.appended(q, m)
+                else:
+                    r = table.get(q)
+                    if r is None:
+                        r = queues.popped(q, m)
+                    if r < 0:
+                        continue
+                found.append(config + delta + ((r - q) << at))
+        return found, capped
 
-    def sorted_moves(self, config: tuple) -> list:
-        found = self.moves(config)
-        found.sort(key=_MOVE_ORDER)
-        return found
+    def eps_moves(self, config: int) -> list:
+        return [config + delta
+                for (shift, mask), eps in zip(self.fields, self.eps)
+                for delta in eps[(config >> shift) & mask]]
 
-    def is_final(self, config: tuple) -> bool:
-        states, queues = config
-        return not any(queues) and all(map(getitem, self.final, states))
+    def is_final(self, config: int) -> bool:
+        return not config & self.queue_mask and \
+            all(map(getitem, self.final, self.states(config)))
 
-    def is_final_sink(self, config: tuple) -> bool:
-        states, queues = config
-        return not any(queues) and all(map(getitem, self.final_sink, states))
+    def is_final_sink(self, config: int) -> bool:
+        return not config & self.queue_mask and \
+            all(map(getitem, self.final_sink, self.states(config)))
 
 
 def _compiled(csm: Csm) -> _Kernel:
@@ -213,27 +351,98 @@ def step(csm: Csm, config: Configuration) -> tuple:
     exploration and simulation are deterministic.
     """
     kernel = _compiled(csm)
-    return tuple((ev, kernel.public(succ))
-                 for _, _, ev, succ, _ in kernel.sorted_moves(
-                     kernel.internal(config)))
+    moves, _ = kernel.moves(kernel.internal(config))
+    moves.sort()
+    return tuple((kernel.event(move), kernel.public(move & kernel.full))
+                 for move in moves)
 
 
-@dataclass
 class ExploreReport:
-    configs: list = field(default_factory=list)
-    edges: dict = field(default_factory=dict)
-    deadlocks: list = field(default_factory=list)
-    soft_deadlocks: list = field(default_factory=list)
-    finals: list = field(default_factory=list)
-    truncated: bool = False
-    parent: dict = field(default_factory=dict)
+    """What `explore` found, with configurations numbered in
+    breadth-first order: the admitted ones are 0 to len(report) - 1,
+    and successors the config cap dropped follow them.
+
+    Configuration i is the packed int `_packed[i]`.  Its successors, in
+    `step` order, are `_targets[_offsets[i]:_offsets[i + 1]]`, reached
+    by the events at the same positions of `_labels` (one compressed
+    sparse row list, which `out` reads), and it was first reached from
+    `_parents[i]` by `_via[i]`.  `deadlocks`, `soft_deadlocks` and
+    `finals` are lists of public `Configuration`s; `configs`, `edges`
+    and `parent` are built from the arrays when first read.
+    """
+
+    __slots__ = ("deadlocks", "soft_deadlocks", "finals", "truncated",
+                 "_kernel", "_packed", "_index", "_size", "_parents", "_via",
+                 "_offsets", "_targets", "_labels", "_public", "_configs",
+                 "_edges", "_parent")
+
+    def __init__(self, kernel: _Kernel, packed: list, index: dict, size: int,
+                 parents: list, via: list, offsets: list, targets: list,
+                 labels: list, deadlocks: list, soft_deadlocks: list,
+                 finals: list, truncated: bool):
+        self._kernel, self._packed, self._index = kernel, packed, index
+        self._size, self._parents, self._via = size, parents, via
+        self._offsets, self._targets, self._labels = offsets, targets, labels
+        self._public: dict = {}
+        self._configs = self._edges = self._parent = None
+        self.deadlocks = [self._config(i) for i in deadlocks]
+        self.soft_deadlocks = [self._config(i) for i in soft_deadlocks]
+        self.finals = [self._config(i) for i in finals]
+        self.truncated = truncated
+
+    def __len__(self) -> int:
+        """The number of configurations explored."""
+        return self._size
+
+    def _config(self, i: int) -> Configuration:
+        config = self._public.get(i)
+        if config is None:
+            config = self._public[i] = self._kernel.public(self._packed[i])
+        return config
+
+    def out(self, i: int) -> list:
+        """The (event, index) moves of configuration i, in `step` order;
+        an index of len(report) or more is beyond the config cap."""
+        start, end = self._offsets[i], self._offsets[i + 1]
+        return list(zip(self._labels[start:end], self._targets[start:end]))
+
+    @property
+    def configs(self) -> list:
+        if self._configs is None:
+            self._configs = [self._config(i) for i in range(self._size)]
+        return self._configs
+
+    @property
+    def edges(self) -> dict:
+        if self._edges is None:
+            self._edges = {
+                config: tuple((ev, self._config(j)) for ev, j in self.out(i))
+                for i, config in enumerate(self.configs)}
+        return self._edges
+
+    @property
+    def parent(self) -> dict:
+        if self._parent is None:
+            configs = self.configs
+            self._parent = {configs[i]: (configs[self._parents[i]],
+                                         self._via[i])
+                            for i in range(1, self._size)}
+        return self._parent
 
     @property
     def deadlock_free(self) -> bool:
         return not self.deadlocks
 
     def witness(self, config: Configuration) -> Word:
-        return parent_word(self.parent, config)
+        """The events on the exploration's path to `config`, epsilon
+        left out; empty for a configuration it did not admit."""
+        i = self._index.get(self._kernel.internal(config), 0)
+        events = []
+        while 0 < i < self._size:
+            if self._via[i] is not None:
+                events.append(self._via[i])
+            i = self._parents[i]
+        return tuple(reversed(events))
 
 
 def explore(csm: Csm, *, queue_cap: int = 8,
@@ -246,44 +455,45 @@ def explore(csm: Csm, *, queue_cap: int = 8,
     Configurations are visited, and successors listed, in `step` order.
     """
     kernel = _compiled(csm)
-    report = ExploreReport()
-    start = kernel.initial
-    # internal configuration -> its public one, for every admitted config
-    seen = {start: kernel.public(start)}
-    beyond: dict = {}  # the same for successors dropped by the config cap
-    report.configs.append(seen[start])
-    frontier = deque([start])
-    while frontier:
-        config = frontier.popleft()
-        here = seen[config]
-        moves = kernel.sorted_moves(config)
-        allowed = []
-        for _, _, ev, succ, size in moves:
-            if size and size > queue_cap:  # only sends have a size
-                report.truncated = True
-                continue
-            public = seen.get(succ)
-            if public is None:
-                if len(seen) >= config_cap:
-                    report.truncated = True
-                    public = beyond.get(succ)
-                    if public is None:
-                        public = beyond[succ] = kernel.public(succ)
+    events, bits, full = kernel.events, kernel.bits, kernel.full
+    admit = max(config_cap, 1)  # the initial configuration whatever the cap
+    packed = [kernel.initial]
+    index = {kernel.initial: 0}
+    parents, via = [-1], [None]
+    offsets, targets, labels = [0], [], []
+    deadlocks, soft_deadlocks, finals = [], [], []
+    truncated = False
+    for i, config in enumerate(packed):
+        if i == admit:
+            break
+        moves, capped = kernel.moves(config, queue_cap)
+        truncated |= capped
+        moves.sort()
+        for move in moves:
+            succ = move & full
+            ev = events[move >> bits]
+            j = index.get(succ)
+            if j is None:
+                j = index[succ] = len(packed)
+                packed.append(succ)
+                if j < admit:
+                    parents.append(i)
+                    via.append(ev)
                 else:
-                    public = seen[succ] = kernel.public(succ)
-                    report.parent[public] = (here, ev)
-                    report.configs.append(public)
-                    frontier.append(succ)
-            allowed.append((ev, public))
-        report.edges[here] = tuple(allowed)
+                    truncated = True
+            targets.append(j)
+            labels.append(ev)
+        offsets.append(len(targets))
         final = kernel.is_final(config)
-        if not moves:
-            (report.finals if final else report.deadlocks).append(here)
+        if not moves and not capped:
+            (finals if final else deadlocks).append(i)
             if not kernel.is_final_sink(config):
-                report.soft_deadlocks.append(here)
+                soft_deadlocks.append(i)
         elif final:
-            report.finals.append(here)
-    return report
+            finals.append(i)
+    return ExploreReport(kernel, packed, index, min(len(packed), admit),
+                         parents, via, offsets, targets, labels, deadlocks,
+                         soft_deadlocks, finals, truncated)
 
 
 def csm_language_upto(csm: Csm, k: int, *,
@@ -296,10 +506,11 @@ def csm_language_upto(csm: Csm, k: int, *,
     `Event.sort_key` of the last letter.
     """
     kernel = _compiled(csm)
+    cap = _NO_CAP if queue_cap is None else queue_cap
 
-    def out(config: tuple) -> list:
-        return [(ev, succ) for _, _, ev, succ, size in kernel.moves(config)
-                if queue_cap is None or not size or size <= queue_cap]
+    def out(config: int) -> list:
+        return [(kernel.event(move), move & kernel.full)
+                for move in kernel.moves(config, cap)[0]]
 
     return bounded_traces((kernel.initial,), out,
                           lambda configs: _eps_reach(kernel, configs),
@@ -307,13 +518,8 @@ def csm_language_upto(csm: Csm, k: int, *,
 
 
 def _eps_reach(kernel: _Kernel, configs) -> frozenset:
-    """The internal configurations reachable by epsilon moves alone."""
-    def successors(config: tuple) -> list:
-        states, queues = config
-        return [(states[:i] + (dst,) + states[i + 1:], queues)
-                for i, s in enumerate(states) for dst in kernel.eps[i][s]]
-
-    return frozenset(reachable(configs, successors))
+    """The packed configurations reachable by epsilon moves alone."""
+    return frozenset(reachable(configs, kernel.eps_moves))
 
 
 @dataclass(frozen=True)
@@ -513,11 +719,13 @@ def _csm_vectors(kernel: _Kernel, views: _Views, k: int) -> dict:
     while work:
         config, vector = pair = work.pop()
         complete[vector] = complete.get(vector) or kernel.is_final(config)
-        for _, _, ev, succ, _ in kernel.moves(config):
-            if ev is None:
+        for move in kernel.moves(config)[0]:
+            succ = move & kernel.full
+            if move == succ:  # epsilon, of rank 0
                 nxt, size = (succ, vector), length[pair]
             elif length[pair] < k:
-                nxt, size = (succ, views.extend(vector, ev)), length[pair] + 1
+                nxt = (succ, views.extend(vector, kernel.event(move)))
+                size = length[pair] + 1
             else:
                 continue
             if nxt not in length:
@@ -595,10 +803,13 @@ def simulate(csm: Csm, seed: int = 0, max_steps: int = 100) -> Word:
     config = kernel.initial
     trace: list[Event] = []
     for _ in range(max_steps):
-        moves = kernel.sorted_moves(config)
+        moves, _ = kernel.moves(config)
         if not moves:
             break
-        _, _, ev, config, _ = moves[rng.randrange(len(moves))]
+        moves.sort()
+        move = moves[rng.randrange(len(moves))]
+        config = move & kernel.full
+        ev = kernel.event(move)
         if ev is not None:
             trace.append(ev)
     return tuple(trace)

@@ -930,13 +930,11 @@ def check_well_annotated(csm: Csm, *, queue_cap: int = 4,
 
 
 def _csm_fer(csm: Csm, report) -> bool:
-    # Configurations are numbered once: hashing them costs more than the
-    # searches themselves.  Successors beyond the config cap are dropped.
+    # Successors beyond the config cap are dropped.
+    nodes = range(len(report))
+    edges = [[(ev, j) for ev, j in report.out(i) if j in nodes]
+             for i in nodes]
     configs = report.configs
-    index = {c: i for i, c in enumerate(configs)}
-    edges = [tuple((ev, index[d]) for ev, d in report.edges[c] if d in index)
-             for c in configs]
-    nodes = range(len(configs))
     finals = [i for i in nodes if is_final_config(csm, configs[i])]
     pending = ((i, ch, len(content)) for i in nodes
                for ch, content in configs[i].channels)

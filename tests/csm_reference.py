@@ -1,8 +1,10 @@
 """The CSM semantics, oracle and scheduler as they stood before the
 compiled kernel, kept as a test-only reference: verbatim but for
-absolute imports and one later fix, shared with `amp.csm`: the oracle's
-complete-word witnesses break length ties by their printed form, so they
-do not depend on the hash seed.
+absolute imports, the exploration report, which `amp.csm` now builds
+from packed arrays and which is kept here as the plain dataclass it was,
+and one later fix, shared with `amp.csm`: the oracle's complete-word
+witnesses break length ties by their printed form, so they do not
+depend on the hash seed.
 
 `test_csm_kernel.py` runs these next to `amp.csm` and requires equal
 reports, languages and verdicts, in the same order.
@@ -11,14 +13,32 @@ reports, languages and verdicts, in the same order.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from typing import Optional
 
-from amp.core import Event, SEND, StateMachine, Word
-from amp.csm import (Channel, Configuration, Csm, ExploreReport,
-                     ProjectionVerdict, _fmt, initial_config,
-                     is_final_config, is_final_sink_config)
+from amp.core import Event, SEND, StateMachine, Word, parent_word
+from amp.csm import (Channel, Configuration, Csm, ProjectionVerdict, _fmt,
+                     initial_config, is_final_config, is_final_sink_config)
 from amp.fifo import closure_upto
 from amp.psm import Psm
+
+
+@dataclass
+class ExploreReport:
+    configs: list = field(default_factory=list)
+    edges: dict = field(default_factory=dict)
+    deadlocks: list = field(default_factory=list)
+    soft_deadlocks: list = field(default_factory=list)
+    finals: list = field(default_factory=list)
+    truncated: bool = False
+    parent: dict = field(default_factory=dict)
+
+    @property
+    def deadlock_free(self) -> bool:
+        return not self.deadlocks
+
+    def witness(self, config: Configuration) -> Word:
+        return parent_word(self.parent, config)
 
 
 def _with_state(config: Configuration, participant: str, state: str) -> tuple:

@@ -246,6 +246,8 @@ FOREIGN = {"states": ["a"], "initial": "a", "finals": ["a"], "transitions": [
      "malformed machine: no 'initial' field"),
     ("check-csm", {"p": FOREIGN},
      "malformed CSM: component 'p' has foreign event q>p!m"),
+    ("check-csm", {"p": {**FOREIGN, "states": ["a", 1]}},
+     "malformed machine: 1 is not a string"),
 ])
 def test_wrong_shaped_file_is_a_usage_error(tmp_path, capsys, command,
                                             document, message):

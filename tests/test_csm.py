@@ -66,6 +66,19 @@ def test_every_deadlock_is_soft():
         assert config in report.soft_deadlocks
 
 
+def test_check_csm_reads_build_no_public_view():
+    """The count, the deadlock lists, the flag and the first witness,
+    which `check-csm` reads, leave `configs`, `edges` and `parent`
+    unbuilt, and build only the configurations those lists hold."""
+    report = explore(three_party_csm(v1="v1", v2="v2"), queue_cap=2)
+    assert len(report) > 10 and report.truncated
+    assert report.witness(report.deadlocks[0])
+    assert report._configs is None and report._edges is None \
+        and report._parent is None
+    listed = report.deadlocks + report.soft_deadlocks + report.finals
+    assert len(report._public) == len(set(listed)) < len(report)
+
+
 def test_language_contains_kle_prefix():
     from amp.projection import project_tame
     result = project_tame(validate(kle_machine()), k=6)

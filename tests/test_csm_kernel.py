@@ -3,8 +3,9 @@
 `csm_reference` keeps the semantics as they were before the kernel.
 Reports, languages, verdicts and schedules must be equal, in the same
 order, on the shipped CSMs, random tame projections, the concurrent
-`pairs` family, a hand-built CSM with tied moves and the hand-drawn
-three-party CSMs with epsilon back edges.
+`pairs` family, a hand-built CSM with tied moves, the hand-drawn
+three-party CSMs with epsilon back edges, 300 random hand-drawn CSMs
+and one CSM whose state and queue ids need wide packed fields.
 
 It also keeps the word-level oracle, which enumerates every CSM word
 and the swap closure of the protocol's words, while `amp.csm` compares
@@ -14,6 +15,7 @@ for each, on the `pairs` family, on the negative controls and on the
 shipped goldens.
 """
 
+import itertools
 import random
 from pathlib import Path
 
@@ -22,7 +24,8 @@ import pytest
 from amp import csm as kernel
 from amp import projection
 from amp.cli import _load_machine
-from amp.core import RECV, Event, StateMachine, pair, recv, send
+from amp.core import (RECV, Event, StateMachine, StateRef, pair, recv,
+                      send)
 from amp.csm import Csm, initial_config, load_csm
 from amp.fifo import VIOLATION, is_fifo
 from amp.projection import NotProjectable, NotTame, project_tame
@@ -91,16 +94,27 @@ def tied_csm(swap: bool = False) -> Csm:
     return Csm({"p": p, "q": q})
 
 
-def random_projections(count: int = 6) -> list[Csm]:
+def random_projections(count: int = 6, draws: int = 200) -> list[Csm]:
+    """The projections of the first `count` random tame protocols that
+    project; raises when `draws` protocols give fewer, so that an oracle
+    that rejects every candidate fails collection instead of hanging."""
     rng = random.Random(20240811)
     found = []
-    while len(found) < count:
+    for _ in range(draws):
         try:
             found.append(project_tame(validate(random_tame_psm(rng)),
                                       k=4).csm)
         except (NotTame, NotProjectable):
             continue
-    return found
+        if len(found) == count:
+            return found
+    raise RuntimeError(f"only {len(found)} of {draws} random tame protocols "
+                       f"projected, {count} needed")
+
+
+def test_random_projections_give_up_after_their_draws():
+    with pytest.raises(RuntimeError, match="random tame protocols projected"):
+        random_projections(draws=3)
 
 
 def corpus() -> list[tuple[str, Csm]]:
@@ -334,3 +348,144 @@ def test_check_projection_matches_reference_past_a_dead_end():
         old = reference.check_projection(psm, csm, 4)
         assert kernel.check_projection(psm, csm, 4) == old
         assert "CSM adds prefix p>q!b" in old.reasons
+
+
+# -- random hand-drawn CSMs ------------------------------------------------
+
+# Two labels, each with no payload, a sort or a state reference.
+MESSAGES = (("a", None), ("b", None), ("a", "int"), ("b", StateRef("p1")))
+
+
+def hand_drawn_csm(rng: random.Random) -> Csm:
+    """Two to four components over the channels between them, with
+    epsilon edges (back edges among them), states with two transitions
+    on one event, and payloads that name a state."""
+    names = ("p", "q", "r", "s")[:rng.randrange(2, 5)]
+    components = {}
+    for owner in names:
+        peers = [p for p in names if p != owner]
+        size = rng.randrange(1, 5)
+        states = [f"{owner}{i}" for i in range(size)]
+        transitions = []
+        for _ in range(rng.randrange(2 * size + 2)):
+            src = rng.randrange(size)
+            roll = rng.random()
+            if roll < 0.2:
+                transitions.append((states[src], None,
+                                    states[rng.randrange(size)]))
+                continue
+            peer = rng.choice(peers)
+            label, payload = rng.choice(MESSAGES)
+            ev = (send(owner, peer, label, payload) if roll < 0.55
+                  else recv(peer, owner, label, payload))
+            for _ in range(rng.choice((1, 1, 1, 2))):
+                transitions.append((states[src], ev,
+                                    states[rng.randrange(size)]))
+        finals = [q for q in states if rng.random() < 0.4]
+        components[owner] = StateMachine(states, states[0], finals,
+                                         transitions)
+    return Csm(components)
+
+
+@pytest.fixture(scope="module")
+def hand_drawn() -> list[Csm]:
+    """300 random hand-drawn CSMs.  One with more than 2,000
+    configurations at queue cap 8 is drawn again, so that the reference
+    explorations stay fast."""
+    rng = random.Random(91)
+    found = []
+    for _ in range(3000):
+        csm = hand_drawn_csm(rng)
+        if len(kernel.explore(csm, config_cap=2001)) <= 2000:
+            found.append(csm)
+            if len(found) == 300:
+                return found
+    raise RuntimeError(f"only {len(found)} hand-drawn CSMs were small enough")
+
+
+def test_random_hand_drawn_csms_cover_the_cases(hand_drawn):
+    def events(csm):
+        return [ev for m in csm.components.values()
+                for _, ev, _ in m.transitions]
+
+    def branches_on_one_event(csm):
+        return any(len(moves) != len(set(moves))
+                   for m in csm.components.values() for q in m.states
+                   for moves in [[ev for ev, _ in m.out(q) if ev]])
+
+    assert {len(csm.participants) for csm in hand_drawn} == {2, 3, 4}
+    assert sum(None in events(csm) for csm in hand_drawn) > 100
+    assert sum(any(isinstance(ev.payload, StateRef) for ev in events(csm)
+                   if ev is not None) for csm in hand_drawn) > 100
+    assert sum(map(branches_on_one_event, hand_drawn)) > 50
+    assert sum(len(kernel.explore(csm)) > 500 for csm in hand_drawn) > 10
+
+
+def test_explore_matches_reference_on_random_hand_drawn_csms(hand_drawn):
+    for csm in hand_drawn:
+        for queue_cap in (0, 1, 2, 8):
+            for caps in ({"config_cap": 1}, {"config_cap": 2},
+                         {"config_cap": 5}, {}):
+                assert_same_report(
+                    kernel.explore(csm, queue_cap=queue_cap, **caps),
+                    reference.explore(csm, queue_cap=queue_cap, **caps))
+
+
+def test_step_matches_reference_on_random_hand_drawn_csms(hand_drawn):
+    for csm in hand_drawn:
+        for config in reference.explore(csm).configs:
+            assert kernel.step(csm, config) == reference.step(csm, config)
+
+
+def test_simulate_matches_reference_on_random_hand_drawn_csms(hand_drawn):
+    for csm in hand_drawn:
+        for seed in range(3):
+            assert (kernel.simulate(csm, seed=seed, max_steps=30)
+                    == reference.simulate(csm, seed=seed, max_steps=30))
+
+
+def test_language_matches_reference_on_random_hand_drawn_csms(hand_drawn):
+    for csm in hand_drawn:
+        for queue_cap in (None, 1):
+            new = kernel.csm_language_upto(csm, 4, queue_cap=queue_cap)
+            old = reference.csm_language_upto(csm, 4, queue_cap=queue_cap)
+            assert list(new.items()) == list(old.items())
+
+
+def test_check_projection_matches_reference_on_random_hand_drawn_csms(hand_drawn):
+    rng = random.Random(92)
+    passed = 0
+    for csm in hand_drawn:
+        psm = validate(random_tame_psm(rng, 5))
+        k = rng.randrange(5)
+        verdict = kernel.check_projection(psm, csm, k)
+        assert verdict == reference.check_projection(psm, csm, k)
+        passed += verdict.passed
+    assert passed < len(hand_drawn)
+
+
+def wide_csm() -> Csm:
+    """p has one state per word over {x, y} of length at most 8 and
+    sends that word to q, which may receive at any time: p has 511
+    states, and channel p>q reaches 511 distinct contents."""
+    words = ["".join(letters) for n in range(9)
+             for letters in itertools.product("xy", repeat=n)]
+    states = [f"w{word}" for word in words]
+    p = StateMachine(states, "w", states,
+                     [(f"w{word[:-1]}", send("p", "q", word[-1]), f"w{word}")
+                      for word in words if word])
+    q = StateMachine({"q0"}, "q0", {"q0"},
+                     [("q0", recv("p", "q", label), "q0") for label in "xy"])
+    return Csm({"p": p, "q": q})
+
+
+def test_wide_fields_match_reference():
+    """A packed state field of 8 bits cannot hold p's states, nor a
+    queue field of 8 bits the contents of p>q."""
+    csm = wide_csm()
+    new, old = kernel.explore(csm), reference.explore(csm)
+    assert len(new) == len(old.configs) > 4000
+    assert_same_report(new, old)
+    assert len({c.queue(("p", "q")) for c in old.configs}) == 511
+    for config in old.configs[::97]:
+        assert kernel.step(csm, config) == reference.step(csm, config)
