@@ -238,8 +238,7 @@ def cmd_to_global(args) -> int:
     merged = encoding.merge_immediate_pairs(validated.machine, {})
     if not merged.trim().is_sink_final():
         merged = transform.make_sink_final(merged)
-    tree = transform.regex_to_psm(transform.psm_to_regex(merged))
-    g = transform.psm_to_global_type(tree)
+    g = transform.psm_to_global_type(transform.tree_of(merged))
     _emit(args, {"global": str(g)}, [str(g)])
     if args.output:
         Path(args.output).write_text(str(g) + "\n")

@@ -11,24 +11,28 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .core import (Event, PAIR, RECV, SEND, StateMachine, StateRef, Word,
                    backward_closure, pair, payload_suffix, reachable, recv,
                    send)
 
-# -- global and local types -------------------------------------------------
+# -- session types ------------------------------------------------------------
+#
+# One representation serves global and local types.  A choice pairs each
+# event with its continuation: paired events in a global type, one
+# participant's sends or receives in a local type.
 
 
 @dataclass(frozen=True)
-class GEnd:
+class End:
     def __str__(self) -> str:
         return "0"
 
 
 @dataclass(frozen=True)
-class GVar:
+class Var:
     name: str
 
     def __str__(self) -> str:
@@ -36,86 +40,57 @@ class GVar:
 
 
 @dataclass(frozen=True)
-class GRec:
+class Rec:
     var: str
-    body: "GlobalType"
+    body: "SessionType"
 
     def __str__(self) -> str:
         return f"rec {self.var} . {self.body}"
 
 
 @dataclass(frozen=True)
-class GChoice:
-    branches: tuple  # tuple[(Event(pair), GlobalType), ...]
+class Choice:
+    branches: tuple  # tuple[(Event, SessionType), ...]
 
     def __str__(self) -> str:
-        parts = [f"{ev} . {cont}" for ev, cont in self.branches]
+        parts = [f"{_action(ev)} . {cont}" for ev, cont in self.branches]
         if len(parts) == 1:
             return parts[0]
-        return "( " + " + ".join(parts) + " )"
-
-
-GlobalType = Union[GEnd, GVar, GRec, GChoice]
-
-
-@dataclass(frozen=True)
-class LEnd:
-    def __str__(self) -> str:
-        return "0"
-
-
-@dataclass(frozen=True)
-class LVar:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class LRec:
-    var: str
-    body: "LocalType"
-
-    def __str__(self) -> str:
-        return f"rec {self.var} . {self.body}"
-
-
-@dataclass(frozen=True)
-class LChoice:
-    kind: str      # send or recv
-    branches: tuple  # tuple[(peer, label, payload, LocalType), ...]
-
-    def __str__(self) -> str:
-        mark = "!" if self.kind == SEND else "?"
-        parts = []
-        for peer, label, payload, cont in self.branches:
-            parts.append(
-                f"{mark}{peer}:{label}{payload_suffix(payload)} . {cont}")
-        if len(parts) == 1:
-            return parts[0]
-        op = "+" if self.kind == SEND else "&"
+        kind = self.branches[0][0].kind
+        if kind == PAIR:
+            return "( " + " + ".join(parts) + " )"
+        op = "+" if kind == SEND else "&"
         return f"({op} " + " ".join(parts) + " )"
 
 
-LocalType = Union[LEnd, LVar, LRec, LChoice]
+SessionType = Union[End, Var, Rec, Choice]
+
+
+def _action(ev: Event) -> str:
+    """An event as a type prints it: `p->q:m` in a global type, and in a
+    local one `!q:m` or `?p:m`, without the participant itself."""
+    if ev.kind == SEND:
+        return f"!{ev.receiver}:{ev.label}{payload_suffix(ev.payload)}"
+    if ev.kind == RECV:
+        return f"?{ev.sender}:{ev.label}{payload_suffix(ev.payload)}"
+    return str(ev)
 
 
 class TypeSyntaxError(ValueError):
     pass
 
 
-def _check_global(g: GlobalType, bound: frozenset = frozenset(),
+def _check_global(g: SessionType, bound: frozenset = frozenset(),
                   guarded: bool = True) -> None:
-    if isinstance(g, GEnd):
+    if isinstance(g, End):
         return
-    if isinstance(g, GVar):
+    if isinstance(g, Var):
         if g.name not in bound:
             raise TypeSyntaxError(f"unbound recursion variable {g.name}")
         if not guarded:
             raise TypeSyntaxError(f"unguarded recursion variable {g.name}")
         return
-    if isinstance(g, GRec):
+    if isinstance(g, Rec):
         _check_global(g.body, bound | {g.var}, guarded=False)
         return
     if not g.branches:
@@ -124,7 +99,7 @@ def _check_global(g: GlobalType, bound: frozenset = frozenset(),
         _check_global(cont, bound, guarded=True)
 
 
-def global_to_psm(g: GlobalType) -> StateMachine:
+def global_to_psm(g: SessionType) -> StateMachine:
     """The state-machine reading of a global type.
 
     States are the indexed syntactic subterms; message branches become
@@ -132,42 +107,35 @@ def global_to_psm(g: GlobalType) -> StateMachine:
     epsilon transitions; the end subterms are final.
     """
     _check_global(g)
-    return _type_to_machine(g, "g", lambda choice: choice.branches)
+    return _type_to_machine(g, "g")
 
 
-def local_to_fsm(l: LocalType, participant: str) -> StateMachine:
-    """The state-machine reading of a local type for one participant."""
-    def branches(choice: LChoice) -> list:
-        return [(send(participant, peer, label, payload)
-                 if choice.kind == SEND
-                 else recv(peer, participant, label, payload), cont)
-                for peer, label, payload, cont in choice.branches]
-
-    return _type_to_machine(l, "l", branches)
+def local_to_fsm(l: SessionType) -> StateMachine:
+    """The state-machine reading of a local type."""
+    return _type_to_machine(l, "l")
 
 
-def _type_to_machine(term, prefix: str, branches) -> StateMachine:
+def _type_to_machine(term: SessionType, prefix: str) -> StateMachine:
     """The machine of a global or local type: states `prefix`1, 2, ...
-    name the subterms in preorder, and `branches(choice)` lists a
-    choice's (event, continuation) pairs."""
+    name the subterms in preorder."""
     counter = itertools.count(1)
     states: list[str] = []
     finals: set[str] = set()
     transitions: list = []
     binders: dict[str, str] = {}
 
-    def visit(term) -> str:
+    def visit(term: SessionType) -> str:
         sid = f"{prefix}{next(counter)}"
         states.append(sid)
-        if isinstance(term, (GEnd, LEnd)):
+        if isinstance(term, End):
             finals.add(sid)
-        elif isinstance(term, (GVar, LVar)):
+        elif isinstance(term, Var):
             transitions.append((sid, None, binders[term.name]))
-        elif isinstance(term, (GRec, LRec)):
+        elif isinstance(term, Rec):
             binders[term.var] = sid
             transitions.append((sid, None, visit(term.body)))
         else:
-            for ev, cont in branches(term):
+            for ev, cont in term.branches:
                 transitions.append((sid, ev, visit(cont)))
         return sid
 
@@ -875,67 +843,92 @@ def _recursion_vars(machine: StateMachine) -> dict[str, str]:
     return {q: f"X{i + 1}" for i, q in enumerate(targets)}
 
 
-def _prune_unused_recs(t):
-    """Drop the recursion binders of a global or local type whose
-    variable is unused; a choice's continuation ends every branch."""
-    if isinstance(t, (GRec, LRec)):
+def _prune_unused_recs(t: SessionType) -> SessionType:
+    """Drop the recursion binders whose variable is unused."""
+    if isinstance(t, Rec):
         body = _prune_unused_recs(t.body)
-        return replace(t, body=body) if _uses_var(body, t.var) else body
-    if isinstance(t, (GChoice, LChoice)):
-        return replace(t, branches=tuple(
-            b[:-1] + (_prune_unused_recs(b[-1]),) for b in t.branches))
+        return Rec(t.var, body) if _uses_var(body, t.var) else body
+    if isinstance(t, Choice):
+        return Choice(tuple((ev, _prune_unused_recs(cont))
+                            for ev, cont in t.branches))
     return t
 
 
-def _uses_var(t, var: str) -> bool:
-    if isinstance(t, (GVar, LVar)):
+def _uses_var(t: SessionType, var: str) -> bool:
+    if isinstance(t, Var):
         return t.name == var
-    if isinstance(t, (GRec, LRec)):
+    if isinstance(t, Rec):
         return t.var != var and _uses_var(t.body, var)
-    if isinstance(t, (GChoice, LChoice)):
-        return any(_uses_var(b[-1], var) for b in t.branches)
+    if isinstance(t, Choice):
+        return any(_uses_var(cont, var) for _, cont in t.branches)
     return False
 
 
-def psm_to_global_type(machine: StateMachine) -> GlobalType:
-    """Read a global type off a tree-shaped paired-event machine.
+def _read_tree(tree: StateMachine, check) -> SessionType:
+    """Read a type off a tree-shaped machine.
 
     Finals become end; an epsilon edge to a state on the current path
     becomes its recursion variable, while an epsilon edge forward is
-    followed transparently; branches become sums.  States targeted by
+    followed transparently; branches become choices, once
+    `check(state, events)` accepts their events.  States targeted by
     epsilon edges bind a recursion variable, pruned again if unused.
     """
-    machine = machine.trim()
-    var_names = _recursion_vars(machine)
+    var_names = _recursion_vars(tree)
 
-    def traverse(q: str, seen: frozenset) -> GlobalType:
-        if q in machine.finals:
-            return GEnd()
+    def traverse(q: str, seen: frozenset) -> SessionType:
+        if q in tree.finals:
+            return End()
         seen = seen | {q}
-        outs = machine.out(q)
+        outs = tree.out(q)
         if len(outs) == 1 and outs[0][0] is None:
             dst = outs[0][1]
-            body: GlobalType = (GVar(var_names[dst]) if dst in seen
-                                else traverse(dst, seen))
+            body: SessionType = (Var(var_names[dst]) if dst in seen
+                                 else traverse(dst, seen))
         else:
             branches = []
             for ev, dst in outs:
                 if ev is None:
                     raise ValueError("epsilon edge on a branching state")
-                if ev.kind != PAIR:
-                    raise ValueError("global types need paired events; merge first")
                 branches.append((ev, traverse(dst, seen)))
             if not branches:
                 raise ValueError(f"non-final sink state {q!r}")
-            body = GChoice(tuple(branches))
+            check(q, [ev for ev, _ in branches])
+            body = Choice(tuple(branches))
         if q in var_names:
-            return GRec(var_names[q], body)
+            return Rec(var_names[q], body)
         return body
 
-    return _prune_unused_recs(traverse(machine.initial, frozenset()))
+    return _prune_unused_recs(traverse(tree.initial, frozenset()))
 
 
-def fsm_to_local_type(machine: StateMachine, participant: str) -> LocalType:
+def tree_of(machine: StateMachine) -> StateMachine:
+    """A tree-shaped machine with the language of a sink-final machine,
+    rebuilt from its expression by derivatives, its finals all sinks.
+    When the only word is ε, which no ε-free expression spells, it is a
+    lone final state: the type end."""
+    machine = machine.trim()
+    if machine.eps_closure({machine.initial}) & machine.finals:
+        if machine.alphabet():
+            raise ValueError("the machine accepts ε and longer words; "
+                             "no type ends and goes on at once")
+        return StateMachine({machine.initial}, machine.initial,
+                            {machine.initial}, ())
+    return regex_to_psm(psm_to_regex(machine))
+
+
+def psm_to_global_type(machine: StateMachine) -> SessionType:
+    """Read a global type off a tree-shaped paired-event machine, whose
+    final states end the type."""
+    machine = machine.trim()
+
+    def check(q: str, events: list) -> None:
+        if any(ev.kind != PAIR for ev in events):
+            raise ValueError("global types need paired events; merge first")
+
+    return _read_tree(machine, check)
+
+
+def fsm_to_local_type(machine: StateMachine, participant: str) -> SessionType:
     """A local type with the machine's language, via the tree workflow.
 
     Requires a sink-final machine without mixed-choice states; the
@@ -953,38 +946,13 @@ def fsm_to_local_type(machine: StateMachine, participant: str) -> LocalType:
             raise MixedChoiceState(q)
     if not machine.is_sink_final():
         raise ValueError("fsm_to_local_type requires a sink-final machine")
-    if machine.initial in machine.finals:
-        return LEnd()
-    regex = psm_to_regex(machine)
-    tree = regex_to_psm(regex)
-    var_names = _recursion_vars(tree)
+    tree = tree_of(machine)
 
-    def traverse(q: str, seen: frozenset) -> LocalType:
-        if q in tree.finals and tree.is_sink(q):
-            return LEnd()
-        seen = seen | {q}
-        outs = tree.out(q)
-        if len(outs) == 1 and outs[0][0] is None:
-            dst = outs[0][1]
-            body: LocalType = (LVar(var_names[dst]) if dst in seen
-                               else traverse(dst, seen))
-        else:
-            branches = []
-            kinds = set()
-            for ev, dst in outs:
-                if ev is None:
-                    raise ValueError("epsilon edge on a branching state")
-                kinds.add(ev.kind)
-                peer = ev.receiver if ev.kind == SEND else ev.sender
-                branches.append((peer, ev.label, ev.payload, traverse(dst, seen)))
-            if len(kinds) != 1:
-                raise MixedChoiceState(q)
-            body = LChoice(kinds.pop(), tuple(branches))
-        if q in var_names:
-            return LRec(var_names[q], body)
-        return body
+    def check(q: str, events: list) -> None:
+        if len({ev.kind for ev in events}) != 1:
+            raise MixedChoiceState(q)
 
-    return _prune_unused_recs(traverse(tree.initial, frozenset()))
+    return _read_tree(tree, check)
 
 
 # -- text formats --------------------------------------------------------------
@@ -1032,7 +1000,7 @@ def _parse_payload(tokens: _Tokens):
     return inner or None
 
 
-def parse_global_type(text: str) -> GlobalType:
+def parse_global_type(text: str) -> SessionType:
     """Parse the textual syntax: `0`, `p->q:m . G`, `( G + G )`,
     `rec X . G`, and `X`; payloads as `m<t>` or `m<@state>`."""
     tokens = _Tokens(text)
@@ -1043,14 +1011,14 @@ def parse_global_type(text: str) -> GlobalType:
     return term
 
 
-def _parse_global(tokens: _Tokens) -> GlobalType:
+def _parse_global(tokens: _Tokens) -> SessionType:
     token = tokens.next()
     if token == "0":
-        return GEnd()
+        return End()
     if token == "rec":
         var = tokens.next()
         tokens.expect(".")
-        return GRec(var, _parse_global(tokens))
+        return Rec(var, _parse_global(tokens))
     if token == "(":
         branches: list = []
         while True:
@@ -1063,13 +1031,13 @@ def _parse_global(tokens: _Tokens) -> GlobalType:
                 raise TypeSyntaxError(f"expected '+' or ')', got {token!r}")
         flat = []
         for term in branches:
-            if isinstance(term, GChoice):
+            if isinstance(term, Choice):
                 flat.extend(term.branches)
             else:
                 raise TypeSyntaxError("choice branches must start with a message")
-        return GChoice(tuple(flat))
+        return Choice(tuple(flat))
     if tokens.peek() != "->":
-        return GVar(token)
+        return Var(token)
     # message prefix: p -> q : m . G
     sender = token
     tokens.expect("->")
@@ -1081,33 +1049,28 @@ def _parse_global(tokens: _Tokens) -> GlobalType:
         payload = _parse_payload(tokens)
     tokens.expect(".")
     cont = _parse_global(tokens)
-    return GChoice(((pair(sender, receiver, label, payload), cont),))
+    return Choice(((pair(sender, receiver, label, payload), cont),))
 
 
-def format_global_type(g: GlobalType) -> str:
-    return str(g)
-
-
-def parse_local_type(text: str, participant: str) -> LocalType:
-    """Parse the local syntax: `0`, `!q:m . L`, `?q:m . L`,
-    `(+ L L )`, `(& L L )`, `rec X . L`, and `X`."""
+def parse_local_type(text: str, participant: str) -> SessionType:
+    """Parse the local syntax of `participant`: `0`, `!q:m . L`,
+    `?q:m . L`, `(+ L L )`, `(& L L )`, `rec X . L`, and `X`."""
     tokens = _Tokens(text.replace("!", " ! ").replace("?", " ? "))
-    term = _parse_local(tokens)
+    term = _parse_local(tokens, participant)
     if tokens.peek() is not None:
         raise TypeSyntaxError(f"trailing input {tokens.peek()!r}")
     return term
 
 
-def _parse_local(tokens: _Tokens) -> LocalType:
+def _parse_local(tokens: _Tokens, participant: str) -> SessionType:
     token = tokens.next()
     if token == "0":
-        return LEnd()
+        return End()
     if token == "rec":
         var = tokens.next()
         tokens.expect(".")
-        return LRec(var, _parse_local(tokens))
+        return Rec(var, _parse_local(tokens, participant))
     if token in ("!", "?"):
-        kind = SEND if token == "!" else RECV
         peer = tokens.next()
         tokens.expect(":")
         label = tokens.next()
@@ -1115,7 +1078,9 @@ def _parse_local(tokens: _Tokens) -> LocalType:
         if tokens.peek() is not None and tokens.peek().startswith("<"):
             payload = _parse_payload(tokens)
         tokens.expect(".")
-        return LChoice(kind, ((peer, label, payload, _parse_local(tokens)),))
+        ev = (send(participant, peer, label, payload) if token == "!"
+              else recv(peer, participant, label, payload))
+        return Choice(((ev, _parse_local(tokens, participant)),))
     if token == "(":
         op = tokens.next()
         if op not in ("+", "&"):
@@ -1123,17 +1088,13 @@ def _parse_local(tokens: _Tokens) -> LocalType:
         kind = SEND if op == "+" else RECV
         branches: list = []
         while tokens.peek() != ")":
-            term = _parse_local(tokens)
-            if not isinstance(term, LChoice) or term.kind != kind \
-                    or len(term.branches) != 1:
+            term = _parse_local(tokens, participant)
+            if not isinstance(term, Choice) or len(term.branches) != 1 \
+                    or term.branches[0][0].kind != kind:
                 raise TypeSyntaxError("choice branches must be single actions")
             branches.append(term.branches[0])
         tokens.next()
         if not branches:
             raise TypeSyntaxError("empty choice")
-        return LChoice(kind, tuple(branches))
-    return LVar(token)
-
-
-def format_local_type(l: LocalType) -> str:
-    return str(l)
+        return Choice(tuple(branches))
+    return Var(token)

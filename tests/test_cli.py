@@ -178,6 +178,32 @@ def test_to_local(capsys):
     assert "query" in json.loads(out)["local"]
 
 
+@pytest.mark.parametrize("text", ["0", "rec X . 0"], ids=["end", "rec-end"])
+@pytest.mark.parametrize("command", [("to-global",),
+                                     ("to-local", "--participant", "p")],
+                         ids=["to-global", "to-local"])
+def test_a_protocol_whose_only_word_is_empty_reads_as_end(tmp_path, capsys,
+                                                          text, command):
+    source = tmp_path / "empty.gt"
+    source.write_text(text + "\n")
+    code, out = run(capsys, command[0], str(source), *command[1:])
+    assert (code, out) == (0, "0\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_to_local_rejects_a_machine_that_may_end_or_go_on(tmp_path, capsys):
+    from amp.core import StateMachine, send
+    star = StateMachine({"s0", "s1", "f"}, "s0", {"f"},
+                        [("s0", send("p", "q", "a"), "s1"),
+                         ("s1", None, "s0"), ("s0", None, "f")])
+    source = _write_machine(tmp_path / "star.psm.json", star)
+    assert main(["to-local", source, "--participant", "p"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the machine accepts ε and longer words; "
+                            "no type ends and goes on at once\n")
+
+
 def test_typecheck_program(capsys):
     code, out = run(capsys, "typecheck",
                     str(PROTOCOLS / "programs" / "delegation.amp"),

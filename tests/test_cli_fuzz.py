@@ -1,10 +1,13 @@
-"""Fuzzing the CSM loader and `check-csm` with random JSON documents.
+"""Fuzzing the CLI's loaders with random inputs.
 
-Documents are shaped like CSMs, with wrong types, missing fields,
-unknown states, foreign subjects, `pair` events and empty components
-mixed in.  Whatever the document, the command must keep the exit-code
-contract (0 ok, 1 negative, 2 usage, 3 resource cap), print no
-traceback and print at most one `error:` line.
+CSM documents go through `check-csm`; protocol-machine documents through
+`validate`, `bounds` and `project`; both are shaped like what the loader
+expects, with wrong types, missing fields, unknown states, foreign
+subjects, `pair` events and empty components mixed in.  Global-type
+texts, near-grammatical or token soups, go through every command that
+reads a `.gt` file.  Whatever the input, each command must keep the
+exit-code contract (0 ok, 1 negative, 2 usage, 3 resource cap), print
+no traceback and print at most one `error:` line.
 """
 
 import copy
@@ -57,16 +60,16 @@ def events(draw, owner: str):
 
 
 @st.composite
-def machines(draw, owner: str):
-    """A component of `owner`, its states drawn from a few names and
-    its initial state sometimes not one of them."""
+def machines(draw, moves):
+    """A machine whose events `moves` draws, its states drawn from a few
+    names and its initial state sometimes not one of them."""
     states = draw(st.lists(st.sampled_from(STATES), min_size=1, max_size=3,
                            unique=True))
     pick = st.sampled_from(states)
     return {"states": states,
             "initial": draw(st.sampled_from(states[:1] * 5 + ["z"])),
             "finals": draw(st.lists(pick, unique=True)),
-            "transitions": [{"from": draw(pick), "event": draw(events(owner)),
+            "transitions": [{"from": draw(pick), "event": draw(moves),
                              "to": draw(pick)}
                             for _ in range(draw(st.integers(0, 6)))]}
 
@@ -102,7 +105,7 @@ def csm_documents(draw):
     in up to two places."""
     names = draw(st.lists(st.sampled_from(PEOPLE * 3 + [""]), max_size=3,
                           unique=True))
-    document = {name: draw(machines(name)) for name in names}
+    document = {name: draw(machines(events(name))) for name in names}
     if names and draw(st.sampled_from(range(5))) == 0:
         document[names[0]] = {"states": ["a"], "initial": "a", "finals": [],
                               "transitions": []}
@@ -111,17 +114,89 @@ def csm_documents(draw):
     return document
 
 
-@settings(max_examples=300, deadline=None)
-@given(csm_documents())
-def test_check_csm_keeps_the_exit_code_contract(document):
+@st.composite
+def protocol_documents(draw):
+    """A protocol machine, its events by any participant, then corrupted
+    in up to two places."""
+    document = draw(machines(st.sampled_from(PEOPLE).flatmap(events)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        document = draw(corrupted(document))
+    return document
+
+
+GLOBAL_TOKENS = ["0", "rec", "X", "Y", ".", "(", ")", "+", "->", ":", "p",
+                 "q", "r", "m", "<end>", "<@q0>", "<@>"]
+
+
+def global_texts():
+    """Global types of the grammar, some with unbound or unguarded
+    variables or empty state payloads."""
+    channel = st.permutations(PEOPLE).map(lambda people: people[:2])
+    label = st.sampled_from(["m", "m", "m <end>", "m <@q0>", "m <@>"])
+
+    def extend(children):
+        message = st.builds(
+            lambda ends, label, cont: f"{ends[0]} -> {ends[1]} : {label} "
+                                      f". {cont}",
+            channel, label, children)
+        return (message
+                | st.builds("rec {} . {}".format, st.sampled_from("XY"),
+                            children)
+                | st.lists(message, min_size=2, max_size=3).map(
+                    lambda parts: "( " + " + ".join(parts) + " )"))
+
+    return st.recursive(st.sampled_from(["0", "0", "0", "X", "Y"]), extend,
+                        max_leaves=5)
+
+
+@st.composite
+def token_soups(draw):
+    """A global type's tokens, edited in up to three places, or tokens
+    drawn at random."""
+    if draw(st.sampled_from(range(4))) == 0:
+        return " ".join(draw(st.lists(st.sampled_from(GLOBAL_TOKENS),
+                                      max_size=12)))
+    tokens = draw(global_texts()).split()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["drop", "insert", "replace"]))
+        if edit != "insert" and at < len(tokens):
+            del tokens[at]
+        if edit != "drop":
+            tokens.insert(at, draw(st.sampled_from(GLOBAL_TOKENS)))
+    return " ".join(tokens)
+
+
+def assert_contract(argv: list, name: str, text: str) -> None:
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fuzz.csm.json"
-        path.write_text(json.dumps(document))
+        path = Path(tmp) / name
+        path.write_text(text)
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(["check-csm", str(path)])
+            code = cli.main([argv[0], str(path), *argv[1:]])
     assert code in (0, 1, 2, 3)
     printed = out.getvalue() + err.getvalue()
     assert "Traceback" not in printed
     assert sum(line.startswith("error:")
                for line in printed.splitlines()) <= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(csm_documents())
+def test_check_csm_keeps_the_exit_code_contract(document):
+    assert_contract(["check-csm"], "fuzz.csm.json", json.dumps(document))
+
+
+@settings(max_examples=150, deadline=None)
+@given(protocol_documents())
+def test_protocol_commands_keep_the_exit_code_contract(document):
+    for command in ("validate", "bounds", "project"):
+        assert_contract([command], "fuzz.psm.json", json.dumps(document))
+
+
+@settings(max_examples=150, deadline=None)
+@given(token_soups())
+def test_global_type_commands_keep_the_exit_code_contract(text):
+    for argv in (["validate"], ["from-global"], ["to-global"],
+                 ["to-local", "--participant", "p"], ["project"]):
+        assert_contract(argv, "fuzz.gt", text)

@@ -9,14 +9,14 @@ from amp.core import (StateMachine, complete_traces, languages_equal_upto,
 from amp.encoding import merge_immediate_pairs
 from amp.psm import (DIRECTED, MIXED, NON_DETERMINISTIC, SENDER_DRIVEN,
                      classify_choice)
-from amp.transform import (GEnd, LChoice, LEnd, MixedChoiceState, RAlt,
-                           RCat, REps, RLetter, RStar, TypeSyntaxError,
-                           brz_deriv, first_letters, format_global_type,
-                           fsm_to_local_type, global_to_psm, local_to_fsm,
-                           make_sink_final, mark, nullable, parse_global_type,
-                           psm_deriv, psm_to_global_type, psm_to_regex, rcat,
-                           regex_choice_class, regex_choice_class_bounded,
-                           regex_lang_upto, regex_to_psm, unmark)
+from amp.transform import (Choice, End, MixedChoiceState, RAlt, RCat, REps,
+                           RLetter, RStar, TypeSyntaxError, brz_deriv,
+                           first_letters, fsm_to_local_type, global_to_psm,
+                           local_to_fsm, make_sink_final, mark, nullable,
+                           parse_global_type, psm_deriv, psm_to_global_type,
+                           psm_to_regex, rcat, regex_choice_class,
+                           regex_choice_class_bounded, regex_lang_upto,
+                           regex_to_psm, unmark)
 
 from .conftest import three_party_machine
 from .goldengen import THREE_PARTY_GT
@@ -35,7 +35,7 @@ def _machine_of(regex) -> StateMachine:
 
 def test_parse_and_format_global_roundtrip():
     g = parse_global_type(THREE_PARTY_GT)
-    again = parse_global_type(format_global_type(g))
+    again = parse_global_type(str(g))
     assert again == g
 
 
@@ -47,7 +47,7 @@ def test_parser_rejects_unbound_and_unguarded():
 
 
 def test_global_to_psm_end_is_single_final_state():
-    machine = global_to_psm(GEnd())
+    machine = global_to_psm(End())
     assert len(machine.states) == 1
     assert machine.finals == {machine.initial}
 
@@ -334,7 +334,7 @@ def test_sender_driven_closed_under_deriv(rng):
 def test_psm_to_global_single_final():
     machine = StateMachine({"a"}, "a", {"a"}, [])
     # The full pipeline maps the empty protocol to end directly.
-    assert psm_to_global_type(machine) == GEnd()
+    assert psm_to_global_type(machine) == End()
 
 
 def test_full_workflow_three_party():
@@ -382,17 +382,18 @@ def test_local_type_of_seller_fragment():
          ("q4", send("s", "b", "invalid"), "q7"),
          ("q7", send("s", "b", "cancel"), "q8")])
     local = fsm_to_local_type(machine, "s")
-    assert isinstance(local, LChoice) and local.kind == "recv"
-    (peer, label, _, cont), = local.branches
-    assert (peer, label) == ("b", "ccard")
-    assert isinstance(cont, LChoice) and cont.kind == "send"
-    assert {b[1] for b in cont.branches} == {"valid", "invalid"}
-    assert languages_equal_upto(local_to_fsm(local, "s"), machine, 8)
+    assert isinstance(local, Choice)
+    (ev, cont), = local.branches
+    assert ev == recv("b", "s", "ccard")
+    assert isinstance(cont, Choice)
+    assert {ev.kind for ev, _ in cont.branches} == {"send"}
+    assert {ev.label for ev, _ in cont.branches} == {"valid", "invalid"}
+    assert languages_equal_upto(local_to_fsm(local), machine, 8)
 
 
 def test_local_type_end():
     machine = StateMachine({"a"}, "a", {"a"}, [])
-    assert fsm_to_local_type(machine, "p") == LEnd()
+    assert fsm_to_local_type(machine, "p") == End()
 
 
 def test_local_type_rejects_mixed_choice_state():
@@ -404,7 +405,7 @@ def test_local_type_rejects_mixed_choice_state():
 
 
 def test_local_type_text_roundtrip():
-    from amp.transform import format_local_type, parse_local_type
+    from amp.transform import parse_local_type
     machine = StateMachine(
         {"q3", "q4", "q5", "q6", "q7", "q8"}, "q3", {"q6", "q8"},
         [("q3", recv("b", "s", "ccard"), "q4"),
@@ -413,17 +414,17 @@ def test_local_type_text_roundtrip():
          ("q4", send("s", "b", "invalid"), "q7"),
          ("q7", send("s", "b", "cancel"), "q8")])
     local = fsm_to_local_type(machine, "s")
-    again = parse_local_type(format_local_type(local), "s")
+    again = parse_local_type(str(local), "s")
     assert again == local
     looped = parse_local_type("rec X . (+ !q:a . X !q:b<end> . 0 )", "p")
-    assert format_local_type(looped) == "rec X . (+ !q:a . X !q:b<end> . 0 )"
-    assert languages_equal_upto(local_to_fsm(local, "s"), machine, 8)
+    assert str(looped) == "rec X . (+ !q:a . X !q:b<end> . 0 )"
+    assert languages_equal_upto(local_to_fsm(local), machine, 8)
 
 
 def test_global_type_payload_text_roundtrip():
     text = "( p->q:l1<@q0> . 0 + p->q:l2<end> . 0 )"
     g = parse_global_type(text)
-    assert format_global_type(g) == text
+    assert str(g) == text
     from amp.core import StateRef
     (ev1, _), (ev2, _) = g.branches
     assert ev1.payload == StateRef("q0") and ev2.payload == "end"
@@ -434,10 +435,10 @@ def test_local_roundtrip_random(rng):
     for _ in range(50):
         machine = random_local_tree(rng)
         local = fsm_to_local_type(machine, "p")
-        back = local_to_fsm(local, "p")
+        back = local_to_fsm(local)
         assert languages_equal_upto(machine, back, 8)
         again = fsm_to_local_type(back, "p")
-        assert languages_equal_upto(local_to_fsm(again, "p"), machine, 8)
+        assert languages_equal_upto(local_to_fsm(again), machine, 8)
 
 
 def test_to_local_type_names_the_least_foreign_event():

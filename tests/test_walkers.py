@@ -17,18 +17,18 @@ from pathlib import Path
 import pytest
 
 from amp.cli import _load_machine
-from amp.core import (StateMachine, StateRef, dump_machine, eps_closure,
-                      expand_pairs, maximal_traces_upto, pair, reachable)
+from amp.core import (Event, StateMachine, StateRef, dump_machine,
+                      eps_closure, expand_pairs, maximal_traces_upto, pair,
+                      reachable)
 from amp.csm import explore, load_csm
 from amp.encoding import encode_psm
 from amp.projection import subset_construction
 from amp.psm import (PsmError, build_config_graph, infer_channel_bounds,
                      validate)
-from amp.transform import (GChoice, GEnd, GRec, GVar, LChoice, LEnd, LRec,
-                           LVar, TypeSyntaxError, _prune_unused_recs,
-                           _uses_var, fsm_to_local_type, global_to_psm,
-                           is_ancestor_recursive, local_to_fsm, psm_deriv,
-                           psm_deriv_rooted, psm_to_global_type,
+from amp.transform import (Choice, End, Rec, TypeSyntaxError, Var,
+                           _prune_unused_recs, _uses_var, fsm_to_local_type,
+                           global_to_psm, is_ancestor_recursive, local_to_fsm,
+                           psm_deriv, psm_deriv_rooted, psm_to_global_type,
                            regex_choice_class, regex_choice_class_bounded,
                            regex_to_psm)
 
@@ -257,18 +257,18 @@ def random_global(rng: random.Random, depth: int = 4, bound: tuple = ()):
     roll = rng.random()
     if depth == 0 or roll < 0.2:
         if rng.random() < 0.4:
-            return GVar(rng.choice(bound or ("Z",)))
-        return GEnd()
+            return Var(rng.choice(bound or ("Z",)))
+        return End()
     if roll < 0.4:
         var = f"X{len(bound) + 1}"
-        return GRec(var, random_global(rng, depth - 1, bound + (var,)))
+        return Rec(var, random_global(rng, depth - 1, bound + (var,)))
     branches = []
     for _ in range(rng.choice((1, 1, 2, 3))):
         sender, receiver = rng.sample(PARTICIPANTS, 2)
         branches.append((pair(sender, receiver, rng.choice("abc"),
                               random_payload(rng)),
                          random_global(rng, depth - 1, bound)))
-    return GChoice(tuple(branches))
+    return Choice(tuple(branches))
 
 
 def random_local(rng: random.Random, depth: int = 4, bound: tuple = ()):
@@ -276,15 +276,20 @@ def random_local(rng: random.Random, depth: int = 4, bound: tuple = ()):
     roll = rng.random()
     if depth == 0 or roll < 0.2:
         if rng.random() < 0.4:
-            return LVar(rng.choice(bound or ("Z",)))
-        return LEnd()
+            return Var(rng.choice(bound or ("Z",)))
+        return End()
     if roll < 0.4:
         var = f"X{len(bound) + 1}"
-        return LRec(var, random_local(rng, depth - 1, bound + (var,)))
-    branches = tuple((rng.choice(("q", "r")), rng.choice("abc"),
-                      random_payload(rng), random_local(rng, depth - 1, bound))
-                     for _ in range(rng.choice((1, 1, 2, 3))))
-    return LChoice(rng.choice(("send", "recv")), branches)
+        return Rec(var, random_local(rng, depth - 1, bound + (var,)))
+    kind = rng.choice(("send", "recv"))
+    branches = []
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        peer = rng.choice(("q", "r"))
+        sender, receiver = ("p", peer) if kind == "send" else (peer, "p")
+        ev = Event(kind, sender, receiver, rng.choice("abc"),
+                   random_payload(rng))
+        branches.append((ev, random_local(rng, depth - 1, bound)))
+    return Choice(tuple(branches))
 
 
 def assert_types_agree(g, l) -> None:
@@ -292,8 +297,8 @@ def assert_types_agree(g, l) -> None:
     assert new == old
     if isinstance(new, StateMachine):
         assert dump_machine(new) == dump_machine(old)
-    new = outcome(local_to_fsm, l, "p")
-    old = outcome(reference.local_to_fsm, l, "p")
+    new = outcome(local_to_fsm, l)
+    old = outcome(reference.local_to_fsm, l)
     assert new == old
     if isinstance(new, StateMachine):
         assert dump_machine(new) == dump_machine(old)
@@ -311,7 +316,7 @@ def test_type_builders_and_pruners_agree_on_random_types():
         g, l = random_global(rng), random_local(rng)
         assert_types_agree(g, l)
         for result in (outcome(reference.global_to_psm, g),
-                       outcome(reference.local_to_fsm, l, "p")):
+                       outcome(reference.local_to_fsm, l)):
             if isinstance(result, tuple):
                 errors.add(result[0])
     assert errors == {TypeSyntaxError, KeyError}

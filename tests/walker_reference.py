@@ -4,7 +4,10 @@ choice classifiers as they stood before `amp.core` held one copy of
 each, kept as a test-only reference: verbatim but for absolute imports,
 for the `StateMachine` methods and `ConfigGraph.word_to`, which take
 their object as `self`, and for calls among these walkers, which go to
-the copies here.
+the copies here.  The type builders and pruners are ported to the one
+session-type representation of `amp.transform`, whose choices hold
+events: the local builder reads its events off the branches instead of
+building them from a participant.
 
 `test_walkers.py` runs these next to the library and requires equal
 sets, trace sets (in the same key order), machines, exceptions and
@@ -18,16 +21,15 @@ from collections import deque
 from typing import Optional
 
 from amp.core import (Event, RECV, SEND, StateMachine, TraceFlags, TraceSet,
-                      Word, expand_pairs, queue_get, queue_set, recv, send)
+                      Word, expand_pairs, queue_get, queue_set)
 from amp.csm import Configuration, ExploreReport
 from amp.projection import _local_label
 from amp.psm import (DEFAULT_CONFIG_CAP, DIRECTED, MIXED, NON_DETERMINISTIC,
                      SENDER_DRIVEN, Config, ConfigGraph, NonFifo,
                      UnboundedChannel)
-from amp.transform import (GChoice, GEnd, GlobalType, GRec, GVar, LChoice,
-                           LEnd, LocalType, LRec, LVar, Regex, _check_global,
-                           _follow_sets, _forward_levels, first_letters, mark,
-                           regex_lang_upto, unmark)
+from amp.transform import (Choice, End, Rec, Regex, SessionType, Var,
+                           _check_global, _follow_sets, _forward_levels,
+                           first_letters, mark, regex_lang_upto, unmark)
 
 
 # -- amp.core ---------------------------------------------------------------
@@ -226,7 +228,7 @@ def witness(self: ExploreReport, config: Configuration) -> Word:
 # -- amp.transform ------------------------------------------------------------
 
 
-def global_to_psm(g: GlobalType) -> StateMachine:
+def global_to_psm(g: SessionType) -> StateMachine:
     """The state-machine reading of a global type.
 
     States are the indexed syntactic subterms; message branches become
@@ -240,14 +242,14 @@ def global_to_psm(g: GlobalType) -> StateMachine:
     transitions: list = []
     binders: dict[str, str] = {}
 
-    def visit(term: GlobalType) -> str:
+    def visit(term: SessionType) -> str:
         sid = f"g{next(counter)}"
         states.append(sid)
-        if isinstance(term, GEnd):
+        if isinstance(term, End):
             finals.add(sid)
-        elif isinstance(term, GVar):
+        elif isinstance(term, Var):
             transitions.append((sid, None, binders[term.name]))
-        elif isinstance(term, GRec):
+        elif isinstance(term, Rec):
             binders[term.var] = sid
             body = visit(term.body)
             transitions.append((sid, None, body))
@@ -260,30 +262,26 @@ def global_to_psm(g: GlobalType) -> StateMachine:
     return StateMachine(states, initial, finals, transitions)
 
 
-def local_to_fsm(l: LocalType, participant: str) -> StateMachine:
-    """The state-machine reading of a local type for one participant."""
+def local_to_fsm(l: SessionType) -> StateMachine:
+    """The state-machine reading of a local type."""
     counter = itertools.count(1)
     states: list[str] = []
     finals: set[str] = set()
     transitions: list = []
     binders: dict[str, str] = {}
 
-    def visit(term: LocalType) -> str:
+    def visit(term: SessionType) -> str:
         sid = f"l{next(counter)}"
         states.append(sid)
-        if isinstance(term, LEnd):
+        if isinstance(term, End):
             finals.add(sid)
-        elif isinstance(term, LVar):
+        elif isinstance(term, Var):
             transitions.append((sid, None, binders[term.name]))
-        elif isinstance(term, LRec):
+        elif isinstance(term, Rec):
             binders[term.var] = sid
             transitions.append((sid, None, visit(term.body)))
         else:
-            for peer, label, payload, cont in term.branches:
-                if term.kind == SEND:
-                    ev = send(participant, peer, label, payload)
-                else:
-                    ev = recv(peer, participant, label, payload)
+            for ev, cont in term.branches:
                 transitions.append((sid, ev, visit(cont)))
         return sid
 
@@ -430,40 +428,40 @@ def _reaches(machine: StateMachine, source: str, target: str) -> bool:
     return False
 
 
-def _prune_unused_recs(g: GlobalType) -> GlobalType:
-    if isinstance(g, GRec):
+def _prune_unused_recs(g: SessionType) -> SessionType:
+    if isinstance(g, Rec):
         body = _prune_unused_recs(g.body)
-        return GRec(g.var, body) if _uses_var(body, g.var) else body
-    if isinstance(g, GChoice):
-        return GChoice(tuple((ev, _prune_unused_recs(c)) for ev, c in g.branches))
+        return Rec(g.var, body) if _uses_var(body, g.var) else body
+    if isinstance(g, Choice):
+        return Choice(tuple((ev, _prune_unused_recs(c)) for ev, c in g.branches))
     return g
 
 
-def _uses_var(g: GlobalType, var: str) -> bool:
-    if isinstance(g, GVar):
+def _uses_var(g: SessionType, var: str) -> bool:
+    if isinstance(g, Var):
         return g.name == var
-    if isinstance(g, GRec):
+    if isinstance(g, Rec):
         return g.var != var and _uses_var(g.body, var)
-    if isinstance(g, GChoice):
+    if isinstance(g, Choice):
         return any(_uses_var(c, var) for _, c in g.branches)
     return False
 
 
-def _prune_unused_lrecs(l: LocalType) -> LocalType:
-    if isinstance(l, LRec):
+def _prune_unused_lrecs(l: SessionType) -> SessionType:
+    if isinstance(l, Rec):
         body = _prune_unused_lrecs(l.body)
-        return LRec(l.var, body) if _uses_lvar(body, l.var) else body
-    if isinstance(l, LChoice):
-        return LChoice(l.kind, tuple((p, lb, pl, _prune_unused_lrecs(c))
-                                     for p, lb, pl, c in l.branches))
+        return Rec(l.var, body) if _uses_lvar(body, l.var) else body
+    if isinstance(l, Choice):
+        return Choice(tuple((ev, _prune_unused_lrecs(c))
+                            for ev, c in l.branches))
     return l
 
 
-def _uses_lvar(l: LocalType, var: str) -> bool:
-    if isinstance(l, LVar):
+def _uses_lvar(l: SessionType, var: str) -> bool:
+    if isinstance(l, Var):
         return l.name == var
-    if isinstance(l, LRec):
+    if isinstance(l, Rec):
         return l.var != var and _uses_lvar(l.body, var)
-    if isinstance(l, LChoice):
-        return any(_uses_lvar(c, var) for _, _, _, c in l.branches)
+    if isinstance(l, Choice):
+        return any(_uses_lvar(c, var) for _, c in l.branches)
     return False
