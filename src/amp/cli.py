@@ -448,8 +448,11 @@ def main(argv=None) -> int:
         return USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return USAGE
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)

@@ -963,8 +963,9 @@ _TOKEN_RE = re.compile(
 
 
 class _Tokens:
-    def __init__(self, text: str):
+    def __init__(self, text: str, operators: tuple = ()):
         self.tokens: list[str] = []
+        self.words: list[bool] = []  # whether each token can be a name
         pos = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
@@ -972,7 +973,9 @@ class _Tokens:
                 if text[pos:].strip():
                     raise TypeSyntaxError(f"stray input at {text[pos:pos+20]!r}")
                 break
-            self.tokens.append(m.group().strip())
+            token = m.group().strip()
+            self.tokens.append(token)
+            self.words.append(m.lastgroup == "word" and token not in operators)
             pos = m.end()
         self.pos = 0
 
@@ -990,6 +993,13 @@ class _Tokens:
         got = self.next()
         if got != token:
             raise TypeSyntaxError(f"expected {token!r}, got {got!r}")
+
+    def word(self) -> str:
+        """Consume a name: a participant, a label or a variable."""
+        token = self.next()
+        if not self.words[self.pos - 1]:
+            raise TypeSyntaxError(f"expected a name, got {token!r}")
+        return token
 
 
 def _parse_payload(tokens: _Tokens):
@@ -1016,7 +1026,7 @@ def _parse_global(tokens: _Tokens) -> SessionType:
     if token == "0":
         return End()
     if token == "rec":
-        var = tokens.next()
+        var = tokens.word()
         tokens.expect(".")
         return Rec(var, _parse_global(tokens))
     if token == "(":
@@ -1036,14 +1046,15 @@ def _parse_global(tokens: _Tokens) -> SessionType:
             else:
                 raise TypeSyntaxError("choice branches must start with a message")
         return Choice(tuple(flat))
+    tokens.pos -= 1  # read the token again, as a name
+    sender = tokens.word()
     if tokens.peek() != "->":
-        return Var(token)
+        return Var(sender)
     # message prefix: p -> q : m . G
-    sender = token
     tokens.expect("->")
-    receiver = tokens.next()
+    receiver = tokens.word()
     tokens.expect(":")
-    label = tokens.next()
+    label = tokens.word()
     payload = None
     if tokens.peek() is not None and tokens.peek().startswith("<"):
         payload = _parse_payload(tokens)
@@ -1055,7 +1066,8 @@ def _parse_global(tokens: _Tokens) -> SessionType:
 def parse_local_type(text: str, participant: str) -> SessionType:
     """Parse the local syntax of `participant`: `0`, `!q:m . L`,
     `?q:m . L`, `(+ L L )`, `(& L L )`, `rec X . L`, and `X`."""
-    tokens = _Tokens(text.replace("!", " ! ").replace("?", " ? "))
+    tokens = _Tokens(text.replace("!", " ! ").replace("?", " ? "),
+                     operators=("!", "?", "&"))
     term = _parse_local(tokens, participant)
     if tokens.peek() is not None:
         raise TypeSyntaxError(f"trailing input {tokens.peek()!r}")
@@ -1067,13 +1079,13 @@ def _parse_local(tokens: _Tokens, participant: str) -> SessionType:
     if token == "0":
         return End()
     if token == "rec":
-        var = tokens.next()
+        var = tokens.word()
         tokens.expect(".")
         return Rec(var, _parse_local(tokens, participant))
     if token in ("!", "?"):
-        peer = tokens.next()
+        peer = tokens.word()
         tokens.expect(":")
-        label = tokens.next()
+        label = tokens.word()
         payload = None
         if tokens.peek() is not None and tokens.peek().startswith("<"):
             payload = _parse_payload(tokens)
@@ -1097,4 +1109,5 @@ def _parse_local(tokens: _Tokens, participant: str) -> SessionType:
         if not branches:
             raise TypeSyntaxError("empty choice")
         return Choice(tuple(branches))
-    return Var(token)
+    tokens.pos -= 1  # read the token again, as a name
+    return Var(tokens.word())

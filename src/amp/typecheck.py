@@ -22,6 +22,11 @@ from .core import (RECV, SEND, StateMachine, StateRef, fer_violation,
                    queue_set)
 from .csm import (Configuration, Csm, explore, is_final_config, step)
 
+# The configuration cap of every exploration the type checker makes, and
+# the queue cap under which a machine's well-annotation is checked.
+CONFIG_CAP = 50_000
+ANNOTATION_QUEUE_CAP = 4
+
 # -- terms ---------------------------------------------------------------
 
 
@@ -171,6 +176,10 @@ class Program:
     defs: dict            # name -> Definition
     main: Term
     theta: dict = field(default_factory=dict)  # name -> parameter types
+    # The program's checker, built on first use by `typecheck_defs`; a
+    # program is not changed once it has been checked.
+    _checker: Optional["Checker"] = field(default=None, init=False,
+                                          repr=False, compare=False)
 
 
 # -- free names, substitution, renaming ------------------------------------
@@ -422,53 +431,42 @@ def reduce_config(config: NormalConfig, defs: Mapping[str, Definition],
                 unfolded = substitute(unfolded, param, arg)
             inner = normalize(PPar(tuple(rest) + (unfolded,)
                                    + _session_terms(config)))
-            for desc, succ in reduce_config(inner, defs, unfold_depth + 1):
-                successors.append((desc, succ))
+            successors.extend(reduce_config(inner, defs, unfold_depth + 1))
             continue
-        if isinstance(thread, PSend) and isinstance(thread.subject, Endpoint):
-            session = thread.subject.session
-            sender = thread.subject.participant
-            contents = config.queue_of(session)
-            if contents is None:
-                continue
+        if not isinstance(thread, (PSend, PRecv)) \
+                or not isinstance(thread.subject, Endpoint):
+            continue
+        session, me = thread.subject.session, thread.subject.participant
+        contents = config.queue_of(session)
+        if contents is None:
+            continue
+
+        def moved(cont: Term, channel, queue: tuple) -> NormalConfig:
+            new_contents = queue_set(contents, channel, queue)
+            return normalize(PPar(
+                tuple(rest) + (r2c(cont),)
+                + _session_terms(config, {session: new_contents})))
+
+        if isinstance(thread, PSend):
             for b in thread.branches:
-                channel = (sender, b.receiver)
-                queue = queue_get(contents, channel)
-                new_contents = queue_set(contents, channel,
-                                          queue + ((b.label, b.payload),))
-                succ = normalize(PPar(
-                    tuple(rest) + (r2c(b.cont),)
-                    + _session_terms(config, {session: new_contents})))
-                successors.append(
-                    (f"{thread.subject}!{b.label} to {b.receiver}", succ))
-        if isinstance(thread, PRecv) and isinstance(thread.subject, Endpoint):
-            session = thread.subject.session
-            receiver = thread.subject.participant
-            contents = config.queue_of(session)
-            if contents is None:
-                continue
-            candidates = []
-            mismatch_everywhere = True
+                channel = (me, b.receiver)
+                queue = queue_get(contents, channel) + ((b.label, b.payload),)
+                desc = f"{thread.subject}!{b.label} to {b.receiver}"
+                successors.append((desc, moved(b.cont, channel, queue)))
+        else:
+            mismatch_everywhere = bool(thread.branches)
             for b in thread.branches:
-                channel = (b.sender, receiver)
+                channel = (b.sender, me)
                 queue = queue_get(contents, channel)
-                if not queue:
-                    mismatch_everywhere = False
+                if queue and queue[0][0] != b.label:
                     continue
-                label, value = queue[0]
-                if label == b.label:
-                    mismatch_everywhere = False
-                    candidates.append((b, channel, queue, value))
-            for b, channel, queue, value in candidates:
-                new_contents = queue_set(contents, channel, queue[1:])
-                cont = b.cont if b.binder is None else substitute(
-                    b.cont, b.binder, value)
-                succ = normalize(PPar(
-                    tuple(rest) + (r2c(cont),)
-                    + _session_terms(config, {session: new_contents})))
-                successors.append(
-                    (f"{thread.subject}?{b.label} from {b.sender}", succ))
-            if mismatch_everywhere and thread.branches:
+                mismatch_everywhere = False
+                if queue:
+                    cont = b.cont if b.binder is None else substitute(
+                        b.cont, b.binder, queue[0][1])
+                    desc = f"{thread.subject}?{b.label} from {b.sender}"
+                    successors.append((desc, moved(cont, channel, queue[1:])))
+            if mismatch_everywhere:
                 succ = normalize(PPar(
                     tuple(rest) + (RErr(),)
                     + _session_terms(config, drop_queue=session)))
@@ -578,6 +576,37 @@ class StateRegistry:
 class Checker:
     registry: StateRegistry
     theta: dict  # process name -> tuple of types
+    # Facts about the program, each computed once, on first use: () for
+    # the main process, a machine's name for its well-annotation, and
+    # (machine name, queue cap) for its exploration.
+    _facts: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _once(self, key, compute):
+        if key not in self._facts:
+            self._facts[key] = compute()
+        return self._facts[key]
+
+    def _explored(self, csm_name: str, queue_cap: int):
+        machine = self.registry.machines[csm_name]
+        return self._once((csm_name, queue_cap), lambda: explore(
+            machine, queue_cap=queue_cap, config_cap=CONFIG_CAP))
+
+    def annotation(self, csm_name: str) -> "AnnotationReport":
+        """What `check_well_annotated` says of one of the program's
+        machines, read off the checker's exploration of it."""
+        return self._once(csm_name, lambda: AnnotationReport.of(
+            self.registry.machines[csm_name],
+            self._explored(csm_name, ANNOTATION_QUEUE_CAP)))
+
+    def matching_configs(self, csm_name: str, concrete: Optional[tuple]):
+        """The reachable configurations of a machine whose queue types
+        match the concrete queue contents of a session, in exploration
+        order."""
+        concrete = concrete or ()
+        max_len = max((len(m) for _, m in concrete), default=0)
+        report = self._explored(csm_name, max(2, max_len + 1))
+        return (c for c in report.configs
+                if _queues_compatible(self.registry, concrete, c))
 
     def check_defs(self, defs: Mapping[str, Definition]) -> None:
         for name, d in sorted(defs.items()):
@@ -597,25 +626,20 @@ class Checker:
         """Check a process against a linear context of capability types."""
         if isinstance(term, PEnd):
             self._discharge(gamma, term)
-            return
-        if isinstance(term, PPar):
+        elif isinstance(term, PPar):
             self._split_parallel(gamma, term.parts)
-            return
-        if isinstance(term, PRes):
+        elif isinstance(term, PRes):
             self._enter_restriction(gamma, term)
-            return
-        if isinstance(term, PCall):
+        elif isinstance(term, PCall):
             self._check_call(gamma, term)
-            return
-        if isinstance(term, PSend):
+        elif isinstance(term, PSend):
             self._check_send(gamma, term)
-            return
-        if isinstance(term, PRecv):
+        elif isinstance(term, PRecv):
             self._check_recv(gamma, term)
-            return
-        if isinstance(term, (RQueue, RErr)):
+        elif isinstance(term, (RQueue, RErr)):
             raise TypeCheckError(f"runtime term {term} in a process position")
-        raise AssertionError(term)
+        else:
+            raise AssertionError(term)
 
     def _discharge(self, gamma: dict, term: Term) -> None:
         for ref, t in sorted(gamma.items(), key=lambda kv: str(kv[0])):
@@ -754,14 +778,19 @@ class Checker:
 
 
 def typecheck_defs(program: Program) -> Checker:
-    checker = Checker(StateRegistry.build(program.csms), dict(program.theta))
-    checker.check_defs(program.defs)
-    return checker
+    """The program's checker, its definitions checked on first use."""
+    if program._checker is None:
+        checker = Checker(StateRegistry.build(program.csms),
+                          dict(program.theta))
+        checker.check_defs(program.defs)
+        program._checker = checker
+    return program._checker
 
 
 def typecheck_process(program: Program) -> Checker:
+    """The program's checker, its main process checked on first use."""
     checker = typecheck_defs(program)
-    checker.check_process({}, program.main)
+    checker._once((), lambda: checker.check_process({}, program.main))
     return checker
 
 
@@ -775,7 +804,8 @@ class RuntimeTypingReport:
     error: Optional[str] = None
 
 
-def typecheck_runtime(program: Program, config_or_term) -> RuntimeTypingReport:
+def typecheck_runtime(program: Program,
+                      config: NormalConfig) -> RuntimeTypingReport:
     """Type a runtime configuration with empty outer contexts.
 
     For every active session the checker picks a reachable machine
@@ -785,19 +815,15 @@ def typecheck_runtime(program: Program, config_or_term) -> RuntimeTypingReport:
     over the candidate configurations.
     """
     checker = typecheck_defs(program)
-    registry = checker.registry
-    config = (config_or_term if isinstance(config_or_term, NormalConfig)
-              else normalize(config_or_term))
     if any(isinstance(t, RErr) for t in config.threads):
         return RuntimeTypingReport(False, {}, "configuration contains err")
 
     candidates: list[list[tuple[str, Configuration]]] = []
     for name, csm_name in config.sessions:
-        csm = registry.machines.get(csm_name)
-        if csm is None:
+        if csm_name not in checker.registry.machines:
             return RuntimeTypingReport(False, {}, f"unknown machine {csm_name}")
-        matching = [(name, c) for c in _matching_configs(
-            registry, csm, config.queue_of(name), config_cap=50_000)]
+        matching = [(name, c) for c in checker.matching_configs(
+            csm_name, config.queue_of(name))]
         if not matching:
             return RuntimeTypingReport(
                 False, {}, f"no reachable configuration of {csm_name} matches "
@@ -815,17 +841,6 @@ def typecheck_runtime(program: Program, config_or_term) -> RuntimeTypingReport:
     return RuntimeTypingReport(False, {}, last_error)
 
 
-def _matching_configs(registry: StateRegistry, csm: Csm,
-                      concrete: Optional[tuple], **caps):
-    """The reachable configurations of `csm` whose queue types match the
-    concrete queue contents of a session, in exploration order."""
-    concrete = concrete or ()
-    max_len = max((len(m) for _, m in concrete), default=0)
-    report = explore(csm, queue_cap=max(2, max_len + 1), **caps)
-    return (c for c in report.configs
-            if _queues_compatible(registry, concrete, c))
-
-
 def _queues_compatible(registry: StateRegistry, concrete: tuple,
                        machine_config: Configuration) -> bool:
     channels = {ch for ch, _ in concrete} | {ch for ch, _ in
@@ -836,22 +851,17 @@ def _queues_compatible(registry: StateRegistry, concrete: tuple,
         if len(actual) != len(typed):
             return False
         for (label, value), (tl, tp) in zip(actual, typed):
-            if label != tl:
-                return False
-            payload = payload_from_key(tp)
-            if not registry.payload_matches(payload, value):
+            if label != tl or not registry.payload_matches(
+                    payload_from_key(tp), value):
                 return False
     return True
 
 
 def _check_with_configs(checker: Checker, config: NormalConfig,
                         chosen: Mapping[str, Configuration]) -> None:
-    registry = checker.registry
-    gamma: dict = {}
-    for name, csm_name in config.sessions:
-        for participant, _ in registry.machines[csm_name].components.items():
-            gamma[Endpoint(name, participant)] = \
-                chosen[name].state_of(participant)
+    gamma = {Endpoint(name, participant): state
+             for name, _ in config.sessions
+             for participant, state in chosen[name].states}
 
     # Queue values consume capability bindings head-first.
     for name, _ in config.sessions:
@@ -889,24 +899,15 @@ def context_reduce(registry: StateRegistry, gamma: Mapping, delta: Mapping
             if ev is None:
                 continue
             msg = (ev.label, payload_key(ev.payload))
-            if ev.kind == SEND:
-                key = (ref.session, ev.sender, ev.receiver)
-                if key not in delta:
-                    continue
-                new_gamma = dict(gamma)
-                new_gamma[ref] = target
-                new_delta = dict(delta)
-                new_delta[key] = delta[key] + (msg,)
-                successors.append((new_gamma, new_delta))
+            key = (ref.session, ev.sender, ev.receiver)
+            entry = delta.get(key)
+            if ev.kind == SEND and entry is not None:
+                entry += (msg,)
+            elif ev.kind == RECV and entry and entry[0] == msg:
+                entry = entry[1:]
             else:
-                key = (ref.session, ev.sender, ev.receiver)
-                entry = delta.get(key, ())
-                if entry and entry[0] == msg:
-                    new_gamma = dict(gamma)
-                    new_gamma[ref] = target
-                    new_delta = dict(delta)
-                    new_delta[key] = entry[1:]
-                    successors.append((new_gamma, new_delta))
+                continue
+            successors.append(({**gamma, ref: target}, {**delta, key: entry}))
     return successors
 
 
@@ -919,14 +920,19 @@ class AnnotationReport:
     fer: bool
     exact: bool
 
+    @classmethod
+    def of(cls, csm: Csm, report) -> "AnnotationReport":
+        """The verdicts on one exploration of `csm`."""
+        return cls(not report.deadlocks, _csm_fer(csm, report),
+                   not report.truncated)
 
-def check_well_annotated(csm: Csm, *, queue_cap: int = 4,
-                         config_cap: int = 50_000) -> AnnotationReport:
+
+def check_well_annotated(csm: Csm, *, queue_cap: int = ANNOTATION_QUEUE_CAP,
+                         config_cap: int = CONFIG_CAP) -> AnnotationReport:
     """Deadlock freedom and feasible eventual reception for an annotated
     machine; exact when exploration completes within the caps."""
-    report = explore(csm, queue_cap=queue_cap, config_cap=config_cap)
-    fer = _csm_fer(csm, report)
-    return AnnotationReport(not report.deadlocks, fer, not report.truncated)
+    return AnnotationReport.of(csm, explore(csm, queue_cap=queue_cap,
+                                            config_cap=config_cap))
 
 
 def _csm_fer(csm: Csm, report) -> bool:
@@ -960,9 +966,9 @@ def subject_reduction_harness(program: Program, steps: int = 30,
     reached configuration must typecheck as a runtime configuration and
     never contain `err`.
     """
-    typecheck_process(program)
-    for name, csm in program.csms.items():
-        annotation = check_well_annotated(csm)
+    checker = typecheck_process(program)
+    for name in program.csms:
+        annotation = checker.annotation(name)
         if not (annotation.deadlock_free and annotation.fer):
             return HarnessReport(False, [], f"machine {name} is not "
                                             f"deadlock-free with reception")
@@ -999,16 +1005,14 @@ class SfReport:
 def _contains_restriction(term: Term) -> bool:
     if isinstance(term, PRes):
         return True
-    if isinstance(term, PSend):
-        return any(_contains_restriction(b.cont) for b in term.branches)
-    if isinstance(term, PRecv):
+    if isinstance(term, (PSend, PRecv)):
         return any(_contains_restriction(b.cont) for b in term.branches)
     if isinstance(term, PPar):
         return any(_contains_restriction(p) for p in term.parts)
     return False
 
 
-def sf_typecheck(program: Program, config_or_term) -> SfReport:
+def sf_typecheck(program: Program, config: NormalConfig) -> SfReport:
     """The restricted judgement: one session, one thread per participant.
 
     Each participant's thread is typed against its component of the one
@@ -1016,13 +1020,10 @@ def sf_typecheck(program: Program, config_or_term) -> SfReport:
     the queues; threads may not open further sessions.
     """
     checker = typecheck_defs(program)
-    registry = checker.registry
-    config = (config_or_term if isinstance(config_or_term, NormalConfig)
-              else normalize(config_or_term))
     if len(config.sessions) != 1:
         return SfReport(False, error="exactly one session is required")
     (session, csm_name), = config.sessions
-    csm = registry.machines[csm_name]
+    csm = checker.registry.machines[csm_name]
     if any(_contains_restriction(t) for t in config.threads):
         return SfReport(False, error="threads may not open new sessions")
 
@@ -1038,21 +1039,20 @@ def sf_typecheck(program: Program, config_or_term) -> SfReport:
             return SfReport(False, error=f"two threads for participant {owner}")
         by_participant[owner] = thread
 
-    for machine_config in _matching_configs(registry, csm,
-                                            config.queue_of(session)):
+    for machine_config in checker.matching_configs(
+            csm_name, config.queue_of(session)):
         try:
             for participant in csm.participants:
                 state = machine_config.state_of(participant)
                 thread = by_participant.get(participant)
-                if thread is None:
+                if thread is not None:
+                    gamma = {Endpoint(session, participant): state}
+                    checker.check_process(gamma, thread)
+                elif not checker.registry.end_state(state):
                     # A terminated participant's 0 thread was absorbed.
-                    if not registry.end_state(state):
-                        raise TypeCheckError(
-                            f"{participant} has no thread but state {state} "
-                            f"is not done")
-                    continue
-                gamma = {Endpoint(session, participant): state}
-                checker.check_process(gamma, thread)
+                    raise TypeCheckError(
+                        f"{participant} has no thread but state {state} "
+                        f"is not done")
         except TypeCheckError:
             continue
         return SfReport(True, session, machine_config)
@@ -1062,9 +1062,7 @@ def sf_typecheck(program: Program, config_or_term) -> SfReport:
 def progress_harness(program: Program, max_steps: int = 100) -> HarnessReport:
     """Whenever the seeded machine configuration can step, the process
     must step too, staying typable under the restricted judgement."""
-    registry = StateRegistry.build(program.csms)
     config = normalize(r2c(program.main))
-    # Peel the single restriction into the flat form sf_typecheck expects.
     walk: list[str] = []
     for _ in range(max_steps):
         if not config.sessions and not config.threads:
@@ -1072,7 +1070,7 @@ def progress_harness(program: Program, max_steps: int = 100) -> HarnessReport:
         report = sf_typecheck(program, config)
         if not report.ok:
             return HarnessReport(False, walk, report.error)
-        csm = registry.machines[dict(config.sessions)[report.session]]
+        csm = program.csms[dict(config.sessions)[report.session]]
         machine_moves = step(csm, report.config)
         successors = reduce_config(config, program.defs)
         if machine_moves and not successors:

@@ -65,6 +65,7 @@ def commands() -> list[list[str]]:
     for path in programs:
         out.append(["typecheck", path])
         out.append(["typecheck", path, "--harness", "--json"])
+        out.append(["typecheck", path, "--harness", "--json", "--seeds", "21"])
     out.append(["check-csm", "protocols/three_party_choice.csm.json",
                 "--against", "protocols/three_party_reply_mismatch.gt",
                 "-K", "6"])

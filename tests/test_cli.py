@@ -490,3 +490,51 @@ def test_memory_error_is_a_resource_cap(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "resource cap: out of memory\n"
+
+
+def test_a_directory_as_input_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "sub").mkdir()
+    program = tmp_path / "dir.amp"
+    program.write_text("csm X = sub\nmain = 0\n")
+    for argv in (["validate", str(PROTOCOLS)],
+                 ["check-csm", str(PROTOCOLS)],
+                 ["typecheck", str(program)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno 21] Is a directory")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("bin.gt", ["validate"]), ("bin.gt", ["from-global"]),
+    ("bin.csm.json", ["check-csm"]), ("bin.psm.json", ["project"]),
+    ("bin.amp", ["typecheck", "--harness"])])
+def test_binary_input_is_a_usage_error(tmp_path, capsys, name, argv):
+    """Bytes that are not UTF-8 are unreadable input, not a negative
+    analysis."""
+    binary = tmp_path / name
+    binary.write_bytes(b"\xff\xfe\x00\x81 binary")
+    assert main([argv[0], str(binary), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: input is not UTF-8 text: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("text,token", [
+    ("-> -> p : m . 0", "->"), ("p -> q : ( . 0", "("),
+    ("rec + . p -> q : m . 0", "+"), ("( p -> q : m . ) + 0", ")")])
+def test_global_type_names_must_be_words(tmp_path, capsys, text, token):
+    source = tmp_path / "bad.gt"
+    source.write_text(text)
+    assert main(["from-global", str(source)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: expected a name, got {token!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["!q:( . 0", "?->:m . 0", "rec + . 0",
+                                  "!&:m . 0"])
+def test_local_type_names_must_be_words(text):
+    from amp.transform import TypeSyntaxError, parse_local_type
+    with pytest.raises(TypeSyntaxError, match="expected a name"):
+        parse_local_type(text, "p")

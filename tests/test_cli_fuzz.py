@@ -5,9 +5,10 @@ CSM documents go through `check-csm`; protocol-machine documents through
 expects, with wrong types, missing fields, unknown states, foreign
 subjects, `pair` events and empty components mixed in.  Global-type
 texts, near-grammatical or token soups, go through every command that
-reads a `.gt` file.  Whatever the input, each command must keep the
-exit-code contract (0 ok, 1 negative, 2 usage, 3 resource cap), print
-no traceback and print at most one `error:` line.
+reads a `.gt` file.  Shipped `.amp` programs, edited in a few places,
+go through `typecheck --harness`.  Whatever the input, each command
+must keep the exit-code contract (0 ok, 1 negative, 2 usage, 3 resource
+cap), print no traceback and print at most one `error:` line.
 """
 
 import copy
@@ -15,6 +16,7 @@ import functools
 import io
 import json
 import operator
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -23,6 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amp import cli
+from amp.program import _tokenize
+
+PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
 
 # Names of the wrong type or empty are mixed in.
 PEOPLE = ["p", "q", "r"]
@@ -167,10 +172,16 @@ def token_soups(draw):
     return " ".join(tokens)
 
 
-def assert_contract(argv: list, name: str, text: str) -> None:
+def assert_contract(argv: list, name: str, text: str,
+                    beside: tuple = ()) -> None:
+    """Write `text` to `name` in a temporary directory, with copies of
+    the `beside` files at its top, and run one command on it."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
+        path.parent.mkdir(exist_ok=True)
+        for source in beside:
+            shutil.copy(source, tmp)
         path.write_text(text)
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main([argv[0], str(path), *argv[1:]])
@@ -200,3 +211,38 @@ def test_global_type_commands_keep_the_exit_code_contract(text):
     for argv in (["validate"], ["from-global"], ["to-global"],
                  ["to-local", "--participant", "p"], ["project"]):
         assert_contract(argv, "fuzz.gt", text)
+
+
+# Each program's tokens; its machine paths resolve against the copies of
+# the shipped machines that `assert_contract` puts beside it.
+PROGRAMS = [_tokenize(path.read_text())
+            for path in sorted((PROTOCOLS / "programs").glob("*.amp"))]
+MACHINES = tuple(sorted(PROTOCOLS.glob("*.csm.json")))
+PROGRAM_TOKENS = ["new", "in", "def", "main", "csm", "order", "=", "(",
+                  ")", "[", "]", "!", "?", ".", "|", ":", "<", ",", "+",
+                  "&", "0", "unit", "s", "p", "q", "x", "ping", "pong",
+                  "P", "a0", "b1", "../ping.csm.json", "../no.csm.json"]
+
+
+@st.composite
+def program_texts(draw):
+    """A shipped program's tokens, edited in up to three places."""
+    tokens = list(draw(st.sampled_from(PROGRAMS)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["drop", "insert", "replace", "swap"]))
+        if edit == "swap" and at + 1 < len(tokens):
+            tokens[at], tokens[at + 1] = tokens[at + 1], tokens[at]
+            continue
+        if edit != "insert" and at < len(tokens):
+            del tokens[at]
+        if edit != "drop":
+            tokens.insert(at, draw(st.sampled_from(PROGRAM_TOKENS)))
+    return " ".join(tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(program_texts())
+def test_typecheck_keeps_the_exit_code_contract(text):
+    assert_contract(["typecheck", "--harness", "--steps", "5", "--seeds",
+                     "1"], "programs/fuzz.amp", text, MACHINES)

@@ -6,10 +6,15 @@ renaming, normalisation, reduction, runtime typing and harnesses.  Free
 names, terms, configurations, exceptions, successor lists and typing
 and harness reports must be equal on random terms (binders that shadow
 the substituted variable, nested restrictions, calls and endpoint
-payloads in queues) and on every configuration reachable within a few
-steps in the shipped programs.
+payloads in queues), on every configuration reachable within a few
+steps in the shipped programs and on mutants of those configurations
+that fail to type.  The programs under `tests/programs` fail the
+harness on purpose: a machine that deadlocks, a label the machine does
+not allow, an ill-typed definition, and a walk that runtime typing
+rejects (`gated.amp`).
 """
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -28,6 +33,8 @@ from . import typecheck_reference as reference
 
 PROGRAMS = sorted((Path(__file__).resolve().parent.parent / "protocols"
                    / "programs").glob("*.amp"))
+FAILING_PROGRAMS = sorted((Path(__file__).resolve().parent / "programs")
+                          .glob("*.amp"))
 
 VARS = ("x", "y", "z")
 SESSIONS = ("s", "t", "u")
@@ -216,3 +223,64 @@ def test_shipped_program_harnesses_match_reference(path):
                            steps, seed)
     assert outcome(progress_harness, program) == \
         outcome(reference.progress_harness, program)
+
+
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
+def test_shipped_program_harnesses_match_reference_at_21_seeds(path):
+    program = parse_program(path.read_text(), base_dir=path.parent)
+    for seed in range(21):
+        assert outcome(subject_reduction_harness, program, 30, seed) == \
+            outcome(reference.subject_reduction_harness, program, 30, seed)
+
+
+@pytest.mark.parametrize("path", FAILING_PROGRAMS, ids=lambda p: p.stem)
+def test_failing_program_harnesses_match_reference(path):
+    """Every walk of 30 steps fails, with the reference's failure string,
+    and the same program fails alike when it is run again."""
+    program = parse_program(path.read_text(), base_dir=path.parent)
+    for seed in range(3):
+        for steps in (0, 30):
+            new = outcome(subject_reduction_harness, program, steps, seed)
+            assert new == outcome(reference.subject_reduction_harness,
+                                  program, steps, seed)
+        assert isinstance(new, tuple) or not new.ok
+    for _ in range(2):
+        assert outcome(progress_harness, program) == \
+            outcome(reference.progress_harness, program)
+        config = normalize(r2c(program.main))
+        assert outcome(typecheck_runtime, program, config) == \
+            outcome(reference.typecheck_runtime, program, config)
+        assert outcome(sf_typecheck, program, config) == \
+            outcome(reference.sf_typecheck, program, config)
+
+
+def mutants(config):
+    """Variants of a configuration that runtime typing should reject: an
+    `err` thread, a missing thread, and each queue with its head message
+    relabelled or given another payload."""
+    yield dataclasses.replace(config, threads=config.threads + (RErr(),))
+    if config.threads:
+        yield dataclasses.replace(config, threads=config.threads[1:])
+    for at, (session, contents) in enumerate(config.queues):
+        if not contents:
+            continue
+        (channel, ((label, value), *rest)), *others = contents
+        for head in (("zz", value), (label, None if value else Unit())):
+            queues = list(config.queues)
+            queues[at] = (session, ((channel, (head, *rest)), *others))
+            yield dataclasses.replace(config, queues=tuple(queues))
+
+
+@pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
+def test_runtime_typing_failures_match_reference(path):
+    program = parse_program(path.read_text(), base_dir=path.parent)
+    failed = 0
+    for config in reachable_configs(program, depth=5, cap=60):
+        for mutant in mutants(config):
+            new = typecheck_runtime(program, mutant)
+            assert new == reference.typecheck_runtime(program, mutant), \
+                str(mutant)
+            assert sf_typecheck(program, mutant) == \
+                reference.sf_typecheck(program, mutant), str(mutant)
+            failed += not new.ok
+    assert failed > 0
