@@ -8,6 +8,7 @@ with --json) and exits 0 on success, 1 when the analysis is negative,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -346,7 +347,9 @@ def _count(text: str) -> int:
         f"expected a non-negative integer, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="amp",
         description="Validate, project, transform, and type check "

@@ -577,8 +577,10 @@ class Checker:
     registry: StateRegistry
     theta: dict  # process name -> tuple of types
     # Facts about the program, each computed once, on first use: () for
-    # the main process, a machine's name for its well-annotation, and
-    # (machine name, queue cap) for its exploration.
+    # the main process, a machine's name for its well-annotation,
+    # (machine name, queue cap) for its exploration, and ("successors",
+    # c) and ("typed", c) for the successors and the runtime typing of a
+    # configuration c.  A fact whose computation raises is not kept.
     _facts: dict = field(default_factory=dict, init=False, repr=False)
 
     def _once(self, key, compute):
@@ -951,6 +953,12 @@ def _csm_fer(csm: Csm, report) -> bool:
 # -- harnesses ------------------------------------------------------------------
 
 
+def _successors(program: Program, config: NormalConfig) -> list:
+    """`reduce_config(config, program.defs)`, once per configuration."""
+    return typecheck_defs(program)._once(
+        ("successors", config), lambda: reduce_config(config, program.defs))
+
+
 @dataclass
 class HarnessReport:
     ok: bool
@@ -964,7 +972,9 @@ def subject_reduction_harness(program: Program, steps: int = 30,
 
     The starting process must typecheck with empty contexts; every
     reached configuration must typecheck as a runtime configuration and
-    never contain `err`.
+    never contain `err`.  The program's checker keeps each
+    configuration's typing and successors, so walks that meet again
+    (other seeds included) do that work once.
     """
     checker = typecheck_process(program)
     for name in program.csms:
@@ -977,13 +987,14 @@ def subject_reduction_harness(program: Program, steps: int = 30,
     walk: list[str] = []
     while True:
         # Runtime typing rejects every configuration that contains err.
-        report = typecheck_runtime(program, config)
+        report = checker._once(("typed", config),
+                               lambda: typecheck_runtime(program, config))
         if not report.ok:
             return HarnessReport(False, walk,
                                  f"untypable after {walk}: {report.error}")
         if len(walk) >= steps:
             break
-        successors = reduce_config(config, program.defs)
+        successors = _successors(program, config)
         if not successors:
             break
         desc, config = successors[rng.randrange(len(successors))]
@@ -1072,7 +1083,7 @@ def progress_harness(program: Program, max_steps: int = 100) -> HarnessReport:
             return HarnessReport(False, walk, report.error)
         csm = program.csms[dict(config.sessions)[report.session]]
         machine_moves = step(csm, report.config)
-        successors = reduce_config(config, program.defs)
+        successors = _successors(program, config)
         if machine_moves and not successors:
             return HarnessReport(False, walk,
                                  "machine can step but the process is stuck")

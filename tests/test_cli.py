@@ -538,3 +538,22 @@ def test_local_type_names_must_be_words(text):
     from amp.transform import TypeSyntaxError, parse_local_type
     with pytest.raises(TypeSyntaxError, match="expected a name"):
         parse_local_type(text, "p")
+
+
+def test_one_process_runs_every_command_alike_in_either_order(tmp_path,
+                                                               monkeypatch):
+    """`main` shares one parser between calls and keeps nothing else from
+    one command to the next: every command of the CLI sweep, run
+    forwards and then backwards in one process, gives the same exit code
+    and the same output both times."""
+    from amp import cli
+
+    from . import cli_sweep
+    monkeypatch.chdir(cli_sweep.ROOT)
+    commands = cli_sweep.commands()
+    forwards = [cli_sweep.run(argv, tmp_path) for argv in commands]
+    backwards = [cli_sweep.run(argv, tmp_path) for argv in commands[::-1]]
+    assert forwards == backwards[::-1]
+    assert {code for code, _ in forwards} == {0, 1, 2}
+    assert any("-o" in argv for argv in commands)
+    assert cli.build_parser() is cli.build_parser()

@@ -20,11 +20,12 @@ from pathlib import Path
 
 import pytest
 
+from amp import typecheck
 from amp.program import parse_program
 from amp.typecheck import (Definition, Endpoint, PCall, PEnd, PPar, PRecv,
-                           PRes, PSend, RErr, RQueue, RecvBranch, SendBranch,
-                           StuckCall, TypeCheckError, Unit, Var, _freshen,
-                           free_refs, free_sessions, normalize,
+                           PRes, Program, PSend, RErr, RQueue, RecvBranch,
+                           SendBranch, StuckCall, TypeCheckError, Unit, Var,
+                           _freshen, free_refs, free_sessions, normalize,
                            progress_harness, r2c, reduce_config, sf_typecheck,
                            subject_reduction_harness, substitute,
                            typecheck_runtime)
@@ -252,6 +253,80 @@ def test_failing_program_harnesses_match_reference(path):
             outcome(reference.typecheck_runtime, program, config)
         assert outcome(sf_typecheck, program, config) == \
             outcome(reference.sf_typecheck, program, config)
+
+
+def count_calls(monkeypatch) -> dict:
+    """The configurations that `reduce_config` (leaving out the calls it
+    makes on itself to unfold process calls) and `typecheck_runtime`
+    are called on, in call order."""
+    calls: dict = {"reduced": [], "typed": []}
+    reduce, runtime = typecheck.reduce_config, typecheck.typecheck_runtime
+
+    def reduce_counted(config, defs, unfold_depth=0):
+        if unfold_depth == 0:
+            calls["reduced"].append(config)
+        return reduce(config, defs, unfold_depth)
+
+    def runtime_counted(program, config):
+        calls["typed"].append(config)
+        return runtime(program, config)
+
+    monkeypatch.setattr(typecheck, "reduce_config", reduce_counted)
+    monkeypatch.setattr(typecheck, "typecheck_runtime", runtime_counted)
+    return calls
+
+
+def shipped(name: str):
+    path = PROGRAMS[0].parent / name
+    return parse_program(path.read_text(), base_dir=path.parent)
+
+
+def test_harness_reduces_and_types_each_configuration_once(monkeypatch):
+    """Five walks of 30 steps on `tick_loop.amp` visit 26 configurations;
+    each is typed once and each but the last reached is reduced once,
+    and the walks equal the reference's."""
+    program = shipped("tick_loop.amp")
+    calls = count_calls(monkeypatch)
+    reports = [subject_reduction_harness(program, 30, seed)
+               for seed in range(5)]
+    assert (len(calls["reduced"]), len(calls["typed"])) == (25, 26)
+    assert len(set(calls["reduced"])) == 25
+    assert len(set(calls["typed"])) == 26
+    assert reports == [reference.subject_reduction_harness(program, 30, seed)
+                       for seed in range(5)]
+    assert all(report.ok and len(report.steps) == 30 for report in reports)
+
+
+def test_progress_harness_reduces_through_the_same_cache(monkeypatch):
+    """The progress harness reads the successors the subject-reduction
+    harness computed, and computes none twice."""
+    program = shipped("ping.amp")
+    calls = count_calls(monkeypatch)
+    walk = subject_reduction_harness(program, 30, 0)
+    reduced = len(calls["reduced"])
+    assert walk.ok and reduced == len(set(calls["reduced"]))
+    for _ in range(2):
+        assert progress_harness(program) == \
+            reference.progress_harness(program)
+    assert len(calls["reduced"]) == reduced
+
+
+def test_a_stuck_call_raises_on_every_harness_run(monkeypatch):
+    """A reduction that raises `StuckCall` is not kept: each harness run
+    reduces the configuration again and raises again."""
+    loop = shipped("tick_loop.amp")
+    # Tick keeps its signature, so the program type checks, but has no
+    # definition to unfold.
+    stuck = Program(loop.csms, loop.order, {"Tock": loop.defs["Tock"]},
+                    loop.main, loop.theta)
+    calls = count_calls(monkeypatch)
+    for run in (1, 2):
+        with pytest.raises(StuckCall, match="undefined process Tick"):
+            subject_reduction_harness(stuck, 30, 0)
+        assert len(calls["reduced"]) == 2 * run - 1
+        with pytest.raises(StuckCall, match="undefined process Tick"):
+            progress_harness(stuck)
+        assert len(calls["reduced"]) == 2 * run
 
 
 def mutants(config):
