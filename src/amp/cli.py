@@ -57,6 +57,27 @@ def _load_machine(path: str) -> core.StateMachine:
     return core.load_machine(text)
 
 
+def _load_bounds(path: str) -> dict:
+    """The channel bounds of a JSON object mapping `p>q` to a count, or
+    MalformedInput."""
+    raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise core.MalformedInput(f"malformed bounds: expected a JSON object, "
+                                  f"got {type(raw).__name__}")
+    bounds = {}
+    for key, value in raw.items():
+        channel = tuple(key.split(">"))
+        if len(channel) != 2 or not all(channel):
+            raise core.MalformedInput(
+                f"malformed bounds: {key!r} is not a channel p>q")
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise core.MalformedInput(
+                f"malformed bounds: {key} has bound {json.dumps(value)}, "
+                f"not a count")
+        bounds[channel] = value
+    return bounds
+
+
 def _analysis_report(machine: core.StateMachine, config_cap: int) -> dict:
     validated = psm_mod.validate(machine, config_cap=config_cap)
     choice = psm_mod.classify_choice(validated.machine)
@@ -124,8 +145,7 @@ def cmd_encode(args) -> int:
     if args.bounds == "auto":
         bounds = psm_mod.infer_channel_bounds(validated)
     else:
-        raw = json.loads(Path(args.bounds).read_text())
-        bounds = {tuple(key.split(">")): value for key, value in raw.items()}
+        bounds = _load_bounds(args.bounds)
     encoded = encoding.encode_psm(validated.machine, bounds)
     output = core.dump_machine(encoded)
     if args.output:

@@ -554,80 +554,6 @@ def maximal_traces_upto(m: StateMachine, k: int) -> TraceSet:
                           m.finals.__contains__, k)
 
 
-def complete_traces(traces: TraceSet) -> frozenset[Word]:
-    return frozenset(w for w, f in traces.items() if f.complete)
-
-
-def extendable_traces(traces: TraceSet) -> frozenset[Word]:
-    return frozenset(w for w, f in traces.items() if f.extendable)
-
-
-def languages_equal_upto(a: StateMachine, b: StateMachine, k: int) -> bool:
-    """Compare complete-trace sets and extendable-prefix sets up to k."""
-    ta = maximal_traces_upto(a, k)
-    tb = maximal_traces_upto(b, k)
-    return (complete_traces(ta) == complete_traces(tb)
-            and extendable_traces(ta) == extendable_traces(tb))
-
-
-def machine_isomorphic(a: StateMachine, b: StateMachine) -> Optional[dict[str, str]]:
-    """Find a state renaming turning `a` into `b`, or None.
-
-    Backtracking search seeded at the initial states; adequate for the
-    small machines this library manipulates.
-    """
-    if (len(a.states) != len(b.states) or len(a.finals) != len(b.finals)
-            or len(a.transitions) != len(b.transitions)):
-        return None
-
-    def signature(m: StateMachine, q: str):
-        labels = tuple(sorted((() if ev is None else ev.sort_key())
-                              for ev, _ in m.out(q)))
-        return (q in m.finals, labels)
-
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def extend(qa: str, qb: str) -> bool:
-        if qa in mapping:
-            return mapping[qa] == qb
-        if qb in used or signature(a, qa) != signature(b, qb):
-            return False
-        mapping[qa] = qb
-        used.add(qb)
-        outs_a = a.out(qa)
-        outs_b = b.out(qb)
-        by_label: dict = {}
-        for ev, dst in outs_b:
-            key = None if ev is None else ev.sort_key()
-            by_label.setdefault(key, []).append(dst)
-
-        def assign(i: int) -> bool:
-            if i == len(outs_a):
-                return True
-            ev, dst = outs_a[i]
-            key = None if ev is None else ev.sort_key()
-            for cand in by_label.get(key, []):
-                snapshot = dict(mapping), set(used)
-                if extend(dst, cand) and assign(i + 1):
-                    return True
-                mapping.clear()
-                mapping.update(snapshot[0])
-                used.clear()
-                used.update(snapshot[1])
-            return False
-
-        if assign(0):
-            return True
-        del mapping[qa]
-        used.discard(qb)
-        return False
-
-    if extend(a.initial, b.initial) and len(mapping) == len(a.states):
-        return dict(mapping)
-    return None
-
-
 # -- serialisation ------------------------------------------------------
 
 

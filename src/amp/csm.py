@@ -68,19 +68,9 @@ class Configuration:
         return queue_get(self.channels, channel)
 
 
-def initial_config(csm: Csm) -> Configuration:
-    return Configuration(
-        tuple((p, m.initial) for p, m in csm.components.items()), ())
-
-
 def is_final_config(csm: Csm, config: Configuration) -> bool:
     return not config.channels and all(
         q in csm.components[p].finals for p, q in config.states)
-
-
-def is_final_sink_config(csm: Csm, config: Configuration) -> bool:
-    return is_final_config(csm, config) and all(
-        csm.components[p].is_sink(q) for p, q in config.states)
 
 
 # Width in bits of a channel's field in a packed configuration.  Each
@@ -743,9 +733,12 @@ def check_projection(psm: Psm, csm: Csm, k: int) -> ProjectionVerdict:
     every CSM vector must embed into the machine's prefix semantics,
     and every realisable prefix of a vector of the machine's bounded
     traces must be a CSM vector.  The machine's words must be FIFO, as
-    `validate` certifies.  Witnesses are rebuilt from their vectors: the
-    shortest word, ties broken by printed form, except that an added
-    prefix is the first word `csm_language_upto` lists.
+    `validate` certifies for the trimmed machine; a `Psm` built by hand
+    around a machine with other words may get another verdict than the
+    word-level oracle of `tests/csm_reference.py` gives.  Witnesses are
+    rebuilt from their vectors: the shortest word, ties broken by
+    printed form, except that an added prefix is the first word
+    `csm_language_upto` lists.
     """
     from .core import expand_pairs, maximal_traces_upto
     reasons: list[str] = []

@@ -2,8 +2,11 @@
 
 Bounded channels are rewritten to route each message through a ring of
 forwarder participants, one per buffer slot, turning deferred receives
-into immediately-received exchanges.  Words, whole protocol machines,
-and per-participant machines can all be encoded and decoded.
+into immediately-received exchanges.  Protocol machines are encoded
+(`encode_psm`), and projected machines over the forwarders are decoded
+back to the original channels (`decode_fsm`).  The encoding of single
+words and of one participant's machine is kept as a test-only check in
+`tests/semantics.py`.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, pair,
                    payload_from_key, recv, send)
@@ -46,64 +49,6 @@ def channel_participants(bounds: dict) -> tuple[ChannelParticipant, ...]:
     for (p, q), b in sorted(bounds.items()):
         cps.extend(ChannelParticipant(p, q, i) for i in range(b))
     return tuple(cps)
-
-
-def encode_word(word: Word, bounds: dict) -> Word:
-    """Reroute each bounded-channel event through its ring forwarder.
-
-    The i-th send on a bounded channel (p,q) becomes the exchange
-    p -> (p,q)_{i mod B}; the i-th receive becomes (p,q)_{i mod B} -> q.
-    Events on unbounded channels pass through unchanged.
-    """
-    sends: dict[Channel, int] = {}
-    recvs: dict[Channel, int] = {}
-    out: list[Event] = []
-    for ev in word:
-        if ev.kind == PAIR:
-            raise ValueError("encode_word takes send/receive letters")
-        channel = ev.channel
-        if channel not in bounds:
-            out.append(ev)
-            continue
-        b = bounds[channel]
-        if ev.kind == SEND:
-            idx = sends.get(channel, 0)
-            if idx - recvs.get(channel, 0) >= b:
-                raise ValueError(f"word exceeds bound {b} on channel {channel}")
-            cp = ChannelParticipant(*channel, idx % b).name
-            out.append(send(ev.sender, cp, ev.label, ev.payload))
-            out.append(recv(ev.sender, cp, ev.label, ev.payload))
-            sends[channel] = idx + 1
-        else:
-            idx = recvs.get(channel, 0)
-            cp = ChannelParticipant(*channel, idx % b).name
-            out.append(send(cp, ev.receiver, ev.label, ev.payload))
-            out.append(recv(cp, ev.receiver, ev.label, ev.payload))
-            recvs[channel] = idx + 1
-    return tuple(out)
-
-
-def decode_word(word: Word) -> Word:
-    """Inverse of encode_word on words made of the paired forwarder hops."""
-    out: list[Event] = []
-    i = 0
-    while i < len(word):
-        ev = word[i]
-        cp_recv = parse_channel_participant(ev.receiver)
-        cp_send = parse_channel_participant(ev.sender)
-        if ev.kind == SEND and (cp_recv or cp_send):
-            if i + 1 >= len(word) or word[i + 1] != recv(
-                    ev.sender, ev.receiver, ev.label, ev.payload):
-                raise ValueError(f"unpaired encoded event at position {i + 1}")
-            if cp_recv is not None:
-                out.append(send(cp_recv.source, cp_recv.target, ev.label, ev.payload))
-            else:
-                out.append(recv(cp_send.source, cp_send.target, ev.label, ev.payload))
-            i += 2
-        else:
-            out.append(ev)
-            i += 1
-    return tuple(out)
 
 
 # -- protocol machine encoding ---------------------------------------------
@@ -214,23 +159,6 @@ def encode_psm(machine: StateMachine, bounds: dict) -> StateMachine:
 # -- per-participant machines ----------------------------------------------
 
 
-def encode_fsm(machine: StateMachine, participant: str, bounds: dict) -> StateMachine:
-    """Thread ring counters through a participant's local machine."""
-    out_channels = tuple(sorted(ch for ch in bounds
-                                if ch[0] == participant and bounds[ch] >= 2))
-    in_channels = tuple(sorted(ch for ch in bounds
-                               if ch[1] == participant and bounds[ch] >= 2))
-
-    def hop(ev: Event, cp: str) -> Optional[Event]:
-        if ev.channel not in bounds:
-            return None
-        if ev.kind == SEND:
-            return send(participant, cp, ev.label, ev.payload)
-        return recv(cp, participant, ev.label, ev.payload)
-
-    return _thread_counters(machine, bounds, out_channels, in_channels, hop)
-
-
 def decode_fsm(machine: StateMachine) -> StateMachine:
     """Rebend forwarder events back to the original channels, keeping states."""
     transitions = []
@@ -247,24 +175,6 @@ def decode_fsm(machine: StateMachine) -> StateMachine:
         transitions.append((src, ev, dst))
     return StateMachine(machine.states, machine.initial, machine.finals,
                         transitions)
-
-
-def channel_participant_machine(cp: ChannelParticipant,
-                                messages: Iterable) -> StateMachine:
-    """The forwarding hub: receive a message from the source, pass it on.
-
-    `messages` holds (label, payload) pairs or bare labels.
-    """
-    hub = "idle"
-    states = {hub}
-    transitions = []
-    for msg in sorted(messages, key=str):
-        label, payload = msg if isinstance(msg, tuple) else (msg, None)
-        hold = f"hold_{label}" if payload is None else f"hold_{label}_{payload}"
-        states.add(hold)
-        transitions.append((hub, recv(cp.source, cp.name, label, payload), hold))
-        transitions.append((hold, send(cp.name, cp.target, label, payload), hub))
-    return StateMachine(states, hub, {hub}, transitions)
 
 
 # -- structural predicates ---------------------------------------------------
@@ -288,30 +198,6 @@ def is_channel_ordered(word: Word, bounds: dict) -> bool:
         if any(idx != i % b for i, idx in enumerate(indices)):
             return False
     return True
-
-
-FORWARDING = "forwarding"
-ALMOST = "almost"
-NO = "no"
-
-
-def is_forwarding(word: Word, cp: ChannelParticipant) -> str:
-    """A forwarder's word alternates receive-from-source, send-to-target
-    of the same message; `almost` allows one trailing unanswered receive."""
-    for j in range(0, len(word) - 1, 2):
-        ev, nxt = word[j], word[j + 1]
-        if not (ev.kind == RECV and ev.sender == cp.source
-                and ev.receiver == cp.name):
-            return NO
-        if nxt != send(cp.name, cp.target, ev.label, ev.payload):
-            return NO
-    if len(word) % 2 == 1:
-        last = word[-1]
-        if last.kind == RECV and last.sender == cp.source \
-                and last.receiver == cp.name:
-            return ALMOST
-        return NO
-    return FORWARDING
 
 
 def machine_is_forwarding(machine: StateMachine, cp: ChannelParticipant) -> bool:

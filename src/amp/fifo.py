@@ -1,4 +1,4 @@
-"""FIFO words: projection, matching, boundedness, swaps, and closure.
+"""FIFO words: projection, the FIFO prefix check, swaps, and closure.
 
 Words are tuples of send/receive events.  The swap relation captures
 which adjacent events a network scheduler could reorder without any
@@ -8,11 +8,10 @@ indistinguishability equivalence used throughout the library.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
-from .core import Event, PAIR, RECV, SEND, TraceFlags, Word, recv, send
+from .core import Event, PAIR, RECV, SEND, Word
 
 OK = "ok"
 COMPLETE = "complete"
@@ -42,37 +41,6 @@ def project(word: Word, *, participant: Optional[str] = None,
     return tuple(ev for ev in word if keep(ev))
 
 
-def values(word: Word, channel: tuple[str, str], kind: str) -> tuple:
-    """The sequence of messages sent (or received) on one channel."""
-    return tuple(ev.message() for ev in word if ev.channel == channel and ev.kind == kind)
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    matched: Mapping[int, int]
-    unmatched: frozenset[int]
-
-
-def match_report(word: Word) -> MatchReport:
-    """Pair each send position with its FIFO-matching receive position."""
-    pending: dict[tuple[str, str], list[int]] = {}
-    matched: dict[int, int] = {}
-    unmatched: set[int] = set()
-    for i, ev in enumerate(word):
-        if ev.kind == SEND:
-            pending.setdefault(ev.channel, []).append(i)
-        elif ev.kind == RECV:
-            queue = pending.get(ev.channel, [])
-            if queue and word[queue[0]].message() == ev.message():
-                matched[queue.pop(0)] = i
-            else:
-                # Receive with no matching head; callers detect this via is_fifo.
-                unmatched.add(i)
-    for queue in pending.values():
-        unmatched.update(queue)
-    return MatchReport(matched, frozenset(unmatched))
-
-
 @dataclass(frozen=True)
 class FifoReport:
     status: str
@@ -100,32 +68,6 @@ def is_fifo(word: Word) -> FifoReport:
     if any(queue for queue in queues.values()):
         return FifoReport(OK)
     return FifoReport(COMPLETE)
-
-
-def is_b_bounded(word: Word, bound: int, mode: str = "per-channel") -> bool:
-    """Check that no prefix leaves more than `bound` messages in flight.
-
-    ``per-channel`` bounds each channel separately; ``sum`` bounds the
-    total across channels.  Rejects non-FIFO input.
-    """
-    if mode not in ("per-channel", "sum"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if is_fifo(word).status == VIOLATION:
-        raise ValueError("is_b_bounded requires a FIFO word")
-    counts: dict[tuple[str, str], int] = {}
-    total = 0
-    for ev in word:
-        if ev.kind == SEND:
-            counts[ev.channel] = counts.get(ev.channel, 0) + 1
-            total += 1
-        else:
-            counts[ev.channel] -= 1
-            total -= 1
-        if mode == "per-channel" and counts[ev.channel] > bound:
-            return False
-        if mode == "sum" and total > bound:
-            return False
-    return True
 
 
 def swap_step(word: Word, i: int) -> Optional[Word]:
@@ -173,70 +115,7 @@ def closure_upto(words: Iterable[Word], cap: int = DEFAULT_CLOSURE_CAP) -> froze
     return frozenset(seen)
 
 
-def equivalent(u: Word, v: Word, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
-    """Whether u and v are reachable from each other under swaps."""
-    if sorted(ev.sort_key() for ev in u) != sorted(ev.sort_key() for ev in v):
-        return False
-    return v in closure_upto([u], cap)
-
-
-def check_feasible_eventual_reception_language(
-        sample: Mapping[Word, TraceFlags]) -> bool:
-    """Every sampled word with an unmatched send has a sampled extension
-    in which that send is matched.
-
-    Sound only relative to the sample: the sample must be prefix-closed,
-    and the answer says nothing about extensions beyond it.  Runs in one
-    pass: each word discharges the pending sends of all its sampled
-    prefixes.
-    """
-    words = set(sample)
-    unresolved: dict[Word, set[int]] = {}
-    for w in words:
-        report = match_report(w)
-        unresolved[w] = {i for i in report.unmatched if w[i].kind == SEND}
-    for u in words:
-        matched = set(match_report(u).matched)
-        if not matched:
-            continue
-        for k in range(len(u)):
-            w = u[:k]
-            pending = unresolved.get(w)
-            if pending:
-                pending -= matched
-    return not any(unresolved.values())
-
-
 # -- word literals -------------------------------------------------------
-
-_SEND_RE = re.compile(r"^(?P<s>[^>!?]+)>(?P<r>[^>!?]+)!(?P<l>[^!?]+)$")
-_RECV_RE = re.compile(r"^(?P<s>[^>!?]+)>(?P<r>[^>!?]+)\?(?P<l>[^!?]+)$")
-_PAIR_RE = re.compile(r"^(?P<s>[^>!?:]+)->(?P<r>[^>!?:]+):(?P<l>[^:]+)$")
-
-
-def parse_word(text: str) -> Word:
-    """Parse the literal syntax: `p>q!m` send, `p>q?m` receive, and
-    `p->q:m` for the send/receive pair; tokens split on whitespace or dots.
-    """
-    events: list[Event] = []
-    for token in re.split(r"[\s.]+", text.strip()):
-        if not token:
-            continue
-        m = _PAIR_RE.match(token)
-        if m:
-            events.append(send(m["s"], m["r"], m["l"]))
-            events.append(recv(m["s"], m["r"], m["l"]))
-            continue
-        m = _SEND_RE.match(token)
-        if m:
-            events.append(send(m["s"], m["r"], m["l"]))
-            continue
-        m = _RECV_RE.match(token)
-        if m:
-            events.append(recv(m["s"], m["r"], m["l"]))
-            continue
-        raise ValueError(f"bad event literal {token!r}")
-    return tuple(events)
 
 
 def format_word(word: Word) -> str:

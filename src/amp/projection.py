@@ -236,18 +236,12 @@ class StrongReport:
     witnesses: tuple[tuple[str, str], ...]  # (participant, final non-sink state)
 
 
-def strong_projection_check(source, *, k: int = 6) -> StrongReport:
-    """A projection is strong when every component is sink-final.
-
-    Runs the tame pipeline and reports final states with outgoing
-    transitions; an empty witness list means the produced CSM is also
-    free of soft deadlocks.
-    """
-    return strong_report(project_tame(source, k=k).csm)
-
-
 def strong_report(csm: Csm) -> StrongReport:
-    """The final non-sink states of an already projected CSM."""
+    """The final non-sink states of an already projected CSM.
+
+    A projection is strong when every component is sink-final; an empty
+    witness list means the CSM is also free of soft deadlocks.
+    """
     witnesses = []
     for participant, machine in csm.components.items():
         for q in sorted(machine.finals):

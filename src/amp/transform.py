@@ -5,6 +5,10 @@ The machine-to-global-type direction goes through a regular expression
 for the initial state (a swapped reading of Arden's rule, sound for
 sink-final machines) and rebuilds a tree-shaped machine using
 derivatives so that no nondeterminism is introduced along the way.
+The library builds tree-shaped machines but never tests for the shape:
+the predicates that define it (ancestor-recursive, non-merging, free of
+intermediate recursion), the machine derivative and the choice classes
+of marked expressions are test-only checks in `tests/semantics.py`.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .core import (Event, PAIR, RECV, SEND, StateMachine, StateRef, Word,
-                   backward_closure, pair, payload_suffix, reachable, recv,
-                   send)
+from .core import (Event, PAIR, RECV, SEND, StateMachine, StateRef,
+                   backward_closure, pair, payload_suffix, recv, send)
 
 # -- session types ------------------------------------------------------------
 #
@@ -263,165 +266,6 @@ def first_letters(r: Regex) -> frozenset[Event]:
     return first_letters(r.inner)
 
 
-def regex_lang_upto(r: Regex, k: int) -> frozenset[Word]:
-    """All finite words of the expression's language with <= k letters.
-
-    Direct structural enumeration, independent of the derivative and
-    machine constructions it serves as an oracle for.
-    """
-    def lang(r: Regex) -> frozenset[Word]:
-        if isinstance(r, REmpty):
-            return frozenset()
-        if isinstance(r, REps):
-            return frozenset({()})
-        if isinstance(r, RLetter):
-            return frozenset({tuple(r.event.letters())}) \
-                if len(r.event.letters()) <= k else frozenset()
-        if isinstance(r, RAlt):
-            return lang(r.left) | lang(r.right)
-        if isinstance(r, RCat):
-            left, right = lang(r.left), lang(r.right)
-            return frozenset(u + v for u in left for v in right
-                             if len(u) + len(v) <= k)
-        inner = lang(r.inner)
-        words = {()}
-        frontier = {()}
-        while frontier:
-            nxt = set()
-            for u in frontier:
-                for v in inner:
-                    w = u + v
-                    if v and len(w) <= k and w not in words:
-                        words.add(w)
-                        nxt.add(w)
-            frontier = nxt
-        return frozenset(words)
-
-    return frozenset(w for w in lang(r) if len(w) <= k)
-
-
-# -- marked expressions and choice classes ------------------------------------
-
-
-def _positions(r: Regex, counter) -> "Regex":
-    """Subscript every letter with a distinct index (Glushkov marking)."""
-    if isinstance(r, RLetter):
-        return RLetter(Event(r.event.kind, r.event.sender, r.event.receiver,
-                             f"{r.event.label}#{next(counter)}", r.event.payload))
-    if isinstance(r, RAlt):
-        return RAlt(_positions(r.left, counter), _positions(r.right, counter))
-    if isinstance(r, RCat):
-        return RCat(_positions(r.left, counter), _positions(r.right, counter))
-    if isinstance(r, RStar):
-        return RStar(_positions(r.inner, counter))
-    return r
-
-
-def mark(r: Regex) -> Regex:
-    return _positions(r, itertools.count(1))
-
-
-def unmark(ev: Event) -> Event:
-    label = ev.label.split("#")[0]
-    return Event(ev.kind, ev.sender, ev.receiver, label, ev.payload)
-
-
-def _last_letters(r: Regex) -> frozenset[Event]:
-    if isinstance(r, (REmpty, REps)):
-        return frozenset()
-    if isinstance(r, RLetter):
-        return frozenset({r.event})
-    if isinstance(r, RAlt):
-        return _last_letters(r.left) | _last_letters(r.right)
-    if isinstance(r, RCat):
-        lasts = _last_letters(r.right)
-        if nullable(r.right):
-            lasts |= _last_letters(r.left)
-        return lasts
-    return _last_letters(r.inner)
-
-
-def _follow_sets(r: Regex) -> dict[Event, frozenset[Event]]:
-    """Glushkov follow sets of a marked expression."""
-    follow: dict[Event, set[Event]] = {}
-
-    def visit(r: Regex) -> None:
-        if isinstance(r, RAlt):
-            visit(r.left)
-            visit(r.right)
-        elif isinstance(r, RCat):
-            visit(r.left)
-            visit(r.right)
-            for a in _last_letters(r.left):
-                follow.setdefault(a, set()).update(first_letters(r.right))
-        elif isinstance(r, RStar):
-            visit(r.inner)
-            for a in _last_letters(r.inner):
-                follow.setdefault(a, set()).update(first_letters(r.inner))
-
-    visit(r)
-    return {a: frozenset(s) for a, s in follow.items()}
-
-
-def regex_choice_class(r: Regex) -> str:
-    """Classify a marked expression's branching via first/follow sets.
-
-    At every decision point (the first letters, and each letter's follow
-    set) distinct marked letters must stay distinct after unmarking; for
-    sender-driven choice the alternatives must further be sends by one
-    participant, and for directed choice share the receiver too.
-    """
-    marked = mark(r)
-    decision_points = [first_letters(marked)]
-    decision_points.extend(_follow_sets(marked).values())
-    return _classify_decision_points(decision_points)
-
-
-def _classify_decision_points(decision_points: Iterable) -> str:
-    """The choice class of a marked expression's decision points: sets
-    of marked letters that may come next at one point of a run."""
-    from .psm import DIRECTED, MIXED, NON_DETERMINISTIC, SENDER_DRIVEN
-    directed = True
-    sender_driven = True
-    for letters in decision_points:
-        if len(letters) <= 1:
-            continue
-        unmarked = [unmark(a) for a in sorted(letters, key=Event.sort_key)]
-        if len(set(unmarked)) != len(unmarked):
-            return NON_DETERMINISTIC
-        if any(ev.kind == RECV for ev in unmarked) \
-                or len({ev.sender for ev in unmarked}) != 1:
-            sender_driven = directed = False
-        elif len({ev.receiver for ev in unmarked}) != 1:
-            directed = False
-    if directed:
-        return DIRECTED
-    if sender_driven:
-        return SENDER_DRIVEN
-    return MIXED
-
-
-def is_sender_driven_regex(r: Regex) -> bool:
-    from .psm import DIRECTED, SENDER_DRIVEN
-    return regex_choice_class(r) in (SENDER_DRIVEN, DIRECTED)
-
-
-def regex_choice_class_bounded(r: Regex, k: int) -> str:
-    """The prefix-based classification, bounded to words of length <= k.
-
-    Enumerates prefixes of the marked language and inspects which marked
-    letters can follow each prefix; agrees with the first/follow
-    characterisation on star-free-enough samples.
-    """
-    marked = mark(r)
-    words = regex_lang_upto(marked, k)
-    prefixes: dict[Word, set[Event]] = {}
-    for w in words:
-        for i in range(len(w)):
-            prefixes.setdefault(w[:i], set()).add(w[i])
-    return _classify_decision_points(prefixes.values())
-
-
 # -- sink-finalisation and the machine-to-regex direction --------------------
 
 
@@ -562,75 +406,6 @@ def brz_deriv(a: Event, r: Regex) -> Optional[Regex]:
     return None
 
 
-def psm_deriv(a: Event, machine: StateMachine) -> StateMachine:
-    """The machine derivative for tree-shaped sink-final machines.
-
-    The a-successor of the root becomes the new root with its subtree;
-    every kept back edge to the removed root is replaced by a fresh copy
-    of the whole machine, unrolling the loop once.
-    """
-    machine = machine.trim()
-    root = machine.initial
-    targets = [dst for ev, dst in machine.out(root) if ev == a]
-    if not targets:
-        raise ValueError(f"{a} is not a first letter of the machine")
-    if len(targets) > 1:
-        parts = [psm_deriv_rooted(machine, t) for t in targets]
-        return _union_at_root(parts)
-    return psm_deriv_rooted(machine, targets[0])
-
-
-def psm_deriv_rooted(machine: StateMachine, new_root: str) -> StateMachine:
-    root = machine.initial
-    # Descendants of the new root along forward (labelled) edges;
-    # epsilon transitions are the back edges.
-    keep = reachable((new_root,), lambda q: [
-        dst for ev, dst in machine.out(q) if ev is not None])
-
-    copies = itertools.count(1)
-    states = set(keep)
-    finals = set(machine.finals & keep)
-    transitions: list = []
-    for s, e, d in machine.transitions:
-        if s not in keep:
-            continue
-        if e is None and d == root:
-            # Back edge to the removed root: splice in a copy of the machine.
-            suffix = f"^{next(copies)}"
-            renamed = machine.rename({q: q + suffix for q in machine.states})
-            states |= renamed.states
-            finals |= renamed.finals
-            transitions.extend(renamed.transitions)
-            transitions.append((s, None, renamed.initial))
-        elif d in keep:
-            transitions.append((s, e, d))
-    if new_root == root:  # the a-edge looped straight back
-        suffix = f"^{next(copies)}"
-        renamed = machine.rename({q: q + suffix for q in machine.states})
-        return renamed
-    return StateMachine(states, new_root, finals, transitions).trim()
-
-
-def _union_at_root(machines: list[StateMachine]) -> StateMachine:
-    root = "u0"
-    states = {root}
-    finals: set[str] = set()
-    transitions: list = []
-    is_final = False
-    for i, m in enumerate(machines):
-        renamed = m.rename({q: f"{q}@{i}" for q in m.states})
-        states |= renamed.states
-        finals |= set(renamed.finals)
-        transitions.extend(renamed.transitions)
-        for ev, dst in renamed.out(renamed.initial):
-            transitions.append((root, ev, dst))
-        if renamed.initial in renamed.finals:
-            is_final = True
-    if is_final:
-        finals.add(root)
-    return StateMachine(states, root, finals, transitions).trim()
-
-
 def canon(r: Regex) -> Regex:
     """Normalise modulo associativity, commutativity, and idempotence of
     union, and associativity of concatenation.
@@ -751,81 +526,6 @@ def regex_to_psm(r: Regex) -> StateMachine:
 
     root = expand(canon(r))
     return StateMachine(states, root, finals, transitions)
-
-
-# -- structural predicates for tree-shaped machines ---------------------------
-
-
-def _forward_levels(machine: StateMachine) -> Optional[dict]:
-    """A level function decreasing along labelled transitions, if any."""
-    levels: dict[str, int] = {}
-    order: list[str] = []
-    visiting: set[str] = set()
-
-    def visit(q: str) -> bool:
-        visiting.add(q)
-        for ev, dst in machine.out(q):
-            if ev is None:
-                continue
-            if dst in visiting:
-                return False  # a labelled cycle admits no level function
-            if dst not in levels:
-                if not visit(dst):
-                    return False
-        visiting.discard(q)
-        levels[q] = len(order)
-        order.append(q)
-        return True
-
-    for q in sorted(machine.states):
-        if q not in levels and not visit(q):
-            return None
-    return levels
-
-
-def is_ancestor_recursive(machine: StateMachine) -> bool:
-    """Labelled transitions descend a level function; epsilon transitions
-    climb back to a state that can reach their source again."""
-    machine = machine.trim()
-    levels = _forward_levels(machine)
-    if levels is None:
-        return False
-    for src, ev, dst in machine.transitions:
-        if ev is not None:
-            continue
-        # dst must be an ancestor: reachable from the initial state
-        # without src, and able to reach src again.
-        if src not in reachable((dst,), lambda q: [
-                d for _, d in machine.out(q)]):
-            return False
-    return True
-
-
-def is_non_merging(machine: StateMachine) -> bool:
-    """Every state has at most one incoming labelled transition."""
-    machine = machine.trim()
-    incoming: dict[str, int] = {}
-    for _, ev, dst in machine.transitions:
-        if ev is not None:
-            incoming[dst] = incoming.get(dst, 0) + 1
-    return all(count <= 1 for count in incoming.values())
-
-
-def is_intermediate_recursion_free(machine: StateMachine) -> bool:
-    """Branching states have labelled transitions only; epsilon back
-    edges sit on their own single-exit states."""
-    machine = machine.trim()
-    for q in machine.states:
-        outs = machine.out(q)
-        if len(outs) > 1 and any(ev is None for ev, _ in outs):
-            return False
-    return True
-
-
-def is_tree_shaped(machine: StateMachine) -> bool:
-    return (machine.trim().is_dense() and is_ancestor_recursive(machine)
-            and is_non_merging(machine)
-            and is_intermediate_recursion_free(machine))
 
 
 # -- machine to global and local types ----------------------------------------

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from .core import (RECV, SEND, StateMachine, StateRef, fer_violation,
-                   maximal_capable, payload_from_key, payload_key, queue_get,
-                   queue_set)
+                   maximal_capable, payload_from_key, queue_get, queue_set)
 from .csm import (Configuration, Csm, explore, is_final_config, step)
 
 # The configuration cap of every exploration the type checker makes, and
@@ -396,11 +395,6 @@ def normalize(term: Term) -> NormalConfig:
     )
 
 
-def precongruent(r1: Term, r2: Term) -> bool:
-    """Whether the structural rules identify the two configurations."""
-    return normalize(r1) == normalize(r2)
-
-
 class StuckCall(ValueError):
     pass
 
@@ -572,6 +566,9 @@ class StateRegistry:
         return isinstance(value, Unit)
 
 
+_MISSING = object()
+
+
 @dataclass
 class Checker:
     registry: StateRegistry
@@ -584,9 +581,12 @@ class Checker:
     _facts: dict = field(default_factory=dict, init=False, repr=False)
 
     def _once(self, key, compute):
-        if key not in self._facts:
-            self._facts[key] = compute()
-        return self._facts[key]
+        # one lookup per hit; the main process's fact is None, so a
+        # sentinel marks a missing one
+        fact = self._facts.get(key, _MISSING)
+        if fact is _MISSING:
+            fact = self._facts[key] = compute()
+        return fact
 
     def _explored(self, csm_name: str, queue_cap: int):
         machine = self.registry.machines[csm_name]
@@ -881,36 +881,6 @@ def _check_with_configs(checker: Checker, config: NormalConfig,
                             f"queue type says {payload.state}")
 
     checker._split_parallel(gamma, config.threads)
-
-
-# -- typing-context reductions ---------------------------------------------
-
-
-def context_reduce(registry: StateRegistry, gamma: Mapping, delta: Mapping
-                   ) -> list[tuple[dict, dict]]:
-    """One-step reductions of the typing contexts, mirroring the machine.
-
-    A send binding appends its message type to the sender's queue entry;
-    a receive binding pops a matching head from the peer's entry.
-    """
-    successors = []
-    for ref, state in sorted(gamma.items(), key=lambda kv: str(kv[0])):
-        if not isinstance(ref, Endpoint) or not registry.is_state(state):
-            continue
-        for ev, target in registry.transitions(state):
-            if ev is None:
-                continue
-            msg = (ev.label, payload_key(ev.payload))
-            key = (ref.session, ev.sender, ev.receiver)
-            entry = delta.get(key)
-            if ev.kind == SEND and entry is not None:
-                entry += (msg,)
-            elif ev.kind == RECV and entry and entry[0] == msg:
-                entry = entry[1:]
-            else:
-                continue
-            successors.append(({**gamma, ref: target}, {**delta, key: entry}))
-    return successors
 
 
 # -- well-annotation ----------------------------------------------------------

@@ -18,9 +18,11 @@ from typing import Optional
 
 from amp.core import Event, SEND, StateMachine, Word, parent_word
 from amp.csm import (Channel, Configuration, Csm, ProjectionVerdict, _fmt,
-                     initial_config, is_final_config, is_final_sink_config)
+                     is_final_config)
 from amp.fifo import closure_upto
 from amp.psm import Psm
+
+from .semantics import initial_config, is_final_sink_config
 
 
 @dataclass
@@ -228,7 +230,8 @@ def check_projection(psm: Psm, csm: Csm, k: int, *,
     must embed into the machine's prefix semantics, and conversely the
     closure of the machine's bounded traces must be CSM-reachable.
     """
-    from amp.core import complete_traces, maximal_traces_upto
+    from amp.core import maximal_traces_upto
+    from .semantics import complete_traces
     reasons: list[str] = []
     if queue_cap is None:
         per_channel = max(psm.bound_by_channel.values(), default=psm.bound_total)

@@ -9,20 +9,17 @@ import time
 
 import pytest
 
-from amp.core import (complete_traces, languages_equal_upto,
-                      machine_isomorphic, maximal_traces_upto)
+from amp.core import maximal_traces_upto
 from amp.csm import check_projection, csm_language_upto, explore
-from amp.encoding import (decode_word, encode_psm, encode_word,
-                          is_channel_ordered)
-from amp.fifo import (closure_upto, is_fifo, swap_step,
-                      check_feasible_eventual_reception_language)
+from amp.encoding import encode_psm, is_channel_ordered
+from amp.fifo import closure_upto, is_fifo, swap_step
 from amp.projection import (NotProjectable, NotTame, project_tame,
-                            strong_projection_check)
+                            strong_report)
 from amp.psm import (DIRECTED, SENDER_DRIVEN, classify_choice,
                      infer_channel_bounds, validate)
 from amp.transform import (brz_deriv, first_letters, global_to_psm,
-                           parse_global_type, psm_deriv, psm_to_global_type,
-                           psm_to_regex, regex_lang_upto, regex_to_psm)
+                           parse_global_type, psm_to_global_type, psm_to_regex,
+                           regex_to_psm)
 
 from .conftest import (kle_encoded_expected, kle_expected_local_e,
                        kle_machine, random_fifo_word,
@@ -31,6 +28,10 @@ from .conftest import (kle_encoded_expected, kle_expected_local_e,
 from .goldengen import THREE_PARTY_GT
 from .test_transform import _random_regex
 from .test_typecheck import delegation_program
+from .semantics import (check_feasible_eventual_reception_language,
+                        complete_traces, decode_word, encode_word,
+                        languages_equal_upto, machine_isomorphic, psm_deriv,
+                        regex_lang_upto)
 
 
 class Budget:
@@ -148,7 +149,8 @@ def test_criterion_5_encoding_laws():
             assert is_channel_ordered(encoded, bounds_all)
             assert encode_word(decode_word(encoded), bounds_all) == encoded
 
-        from amp.fifo import is_b_bounded, project
+        from amp.fifo import project
+        from .semantics import is_b_bounded
 
         def respects(word, bounds):
             return all(is_b_bounded(project(word, channel=ch), b)
@@ -251,12 +253,12 @@ def test_criterion_8_strong_projection():
     with Budget("criterion 8 (strong projection)", 1.0):
         maybe = global_to_psm(parse_global_type(
             "( p->q:m1 . p->r:m1 . 0 + p->q:m2 . 0 )"))
-        report = strong_projection_check(maybe, k=6)
+        report = strong_report(project_tame(maybe, k=6).csm)
         assert not report.strong
         result = project_tame(validate(maybe), k=6)
         assert report.witnesses == (
             ("r", result.csm.components["r"].initial),)
-        assert strong_projection_check(kle_machine(), k=8).strong
+        assert strong_report(project_tame(kle_machine(), k=8).csm).strong
 
 
 def test_criterion_9_derivative_oracle():

@@ -136,6 +136,25 @@ def test_encode_with_bounds_file(tmp_path, capsys):
     assert code == 0 and "(e,o)0" in out
 
 
+@pytest.mark.parametrize("bounds", [
+    {"e>o": "x", "o>e": 1},
+    [1, 2],
+    {"eo": 1, "o>e": 1},
+    {"e>o": 2.5, "o>e": 1},
+    {"e>o": -1, "o>e": 1},
+    {"e>o": True, "o>e": 1},
+], ids=["string", "list", "no-arrow", "float", "negative", "bool"])
+def test_encode_rejects_a_malformed_bounds_file(tmp_path, capsys, bounds):
+    bounds_file = tmp_path / "bounds.json"
+    bounds_file.write_text(json.dumps(bounds))
+    code = main(["encode", str(PROTOCOLS / "kle.psm.json"),
+                 "--bounds", str(bounds_file)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: malformed bounds: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_check_csm_and_against(capsys):
     code, out = run(capsys, "check-csm", str(PROTOCOLS / "kle.csm.json"),
                     "--queue-cap", "2", "--against",
@@ -164,7 +183,8 @@ def test_to_global_and_back(tmp_path, capsys):
     code, _ = run(capsys, "from-global", str(out_file),
                   "-o", str(tmp_path / "back.json"))
     assert code == 0
-    from amp.core import languages_equal_upto, load_machine
+    from amp.core import load_machine
+    from .semantics import languages_equal_upto
     back = load_machine((tmp_path / "back.json").read_text())
     original = load_machine(
         (PROTOCOLS / "three_party_choice.psm.json").read_text())

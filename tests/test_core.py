@@ -2,12 +2,13 @@
 
 import pytest
 
-from amp.core import (StateMachine, TraceFlags, complete_traces,
-                      dump_machine, expand_pairs, languages_equal_upto,
-                      load_machine, machine_isomorphic, machine_to_dot,
-                      maximal_traces_upto, pair, recv, send)
+from amp.core import (StateMachine, TraceFlags, dump_machine, expand_pairs,
+                      load_machine, machine_to_dot, maximal_traces_upto, pair,
+                      recv, send)
 
 from .conftest import three_party_machine
+from .semantics import (complete_traces, languages_equal_upto,
+                        machine_isomorphic)
 
 
 def test_event_rejects_self_channel():

@@ -4,12 +4,13 @@ import pytest
 
 from amp.core import StateMachine, recv, send
 from amp.csm import (Csm, check_projection, csm_from_json, csm_language_upto,
-                     csm_to_json, dump_csm, explore, initial_config,
-                     load_csm, simulate, step, word_embeds)
-from amp.fifo import VIOLATION, is_fifo, parse_word, swap_step
+                     csm_to_json, dump_csm, explore, load_csm, simulate, step,
+                     word_embeds)
+from amp.fifo import VIOLATION, is_fifo, swap_step
 from amp.psm import validate
 
 from .conftest import kle_machine, three_party_csm, three_party_machine
+from .semantics import initial_config, parse_word
 
 
 def test_component_alphabet_enforced():

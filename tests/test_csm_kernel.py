@@ -26,13 +26,14 @@ from amp import projection
 from amp.cli import _load_machine
 from amp.core import (RECV, Event, StateMachine, StateRef, pair, recv,
                       send)
-from amp.csm import Csm, initial_config, load_csm
+from amp.csm import Csm, load_csm
 from amp.fifo import VIOLATION, is_fifo
 from amp.projection import NotProjectable, NotTame, project_tame
 from amp.psm import Psm, validate
 
 from . import csm_reference as reference
 from .conftest import random_tame_psm, three_party_csm, three_party_machine
+from .semantics import initial_config
 
 PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
 

@@ -2,19 +2,19 @@
 
 import pytest
 
-from amp.core import (StateMachine, machine_isomorphic, maximal_traces_upto,
-                      complete_traces, recv, send)
-from amp.encoding import (ChannelParticipant, FORWARDING, ALMOST, NO,
-                          channel_participant_machine, decode_fsm, decode_word,
-                          encode_fsm, encode_psm, encode_word, is_amicable,
-                          is_channel_ordered, is_forwarding,
+from amp.core import StateMachine, maximal_traces_upto, recv, send
+from amp.encoding import (ChannelParticipant, decode_fsm, encode_psm,
+                          is_amicable, is_channel_ordered,
                           machine_is_forwarding, merge_immediate_pairs,
                           parse_channel_participant)
-from amp.fifo import closure_upto, parse_word
+from amp.fifo import closure_upto
 from amp.psm import validate
 
 from .conftest import (kle_encoded_expected, kle_machine, random_fifo_word,
                        three_party_machine)
+from .semantics import (ALMOST, FORWARDING, NO, channel_participant_machine,
+                        complete_traces, decode_word, encode_fsm, encode_word,
+                        is_forwarding, machine_isomorphic, parse_word)
 
 KLE_BOUNDS = {("e", "o"): 1, ("o", "e"): 1}
 
@@ -72,7 +72,8 @@ def test_encode_decode_identity_on_channel_ordered(rng):
 def test_encode_preserves_swaps(rng):
     """Equivalent bound-respecting words encode to equivalent routed
     words; closure members that overflow the bound are out of scope."""
-    from amp.fifo import equivalent, is_b_bounded, project
+    from amp.fifo import project
+    from .semantics import equivalent, is_b_bounded
     bounds = {("p", "q"): 1, ("q", "p"): 1}
 
     def respects(word):
@@ -90,7 +91,7 @@ def test_encode_preserves_swaps(rng):
 
 def test_decode_preserves_swaps(rng):
     """Equivalent routed words decode to equivalent plain words."""
-    from amp.fifo import equivalent
+    from .semantics import equivalent
     bounds = {("p", "q"): 1, ("q", "p"): 1}
     for _ in range(10):
         word = random_fifo_word(rng, 6, participants=("p", "q"), bounds=bounds)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amp.fifo import (COMPLETE, OK, VIOLATION, check_feasible_eventual_reception_language,
-                      closure_upto, equivalent, format_word, is_b_bounded,
-                      is_fifo, match_report, parse_word, project, swap_step)
+from amp.fifo import (COMPLETE, OK, VIOLATION, closure_upto, format_word,
+                      is_fifo, project, swap_step)
 from amp.core import TraceFlags, recv, send
 
 from .conftest import random_bounded_complete_word, random_fifo_word
+from .semantics import (check_feasible_eventual_reception_language, equivalent,
+                        is_b_bounded, match_report, parse_word)
 
 
 def test_project_keeps_matching_letters():

@@ -18,7 +18,7 @@ from amp.cli import _load_machine
 from amp.core import (StateMachine, backward_closure, dump_machine,
                       maximal_capable, nodes_on_cycles, pair, recv, send)
 from amp.csm import Csm, explore, is_final_config, load_csm
-from amp.encoding import encode_fsm, encode_psm
+from amp.encoding import encode_psm
 from amp.psm import (FerViolation, NonFifo, PsmError,
                      UnboundedChannel, UnboundedLoop, build_config_graph,
                      check_fer, infer_channel_bounds, validate)
@@ -27,6 +27,7 @@ from amp.typecheck import _csm_fer, check_well_annotated
 
 from . import graph_reference as reference
 from .conftest import random_local_tree, random_tame_psm
+from .semantics import encode_fsm
 
 PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
 

@@ -2,13 +2,11 @@
 
 import pytest
 
-from amp.core import (StateMachine, languages_equal_upto, machine_isomorphic,
-                      recv, send)
+from amp.core import StateMachine, recv, send
 from amp.csm import check_projection, explore
 from amp.encoding import merge_immediate_pairs
 from amp.projection import (NotProjectable, NotTame, check_validity, minimize,
-                            project_tame, strong_projection_check,
-                            subset_construction)
+                            project_tame, strong_report, subset_construction)
 from amp.psm import validate
 from amp.transform import global_to_psm, parse_global_type
 
@@ -16,6 +14,7 @@ from .conftest import (kle_expected_local_e, kle_machine,
                        one_buyer_seller_expected, three_party_csm,
                        three_party_machine)
 from .goldengen import ONE_BUYER_GT
+from .semantics import languages_equal_upto, machine_isomorphic
 
 
 def test_subset_construction_one_buyer_seller():
@@ -43,7 +42,8 @@ def test_subset_language_is_participant_projection():
     """Local language preservation, by brute force at a small bound:
     projections of complete protocol words are exactly the short local
     complete words (longer global witnesses cover the converse)."""
-    from amp.core import complete_traces, maximal_traces_upto
+    from amp.core import maximal_traces_upto
+    from .semantics import complete_traces
     from amp.fifo import project
     machine = merge_immediate_pairs(three_party_machine(), {})
     for participant in ("p", "q", "r"):
@@ -127,7 +127,7 @@ def test_project_leader_election():
 def test_strong_projection_witness():
     machine = global_to_psm(parse_global_type(
         "( p->q:m1 . p->r:m1 . 0 + p->q:m2 . 0 )"))
-    report = strong_projection_check(machine, k=6)
+    report = strong_report(project_tame(machine, k=6).csm)
     assert not report.strong
     participants = {w[0] for w in report.witnesses}
     assert participants == {"r"}
@@ -137,12 +137,12 @@ def test_strong_projection_witness():
 
 
 def test_strong_projection_kle():
-    assert strong_projection_check(kle_machine(), k=8).strong
+    assert strong_report(project_tame(kle_machine(), k=8).csm).strong
 
 
 def test_strong_projection_two_party():
     machine = global_to_psm(parse_global_type("p->q:m . 0"))
-    assert strong_projection_check(machine, k=4).strong
+    assert strong_report(project_tame(machine, k=4).csm).strong
 
 
 def test_minimize_merges_equivalent_states():

@@ -18,8 +18,7 @@ from pathlib import Path
 import pytest
 
 from amp.cli import _load_machine
-from amp.core import (SEND, StateMachine, dump_machine,
-                      languages_equal_upto, pair, recv, send)
+from amp.core import SEND, StateMachine, dump_machine, pair, recv, send
 from amp.encoding import merge_immediate_pairs
 from amp.projection import project_tame
 from amp.psm import validate
@@ -32,6 +31,7 @@ from amp.transform import (End, MixedChoiceState, Rec, TypeSyntaxError,
 from . import type_reference as reference
 from .conftest import random_local_tree, random_sender_driven_tree
 from .test_walkers import outcome, random_global, random_local
+from .semantics import languages_equal_upto
 
 PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
 PSM_SOURCES = sorted(PROTOCOLS.glob("*.psm.json")) + sorted(

@@ -4,22 +4,22 @@ import random
 
 import pytest
 
-from amp.core import (StateMachine, complete_traces, languages_equal_upto,
-                      maximal_traces_upto, pair, recv, send)
+from amp.core import StateMachine, maximal_traces_upto, pair, recv, send
 from amp.encoding import merge_immediate_pairs
 from amp.psm import (DIRECTED, MIXED, NON_DETERMINISTIC, SENDER_DRIVEN,
                      classify_choice)
 from amp.transform import (Choice, End, MixedChoiceState, RAlt, RCat, REps,
                            RLetter, RStar, TypeSyntaxError, brz_deriv,
                            first_letters, fsm_to_local_type, global_to_psm,
-                           local_to_fsm, make_sink_final, mark, nullable,
-                           parse_global_type, psm_deriv, psm_to_global_type,
-                           psm_to_regex, rcat, regex_choice_class,
-                           regex_choice_class_bounded, regex_lang_upto,
-                           regex_to_psm, unmark)
+                           local_to_fsm, make_sink_final, nullable,
+                           parse_global_type, psm_to_global_type, psm_to_regex,
+                           rcat, regex_to_psm)
 
 from .conftest import three_party_machine
 from .goldengen import THREE_PARTY_GT
+from .semantics import (complete_traces, languages_equal_upto, mark, psm_deriv,
+                        regex_choice_class, regex_choice_class_bounded,
+                        regex_lang_upto, unmark)
 
 
 def _letter(label: str, sender: str = "p", receiver: str = "q") -> RLetter:
@@ -68,9 +68,9 @@ def test_global_to_psm_matches_flat_three_party():
 
 def test_global_machine_structure():
     """Tree-like: back edges are epsilon to ancestors, no state merges."""
-    from amp.transform import (is_ancestor_recursive,
-                               is_intermediate_recursion_free, is_non_merging,
-                               is_tree_shaped)
+    from .semantics import (is_ancestor_recursive,
+                            is_intermediate_recursion_free, is_non_merging,
+                            is_tree_shaped)
     machine = global_to_psm(parse_global_type(THREE_PARTY_GT))
     assert machine.is_dense()
     assert is_ancestor_recursive(machine)
@@ -88,7 +88,7 @@ def test_global_machine_structure():
 
 def test_structure_predicates_on_random_outputs(rng):
     """Every machine the workflow builds satisfies the tree predicates."""
-    from amp.transform import is_tree_shaped
+    from .semantics import is_tree_shaped
     from .conftest import random_sender_driven_tree
     for _ in range(20):
         machine = random_sender_driven_tree(rng)
@@ -317,15 +317,14 @@ def test_choice_class_agrees_with_bounded_prefix_check(rng):
 
 
 def test_sender_driven_closed_under_deriv(rng):
-    from amp.transform import is_sender_driven_regex
     for _ in range(50):
         regex = _random_regex(rng)
-        if not is_sender_driven_regex(regex):
+        if regex_choice_class(regex) not in (SENDER_DRIVEN, DIRECTED):
             continue
         for a in first_letters(regex):
             derived = brz_deriv(a, regex)
             if derived is not None:
-                assert is_sender_driven_regex(derived)
+                assert regex_choice_class(derived) in (SENDER_DRIVEN, DIRECTED)
 
 
 # -- machine to global type ------------------------------------------------

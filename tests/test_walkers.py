@@ -27,9 +27,7 @@ from amp.psm import (PsmError, build_config_graph, infer_channel_bounds,
                      validate)
 from amp.transform import (Choice, End, Rec, TypeSyntaxError, Var,
                            _prune_unused_recs, _uses_var, fsm_to_local_type,
-                           global_to_psm, is_ancestor_recursive, local_to_fsm,
-                           psm_deriv, psm_deriv_rooted, psm_to_global_type,
-                           regex_choice_class, regex_choice_class_bounded,
+                           global_to_psm, local_to_fsm, psm_to_global_type,
                            regex_to_psm)
 
 from . import walker_reference as reference
@@ -37,6 +35,8 @@ from .conftest import (random_local_tree, random_sender_driven_tree,
                        random_tame_psm)
 from .test_graph_analyses import random_csm, random_machine, random_protocol
 from .test_transform import _random_regex
+from .semantics import (is_ancestor_recursive, psm_deriv, psm_deriv_rooted,
+                        regex_choice_class, regex_choice_class_bounded)
 
 PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
 

@@ -28,8 +28,10 @@ from amp.psm import (DEFAULT_CONFIG_CAP, DIRECTED, MIXED, NON_DETERMINISTIC,
                      SENDER_DRIVEN, Config, ConfigGraph, NonFifo,
                      UnboundedChannel)
 from amp.transform import (Choice, End, Rec, Regex, SessionType, Var,
-                           _check_global, _follow_sets, _forward_levels,
-                           first_letters, mark, regex_lang_upto, unmark)
+                           _check_global, first_letters)
+
+from .semantics import (_follow_sets, _forward_levels, mark, regex_lang_upto,
+                        unmark)
 
 
 # -- amp.core ---------------------------------------------------------------
