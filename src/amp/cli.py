@@ -57,9 +57,9 @@ def _load_machine(path: str) -> core.StateMachine:
     return core.load_machine(text)
 
 
-def _load_bounds(path: str) -> dict:
-    """The channel bounds of a JSON object mapping `p>q` to a count, or
-    MalformedInput."""
+def _load_bounds(path: str, channels) -> dict:
+    """The channel bounds of a JSON object mapping channels of
+    `channels`, written `p>q`, to positive counts, or MalformedInput."""
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise core.MalformedInput(f"malformed bounds: expected a JSON object, "
@@ -70,26 +70,30 @@ def _load_bounds(path: str) -> dict:
         if len(channel) != 2 or not all(channel):
             raise core.MalformedInput(
                 f"malformed bounds: {key!r} is not a channel p>q")
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        if channel not in channels:
+            raise core.MalformedInput(
+                f"malformed bounds: the protocol has no channel {key}")
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise core.MalformedInput(
                 f"malformed bounds: {key} has bound {json.dumps(value)}, "
-                f"not a count")
+                f"not a positive count")
         bounds[channel] = value
     return bounds
 
 
 def _analysis_report(machine: core.StateMachine, config_cap: int) -> dict:
     validated = psm_mod.validate(machine, config_cap=config_cap)
-    choice = psm_mod.classify_choice(validated.machine)
     tame = psm_mod.is_tame(validated)
     return {
         "bound": validated.bound_total,
         "perChannelBounds": {f"{p}>{q}": b for (p, q), b
                              in (tame.bounds or {}).items()},
-        "dense": validated.dense,
-        "fer": validated.fer,
-        "choiceClass": choice.kind,
-        "sinkFinal": validated.machine.trim().is_sink_final(),
+        # validate raises unless the machine is dense and has feasible
+        # eventual reception
+        "dense": True,
+        "fer": True,
+        "choiceClass": tame.choice.kind,
+        "sinkFinal": tame.sink_final,
         "tame": tame.tame,
     }
 
@@ -145,7 +149,8 @@ def cmd_encode(args) -> int:
     if args.bounds == "auto":
         bounds = psm_mod.infer_channel_bounds(validated)
     else:
-        bounds = _load_bounds(args.bounds)
+        bounds = _load_bounds(args.bounds, {
+            ev.channel for ev in validated.machine.alphabet()})
     encoded = encoding.encode_psm(validated.machine, bounds)
     output = core.dump_machine(encoded)
     if args.output:

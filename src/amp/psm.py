@@ -57,8 +57,6 @@ class Psm:
     machine: StateMachine
     bound_total: int
     bound_by_channel: dict
-    dense: bool = True
-    fer: bool = True
 
     @property
     def sum_one(self) -> bool:
@@ -157,8 +155,7 @@ def check_fer(graph: ConfigGraph) -> tuple[bool, Optional[Word]]:
 
 
 def validate(machine: StateMachine, *,
-             config_cap: int = DEFAULT_CONFIG_CAP,
-             queue_cap: Optional[int] = None) -> Psm:
+             config_cap: int = DEFAULT_CONFIG_CAP) -> Psm:
     """Certify a machine as a protocol state machine.
 
     Checks density syntactically, then walks the configuration graph to
@@ -171,7 +168,7 @@ def validate(machine: StateMachine, *,
     if machine.has_pure_eps_cycle():
         raise NotDense("machine contains a cycle of epsilon transitions")
     trimmed = machine.trim()
-    graph = build_config_graph(trimmed, config_cap=config_cap, queue_cap=queue_cap)
+    graph = build_config_graph(trimmed, config_cap=config_cap)
     per_channel: dict[Channel, int] = {}
     total = 0
     for _, queues in graph.nodes:
@@ -210,8 +207,6 @@ def classify_choice(machine: StateMachine) -> ChoiceReport:
     state offers only send actions by a single participant; directed
     additionally fixes the receiver; mixed requires determinism only.
     """
-    if isinstance(machine, Psm):
-        machine = machine.machine
     if not machine.is_deterministic():
         return ChoiceReport(NON_DETERMINISTIC, {})
     choice: dict[str, str] = {}

@@ -300,16 +300,6 @@ def _freshen(term: Term, suffix: str) -> Term:
 # -- runtime configurations -------------------------------------------------
 
 
-def r2c(term: Term) -> Term:
-    """Insert an empty queue term beside every active restriction."""
-    if isinstance(term, PPar):
-        return PPar(tuple(r2c(p) for p in term.parts))
-    if isinstance(term, PRes):
-        return PRes(term.session, term.csm_name,
-                    PPar((r2c(term.body), RQueue(term.session, ()))))
-    return term
-
-
 @dataclass(frozen=True)
 class NormalConfig:
     """Canonical multiset form of a runtime configuration: all active
@@ -346,53 +336,72 @@ def normalize(term: Term) -> NormalConfig:
     """Apply the structural rules to a canonical form.
 
     Parallel composition is flattened and sorted, terminated threads
-    vanish, active restrictions are hoisted (scope extrusion), and a
+    vanish, active restrictions are hoisted (scope extrusion), a
+    restriction without a queue term has the empty queue, and a
     restriction whose session has an empty queue and no users is
     dropped.
     """
-    sessions: dict[str, str] = {}
-    queues: dict[str, tuple] = {}
-    threads: list[Term] = []
+    return _configuration(term, (), {}, ())
+
+
+def _configuration(term: Term, sessions: tuple, queues: Mapping,
+                   threads: tuple) -> NormalConfig:
+    """The normal form of `term` beside a normal form's restrictions
+    `sessions`, their queues (by session) and its threads."""
+    new_sessions: dict[str, str] = {}
+    new_queues: dict[str, tuple] = {}
+    new_threads: list[Term] = list(threads)
 
     def collect(term: Term) -> None:
-        if isinstance(term, PEnd):
-            return
         if isinstance(term, PPar):
             for p in term.parts:
                 collect(p)
-            return
-        if isinstance(term, PRes):
-            if term.session in sessions:
-                raise ValueError(f"duplicate session binder {term.session}")
-            sessions[term.session] = term.csm_name
+        elif isinstance(term, PRes):
+            _add(new_sessions, "session binder", term.session, term.csm_name)
             collect(term.body)
-            return
-        if isinstance(term, RQueue):
-            contents = tuple(sorted((ch, msgs) for ch, msgs in term.contents
-                                    if msgs))
-            if term.session in queues:
-                raise ValueError(f"duplicate queue for session {term.session}")
-            queues[term.session] = contents
-            return
-        threads.append(term)
+        elif isinstance(term, RQueue):
+            _add(new_queues, "queue for session", term.session, tuple(sorted(
+                (ch, msgs) for ch, msgs in term.contents if msgs)))
+        elif not isinstance(term, PEnd):
+            new_threads.append(term)
 
+    # The new term first, so that a binder clashing with the given
+    # sessions names the first of them in sorted order.
     collect(term)
-    idle = [name for name in sessions if not queues.get(name, ())]
+    for name, csm_name in sessions:
+        _add(new_sessions, "session binder", name, csm_name)
+        _add(new_queues, "queue for session", name, queues[name])
+    idle = [name for name in new_sessions if not new_queues.get(name, ())]
     if idle:
-        used = set()
-        for t in threads:
-            used |= free_sessions(t)
-        for contents in queues.values():
-            used.update(ref.session for ref in _queued_endpoints(contents))
+        used = _named_sessions(new_threads, new_queues.items())
         for name in idle:
             if name not in used:
-                del sessions[name]
-                queues.pop(name, None)
+                del new_sessions[name]
+                new_queues.pop(name, None)
     return NormalConfig(
-        tuple(sorted(sessions.items())),
-        tuple(sorted((name, queues.get(name, ())) for name in sessions)),
-        tuple(sorted(threads, key=str)),
+        tuple(sorted(new_sessions.items())),
+        tuple(sorted((name, new_queues.get(name, ()))
+                     for name in new_sessions)),
+        tuple(sorted(new_threads, key=str)),
     )
+
+
+def _add(table: dict, what: str, name: str, value) -> None:
+    if name in table:
+        raise ValueError(f"duplicate {what} {name}")
+    table[name] = value
+
+
+def _named_sessions(threads, queues) -> set:
+    """The sessions the threads name, and those whose endpoints wait in
+    another session's queue ((session, contents) pairs)."""
+    used = set()
+    for t in threads:
+        used |= free_sessions(t)
+    for name, contents in queues:
+        used.update(ref.session for ref in _queued_endpoints(contents)
+                    if ref.session != name)
+    return used
 
 
 class StuckCall(ValueError):
@@ -406,10 +415,13 @@ def reduce_config(config: NormalConfig, defs: Mapping[str, Definition],
     Outputs append to queues, inputs pop matching heads, process calls
     unfold and then must step, and the two error rules produce `err`:
     a receiver facing only mismatched queue heads, and a finished
-    session with messages left behind.
+    session with messages left behind.  Each successor is the
+    configuration's other threads, its sessions and its queues (one of
+    them changed) around the one new term.
     """
     successors: list[tuple[str, NormalConfig]] = []
-    threads = list(config.threads)
+    queues = dict(config.queues)
+    threads = config.threads
     for i, thread in enumerate(threads):
         rest = threads[:i] + threads[i + 1:]
         if isinstance(thread, PCall):
@@ -423,30 +435,28 @@ def reduce_config(config: NormalConfig, defs: Mapping[str, Definition],
             unfolded = _freshen(d.body, f"~{unfold_depth + 1}")
             for param, arg in zip(d.params, thread.args):
                 unfolded = substitute(unfolded, param, arg)
-            inner = normalize(PPar(tuple(rest) + (unfolded,)
-                                   + _session_terms(config)))
+            inner = _configuration(unfolded, config.sessions, queues, rest)
             successors.extend(reduce_config(inner, defs, unfold_depth + 1))
             continue
         if not isinstance(thread, (PSend, PRecv)) \
                 or not isinstance(thread.subject, Endpoint):
             continue
         session, me = thread.subject.session, thread.subject.participant
-        contents = config.queue_of(session)
+        contents = queues.get(session)
         if contents is None:
             continue
 
-        def moved(cont: Term, channel, queue: tuple) -> NormalConfig:
-            new_contents = queue_set(contents, channel, queue)
-            return normalize(PPar(
-                tuple(rest) + (r2c(cont),)
-                + _session_terms(config, {session: new_contents})))
+        def moved(cont: Term, new_contents: tuple) -> NormalConfig:
+            return _configuration(cont, config.sessions,
+                                  {**queues, session: new_contents}, rest)
 
         if isinstance(thread, PSend):
             for b in thread.branches:
                 channel = (me, b.receiver)
                 queue = queue_get(contents, channel) + ((b.label, b.payload),)
                 desc = f"{thread.subject}!{b.label} to {b.receiver}"
-                successors.append((desc, moved(b.cont, channel, queue)))
+                successors.append((desc, moved(
+                    b.cont, queue_set(contents, channel, queue))))
         else:
             mismatch_everywhere = bool(thread.branches)
             for b in thread.branches:
@@ -459,23 +469,18 @@ def reduce_config(config: NormalConfig, defs: Mapping[str, Definition],
                     cont = b.cont if b.binder is None else substitute(
                         b.cont, b.binder, queue[0][1])
                     desc = f"{thread.subject}?{b.label} from {b.sender}"
-                    successors.append((desc, moved(cont, channel, queue[1:])))
+                    successors.append((desc, moved(
+                        cont, queue_set(contents, channel, queue[1:]))))
             if mismatch_everywhere:
-                succ = normalize(PPar(
-                    tuple(rest) + (RErr(),)
-                    + _session_terms(config, drop_queue=session)))
                 successors.append((f"{thread.subject} stuck: label mismatch",
-                                   succ))
+                                   moved(RErr(), ())))
+    used = _named_sessions(threads, config.queues)
     for session, contents in config.queues:
-        in_flight = any(ref.session == session
-                        for other, queued in config.queues if other != session
-                        for ref in _queued_endpoints(queued))
-        if contents and not in_flight and not any(
-                session in free_sessions(t) for t in config.threads):
-            succ = normalize(PPar(
-                config.threads + (RErr(),)
-                + _session_terms(config, drop_queue=session,
-                                 drop_session=session)))
+        if contents and session not in used:
+            succ = _configuration(
+                RErr(), tuple(s for s in config.sessions if s[0] != session),
+                {name: c for name, c in config.queues if name != session},
+                threads)
             successors.append((f"orphan messages in {session}", succ))
     unique: dict[NormalConfig, str] = {}
     for desc, succ in successors:
@@ -484,34 +489,12 @@ def reduce_config(config: NormalConfig, defs: Mapping[str, Definition],
                   key=lambda pair: str(pair[1]))
 
 
-def _session_terms(config: NormalConfig, replace: Optional[dict] = None,
-                   drop_queue: Optional[str] = None,
-                   drop_session: Optional[str] = None) -> tuple:
-    """Rebuild the restriction and queue terms for re-normalisation."""
-    replace = replace or {}
-    terms: list[Term] = []
-    for name, csm_name in config.sessions:
-        if name == drop_session:
-            continue
-        contents = replace.get(name)
-        if contents is None:
-            contents = config.queue_of(name) or ()
-        inner: list[Term] = []
-        if name != drop_queue:
-            inner.append(RQueue(name, contents))
-        terms.append(PRes(name, csm_name, PPar(tuple(inner))
-                          if len(inner) != 1 else inner[0]))
-    return tuple(terms)
-
-
 # -- the type system ----------------------------------------------------------
 
 
 class TypeCheckError(Exception):
     pass
 
-
-END_TYPE = "end"
 
 Type = Union[str, None]  # a machine state id, or a base-type name
 
@@ -522,7 +505,6 @@ class StateRegistry:
 
     owner: dict           # state -> (csm name, participant)
     machines: dict        # csm name -> Csm
-    base_types: frozenset = frozenset({END_TYPE, "unit", "int", "str", "bool"})
 
     @classmethod
     def build(cls, csms: Mapping[str, Csm]) -> "StateRegistry":
@@ -603,10 +585,14 @@ class Checker:
     def matching_configs(self, csm_name: str, concrete: Optional[tuple]):
         """The reachable configurations of a machine whose queue types
         match the concrete queue contents of a session, in exploration
-        order."""
+        order: all of them when the well-annotation exploration is
+        exact, else those with queues at most one message longer than
+        the longest concrete queue (and at least two)."""
         concrete = concrete or ()
-        max_len = max((len(m) for _, m in concrete), default=0)
-        report = self._explored(csm_name, max(2, max_len + 1))
+        report = self._explored(csm_name, ANNOTATION_QUEUE_CAP)
+        if report.truncated:
+            max_len = max((len(m) for _, m in concrete), default=0)
+            report = self._explored(csm_name, max(2, max_len + 1))
         return (c for c in report.configs
                 if _queues_compatible(self.registry, concrete, c))
 
@@ -953,7 +939,7 @@ def subject_reduction_harness(program: Program, steps: int = 30,
             return HarnessReport(False, [], f"machine {name} is not "
                                             f"deadlock-free with reception")
     rng = random.Random(seed)
-    config = normalize(r2c(program.main))
+    config = normalize(program.main)
     walk: list[str] = []
     while True:
         # Runtime typing rejects every configuration that contains err.
@@ -1043,7 +1029,7 @@ def sf_typecheck(program: Program, config: NormalConfig) -> SfReport:
 def progress_harness(program: Program, max_steps: int = 100) -> HarnessReport:
     """Whenever the seeded machine configuration can step, the process
     must step too, staying typable under the restricted judgement."""
-    config = normalize(r2c(program.main))
+    config = normalize(program.main)
     walk: list[str] = []
     for _ in range(max_steps):
         if not config.sessions and not config.threads:

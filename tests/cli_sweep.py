@@ -1,5 +1,6 @@
-"""Run every CLI subcommand over the shipped corpus in one process and
-print one `command / exit / digest` line per command.
+"""Run every CLI subcommand over the shipped corpus, and the type
+checker's harness over the programs in `tests/programs`, in one process
+and print one `command / exit / digest` line per command.
 
 The digest covers stdout, stderr and any file written through `-o`
 (which goes to a temporary directory, never into the repository).  Two
@@ -65,6 +66,8 @@ def commands() -> list[list[str]]:
     for path in programs:
         out.append(["typecheck", path])
         out.append(["typecheck", path, "--harness", "--json"])
+        out.append(["typecheck", path, "--harness", "--json", "--seeds", "21"])
+    for path in corpus("*.amp", Path("tests") / "programs"):
         out.append(["typecheck", path, "--harness", "--json", "--seeds", "21"])
     out.append(["check-csm", "protocols/three_party_choice.csm.json",
                 "--against", "protocols/three_party_reply_mismatch.gt",

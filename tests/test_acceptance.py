@@ -220,13 +220,13 @@ def test_criterion_7_type_system():
     from pathlib import Path
 
     from amp.program import parse_program
-    from amp.typecheck import (TypeCheckError, normalize, r2c, reduce_config,
+    from amp.typecheck import (TypeCheckError, normalize, reduce_config,
                                subject_reduction_harness, typecheck_process,
                                typecheck_runtime)
     with Budget("criterion 7 (type system)", 30.0):
         program = delegation_program()
         typecheck_process(program)
-        config = normalize(r2c(program.main))
+        config = normalize(program.main)
         delegating = [succ for desc, succ in reduce_config(config, {})
                       if "l1" in desc]
         report = typecheck_runtime(program, delegating[0])

@@ -143,7 +143,10 @@ def test_encode_with_bounds_file(tmp_path, capsys):
     {"e>o": 2.5, "o>e": 1},
     {"e>o": -1, "o>e": 1},
     {"e>o": True, "o>e": 1},
-], ids=["string", "list", "no-arrow", "float", "negative", "bool"])
+    {"e>o": 0, "o>e": 1},
+    {"x>y": 3, "e>o": 1, "o>e": 1},
+], ids=["string", "list", "no-arrow", "float", "negative", "bool", "zero",
+        "unused-channel"])
 def test_encode_rejects_a_malformed_bounds_file(tmp_path, capsys, bounds):
     bounds_file = tmp_path / "bounds.json"
     bounds_file.write_text(json.dumps(bounds))

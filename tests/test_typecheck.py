@@ -8,7 +8,7 @@ from amp.typecheck import (Definition, Endpoint, NormalConfig, PCall, PEnd,
                            PPar, PRecv, PRes, PSend, Program, RErr, RQueue,
                            RecvBranch, SendBranch, StateRegistry,
                            TypeCheckError, Unit, Var, check_well_annotated,
-                           normalize, progress_harness, r2c, reduce_config,
+                           normalize, progress_harness, reduce_config,
                            sf_typecheck, subject_reduction_harness,
                            typecheck_process, typecheck_runtime)
 
@@ -76,12 +76,14 @@ def ping_program() -> Program:
 
 
 def test_r2c_inserts_queues():
+    # A restriction without a queue term has the empty queue.
     program = ping_program()
-    runtime = r2c(program.main)
-    assert isinstance(runtime, PRes)
-    body = runtime.body
-    assert isinstance(body, PPar)
-    assert any(isinstance(part, RQueue) for part in body.parts)
+    assert isinstance(program.main, PRes)
+    body = program.main.body
+    assert not any(isinstance(part, RQueue) for part in body.parts)
+    config = normalize(program.main)
+    assert config.queue_of("s") == ()
+    assert config == normalize(PRes("s", "Ping", PPar((body, RQueue("s", ())))))
 
 
 def test_precongruence_axioms():
@@ -99,13 +101,13 @@ def test_precongruence_axioms():
 
 
 def test_normalize_idempotent():
-    config = normalize(r2c(delegation_program().main))
+    config = normalize(delegation_program().main)
     assert normalize(config.to_term()) == config
 
 
 def test_reduce_single_step_of_ping():
     program = ping_program()
-    config = normalize(r2c(program.main))
+    config = normalize(program.main)
     successors = reduce_config(config, program.defs)
     assert len(successors) == 1
     desc, succ = successors[0]
@@ -212,7 +214,7 @@ def test_state_registry_requires_distinct_states():
 
 def test_initial_runtime_config_typable():
     program = delegation_program()
-    report = typecheck_runtime(program, normalize(r2c(program.main)))
+    report = typecheck_runtime(program, normalize(program.main))
     assert report.ok
     assert report.chosen["s1"].state_of("p") == "q0"
     assert report.chosen["s2"].state_of("p") == "q4"
@@ -220,7 +222,7 @@ def test_initial_runtime_config_typable():
 
 def test_delegation_reduct_seeds_queue_type():
     program = delegation_program()
-    config = normalize(r2c(program.main))
+    config = normalize(program.main)
     delegating = [succ for desc, succ in reduce_config(config, {})
                   if "l1" in desc]
     assert delegating
@@ -258,7 +260,7 @@ def test_typability_preserved_along_all_paths():
     """Exhaustive subject reduction on the delegation example."""
     program = delegation_program()
     typecheck_process(program)
-    frontier = [normalize(r2c(program.main))]
+    frontier = [normalize(program.main)]
     seen = set(frontier)
     while frontier:
         config = frontier.pop()
@@ -305,7 +307,7 @@ def test_substitution_preserves_typability():
 def test_precongruence_admissible_for_runtime_typing():
     """Structurally identified configurations type identically."""
     program = delegation_program()
-    term = r2c(program.main)
+    term = program.main
     shuffled = PPar((term, PEnd()))
     assert normalize(term) == normalize(shuffled)
     a = typecheck_runtime(program, normalize(term))
@@ -393,7 +395,7 @@ def test_harness_rejects_mutated_label_statically():
 
 def test_sf_typecheck_and_progress():
     program = ping_program()
-    report = sf_typecheck(program, normalize(r2c(program.main)))
+    report = sf_typecheck(program, normalize(program.main))
     assert report.ok
     walk = progress_harness(program)
     assert walk.ok, walk.failure
@@ -402,7 +404,7 @@ def test_sf_typecheck_and_progress():
 
 def test_sf_rejects_two_sessions():
     program = delegation_program()
-    report = sf_typecheck(program, normalize(r2c(program.main)))
+    report = sf_typecheck(program, normalize(program.main))
     assert not report.ok
     assert "one session" in report.error
 

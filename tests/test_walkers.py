@@ -3,12 +3,12 @@ against the per-module copies they replaced.
 
 `walker_reference` keeps the epsilon closures, reachability walks,
 subset-construction steps, bounded-word loop, parent-chain witnesses,
-type-to-machine builders, binder pruners and regex classifiers as they
-were.  Sets, trace sets (key order included), machines (byte for byte),
-types, exceptions and witnesses must be equal on random machines with
-epsilon edges, random protocols that break FIFO order or outgrow the
-caps, random tame protocols projected onto every participant, random
-global and local types, random expressions and the shipped corpus.
+type-to-machine builders and binder pruners as they were.  Sets, trace
+sets (key order included), machines (byte for byte), types, exceptions
+and witnesses must be equal on random machines with epsilon edges,
+random protocols that break FIFO order or outgrow the caps, random tame
+protocols projected onto every participant, random global and local
+types and the shipped corpus.
 """
 
 import random
@@ -27,16 +27,12 @@ from amp.psm import (PsmError, build_config_graph, infer_channel_bounds,
                      validate)
 from amp.transform import (Choice, End, Rec, TypeSyntaxError, Var,
                            _prune_unused_recs, _uses_var, fsm_to_local_type,
-                           global_to_psm, local_to_fsm, psm_to_global_type,
-                           regex_to_psm)
+                           global_to_psm, local_to_fsm, psm_to_global_type)
 
 from . import walker_reference as reference
 from .conftest import (random_local_tree, random_sender_driven_tree,
                        random_tame_psm)
 from .test_graph_analyses import random_csm, random_machine, random_protocol
-from .test_transform import _random_regex
-from .semantics import (is_ancestor_recursive, psm_deriv, psm_deriv_rooted,
-                        regex_choice_class, regex_choice_class_bounded)
 
 PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
 
@@ -87,8 +83,6 @@ def assert_reachability_agrees(machine: StateMachine, rng) -> None:
         for target in states:
             assert (target in reached) == reference._reaches(
                 machine, source, target)
-    assert is_ancestor_recursive(machine) == \
-        reference.is_ancestor_recursive(machine)
 
 
 def test_reachability_agrees_on_random_machines():
@@ -221,30 +215,6 @@ def test_explore_witnesses_agree():
                     report, config)
 
 
-# -- tree-shaped machines: derivatives ----------------------------------------
-
-
-def assert_derivatives_agree(machine: StateMachine) -> None:
-    machine = machine.trim()
-    for _, dst in machine.out(machine.initial):
-        new = psm_deriv_rooted(machine, dst)
-        old = reference.psm_deriv_rooted(machine, dst)
-        assert new == old
-        assert dump_machine(new) == dump_machine(old)
-
-
-def test_derivatives_agree_on_trees():
-    rng = random.Random(31)
-    for _ in range(300):
-        assert_derivatives_agree(random_sender_driven_tree(rng, 10))
-        assert_derivatives_agree(regex_to_psm(_random_regex(rng)))
-    for machine in random_machines(37, 300):
-        assert_derivatives_agree(machine)
-    tree = random_sender_driven_tree(random.Random(41), 10)
-    for ev, _ in tree.out(tree.initial):
-        assert psm_deriv(ev, tree).states
-
-
 # -- global and local types ---------------------------------------------------
 
 
@@ -329,22 +299,6 @@ def test_type_builders_agree_on_read_back_types():
         local = random_local_tree(rng)
         assert_types_agree(psm_to_global_type(tree),
                            fsm_to_local_type(local, "p"))
-
-
-# -- regex choice classes -----------------------------------------------------
-
-
-def test_regex_classifiers_agree():
-    rng = random.Random(53)
-    classes = set()
-    for _ in range(400):
-        regex = _random_regex(rng, depth=rng.choice((2, 3, 4)))
-        old = reference.regex_choice_class(regex)
-        assert regex_choice_class(regex) == old
-        assert regex_choice_class_bounded(regex, 4) == \
-            reference.regex_choice_class_bounded(regex, 4)
-        classes.add(old)
-    assert len(classes) >= 3
 
 
 @pytest.mark.parametrize("path", PSM_SOURCES, ids=lambda p: p.name)

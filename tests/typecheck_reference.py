@@ -5,7 +5,8 @@ a test-only reference: verbatim but for absolute imports.
 `test_typecheck_walkers.py` runs these next to `amp.typecheck` and
 requires equal free names, terms, successor lists, typing reports and
 harness reports.  The `theta`, `gamma` and `explore_cap` options are
-kept here as they were.
+kept here as they were, and so are `r2c` and `_session_terms`, which
+the library no longer has.
 """
 
 from __future__ import annotations
@@ -23,7 +24,37 @@ from amp.typecheck import (Checker, Definition, Endpoint, HarnessReport,
                            StateRegistry, StuckCall, Term, TypeCheckError,
                            Unit, Var, _check_with_configs,
                            _contains_restriction, _queues_compatible,
-                           _session_terms, check_well_annotated, r2c)
+                           check_well_annotated)
+
+
+def r2c(term: Term) -> Term:
+    """Insert an empty queue term beside every active restriction."""
+    if isinstance(term, PPar):
+        return PPar(tuple(r2c(p) for p in term.parts))
+    if isinstance(term, PRes):
+        return PRes(term.session, term.csm_name,
+                    PPar((r2c(term.body), RQueue(term.session, ()))))
+    return term
+
+
+def _session_terms(config: NormalConfig, replace: Optional[dict] = None,
+                   drop_queue: Optional[str] = None,
+                   drop_session: Optional[str] = None) -> tuple:
+    """Rebuild the restriction and queue terms for re-normalisation."""
+    replace = replace or {}
+    terms: list[Term] = []
+    for name, csm_name in config.sessions:
+        if name == drop_session:
+            continue
+        contents = replace.get(name)
+        if contents is None:
+            contents = config.queue_of(name) or ()
+        inner: list[Term] = []
+        if name != drop_queue:
+            inner.append(RQueue(name, contents))
+        terms.append(PRes(name, csm_name, PPar(tuple(inner))
+                          if len(inner) != 1 else inner[0]))
+    return tuple(terms)
 
 
 def free_sessions(term: Term) -> frozenset[str]:

@@ -1,7 +1,7 @@
 """The reachability walks, subset-construction steps, bounded-word loop,
-parent-chain witnesses, type-to-machine builders, binder pruners and
-choice classifiers as they stood before `amp.core` held one copy of
-each, kept as a test-only reference: verbatim but for absolute imports,
+parent-chain witnesses, type-to-machine builders and binder pruners as
+they stood before `amp.core` held one copy of each, kept as a test-only
+reference: verbatim but for absolute imports,
 for the `StateMachine` methods and `ConfigGraph.word_to`, which take
 their object as `self`, and for calls among these walkers, which go to
 the copies here.  The type builders and pruners are ported to the one
@@ -24,14 +24,11 @@ from amp.core import (Event, RECV, SEND, StateMachine, TraceFlags, TraceSet,
                       Word, expand_pairs, queue_get, queue_set)
 from amp.csm import Configuration, ExploreReport
 from amp.projection import _local_label
-from amp.psm import (DEFAULT_CONFIG_CAP, DIRECTED, MIXED, NON_DETERMINISTIC,
-                     SENDER_DRIVEN, Config, ConfigGraph, NonFifo,
+from amp.psm import (DEFAULT_CONFIG_CAP, Config, ConfigGraph, NonFifo,
                      UnboundedChannel)
-from amp.transform import (Choice, End, Rec, Regex, SessionType, Var,
-                           _check_global, first_letters)
+from amp.transform import (Choice, End, Rec, SessionType, Var,
+                           _check_global)
 
-from .semantics import (_follow_sets, _forward_levels, mark, regex_lang_upto,
-                        unmark)
 
 
 # -- amp.core ---------------------------------------------------------------
@@ -289,131 +286,6 @@ def local_to_fsm(l: SessionType) -> StateMachine:
 
     initial = visit(l)
     return StateMachine(states, initial, finals, transitions)
-
-
-def regex_choice_class(r: Regex) -> str:
-    """Classify a marked expression's branching via first/follow sets.
-
-    At every decision point (the first letters, and each letter's follow
-    set) distinct marked letters must stay distinct after unmarking; for
-    sender-driven choice the alternatives must further be sends by one
-    participant, and for directed choice share the receiver too.
-    """
-    marked = mark(r)
-    decision_points = [first_letters(marked)]
-    decision_points.extend(_follow_sets(marked).values())
-    directed = True
-    sender_driven = True
-    for letters in decision_points:
-        if len(letters) <= 1:
-            continue
-        unmarked = [unmark(a) for a in sorted(letters, key=Event.sort_key)]
-        if len(set(unmarked)) != len(unmarked):
-            return NON_DETERMINISTIC
-        if any(ev.kind == RECV for ev in unmarked) \
-                or len({ev.sender for ev in unmarked}) != 1:
-            sender_driven = directed = False
-        elif len({ev.receiver for ev in unmarked}) != 1:
-            directed = False
-    if directed:
-        return DIRECTED
-    if sender_driven:
-        return SENDER_DRIVEN
-    return MIXED
-
-
-def regex_choice_class_bounded(r: Regex, k: int) -> str:
-    """The prefix-based classification, bounded to words of length <= k.
-
-    Enumerates prefixes of the marked language and inspects which marked
-    letters can follow each prefix; agrees with the first/follow
-    characterisation on star-free-enough samples.
-    """
-    marked = mark(r)
-    words = regex_lang_upto(marked, k)
-    prefixes: dict[Word, set[Event]] = {}
-    for w in words:
-        for i in range(len(w)):
-            prefixes.setdefault(w[:i], set()).add(w[i])
-    directed = True
-    sender_driven = True
-    for nexts in prefixes.values():
-        if len(nexts) <= 1:
-            continue
-        unmarked = [unmark(a) for a in sorted(nexts, key=Event.sort_key)]
-        if len(set(unmarked)) != len(unmarked):
-            return NON_DETERMINISTIC
-        if any(ev.kind == RECV for ev in unmarked) \
-                or len({ev.sender for ev in unmarked}) != 1:
-            sender_driven = directed = False
-        elif len({ev.receiver for ev in unmarked}) != 1:
-            directed = False
-    if directed:
-        return DIRECTED
-    if sender_driven:
-        return SENDER_DRIVEN
-    return MIXED
-
-
-def _forward_edges(machine: StateMachine):
-    """Labelled transitions; epsilon transitions are the back edges."""
-    return [(s, e, d) for s, e, d in machine.transitions if e is not None]
-
-
-def psm_deriv_rooted(machine: StateMachine, new_root: str) -> StateMachine:
-    root = machine.initial
-    # Descendants of the new root along forward (labelled) edges.
-    keep = {new_root}
-    stack = [new_root]
-    forward: dict[str, list[tuple[Event, str]]] = {}
-    for s, e, d in _forward_edges(machine):
-        forward.setdefault(s, []).append((e, d))
-    while stack:
-        q = stack.pop()
-        for _, dst in forward.get(q, []):
-            if dst not in keep:
-                keep.add(dst)
-                stack.append(dst)
-
-    copies = itertools.count(1)
-    states = set(keep)
-    finals = set(machine.finals & keep)
-    transitions: list = []
-    for s, e, d in machine.transitions:
-        if s not in keep:
-            continue
-        if e is None and d == root:
-            # Back edge to the removed root: splice in a copy of the machine.
-            suffix = f"^{next(copies)}"
-            renamed = machine.rename({q: q + suffix for q in machine.states})
-            states |= renamed.states
-            finals |= renamed.finals
-            transitions.extend(renamed.transitions)
-            transitions.append((s, None, renamed.initial))
-        elif d in keep:
-            transitions.append((s, e, d))
-    if new_root == root:  # the a-edge looped straight back
-        suffix = f"^{next(copies)}"
-        renamed = machine.rename({q: q + suffix for q in machine.states})
-        return renamed
-    return StateMachine(states, new_root, finals, transitions).trim()
-
-
-def is_ancestor_recursive(machine: StateMachine) -> bool:
-    """Labelled transitions descend a level function; epsilon transitions
-    climb back to a state that can reach their source again."""
-    machine = machine.trim()
-    levels = _forward_levels(machine)
-    if levels is None:
-        return False
-    for src, ev, dst in machine.transitions:
-        if ev is not None:
-            continue
-        # dst must be an ancestor: reachable from the initial state
-        # without src, and able to reach src again.
-        if not _reaches(machine, dst, src):
-            return False
-    return True
 
 
 def _reaches(machine: StateMachine, source: str, target: str) -> bool:
