@@ -57,9 +57,11 @@ def _load_machine(path: str) -> core.StateMachine:
     return core.load_machine(text)
 
 
-def _load_bounds(path: str, channels) -> dict:
-    """The channel bounds of a JSON object mapping channels of
-    `channels`, written `p>q`, to positive counts, or MalformedInput."""
+def _load_bounds(path: str, machine: core.StateMachine) -> dict:
+    """The channel bounds of a JSON object mapping channels of `machine`,
+    written `p>q`, to positive counts, or MalformedInput.  Every channel
+    with a send whose receive does not follow at once needs a bound."""
+    channels = {ev.channel for ev in machine.alphabet()}
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise core.MalformedInput(f"malformed bounds: expected a JSON object, "
@@ -78,6 +80,14 @@ def _load_bounds(path: str, channels) -> dict:
                 f"malformed bounds: {key} has bound {json.dumps(value)}, "
                 f"not a positive count")
         bounds[channel] = value
+    needed = sorted({ev.channel for _, ev, dst in machine.transitions
+                     if ev is not None and ev.kind == core.SEND
+                     and ev.channel not in bounds
+                     and machine.immediate_receive(ev, dst) is None})
+    if needed:
+        raise core.MalformedInput(
+            "malformed bounds: the protocol needs a bound on "
+            + ", ".join(f"{p}>{q}" for p, q in needed))
     return bounds
 
 
@@ -149,8 +159,7 @@ def cmd_encode(args) -> int:
     if args.bounds == "auto":
         bounds = psm_mod.infer_channel_bounds(validated)
     else:
-        bounds = _load_bounds(args.bounds, {
-            ev.channel for ev in validated.machine.alphabet()})
+        bounds = _load_bounds(args.bounds, validated.machine)
     encoded = encoding.encode_psm(validated.machine, bounds)
     output = core.dump_machine(encoded)
     if args.output:

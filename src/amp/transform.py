@@ -48,7 +48,7 @@ class Rec:
     body: "SessionType"
 
     def __str__(self) -> str:
-        return f"rec {self.var} . {self.body}"
+        return _format(self)
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,43 @@ class Choice:
     branches: tuple  # tuple[(Event, SessionType), ...]
 
     def __str__(self) -> str:
-        parts = [f"{_action(ev)} . {cont}" for ev, cont in self.branches]
-        if len(parts) == 1:
-            return parts[0]
-        kind = self.branches[0][0].kind
-        if kind == PAIR:
-            return "( " + " + ".join(parts) + " )"
-        op = "+" if kind == SEND else "&"
-        return f"({op} " + " ".join(parts) + " )"
+        return _format(self)
 
 
 SessionType = Union[End, Var, Rec, Choice]
+
+
+def _format(term: SessionType) -> str:
+    """The text of a type: `rec X . body`, one branch as `action . cont`,
+    several as `( a . G + b . G )` in a global type and `(+ !a . L !b . L )`
+    or `(& ...)` in a local one.  An explicit stack of pending pieces, so
+    the depth of the type is not bounded by Python's recursion limit."""
+    out: list[str] = []
+    stack: list = [term]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Rec):
+            stack.append(item.body)
+            stack.append(f"rec {item.var} . ")
+        elif isinstance(item, Choice):
+            kind = item.branches[0][0].kind
+            several = len(item.branches) > 1
+            pieces: list = []
+            if several:
+                pieces.append("( " if kind == PAIR
+                              else "(+ " if kind == SEND else "(& ")
+            for i, (ev, cont) in enumerate(item.branches):
+                if i:
+                    pieces.append(" + " if kind == PAIR else " ")
+                pieces += [f"{_action(ev)} . ", cont]
+            if several:
+                pieces.append(" )")
+            stack.extend(reversed(pieces))
+        else:
+            out.append(str(item))
+    return "".join(out)
 
 
 def _action(ev: Event) -> str:
@@ -149,53 +175,105 @@ def _type_to_machine(term: SessionType, prefix: str) -> StateMachine:
 # -- regular expressions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class REmpty:
+class _Node:
+    """A regex node hashes in O(1): it computes its hash once, when it is
+    built, from its children's cached hashes.  Equality tries identity,
+    then the hashes, and only then the children, each of them again
+    identity first, with an explicit stack, so deep terms compare
+    without recursion."""
+
+    def __post_init__(self) -> None:
+        key = tuple(getattr(self, name) for name in self.__match_args__)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash((type(self), key)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for x, y in zip(a._key, b._key):
+                if isinstance(x, _Node):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class REmpty(_Node):
     def __str__(self) -> str:
         return "∅"
 
 
-@dataclass(frozen=True)
-class REps:
+@dataclass(frozen=True, eq=False)
+class REps(_Node):
     def __str__(self) -> str:
         return "ε"
 
 
-@dataclass(frozen=True)
-class RLetter:
+@dataclass(frozen=True, eq=False)
+class RLetter(_Node):
     event: Event
 
     def __str__(self) -> str:
         return str(self.event)
 
 
-@dataclass(frozen=True)
-class RAlt:
+@dataclass(frozen=True, eq=False)
+class RAlt(_Node):
     left: "Regex"
     right: "Regex"
 
     def __str__(self) -> str:
-        return f"({self.left} + {self.right})"
+        return _regex_text(self)
 
 
-@dataclass(frozen=True)
-class RCat:
+@dataclass(frozen=True, eq=False)
+class RCat(_Node):
     left: "Regex"
     right: "Regex"
 
     def __str__(self) -> str:
-        return f"{self.left}·{self.right}"
+        return _regex_text(self)
 
 
-@dataclass(frozen=True)
-class RStar:
+@dataclass(frozen=True, eq=False)
+class RStar(_Node):
     inner: "Regex"
 
     def __str__(self) -> str:
-        return f"({self.inner})*"
+        return _regex_text(self)
 
 
 Regex = Union[REmpty, REps, RLetter, RAlt, RCat, RStar]
+
+
+def _regex_text(r: Regex) -> str:
+    """The text of an expression: `(a + b)`, `a·b`, `(a)*`.  An explicit
+    stack of pending pieces, so deep expressions print without
+    recursion (`canon` orders alternatives by their text)."""
+    out: list[str] = []
+    stack: list = [r]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, RAlt):
+            stack += (")", item.right, " + ", item.left, "(")
+        elif isinstance(item, RCat):
+            stack += (item.right, "·", item.left)
+        elif isinstance(item, RStar):
+            stack += (")*", item.inner, "(")
+        else:
+            out.append(str(item))
+    return "".join(out)
 
 
 def ralt(a: Regex, b: Regex) -> Regex:
@@ -296,7 +374,9 @@ def psm_to_regex(machine: StateMachine) -> Regex:
 
     Each state's language is a guarded sum over its transitions (final
     sinks contribute ε); states are eliminated deepest-first, applying
-    the swapped rule r = s + t·r  =>  r = t*·s at self-references.
+    the swapped rule r = s + t·r  =>  r = t*·s at self-references, and
+    substituting each solution only into the equations that mention the
+    eliminated state.
     """
     machine = machine.trim()
     if not machine.is_sink_final():
@@ -320,13 +400,19 @@ def psm_to_regex(machine: StateMachine) -> Regex:
             coeff: Regex = REps() if ev is None else RLetter(ev)
             terms.append((coeff, dst))
         equations[q] = terms
+    # users[q]: the states whose equations mention q; a state eliminated
+    # since then stays listed, and _substitute skips it
+    users: dict[str, dict[str, None]] = {q: {} for q in equations}
+    for state, terms in equations.items():
+        for _, dst in terms:
+            if dst is not None:
+                users[dst][state] = None
 
-    order = _elimination_order(machine)
-    for q in order:
+    for q in _elimination_order(machine):
         if q == machine.initial:
             continue
         _solve_state(equations, q)
-        _substitute(equations, q)
+        _substitute(equations, users, q)
     _solve_state(equations, machine.initial)
     constants = [c for c, dst in equations[machine.initial] if dst is None]
     if any(dst is not None for _, dst in equations[machine.initial]):
@@ -360,10 +446,14 @@ def _solve_state(equations: dict, q: str) -> None:
     equations[q] = others
 
 
-def _substitute(equations: dict, q: str) -> None:
-    solved = equations[q]
-    for state, terms in equations.items():
-        if state == q:
+def _substitute(equations: dict, users: dict, q: str) -> None:
+    """Replace q by its solved equation wherever it is mentioned, keeping
+    each equation's term order, and drop q's equation: no state
+    mentions q any more."""
+    solved = equations.pop(q)
+    for state in users.pop(q):
+        terms = equations.get(state)
+        if terms is None:  # q itself, or a state eliminated before q
             continue
         new_terms = []
         for coeff, dst in terms:
@@ -372,6 +462,9 @@ def _substitute(equations: dict, q: str) -> None:
             else:
                 new_terms.append((coeff, dst))
         equations[state] = new_terms
+        for _, dst in solved:
+            if dst is not None:
+                users[dst][state] = None
 
 
 # -- derivatives ---------------------------------------------------------------
@@ -406,51 +499,60 @@ def brz_deriv(a: Event, r: Regex) -> Optional[Regex]:
     return None
 
 
-def canon(r: Regex) -> Regex:
+def canon(r: Regex, memo: dict) -> Regex:
     """Normalise modulo associativity, commutativity, and idempotence of
     union, and associativity of concatenation.
 
     Derivatives of an expression are finite modulo exactly these laws,
     so canonical forms let the machine construction detect its loops.
+    `memo` remembers the canonical form of every term met, for as long
+    as the caller keeps it (`{}` for one term).  Every right suffix of a
+    concatenation built from parts that are their own canonical forms
+    is its own canonical form too, so it is remembered as such: the
+    derivative of a long concatenation is such a suffix, and looking it
+    up takes one hash.
     """
+    known = memo.get(r)
+    if known is not None:
+        return known
     if isinstance(r, RAlt):
-        members: list[Regex] = []
-
-        def collect(term: Regex) -> None:
+        members: dict[Regex, None] = {}  # an ordered set
+        stack = [r.right, r.left]
+        while stack:
+            term = stack.pop()
             if isinstance(term, RAlt):
-                collect(term.left)
-                collect(term.right)
+                stack += (term.right, term.left)
             else:
-                term = canon(term)
-                if not isinstance(term, REmpty) and term not in members:
-                    members.append(term)
-
-        collect(r.left)
-        collect(r.right)
-        members.sort(key=str)
-        return rsum(members)
-    if isinstance(r, RCat):
+                term = canon(term, memo)
+                if not isinstance(term, REmpty):
+                    members.setdefault(term, None)
+        result = rsum(sorted(members, key=str))
+    elif isinstance(r, RCat):
         parts: list[Regex] = []
-
-        def walk(term: Regex) -> None:
+        stack = [r.right, r.left]
+        while stack:
+            term = stack.pop()
             if isinstance(term, RCat):
-                walk(term.left)
-                walk(term.right)
+                stack += (term.right, term.left)
             else:
-                parts.append(canon(term))
-
-        walk(r.left)
-        walk(r.right)
-        result: Regex = REps()
+                parts.append(canon(term, memo))
+        result = REps()
+        fixed = True  # whether `result` is its own canonical form
         for part in reversed(parts):
+            fixed = (fixed and not isinstance(part, RCat)
+                     and canon(part, memo) == part)
             result = rcat(part, result)
-        return result
-    if isinstance(r, RStar):
-        inner = canon(r.inner)
+            if fixed:
+                memo.setdefault(result, result)
+    elif isinstance(r, RStar):
+        inner = canon(r.inner, memo)
         if isinstance(inner, RStar):
             inner = inner.inner
-        return rstar(inner)
-    return r
+        result = rstar(inner)
+    else:
+        result = r
+    memo[r] = result
+    return result
 
 
 def remove_eps(r: Regex) -> Regex:
@@ -482,6 +584,7 @@ def regex_to_psm(r: Regex) -> StateMachine:
     """
     if regex_contains_eps(r):
         raise ValueError("regex_to_psm requires an ε-free expression")
+    memo: dict = {}  # canonical forms, for this call only
     counter = itertools.count(0)
     states: list[str] = []
     finals: set[str] = set()
@@ -511,20 +614,20 @@ def regex_to_psm(r: Regex) -> StateMachine:
         for a in sorted(first_letters(term), key=Event.sort_key):
             derived = brz_deriv(a, term)
             assert derived is not None
-            derived = canon(derived)
+            derived = canon(derived, memo)
             if derived in ancestors:
                 attach(sid, a, derived)
             elif nullable(derived) and first_letters(derived):
                 stop = fresh()
                 finals.add(stop)
                 transitions.append((sid, a, stop))
-                attach(sid, a, canon(remove_eps(derived)))
+                attach(sid, a, canon(remove_eps(derived), memo))
             else:
                 attach(sid, a, derived)
         del ancestors[term]
         return sid
 
-    root = expand(canon(r))
+    root = expand(canon(r, memo))
     return StateMachine(states, root, finals, transitions)
 
 
@@ -574,31 +677,33 @@ def _read_tree(tree: StateMachine, check) -> SessionType:
     epsilon edges bind a recursion variable, pruned again if unused.
     """
     var_names = _recursion_vars(tree)
+    path: set[str] = set()  # the states on the current path
 
-    def traverse(q: str, seen: frozenset) -> SessionType:
+    def traverse(q: str) -> SessionType:
         if q in tree.finals:
             return End()
-        seen = seen | {q}
+        path.add(q)
         outs = tree.out(q)
         if len(outs) == 1 and outs[0][0] is None:
             dst = outs[0][1]
-            body: SessionType = (Var(var_names[dst]) if dst in seen
-                                 else traverse(dst, seen))
+            body: SessionType = (Var(var_names[dst]) if dst in path
+                                 else traverse(dst))
         else:
             branches = []
             for ev, dst in outs:
                 if ev is None:
                     raise ValueError("epsilon edge on a branching state")
-                branches.append((ev, traverse(dst, seen)))
+                branches.append((ev, traverse(dst)))
             if not branches:
                 raise ValueError(f"non-final sink state {q!r}")
             check(q, [ev for ev, _ in branches])
             body = Choice(tuple(branches))
+        path.discard(q)
         if q in var_names:
             return Rec(var_names[q], body)
         return body
 
-    return _prune_unused_recs(traverse(tree.initial, frozenset()))
+    return _prune_unused_recs(traverse(tree.initial))
 
 
 def tree_of(machine: StateMachine) -> StateMachine:

@@ -3,9 +3,12 @@ checker's harness over the programs in `tests/programs`, in one process
 and print one `command / exit / digest` line per command.
 
 The digest covers stdout, stderr and any file written through `-o`
-(which goes to a temporary directory, never into the repository).  Two
-runs of the same code must print the same lines, whatever the hash
-seed:
+(which goes to a temporary directory, never into the repository).
+`to-global` and `to-local` also run on three generated inputs, written
+into the same temporary directory and printed as `GEN/<name>`: a
+60-message chain machine, a looping branchy global type and a
+40-message global type.  Two runs of the same code must print the same
+lines, whatever the hash seed:
 
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/cli_sweep.py > a.txt
     PYTHONHASHSEED=2 PYTHONPATH=src python tests/cli_sweep.py > b.txt
@@ -20,6 +23,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
+import json
 import os
 import sys
 import tempfile
@@ -30,6 +35,51 @@ from amp import cli
 ROOT = Path(__file__).resolve().parent.parent
 PROTOCOLS = Path("protocols")
 OUTPUT = "OUT"  # stands for the temporary -o file in printed commands
+GENERATED = "GEN"  # stands for the temporary directory of generated inputs
+RING = ("p", "q", "r")
+
+
+def _chain_machine(n: int) -> str:
+    """n messages p->q, q->r, r->p, ..., each send followed at once by
+    its receive, as a protocol-machine file."""
+    states, transitions = ["s0"], []
+    for i in range(n):
+        sender, receiver = RING[i % 3], RING[(i + 1) % 3]
+        for kind, src, dst in (("send", f"s{i}", f"s{i}m"),
+                               ("recv", f"s{i}m", f"s{i + 1}")):
+            states.append(dst)
+            transitions.append({"from": src, "to": dst, "event": {
+                "kind": kind, "sender": sender, "receiver": receiver,
+                "label": f"m{i % 3}", "payload": None}})
+    return json.dumps({"states": states, "initial": "s0",
+                       "finals": [f"s{n}"], "transitions": transitions})
+
+
+def _chain_type(n: int) -> str:
+    return " . ".join(f"{RING[i % 3]}->{RING[(i + 1) % 3]}:m{i % 3}"
+                      for i in range(n)) + " . 0"
+
+
+def _branchy_loop(depth: int, chooser: int, leaves) -> str:
+    """A binary choice tree of the given depth: each chooser tells the
+    next participant, who tells the third, who chooses next.  Its leaves
+    are taken from `leaves`."""
+    if depth == 0:
+        return next(leaves)
+    a, b, c = (RING[(chooser + i) % 3] for i in range(3))
+    branches = [f"{a}->{b}:{tag}{depth} . {b}->{c}:{tag}{depth} . "
+                + _branchy_loop(depth - 1, (chooser + 2) % 3, leaves)
+                for tag in ("l", "r")]
+    return "( " + " + ".join(branches) + " )"
+
+
+GENERATED_INPUTS = {
+    "chain60.psm.json": _chain_machine(60),
+    # leaves alternate between ending and looping back to the top
+    "branchy_loop.gt": "rec X . " + _branchy_loop(
+        3, 0, itertools.cycle(("0", "X"))),
+    "global40.gt": _chain_type(40),
+}
 
 
 def corpus(pattern: str, directory: Path = PROTOCOLS) -> list[str]:
@@ -74,26 +124,35 @@ def commands() -> list[list[str]]:
                 "-K", "6"])
     out.append(["validate", "protocols/no_such_file.gt"])
     out.append(["no-such-subcommand"])
+    for name in GENERATED_INPUTS:
+        path = f"{GENERATED}/{name}"
+        out.append(["to-global", path])
+        for participant in RING:
+            out.append(["to-local", path, "--participant", participant])
     return out
 
 
 def run(argv: list[str], tmp_dir: Path) -> tuple[int, str]:
     target = tmp_dir / "out"
     target.unlink(missing_ok=True)
-    argv = [str(target) if a == OUTPUT else a for a in argv]
+    argv = [str(target) if a == OUTPUT
+            else str(tmp_dir) + a[len(GENERATED):]
+            if a.startswith(GENERATED + "/") else a for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
     written = target.read_text() if target.exists() else ""
     text = "\0".join((stdout.getvalue(), stderr.getvalue(), written))
-    digest = hashlib.sha256(
-        text.replace(str(target), OUTPUT).encode()).hexdigest()
+    text = text.replace(str(target), OUTPUT).replace(str(tmp_dir), GENERATED)
+    digest = hashlib.sha256(text.encode()).hexdigest()
     return code, digest[:16]
 
 
 def main() -> int:
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in GENERATED_INPUTS.items():
+            (Path(tmp) / name).write_text(text + "\n")
         for argv in commands():
             code, digest = run(argv, Path(tmp))
             print(f"amp {' '.join(argv)} / {code} / {digest}")

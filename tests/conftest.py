@@ -327,3 +327,15 @@ def epsilon_chain(n: int) -> StateMachine:
     transitions.append((states[n - 1], send("p", "q", "m"), f"s{n}~"))
     transitions.append((f"s{n}~", recv("p", "q", "m"), states[n]))
     return StateMachine(states + [f"s{n}~"], "s0", {states[n]}, transitions)
+
+
+def paired_chain(n: int) -> StateMachine:
+    """n exchanges in a row, rotating p->q, q->r, r->p: the shape of
+    what `to-global` reads a type off for a chain protocol, once each
+    send is merged with its receive."""
+    ring = ("p", "q", "r")
+    states = [f"c{i}" for i in range(n + 1)]
+    return StateMachine(
+        states, states[0], {states[-1]},
+        [(states[i], pair(ring[i % 3], ring[(i + 1) % 3], f"m{i % 3}"),
+          states[i + 1]) for i in range(n)])

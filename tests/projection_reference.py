@@ -3,7 +3,8 @@
 refinement, channel bounds were read off the configuration graph, the
 cycle search was confined to strongly connected components and the
 derivative expansion found its ancestors through a dict.  Kept as a
-test-only reference, verbatim but for absolute imports.
+test-only reference, verbatim but for absolute imports and the memo
+that the library's `canon` takes, here a fresh one per call.
 
 These are the Moore refinement with one round per state on a chain, the
 recursive simple-path and simple-cycle searches, which are exponential
@@ -177,17 +178,17 @@ def regex_to_psm(r: Regex) -> StateMachine:
         for a in sorted(first_letters(term), key=Event.sort_key):
             derived = brz_deriv(a, term)
             assert derived is not None
-            derived = canon(derived)
+            derived = canon(derived, {})
             if derived in [anc_term for anc_term, _ in here]:
                 attach(sid, a, derived, here)
             elif nullable(derived) and first_letters(derived):
                 stop = fresh()
                 finals.add(stop)
                 transitions.append((sid, a, stop))
-                attach(sid, a, canon(remove_eps(derived)), here)
+                attach(sid, a, canon(remove_eps(derived), {}), here)
             else:
                 attach(sid, a, derived, here)
         return sid
 
-    root = expand(canon(r), ())
+    root = expand(canon(r, {}), ())
     return StateMachine(states, root, finals, transitions)

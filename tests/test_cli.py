@@ -145,8 +145,9 @@ def test_encode_with_bounds_file(tmp_path, capsys):
     {"e>o": True, "o>e": 1},
     {"e>o": 0, "o>e": 1},
     {"x>y": 3, "e>o": 1, "o>e": 1},
+    {"e>o": 1},
 ], ids=["string", "list", "no-arrow", "float", "negative", "bool", "zero",
-        "unused-channel"])
+        "unused-channel", "missing-channel"])
 def test_encode_rejects_a_malformed_bounds_file(tmp_path, capsys, bounds):
     bounds_file = tmp_path / "bounds.json"
     bounds_file.write_text(json.dumps(bounds))
@@ -192,6 +193,32 @@ def test_to_global_and_back(tmp_path, capsys):
     original = load_machine(
         (PROTOCOLS / "three_party_choice.psm.json").read_text())
     assert languages_equal_upto(back, original, 8)
+
+
+@pytest.mark.parametrize("n", [300, 400])
+def test_to_global_reads_a_long_chain_back(tmp_path, capsys, n):
+    """The type printer and the tree workflow go past Python's recursion
+    limit: `to-global` prints the type the chain was written from."""
+    import random
+    from perfbench import generators as gen
+    messages = gen.chain_messages(n, random.Random(n))
+    source = tmp_path / f"chain{n}.psm.json"
+    source.write_text(gen.dump(gen.linear_psm(messages)))
+    code, out = run(capsys, "to-global", str(source))
+    assert (code, out) == (0, gen.global_text(messages) + "\n")
+
+
+def test_to_global_reads_a_choice_with_a_long_branch_back(tmp_path,
+                                                          capsys):
+    """The regex printer, which orders alternatives, goes past Python's
+    recursion limit too."""
+    chain = " . ".join(f"{s}->{r}:m" for s, r in [("p", "q"), ("q", "p")]
+                       * 200)
+    text = f"( p->q:go . {chain} . 0 + p->q:stop . 0 )"
+    source = tmp_path / "branch.gt"
+    source.write_text(text + "\n")
+    code, out = run(capsys, "to-global", str(source))
+    assert (code, out) == (0, text + "\n")
 
 
 def test_to_local(capsys):
@@ -358,11 +385,11 @@ def test_long_epsilon_chain_is_analysed(tmp_path, capsys):
 
 def test_recursion_limit_is_a_resource_cap(tmp_path, capsys):
     from amp.core import StateMachine, pair
-    states = [f"s{i}" for i in range(401)]
+    states = [f"s{i}" for i in range(1001)]
     chain = StateMachine(
-        states, "s0", {"s400"},
+        states, "s0", {"s1000"},
         [(states[i], pair("p", "q", f"l{i}") if i % 2 == 0
-          else pair("q", "p", f"l{i}"), states[i + 1]) for i in range(400)])
+          else pair("q", "p", f"l{i}"), states[i + 1]) for i in range(1000)])
     code = main(["to-global", _write_machine(tmp_path / "chain.psm.json",
                                              chain)])
     err = capsys.readouterr().err

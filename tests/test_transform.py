@@ -13,7 +13,7 @@ from amp.transform import (Choice, End, MixedChoiceState, RAlt, RCat, REps,
                            first_letters, fsm_to_local_type, global_to_psm,
                            local_to_fsm, make_sink_final, nullable,
                            parse_global_type, psm_to_global_type, psm_to_regex,
-                           rcat, regex_to_psm)
+                           rcat, regex_to_psm, tree_of)
 
 from .conftest import three_party_machine
 from .goldengen import THREE_PARTY_GT
@@ -356,6 +356,26 @@ def test_workflow_preserves_language_and_choice(rng):
         again = global_to_psm(g)
         assert languages_equal_upto(machine, again, 8)
         assert classify_choice(again).kind == classify_choice(machine).kind
+
+
+def test_tree_of_builds_linearly_many_nodes_on_chains(monkeypatch):
+    """A timing-free guard on the tree workflow's growth: doubling a
+    chain at most about doubles the compound regex nodes `tree_of`
+    builds (a quadratic workflow quadruples them)."""
+    import amp.transform as transform
+    from .conftest import paired_chain
+    built = [0]
+    for cls in (transform.RAlt, transform.RCat, transform.RStar):
+        def counting(self, *args, _init=cls.__init__):
+            built[0] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    counts = []
+    for n in (100, 200):
+        built[0] = 0
+        tree_of(paired_chain(n))
+        counts.append(built[0])
+    assert counts[0] > 0 and counts[1] <= 2.3 * counts[0], counts
 
 
 def test_non_sink_final_route_through_finalisation():
