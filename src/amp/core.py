@@ -300,7 +300,7 @@ class StateMachine:
 #
 # A graph is given as (nodes, out): `out(v)` returns the (label,
 # successor) pairs leaving node v, as `StateMachine.out`,
-# `psm.ConfigGraph.edges` and `csm.ExploreReport.edges` do.  A None
+# `psm.ConfigGraph.edges.get` and `csm.ExploreReport.out` do.  A None
 # label is an epsilon edge.
 
 
@@ -653,15 +653,20 @@ def load_machine(text: str) -> StateMachine:
     return machine_from_json(json.loads(text))
 
 
+def _dot_quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def machine_to_dot(m: StateMachine, name: str = "machine") -> str:
-    lines = [f"digraph \"{name}\" {{", "  rankdir=LR;",
+    lines = [f"digraph {_dot_quoted(name)} {{", "  rankdir=LR;",
              "  __start [shape=point];"]
     for q in sorted(m.states):
         shape = "doublecircle" if q in m.finals else "circle"
-        lines.append(f"  \"{q}\" [shape={shape}];")
-    lines.append(f"  __start -> \"{m.initial}\";")
+        lines.append(f"  {_dot_quoted(q)} [shape={shape}];")
+    lines.append(f"  __start -> {_dot_quoted(m.initial)};")
     for src, ev, dst in m.transitions:
         label = "ε" if ev is None else str(ev)
-        lines.append(f"  \"{src}\" -> \"{dst}\" [label=\"{label}\"];")
+        lines.append(f"  {_dot_quoted(src)} -> {_dot_quoted(dst)} "
+                     f"[label={_dot_quoted(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

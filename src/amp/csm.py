@@ -15,8 +15,8 @@ from operator import getitem
 from typing import Optional
 
 from .core import (Event, MalformedInput, PAIR, RECV, SEND, StateMachine,
-                   Word, bounded_traces, machine_from_json, machine_to_json,
-                   queue_get, reachable)
+                   Word, _dot_quoted, bounded_traces, machine_from_json,
+                   machine_to_json, queue_get, reachable)
 from .fifo import format_word, project
 from .psm import Psm
 
@@ -185,7 +185,7 @@ class _Kernel:
 
     __slots__ = ("participants", "ids", "pairs", "channel_index", "queues",
                  "queue_shifts", "queue_mask", "events", "bits", "full",
-                 "fields", "parts", "eps", "final", "final_sink", "initial")
+                 "fields", "parts", "final", "final_sink", "initial")
 
     def __init__(self, components: dict[str, StateMachine]):
         self.participants = tuple(components)
@@ -214,7 +214,7 @@ class _Kernel:
             shift -= width
             fields.append((shift, (1 << width) - 1))
         self.fields = tuple(fields)
-        parts, eps, final, final_sink = [], [], [], []
+        parts, final, final_sink = [], [], []
         for ids, qs, m, (shift, mask) in zip(self.ids, names,
                                              components.values(), fields):
             tables = []
@@ -235,13 +235,10 @@ class _Kernel:
                                   msg))
                 tables.append(tuple(table))
             parts.append((shift, mask, tuple(tables)))
-            eps.append(tuple(tuple((ids[dst] - s) << shift
-                                   for ev, dst in m.out(q) if ev is None)
-                             for s, q in enumerate(qs)))
             final.append(tuple(q in m.finals for q in qs))
             final_sink.append(tuple(q in m.finals and m.is_sink(q)
                                     for q in qs))
-        self.parts, self.eps = tuple(parts), tuple(eps)
+        self.parts = tuple(parts)
         self.final, self.final_sink = tuple(final), tuple(final_sink)
         self.initial = self.pack(
             ids[m.initial] for ids, m in zip(self.ids, components.values()))
@@ -310,11 +307,6 @@ class _Kernel:
                 found.append(config + delta + ((r - q) << at))
         return found, capped
 
-    def eps_moves(self, config: int) -> list:
-        return [config + delta
-                for (shift, mask), eps in zip(self.fields, self.eps)
-                for delta in eps[(config >> shift) & mask]]
-
     def is_final(self, config: int) -> bool:
         return not config & self.queue_mask and \
             all(map(getitem, self.final, self.states(config)))
@@ -352,27 +344,25 @@ class ExploreReport:
     breadth-first order: the admitted ones are 0 to len(report) - 1,
     and successors the config cap dropped follow them.
 
-    Configuration i is the packed int `_packed[i]`.  Its successors, in
-    `step` order, are `_targets[_offsets[i]:_offsets[i + 1]]`, reached
-    by the events at the same positions of `_labels` (one compressed
-    sparse row list, which `out` reads), and it was first reached from
-    `_parents[i]` by `_via[i]`.  `deadlocks`, `soft_deadlocks` and
-    `finals` are lists of public `Configuration`s; `configs`, `edges`
-    and `parent` are built from the arrays when first read.
+    The report keeps only the breadth-first tree: configuration i is
+    the packed int `_packed[i]`, `_index` numbers them, and i was first
+    reached from `_parents[i]` by `_via[i]`.  `out` steps a
+    configuration again on the kernel, under the queue cap `_cap` it
+    was explored with, rather than storing its moves.  `deadlocks`,
+    `soft_deadlocks` and `finals` are lists of public `Configuration`s;
+    `configs`, `edges` and `parent` are built when first read.
     """
 
     __slots__ = ("deadlocks", "soft_deadlocks", "finals", "truncated",
-                 "_kernel", "_packed", "_index", "_size", "_parents", "_via",
-                 "_offsets", "_targets", "_labels", "_public", "_configs",
-                 "_edges", "_parent")
+                 "_kernel", "_cap", "_packed", "_index", "_size", "_parents",
+                 "_via", "_public", "_configs", "_edges", "_parent")
 
-    def __init__(self, kernel: _Kernel, packed: list, index: dict, size: int,
-                 parents: list, via: list, offsets: list, targets: list,
-                 labels: list, deadlocks: list, soft_deadlocks: list,
-                 finals: list, truncated: bool):
-        self._kernel, self._packed, self._index = kernel, packed, index
-        self._size, self._parents, self._via = size, parents, via
-        self._offsets, self._targets, self._labels = offsets, targets, labels
+    def __init__(self, kernel: _Kernel, cap: int, packed: list, index: dict,
+                 size: int, parents: list, via: list, deadlocks: list,
+                 soft_deadlocks: list, finals: list, truncated: bool):
+        self._kernel, self._cap, self._packed = kernel, cap, packed
+        self._index, self._size = index, size
+        self._parents, self._via = parents, via
         self._public: dict = {}
         self._configs = self._edges = self._parent = None
         self.deadlocks = [self._config(i) for i in deadlocks]
@@ -393,8 +383,13 @@ class ExploreReport:
     def out(self, i: int) -> list:
         """The (event, index) moves of configuration i, in `step` order;
         an index of len(report) or more is beyond the config cap."""
-        start, end = self._offsets[i], self._offsets[i + 1]
-        return list(zip(self._labels[start:end], self._targets[start:end]))
+        if not 0 <= i < self._size:
+            raise IndexError(f"configuration {i} was not admitted")
+        kernel = self._kernel
+        moves, _ = kernel.moves(self._packed[i], self._cap)
+        moves.sort()
+        return [(kernel.event(move), self._index[move & kernel.full])
+                for move in moves]
 
     @property
     def configs(self) -> list:
@@ -445,12 +440,11 @@ def explore(csm: Csm, *, queue_cap: int = 8,
     Configurations are visited, and successors listed, in `step` order.
     """
     kernel = _compiled(csm)
-    events, bits, full = kernel.events, kernel.bits, kernel.full
+    full = kernel.full
     admit = max(config_cap, 1)  # the initial configuration whatever the cap
     packed = [kernel.initial]
     index = {kernel.initial: 0}
     parents, via = [-1], [None]
-    offsets, targets, labels = [0], [], []
     deadlocks, soft_deadlocks, finals = [], [], []
     truncated = False
     for i, config in enumerate(packed):
@@ -461,19 +455,14 @@ def explore(csm: Csm, *, queue_cap: int = 8,
         moves.sort()
         for move in moves:
             succ = move & full
-            ev = events[move >> bits]
-            j = index.get(succ)
-            if j is None:
+            if succ not in index:
                 j = index[succ] = len(packed)
                 packed.append(succ)
                 if j < admit:
                     parents.append(i)
-                    via.append(ev)
+                    via.append(kernel.event(move))
                 else:
                     truncated = True
-            targets.append(j)
-            labels.append(ev)
-        offsets.append(len(targets))
         final = kernel.is_final(config)
         if not moves and not capped:
             (finals if final else deadlocks).append(i)
@@ -481,8 +470,8 @@ def explore(csm: Csm, *, queue_cap: int = 8,
                 soft_deadlocks.append(i)
         elif final:
             finals.append(i)
-    return ExploreReport(kernel, packed, index, min(len(packed), admit),
-                         parents, via, offsets, targets, labels, deadlocks,
+    return ExploreReport(kernel, queue_cap, packed, index,
+                         min(len(packed), admit), parents, via, deadlocks,
                          soft_deadlocks, finals, truncated)
 
 
@@ -508,8 +497,10 @@ def csm_language_upto(csm: Csm, k: int, *,
 
 
 def _eps_reach(kernel: _Kernel, configs) -> frozenset:
-    """The packed configurations reachable by epsilon moves alone."""
-    return frozenset(reachable(configs, kernel.eps_moves))
+    """The packed configurations reachable by epsilon moves, of rank 0,
+    alone; a queue cap of 0 keeps `moves` from building any send."""
+    return frozenset(reachable(configs, lambda config: [
+        move for move in kernel.moves(config, 0)[0] if move <= kernel.full]))
 
 
 @dataclass(frozen=True)
@@ -837,18 +828,20 @@ def load_csm(text: str) -> Csm:
 
 
 def csm_to_dot(csm: Csm, name: str = "csm") -> str:
-    lines = [f"digraph \"{name}\" {{", "  rankdir=LR;"]
+    lines = [f"digraph {_dot_quoted(name)} {{", "  rankdir=LR;"]
     for p, m in csm.components.items():
-        lines.append(f"  subgraph \"cluster_{p}\" {{")
-        lines.append(f"    label=\"{p}\";")
-        lines.append(f"    \"{p}__start\" [shape=point];")
+        start = _dot_quoted(f"{p}__start")
+        node = {q: _dot_quoted(f"{p}:{q}") for q in m.states}
+        lines.append(f"  subgraph {_dot_quoted(f'cluster_{p}')} {{")
+        lines.append(f"    label={_dot_quoted(p)};")
+        lines.append(f"    {start} [shape=point];")
         for q in sorted(m.states):
             shape = "doublecircle" if q in m.finals else "circle"
-            lines.append(f"    \"{p}:{q}\" [label=\"{q}\", shape={shape}];")
-        lines.append(f"    \"{p}__start\" -> \"{p}:{m.initial}\";")
+            lines.append(f"    {node[q]} [label={_dot_quoted(q)}, shape={shape}];")
+        lines.append(f"    {start} -> {node[m.initial]};")
         for src, ev, dst in m.transitions:
             label = "ε" if ev is None else str(ev)
-            lines.append(f"    \"{p}:{src}\" -> \"{p}:{dst}\" [label=\"{label}\"];")
+            lines.append(f"    {node[src]} -> {node[dst]} [label={_dot_quoted(label)}];")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -238,6 +238,7 @@ def is_amicable(components: dict[str, StateMachine], bounds: dict,
     sequence to be accepted by the forwarder's alternation.
     """
     from .core import maximal_traces_upto
+    words: dict = {}  # sender -> its bounded traces, all channel-ordered
     for name, machine in components.items():
         cp = parse_channel_participant(name)
         if cp is None:
@@ -247,9 +248,12 @@ def is_amicable(components: dict[str, StateMachine], bounds: dict,
         sender_machine = components.get(cp.source)
         if sender_machine is None:
             continue
-        for word in maximal_traces_upto(sender_machine, k):
-            if not is_channel_ordered(word, bounds):
+        traces = words.get(cp.source)
+        if traces is None:
+            traces = words[cp.source] = maximal_traces_upto(sender_machine, k)
+            if not all(is_channel_ordered(word, bounds) for word in traces):
                 return False
+        for word in traces:
             msgs = [ev.message() for ev in word
                     if ev.kind == SEND and ev.receiver == name]
             run = []

@@ -21,7 +21,7 @@ import re
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .core import StateRef
+from .core import StateRef, reachable
 from .csm import Csm, csm_from_json
 from .typecheck import (Definition, Endpoint, PCall, PEnd, PPar, PRecv, PRes,
                         PSend, Program, RecvBranch, SendBranch, Term,
@@ -248,19 +248,13 @@ def _parse_value(stream: _Stream):
 def _check_delegation_order(program: Program) -> None:
     """Payload states must come from a machine strictly below the owner
     in the declared delegation order."""
-    below: dict[str, set[str]] = {name: set() for name in program.csms}
+    declared: dict[str, list[str]] = {}
     for smaller, larger in program.order:
-        if larger in below:
-            below[larger].add(smaller)
-    changed = True
-    while changed:
-        changed = False
-        for name, smaller in below.items():
-            for other in list(smaller):
-                extra = below.get(other, set()) - smaller
-                if extra:
-                    smaller |= extra
-                    changed = True
+        if larger in program.csms:
+            declared.setdefault(larger, []).append(smaller)
+    below = {name: reachable(declared.get(name, ()),
+                             lambda other: declared.get(other, ()))
+             for name in program.csms}
     owner_of_state: dict[str, str] = {}
     for name, csm in program.csms.items():
         for machine in csm.components.values():

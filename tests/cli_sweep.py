@@ -7,8 +7,10 @@ The digest covers stdout, stderr and any file written through `-o`
 `to-global` and `to-local` also run on three generated inputs, written
 into the same temporary directory and printed as `GEN/<name>`: a
 60-message chain machine, a looping branchy global type and a
-40-message global type.  Two runs of the same code must print the same
-lines, whatever the hash seed:
+40-message global type.  `check-csm`, `simulate` and `dot` also run on
+a generated two-participant CSM with epsilon transitions whose initial
+configuration is final yet can still move.  Two runs of the same code
+must print the same lines, whatever the hash seed:
 
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/cli_sweep.py > a.txt
     PYTHONHASHSEED=2 PYTHONPATH=src python tests/cli_sweep.py > b.txt
@@ -73,12 +75,33 @@ def _branchy_loop(depth: int, chooser: int, leaves) -> str:
     return "( " + " + ".join(branches) + " )"
 
 
+def _eps_csm() -> str:
+    """p and q loop through epsilon steps: p sends a, then any number of
+    b, and q receives them; every state is final except p1."""
+    def step(src, dst, kind=None, label=None):
+        event = {"kind": kind, "sender": "p", "receiver": "q",
+                 "label": label, "payload": None} if kind else {"kind": "eps"}
+        return {"from": src, "to": dst, "event": event}
+
+    return json.dumps({
+        "p": {"states": ["p0", "p1", "p2"], "initial": "p0",
+              "finals": ["p0", "p2"],
+              "transitions": [step("p0", "p1"), step("p1", "p2", "send", "a"),
+                              step("p2", "p2", "send", "b"),
+                              step("p2", "p0")]},
+        "q": {"states": ["q0", "q1"], "initial": "q0", "finals": ["q0", "q1"],
+              "transitions": [step("q0", "q1", "recv", "a"),
+                              step("q1", "q1", "recv", "b"),
+                              step("q1", "q0")]}})
+
+
 GENERATED_INPUTS = {
     "chain60.psm.json": _chain_machine(60),
     # leaves alternate between ending and looping back to the top
     "branchy_loop.gt": "rec X . " + _branchy_loop(
         3, 0, itertools.cycle(("0", "X"))),
     "global40.gt": _chain_type(40),
+    "eps.csm.json": _eps_csm(),
 }
 
 
@@ -126,6 +149,15 @@ def commands() -> list[list[str]]:
     out.append(["no-such-subcommand"])
     for name in GENERATED_INPUTS:
         path = f"{GENERATED}/{name}"
+        if name.endswith(".csm.json"):
+            out.append(["check-csm", path])
+            out.append(["check-csm", path, "--json"])
+            out.append(["check-csm", path, "--queue-cap", "1", "--json"])
+            out.append(["check-csm", path, "--against",
+                        "protocols/three_party_choice.gt", "-K", "4"])
+            out.append(["simulate", path, "--seed", "1"])
+            out.append(["dot", path])
+            continue
         out.append(["to-global", path])
         for participant in RING:
             out.append(["to-local", path, "--participant", participant])

@@ -145,3 +145,17 @@ def test_eps_closure_idempotent_and_monotone():
 def test_dot_export_mentions_states():
     dot = machine_to_dot(three_party_machine())
     assert "digraph" in dot and "t0" in dot and "->" in dot
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    machine = StateMachine(['s"1', "b\\2"], 's"1', ["b\\2"],
+                           [('s"1', send("p", "q", 'a"b\\c'), "b\\2")])
+    assert machine_to_dot(machine, name='n"x').splitlines() == [
+        r'digraph "n\"x" {',
+        "  rankdir=LR;",
+        "  __start [shape=point];",
+        r'  "b\\2" [shape=doublecircle];',
+        r'  "s\"1" [shape=circle];',
+        r'  __start -> "s\"1";',
+        r'  "s\"1" -> "b\\2" [label="p>q!a\"b\\c"];',
+        "}"]

@@ -4,8 +4,8 @@ import pytest
 
 from amp.core import StateMachine, recv, send
 from amp.csm import (Csm, check_projection, csm_from_json, csm_language_upto,
-                     csm_to_json, dump_csm, explore, load_csm, simulate, step,
-                     word_embeds)
+                     csm_to_dot, csm_to_json, dump_csm, explore, load_csm,
+                     simulate, step, word_embeds)
 from amp.fifo import VIOLATION, is_fifo, swap_step
 from amp.psm import validate
 
@@ -172,3 +172,29 @@ def test_csm_json_roundtrip():
     again = csm_from_json(csm_to_json(csm))
     assert again == csm
     assert load_csm(dump_csm(csm)) == csm
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    csm = Csm({"p": StateMachine(['s"1', "b\\2"], 's"1', ["b\\2"],
+                                 [('s"1', send("p", "q", 'a"b\\c'), "b\\2")]),
+               "q": StateMachine(["t"], "t", ["t"],
+                                 [("t", recv("p", "q", 'a"b\\c'), "t")])})
+    assert csm_to_dot(csm, name='n"x').splitlines() == [
+        r'digraph "n\"x" {',
+        "  rankdir=LR;",
+        '  subgraph "cluster_p" {',
+        '    label="p";',
+        '    "p__start" [shape=point];',
+        r'    "p:b\\2" [label="b\\2", shape=doublecircle];',
+        r'    "p:s\"1" [label="s\"1", shape=circle];',
+        r'    "p__start" -> "p:s\"1";',
+        r'    "p:s\"1" -> "p:b\\2" [label="p>q!a\"b\\c"];',
+        "  }",
+        '  subgraph "cluster_q" {',
+        '    label="q";',
+        '    "q__start" [shape=point];',
+        '    "q:t" [label="t", shape=doublecircle];',
+        '    "q__start" -> "q:t";',
+        r'    "q:t" -> "q:t" [label="p>q?a\"b\\c"];',
+        "  }",
+        "}"]

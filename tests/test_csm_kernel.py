@@ -5,7 +5,9 @@ Reports, languages, verdicts and schedules must be equal, in the same
 order, on the shipped CSMs, random tame projections, the concurrent
 `pairs` family, a hand-built CSM with tied moves, the hand-drawn
 three-party CSMs with epsilon back edges, 300 random hand-drawn CSMs
-and one CSM whose state and queue ids need wide packed fields.
+and one CSM whose state and queue ids need wide packed fields.  A
+report reads its moves back from the kernel, so they must not change
+when a later exploration or witness grows the kernel's queue tables.
 
 It also keeps the word-level oracle, which enumerates every CSM word
 and the swap closure of the protocol's words, while `amp.csm` compares
@@ -162,6 +164,50 @@ def test_explore_matches_reference_when_truncated(name, csm):
         assert_same_report(
             kernel.explore(csm, queue_cap=2, config_cap=config_cap),
             reference.explore(csm, queue_cap=2, config_cap=config_cap))
+
+
+def all_out(report) -> list:
+    return [report.out(i) for i in range(len(report))]
+
+
+def queue_ids(csm: Csm) -> list:
+    """How many contents and messages each channel's tables hold."""
+    return [(len(queues.length), len(queues.messages))
+            for queues in csm._kernel.queues]
+
+
+@pytest.mark.parametrize("name,csm", CORPUS, ids=IDS)
+def test_out_survives_a_larger_exploration(name, csm):
+    """A report steps its configurations again on the kernel its CSM
+    shares with later explorations, which intern more queue contents."""
+    fresh = Csm(csm.components)
+    report = kernel.explore(fresh, queue_cap=1)
+    before, ids = all_out(report), queue_ids(fresh)
+    kernel.explore(fresh, queue_cap=8)
+    assert queue_ids(fresh) != ids or not report.truncated
+    assert all_out(report) == before
+
+
+@pytest.mark.parametrize("name,csm", CORPUS, ids=IDS)
+def test_out_survives_a_witness_with_a_foreign_message(name, csm):
+    fresh = Csm(csm.components)
+    report = kernel.explore(fresh, queue_cap=2)
+    before, ids = all_out(report), queue_ids(fresh)
+    initial = report.configs[0]
+    channel = fresh._kernel.queues[0].channel
+    foreign = kernel.Configuration(
+        initial.states, ((channel, (("never sent", "unit"),)),))
+    assert report.witness(foreign) == ()
+    assert queue_ids(fresh)[0][1] == ids[0][1] + 1
+    assert all_out(report) == before
+
+
+@pytest.mark.parametrize("config_cap", [2, 100_000])
+def test_out_past_the_admitted_configurations_raises(config_cap):
+    report = kernel.explore(tied_csm(), queue_cap=2, config_cap=config_cap)
+    report.out(len(report) - 1)  # the last admitted configuration
+    with pytest.raises(IndexError):
+        report.out(len(report))
 
 
 @pytest.mark.parametrize("name,csm", CORPUS, ids=IDS)

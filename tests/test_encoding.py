@@ -208,3 +208,30 @@ def test_subset_components_of_encoding_amicable():
         name: minimize(subset_construction(encoded, name))
         for name in ("e", "o", "(e,o)0", "(o,e)0")}
     assert is_amicable(components, KLE_BOUNDS, k=8)
+
+
+def test_is_amicable_enumerates_each_sender_once(monkeypatch):
+    """A burst of three messages p->q under bound 3 has three forwarders
+    for p; kle has one each for e and o."""
+    from amp import core
+    from amp.projection import minimize, subset_construction
+    labels = ("a", "b", "c")
+    reads = ["w3", "r1", "r2", "r3"]
+    burst = StateMachine(
+        ["w0", "w1", "w2"] + reads, "w0", ["r3"],
+        [(f"w{i}", send("p", "q", label), f"w{i + 1}")
+         for i, label in enumerate(labels)]
+        + [(reads[i], recv("p", "q", label), reads[i + 1])
+           for i, label in enumerate(labels)])
+    real = core.maximal_traces_upto
+    enumerated = []
+    monkeypatch.setattr(core, "maximal_traces_upto",
+                        lambda m, k: enumerated.append(m) or real(m, k))
+    for machine, bounds, senders in ((burst, {("p", "q"): 3}, ["p"]),
+                                     (kle_machine(), KLE_BOUNDS, ["e", "o"])):
+        encoded = encode_psm(machine, bounds)
+        components = {name: minimize(subset_construction(encoded, name))
+                      for name in sorted(encoded.participants())}
+        enumerated.clear()
+        assert is_amicable(components, bounds, k=8)
+        assert enumerated == [components[p] for p in senders]

@@ -63,6 +63,20 @@ def test_delegation_order_enforced():
             registry={"Inner": inner_csm(), "Outer": outer_csm()})
 
 
+def test_delegation_order_is_transitive():
+    """C delegates A's states: declaring A < B and B < C allows it, in
+    either order, and A < B alone does not."""
+    registry = {"A": inner_csm(), "B": ping_program().csms["Ping"],
+                "C": outer_csm()}
+    for orders in (["A < B", "B < C"], ["B < C", "A < B"]):
+        text = "".join(f"order {o}\n" for o in orders) + "main = 0"
+        assert parse_program(text, registry=registry).order == [
+            tuple(o.split(" < ")) for o in orders]
+    with pytest.raises(TypeCheckError, match="delegates states of A, but "
+                       "A < C is not declared"):
+        parse_program("order A < B\nmain = 0", registry=registry)
+
+
 def test_shipped_programs_typecheck():
     for path in sorted(PROGRAMS.glob("*.amp")):
         program = parse_program(path.read_text(), base_dir=path.parent)
