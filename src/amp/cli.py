@@ -9,12 +9,38 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
-from . import core, csm as csm_mod, encoding, fifo, projection, psm as psm_mod
-from . import program as program_mod, transform, typecheck
+from . import core, psm as psm_mod
+
+
+def _deferred(name: str):
+    """The module `amp.<name>`, put in `sys.modules` now but executed on
+    the first access to one of its attributes, so that a command pays
+    only for the modules it runs.  Every module stays listed in
+    `sys.modules`, where tools that wrap amp's functions look for it."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+csm_mod = _deferred("csm")
+encoding = _deferred("encoding")
+fifo = _deferred("fifo")
+program_mod = _deferred("program")
+projection = _deferred("projection")
+transform = _deferred("transform")
+typecheck = _deferred("typecheck")
 
 OK = 0
 NEGATIVE = 1
@@ -319,6 +345,15 @@ def cmd_to_local(args) -> int:
 
 
 def cmd_typecheck(args) -> int:
+    try:
+        return _typecheck(args)
+    except typecheck.TypeCheckError as exc:
+        # from parsing (the delegation order) or from the harness
+        print(f"error: {exc}", file=sys.stderr)
+        return NEGATIVE
+
+
+def _typecheck(args) -> int:
     path = Path(args.file)
     program = program_mod.parse_program(path.read_text(), base_dir=path.parent)
     try:
@@ -497,8 +532,7 @@ def main(argv=None) -> int:
     except core.MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except (ValueError, KeyError, typecheck.TypeCheckError,
-            program_mod.ProgramSyntaxError, transform.TypeSyntaxError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NEGATIVE
     except psm_mod.PsmError as exc:

@@ -645,8 +645,91 @@ def machine_from_json(data) -> StateMachine:
     return machine
 
 
+# -- writing documents ------------------------------------------------------
+#
+# `json.dumps(doc, indent=2, sort_keys=True)` runs the pure-Python encoder,
+# one generator frame per value.  The writer below knows the shape of a
+# `machine_to_json` document and prints the same bytes with the C string
+# quoter, formatting each distinct event once per document.
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_at(value, pad: str) -> str:
+    """`value` as `json.dumps(value, indent=2, sort_keys=True)` prints it
+    where it starts at indentation `pad`."""
+    if value is None:
+        return "null"
+    if type(value) is str:
+        return _quote(value)
+    inner = pad + "  "
+    if type(value) is list and value:
+        items = (map(_quote, value) if all(type(v) is str for v in value)
+                 else [_json_at(v, inner) for v in value])
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if type(value) is dict and value \
+            and all(type(key) is str for key in value):
+        return (f"{{\n{inner}" + f",\n{inner}".join(
+            [f"{_quote(key)}: {_json_at(item, inner)}"
+             for key, item in sorted(value.items())]) + f"\n{pad}}}")
+    # Numbers, empty containers and the like: json's own text, moved
+    # to `pad`.
+    return json.dumps(value, indent=2, sort_keys=True).replace(
+        "\n", "\n" + pad)
+
+
+def _machine_at(doc: dict, pad: str, events: dict) -> str:
+    """A `machine_to_json` document as `_json_at` prints it.  `events`
+    maps an event object's items to its text at this indentation."""
+    p1 = pad + "  "
+    p2 = p1 + "  "
+    p3 = p2 + "  "
+    transitions = []
+    for t in doc["transitions"]:
+        event = t["event"]
+        key = tuple(event.items())
+        try:
+            text = events.get(key)
+        except TypeError:  # a payload object, which cannot be a key
+            text = None
+        if text is None:
+            text = _json_at(event, p3)
+            # Only strings and null: 1, 1.0 and true are equal keys.
+            if all(v is None or type(v) is str for v in event.values()):
+                events[key] = text
+        src, dst = t["from"], t["to"]
+        src = _quote(src) if type(src) is str else _json_at(src, p3)
+        dst = _quote(dst) if type(dst) is str else _json_at(dst, p3)
+        transitions.append(f"{p2}{{\n{p3}\"event\": {text},\n"
+                           f"{p3}\"from\": {src},\n{p3}\"to\": {dst}\n{p2}}}")
+    return (f"{{\n{p1}\"finals\": {_json_at(doc['finals'], p1)},\n"
+            f"{p1}\"initial\": {_json_at(doc['initial'], p1)},\n"
+            f"{p1}\"states\": {_json_at(doc['states'], p1)},\n"
+            f"{p1}\"transitions\": "
+            + ("[\n" + ",\n".join(transitions) + f"\n{p1}]"
+               if transitions else "[]")
+            + f"\n{pad}}}")
+
+
+def machine_json_text(doc: dict) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True)` for a `machine_to_json`
+    document."""
+    return _machine_at(doc, "", {})
+
+
+def machines_json_text(docs: dict) -> str:
+    """`json.dumps(docs, indent=2, sort_keys=True)` for a mapping of names
+    to `machine_to_json` documents, such as a CSM's."""
+    if not docs:
+        return "{}"
+    events: dict = {}
+    return ("{\n" + ",\n".join(f"  {_quote(name)}: "
+                               f"{_machine_at(docs[name], '  ', events)}"
+                               for name in sorted(docs)) + "\n}")
+
+
 def dump_machine(m: StateMachine) -> str:
-    return json.dumps(machine_to_json(m), indent=2, sort_keys=True) + "\n"
+    return machine_json_text(machine_to_json(m)) + "\n"
 
 
 def load_machine(text: str) -> StateMachine:
@@ -658,12 +741,17 @@ def _dot_quoted(text: str) -> str:
 
 
 def machine_to_dot(m: StateMachine, name: str = "machine") -> str:
+    # DOT reads `__start` and `"__start"` as one node: the start marker
+    # takes a name that no state has.
+    start = "__start"
+    while start in m.states:
+        start += "_"
     lines = [f"digraph {_dot_quoted(name)} {{", "  rankdir=LR;",
-             "  __start [shape=point];"]
+             f"  {start} [shape=point];"]
     for q in sorted(m.states):
         shape = "doublecircle" if q in m.finals else "circle"
         lines.append(f"  {_dot_quoted(q)} [shape={shape}];")
-    lines.append(f"  __start -> {_dot_quoted(m.initial)};")
+    lines.append(f"  {start} -> {_dot_quoted(m.initial)};")
     for src, ev, dst in m.transitions:
         label = "ε" if ev is None else str(ev)
         lines.append(f"  {_dot_quoted(src)} -> {_dot_quoted(dst)} "

@@ -16,7 +16,8 @@ from typing import Optional
 
 from .core import (Event, MalformedInput, PAIR, RECV, SEND, StateMachine,
                    Word, _dot_quoted, bounded_traces, machine_from_json,
-                   machine_to_json, queue_get, reachable)
+                   machine_to_json, machines_json_text, queue_get,
+                   reachable)
 from .fifo import format_word, project
 from .psm import Psm
 
@@ -820,7 +821,7 @@ def csm_from_json(data) -> Csm:
 
 
 def dump_csm(csm: Csm) -> str:
-    return json.dumps(csm_to_json(csm), indent=2, sort_keys=True) + "\n"
+    return machines_json_text(csm_to_json(csm)) + "\n"
 
 
 def load_csm(text: str) -> Csm:

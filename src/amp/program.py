@@ -24,8 +24,8 @@ from typing import Mapping, Optional
 from .core import StateRef, reachable
 from .csm import Csm, csm_from_json
 from .typecheck import (Definition, Endpoint, PCall, PEnd, PPar, PRecv, PRes,
-                        PSend, Program, RecvBranch, SendBranch, Term,
-                        TypeCheckError, Unit, Var)
+                        PSend, Program, RecvBranch, SendBranch,
+                        StateRegistry, Term, TypeCheckError, Unit, Var)
 
 
 class ProgramSyntaxError(ValueError):
@@ -255,11 +255,9 @@ def _check_delegation_order(program: Program) -> None:
     below = {name: reachable(declared.get(name, ()),
                              lambda other: declared.get(other, ()))
              for name in program.csms}
-    owner_of_state: dict[str, str] = {}
-    for name, csm in program.csms.items():
-        for machine in csm.components.values():
-            for q in machine.states:
-                owner_of_state[q] = name
+    # Rejects a state that two machines share, whatever their order.
+    owner_of_state = {q: name for q, (name, _)
+                      in StateRegistry.build(program.csms).owner.items()}
     for name, csm in program.csms.items():
         for machine in csm.components.values():
             for _, ev, _ in machine.transitions:

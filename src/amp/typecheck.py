@@ -511,7 +511,7 @@ class StateRegistry:
         owner: dict = {}
         for name, csm in sorted(csms.items()):
             for participant, machine in csm.components.items():
-                for q in machine.states:
+                for q in sorted(machine.states):
                     if q in owner:
                         raise TypeCheckError(
                             f"state {q!r} appears in both {owner[q][0]} "

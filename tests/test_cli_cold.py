@@ -1,0 +1,98 @@
+"""Every subcommand in a fresh interpreter: the same exit code, stdout
+and written file as in this process, and only the modules it needs are
+executed (`amp.cli` defers the rest until first use)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from amp import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+PROTOCOLS = ROOT / "protocols"
+
+# Runs `amp.cli.main` on argv[2:] and writes to argv[1] the file of
+# every code object that `exec` ran, which includes each module body.
+CHILD = """\
+import sys
+executed = set()
+def record(event, args):
+    if event == "exec":
+        executed.add(getattr(args[0], "co_filename", ""))
+sys.addaudithook(record)
+from amp import cli
+try:
+    code = cli.main(sys.argv[2:])
+finally:
+    with open(sys.argv[1], "w") as f:
+        f.write("\\n".join(sorted(executed)))
+sys.exit(code)
+"""
+
+SESSION = {"transform", "typecheck", "program"}
+MACHINES = {"csm", "projection", "encoding"}
+
+# (argv with OUT for the -o file, modules it must not execute)
+COMMANDS = [
+    (["validate", "kle.psm.json", "--json"], SESSION | MACHINES),
+    (["classify", "three_party_choice.psm.json"], SESSION | MACHINES),
+    (["bounds", "kle.psm.json", "--json"], SESSION | MACHINES),
+    (["encode", "kle.psm.json", "-o", "OUT"], SESSION),
+    (["decode-fsm", "kle_encoded.psm.json", "-o", "OUT"], SESSION),
+    (["project", "three_party_choice.psm.json", "-o", "OUT"], SESSION),
+    (["check-csm", "kle.csm.json", "--against", "kle.psm.json", "--json"],
+     SESSION),
+    (["simulate", "kle.csm.json", "--seed", "3"], SESSION),
+    (["to-global", "three_party_choice.psm.json"], set()),
+    (["from-global", "three_party_choice.gt", "-o", "OUT"], set()),
+    (["to-local", "three_party_choice.psm.json", "--participant", "q"],
+     set()),
+    (["typecheck", "programs/three_party.amp", "--harness", "--json"],
+     set()),
+    (["dot", "kle.csm.json", "-o", "OUT"], SESSION),
+]
+
+
+def _argv(argv, out: Path) -> list:
+    return [str(out) if a == "OUT"
+            else str(PROTOCOLS / a) if a.endswith((".json", ".gt", ".amp"))
+            else a for a in argv]
+
+
+def test_every_subcommand_is_covered():
+    commands = {name[4:].replace("_", "-") for name in vars(cli)
+                if name.startswith("cmd_")}
+    assert sorted(argv[0] for argv, _ in COMMANDS) == sorted(commands)
+
+
+@pytest.mark.parametrize("argv, unused", COMMANDS,
+                         ids=[argv[0] for argv, _ in COMMANDS])
+def test_fresh_interpreter_matches_in_process(argv, unused, tmp_path,
+                                              capsys):
+    out = tmp_path / "out"
+    argv = _argv(argv, out)
+    code = cli.main(argv)
+    stdout = capsys.readouterr().out
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+
+    record = tmp_path / "executed.txt"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    child = subprocess.run([sys.executable, "-c", CHILD, str(record), *argv],
+                           cwd=tmp_path, env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert (child.returncode, child.stdout) == (code, stdout), child.stderr
+    assert (out.read_bytes() if out.exists() else None) == written
+
+    executed = {Path(f).stem for f in record.read_text().splitlines()
+                if Path(f).parent == SRC / "amp"}
+    assert {"cli", "core", "psm"} <= executed
+    assert not executed & unused, sorted(executed & unused)
+    if argv[0] == "typecheck":
+        assert {"typecheck", "program"} <= executed

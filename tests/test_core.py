@@ -159,3 +159,20 @@ def test_dot_export_escapes_quotes_and_backslashes():
         r'  __start -> "s\"1";',
         r'  "s\"1" -> "b\\2" [label="p>q!a\"b\\c"];',
         "}"]
+
+
+def test_dot_start_marker_is_not_a_state():
+    """DOT reads `__start` and `"__start"` as one node, so the marker
+    takes the first of `__start`, `__start_`, ... that is no state."""
+    machine = StateMachine(["__start", "__start_", "b"], "b", ["b"],
+                           [("__start", send("p", "q", "m"), "b")])
+    assert machine_to_dot(machine).splitlines() == [
+        'digraph "machine" {',
+        "  rankdir=LR;",
+        "  __start__ [shape=point];",
+        '  "__start" [shape=circle];',
+        '  "__start_" [shape=circle];',
+        '  "b" [shape=doublecircle];',
+        '  __start__ -> "b";',
+        '  "__start" -> "b" [label="p>q!m"];',
+        "}"]

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from amp.cli import main
+from amp.csm import dump_csm
 from amp.program import ProgramSyntaxError, parse_program
 from amp.typecheck import (PRecv, PRes, PSend, TypeCheckError, Unit,
                            subject_reduction_harness, typecheck_process)
@@ -75,6 +77,28 @@ def test_delegation_order_is_transitive():
     with pytest.raises(TypeCheckError, match="delegates states of A, but "
                        "A < C is not declared"):
         parse_program("order A < B\nmain = 0", registry=registry)
+
+
+def test_shared_states_rejected_whatever_the_order(tmp_path, capsys):
+    """A and B share every state, and C delegates one of them: the
+    verdict must not depend on which of A or B the order names."""
+    for name, csm in (("A", inner_csm()), ("B", inner_csm()),
+                      ("C", outer_csm())):
+        (tmp_path / f"{name}.csm.json").write_text(dump_csm(csm))
+    results = []
+    for smaller in ("A", "B"):
+        path = tmp_path / f"{smaller}.amp"
+        path.write_text("csm A = A.csm.json\ncsm B = B.csm.json\n"
+                        f"csm C = C.csm.json\norder {smaller} < C\n"
+                        "main = 0\n")
+        with pytest.raises(TypeCheckError, match="appears in both A and B; "
+                           "states must be globally distinct") as exc:
+            parse_program(path.read_text(), base_dir=tmp_path)
+        code = main(["typecheck", str(path)])
+        captured = capsys.readouterr()
+        results.append((str(exc.value), code, captured.out, captured.err))
+    assert results[0] == results[1]
+    assert results[0][1] == 1 and results[0][3] == f"error: {results[0][0]}\n"
 
 
 def test_shipped_programs_typecheck():
