@@ -228,7 +228,7 @@ def cmd_project(args) -> int:
         "result": "ok",
         "bounds": {f"{p}>{q}": b for (p, q), b in result.bounds.items()},
         "boundedOnly": result.verdict.bounded_only,
-        "validity": "structural-filter + bounded semantic oracle",
+        "validity": "subset projection conditions",
     }
     if args.strong:
         strong = projection.strong_report(result.csm)
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong", action="store_true",
                    help="also require every component to be sink-final")
     p.add_argument("-K", "--bound", type=_count, default=6,
-                   help="trace bound for the semantic oracle")
+                   help="witness depth when a projection is rejected")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_project)
 
@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, caps=False)
     p.add_argument("--participant", required=True)
     p.add_argument("-K", "--bound", type=_count, default=6,
-                   help="oracle bound when projecting a whole protocol")
+                   help="witness depth when a projection is rejected")
     p.set_defaults(func=cmd_to_local)
 
     p = sub.add_parser("typecheck", help="type check a session program")

@@ -424,10 +424,15 @@ def backward_closure(nodes: Iterable, out, targets: Iterable) -> set:
 
 
 def maximal_capable(nodes: Iterable, out, finals: Iterable) -> set:
-    """Nodes from which a maximal run exists: reach a final node or a cycle."""
+    """Nodes from which a maximal run exists: reach a final node or a cycle.
+
+    Cycles are looked for only when some node reaches no final node."""
     nodes = list(nodes)
-    return backward_closure(nodes, out,
-                            set(finals) | nodes_on_cycles(nodes, out))
+    capable = backward_closure(nodes, out, finals)
+    if len(capable) < len(nodes):
+        capable = backward_closure(nodes, out,
+                                   capable | nodes_on_cycles(nodes, out))
+    return capable
 
 
 def fer_violation(pending: Iterable, out, capable: set):

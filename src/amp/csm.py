@@ -830,9 +830,20 @@ def load_csm(text: str) -> Csm:
 
 def csm_to_dot(csm: Csm, name: str = "csm") -> str:
     lines = [f"digraph {_dot_quoted(name)} {{", "  rankdir=LR;"]
+    # A component's nodes are named "{p}__start" and "{p}:{q}", which
+    # two components can share when a participant's name holds a colon:
+    # a name already taken gets the first free one of name_, name__, ...
+    taken: set = set()
+
+    def node_id(text: str) -> str:
+        while text in taken:
+            text += "_"
+        taken.add(text)
+        return _dot_quoted(text)
+
     for p, m in csm.components.items():
-        start = _dot_quoted(f"{p}__start")
-        node = {q: _dot_quoted(f"{p}:{q}") for q in m.states}
+        start = node_id(f"{p}__start")
+        node = {q: node_id(f"{p}:{q}") for q in sorted(m.states)}
         lines.append(f"  subgraph {_dot_quoted(f'cluster_{p}')} {{")
         lines.append(f"    label={_dot_quoted(p)};")
         lines.append(f"    {start} [shape=point];")

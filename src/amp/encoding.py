@@ -16,8 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, pair,
-                   payload_from_key, recv, send)
+from .core import (Event, PAIR, RECV, SEND, StateMachine, expand_pairs,
+                   pair, payload_from_key, recv, send)
 
 Channel = tuple[str, str]
 
@@ -159,45 +159,28 @@ def encode_psm(machine: StateMachine, bounds: dict) -> StateMachine:
 # -- per-participant machines ----------------------------------------------
 
 
+def decode_event(ev: Optional[Event]) -> Optional[Event]:
+    """A participant's send to a forwarder, or receive from one, as the
+    event on the original channel; any other event as it is."""
+    if ev is None:
+        return None
+    cp_recv = parse_channel_participant(ev.receiver)
+    cp_send = parse_channel_participant(ev.sender)
+    if ev.kind == SEND and cp_recv is not None:
+        return send(cp_recv.source, cp_recv.target, ev.label, ev.payload)
+    if ev.kind == RECV and cp_send is not None:
+        return recv(cp_send.source, cp_send.target, ev.label, ev.payload)
+    return ev
+
+
 def decode_fsm(machine: StateMachine) -> StateMachine:
     """Rebend forwarder events back to the original channels, keeping states."""
-    transitions = []
-    for src, ev, dst in machine.transitions:
-        if ev is None:
-            transitions.append((src, None, dst))
-            continue
-        cp_recv = parse_channel_participant(ev.receiver)
-        cp_send = parse_channel_participant(ev.sender)
-        if ev.kind == SEND and cp_recv is not None:
-            ev = send(cp_recv.source, cp_recv.target, ev.label, ev.payload)
-        elif ev.kind == RECV and cp_send is not None:
-            ev = recv(cp_send.source, cp_send.target, ev.label, ev.payload)
-        transitions.append((src, ev, dst))
     return StateMachine(machine.states, machine.initial, machine.finals,
-                        transitions)
+                        [(src, decode_event(ev), dst)
+                         for src, ev, dst in machine.transitions])
 
 
 # -- structural predicates ---------------------------------------------------
-
-
-def is_channel_ordered(word: Word, bounds: dict) -> bool:
-    """Forwarder hops are used in ring order for every bounded channel."""
-    families: dict[tuple, list[int]] = {}
-    for ev in word:
-        for e in ev.letters():
-            cp = parse_channel_participant(e.receiver)
-            if cp is not None and (cp.source, cp.target) in bounds:
-                families.setdefault((cp.source, cp.target, e.kind, "in"),
-                                    []).append(cp.index)
-            cp = parse_channel_participant(e.sender)
-            if cp is not None and (cp.source, cp.target) in bounds:
-                families.setdefault((cp.source, cp.target, e.kind, "out"),
-                                    []).append(cp.index)
-    for (src, dst, _, _), indices in families.items():
-        b = bounds[(src, dst)]
-        if any(idx != i % b for i, idx in enumerate(indices)):
-            return False
-    return True
 
 
 def machine_is_forwarding(machine: StateMachine, cp: ChannelParticipant) -> bool:
@@ -229,47 +212,83 @@ def machine_is_forwarding(machine: StateMachine, cp: ChannelParticipant) -> bool
     return True
 
 
-def is_amicable(components: dict[str, StateMachine], bounds: dict,
-                k: int = 8) -> bool:
-    """Bounded sanity check that each forwarder can serve its sender.
+def is_amicable(components: dict[str, StateMachine], bounds: dict) -> bool:
+    """Whether each forwarder can serve its sender, on runs of any length.
 
-    Requires forwarder machines to be structurally forwarding, sender
-    languages to be channel-ordered, and every bounded trace's message
-    sequence to be accepted by the forwarder's alternation.
+    Every forwarder's machine must be forwarding.  Every sender's machine
+    is then run in product with a ring counter per family of forwarder
+    events (its sends to the forwarders of one channel, its receives from
+    those of another) and with the states of the forwarders it sends to:
+    on every path it must use the ring slots of each family in order,
+    and it may send a forwarder only a message that the forwarder can
+    receive and pass on at that point.
     """
-    from .core import maximal_traces_upto
-    words: dict = {}  # sender -> its bounded traces, all channel-ordered
+    served: dict = {}  # sender -> {forwarder name: its machine}
     for name, machine in components.items():
         cp = parse_channel_participant(name)
         if cp is None:
             continue
         if not machine_is_forwarding(machine, cp):
             return False
-        sender_machine = components.get(cp.source)
-        if sender_machine is None:
-            continue
-        traces = words.get(cp.source)
-        if traces is None:
-            traces = words[cp.source] = maximal_traces_upto(sender_machine, k)
-            if not all(is_channel_ordered(word, bounds) for word in traces):
-                return False
-        for word in traces:
-            msgs = [ev.message() for ev in word
-                    if ev.kind == SEND and ev.receiver == name]
-            run = []
-            for label, payload in msgs:
-                run.append(recv(cp.source, name, label, payload_from_key(payload)))
-                run.append(send(name, cp.target, label, payload_from_key(payload)))
-            if not _machine_accepts_prefix(machine, tuple(run)):
-                return False
+        if cp.source in components:
+            served.setdefault(cp.source, {})[name] = machine
+    return all(_serves(expand_pairs(components[sender]), forwarders, bounds)
+               for sender, forwarders in served.items())
+
+
+def _ring_slots(ev: Event, bounds: dict) -> list:
+    """The slots `ev` takes, as (ring, index): one for each end of `ev`
+    that is a forwarder of a bounded channel.  A ring is that channel,
+    the kind of `ev` and the end the forwarder is at."""
+    slots = []
+    for end, name in (("in", ev.receiver), ("out", ev.sender)):
+        cp = parse_channel_participant(name)
+        if cp is not None and (cp.source, cp.target) in bounds:
+            slots.append(((cp.source, cp.target, ev.kind, end), cp.index))
+    return slots
+
+
+def _serves(sender: StateMachine, forwarders: dict, bounds: dict) -> bool:
+    """Whether `sender` keeps ring order and sends `forwarders` only what
+    they can pass on, on every path: the product `is_amicable` walks."""
+    names = sorted(forwarders)
+    start = (sender.initial, (), tuple(
+        forwarders[name].eps_closure({forwarders[name].initial})
+        for name in names))
+    seen = {start}
+    work = [start]
+    while work:
+        q, ring, held = work.pop()
+        for ev, dst in sender.out(q):
+            node = (dst, ring, held)
+            if ev is not None:
+                counters = dict(ring)
+                for family, index in _ring_slots(ev, bounds):
+                    if index != counters.get(family, 0):
+                        return False
+                    counters[family] = (index + 1) % bounds[family[:2]]
+                node = (dst, tuple(sorted(counters.items())), held)
+                if ev.kind == SEND and ev.receiver in forwarders:
+                    i = names.index(ev.receiver)
+                    states = _step_forwarder(forwarders[ev.receiver], held[i],
+                                             ev)
+                    if not states:
+                        return False
+                    node = (node[0], node[1],
+                            held[:i] + (states,) + held[i + 1:])
+            if node not in seen:
+                seen.add(node)
+                work.append(node)
     return True
 
 
-def _machine_accepts_prefix(machine: StateMachine, word: Word) -> bool:
-    current = machine.eps_closure({machine.initial})
-    for ev in word:
-        nxt = {dst for q in current for e, dst in machine.out(q) if e == ev}
-        if not nxt:
-            return False
-        current = machine.eps_closure(nxt)
-    return True
+def _step_forwarder(machine: StateMachine, states: frozenset,
+                    ev: Event) -> frozenset:
+    """Where `machine`, a forwarder in `states`, can be after it receives
+    the message of the send `ev` and passes it on; empty if it cannot."""
+    cp = parse_channel_participant(ev.receiver)
+    for hop in (recv(cp.source, cp.name, ev.label, ev.payload),
+                send(cp.name, cp.target, ev.label, ev.payload)):
+        states = machine.eps_closure(
+            {dst for q in states for e, dst in machine.out(q) if e == hop})
+    return states

@@ -1,9 +1,13 @@
 """Projection: subset construction per participant, the tame-PSM
 pipeline (encode, project, decode), and strong-projection analysis.
 
-The pipeline is self-checking: a candidate CSM is only returned after it
-passes the structural validity filter and the bounded semantic oracle
-(deadlock exploration plus language agreement with the source machine).
+A candidate CSM is accepted on the validity conditions of the subset
+projection, checked on every subset state: final states offer no send
+(`check_validity`), and Send Validity and Receive Validity hold
+(`subset_validity`, whose docstring states them), around the amicable
+forwarders of the encoding.  No CSM is explored to accept a candidate;
+the bounded semantic oracle `csm.check_projection` only words the report
+of a rejected one.
 """
 
 from __future__ import annotations
@@ -12,11 +16,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Event, PAIR, SEND, StateMachine, eps_closure, recv, send,
-                   subset_moves)
+from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, eps_closure,
+                   parent_word, reachable, recv, send, subset_moves)
 from .csm import Csm, ProjectionVerdict, check_projection
-from .encoding import (channel_participants, decode_fsm, encode_psm,
-                       is_amicable)
+from .encoding import (channel_participants, decode_event, decode_fsm,
+                       encode_psm, is_amicable, parse_channel_participant)
+from .fifo import format_word
 from .psm import (Psm, PsmError, UnboundedLoop, infer_channel_bounds,
                   single_sender_branching, validate)
 
@@ -34,25 +39,23 @@ def _local_label(ev: Event, participant: str) -> Optional[Event]:
     return None
 
 
-def subset_construction(machine: StateMachine, participant: str) -> StateMachine:
-    """Project a protocol machine onto one participant and determinise.
+class SubsetMachine(StateMachine):
+    """A machine built by the subset construction.  `members` maps each
+    of its states to the set of source states that state stands for, and
+    `view(q)` lists the moves of source state q as the construction read
+    them: (label, successor) pairs, a None label being silent."""
 
-    Transitions not involving the participant are erased to epsilon;
-    subset states are canonically named and final when they contain a
-    final source state.
-    """
-    erased: dict[str, list[tuple[Optional[Event], str]]] = {
-        q: [] for q in machine.states}
-    for src, ev, dst in machine.transitions:
-        label = None if ev is None else _local_label(ev, participant)
-        erased[src].append((label, dst))
+    __slots__ = ("members", "view")
 
-    out = erased.__getitem__
 
+def _subsets(initial: str, out, finals: frozenset) -> SubsetMachine:
+    """The subset construction over the graph `out` describes, where a
+    None label is an epsilon move.  Subset states are canonically named
+    and final when they contain a final source state."""
     def name(states: frozenset) -> str:
         return "{" + ",".join(sorted(states)) + "}"
 
-    start = eps_closure((machine.initial,), out)
+    start = eps_closure((initial,), out)
     index = {start: name(start)}
     frontier = deque([start])
     transitions = []
@@ -65,8 +68,26 @@ def subset_construction(machine: StateMachine, participant: str) -> StateMachine
                 index[succ] = name(succ)
                 frontier.append(succ)
             transitions.append((index[states], label, index[succ]))
-    finals = {index[s] for s in index if s & machine.finals}
-    return StateMachine(set(index.values()), index[start], finals, transitions)
+    machine = SubsetMachine(set(index.values()), index[start],
+                            {index[s] for s in index if s & finals},
+                            transitions)
+    machine.members = {n: s for s, n in index.items()}
+    machine.view = out
+    return machine
+
+
+def subset_construction(machine: StateMachine, participant: str) -> StateMachine:
+    """Project a protocol machine onto one participant and determinise.
+
+    Transitions not involving the participant are erased to epsilon;
+    the result is a `SubsetMachine`.
+    """
+    erased: dict[str, list[tuple[Optional[Event], str]]] = {
+        q: [] for q in machine.states}
+    for src, ev, dst in machine.transitions:
+        label = None if ev is None else _local_label(ev, participant)
+        erased[src].append((label, dst))
+    return _subsets(machine.initial, erased.__getitem__, machine.finals)
 
 
 def minimize(machine: StateMachine) -> StateMachine:
@@ -145,10 +166,11 @@ class ValidityReport:
 
 
 def check_validity(projections: dict[str, StateMachine]) -> ValidityReport:
-    """Structural pre-filter: no final state may have an outgoing send.
+    """The final-state condition: no final state may have an outgoing send.
 
-    The full validity conditions of a complete projection live in the
-    semantic oracle; this fast check catches the recorded failure shape.
+    Send Validity implies it, since the final states of a tame protocol
+    are sinks that reach no send; `project_tame` checks it first, on the
+    minimal machines, for its own report.
     """
     violations = []
     for participant, machine in sorted(projections.items()):
@@ -167,6 +189,171 @@ class NotProjectable(PsmError):
     pass
 
 
+def _word_to(machine: StateMachine, target: str) -> Word:
+    """The first word, breadth first, on which `machine` reaches `target`."""
+    parent: dict = {}
+    frontier = deque([machine.initial])
+    seen = {machine.initial}
+    while frontier and target not in seen:
+        q = frontier.popleft()
+        for ev, dst in machine.out(q):
+            if dst not in seen:
+                seen.add(dst)
+                parent[dst] = (q, ev)
+                frontier.append(dst)
+    return parent_word(parent, target)
+
+
+def _shown(word: Word) -> str:
+    return format_word(tuple(map(decode_event, word))) or "ε"
+
+
+def _forwarder_named(participants) -> Optional[NotProjectable]:
+    """A participant of the protocol whose name has the form of a
+    forwarder's, whose events `decode_fsm` would move to another channel."""
+    for participant in sorted(participants):
+        if parse_channel_participant(participant) is not None:
+            return NotProjectable(f"participant {participant} is named like "
+                                  f"a forwarder")
+    return None
+
+
+def _lost_final(encoded: StateMachine) -> Optional[NotProjectable]:
+    """A final state of the protocol that the encoding reaches with ring
+    counters away from zero, where it is a sink but no longer final."""
+    lost = [q for q in encoded.states
+            if encoded.is_sink(q) and q not in encoded.finals]
+    if not lost:
+        return None
+    state = min(lost)
+    word = _word_to(encoded, state)
+    return NotProjectable(f"encoding loses final state {state} after "
+                          f"{format_word(word) or 'ε'}", word)
+
+
+def _heads(source: StateMachine, participant: str, start: str) -> set:
+    """The receives of `participant` whose messages can head their
+    channels while it waits at `start`, as `subset_validity` defines
+    them."""
+    heads = set()
+    first = (start, frozenset((participant,)), frozenset())
+    seen = {first}
+    work = [first]
+    while work:
+        q, blocked, passed = work.pop()
+        for ev, dst in source.out(q):
+            node = (dst, blocked, passed)
+            if ev is not None and ev.receiver == participant:
+                if ev.sender not in passed:
+                    if ev.sender not in blocked:
+                        heads.add(_local_label(ev, participant))
+                    node = (dst, blocked, passed | {ev.sender})
+            elif ev is not None and ev.sender in blocked:
+                node = (dst, blocked | {ev.receiver}, passed)
+            if node not in seen:
+                seen.add(node)
+                work.append(node)
+    return heads
+
+
+def subset_validity(source: StateMachine, participant: str,
+                    machine: SubsetMachine) -> Optional[NotProjectable]:
+    """The first state of `machine`, breadth first, that breaks Send
+    Validity or Receive Validity, as a NotProjectable with the
+    participant's word to that state as witness; None if every state
+    keeps both.
+
+    `machine` is `subset_construction(source, participant)`.  `source`
+    is a deterministic protocol machine over paired exchanges and
+    epsilon moves, as `encode_psm` builds one; the participant is one of
+    its participants or forwarders.  Each state X of `machine` stands
+    for its members M, the source states that the participant cannot
+    tell apart: M is closed under the moves silent to the participant,
+    which are the epsilon moves and the exchanges it takes no part in.
+
+    These are the conditions of Li, Stutz, Wies and Zufferey, "Complete
+    multiparty session type projection with automata" (CAV 2023), for
+    protocols whose sends and receives are separate transitions.  An
+    exchange a->b:m of `source` is read that way: the send a>b!m, then
+    at once the receive a>b?m.  When b is the participant, the point
+    between the two is silent to it, so it belongs to the subset state,
+    and from there the only move is that receive.  Read so:
+
+    Send Validity.  When X offers a send s, it offers no receive (the
+    point between the send and the receive of that exchange is in X
+    and cannot take s), and every member of M reaches a transition that
+    the participant sees as s along moves silent to it.
+
+    Receive Validity.  When X offers the receives r1 = q1>p?m1 and
+    r2 = q2>p?m2 with q1 != q2, the message m1 does not head channel
+    q1>p at any target D of a transition from M that the participant p
+    sees as r2.  A run that takes r2 there continues from D, and what q1
+    has sent to p on it that p has not received was sent ahead of the
+    protocol's order: the head is the first exchange q1->p on a path of
+    `source` from D, sent early, which q1 can do only when it does not
+    wait on p.  So m1 heads the channel at D when some path from D
+    reaches an exchange q1->p:m1, with no exchange q1->p before it, while
+    q1 is not blocked.  Blocked starts as {p}, since p waits at D, and
+    an exchange a->b on the path whose sender a is blocked blocks b.
+
+    `tests/test_projection_conditions.py` checks this reading against
+    the bounded oracle `csm.check_projection`.
+    """
+    heads: dict = {}
+
+    def failure(state: str, text: str) -> NotProjectable:
+        word = _word_to(machine, state)
+        return NotProjectable(text.format(participant, _shown(word)), word)
+
+    for state, members in machine.members.items():
+        sends, receives = [], []
+        for ev, _ in machine.out(state):
+            (sends if ev.kind == SEND else receives).append(ev)
+        if sends and receives:
+            return failure(state, f"send validity: {{}} may send "
+                                  f"{decode_event(sends[0])} after {{}} where "
+                                  f"it must first receive "
+                                  f"{decode_event(receives[0])}")
+        if not sends and len({ev.sender for ev in receives}) < 2:
+            continue
+        # the members' own moves, by their local label
+        own: dict = {}
+        for q in members:
+            for label, dst in machine.view(q):
+                if label is not None:
+                    own.setdefault(label, []).append((q, dst))
+        for ev in sends:
+            able = {q for q, _ in own[ev]}
+            if len(able) < len(members) \
+                    and len(_silently_reaching(machine, members, able)) \
+                    < len(members):
+                return failure(state, f"send validity: {{}} may send "
+                                      f"{decode_event(ev)} after {{}}, which "
+                                      f"not every run allows")
+        for waited in receives:
+            for dst in sorted({dst for _, dst in own[waited]}):
+                if dst not in heads:
+                    heads[dst] = _heads(source, participant, dst)
+                for ev in receives:
+                    if ev.sender != waited.sender and ev in heads[dst]:
+                        return failure(
+                            state, f"receive validity: {{}} may receive "
+                                   f"{decode_event(ev)} after {{}} where it "
+                                   f"must receive {decode_event(waited)}")
+    return None
+
+
+def _silently_reaching(machine: SubsetMachine, members: frozenset,
+                       targets: set) -> set:
+    """The members with a path of silent moves to one of `targets`."""
+    back: dict = {}
+    for q in members:
+        for label, dst in machine.view(q):
+            if label is None:
+                back.setdefault(dst, []).append(q)
+    return reachable(targets, lambda q: back.get(q, ()))
+
+
 @dataclass
 class ProjectionResult:
     csm: Csm
@@ -177,18 +364,29 @@ class ProjectionResult:
 
 
 def project_tame(source, *, k: int = 6) -> ProjectionResult:
-    """Project a tame protocol machine to a deadlock-free CSM.
+    """Project a tame protocol machine to a deadlock-free CSM that has
+    the protocol's language.
 
     Encodes bounded channels through forwarder participants, runs the
-    subset construction for every participant, minimises, checks
-    validity, decodes, and finally replays the bounded oracle against
-    the source.  Raises NotTame when the structural gate fails
-    (multi-sender branching, non-sink-final, no inferable bounds) and
-    NotProjectable with a report when a candidate exists but is wrong.
+    subset construction for every participant and forwarder, minimises
+    and decodes.  Raises NotTame when the structural gate fails
+    (multi-sender branching, non-sink-final, no inferable bounds).  The
+    candidate is accepted when it meets every condition below, with no
+    CSM explored and no trace enumerated:
 
-    `check_validity` is a fast structural pre-filter over the subset
-    machines; the bounded semantic oracle always runs afterwards and is
-    what acceptance rests on.
+    - `check_validity`: no final state of a projection offers a send;
+    - `is_amicable`: each forwarder serves its sender on every run;
+    - no participant is named like a forwarder, so that decoding undoes
+      exactly the encoding;
+    - the encoding keeps the protocol's final states: where a run ends,
+      every ring counter is back at zero;
+    - `subset_validity`: Send Validity and Receive Validity at every
+      subset state of every participant and forwarder.
+
+    Otherwise it raises NotProjectable.  The first two name themselves
+    in the report.  For the others, the report is what the bounded
+    oracle `csm.check_projection` finds within `k`, and the condition's
+    own message and witness when the oracle finds nothing.
     """
     psm = source if isinstance(source, Psm) else validate(source)
     machine = psm.machine.trim()
@@ -204,30 +402,42 @@ def project_tame(source, *, k: int = 6) -> ProjectionResult:
         raise NotTame(f"no channel bounds: {exc}") from exc
 
     encoded = encode_psm(machine, bounds)
-    participants = set(machine.participants())
+    # The conditions need one run per word: a protocol that repeats an
+    # exchange at a choice is determinised first.  Both machines have the
+    # same language, so they give the same minimal projections.
+    protocol = (encoded if encoded.is_deterministic()
+                else _subsets(encoded.initial, encoded.out, encoded.finals))
+    participants = sorted(machine.participants())
     cps = channel_participants(bounds)
 
-    projections = {p: minimize(subset_construction(encoded, p))
-                   for p in sorted(participants)}
-    cp_machines = {cp.name: minimize(subset_construction(encoded, cp.name))
-                   for cp in cps}
+    failure = _forwarder_named(participants) or _lost_final(encoded)
+    minimal = {}
+    for name in participants + [cp.name for cp in cps]:
+        subsets = subset_construction(protocol, name)
+        if failure is None:
+            failure = subset_validity(protocol, name, subsets)
+        minimal[name] = minimize(subsets)
+    projections = {p: minimal[p] for p in participants}
 
-    validity = check_validity({**projections, **cp_machines})
+    validity = check_validity(minimal)
     if not validity.ok:
         participant, state, event = validity.violations[0]
         raise NotProjectable(f"check check_validity: state {state} of "
                              f"{participant} rejects {event}")
 
-    if cps and not is_amicable({**projections, **cp_machines}, bounds, k=k + 2):
+    if cps and not is_amicable(minimal, bounds):
         raise NotProjectable("forwarder components are not amicable")
 
     # Distinct state names across components, so the CSM can type sessions.
     csm = Csm({p: canonical_names(decode_fsm(m), prefix=f"{p}_")
                for p, m in projections.items()})
+    if failure is None:
+        return ProjectionResult(csm, bounds, encoded, validity,
+                                ProjectionVerdict(True, ()))
     verdict = check_projection(psm, csm, k)
     if not verdict.passed:
         raise NotProjectable("; ".join(verdict.reasons))
-    return ProjectionResult(csm, bounds, encoded, validity, verdict)
+    raise failure
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ into the same temporary directory and printed as `GEN/<name>`: a
 60-message chain machine, a looping branchy global type and a
 40-message global type.  `check-csm`, `simulate` and `dot` also run on
 a generated two-participant CSM with epsilon transitions whose initial
-configuration is final yet can still move.  Two runs of the same code
+configuration is final yet can still move.  `project --json` also runs
+on generated protocols that fail Send Validity, Receive Validity,
+amicability and the encoding's final states, one each.  Two runs of the same code
 must print the same lines, whatever the hash seed:
 
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/cli_sweep.py > a.txt
@@ -95,6 +97,27 @@ def _eps_csm() -> str:
                               step("q1", "q0")]}})
 
 
+def _line_machine(events) -> str:
+    """A protocol-machine file that takes `events`, (kind, sender,
+    receiver, label) tuples, in a row and then ends."""
+    states = [f"s{i}" for i in range(len(events) + 1)]
+    return json.dumps({
+        "states": states, "initial": "s0", "finals": [states[-1]],
+        "transitions": [
+            {"from": states[i], "to": states[i + 1], "event": {
+                "kind": kind, "sender": sender, "receiver": receiver,
+                "label": label, "payload": None}}
+            for i, (kind, sender, receiver, label) in enumerate(events)]})
+
+
+def _burst_then(events) -> str:
+    """p sends a and b to q before q receives them, so p>q has two
+    forwarders, (p,q)0 and (p,q)1; then `events`."""
+    return _line_machine([("send", "p", "q", "a"), ("send", "p", "q", "b"),
+                          ("recv", "p", "q", "a"), ("recv", "p", "q", "b")]
+                         + events)
+
+
 GENERATED_INPUTS = {
     "chain60.psm.json": _chain_machine(60),
     # leaves alternate between ending and looping back to the top
@@ -102,6 +125,19 @@ GENERATED_INPUTS = {
         3, 0, itertools.cycle(("0", "X"))),
     "global40.gt": _chain_type(40),
     "eps.csm.json": _eps_csm(),
+}
+
+# protocols that `project` rejects, one for each condition
+REJECTED_INPUTS = {
+    "send_validity.gt": "( c->d:a . p->r:x . 0 + c->d:b . p->r:z . 0 )",
+    "receive_validity.gt":
+        "( c->q2:a . q2->p:n . q1->p:m . 0 + c->q1:b . q1->p:m . 0 )",
+    # a participant named like p>q's first forwarder
+    "not_amicable.psm.json": _burst_then([("send", "(p,q)0", "r", "x"),
+                                          ("recv", "(p,q)0", "r", "x")]),
+    # a third message on the ring of two: its counters end at one
+    "lost_final.psm.json": _burst_then([("send", "p", "q", "c"),
+                                        ("recv", "p", "q", "c")]),
 }
 
 
@@ -161,6 +197,12 @@ def commands() -> list[list[str]]:
         out.append(["to-global", path])
         for participant in RING:
             out.append(["to-local", path, "--participant", participant])
+    for name in REJECTED_INPUTS:
+        out.append(["project", f"{GENERATED}/{name}", "--json"])
+    # an oracle too shallow to see the fault leaves the report to the
+    # condition
+    out.append(["project", f"{GENERATED}/send_validity.gt", "--json",
+                "-K", "1"])
     return out
 
 
@@ -183,7 +225,7 @@ def run(argv: list[str], tmp_dir: Path) -> tuple[int, str]:
 def main() -> int:
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in GENERATED_INPUTS.items():
+        for name, text in {**GENERATED_INPUTS, **REJECTED_INPUTS}.items():
             (Path(tmp) / name).write_text(text + "\n")
         for argv in commands():
             code, digest = run(argv, Path(tmp))

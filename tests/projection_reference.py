@@ -2,27 +2,43 @@
 `regex_to_psm` as they stood before minimisation became Hopcroft's
 refinement, channel bounds were read off the configuration graph, the
 cycle search was confined to strongly connected components and the
-derivative expansion found its ancestors through a dict.  Kept as a
-test-only reference, verbatim but for absolute imports and the memo
-that the library's `canon` takes, here a fresh one per call.
+derivative expansion found its ancestors through a dict; `is_amicable`
+and `project_tame` as they stood before projection was decided by the
+subset projection conditions.  Kept as a test-only reference, verbatim
+but for absolute imports, the memo that the library's `canon` takes,
+here a fresh one per call, and the names of the library functions that
+`project_tame` calls.
 
 These are the Moore refinement with one round per state on a chain, the
 recursive simple-path and simple-cycle searches, which are exponential
-in the number of branches, and the ancestor scans with structural
-equality.  `test_projection_layers.py` runs them next to the library
-and requires equal machines, bounds, exceptions and witnesses.
+in the number of branches, the ancestor scans with structural equality,
+the amicability check over sender traces of bounded length and the
+projection that accepts a candidate only after the bounded oracle
+`csm.check_projection`.  `test_projection_layers.py` and
+`test_projection_conditions.py` run them next to the library and
+require equal machines, bounds, verdicts, exceptions and witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from amp.core import SEND, Event, StateMachine, expand_pairs
-from amp.projection import canonical_names
+from amp.core import (SEND, Event, StateMachine, Word, expand_pairs,
+                      payload_from_key, recv, send)
+from amp.csm import Csm, check_projection
+from amp.encoding import (channel_participants, decode_fsm, encode_psm,
+                          machine_is_forwarding, parse_channel_participant)
+from amp.projection import (NotProjectable, NotTame, ProjectionResult,
+                            canonical_names, check_validity,
+                            subset_construction)
+from amp.projection import minimize as library_minimize
 from amp.psm import (Psm, UnboundedLoop, _has_return_chain,
-                     detected_channels)
+                     detected_channels, single_sender_branching, validate)
+from amp.psm import infer_channel_bounds as library_infer_channel_bounds
 from amp.transform import (Regex, brz_deriv, canon, first_letters, nullable,
                            regex_contains_eps, remove_eps)
+
+from .semantics import is_channel_ordered
 
 
 # -- amp.projection -----------------------------------------------------------
@@ -192,3 +208,109 @@ def regex_to_psm(r: Regex) -> StateMachine:
 
     root = expand(canon(r, {}), ())
     return StateMachine(states, root, finals, transitions)
+
+
+# -- amp.encoding -------------------------------------------------------------
+
+
+def is_amicable(components: dict[str, StateMachine], bounds: dict,
+                k: int = 8) -> bool:
+    """Bounded sanity check that each forwarder can serve its sender.
+
+    Requires forwarder machines to be structurally forwarding, sender
+    languages to be channel-ordered, and every bounded trace's message
+    sequence to be accepted by the forwarder's alternation.
+    """
+    from amp.core import maximal_traces_upto
+    words: dict = {}  # sender -> its bounded traces, all channel-ordered
+    for name, machine in components.items():
+        cp = parse_channel_participant(name)
+        if cp is None:
+            continue
+        if not machine_is_forwarding(machine, cp):
+            return False
+        sender_machine = components.get(cp.source)
+        if sender_machine is None:
+            continue
+        traces = words.get(cp.source)
+        if traces is None:
+            traces = words[cp.source] = maximal_traces_upto(sender_machine, k)
+            if not all(is_channel_ordered(word, bounds) for word in traces):
+                return False
+        for word in traces:
+            msgs = [ev.message() for ev in word
+                    if ev.kind == SEND and ev.receiver == name]
+            run = []
+            for label, payload in msgs:
+                run.append(recv(cp.source, name, label, payload_from_key(payload)))
+                run.append(send(name, cp.target, label, payload_from_key(payload)))
+            if not _machine_accepts_prefix(machine, tuple(run)):
+                return False
+    return True
+
+
+def _machine_accepts_prefix(machine: StateMachine, word: Word) -> bool:
+    current = machine.eps_closure({machine.initial})
+    for ev in word:
+        nxt = {dst for q in current for e, dst in machine.out(q) if e == ev}
+        if not nxt:
+            return False
+        current = machine.eps_closure(nxt)
+    return True
+
+
+# -- amp.projection -----------------------------------------------------------
+
+
+def project_tame(source, *, k: int = 6) -> ProjectionResult:
+    """Project a tame protocol machine to a deadlock-free CSM.
+
+    Encodes bounded channels through forwarder participants, runs the
+    subset construction for every participant, minimises, checks
+    validity, decodes, and finally replays the bounded oracle against
+    the source.  Raises NotTame when the structural gate fails
+    (multi-sender branching, non-sink-final, no inferable bounds) and
+    NotProjectable with a report when a candidate exists but is wrong.
+
+    `check_validity` is a fast structural pre-filter over the subset
+    machines; the bounded semantic oracle always runs afterwards and is
+    what acceptance rests on.
+    """
+    psm = source if isinstance(source, Psm) else validate(source)
+    machine = psm.machine.trim()
+
+    if not machine.is_sink_final():
+        raise NotTame("machine is not sink-final")
+    ok, state = single_sender_branching(machine)
+    if not ok:
+        raise NotTame(f"state {state!r} branches on mixed or multi-sender actions")
+    try:
+        bounds = library_infer_channel_bounds(psm)
+    except UnboundedLoop as exc:
+        raise NotTame(f"no channel bounds: {exc}") from exc
+
+    encoded = encode_psm(machine, bounds)
+    participants = set(machine.participants())
+    cps = channel_participants(bounds)
+
+    projections = {p: library_minimize(subset_construction(encoded, p))
+                   for p in sorted(participants)}
+    cp_machines = {cp.name: library_minimize(subset_construction(encoded, cp.name))
+                   for cp in cps}
+
+    validity = check_validity({**projections, **cp_machines})
+    if not validity.ok:
+        participant, state, event = validity.violations[0]
+        raise NotProjectable(f"check check_validity: state {state} of "
+                             f"{participant} rejects {event}")
+
+    if cps and not is_amicable({**projections, **cp_machines}, bounds, k=k + 2):
+        raise NotProjectable("forwarder components are not amicable")
+
+    # Distinct state names across components, so the CSM can type sessions.
+    csm = Csm({p: canonical_names(decode_fsm(m), prefix=f"{p}_")
+               for p, m in projections.items()})
+    verdict = check_projection(psm, csm, k)
+    if not verdict.passed:
+        raise NotProjectable("; ".join(verdict.reasons))
+    return ProjectionResult(csm, bounds, encoded, validity, verdict)

@@ -29,6 +29,9 @@ named next to it:
 - `channel_participant_machine`, `is_forwarding` with `FORWARDING`,
   `ALMOST` and `NO`: a forwarder's machine and words; check
   `encoding.machine_is_forwarding`, which `is_amicable` uses.
+- `is_channel_ordered`: forwarder hops of one word in ring order;
+  checks `encode_psm`, and the trace-bounded `is_amicable` of
+  `projection_reference.py` is built on it.
 
 `amp.fifo`
 - `match_report`, `MatchReport`,
@@ -174,6 +177,26 @@ def is_final_sink_config(csm: Csm, config: Configuration) -> bool:
 
 
 # -- amp.encoding: words and forwarders ---------------------------------------
+
+
+def is_channel_ordered(word: Word, bounds: dict) -> bool:
+    """Forwarder hops are used in ring order for every bounded channel."""
+    families: dict[tuple, list[int]] = {}
+    for ev in word:
+        for e in ev.letters():
+            cp = parse_channel_participant(e.receiver)
+            if cp is not None and (cp.source, cp.target) in bounds:
+                families.setdefault((cp.source, cp.target, e.kind, "in"),
+                                    []).append(cp.index)
+            cp = parse_channel_participant(e.sender)
+            if cp is not None and (cp.source, cp.target) in bounds:
+                families.setdefault((cp.source, cp.target, e.kind, "out"),
+                                    []).append(cp.index)
+    for (src, dst, _, _), indices in families.items():
+        b = bounds[(src, dst)]
+        if any(idx != i % b for i, idx in enumerate(indices)):
+            return False
+    return True
 
 
 def encode_word(word: Word, bounds: dict) -> Word:

@@ -11,7 +11,7 @@ import pytest
 
 from amp.core import maximal_traces_upto
 from amp.csm import check_projection, csm_language_upto, explore
-from amp.encoding import encode_psm, is_channel_ordered
+from amp.encoding import encode_psm
 from amp.fifo import closure_upto, is_fifo, swap_step
 from amp.projection import (NotProjectable, NotTame, project_tame,
                             strong_report)
@@ -30,6 +30,7 @@ from .test_transform import _random_regex
 from .test_typecheck import delegation_program
 from .semantics import (check_feasible_eventual_reception_language,
                         complete_traces, decode_word, encode_word,
+                        is_channel_ordered,
                         languages_equal_upto, machine_isomorphic, psm_deriv,
                         regex_lang_upto)
 

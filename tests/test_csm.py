@@ -198,3 +198,34 @@ def test_dot_export_escapes_quotes_and_backslashes():
         r'    "q:t" -> "q:t" [label="p>q?a\"b\\c"];',
         "  }",
         "}"]
+
+
+def test_dot_nodes_are_unique_across_components():
+    """A participant whose name holds a colon can make two components
+    name a node alike: `a:b`'s start marker and state `c` against `a`'s
+    states `b__start` and `b:c`.  The later node takes the first free
+    name of `name_`, `name__`, ..."""
+    csm = Csm({"a": StateMachine(["b__start", "b:c"], "b__start", ["b:c"],
+                                 [("b__start", send("a", "a:b", "m"), "b:c")]),
+               "a:b": StateMachine(["c", "d"], "c", ["d"],
+                                   [("c", recv("a", "a:b", "m"), "d")])})
+    assert csm_to_dot(csm).splitlines() == [
+        'digraph "csm" {',
+        "  rankdir=LR;",
+        '  subgraph "cluster_a" {',
+        '    label="a";',
+        '    "a__start" [shape=point];',
+        '    "a:b:c" [label="b:c", shape=doublecircle];',
+        '    "a:b__start" [label="b__start", shape=circle];',
+        '    "a__start" -> "a:b__start";',
+        '    "a:b__start" -> "a:b:c" [label="a>a:b!m"];',
+        "  }",
+        '  subgraph "cluster_a:b" {',
+        '    label="a:b";',
+        '    "a:b__start_" [shape=point];',
+        '    "a:b:c_" [label="c", shape=circle];',
+        '    "a:b:d" [label="d", shape=doublecircle];',
+        '    "a:b__start_" -> "a:b:c_";',
+        '    "a:b:c_" -> "a:b:d" [label="a>a:b?m"];',
+        "  }",
+        "}"]

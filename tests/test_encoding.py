@@ -4,7 +4,6 @@ import pytest
 
 from amp.core import StateMachine, maximal_traces_upto, recv, send
 from amp.encoding import (ChannelParticipant, decode_fsm, encode_psm,
-                          is_amicable, is_channel_ordered,
                           machine_is_forwarding, merge_immediate_pairs,
                           parse_channel_participant)
 from amp.fifo import closure_upto
@@ -13,6 +12,7 @@ from amp.psm import validate
 from .conftest import (kle_encoded_expected, kle_machine, random_fifo_word,
                        three_party_machine)
 from .semantics import (ALMOST, FORWARDING, NO, channel_participant_machine,
+                        is_channel_ordered,
                         complete_traces, decode_word, encode_fsm, encode_word,
                         is_forwarding, machine_isomorphic, parse_word)
 
@@ -199,39 +199,3 @@ def test_is_forwarding_words():
     assert is_forwarding(good[:1], cp) == ALMOST
     bad = (send(cp.name, "q", "m"), recv("p", cp.name, "m"))
     assert is_forwarding(bad, cp) == NO
-
-
-def test_subset_components_of_encoding_amicable():
-    from amp.projection import minimize, subset_construction
-    encoded = encode_psm(kle_machine(), KLE_BOUNDS)
-    components = {
-        name: minimize(subset_construction(encoded, name))
-        for name in ("e", "o", "(e,o)0", "(o,e)0")}
-    assert is_amicable(components, KLE_BOUNDS, k=8)
-
-
-def test_is_amicable_enumerates_each_sender_once(monkeypatch):
-    """A burst of three messages p->q under bound 3 has three forwarders
-    for p; kle has one each for e and o."""
-    from amp import core
-    from amp.projection import minimize, subset_construction
-    labels = ("a", "b", "c")
-    reads = ["w3", "r1", "r2", "r3"]
-    burst = StateMachine(
-        ["w0", "w1", "w2"] + reads, "w0", ["r3"],
-        [(f"w{i}", send("p", "q", label), f"w{i + 1}")
-         for i, label in enumerate(labels)]
-        + [(reads[i], recv("p", "q", label), reads[i + 1])
-           for i, label in enumerate(labels)])
-    real = core.maximal_traces_upto
-    enumerated = []
-    monkeypatch.setattr(core, "maximal_traces_upto",
-                        lambda m, k: enumerated.append(m) or real(m, k))
-    for machine, bounds, senders in ((burst, {("p", "q"): 3}, ["p"]),
-                                     (kle_machine(), KLE_BOUNDS, ["e", "o"])):
-        encoded = encode_psm(machine, bounds)
-        components = {name: minimize(subset_construction(encoded, name))
-                      for name in sorted(encoded.participants())}
-        enumerated.clear()
-        assert is_amicable(components, bounds, k=8)
-        assert enumerated == [components[p] for p in senders]
