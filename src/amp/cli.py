@@ -260,9 +260,9 @@ def cmd_check_csm(args) -> int:
                f"deadlocks: {len(report.deadlocks)}  "
                f"soft deadlocks: {len(report.soft_deadlocks)}"]
     if report.deadlocks:
-        witness = fifo.format_word(report.witness(report.deadlocks[0]))
-        data["witness"] = witness
-        summary.append(f"deadlock witness: {witness or 'ε'}")
+        witness = report.witness(report.deadlocks[0])
+        data["witness"] = fifo.format_word(witness)
+        summary.append(f"deadlock witness: {fifo.show_word(witness)}")
     if args.against:
         validated = psm_mod.validate(_load_machine(args.against))
         verdict = csm_mod.check_projection(validated, machine_csm, args.bound)
@@ -284,7 +284,7 @@ def cmd_simulate(args) -> int:
     trace = csm_mod.simulate(machine_csm, seed=args.seed,
                              max_steps=args.max_steps)
     _emit(args, {"trace": [str(ev) for ev in trace]},
-          [fifo.format_word(trace) or "ε"])
+          [fifo.show_word(trace)])
     return OK
 
 

@@ -8,23 +8,32 @@ all derived data is precomputed, so they are safe to share freely.
 The graph-analysis section holds the one copy of each walker that the
 other layers share, for any graph given as nodes and an out-edge
 function: state machines, protocol configuration graphs and compiled
-CSMs alike.  `reachable`, `eps_closure` and `backward_closure` walk
-forwards and backwards; `subset_moves` is the step of the subset
-construction, which PSM validation, projection and the bounded oracle
-all read machines through; `bounded_traces` lists the words of length
-up to k of such a determinised walk; `parent_word` reads a witness off
-a breadth-first parent chain; `strongly_connected_components` is the one
-Tarjan; and `nodes_on_cycles`, `maximal_capable` and `fer_violation`
-answer "can this node still reach a maximal run?" and "can every
-pending message still be received?".  The channel-queue
-and payload-key helpers shared by those layers live here too.
+CSMs alike.  `walk` is the one breadth-first search; the other layers'
+searches are successor functions that it drives.  `reachable` finds
+the set `walk` yields with a loop of its own, since epsilon closures run
+it on tiny graphs once per subset move, and `eps_closure` and
+`backward_closure` run it forwards and backwards.  Outside `walk` stay
+`csm.explore` (it fills the packed kernel's arrays),
+`psm.build_config_graph` (it raises with a witness mid-walk),
+`fer_violation` (slower on `walk`), `fifo.closure_upto` (it counts
+against its cap), `bounded_traces` (it keeps words, not nodes) and the
+depth-first Tarjan, `psm._simple_cycles` and `transform` postorder.
+`subset_moves` is the step of the subset construction, which PSM
+validation, projection and the bounded oracle all read machines
+through; `bounded_traces` lists the words of length up to k of such a
+determinised walk; `parent_word` reads a witness off a breadth-first
+parent chain; `strongly_connected_components` is the one Tarjan; and
+`nodes_on_cycles`, `maximal_capable` and `fer_violation` answer "can
+this node still reach a maximal run?" and "can every pending message
+still be received?".  The channel-queue and payload-key helpers shared
+by those layers live here too.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 SEND = "send"
 RECV = "recv"
@@ -304,9 +313,26 @@ class StateMachine:
 # label is an epsilon edge.
 
 
+def walk(starts: Iterable, successors) -> Iterator:
+    """Yield the starts and every node reachable from one of them, each
+    once, breadth first: the starts in order, then the successors of
+    each node yielded, in the order `successors(v)` lists them.
+
+    `successors(v)` is called only when the node after v is asked for,
+    so a caller that stops reading the walk stops the search there."""
+    order = list(dict.fromkeys(starts))
+    seen = set(order)
+    for v in order:
+        yield v
+        for w in successors(v):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+
+
 def reachable(starts: Iterable, successors) -> set:
-    """The starts and every node reachable from one of them, where
-    `successors(v)` lists the nodes one step from v."""
+    """The set of nodes `walk` yields.  Epsilon closures run this on
+    graphs of a few nodes, where a generator costs more than the search."""
     seen = set(starts)
     work = list(seen)
     while work:
@@ -413,14 +439,7 @@ def backward_closure(nodes: Iterable, out, targets: Iterable) -> set:
     for v in nodes:
         for _, w in out(v):
             incoming.setdefault(w, []).append(v)
-    closed = set(targets)
-    work = list(closed)
-    while work:
-        for p in incoming.get(work.pop(), ()):
-            if p not in closed:
-                closed.add(p)
-                work.append(p)
-    return closed
+    return reachable(targets, lambda w: incoming.get(w, ()))
 
 
 def maximal_capable(nodes: Iterable, out, finals: Iterable) -> set:

@@ -17,8 +17,8 @@ from typing import Optional
 from .core import (Event, MalformedInput, PAIR, RECV, SEND, StateMachine,
                    Word, _dot_quoted, bounded_traces, machine_from_json,
                    machine_to_json, machines_json_text, queue_get,
-                   reachable)
-from .fifo import format_word, project
+                   reachable, walk)
+from .fifo import project, show_word as _fmt
 from .psm import Psm
 
 Channel = tuple[str, str]
@@ -538,26 +538,22 @@ def _embeds(machine: StateMachine, targets: dict) -> bool:
     subjects = sorted(targets)
     slot = {p: i for i, p in enumerate(subjects)}
     done = tuple(len(targets[p]) for p in subjects)
-    start = (machine.initial, tuple(0 for _ in subjects))
-    seen = {start}
-    stack = [start]
-    while stack:
-        q, positions = stack.pop()
-        if positions == done:
-            return True
+
+    def successors(node):
+        q, positions = node
         for ev, dst in machine.out(q):
-            nxt = (dst, positions)
             if ev is not None:
                 i = slot.get(ev.subject)
                 if i is not None and positions[i] < done[i]:
-                    if targets[subjects[i]][positions[i]] != ev:
-                        continue
-                    nxt = (dst, positions[:i] + (positions[i] + 1,)
-                           + positions[i + 1:])
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+                    if targets[subjects[i]][positions[i]] == ev:
+                        yield (dst, positions[:i] + (positions[i] + 1,)
+                               + positions[i + 1:])
+                    continue
+            yield dst, positions
+
+    start = (machine.initial, tuple(0 for _ in subjects))
+    return any(positions == done
+               for _, positions in walk((start,), successors))
 
 
 class _Views:
@@ -612,10 +608,7 @@ class _Views:
         unless the letter is a send its receiver has already received,
         and the realisable prefixes of a realisable vector are all
         reached that way."""
-        found = set(vectors)
-        work = list(found)
-        while work:
-            vector = work.pop()
+        def shorter(vector: tuple):
             for i, node in enumerate(vector):
                 if not node:
                     continue
@@ -626,11 +619,9 @@ class _Views:
                     if len(project(received, channel=ev.channel)) \
                             >= len(project(word, channel=ev.channel)):
                         continue
-                shorter = vector[:i] + (self.parent[node],) + vector[i + 1:]
-                if shorter not in found:
-                    found.add(shorter)
-                    work.append(shorter)
-        return found
+                yield vector[:i] + (self.parent[node],) + vector[i + 1:]
+
+        return reachable(vectors, shorter)
 
     def least(self, vector: tuple, key) -> Word:
         """The FIFO word with a realisable vector that `key` puts
@@ -661,13 +652,10 @@ class _Views:
                 found.append((ev, progress[:j] + (i + 1,) + progress[j + 1:]))
             return found
 
-        order = [(0,) * len(names)]
-        seen = set(order)
-        for progress in order:
-            for _, nxt in moves(progress):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
+        # Each move adds one letter, so breadth-first order is
+        # topological and its reverse meets successors first.
+        order = list(walk(((0,) * len(names),),
+                          lambda progress: [nxt for _, nxt in moves(progress)]))
         best: dict = {}
         for progress in reversed(order):
             options = [(ev,) + best[nxt] for ev, nxt in moves(progress)]
@@ -691,28 +679,26 @@ def _csm_vectors(kernel: _Kernel, views: _Views, k: int) -> dict:
     """The projection vectors of the CSM's words of length <= k, each
     mapped to whether one of its runs ends in a final configuration.
 
-    Walks (configuration, vector) pairs, so each is visited once however
-    many interleavings lead there.  Receives consume their channel's
-    head and epsilon moves leave the vector alone, as in `moves`.
+    Walks (configuration, vector, vector length) triples, so each
+    configuration and vector is visited once however many interleavings
+    lead there; the vector fixes the length.  Receives consume their
+    channel's head and epsilon moves leave the vector alone, as in
+    `moves`.
     """
-    length = {(kernel.initial, views.empty): 0}  # pair -> vector length
-    work = list(length)
-    complete: dict = {}
-    while work:
-        config, vector = pair = work.pop()
-        complete[vector] = complete.get(vector) or kernel.is_final(config)
+    def successors(node):
+        config, vector, size = node
         for move in kernel.moves(config)[0]:
             succ = move & kernel.full
             if move == succ:  # epsilon, of rank 0
-                nxt, size = (succ, vector), length[pair]
-            elif length[pair] < k:
-                nxt = (succ, views.extend(vector, kernel.event(move)))
-                size = length[pair] + 1
-            else:
-                continue
-            if nxt not in length:
-                length[nxt] = size
-                work.append(nxt)
+                yield succ, vector, size
+            elif size < k:
+                yield (succ, views.extend(vector, kernel.event(move)),
+                       size + 1)
+
+    complete: dict = {}
+    for config, vector, _ in walk(((kernel.initial, views.empty, 0),),
+                                  successors):
+        complete[vector] = complete.get(vector) or kernel.is_final(config)
     return complete
 
 
@@ -775,10 +761,6 @@ def check_projection(psm: Psm, csm: Csm, k: int) -> ProjectionVerdict:
         reasons.append(f"CSM misses prefix {_fmt(views.first(missing))}")
     return ProjectionVerdict(not reasons, tuple(reasons),
                              bounded_only=report.truncated)
-
-
-def _fmt(word: Word) -> str:
-    return format_word(word) if word else "ε"
 
 
 def simulate(csm: Csm, seed: int = 0, max_steps: int = 100) -> Word:

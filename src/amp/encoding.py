@@ -12,12 +12,11 @@ words and of one participant's machine is kept as a test-only check in
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import (Event, PAIR, RECV, SEND, StateMachine, expand_pairs,
-                   pair, payload_from_key, recv, send)
+                   pair, payload_from_key, recv, send, walk)
 
 Channel = tuple[str, str]
 
@@ -102,19 +101,11 @@ def _thread_counters(machine: StateMachine, bounds: dict, out_channels: tuple,
     keep `ev` and the counters as they are.  Only states with every counter
     at zero stay final.
     """
-    zero_out = tuple((ch, 0) for ch in out_channels)
-    zero_in = tuple((ch, 0) for ch in in_channels)
-    start = (machine.initial, zero_out, zero_in)
-    index = {start: _counter_state(*start)}
-    frontier = deque([start])
-    transitions = []
-    finals = set()
-    while frontier:
-        node = frontier.popleft()
+    moves: dict = {}  # node -> its (label, successor) moves
+
+    def successors(node):
         q, snd, rcv_ = node
-        name = index[node]
-        if q in machine.finals and snd == zero_out and rcv_ == zero_in:
-            finals.add(name)
+        out = moves[node] = []
         for ev, dst in machine.out(q):
             label, succ = ev, (dst, snd, rcv_)
             if ev is not None:
@@ -128,11 +119,18 @@ def _thread_counters(machine: StateMachine, bounds: dict, out_channels: tuple,
                         (ch, (v + 1) % bounds[ch] if ch == ev.channel else v)
                         for ch, v in counters)
                     succ = (dst, ticked, rcv_) if sending else (dst, snd, ticked)
-            if succ not in index:
-                index[succ] = _counter_state(*succ)
-                frontier.append(succ)
-            transitions.append((name, label, index[succ]))
-    return StateMachine(set(index.values()), index[start], finals, transitions)
+            out.append((label, succ))
+        return [succ for _, succ in out]
+
+    zero_out = tuple((ch, 0) for ch in out_channels)
+    zero_in = tuple((ch, 0) for ch in in_channels)
+    start = (machine.initial, zero_out, zero_in)
+    name = {node: _counter_state(*node) for node in walk((start,), successors)}
+    finals = [n for (q, snd, rcv_), n in name.items()
+              if q in machine.finals and snd == zero_out and rcv_ == zero_in]
+    return StateMachine(name.values(), name[start], finals,
+                        [(name[node], label, name[succ])
+                         for node, out in moves.items() for label, succ in out])
 
 
 def encode_psm(machine: StateMachine, bounds: dict) -> StateMachine:
@@ -185,31 +183,28 @@ def decode_fsm(machine: StateMachine) -> StateMachine:
 
 def machine_is_forwarding(machine: StateMachine, cp: ChannelParticipant) -> bool:
     """Every reachable path alternates matched receive/forward steps."""
-    states = {machine.initial: None}  # state -> held message or None
-    stack = [machine.initial]
-    while stack:
-        q = stack.pop()
-        held = states[q]
+    held = {machine.initial: None}  # state -> held message or None
+
+    def successors(q: str):
+        """The states after q, or None after a step that breaks the
+        alternation."""
         for ev, dst in machine.out(q):
             if ev is None:
-                return False
-            if held is None:
-                if not (ev.kind == RECV and ev.sender == cp.source
-                        and ev.receiver == cp.name):
-                    return False
+                ok = False
+            elif held[q] is None:
+                ok = (ev.kind == RECV and ev.sender == cp.source
+                      and ev.receiver == cp.name)
                 nxt = ev.message()
             else:
-                if ev != send(cp.name, cp.target, held[0],
-                              payload_from_key(held[1])):
-                    return False
+                ok = ev == send(cp.name, cp.target, held[q][0],
+                                payload_from_key(held[q][1]))
                 nxt = None
-            if dst in states:
-                if states[dst] != nxt:
-                    return False
-            else:
-                states[dst] = nxt
-                stack.append(dst)
-    return True
+            if not ok or held.setdefault(dst, nxt) != nxt:
+                yield None
+                return
+            yield dst
+
+    return None not in walk((machine.initial,), successors)
 
 
 def is_amicable(components: dict[str, StateMachine], bounds: dict) -> bool:
@@ -252,34 +247,35 @@ def _serves(sender: StateMachine, forwarders: dict, bounds: dict) -> bool:
     """Whether `sender` keeps ring order and sends `forwarders` only what
     they can pass on, on every path: the product `is_amicable` walks."""
     names = sorted(forwarders)
+
+    def successors(node):
+        """The nodes after `node`, or None after a step out of ring
+        order or to a forwarder that cannot take it."""
+        q, ring, held = node
+        for ev, dst in sender.out(q):
+            if ev is None:
+                yield dst, ring, held
+                continue
+            counters = dict(ring)
+            for family, index in _ring_slots(ev, bounds):
+                if index != counters.get(family, 0):
+                    yield None
+                    return
+                counters[family] = (index + 1) % bounds[family[:2]]
+            after = held
+            if ev.kind == SEND and ev.receiver in forwarders:
+                i = names.index(ev.receiver)
+                states = _step_forwarder(forwarders[ev.receiver], held[i], ev)
+                if not states:
+                    yield None
+                    return
+                after = held[:i] + (states,) + held[i + 1:]
+            yield dst, tuple(sorted(counters.items())), after
+
     start = (sender.initial, (), tuple(
         forwarders[name].eps_closure({forwarders[name].initial})
         for name in names))
-    seen = {start}
-    work = [start]
-    while work:
-        q, ring, held = work.pop()
-        for ev, dst in sender.out(q):
-            node = (dst, ring, held)
-            if ev is not None:
-                counters = dict(ring)
-                for family, index in _ring_slots(ev, bounds):
-                    if index != counters.get(family, 0):
-                        return False
-                    counters[family] = (index + 1) % bounds[family[:2]]
-                node = (dst, tuple(sorted(counters.items())), held)
-                if ev.kind == SEND and ev.receiver in forwarders:
-                    i = names.index(ev.receiver)
-                    states = _step_forwarder(forwarders[ev.receiver], held[i],
-                                             ev)
-                    if not states:
-                        return False
-                    node = (node[0], node[1],
-                            held[:i] + (states,) + held[i + 1:])
-            if node not in seen:
-                seen.add(node)
-                work.append(node)
-    return True
+    return None not in walk((start,), successors)
 
 
 def _step_forwarder(machine: StateMachine, states: frozenset,

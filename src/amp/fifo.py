@@ -120,3 +120,8 @@ def closure_upto(words: Iterable[Word], cap: int = DEFAULT_CLOSURE_CAP) -> froze
 
 def format_word(word: Word) -> str:
     return " ".join(str(ev) for ev in word)
+
+
+def show_word(word: Iterable[Event]) -> str:
+    """`format_word` for a reader: the empty word shows as ε."""
+    return format_word(word) or "ε"

@@ -12,16 +12,15 @@ of a rejected one.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, eps_closure,
-                   parent_word, reachable, recv, send, subset_moves)
+                   parent_word, reachable, recv, send, subset_moves, walk)
 from .csm import Csm, ProjectionVerdict, check_projection
 from .encoding import (channel_participants, decode_event, decode_fsm,
                        encode_psm, is_amicable, parse_channel_participant)
-from .fifo import format_word
+from .fifo import show_word
 from .psm import (Psm, PsmError, UnboundedLoop, infer_channel_bounds,
                   single_sender_branching, validate)
 
@@ -52,25 +51,22 @@ def _subsets(initial: str, out, finals: frozenset) -> SubsetMachine:
     """The subset construction over the graph `out` describes, where a
     None label is an epsilon move.  Subset states are canonically named
     and final when they contain a final source state."""
-    def name(states: frozenset) -> str:
-        return "{" + ",".join(sorted(states)) + "}"
+    moves: dict = {}  # subset -> its (label, successor) moves
+
+    def successors(states: frozenset) -> list:
+        step = subset_moves(states, out)
+        moves[states] = [(label, eps_closure(step[label], out))
+                         for label in sorted(step, key=Event.sort_key)]
+        return [succ for _, succ in moves[states]]
 
     start = eps_closure((initial,), out)
-    index = {start: name(start)}
-    frontier = deque([start])
-    transitions = []
-    while frontier:
-        states = frontier.popleft()
-        moves = subset_moves(states, out)
-        for label in sorted(moves, key=Event.sort_key):
-            succ = eps_closure(moves[label], out)
-            if succ not in index:
-                index[succ] = name(succ)
-                frontier.append(succ)
-            transitions.append((index[states], label, index[succ]))
-    machine = SubsetMachine(set(index.values()), index[start],
+    index = {states: "{" + ",".join(sorted(states)) + "}"
+             for states in walk((start,), successors)}
+    machine = SubsetMachine(index.values(), index[start],
                             {index[s] for s in index if s & finals},
-                            transitions)
+                            [(index[states], label, index[succ])
+                             for states, step in moves.items()
+                             for label, succ in step])
     machine.members = {n: s for s, n in index.items()}
     machine.view = out
     return machine
@@ -144,19 +140,12 @@ def minimize(machine: StateMachine) -> StateMachine:
 
 
 def canonical_names(machine: StateMachine, prefix: str = "s") -> StateMachine:
-    """Rename states to s0, s1, ... in breadth-first transition order."""
-    names = {machine.initial: f"{prefix}0"}
-    frontier = deque([machine.initial])
-    while frontier:
-        q = frontier.popleft()
-        for _, dst in machine.out(q):
-            if dst not in names:
-                names[dst] = f"{prefix}{len(names)}"
-                frontier.append(dst)
-    for q in sorted(machine.states):
-        if q not in names:
-            names[q] = f"{prefix}{len(names)}"
-    return machine.rename(names)
+    """Rename states to s0, s1, ... in breadth-first transition order,
+    unreachable states last in sorted order."""
+    order = list(walk((machine.initial,),
+                      lambda q: [dst for _, dst in machine.out(q)]))
+    order += sorted(machine.states.difference(order))
+    return machine.rename({q: f"{prefix}{i}" for i, q in enumerate(order)})
 
 
 @dataclass(frozen=True)
@@ -191,21 +180,18 @@ class NotProjectable(PsmError):
 
 def _word_to(machine: StateMachine, target: str) -> Word:
     """The first word, breadth first, on which `machine` reaches `target`."""
-    parent: dict = {}
-    frontier = deque([machine.initial])
-    seen = {machine.initial}
-    while frontier and target not in seen:
-        q = frontier.popleft()
+    parent: dict = {}  # state -> (the state it was first reached from, event)
+
+    def successors(q: str):
         for ev, dst in machine.out(q):
-            if dst not in seen:
-                seen.add(dst)
-                parent[dst] = (q, ev)
-                frontier.append(dst)
+            if dst != machine.initial:
+                parent.setdefault(dst, (q, ev))
+            yield dst
+
+    for q in walk((machine.initial,), successors):
+        if q == target:
+            break
     return parent_word(parent, target)
-
-
-def _shown(word: Word) -> str:
-    return format_word(tuple(map(decode_event, word))) or "ε"
 
 
 def _forwarder_named(participants) -> Optional[NotProjectable]:
@@ -228,32 +214,31 @@ def _lost_final(encoded: StateMachine) -> Optional[NotProjectable]:
     state = min(lost)
     word = _word_to(encoded, state)
     return NotProjectable(f"encoding loses final state {state} after "
-                          f"{format_word(word) or 'ε'}", word)
+                          f"{show_word(word)}", word)
 
 
 def _heads(source: StateMachine, participant: str, start: str) -> set:
     """The receives of `participant` whose messages can head their
     channels while it waits at `start`, as `subset_validity` defines
     them."""
-    heads = set()
-    first = (start, frozenset((participant,)), frozenset())
-    seen = {first}
-    work = [first]
-    while work:
-        q, blocked, passed = work.pop()
+    def successors(node):
+        q, blocked, passed = node
         for ev, dst in source.out(q):
-            node = (dst, blocked, passed)
-            if ev is not None and ev.receiver == participant:
-                if ev.sender not in passed:
-                    if ev.sender not in blocked:
-                        heads.add(_local_label(ev, participant))
-                    node = (dst, blocked, passed | {ev.sender})
-            elif ev is not None and ev.sender in blocked:
-                node = (dst, blocked | {ev.receiver}, passed)
-            if node not in seen:
-                seen.add(node)
-                work.append(node)
-    return heads
+            if ev is None:
+                yield dst, blocked, passed
+            elif ev.receiver == participant:
+                yield dst, blocked, passed | {ev.sender}
+            elif ev.sender in blocked:
+                yield dst, blocked | {ev.receiver}, passed
+            else:
+                yield dst, blocked, passed
+
+    first = (start, frozenset((participant,)), frozenset())
+    return {_local_label(ev, participant)
+            for q, blocked, passed in walk((first,), successors)
+            for ev, _ in source.out(q)
+            if ev is not None and ev.receiver == participant
+            and ev.sender not in passed and ev.sender not in blocked}
 
 
 def subset_validity(source: StateMachine, participant: str,
@@ -303,7 +288,8 @@ def subset_validity(source: StateMachine, participant: str,
 
     def failure(state: str, text: str) -> NotProjectable:
         word = _word_to(machine, state)
-        return NotProjectable(text.format(participant, _shown(word)), word)
+        return NotProjectable(
+            text.format(participant, show_word(map(decode_event, word))), word)
 
     for state, members in machine.members.items():
         sends, receives = [], []
@@ -429,8 +415,13 @@ def project_tame(source, *, k: int = 6) -> ProjectionResult:
         raise NotProjectable("forwarder components are not amicable")
 
     # Distinct state names across components, so the CSM can type sessions.
-    csm = Csm({p: canonical_names(decode_fsm(m), prefix=f"{p}_")
-               for p, m in projections.items()})
+    try:
+        csm = Csm({p: canonical_names(decode_fsm(m), prefix=f"{p}_")
+                   for p, m in projections.items()})
+    except ValueError:
+        # Decoding gives a component another's event only when a
+        # participant is named like a forwarder: `failure` says so.
+        raise failure from None
     if failure is None:
         return ProjectionResult(csm, bounds, encoded, validity,
                                 ProjectionVerdict(True, ()))

@@ -15,7 +15,8 @@ from typing import Optional
 
 from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, expand_pairs,
                    fer_violation, maximal_capable, parent_word, queue_get,
-                   queue_set, strongly_connected_components, subset_moves)
+                   queue_set, strongly_connected_components, subset_moves,
+                   walk)
 
 DEFAULT_CONFIG_CAP = 1_000_000
 
@@ -304,28 +305,24 @@ def _has_return_chain(events: list[Event], start: str, goal: str) -> bool:
     rcv(ck,goal,mk) with c0 = start.
     """
     n = len(events)
-    frontier = {(0, start)}
-    seen = set(frontier)
-    while frontier:
-        nxt = set()
-        for pos, holder in frontier:
-            for i in range(pos, n):
-                ev = events[i]
-                if ev.kind != SEND or ev.sender != holder:
-                    continue
-                for j in range(i + 1, n):
-                    ev2 = events[j]
-                    if (ev2.kind == RECV and ev2.channel == ev.channel
-                            and ev2.message() == ev.message()):
-                        if ev.receiver == goal:
-                            return True
-                        state = (j + 1, ev.receiver)
-                        if state not in seen:
-                            seen.add(state)
-                            nxt.add(state)
-                        break
-        frontier = nxt
-    return False
+
+    def hops(node):
+        """The (position after the receive, new holder) of each hop the
+        holder can start at or after `pos`."""
+        pos, holder = node
+        for i in range(pos, n):
+            ev = events[i]
+            if ev.kind != SEND or ev.sender != holder:
+                continue
+            for j in range(i + 1, n):
+                ev2 = events[j]
+                if (ev2.kind == RECV and ev2.channel == ev.channel
+                        and ev2.message() == ev.message()):
+                    yield j + 1, ev.receiver
+                    break
+
+    return any(pos and holder == goal
+               for pos, holder in walk(((0, start),), hops))
 
 
 def infer_channel_bounds(psm: Psm) -> dict:

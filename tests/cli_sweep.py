@@ -11,7 +11,9 @@ into the same temporary directory and printed as `GEN/<name>`: a
 a generated two-participant CSM with epsilon transitions whose initial
 configuration is final yet can still move.  `project --json` also runs
 on generated protocols that fail Send Validity, Receive Validity,
-amicability and the encoding's final states, one each.  Two runs of the same code
+amicability and the encoding's final states, one each, and with
+`to-local` on one whose participant p sends to a participant named like
+another channel's forwarder.  Two runs of the same code
 must print the same lines, whatever the hash seed:
 
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/cli_sweep.py > a.txt
@@ -138,6 +140,9 @@ REJECTED_INPUTS = {
     # a third message on the ring of two: its counters end at one
     "lost_final.psm.json": _burst_then([("send", "p", "q", "c"),
                                         ("recv", "p", "q", "c")]),
+    # decoding would move p's send to channel x>y
+    "forwarder_named.psm.json": _line_machine([("send", "p", "(x,y)0", "m"),
+                                               ("recv", "p", "(x,y)0", "m")]),
 }
 
 
@@ -203,6 +208,8 @@ def commands() -> list[list[str]]:
     # condition
     out.append(["project", f"{GENERATED}/send_validity.gt", "--json",
                 "-K", "1"])
+    out.append(["to-local", f"{GENERATED}/forwarder_named.psm.json",
+                "--participant", "p", "--json"])
     return out
 
 

@@ -1,10 +1,13 @@
 """Tests for events, machines, and bounded trace languages."""
 
+import itertools
+import random
+
 import pytest
 
 from amp.core import (StateMachine, TraceFlags, dump_machine, expand_pairs,
                       load_machine, machine_to_dot, maximal_traces_upto, pair,
-                      recv, send)
+                      reachable, recv, send, walk)
 
 from .conftest import three_party_machine
 from .semantics import (complete_traces, languages_equal_upto,
@@ -140,6 +143,58 @@ def test_eps_closure_idempotent_and_monotone():
     assert machine.eps_closure(small) == small
     larger = machine.eps_closure({"c6", "a1"})
     assert small <= larger
+
+
+GRAPH = {"a": ["c", "b"], "b": ["d"], "c": ["d", "e"], "d": ["a"], "e": []}
+
+
+def test_walk_is_breadth_first_in_listed_order():
+    assert list(walk(["a"], GRAPH.__getitem__)) == ["a", "c", "b", "d", "e"]
+    # the starts first, in order, then their successors
+    assert list(walk(["b", "a"], GRAPH.__getitem__)) == ["b", "a", "d", "c",
+                                                         "e"]
+
+
+def test_walk_yields_each_node_once():
+    nodes = list(walk(["d", "a", "d", "b", "a"], GRAPH.__getitem__))
+    assert nodes == ["d", "a", "b", "c", "e"]
+    assert list(walk([], GRAPH.__getitem__)) == []
+
+
+def test_walk_stops_where_its_reader_stops():
+    called = []
+
+    def successors(n: int) -> list:
+        called.append(n)
+        return [2 * n + 1, 2 * n + 2]
+
+    # an infinite binary tree: only nodes read before the last are expanded
+    taken = list(itertools.islice(walk([0], successors), 5))
+    assert taken == [0, 1, 2, 3, 4]
+    assert called == [0, 1, 2, 3]
+    called.clear()
+    assert 6 in walk([0], successors)
+    assert called == [0, 1, 2, 3, 4, 5]
+
+
+def test_walk_agrees_with_level_by_level_reachability():
+    rng = random.Random(19)
+    for _ in range(200):
+        size = rng.randint(1, 12)
+        graph = {v: [rng.randrange(size) for _ in range(rng.randint(0, 3))]
+                 for v in range(size)}
+        starts = [rng.randrange(size) for _ in range(rng.randint(1, 3))]
+        depth = dict.fromkeys(starts, 0)
+        level = set(starts)
+        while level:
+            level = {w for v in level for w in graph[v]} - depth.keys()
+            d = max(depth.values()) + 1
+            depth.update(dict.fromkeys(level, d))
+        nodes = list(walk(starts, graph.__getitem__))
+        assert len(nodes) == len(set(nodes))
+        assert set(nodes) == depth.keys() == reachable(starts,
+                                                       graph.__getitem__)
+        assert [depth[v] for v in nodes] == sorted(depth[v] for v in nodes)
 
 
 def test_dot_export_mentions_states():

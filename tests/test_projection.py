@@ -191,6 +191,19 @@ def test_odd_ring_totals_rejected_not_crashed():
         project_tame(validate(machine), k=8)
 
 
+def test_peer_named_like_a_forwarder_rejected_not_crashed():
+    """Decoding would give p's exchange with a participant named like
+    the forwarder of channel x>y to that channel; the pipeline reports
+    the name instead of failing to build the CSM."""
+    peer = "(x,y)0"
+    machine = StateMachine(
+        {"s0", "s1", "s2"}, "s0", {"s2"},
+        [("s0", send("p", peer, "m"), "s1"), ("s1", recv("p", peer, "m"), "s2")])
+    with pytest.raises(NotProjectable) as caught:
+        project_tame(validate(machine))
+    assert str(caught.value) == "participant (x,y)0 is named like a forwarder"
+
+
 def test_random_tame_machines_project(rng):
     """Pipeline success implies the bounded oracle passes."""
     from .conftest import random_tame_psm
