@@ -468,9 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-csm", help="explore a CSM for deadlocks")
     common(p, caps=False)
-    p.add_argument("--queue-cap", type=_count, default=8)
+    p.add_argument("--queue-cap", type=_count, default=8,
+                   help="leave out sends that would grow a queue past this "
+                        "length, and report the exploration truncated")
     p.add_argument("--against", help="protocol machine to compare against")
-    p.add_argument("-K", "--bound", type=_count, default=6)
+    p.add_argument("-K", "--bound", type=_count, default=6,
+                   help="word length up to which --against compares the "
+                        "CSM with the protocol")
     p.set_defaults(func=cmd_check_csm)
 
     p = sub.add_parser("simulate", help="run one pseudorandom schedule")

@@ -82,6 +82,10 @@ _QUEUE_BITS = 32
 _QUEUE_MASK = (1 << _QUEUE_BITS) - 1
 # A queue cap no queue reaches: its ids outnumber its lengths.
 _NO_CAP = 1 << _QUEUE_BITS
+# Local views a participant's move table keeps per queue cap.  Where a
+# participant meets a new view at most configurations, as in two-party
+# CSMs, a table that kept every view would grow with the exploration.
+_VIEWS_PER_TABLE = 1 << 10
 
 # Move kinds in the compiled out-tables.
 _EPS, _SEND, _RECV = range(3)
@@ -182,11 +186,25 @@ class _Kernel:
     lists the transitions from state s as (kind, what the move adds to
     the configuration besides the queue change, the channel field's
     shift, the push or pop table, the channel's `_Queues`, the message).
+
+    A participant's moves read only its local view: its state field
+    and the fields of the channels its out-table sends or receives on,
+    which `views[i]` masks.  The offset `move - config` of each of its
+    moves, rank bits included, is then a function of `config &
+    views[i]` and the queue cap, because a channel's queue ids never
+    change meaning (`_Queues` only appends).  So `tables[cap]` holds,
+    for each participant i, `views[i]`, a dict and `parts[i]`; the
+    dict maps a local view met under that cap to the participant's
+    offsets and whether it left a send out at the cap.  On a miss
+    `moves` derives the participant's moves with the per-transition
+    loop and keeps their offsets while the dict holds fewer than
+    `_VIEWS_PER_TABLE` views; on a hit it adds the kept offsets.
     """
 
     __slots__ = ("participants", "ids", "pairs", "channel_index", "queues",
                  "queue_shifts", "queue_mask", "events", "bits", "full",
-                 "fields", "parts", "final", "final_sink", "initial")
+                 "fields", "parts", "views", "tables", "final", "final_sink",
+                 "initial")
 
     def __init__(self, components: dict[str, StateMachine]):
         self.participants = tuple(components)
@@ -215,10 +233,11 @@ class _Kernel:
             shift -= width
             fields.append((shift, (1 << width) - 1))
         self.fields = tuple(fields)
-        parts, final, final_sink = [], [], []
+        parts, views, final, final_sink = [], [], [], []
         for ids, qs, m, (shift, mask) in zip(self.ids, names,
                                              components.values(), fields):
             tables = []
+            view = mask << shift
             for s, q in enumerate(qs):
                 table = []
                 for ev, dst in m.out(q):
@@ -231,15 +250,18 @@ class _Kernel:
                     msg = queues.number[ev.message()]
                     kind, moves = ((_SEND, queues.push) if ev.kind == SEND
                                    else (_RECV, queues.pop))
+                    view |= _QUEUE_MASK << self.queue_shifts[c]
                     table.append((kind, (rank[ev] << self.bits) + delta,
                                   self.queue_shifts[c], moves[msg], queues,
                                   msg))
                 tables.append(tuple(table))
             parts.append((shift, mask, tuple(tables)))
+            views.append(view)
             final.append(tuple(q in m.finals for q in qs))
             final_sink.append(tuple(q in m.finals and m.is_sink(q)
                                     for q in qs))
-        self.parts = tuple(parts)
+        self.parts, self.views = tuple(parts), tuple(views)
+        self.tables = {}
         self.final, self.final_sink = tuple(final), tuple(final_sink)
         self.initial = self.pack(
             ids[m.initial] for ids, m in zip(self.ids, components.values()))
@@ -283,10 +305,25 @@ class _Kernel:
     def moves(self, config: int, cap: int = _NO_CAP) -> tuple[list, bool]:
         """Every move from a configuration, unsorted, and whether a send
         was left out because its queue would grow past `cap`."""
+        tables = self.tables.get(cap)
+        if tables is None:
+            tables = self.tables[cap] = tuple(
+                (view, {}, part) for view, part in zip(self.views, self.parts))
         found = []
         capped = False
-        for shift, mask, out in self.parts:
-            for kind, delta, at, table, queues, m in out[(config >> shift)
+        for view, table, (shift, mask, out) in tables:
+            local = config & view
+            entry = table.get(local)
+            if entry is not None:
+                offsets, blocked = entry
+                if blocked:
+                    capped = True
+                for offset in offsets:
+                    found.append(config + offset)
+                continue
+            start = len(found)
+            blocked = False
+            for kind, delta, at, moves, queues, m in out[(config >> shift)
                                                          & mask]:
                 if kind == _EPS:
                     found.append(config + delta)
@@ -294,18 +331,23 @@ class _Kernel:
                 q = (config >> at) & _QUEUE_MASK
                 if kind == _SEND:
                     if queues.length[q] >= cap:
-                        capped = True
+                        blocked = True
                         continue
-                    r = table.get(q)
+                    r = moves.get(q)
                     if r is None:
                         r = queues.appended(q, m)
                 else:
-                    r = table.get(q)
+                    r = moves.get(q)
                     if r is None:
                         r = queues.popped(q, m)
                     if r < 0:
                         continue
                 found.append(config + delta + ((r - q) << at))
+            if blocked:
+                capped = True
+            if len(table) < _VIEWS_PER_TABLE:
+                table[local] = (tuple([move - config
+                                       for move in found[start:]]), blocked)
         return found, capped
 
     def is_final(self, config: int) -> bool:
@@ -441,7 +483,8 @@ def explore(csm: Csm, *, queue_cap: int = 8,
     Configurations are visited, and successors listed, in `step` order.
     """
     kernel = _compiled(csm)
-    full = kernel.full
+    full, bits, events = kernel.full, kernel.bits, kernel.events
+    moves_of, is_final = kernel.moves, kernel.is_final
     admit = max(config_cap, 1)  # the initial configuration whatever the cap
     packed = [kernel.initial]
     index = {kernel.initial: 0}
@@ -451,7 +494,7 @@ def explore(csm: Csm, *, queue_cap: int = 8,
     for i, config in enumerate(packed):
         if i == admit:
             break
-        moves, capped = kernel.moves(config, queue_cap)
+        moves, capped = moves_of(config, queue_cap)
         truncated |= capped
         moves.sort()
         for move in moves:
@@ -461,10 +504,10 @@ def explore(csm: Csm, *, queue_cap: int = 8,
                 packed.append(succ)
                 if j < admit:
                     parents.append(i)
-                    via.append(kernel.event(move))
+                    via.append(events[move >> bits])
                 else:
                     truncated = True
-        final = kernel.is_final(config)
+        final = is_final(config)
         if not moves and not capped:
             (finals if final else deadlocks).append(i)
             if not kernel.is_final_sink(config):

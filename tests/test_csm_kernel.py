@@ -8,6 +8,11 @@ three-party CSMs with epsilon back edges, 300 random hand-drawn CSMs
 and one CSM whose state and queue ids need wide packed fields.  A
 report reads its moves back from the kernel, so they must not change
 when a later exploration or witness grows the kernel's queue tables.
+The kernel memoises each participant's moves per queue cap and local
+view: one CSM explored at several caps in turn, before and after a
+witness interns a foreign message, must match the reference at each
+cap, also when the tables are full, and `pairs(4,4)` must derive
+moves once per local view.
 
 It also keeps the word-level oracle, which enumerates every CSM word
 and the swap closure of the protocol's words, while `amp.csm` compares
@@ -139,7 +144,8 @@ CORPUS = corpus()
 IDS = [name for name, _ in CORPUS]
 
 
-def assert_same_report(new, old) -> None:
+def assert_same_tree(new, old) -> None:
+    """Equal reports, witnesses aside: they follow from `parent`."""
     assert new.configs == old.configs
     assert list(new.edges.items()) == list(old.edges.items())
     assert list(new.parent.items()) == list(old.parent.items())
@@ -147,6 +153,10 @@ def assert_same_report(new, old) -> None:
     assert new.soft_deadlocks == old.soft_deadlocks
     assert new.finals == old.finals
     assert new.truncated == old.truncated
+
+
+def assert_same_report(new, old) -> None:
+    assert_same_tree(new, old)
     for config in new.configs:
         assert new.witness(config) == old.witness(config)
 
@@ -200,6 +210,94 @@ def test_out_survives_a_witness_with_a_foreign_message(name, csm):
     assert report.witness(foreign) == ()
     assert queue_ids(fresh)[0][1] == ids[0][1] + 1
     assert all_out(report) == before
+
+
+# The queue caps one CSM is explored at, in this order, by the tests
+# that tables do not leak between caps: `None` is no queue cap, the
+# cap `step` uses, with a config cap so that unbounded channels end.
+CAP_ORDER = (8, 1, 0, 2, None)
+
+
+def assert_caps_do_not_leak(csm: Csm, reports: dict, steps: dict) -> None:
+    """Explore `csm` at each cap of `CAP_ORDER`, stepping each
+    configuration after the first exploration that reaches it, against
+    the reference; `reports` and `steps` memoise the reference."""
+    stepped = set()
+    for cap in CAP_ORDER:
+        caps = ({"queue_cap": cap} if cap is not None else
+                {"queue_cap": kernel._NO_CAP, "config_cap": 300})
+        if cap not in reports:
+            reports[cap] = reference.explore(csm, **caps)
+        assert_same_tree(kernel.explore(csm, **caps), reports[cap])
+        for config in reports[cap].configs:
+            if config in stepped:
+                continue
+            stepped.add(config)
+            if config not in steps:
+                steps[config] = reference.step(csm, config)
+            assert kernel.step(csm, config) == steps[config]
+
+
+def assert_tables_do_not_leak(csm: Csm) -> None:
+    """On a fresh kernel, the caps of `CAP_ORDER` in turn, and again
+    after a witness interned a message no component sends."""
+    fresh, reports, steps = Csm(csm.components), {}, {}
+    assert_caps_do_not_leak(fresh, reports, steps)
+    report = kernel.explore(fresh, queue_cap=2)
+    for queues in fresh._kernel.queues[:1]:
+        foreign = kernel.Configuration(
+            report.configs[0].states,
+            ((queues.channel, (("never sent", "unit"),)),))
+        assert report.witness(foreign) == ()
+    assert_caps_do_not_leak(fresh, reports, steps)
+
+
+@pytest.mark.parametrize("name,csm", CORPUS, ids=IDS)
+def test_move_tables_do_not_leak_across_caps(name, csm):
+    """The corpus, the random projections among it, at every cap on
+    one kernel: a participant's moves are memoised per queue cap and
+    local view, and neither may answer for another."""
+    assert_tables_do_not_leak(csm)
+
+
+def test_move_tables_do_not_leak_across_caps_on_hand_drawn_csms(hand_drawn):
+    for csm in hand_drawn:
+        assert_tables_do_not_leak(csm)
+
+
+def test_moves_are_derived_once_per_local_view():
+    """pairs(4,4) has 50,625 configurations, but each of its 8
+    participants sees only its own state and channel: 15 views each,
+    one per (sent, received) count of its pair."""
+    csm = pairs(4, 4)[1]
+    assert len(kernel.explore(csm, queue_cap=8)) == 50_625
+    tables = csm._kernel.tables
+    assert list(tables) == [8]
+    assert [len(table) for _, table, _ in tables[8]] == [15] * 8
+
+
+@pytest.mark.parametrize("name,csm", CORPUS, ids=IDS)
+def test_full_move_tables_match_the_reference(name, csm, monkeypatch):
+    """With room for two views a table, most lookups miss once the
+    first configurations are in: a miss derives the same moves."""
+    monkeypatch.setattr(kernel, "_VIEWS_PER_TABLE", 2)
+    assert_tables_do_not_leak(csm)
+
+
+def test_move_tables_stop_growing_at_their_size():
+    """p sends any of 4 labels to q, which receives them, at a queue
+    cap of 6: 5,461 configurations, each nearly a local view of its
+    own, so a table that kept them all would grow with the search."""
+    p = StateMachine({"a"}, "a", {"a"},
+                     [("a", send("p", "q", x), "a") for x in "wxyz"])
+    q = StateMachine({"b"}, "b", {"b"},
+                     [("b", recv("p", "q", x), "b") for x in "wxyz"])
+    csm = Csm({"p": p, "q": q})
+    report = kernel.explore(csm, queue_cap=6)
+    assert len(report) == 5461
+    assert_same_tree(report, reference.explore(csm, queue_cap=6))
+    assert [len(table) for _, table, _ in csm._kernel.tables[6]] == \
+        [kernel._VIEWS_PER_TABLE] * 2
 
 
 @pytest.mark.parametrize("config_cap", [2, 100_000])
