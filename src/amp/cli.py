@@ -210,7 +210,7 @@ def cmd_decode_fsm(args) -> int:
 def cmd_project(args) -> int:
     machine = _load_machine(args.file)
     try:
-        result = projection.project_tame(machine, k=args.bound)
+        result = projection.project_tame(machine)
     except projection.NotTame as exc:
         _emit(args, {"result": "NotTame", "detail": str(exc)},
               [f"not tame: {exc}"])
@@ -227,7 +227,7 @@ def cmd_project(args) -> int:
     report = {
         "result": "ok",
         "bounds": {f"{p}>{q}": b for (p, q), b in result.bounds.items()},
-        "boundedOnly": result.verdict.bounded_only,
+        "boundedOnly": False,  # the conditions decide without a bound
         "validity": "subset projection conditions",
     }
     if args.strong:
@@ -329,7 +329,7 @@ def cmd_to_local(args) -> int:
                   [f"no participant {args.participant!r} in the protocol"])
             return USAGE
         try:
-            result = projection.project_tame(machine, k=args.bound)
+            result = projection.project_tame(machine)
         except (projection.NotTame, projection.NotProjectable) as exc:
             _emit(args, {"error": type(exc).__name__, "detail": str(exc)},
                   [f"cannot project: {exc}"])
@@ -462,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong", action="store_true",
                    help="also require every component to be sink-final")
     p.add_argument("-K", "--bound", type=_count, default=6,
-                   help="witness depth when a projection is rejected")
+                   help="accepted for compatibility; the result does not "
+                        "depend on it")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_project)
 
@@ -496,8 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("to-local", help="read a local type off a machine")
     common(p, caps=False)
     p.add_argument("--participant", required=True)
-    p.add_argument("-K", "--bound", type=_count, default=6,
-                   help="witness depth when a projection is rejected")
     p.set_defaults(func=cmd_to_local)
 
     p = sub.add_parser("typecheck", help="type check a session program")

@@ -204,8 +204,8 @@ def commands() -> list[list[str]]:
             out.append(["to-local", path, "--participant", participant])
     for name in REJECTED_INPUTS:
         out.append(["project", f"{GENERATED}/{name}", "--json"])
-    # an oracle too shallow to see the fault leaves the report to the
-    # condition
+    # `project -K` is still parsed but no longer changes the report: this
+    # line prints the digest of the one without it
     out.append(["project", f"{GENERATED}/send_validity.gt", "--json",
                 "-K", "1"])
     out.append(["to-local", f"{GENERATED}/forwarder_named.psm.json",

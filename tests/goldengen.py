@@ -116,30 +116,30 @@ def generate() -> dict[str, str]:
     three_party = global_to_psm(parse_global_type(THREE_PARTY_GT))
     files["three_party_choice.psm.json"] = dump_machine(three_party)
     files["three_party_choice.csm.json"] = dump_csm(
-        project_tame(validate(three_party), k=6).csm)
+        project_tame(validate(three_party)).csm)
 
     kle = kle_machine()
     files["kle.psm.json"] = dump_machine(kle)
-    kle_result = project_tame(validate(kle), k=8)
+    kle_result = project_tame(validate(kle))
     files["kle_encoded.psm.json"] = dump_machine(kle_result.encoded)
     files["kle.csm.json"] = dump_csm(kle_result.csm)
 
     early = early_commit_machine()
     files["early_commit.psm.json"] = dump_machine(early)
     files["early_commit.csm.json"] = dump_csm(
-        project_tame(validate(early), k=6).csm)
+        project_tame(validate(early)).csm)
 
     leader = global_to_psm(parse_global_type(LEADER_ELECTION_GT))
     files["leader_election.csm.json"] = dump_csm(
-        project_tame(validate(leader), k=6).csm)
+        project_tame(validate(leader)).csm)
 
     buyer = global_to_psm(parse_global_type(ONE_BUYER_GT))
     files["one_buyer.csm.json"] = dump_csm(
-        project_tame(validate(buyer), k=6).csm)
+        project_tame(validate(buyer)).csm)
 
     nonsink = global_to_psm(parse_global_type(NONSINK_CHOICE_GT))
     files["nonsink_choice.csm.json"] = dump_csm(
-        project_tame(validate(nonsink), k=6).csm)
+        project_tame(validate(nonsink)).csm)
 
     files["delegation_inner.csm.json"] = _dump_json({
         "p": _machine_json(

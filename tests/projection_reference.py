@@ -6,8 +6,9 @@ derivative expansion found its ancestors through a dict; `is_amicable`
 and `project_tame` as they stood before projection was decided by the
 subset projection conditions.  Kept as a test-only reference, verbatim
 but for absolute imports, the memo that the library's `canon` takes,
-here a fresh one per call, and the names of the library functions that
-`project_tame` calls.
+here a fresh one per call, the names of the library functions that
+`project_tame` calls, and the fields of the `ProjectionResult` it
+returns, which no longer carries the validity report and the verdict.
 
 These are the Moore refinement with one round per state on a chain, the
 recursive simple-path and simple-cycle searches, which are exponential
@@ -313,4 +314,4 @@ def project_tame(source, *, k: int = 6) -> ProjectionResult:
     verdict = check_projection(psm, csm, k)
     if not verdict.passed:
         raise NotProjectable("; ".join(verdict.reasons))
-    return ProjectionResult(csm, bounds, encoded, validity, verdict)
+    return ProjectionResult(csm, bounds, encoded)

@@ -62,22 +62,22 @@ def test_criterion_1_figure_corpus_exact():
         psm = validate(machine)
         assert psm.sum_one
         assert classify_choice(psm.machine).kind in (SENDER_DRIVEN, DIRECTED)
-        result = project_tame(psm, k=6)
+        result = project_tame(psm)
         drawn = three_party_csm()
         assert set(result.csm.components) == set(drawn.components)
         for name, component in result.csm.components.items():
             assert languages_equal_upto(component, drawn.components[name], 8)
         assert check_projection(psm, result.csm, 6).passed
         # Reproducibility: a second run is state-for-state identical.
-        again = project_tame(validate(machine), k=6)
+        again = project_tame(validate(machine))
         for name, component in result.csm.components.items():
             assert machine_isomorphic(component,
                                       again.csm.components[name]) is not None
 
         with pytest.raises(NotProjectable):
-            project_tame(validate(three_party_machine(v1="v1", v2="v2")), k=6)
+            project_tame(validate(three_party_machine(v1="v1", v2="v2")))
         with pytest.raises(NotProjectable):
-            project_tame(validate(three_party_machine(m2="m2", m3="m2")), k=6)
+            project_tame(validate(three_party_machine(m2="m2", m3="m2")))
 
 
 def test_criterion_2_kle_pipeline_exact():
@@ -88,7 +88,7 @@ def test_criterion_2_kle_pipeline_exact():
         assert infer_channel_bounds(psm) == {("e", "o"): 1, ("o", "e"): 1}
         encoded = encode_psm(psm.machine, {("e", "o"): 1, ("o", "e"): 1})
         assert machine_isomorphic(encoded, kle_encoded_expected()) is not None
-        result = project_tame(psm, k=8)
+        result = project_tame(psm)
         assert machine_isomorphic(result.csm.components["e"],
                                   kle_expected_local_e()) is not None
         report = explore(result.csm, queue_cap=2)
@@ -103,17 +103,19 @@ def test_criterion_3_negative_controls():
         lose = global_to_psm(parse_global_type(
             "( a->p:sel . q->p:lose . 0 + a->q:sel . p->q:lose . 0 )"))
         with pytest.raises(NotProjectable) as excinfo:
-            project_tame(validate(lose), k=6)
-        assert "deadlock" in str(excinfo.value) or "prefix" in str(excinfo.value)
+            project_tame(validate(lose))
+        assert str(excinfo.value) == ("send validity: p may send p>q!lose "
+                                      "after ε where it must first receive "
+                                      "a>p?sel")
     with Budget("criterion 3 (mixed-choice toys)", 1.0):
         toy = global_to_psm(parse_global_type("( p->q:a . 0 + q->p:b . 0 )"))
         with pytest.raises(NotTame) as excinfo:
-            project_tame(validate(toy), k=4)
+            project_tame(validate(toy))
         assert "branches" in str(excinfo.value)
         from amp.transform import make_sink_final
         toy2 = make_sink_final(toy)
         with pytest.raises(NotTame) as excinfo:
-            project_tame(validate(toy2), k=4)
+            project_tame(validate(toy2))
         assert "branches" in str(excinfo.value)
 
 
@@ -194,7 +196,7 @@ def test_criterion_6_closure_laws():
 
         corpus = [three_party_csm()]
         from amp.projection import project_tame as project
-        corpus.append(project(validate(kle_machine()), k=6).csm)
+        corpus.append(project(validate(kle_machine())).csm)
         for csm in corpus:
             traces = csm_language_upto(csm, 6)
             for word in traces:
@@ -254,12 +256,12 @@ def test_criterion_8_strong_projection():
     with Budget("criterion 8 (strong projection)", 1.0):
         maybe = global_to_psm(parse_global_type(
             "( p->q:m1 . p->r:m1 . 0 + p->q:m2 . 0 )"))
-        report = strong_report(project_tame(maybe, k=6).csm)
+        report = strong_report(project_tame(maybe).csm)
         assert not report.strong
-        result = project_tame(validate(maybe), k=6)
+        result = project_tame(validate(maybe))
         assert report.witnesses == (
             ("r", result.csm.components["r"].initial),)
-        assert strong_report(project_tame(kle_machine(), k=8).csm).strong
+        assert strong_report(project_tame(kle_machine()).csm).strong
 
 
 def test_criterion_9_derivative_oracle():

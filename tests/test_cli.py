@@ -502,7 +502,7 @@ def test_oracle_witnesses_do_not_depend_on_the_hash_seed():
     (["check-csm", "kle.csm.json"], "--queue-cap"),
     (["check-csm", "kle.csm.json"], "-K"),
     (["simulate", "ping.csm.json"], "--max-steps"),
-    (["to-local", "kle.psm.json", "--participant", "e"], "-K"),
+    (["check-csm", "kle.csm.json", "--against", "kle.psm.json"], "-K"),
     (["typecheck", "programs/ping.amp", "--harness"], "--steps"),
     (["typecheck", "programs/ping.amp", "--harness"], "--seeds"),
 ])
@@ -518,6 +518,27 @@ def test_negative_counts_are_usage_errors(capsys, command, option, value):
     assert errors == [f"amp {subcommand}: error: argument {shown}: "
                       f"expected a non-negative integer, got '{value}'"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("source,code,result", [
+    ("three_party_choice.psm.json", 0, "ok"),
+    ("three_party_reply_mismatch.gt", 1, "NotProjectable")])
+def test_project_report_does_not_depend_on_the_bound(capsys, source, code,
+                                                     result):
+    """`project -K` is still parsed and checked, and changes nothing."""
+    outputs = [run(capsys, "project", str(PROTOCOLS / source), "--json",
+                   *bound)
+               for bound in ([], ["-K", "0"], ["-K", "50"])]
+    assert outputs == [(code, outputs[0][1])] * 3
+    assert json.loads(outputs[0][1])["result"] == result
+
+
+def test_to_local_takes_no_bound(capsys):
+    assert main(["to-local", str(PROTOCOLS / "kle.psm.json"),
+                 "--participant", "e", "-K", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: -K 6" in captured.err
 
 
 def test_zero_counts_are_accepted(capsys):

@@ -82,7 +82,7 @@ def test_check_csm_reads_build_no_public_view():
 
 def test_language_contains_kle_prefix():
     from amp.projection import project_tame
-    result = project_tame(validate(kle_machine()), k=6)
+    result = project_tame(validate(kle_machine()))
     words = csm_language_upto(result.csm, 6)
     prefix = parse_word("e>o!0 o>e!0 e>o?0 o>e?0")
     assert prefix in words

@@ -29,7 +29,6 @@ from pathlib import Path
 import pytest
 
 from amp import csm as kernel
-from amp import projection
 from amp.cli import _load_machine
 from amp.core import (RECV, Event, StateMachine, StateRef, pair, recv,
                       send)
@@ -39,6 +38,7 @@ from amp.projection import NotProjectable, NotTame, project_tame
 from amp.psm import Psm, validate
 
 from . import csm_reference as reference
+from . import projection_reference
 from .conftest import random_tame_psm, three_party_csm, three_party_machine
 from .semantics import initial_config
 
@@ -104,14 +104,14 @@ def tied_csm(swap: bool = False) -> Csm:
 
 def random_projections(count: int = 6, draws: int = 200) -> list[Csm]:
     """The projections of the first `count` random tame protocols that
-    project; raises when `draws` protocols give fewer, so that an oracle
-    that rejects every candidate fails collection instead of hanging."""
+    project; raises when `draws` protocols give fewer, so that a
+    projection that rejects every candidate fails collection instead of
+    hanging."""
     rng = random.Random(20240811)
     found = []
     for _ in range(draws):
         try:
-            found.append(project_tame(validate(random_tame_psm(rng)),
-                                      k=4).csm)
+            found.append(project_tame(validate(random_tame_psm(rng))).csm)
         except (NotTame, NotProjectable):
             continue
         if len(found) == count:
@@ -344,21 +344,26 @@ def test_tied_moves_are_listed_once_each():
     "leader_election_lose"])
 def test_check_projection_matches_reference_on_negative_controls(
         name, monkeypatch):
+    """The candidate CSMs that the projection before the subset
+    conditions built and handed to the oracle."""
     calls = []
-    real = projection.check_projection
+    real = projection_reference.check_projection
 
     def spy(psm, csm, k, **options):
         calls.append((psm, csm, k, options))
         return real(psm, csm, k, **options)
 
-    monkeypatch.setattr(projection, "check_projection", spy)
+    monkeypatch.setattr(projection_reference, "check_projection", spy)
+    machine = _load_machine(str(PROTOCOLS / f"{name}.gt"))
     with pytest.raises(NotProjectable) as excinfo:
-        project_tame(_load_machine(str(PROTOCOLS / f"{name}.gt")), k=6)
+        projection_reference.project_tame(machine, k=6)
     (psm, csm, k, options), = calls
     old = reference.check_projection(psm, csm, k, **options)
-    assert real(psm, csm, k, **options) == old
+    assert kernel.check_projection(psm, csm, k, **options) == old
     assert not old.passed
     assert str(excinfo.value) == "; ".join(old.reasons)
+    with pytest.raises(NotProjectable):
+        project_tame(machine)
 
 
 # Every n * m <= 6, at the largest k <= 8 the word-level oracle does in
@@ -422,7 +427,7 @@ def test_check_projection_matches_reference_on_random_projections():
     while checked < 300:
         psm = validate(random_tame_psm(rng, rng.choice((5, 8))))
         try:
-            csm = project_tame(psm, k=4).csm
+            csm = project_tame(psm).csm
         except (NotTame, NotProjectable):
             continue
         checked += 1

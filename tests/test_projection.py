@@ -66,7 +66,7 @@ def test_check_validity_flags_send_from_final():
 
 
 def test_project_three_party_good():
-    result = project_tame(validate(three_party_machine()), k=6)
+    result = project_tame(validate(three_party_machine()))
     assert set(result.csm.components) == {"p", "q", "r"}
     assert result.bounds == {}
     # Language-equivalent per component to the hand-drawn candidate.
@@ -81,19 +81,19 @@ def test_project_three_party_good():
 def test_project_reply_mismatch_not_projectable():
     machine = three_party_machine(v1="v1", v2="v2")
     with pytest.raises(NotProjectable):
-        project_tame(validate(machine), k=6)
+        project_tame(validate(machine))
 
 
 def test_project_label_clash_not_projectable():
     machine = three_party_machine(m2="m2", m3="m2")
     with pytest.raises(NotProjectable):
-        project_tame(validate(machine), k=6)
+        project_tame(validate(machine))
 
 
 def test_project_mixed_choice_not_tame():
     machine = global_to_psm(parse_global_type("( p->q:a . 0 + q->p:b . 0 )"))
     with pytest.raises(NotTame):
-        project_tame(validate(machine), k=4)
+        project_tame(validate(machine))
 
 
 def test_project_non_sink_final_not_tame():
@@ -101,11 +101,11 @@ def test_project_non_sink_final_not_tame():
         {"a", "b", "c"}, "a", {"a", "c"},
         [("a", send("p", "q", "m"), "b"), ("b", recv("p", "q", "m"), "c")])
     with pytest.raises(NotTame):
-        project_tame(validate(machine), k=4)
+        project_tame(validate(machine))
 
 
 def test_project_kle_e_component_exact():
-    result = project_tame(validate(kle_machine()), k=8)
+    result = project_tame(validate(kle_machine()))
     assert machine_isomorphic(result.csm.components["e"],
                               kle_expected_local_e()) is not None
     report = explore(result.csm, queue_cap=2)
@@ -116,33 +116,33 @@ def test_project_kle_e_component_exact():
 def test_project_leader_election():
     good = global_to_psm(parse_global_type(
         "( a->p:sel . p->q:win . 0 + a->q:sel . q->p:win . 0 )"))
-    result = project_tame(validate(good), k=6)
+    result = project_tame(validate(good))
     assert set(result.csm.components) == {"a", "p", "q"}
     bad = global_to_psm(parse_global_type(
         "( a->p:sel . q->p:lose . 0 + a->q:sel . p->q:lose . 0 )"))
     with pytest.raises(NotProjectable):
-        project_tame(validate(bad), k=6)
+        project_tame(validate(bad))
 
 
 def test_strong_projection_witness():
     machine = global_to_psm(parse_global_type(
         "( p->q:m1 . p->r:m1 . 0 + p->q:m2 . 0 )"))
-    report = strong_report(project_tame(machine, k=6).csm)
+    report = strong_report(project_tame(machine).csm)
     assert not report.strong
     participants = {w[0] for w in report.witnesses}
     assert participants == {"r"}
-    result = project_tame(validate(machine), k=6)
+    result = project_tame(validate(machine))
     witness_state = report.witnesses[0][1]
     assert witness_state == result.csm.components["r"].initial
 
 
 def test_strong_projection_kle():
-    assert strong_report(project_tame(kle_machine(), k=8).csm).strong
+    assert strong_report(project_tame(kle_machine()).csm).strong
 
 
 def test_strong_projection_two_party():
     machine = global_to_psm(parse_global_type("p->q:m . 0"))
-    assert strong_report(project_tame(machine, k=4).csm).strong
+    assert strong_report(project_tame(machine).csm).strong
 
 
 def test_minimize_merges_equivalent_states():
@@ -156,7 +156,7 @@ def test_minimize_merges_equivalent_states():
 
 
 def test_projected_components_have_distinct_states():
-    result = project_tame(validate(three_party_machine()), k=6)
+    result = project_tame(validate(three_party_machine()))
     seen: set = set()
     for component in result.csm.components.values():
         assert not (component.states & seen)
@@ -172,7 +172,7 @@ def test_two_in_flight_ring_projects():
          ("n2", recv("p", "q", "a"), "n3"), ("n3", recv("p", "q", "b"), "n4"),
          ("n4", pair("q", "p", "ok"), "n5")])
     psm = validate(machine)
-    result = project_tame(psm, k=8)
+    result = project_tame(psm)
     assert result.bounds == {("p", "q"): 2}
     report = explore(result.csm, queue_cap=3)
     assert report.deadlock_free and not report.truncated
@@ -188,7 +188,7 @@ def test_odd_ring_totals_rejected_not_crashed():
          ("k2", recv("p", "q", "a"), "k3"), ("k3", recv("p", "q", "b"), "k4"),
          ("k4", send("p", "q", "c"), "k5"), ("k5", recv("p", "q", "c"), "k6")])
     with pytest.raises(NotProjectable):
-        project_tame(validate(machine), k=8)
+        project_tame(validate(machine))
 
 
 def test_peer_named_like_a_forwarder_rejected_not_crashed():
@@ -212,7 +212,7 @@ def test_random_tame_machines_project(rng):
         machine = random_tame_psm(rng, max_states=6)
         psm = validate(machine)
         try:
-            result = project_tame(psm, k=5)
+            result = project_tame(psm)
         except NotProjectable:
             continue
         checked += 1

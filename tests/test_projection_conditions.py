@@ -1,15 +1,16 @@
 """The subset projection conditions against the bounded oracle.
 
-`project_tame` accepts a candidate on Send Validity, Receive Validity
-and the conditions around them, and runs the bounded oracle only to
-report a rejection.  `projection_reference.project_tame` is the
-projection as it stood before, which accepts only after
-`csm.check_projection`.  Both run here on the corpus, the negative
-controls, the benchmark's generator families and 1,200 random
-protocols, and must give the same verdict: the same `dump_csm` bytes on
-acceptance and the same report on rejection.  Where the conditions
-reject a protocol that the oracle accepts at `k`, the oracle must find
-the fault by k = 12.
+`project_tame` decides on Send Validity, Receive Validity and the
+conditions around them, and reports a rejection by the condition that
+failed; it never runs the bounded oracle.
+`projection_reference.project_tame` is the projection as it stood
+before, which accepts only after `csm.check_projection`.  Both run here
+on the corpus, the negative controls, the benchmark's generator
+families and 1,200 random protocols, and must give the same verdict:
+the same `dump_csm` bytes on acceptance, and the same report where
+both reject on the final-state filter or the tameness gate.  Where the
+conditions reject a protocol that the oracle accepts at `k`, the oracle
+must find the fault by k = 12.
 
 The amicability check is compared the same way with the trace-bounded
 one it replaced, `projection_reference.is_amicable`.
@@ -18,14 +19,15 @@ one it replaced, `projection_reference.is_amicable`.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 
 import pytest
 
-from amp import projection
+from amp import csm
 from amp.cli import _load_machine, main
 from amp.core import StateMachine, load_machine, recv, send
-from amp.csm import ProjectionVerdict, dump_csm
+from amp.csm import dump_csm
 from amp.encoding import encode_psm, is_amicable
 from amp.projection import (NotProjectable, NotTame, minimize, project_tame,
                             subset_construction)
@@ -39,11 +41,12 @@ from .conftest import (kle_machine, random_sender_driven_tree,
 from .test_walkers import PROTOCOLS, PSM_SOURCES
 
 DEEPEST = 12
+FILTER = "check check_validity"
 
 
-def outcome(project, psm, k: int) -> tuple[str, str]:
+def outcome(project, psm, **options) -> tuple[str, str]:
     try:
-        result = project(psm, k=k)
+        result = project(psm, **options)
     except (NotProjectable, NotTame) as exc:
         return type(exc).__name__, str(exc)
     return "ok", dump_csm(result.csm)
@@ -51,21 +54,22 @@ def outcome(project, psm, k: int) -> tuple[str, str]:
 
 def verdicts(psm, k: int) -> str:
     """How the conditions and the oracle judge `psm`, which they must
-    agree on: "ok", "filter" (a report of `check_validity`), "oracle"
-    (a report of the oracle), "NotTame", or "deep" when only the
-    conditions reject at `k` and the oracle finds the fault deeper."""
-    new = outcome(project_tame, psm, k)
-    old = outcome(reference.project_tame, psm, k)
-    if new != old and new[0] == "NotProjectable" and old[0] == "ok":
-        assert any(outcome(reference.project_tame, psm, deeper)[0]
-                   == "NotProjectable" for deeper in range(k + 1, DEEPEST + 1)
-                   ), new[1]
-        return "deep"
+    agree on: "ok", "filter" (a report of `check_validity`),
+    "condition" (a report of one of the other conditions, where the
+    oracle rejects too), "NotTame", or "deep" when only the conditions
+    reject at `k` and the oracle finds the fault deeper."""
+    new = outcome(project_tame, psm)
+    old = outcome(reference.project_tame, psm, k=k)
+    if new[0] == "NotProjectable" and not new[1].startswith(FILTER):
+        if old[0] == "ok":
+            assert any(outcome(reference.project_tame, psm, k=deeper)[0]
+                       == "NotProjectable"
+                       for deeper in range(k + 1, DEEPEST + 1)), new[1]
+            return "deep"
+        assert old[0] == "NotProjectable" and not old[1].startswith(FILTER)
+        return "condition"
     assert new == old
-    if new[0] == "NotProjectable":
-        return "filter" if new[1].startswith("check check_validity") \
-            else "oracle"
-    return new[0]
+    return "filter" if new[0] == "NotProjectable" else new[0]
 
 
 def odd_ring_totals() -> StateMachine:
@@ -92,8 +96,7 @@ def gt(text: str) -> StateMachine:
     return global_to_psm(parse_global_type(text))
 
 
-# one protocol failing each condition, with the start of its message when
-# the oracle is kept from reporting
+# one protocol failing each condition, with its report
 FAILING = {
     "send validity": (gt("( c->d:a . p->r:x . 0 + c->d:b . p->r:z . 0 )"),
                       "send validity: p may send p>r!x after ε, which not "
@@ -107,7 +110,8 @@ FAILING = {
         "receive q2>p?n"),
     "lost final state": (odd_ring_totals(),
                          "encoding loses final state k6|s:(p,q)=1|r:(p,q)=1 "
-                         "after p->(p,q)0:a p->(p,q)1:b"),
+                         "after p->(p,q)0:a p->(p,q)1:b (p,q)0->q:a "
+                         "(p,q)1->q:b p->(p,q)0:c (p,q)0->q:c"),
     "named like a forwarder": (
         load_machine((PROTOCOLS / "kle_encoded.psm.json").read_text()),
         "participant (e,o)0 is named like a forwarder"),
@@ -131,9 +135,9 @@ def test_conditions_agree_with_the_oracle_on_the_negative_controls():
         [("a", send("p", "q", "m"), "b"), ("b", recv("p", "q", "m"), "c")])
     cases = [
         (three_party_machine(), 6, "ok"),
-        (three_party_machine(v1="v1", v2="v2"), 6, "oracle"),
-        (three_party_machine(m2="m2", m3="m2"), 6, "oracle"),
-        (lose, 6, "oracle"),
+        (three_party_machine(v1="v1", v2="v2"), 6, "condition"),
+        (three_party_machine(m2="m2", m3="m2"), 6, "condition"),
+        (lose, 6, "condition"),
         (toy, 4, "NotTame"),
         (make_sink_final(toy), 4, "NotTame"),
         (non_sink_final, 4, "NotTame"),
@@ -146,10 +150,10 @@ def test_conditions_agree_with_the_oracle_on_the_negative_controls():
         (gt("( c->d:m . d->e:a . 0 + c->d:m . d->e:b . 0 )"), 6, "ok"),
         (gt("( c->d:m . d->e:a . e->c:x . 0 + c->d:m . d->e:b . 0 )"), 6,
          "ok"),
-        (odd_ring_totals(), 8, "oracle"),
-        (forwarder_clash(), 6, "oracle"),
+        (odd_ring_totals(), 8, "condition"),
+        (forwarder_clash(), 6, "condition"),
     ]
-    cases += [(machine, 6, "oracle") for machine, _ in FAILING.values()]
+    cases += [(machine, 6, "condition") for machine, _ in FAILING.values()]
     for machine, k, expected in cases:
         assert verdicts(validate(machine), k) == expected
 
@@ -173,9 +177,9 @@ def test_conditions_agree_with_the_oracle_on_the_generator_families():
 
 @pytest.mark.parametrize("draw, tally", [
     (random_tame_psm,
-     {"ok": 413, "filter": 71, "oracle": 99, "NotTame": 17}),
+     {"ok": 413, "filter": 71, "condition": 99, "NotTame": 17}),
     (random_sender_driven_tree,
-     {"ok": 436, "filter": 57, "oracle": 106, "deep": 1}),
+     {"ok": 436, "filter": 57, "condition": 106, "deep": 1}),
 ], ids=["random_tame_psm", "random_sender_driven_tree"])
 def test_conditions_agree_with_the_oracle_on_random_protocols(draw, tally):
     rng = random.Random(7)
@@ -185,8 +189,8 @@ def test_conditions_agree_with_the_oracle_on_random_protocols(draw, tally):
 
 
 def test_conditions_agree_with_the_oracle_on_the_kernel_corpus_draws():
-    """The draws behind `test_csm_kernel.random_projections`, at its
-    bound of 4."""
+    """The draws behind `test_csm_kernel.random_projections`, with the
+    reference at a bound of 4."""
     rng = random.Random(20240811)
     seen = Counter(verdicts(validate(random_tame_psm(rng)), 4)
                    for _ in range(200))
@@ -201,53 +205,81 @@ def test_a_fault_beyond_the_bound_is_reported_by_its_condition():
         machine = random_sender_driven_tree(rng, max_states=8)
     psm = validate(machine)
     with pytest.raises(NotProjectable) as excinfo:
-        project_tame(psm, k=6)
+        project_tame(psm)
     assert str(excinfo.value) == ("receive validity: q may receive r>q?d "
                                   "after p>q?c where it must receive p>q?c")
     assert [str(ev) for ev in excinfo.value.witness] == ["p>q?c"]
-    assert outcome(reference.project_tame, psm, 8)[0] == "ok"
-    assert outcome(reference.project_tame, psm, 9)[0] == "NotProjectable"
+    assert outcome(reference.project_tame, psm, k=8)[0] == "ok"
+    assert outcome(reference.project_tame, psm, k=9)[0] == "NotProjectable"
+
+
+def test_a_condition_witness_is_decoded_like_its_message():
+    """Draw 334 of `random_tame_psm` at Random(1), max_states=10, which
+    the oracle first rejects at k = 14: the witness names the protocol's
+    channels, as the message does, and not the forwarders of the
+    encoding."""
+    rng = random.Random(1)
+    for _ in range(335):
+        machine = random_tame_psm(rng, max_states=10)
+    with pytest.raises(NotProjectable) as excinfo:
+        project_tame(validate(machine))
+    word = "q>p?c p>q!ack q>p?c p>q!c p>q!c q>p?b"
+    assert str(excinfo.value) == (f"send validity: p may send p>q!c after "
+                                  f"{word} where it must first receive "
+                                  f"q>p?b")
+    assert [str(ev) for ev in excinfo.value.witness] == word.split()
 
 
 # -- each condition -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", FAILING)
-def test_each_condition_reports_itself_when_the_oracle_finds_nothing(
-        name, monkeypatch):
+def test_each_condition_reports_itself_when_the_oracle_finds_nothing(name):
+    """`project_tame` runs no oracle, so the failed condition's own
+    message is the report."""
     machine, message = FAILING[name]
-    monkeypatch.setattr(projection, "check_projection",
-                        lambda psm, csm, k: ProjectionVerdict(True, ()))
     with pytest.raises(NotProjectable) as excinfo:
-        project_tame(validate(machine), k=6)
-    assert str(excinfo.value).startswith(message)
+        project_tame(validate(machine))
+    assert str(excinfo.value) == message
 
 
 def test_a_shallow_oracle_leaves_the_report_to_the_condition():
+    """The reference oracle sees the send validity fault from k = 2;
+    the condition reports it whatever the bound."""
     machine, message = FAILING["send validity"]
+    psm = validate(machine)
+    with pytest.raises(NotProjectable, match=f"^{message}$"):
+        project_tame(psm)
     for k in (0, 1):
-        with pytest.raises(NotProjectable, match=f"^{message}$"):
-            project_tame(validate(machine), k=k)
-    with pytest.raises(NotProjectable, match="^CSM adds prefix"):
-        project_tame(validate(machine), k=2)
+        assert outcome(reference.project_tame, psm, k=k)[0] == "ok"
+    assert outcome(reference.project_tame, psm, k=2)[1].startswith(
+        "CSM adds prefix")
 
 
-def test_accepting_explores_no_csm(monkeypatch):
-    calls = []
-    real = projection.check_projection
-    monkeypatch.setattr(projection, "check_projection",
-                        lambda *args: calls.append(args) or real(*args))
-    accepted = 0
-    for path in PSM_SOURCES:
-        calls.clear()
-        try:
-            result = project_tame(validate(_load_machine(str(path))), k=6)
-        except (NotProjectable, NotTame):
-            continue
-        accepted += 1
-        assert calls == []
-        assert result.verdict == ProjectionVerdict(True, (), bounded_only=False)
-    assert accepted == 7
+def test_project_never_calls_the_oracle_or_the_explorer(monkeypatch):
+    """Neither `csm.check_projection` nor `csm.explore` runs, through
+    any module that binds them, on the corpus, each failing condition
+    and the 1,200 random draws."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("project_tame explored a CSM")
+
+    for name in ("check_projection", "explore"):
+        original = getattr(csm, name)
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("amp") \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse)
+    machines = [_load_machine(str(path)) for path in PSM_SOURCES]
+    machines += [machine for machine, _ in FAILING.values()]
+    for draw in (random_tame_psm, random_sender_driven_tree):
+        rng = random.Random(7)
+        machines += [draw(rng, max_states=8) for _ in range(600)]
+    seen = Counter(outcome(project_tame, validate(machine))[0]
+                   for machine in machines)
+    # corpus + FAILING + random_tame_psm + random_sender_driven_tree
+    assert seen == {"ok": 7 + 0 + 413 + 436,
+                    "NotProjectable": 4 + 5 + 170 + 164,
+                    "NotTame": 1 + 0 + 17 + 0}
 
 
 def test_project_reports_the_conditions(capsys):

@@ -216,7 +216,7 @@ def test_corpus_matches_reference(path):
     if merged is not None:
         _same_global(merged)
     try:
-        components = projection.project_tame(machine, k=2).csm.components
+        components = projection.project_tame(machine).csm.components
     except (projection.NotTame, projection.NotProjectable):
         return
     for participant in machine.trim().participants():
