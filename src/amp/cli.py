@@ -70,10 +70,7 @@ def _witness_lines(exc) -> list[str]:
 
 def _cap_or_negative(exc: psm_mod.PsmError) -> int:
     """Exit 3 when exploration hit the configuration cap, else 1."""
-    if isinstance(exc, psm_mod.UnboundedChannel) \
-            and str(exc).startswith("exploration exceeded"):
-        return RESOURCE
-    return NEGATIVE
+    return RESOURCE if isinstance(exc, psm_mod.ConfigCapExceeded) else NEGATIVE
 
 
 def _load_machine(path: str) -> core.StateMachine:
@@ -265,14 +262,15 @@ def cmd_check_csm(args) -> int:
         summary.append(f"deadlock witness: {fifo.show_word(witness)}")
     if args.against:
         validated = psm_mod.validate(_load_machine(args.against))
-        verdict = csm_mod.check_projection(validated, machine_csm, args.bound)
+        verdict = projection.check_against(validated, machine_csm, args.bound)
         data["projection"] = {"passed": verdict.passed,
                               "reasons": list(verdict.reasons),
                               "boundedOnly": verdict.bounded_only}
-        summary.append(f"projection check: "
-                       f"{'pass' if verdict.passed else 'fail'}"
-                       + (f" ({'; '.join(verdict.reasons)})"
-                          if verdict.reasons else ""))
+        # a failure gives its reasons; a bounded pass holds up to -K only
+        note = "; ".join(verdict.reasons) or (
+            f"words up to -K {args.bound}" if verdict.bounded_only else "")
+        summary.append(f"projection check: {'pass' if verdict else 'fail'}"
+                       + (f" ({note})" if note else ""))
     _emit(args, data, summary)
     negative = report.deadlocks or (
         args.against and not data["projection"]["passed"])
@@ -475,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against", help="protocol machine to compare against")
     p.add_argument("-K", "--bound", type=_count, default=6,
                    help="word length up to which --against compares the "
-                        "CSM with the protocol")
+                        "CSM with the protocol, where the projection cannot "
+                        "decide")
     p.set_defaults(func=cmd_check_csm)
 
     p = sub.add_parser("simulate", help="run one pseudorandom schedule")

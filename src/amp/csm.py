@@ -1,5 +1,5 @@
 """Communicating state machines: semantics, exploration, deadlock
-detection, and the bounded projection-fidelity oracle.
+detection, and the bounded oracle behind `projection.check_against`.
 
 A CSM runs one component machine per participant over point-to-point
 FIFO channels.  Configurations pair the vector of local states with the
@@ -747,6 +747,7 @@ def _csm_vectors(kernel: _Kernel, views: _Views, k: int) -> dict:
 
 def check_projection(psm: Psm, csm: Csm, k: int) -> ProjectionVerdict:
     """Bounded oracle: deadlock-freedom plus language agreement up to k.
+    The fallback of `projection.check_against`, and the tests' reference.
 
     The languages are compared as sets of projection vectors (`_Views`),
     which stand for the swap closures of their words: the complete

@@ -1,25 +1,22 @@
 """Projection: subset construction per participant, the tame-PSM
-pipeline (encode, project, decode), and strong-projection analysis.
+pipeline (encode, project, decode), whether a CSM implements a protocol
+(`check_against`), and strong-projection analysis.
 
-A candidate CSM is accepted on the validity conditions of the subset
-projection, checked on every subset state: final states offer no send
-(`check_validity`), and Send Validity and Receive Validity hold
+Projectability is decided on the validity conditions of the subset
+projection, Send Validity and Receive Validity on every subset state
 (`subset_validity`, whose docstring states them), around the amicable
-forwarders of the encoding.  Projectability is decided on these
-conditions alone: no CSM is explored and no trace enumerated, and a
-rejection reports the condition that failed, with its witness.
+forwarders of the encoding: no CSM is explored and no trace enumerated,
+and a rejection reports the condition that failed, with its witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, eps_closure,
-                   parent_word, reachable, recv, send, subset_moves, walk)
-from .csm import Csm
-# Unused here: kept bound because perfbench's span tests assert it.
-from .csm import check_projection  # noqa: F401
+from .core import (Event, PAIR, SEND, StateMachine, eps_closure, parent_word,
+                   reachable, recv, send, subset_moves, walk)
+from .csm import Csm, ProjectionVerdict, check_projection
 from .encoding import (channel_participants, decode_event, decode_fsm,
                        encode_psm, is_amicable, parse_channel_participant)
 from .fifo import show_word
@@ -150,73 +147,50 @@ def canonical_names(machine: StateMachine, prefix: str = "s") -> StateMachine:
     return machine.rename({q: f"{prefix}{i}" for i, q in enumerate(order)})
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    ok: bool
-    violations: tuple[tuple[str, str, str], ...]  # (participant, state, event)
-
-
-def check_validity(projections: dict[str, StateMachine]) -> ValidityReport:
-    """The final-state condition: no final state may have an outgoing send.
-
-    Send Validity implies it, since the final states of a tame protocol
-    are sinks that reach no send; `project_tame` checks it first, on the
-    minimal machines, for its own report.
-    """
-    violations = []
-    for participant, machine in sorted(projections.items()):
-        for q in sorted(machine.finals):
-            for ev, _ in machine.out(q):
-                if ev is not None and ev.kind == SEND:
-                    violations.append((participant, q, str(ev)))
-    return ValidityReport(not violations, tuple(violations))
-
-
 class NotTame(PsmError):
     pass
 
 
 class NotProjectable(PsmError):
-    pass
+    """`decisive` is False where the encoding, not the protocol, fails:
+    a CSM may still implement the protocol."""
+
+    def __init__(self, message: str, witness=None, decisive: bool = True):
+        super().__init__(message, witness)
+        self.decisive = decisive
 
 
-def _word_to(machine: StateMachine, target: str) -> Word:
-    """The first word, breadth first, on which `machine` reaches `target`."""
-    parent: dict = {}  # state -> (the state it was first reached from, event)
+def _first_word(start, out, stop) -> tuple:
+    """The first node, breadth first along `out` from `start`, where
+    `stop` holds, with the word to it; (None, ()) when there is none."""
+    parent: dict = {}  # node -> (the node it was first reached from, event)
 
-    def successors(q: str):
-        for ev, dst in machine.out(q):
-            if dst != machine.initial:
-                parent.setdefault(dst, (q, ev))
+    def successors(node):
+        for ev, dst in out(node):
+            if dst != start:
+                parent.setdefault(dst, (node, ev))
             yield dst
 
-    for q in walk((machine.initial,), successors):
-        if q == target:
-            break
-    return parent_word(parent, target)
+    for node in walk((start,), successors):
+        if stop(node):
+            return node, parent_word(parent, node)
+    return None, ()
 
 
-def _forwarder_named(participants) -> Optional[NotProjectable]:
-    """A participant of the protocol whose name has the form of a
-    forwarder's, whose events `decode_fsm` would move to another channel."""
-    for participant in sorted(participants):
-        if parse_channel_participant(participant) is not None:
-            return NotProjectable(f"participant {participant} is named like "
-                                  f"a forwarder")
-    return None
-
-
-def _lost_final(encoded: StateMachine) -> Optional[NotProjectable]:
-    """A final state of the protocol that the encoding reaches with ring
-    counters away from zero, where it is a sink but no longer final."""
-    lost = [q for q in encoded.states
-            if encoded.is_sink(q) and q not in encoded.finals]
-    if not lost:
+def _lost_final(encoded: StateMachine, finals) -> Optional[NotProjectable]:
+    """The first of the protocol's `finals` that the encoding reaches with
+    ring counters away from zero, where it is a sink but no longer final,
+    with the word to it on the protocol's channels."""
+    state, path = _first_word(encoded.initial, encoded.out, lambda q:
+                              encoded.is_sink(q) and q not in encoded.finals)
+    if state is None:
         return None
-    state = min(lost)
-    word = _word_to(encoded, state)
-    return NotProjectable(f"encoding loses final state {state} after "
-                          f"{show_word(word)}", word)
+    # `encode_psm` names it q|s:...|r:..., after the protocol's state q
+    final = max((q for q in finals if state.startswith(q + "|")), key=len)
+    word = tuple(decode_event(letter) for ev in path for letter in ev.letters()
+                 if parse_channel_participant(letter.subject) is None)
+    return NotProjectable(f"encoding loses final state {final} after "
+                          f"{show_word(word)}", word, decisive=False)
 
 
 def _heads(source: StateMachine, participant: str, start: str) -> set:
@@ -290,7 +264,8 @@ def subset_validity(source: StateMachine, participant: str,
     heads: dict = {}
 
     def failure(state: str, text: str) -> NotProjectable:
-        word = tuple(map(decode_event, _word_to(machine, state)))
+        word = tuple(map(decode_event, _first_word(
+            machine.initial, machine.out, state.__eq__)[1]))
         return NotProjectable(text.format(participant, show_word(word)), word)
 
     for state, members in machine.members.items():
@@ -361,7 +336,6 @@ def project_tame(source) -> ProjectionResult:
     candidate is accepted exactly when it meets every condition below,
     with no CSM explored and no trace enumerated:
 
-    - `check_validity`: no final state of a projection offers a send;
     - `is_amicable`: each forwarder serves its sender on every run;
     - no participant is named like a forwarder, so that decoding undoes
       exactly the encoding;
@@ -371,7 +345,9 @@ def project_tame(source) -> ProjectionResult:
       subset state of every participant and forwarder.
 
     Otherwise it raises the NotProjectable of the first condition that
-    fails, in this order, with its witness where it has one.
+    fails, in this order, with its witness where it has one.  The name
+    and final-state conditions are limits of the encoding: they are not
+    `decisive`, and neither is amicability when one of them fails.
     """
     psm = source if isinstance(source, Psm) else validate(source)
     machine = psm.machine.trim()
@@ -395,7 +371,10 @@ def project_tame(source) -> ProjectionResult:
     participants = sorted(machine.participants())
     cps = channel_participants(bounds)
 
-    failure = _forwarder_named(participants) or _lost_final(encoded)
+    named = [p for p in participants if parse_channel_participant(p)]
+    failure = (NotProjectable(f"participant {named[0]} is named like a "
+                              f"forwarder", decisive=False) if named
+               else _lost_final(encoded, machine.finals))
     minimal = {}
     for name in participants + [cp.name for cp in cps]:
         subsets = subset_construction(protocol, name)
@@ -403,13 +382,10 @@ def project_tame(source) -> ProjectionResult:
             failure = subset_validity(protocol, name, subsets)
         minimal[name] = minimize(subsets)
 
-    validity = check_validity(minimal)
-    if not validity.ok:
-        participant, state, event = validity.violations[0]
-        raise NotProjectable(f"check check_validity: state {state} of "
-                             f"{participant} rejects {event}")
     if cps and not is_amicable(minimal, bounds):
-        raise NotProjectable("forwarder components are not amicable")
+        # forwarders of an encoding that fails the protocol say nothing of it
+        raise NotProjectable("forwarder components are not amicable",
+                             decisive=failure is None or failure.decisive)
     if failure is not None:
         raise failure
 
@@ -417,6 +393,56 @@ def project_tame(source) -> ProjectionResult:
     csm = Csm({p: canonical_names(decode_fsm(minimal[p]), prefix=f"{p}_")
                for p in participants})
     return ProjectionResult(csm, bounds, encoded)
+
+
+def check_against(psm: Psm, candidate: Csm, k: int) -> ProjectionVerdict:
+    """Whether `candidate` implements the protocol.  Each word of a
+    projection's component is its participant's view of a protocol word,
+    so a component must follow it; one that does no more, deterministic
+    and with no epsilon move, moves as the projection does.  The bounded
+    oracle, at word length `k`, decides the rest."""
+    try:
+        spec = project_tame(psm).csm.components
+    except NotTame:
+        spec = {}  # the oracle decides
+    except NotProjectable as exc:
+        if exc.decisive:
+            return ProjectionVerdict(False, (f"not projectable: {exc}",))
+        spec = {}
+    determinised = []
+    for p, machine in spec.items():
+        if p not in candidate.components:
+            return ProjectionVerdict(False, (f"no component for "
+                                             f"participant {p}",))
+        want, have = (_subsets(m.initial, m.out, m.finals)
+                      for m in (machine, candidate.components[p]))
+        node, word = _first_lag(want, have)
+        if node is not None:
+            return ProjectionVerdict(False, (
+                f"component {p} cannot follow its projection: {word[-1]} "
+                f"after {show_word(word[:-1])}" if node[1] is None else
+                f"component {p} does not end after {show_word(word)}, "
+                f"where its projection does",))
+        determinised.append((want, have))
+    if spec and spec.keys() == candidate.components.keys() and all(
+            all(len(q) == 1 for q in have.members.values())
+            and _first_lag(have, want)[0] is None
+            for want, have in determinised):
+        return ProjectionVerdict(True, ())
+    verdict = check_projection(psm, candidate, k)
+    return replace(verdict, bounded_only=verdict.passed)
+
+
+def _first_lag(want, have) -> tuple:
+    """The first node, as `_first_word` finds it, where the deterministic
+    `have` cannot follow (None) or end with the deterministic `want`."""
+    def out(node):
+        offered = dict(have.out(node[1]))
+        return [(ev, (dst, offered.get(ev))) for ev, dst in want.out(node[0])]
+
+    return _first_word((want.initial, have.initial), out, lambda n:
+                       n[1] is None or n[0] in want.finals
+                       and n[1] not in have.finals)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,10 @@ class UnboundedChannel(PsmError):
     pass
 
 
+class ConfigCapExceeded(UnboundedChannel):
+    """The configuration graph outgrew its cap, a resource limit."""
+
+
 class FerViolation(PsmError):
     pass
 
@@ -129,7 +133,7 @@ def build_config_graph(machine: StateMachine, *,
                 graph.nodes.append(succ)
                 graph.parent[graph.index[succ]] = (node_id, ev)
                 if len(graph.nodes) > config_cap:
-                    raise UnboundedChannel(
+                    raise ConfigCapExceeded(
                         f"exploration exceeded {config_cap} configurations")
                 frontier.append(graph.index[succ])
             out.append((ev, graph.index[succ]))

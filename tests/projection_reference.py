@@ -2,13 +2,14 @@
 `regex_to_psm` as they stood before minimisation became Hopcroft's
 refinement, channel bounds were read off the configuration graph, the
 cycle search was confined to strongly connected components and the
-derivative expansion found its ancestors through a dict; `is_amicable`
-and `project_tame` as they stood before projection was decided by the
-subset projection conditions.  Kept as a test-only reference, verbatim
-but for absolute imports, the memo that the library's `canon` takes,
-here a fresh one per call, the names of the library functions that
-`project_tame` calls, and the fields of the `ProjectionResult` it
-returns, which no longer carries the validity report and the verdict.
+derivative expansion found its ancestors through a dict; `is_amicable`,
+`check_validity` and `project_tame` as they stood before projection was
+decided by the subset projection conditions.  Kept as a test-only
+reference, verbatim but for absolute imports, the memo that the
+library's `canon` takes, here a fresh one per call, the names of the
+library functions that `project_tame` calls, and the fields of the
+`ProjectionResult` it returns, which no longer carries the validity
+report and the verdict.
 
 These are the Moore refinement with one round per state on a chain, the
 recursive simple-path and simple-cycle searches, which are exponential
@@ -23,6 +24,7 @@ require equal machines, bounds, verdicts, exceptions and witnesses.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from amp.core import (SEND, Event, StateMachine, Word, expand_pairs,
                       payload_from_key, recv, send)
@@ -30,8 +32,7 @@ from amp.csm import Csm, check_projection
 from amp.encoding import (channel_participants, decode_fsm, encode_psm,
                           machine_is_forwarding, parse_channel_participant)
 from amp.projection import (NotProjectable, NotTame, ProjectionResult,
-                            canonical_names, check_validity,
-                            subset_construction)
+                            canonical_names, subset_construction)
 from amp.projection import minimize as library_minimize
 from amp.psm import (Psm, UnboundedLoop, _has_return_chain,
                      detected_channels, single_sender_branching, validate)
@@ -261,6 +262,28 @@ def _machine_accepts_prefix(machine: StateMachine, word: Word) -> bool:
 
 
 # -- amp.projection -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ValidityReport:
+    ok: bool
+    violations: tuple[tuple[str, str, str], ...]  # (participant, state, event)
+
+
+def check_validity(projections: dict[str, StateMachine]) -> ValidityReport:
+    """The final-state condition: no final state may have an outgoing send.
+
+    Send Validity implies it, since the final states of a tame protocol
+    are sinks that reach no send; `project_tame` checks it first, on the
+    minimal machines, for its own report.
+    """
+    violations = []
+    for participant, machine in sorted(projections.items()):
+        for q in sorted(machine.finals):
+            for ev, _ in machine.out(q):
+                if ev is not None and ev.kind == SEND:
+                    violations.append((participant, q, str(ev)))
+    return ValidityReport(not violations, tuple(violations))
 
 
 def project_tame(source, *, k: int = 6) -> ProjectionResult:

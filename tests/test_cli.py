@@ -427,12 +427,16 @@ def test_configuration_cap_outside_validate_is_a_resource_cap(
     from amp import psm
 
     def capped(*args, **kwargs):
-        raise psm.UnboundedChannel("exploration exceeded 5 configurations")
+        raise psm.ConfigCapExceeded("exploration exceeded 5 configurations")
 
     monkeypatch.setattr(psm, "validate", capped)
     assert main(["to-global", str(PROTOCOLS / "kle.psm.json")]) == 3
     err = capsys.readouterr().err
     assert err == "error: exploration exceeded 5 configurations\n"
+    # check-csm validates the protocol it compares against
+    assert main(["check-csm", str(PROTOCOLS / "kle.csm.json"), "--against",
+                 str(PROTOCOLS / "kle.psm.json")]) == 3
+    assert capsys.readouterr().err == err
 
 
 def test_to_local_projects_a_protocol_sent_by_the_participant(capsys):
@@ -478,9 +482,10 @@ def test_to_local_known_participant_of_an_untame_protocol_is_negative(capsys):
 
 
 def test_oracle_witnesses_do_not_depend_on_the_hash_seed():
+    """A protocol that is not tame leaves the verdict to the oracle."""
     argv = [sys.executable, "-m", "amp.cli", "check-csm",
             str(PROTOCOLS / "three_party_choice.csm.json"), "--against",
-            str(PROTOCOLS / "three_party_reply_mismatch.gt"), "-K", "6"]
+            str(PROTOCOLS / "mixed_choice_toy.gt"), "-K", "6"]
     outputs = set()
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed,

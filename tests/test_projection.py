@@ -5,8 +5,8 @@ import pytest
 from amp.core import StateMachine, recv, send
 from amp.csm import check_projection, explore
 from amp.encoding import merge_immediate_pairs
-from amp.projection import (NotProjectable, NotTame, check_validity, minimize,
-                            project_tame, strong_report, subset_construction)
+from amp.projection import (NotProjectable, NotTame, minimize, project_tame,
+                            strong_report, subset_construction)
 from amp.psm import validate
 from amp.transform import global_to_psm, parse_global_type
 
@@ -14,6 +14,7 @@ from .conftest import (kle_expected_local_e, kle_machine,
                        one_buyer_seller_expected, three_party_csm,
                        three_party_machine)
 from .goldengen import ONE_BUYER_GT
+from .projection_reference import check_validity
 from .semantics import languages_equal_upto, machine_isomorphic
 
 
@@ -58,6 +59,8 @@ def test_subset_language_is_participant_projection():
 
 
 def test_check_validity_flags_send_from_final():
+    """The final-state filter, now only in the reference projection:
+    Send Validity implies it."""
     machine = StateMachine(
         {"a", "b"}, "a", {"a"}, [("a", send("p", "q", "m"), "b")])
     report = check_validity({"p": machine})

@@ -194,7 +194,7 @@ def test_config_graphs_agree_on_random_machines():
     # Non-FIFO receives, unmatched sends, and both caps are all exercised.
     assert {("NonFifo", "receive"), ("NonFifo", "complete"),
             ("UnboundedChannel", "channel"),
-            ("UnboundedChannel", "exploration")} <= failures
+            ("ConfigCapExceeded", "exploration")} <= failures
 
 
 def test_config_graphs_agree_on_corpus():

@@ -1,13 +1,14 @@
 """The reachability walks, subset-construction steps, bounded-word loop,
 parent-chain witnesses, type-to-machine builders and binder pruners as
 they stood before `amp.core` held one copy of each, kept as a test-only
-reference: verbatim but for absolute imports,
-for the `StateMachine` methods and `ConfigGraph.word_to`, which take
-their object as `self`, and for calls among these walkers, which go to
-the copies here.  The type builders and pruners are ported to the one
-session-type representation of `amp.transform`, whose choices hold
-events: the local builder reads its events off the branches instead of
-building them from a participant.
+reference: verbatim but for absolute imports, for the configuration
+cap's exception, which became its own class, for the `StateMachine`
+methods and `ConfigGraph.word_to`, which take their object as `self`,
+and for calls among these walkers, which go to the copies here.  The
+type builders and pruners are ported to the one session-type
+representation of `amp.transform`, whose choices hold events: the local
+builder reads its events off the branches instead of building them from
+a participant.
 
 `test_walkers.py` runs these next to the library and requires equal
 sets, trace sets (in the same key order), machines, exceptions and
@@ -24,8 +25,8 @@ from amp.core import (Event, RECV, SEND, StateMachine, TraceFlags, TraceSet,
                       Word, expand_pairs, queue_get, queue_set)
 from amp.csm import Configuration, ExploreReport
 from amp.projection import _local_label
-from amp.psm import (DEFAULT_CONFIG_CAP, Config, ConfigGraph, NonFifo,
-                     UnboundedChannel)
+from amp.psm import (DEFAULT_CONFIG_CAP, Config, ConfigCapExceeded,
+                     ConfigGraph, NonFifo, UnboundedChannel)
 from amp.transform import (Choice, End, Rec, SessionType, Var,
                            _check_global)
 
@@ -204,7 +205,7 @@ def build_config_graph(machine: StateMachine, *,
                 graph.nodes.append(succ)
                 graph.parent[graph.index[succ]] = (node_id, ev)
                 if len(graph.nodes) > config_cap:
-                    raise UnboundedChannel(
+                    raise ConfigCapExceeded(
                         f"exploration exceeded {config_cap} configurations")
                 frontier.append(graph.index[succ])
             out.append((ev, graph.index[succ]))
