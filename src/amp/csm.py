@@ -192,13 +192,16 @@ class _Kernel:
     which `views[i]` masks.  The offset `move - config` of each of its
     moves, rank bits included, is then a function of `config &
     views[i]` and the queue cap, because a channel's queue ids never
-    change meaning (`_Queues` only appends).  So `tables[cap]` holds,
-    for each participant i, `views[i]`, a dict and `parts[i]`; the
-    dict maps a local view met under that cap to the participant's
-    offsets and whether it left a send out at the cap.  On a miss
-    `moves` derives the participant's moves with the per-transition
-    loop and keeps their offsets while the dict holds fewer than
-    `_VIEWS_PER_TABLE` views; on a hit it adds the kept offsets.
+    change meaning (`_Queues` only appends).  So `tables[cap]`, which
+    `tables_at` makes on first use, holds for each participant i
+    `views[i]`, a dict and `parts[i]`; the dict maps a local view met
+    under that cap to the participant's offsets and whether it left a
+    send out at the cap.  `moves` and `explore` read the tables alike:
+    one mask and one dict lookup per participant.  A hit adds the kept
+    offsets with one `+=`; a miss calls `derive`, the one
+    per-transition loop, which appends the participant's offsets in
+    place and keeps them while the dict holds fewer than
+    `_VIEWS_PER_TABLE` views.
     """
 
     __slots__ = ("participants", "ids", "pairs", "channel_index", "queues",
@@ -302,53 +305,66 @@ class _Kernel:
     def event(self, move: int) -> Optional[Event]:
         return self.events[move >> self.bits]
 
-    def moves(self, config: int, cap: int = _NO_CAP) -> tuple[list, bool]:
-        """Every move from a configuration, unsorted, and whether a send
-        was left out because its queue would grow past `cap`."""
+    def tables_at(self, cap: int) -> tuple:
+        """Each participant's (view mask, move table, `parts` entry)
+        under queue cap `cap`."""
         tables = self.tables.get(cap)
         if tables is None:
             tables = self.tables[cap] = tuple(
                 (view, {}, part) for view, part in zip(self.views, self.parts))
-        found = []
+        return tables
+
+    @staticmethod
+    def derive(config: int, local: int, table: dict, part: tuple, cap: int,
+               found: list) -> bool:
+        """Append to `found` the offsets of one participant's moves from
+        `config`, whose local view is `local`, and keep them in `table`
+        while it holds fewer than `_VIEWS_PER_TABLE` views; return
+        whether a send was left out because its queue would grow past
+        `cap`."""
+        shift, mask, out = part
+        start = len(found)
+        blocked = False
+        for kind, delta, at, moves, queues, m in out[(config >> shift) & mask]:
+            if kind == _EPS:
+                found.append(delta)
+                continue
+            q = (config >> at) & _QUEUE_MASK
+            if kind == _SEND:
+                if queues.length[q] >= cap:
+                    blocked = True
+                    continue
+                r = moves.get(q)
+                if r is None:
+                    r = queues.appended(q, m)
+            else:
+                r = moves.get(q)
+                if r is None:
+                    r = queues.popped(q, m)
+                if r < 0:
+                    continue
+            found.append(delta + ((r - q) << at))
+        if len(table) < _VIEWS_PER_TABLE:
+            table[local] = (tuple(found[start:]), blocked)
+        return blocked
+
+    def moves(self, config: int, cap: int = _NO_CAP) -> tuple[list, bool]:
+        """Every move from a configuration, unsorted, and whether a send
+        was left out because its queue would grow past `cap`."""
+        offsets = []
         capped = False
-        for view, table, (shift, mask, out) in tables:
+        for view, table, part in self.tables_at(cap):
             local = config & view
-            entry = table.get(local)
-            if entry is not None:
-                offsets, blocked = entry
+            kept = table.get(local)
+            if kept is None:
+                if self.derive(config, local, table, part, cap, offsets):
+                    capped = True
+            else:
+                found, blocked = kept
+                offsets += found
                 if blocked:
                     capped = True
-                for offset in offsets:
-                    found.append(config + offset)
-                continue
-            start = len(found)
-            blocked = False
-            for kind, delta, at, moves, queues, m in out[(config >> shift)
-                                                         & mask]:
-                if kind == _EPS:
-                    found.append(config + delta)
-                    continue
-                q = (config >> at) & _QUEUE_MASK
-                if kind == _SEND:
-                    if queues.length[q] >= cap:
-                        blocked = True
-                        continue
-                    r = moves.get(q)
-                    if r is None:
-                        r = queues.appended(q, m)
-                else:
-                    r = moves.get(q)
-                    if r is None:
-                        r = queues.popped(q, m)
-                    if r < 0:
-                        continue
-                found.append(config + delta + ((r - q) << at))
-            if blocked:
-                capped = True
-            if len(table) < _VIEWS_PER_TABLE:
-                table[local] = (tuple([move - config
-                                       for move in found[start:]]), blocked)
-        return found, capped
+        return [config + offset for offset in offsets], capped
 
     def is_final(self, config: int) -> bool:
         return not config & self.queue_mask and \
@@ -481,10 +497,17 @@ def explore(csm: Csm, *, queue_cap: int = 8,
     before the queue cap is applied, so capped sends never masquerade as
     deadlocks; hitting either cap sets the truncated flag instead.
     Configurations are visited, and successors listed, in `step` order.
+
+    The loop reads the kernel's move tables itself rather than calling
+    `_Kernel.moves`: it gathers each configuration's move offsets,
+    sorts them (every offset is added to the same configuration, so
+    this is the moves' order), and tests finality only where every
+    queue is empty.
     """
     kernel = _compiled(csm)
     full, bits, events = kernel.full, kernel.bits, kernel.events
-    moves_of, is_final = kernel.moves, kernel.is_final
+    queue_mask, is_final = kernel.queue_mask, kernel.is_final
+    tables, derive = kernel.tables_at(queue_cap), kernel.derive
     admit = max(config_cap, 1)  # the initial configuration whatever the cap
     packed = [kernel.initial]
     index = {kernel.initial: 0}
@@ -494,10 +517,24 @@ def explore(csm: Csm, *, queue_cap: int = 8,
     for i, config in enumerate(packed):
         if i == admit:
             break
-        moves, capped = moves_of(config, queue_cap)
-        truncated |= capped
-        moves.sort()
-        for move in moves:
+        offsets = []
+        capped = False
+        for view, table, part in tables:
+            local = config & view
+            kept = table.get(local)
+            if kept is None:
+                if derive(config, local, table, part, queue_cap, offsets):
+                    capped = True
+            else:
+                found, blocked = kept
+                offsets += found
+                if blocked:
+                    capped = True
+        if capped:
+            truncated = True
+        offsets.sort()
+        for offset in offsets:
+            move = config + offset
             succ = move & full
             if succ not in index:
                 j = index[succ] = len(packed)
@@ -507,8 +544,8 @@ def explore(csm: Csm, *, queue_cap: int = 8,
                     via.append(events[move >> bits])
                 else:
                     truncated = True
-        final = is_final(config)
-        if not moves and not capped:
+        final = not config & queue_mask and is_final(config)
+        if not offsets and not capped:
             (finals if final else deadlocks).append(i)
             if not kernel.is_final_sink(config):
                 soft_deadlocks.append(i)
@@ -551,7 +588,7 @@ def _eps_reach(kernel: _Kernel, configs) -> frozenset:
 class ProjectionVerdict:
     passed: bool
     reasons: tuple[str, ...]
-    bounded_only: bool = False
+    bounded_only: bool = False  # passed on words up to the oracle's k only
 
     def __bool__(self) -> bool:
         return self.passed
@@ -803,8 +840,9 @@ def check_projection(psm: Psm, csm: Csm, k: int) -> ProjectionVerdict:
     missing = views.prefixes(machine_vectors) - csm_vectors.keys()
     if missing:
         reasons.append(f"CSM misses prefix {_fmt(views.first(missing))}")
+    # a pass compared words up to k only; a failure's witness stands
     return ProjectionVerdict(not reasons, tuple(reasons),
-                             bounded_only=report.truncated)
+                             bounded_only=not reasons)
 
 
 def simulate(csm: Csm, seed: int = 0, max_steps: int = 100) -> Word:

@@ -11,7 +11,7 @@ and a rejection reports the condition that failed, with its witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (Event, PAIR, SEND, StateMachine, eps_closure, parent_word,
@@ -429,8 +429,7 @@ def check_against(psm: Psm, candidate: Csm, k: int) -> ProjectionVerdict:
             and _first_lag(have, want)[0] is None
             for want, have in determinised):
         return ProjectionVerdict(True, ())
-    verdict = check_projection(psm, candidate, k)
-    return replace(verdict, bounded_only=verdict.passed)
+    return check_projection(psm, candidate, k)
 
 
 def _first_lag(want, have) -> tuple:

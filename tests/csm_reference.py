@@ -270,7 +270,7 @@ def check_projection(psm: Psm, csm: Csm, k: int, *,
         shortest = min(missing_prefixes, key=lambda w: (len(w), _fmt(w)))
         reasons.append(f"CSM misses prefix {_fmt(shortest)}")
     return ProjectionVerdict(not reasons, tuple(reasons),
-                             bounded_only=report.truncated)
+                             bounded_only=not reasons)
 
 
 def simulate(csm: Csm, seed: int = 0, max_steps: int = 100) -> Word:

@@ -12,7 +12,9 @@ The kernel memoises each participant's moves per queue cap and local
 view: one CSM explored at several caps in turn, before and after a
 witness interns a foreign message, must match the reference at each
 cap, also when the tables are full, and `pairs(4,4)` must derive
-moves once per local view.
+moves once per local view.  `explore` reads the tables itself: it must
+match the reference at config caps around a CSM's size, and on tables
+that `csm_language_upto` filled, and never call `_Kernel.moves`.
 
 It also keeps the word-level oracle, which enumerates every CSM word
 and the swap closure of the protocol's words, while `amp.csm` compares
@@ -174,6 +176,59 @@ def test_explore_matches_reference_when_truncated(name, csm):
         assert_same_report(
             kernel.explore(csm, queue_cap=2, config_cap=config_cap),
             reference.explore(csm, queue_cap=2, config_cap=config_cap))
+
+
+def eps_blocked_csm() -> Csm:
+    """p takes an epsilon move, then sends m to q until it sends n; q
+    receives them.  At a queue cap of 2 p's sends are blocked at every
+    configuration where two messages wait, so the exploration ends
+    truncated."""
+    p = StateMachine({"p0", "p1", "p2"}, "p0", {"p2"},
+                     [("p0", None, "p1"), ("p1", send("p", "q", "m"), "p1"),
+                      ("p1", send("p", "q", "n"), "p2")])
+    q = StateMachine({"q0", "q1"}, "q0", {"q1"},
+                     [("q0", recv("p", "q", "m"), "q0"),
+                      ("q0", recv("p", "q", "n"), "q1")])
+    return Csm({"p": p, "q": q})
+
+
+@pytest.mark.parametrize("csm,blocked", [(pairs(2, 2)[1], False),
+                                         (eps_blocked_csm(), True)],
+                         ids=["pairs(2,2)", "eps blocked"])
+def test_explore_matches_reference_around_the_config_cap(csm, blocked):
+    """A config cap of n - 1, n and n + 1, where n is the number of
+    configurations the queue cap allows: only n - 1 drops one."""
+    n = len(reference.explore(csm, queue_cap=2).configs)
+    for config_cap in (n - 1, n, n + 1):
+        new = kernel.explore(Csm(csm.components), queue_cap=2,
+                             config_cap=config_cap)
+        assert_same_report(new, reference.explore(csm, queue_cap=2,
+                                                  config_cap=config_cap))
+        assert len(new) == min(config_cap, n)
+        assert new.truncated == (config_cap < n or blocked)
+
+
+@pytest.mark.parametrize("name,csm", CORPUS, ids=IDS)
+def test_explore_on_tables_the_language_filled(name, csm):
+    """`csm_language_upto` with no queue cap fills the tables of no cap,
+    and its epsilon closures those of cap 0: an exploration at either
+    cap that reads them gives the report of a fresh kernel."""
+    used = Csm(csm.components)
+    kernel.csm_language_upto(used, 5)
+    assert set(used._kernel.tables) == {0, kernel._NO_CAP}
+    for caps in ({"queue_cap": 0},
+                 {"queue_cap": kernel._NO_CAP, "config_cap": 300}):
+        assert_same_report(kernel.explore(used, **caps),
+                           kernel.explore(Csm(csm.components), **caps))
+
+
+def test_explore_calls_no_moves(monkeypatch):
+    def moves(*args):
+        raise AssertionError("explore called _Kernel.moves")
+
+    monkeypatch.setattr(kernel._Kernel, "moves", moves)
+    for csm in (pairs(2, 2)[1], eps_blocked_csm(), tied_csm()):
+        kernel.explore(Csm(csm.components), queue_cap=2)
 
 
 def all_out(report) -> list:
