@@ -103,10 +103,7 @@ def _load_bounds(path: str, machine: core.StateMachine) -> dict:
                 f"malformed bounds: {key} has bound {json.dumps(value)}, "
                 f"not a positive count")
         bounds[channel] = value
-    needed = sorted({ev.channel for _, ev, dst in machine.transitions
-                     if ev is not None and ev.kind == core.SEND
-                     and ev.channel not in bounds
-                     and machine.immediate_receive(ev, dst) is None})
+    needed = sorted(psm_mod.detected_channels(machine) - bounds.keys())
     if needed:
         raise core.MalformedInput(
             "malformed bounds: the protocol needs a bound on "

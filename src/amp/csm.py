@@ -201,7 +201,9 @@ class _Kernel:
     offsets with one `+=`; a miss calls `derive`, the one
     per-transition loop, which appends the participant's offsets in
     place and keeps them while the dict holds fewer than
-    `_VIEWS_PER_TABLE` views.
+    `_VIEWS_PER_TABLE` views.  Only `explore` reads whether a send was
+    left out, from the kept flag or `derive`'s result, to mark its
+    report truncated; `moves` returns the moves alone.
     """
 
     __slots__ = ("participants", "ids", "pairs", "channel_index", "queues",
@@ -348,23 +350,19 @@ class _Kernel:
             table[local] = (tuple(found[start:]), blocked)
         return blocked
 
-    def moves(self, config: int, cap: int = _NO_CAP) -> tuple[list, bool]:
-        """Every move from a configuration, unsorted, and whether a send
-        was left out because its queue would grow past `cap`."""
+    def moves(self, config: int, cap: int = _NO_CAP) -> list:
+        """Every move from a configuration under queue cap `cap`,
+        unsorted; a send that would grow its queue past the cap is left
+        out."""
         offsets = []
-        capped = False
         for view, table, part in self.tables_at(cap):
             local = config & view
             kept = table.get(local)
             if kept is None:
-                if self.derive(config, local, table, part, cap, offsets):
-                    capped = True
+                self.derive(config, local, table, part, cap, offsets)
             else:
-                found, blocked = kept
-                offsets += found
-                if blocked:
-                    capped = True
-        return [config + offset for offset in offsets], capped
+                offsets += kept[0]
+        return [config + offset for offset in offsets]
 
     def is_final(self, config: int) -> bool:
         return not config & self.queue_mask and \
@@ -392,7 +390,7 @@ def step(csm: Csm, config: Configuration) -> tuple:
     exploration and simulation are deterministic.
     """
     kernel = _compiled(csm)
-    moves, _ = kernel.moves(kernel.internal(config))
+    moves = kernel.moves(kernel.internal(config))
     moves.sort()
     return tuple((kernel.event(move), kernel.public(move & kernel.full))
                  for move in moves)
@@ -445,7 +443,7 @@ class ExploreReport:
         if not 0 <= i < self._size:
             raise IndexError(f"configuration {i} was not admitted")
         kernel = self._kernel
-        moves, _ = kernel.moves(self._packed[i], self._cap)
+        moves = kernel.moves(self._packed[i], self._cap)
         moves.sort()
         return [(kernel.event(move), self._index[move & kernel.full])
                 for move in moves]
@@ -570,7 +568,7 @@ def csm_language_upto(csm: Csm, k: int, *,
 
     def out(config: int) -> list:
         return [(kernel.event(move), move & kernel.full)
-                for move in kernel.moves(config, cap)[0]]
+                for move in kernel.moves(config, cap)]
 
     return bounded_traces((kernel.initial,), out,
                           lambda configs: _eps_reach(kernel, configs),
@@ -581,7 +579,7 @@ def _eps_reach(kernel: _Kernel, configs) -> frozenset:
     """The packed configurations reachable by epsilon moves, of rank 0,
     alone; a queue cap of 0 keeps `moves` from building any send."""
     return frozenset(reachable(configs, lambda config: [
-        move for move in kernel.moves(config, 0)[0] if move <= kernel.full]))
+        move for move in kernel.moves(config, 0) if move <= kernel.full]))
 
 
 @dataclass(frozen=True)
@@ -767,7 +765,7 @@ def _csm_vectors(kernel: _Kernel, views: _Views, k: int) -> dict:
     """
     def successors(node):
         config, vector, size = node
-        for move in kernel.moves(config)[0]:
+        for move in kernel.moves(config):
             succ = move & kernel.full
             if move == succ:  # epsilon, of rank 0
                 yield succ, vector, size
@@ -852,7 +850,7 @@ def simulate(csm: Csm, seed: int = 0, max_steps: int = 100) -> Word:
     config = kernel.initial
     trace: list[Event] = []
     for _ in range(max_steps):
-        moves, _ = kernel.moves(config)
+        moves = kernel.moves(config)
         if not moves:
             break
         moves.sort()

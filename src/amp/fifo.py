@@ -25,16 +25,13 @@ class ClosureCapExceeded(RuntimeError):
 
 
 def project(word: Word, *, participant: Optional[str] = None,
-            channel: Optional[tuple[str, str]] = None,
-            kind: Optional[str] = None) -> Word:
-    """Keep the letters matching a participant or channel-direction pattern."""
+            channel: Optional[tuple[str, str]] = None) -> Word:
+    """Keep the letters of a participant, or of a channel."""
 
     def keep(ev: Event) -> bool:
         if participant is not None and ev.subject != participant:
             return False
         if channel is not None and ev.channel != channel:
-            return False
-        if kind is not None and ev.kind != kind:
             return False
         return True
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Event, PAIR, SEND, StateMachine, eps_closure, parent_word,
-                   reachable, recv, send, subset_moves, walk)
+from .core import (Event, PAIR, SEND, StateMachine, backward_closure,
+                   eps_closure, parent_word, recv, send, subset_moves, walk)
 from .csm import Csm, ProjectionVerdict, check_projection
 from .encoding import (channel_participants, decode_event, decode_fsm,
                        encode_psm, is_amicable, parse_channel_participant)
@@ -309,12 +309,9 @@ def subset_validity(source: StateMachine, participant: str,
 def _silently_reaching(machine: SubsetMachine, members: frozenset,
                        targets: set) -> set:
     """The members with a path of silent moves to one of `targets`."""
-    back: dict = {}
-    for q in members:
-        for label, dst in machine.view(q):
-            if label is None:
-                back.setdefault(dst, []).append(q)
-    return reachable(targets, lambda q: back.get(q, ()))
+    return backward_closure(members, lambda q: [
+        (label, dst) for label, dst in machine.view(q) if label is None],
+        targets)
 
 
 @dataclass
@@ -336,18 +333,19 @@ def project_tame(source) -> ProjectionResult:
     candidate is accepted exactly when it meets every condition below,
     with no CSM explored and no trace enumerated:
 
-    - `is_amicable`: each forwarder serves its sender on every run;
     - no participant is named like a forwarder, so that decoding undoes
       exactly the encoding;
     - the encoding keeps the protocol's final states: where a run ends,
       every ring counter is back at zero;
     - `subset_validity`: Send Validity and Receive Validity at every
-      subset state of every participant and forwarder.
+      subset state of every participant and then every forwarder;
+    - `is_amicable`: each forwarder serves its sender on every run.
 
     Otherwise it raises the NotProjectable of the first condition that
-    fails, in this order, with its witness where it has one.  The name
-    and final-state conditions are limits of the encoding: they are not
-    `decisive`, and neither is amicability when one of them fails.
+    fails, in this order, with its witness where it has one, and does
+    no work after it: no later participant is built or minimised.  The
+    name and final-state conditions are limits of the encoding, so they
+    are not `decisive`; the others are.
     """
     psm = source if isinstance(source, Psm) else validate(source)
     machine = psm.machine.trim()
@@ -363,31 +361,30 @@ def project_tame(source) -> ProjectionResult:
         raise NotTame(f"no channel bounds: {exc}") from exc
 
     encoded = encode_psm(machine, bounds)
+    participants = sorted(machine.participants())
+    named = [p for p in participants if parse_channel_participant(p)]
+    if named:
+        raise NotProjectable(f"participant {named[0]} is named like a "
+                             f"forwarder", decisive=False)
+    failure = _lost_final(encoded, machine.finals)
+    if failure is not None:
+        raise failure
+
     # The conditions need one run per word: a protocol that repeats an
     # exchange at a choice is determinised first.  Both machines have the
     # same language, so they give the same minimal projections.
     protocol = (encoded if encoded.is_deterministic()
                 else _subsets(encoded.initial, encoded.out, encoded.finals))
-    participants = sorted(machine.participants())
     cps = channel_participants(bounds)
-
-    named = [p for p in participants if parse_channel_participant(p)]
-    failure = (NotProjectable(f"participant {named[0]} is named like a "
-                              f"forwarder", decisive=False) if named
-               else _lost_final(encoded, machine.finals))
     minimal = {}
     for name in participants + [cp.name for cp in cps]:
         subsets = subset_construction(protocol, name)
-        if failure is None:
-            failure = subset_validity(protocol, name, subsets)
+        failure = subset_validity(protocol, name, subsets)
+        if failure is not None:
+            raise failure
         minimal[name] = minimize(subsets)
-
     if cps and not is_amicable(minimal, bounds):
-        # forwarders of an encoding that fails the protocol say nothing of it
-        raise NotProjectable("forwarder components are not amicable",
-                             decisive=failure is None or failure.decisive)
-    if failure is not None:
-        raise failure
+        raise NotProjectable("forwarder components are not amicable")
 
     # Distinct state names across components, so the CSM can type sessions.
     csm = Csm({p: canonical_names(decode_fsm(minimal[p]), prefix=f"{p}_")

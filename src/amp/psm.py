@@ -215,7 +215,6 @@ def classify_choice(machine: StateMachine) -> ChoiceReport:
     if not machine.is_deterministic():
         return ChoiceReport(NON_DETERMINISTIC, {})
     choice: dict[str, str] = {}
-    sender_driven = True
     directed = True
     for q in sorted(machine.states):
         events = _branch_events(machine, q)
@@ -226,13 +225,9 @@ def classify_choice(machine: StateMachine) -> ChoiceReport:
                        or len(senders) != 1
                        or len({ev.receiver for ev in events}) != 1):
             directed = False
-        if len(events) <= 1:
-            continue
-        if any(ev.kind == RECV for ev in events) or len(senders) != 1:
-            sender_driven = False
     if directed:
         return ChoiceReport(DIRECTED, choice)
-    if sender_driven:
+    if single_sender_branching(machine)[0]:
         return ChoiceReport(SENDER_DRIVEN, choice)
     return ChoiceReport(MIXED, choice)
 

@@ -646,38 +646,19 @@ def _recursion_vars(machine: StateMachine) -> dict[str, str]:
     return {q: f"X{i + 1}" for i, q in enumerate(targets)}
 
 
-def _prune_unused_recs(t: SessionType) -> SessionType:
-    """Drop the recursion binders whose variable is unused."""
-    if isinstance(t, Rec):
-        body = _prune_unused_recs(t.body)
-        return Rec(t.var, body) if _uses_var(body, t.var) else body
-    if isinstance(t, Choice):
-        return Choice(tuple((ev, _prune_unused_recs(cont))
-                            for ev, cont in t.branches))
-    return t
-
-
-def _uses_var(t: SessionType, var: str) -> bool:
-    if isinstance(t, Var):
-        return t.name == var
-    if isinstance(t, Rec):
-        return t.var != var and _uses_var(t.body, var)
-    if isinstance(t, Choice):
-        return any(_uses_var(cont, var) for _, cont in t.branches)
-    return False
-
-
 def _read_tree(tree: StateMachine, check) -> SessionType:
     """Read a type off a tree-shaped machine.
 
     Finals become end; an epsilon edge to a state on the current path
     becomes its recursion variable, while an epsilon edge forward is
     followed transparently; branches become choices, once
-    `check(state, events)` accepts their events.  States targeted by
-    epsilon edges bind a recursion variable, pruned again if unused.
+    `check(state, events)` accepts their events.  A state binds its
+    variable, named over all epsilon targets, only when an epsilon
+    edge read below it went back to it, so no binder goes unused.
     """
     var_names = _recursion_vars(tree)
     path: set[str] = set()  # the states on the current path
+    looped: set[str] = set()  # the states of `path` an edge went back to
 
     def traverse(q: str) -> SessionType:
         if q in tree.finals:
@@ -686,8 +667,11 @@ def _read_tree(tree: StateMachine, check) -> SessionType:
         outs = tree.out(q)
         if len(outs) == 1 and outs[0][0] is None:
             dst = outs[0][1]
-            body: SessionType = (Var(var_names[dst]) if dst in path
-                                 else traverse(dst))
+            if dst in path:
+                looped.add(dst)
+                body: SessionType = Var(var_names[dst])
+            else:
+                body = traverse(dst)
         else:
             branches = []
             for ev, dst in outs:
@@ -699,11 +683,12 @@ def _read_tree(tree: StateMachine, check) -> SessionType:
             check(q, [ev for ev, _ in branches])
             body = Choice(tuple(branches))
         path.discard(q)
-        if q in var_names:
+        if q in looped:
+            looped.discard(q)
             return Rec(var_names[q], body)
         return body
 
-    return _prune_unused_recs(traverse(tree.initial))
+    return traverse(tree.initial)
 
 
 def tree_of(machine: StateMachine) -> StateMachine:

@@ -10,10 +10,13 @@ into the same temporary directory and printed as `GEN/<name>`: a
 40-message global type.  `check-csm`, `simulate` and `dot` also run on
 a generated two-participant CSM with epsilon transitions whose initial
 configuration is final yet can still move.  `project --json` also runs
-on generated protocols that fail Send Validity, Receive Validity,
-amicability and the encoding's final states, one each, and with
-`to-local` on one whose participant p sends to a participant named like
-another channel's forwarder.  Two runs of the same code
+on generated protocols that fail Send Validity, Receive Validity and
+the encoding's final states, one each; on `not_amicable.psm.json`,
+whose participant named like a forwarder makes the forwarder
+components not amicable, and which pins that `project` reports the
+name first (no generated input fails amicability alone); and, with
+`to-local`, on one whose participant p sends to a participant named
+like another channel's forwarder.  Two runs of the same code
 must print the same lines, whatever the hash seed:
 
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/cli_sweep.py > a.txt
@@ -134,7 +137,8 @@ REJECTED_INPUTS = {
     "send_validity.gt": "( c->d:a . p->r:x . 0 + c->d:b . p->r:z . 0 )",
     "receive_validity.gt":
         "( c->q2:a . q2->p:n . q1->p:m . 0 + c->q1:b . q1->p:m . 0 )",
-    # a participant named like p>q's first forwarder
+    # a participant named like p>q's first forwarder: reported by its
+    # name, though its forwarder components are not amicable either
     "not_amicable.psm.json": _burst_then([("send", "(p,q)0", "r", "x"),
                                           ("recv", "(p,q)0", "r", "x")]),
     # a third message on the ring of two: its counters end at one

@@ -29,7 +29,7 @@ def test_project_participant_alphabet():
 
 def test_project_channel_direction():
     w = parse_word("p>q!a q>p!b p>q?a")
-    assert project(w, channel=("p", "q"), kind="send") == parse_word("p>q!a")
+    assert project(w, channel=("p", "q")) == parse_word("p>q!a p>q?a")
 
 
 def test_is_fifo_mismatch_position():

@@ -24,7 +24,7 @@ from collections import Counter
 
 import pytest
 
-from amp import csm
+from amp import csm, projection
 from amp.cli import _load_machine, main
 from amp.core import StateMachine, load_machine, recv, send
 from amp.csm import dump_csm
@@ -261,6 +261,60 @@ def test_a_shallow_oracle_leaves_the_report_to_the_condition():
         assert outcome(reference.project_tame, psm, k=k)[0] == "ok"
     assert outcome(reference.project_tame, psm, k=2)[1].startswith(
         "CSM adds prefix")
+
+
+# -- the order of the conditions ----------------------------------------------
+
+
+def test_a_name_clash_is_reported_before_amicability():
+    """The participant named like p>q's first forwarder shares one
+    component with that forwarder, which is then not amicable; the name
+    is reported, a limit of the encoding."""
+    with pytest.raises(NotProjectable) as excinfo:
+        project_tame(validate(forwarder_clash()))
+    assert str(excinfo.value) == \
+        "participant (p,q)0 is named like a forwarder"
+    assert not excinfo.value.decisive
+
+
+def test_no_component_is_minimised_after_a_failed_condition(monkeypatch):
+    """a, the first participant in name order, breaks Send Validity, so
+    `project_tame` stops before it minimises any component."""
+    minimised = []
+
+    def counting(machine):
+        minimised.append(machine)
+        return minimize(machine)
+
+    monkeypatch.setattr(projection, "minimize", counting)
+    with pytest.raises(NotProjectable, match="^send validity: a may send "
+                       "a>r!x after ε, which not every run allows$"):
+        project_tame(validate(
+            gt("( c->d:a . a->r:x . 0 + c->d:b . a->r:z . 0 )")))
+    assert minimised == []
+    project_tame(validate(three_party_machine()))
+    assert len(minimised) == 3
+
+
+def test_amicability_is_decisive(monkeypatch, capsys):
+    """No protocol fails amicability alone, so `is_amicable` is made to
+    fail on kle, whose channels have forwarders: the rejection proves
+    that no CSM implements the protocol, and `check-csm --against`
+    reports it without the oracle."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("check-csm --against ran the oracle")
+
+    monkeypatch.setattr(projection, "is_amicable", lambda *args: False)
+    monkeypatch.setattr(projection, "check_projection", refuse)
+    with pytest.raises(NotProjectable) as excinfo:
+        project_tame(validate(_load_machine(str(PROTOCOLS / "kle.psm.json"))))
+    assert str(excinfo.value) == "forwarder components are not amicable"
+    assert excinfo.value.decisive
+    assert main(["check-csm", str(PROTOCOLS / "kle.csm.json"), "--against",
+                 str(PROTOCOLS / "kle.psm.json")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "projection check: fail (not projectable: forwarder components "
+        "are not amicable)")
 
 
 def test_project_never_calls_the_oracle_or_the_explorer(monkeypatch):

@@ -3,19 +3,21 @@ against the per-module copies they replaced.
 
 `walker_reference` keeps the epsilon closures, reachability walks,
 subset-construction steps, bounded-word loop, parent-chain witnesses,
-type-to-machine builders and binder pruners as they were.  Sets, trace
-sets (key order included), machines (byte for byte), types, exceptions
-and witnesses must be equal on random machines with epsilon edges,
-random protocols that break FIFO order or outgrow the caps, random tame
-protocols projected onto every participant, random global and local
-types and the shipped corpus.
+type-to-machine builders, binder pruners and the two-pass tree reader
+as they were.  Sets, trace sets (key order included), machines (byte
+for byte), types, exceptions and witnesses must be equal on random
+machines with epsilon edges, random protocols that break FIFO order or
+outgrow the caps, random tame protocols projected onto every
+participant, random global and local types and the shipped corpus.
 """
 
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from amp import transform
 from amp.cli import _load_machine
 from amp.core import (Event, StateMachine, StateRef, dump_machine,
                       eps_closure, expand_pairs, maximal_traces_upto, pair,
@@ -26,8 +28,8 @@ from amp.projection import subset_construction
 from amp.psm import (PsmError, build_config_graph, infer_channel_bounds,
                      validate)
 from amp.transform import (Choice, End, Rec, TypeSyntaxError, Var,
-                           _prune_unused_recs, _uses_var, fsm_to_local_type,
-                           global_to_psm, local_to_fsm, psm_to_global_type)
+                           fsm_to_local_type, global_to_psm, local_to_fsm,
+                           psm_to_global_type)
 
 from . import walker_reference as reference
 from .conftest import (random_local_tree, random_sender_driven_tree,
@@ -262,34 +264,54 @@ def random_local(rng: random.Random, depth: int = 4, bound: tuple = ()):
     return Choice(tuple(branches))
 
 
+def assert_readers_agree(read, *args) -> None:
+    """`read` gives the same type, or the same exception, with the
+    library's tree reader and with the reference's."""
+    new = outcome(read, *args)
+    with mock.patch.object(transform, "_read_tree", reference._read_tree):
+        assert outcome(read, *args) == new
+
+
 def assert_types_agree(g, l) -> None:
     new, old = outcome(global_to_psm, g), outcome(reference.global_to_psm, g)
     assert new == old
     if isinstance(new, StateMachine):
         assert dump_machine(new) == dump_machine(old)
+        assert_readers_agree(psm_to_global_type, new)
     new = outcome(local_to_fsm, l)
     old = outcome(reference.local_to_fsm, l)
     assert new == old
     if isinstance(new, StateMachine):
         assert dump_machine(new) == dump_machine(old)
-    assert _prune_unused_recs(g) == reference._prune_unused_recs(g)
-    assert _prune_unused_recs(l) == reference._prune_unused_lrecs(l)
-    for var in ("X1", "X2", "Z"):
-        assert _uses_var(g, var) == reference._uses_var(g, var)
-        assert _uses_var(l, var) == reference._uses_lvar(l, var)
+        assert_readers_agree(fsm_to_local_type, new, "p")
+
+
+def unused_binder(t) -> bool:
+    """Whether some `rec` of `t` binds a variable its body does not use."""
+    if isinstance(t, Rec):
+        return not reference._uses_var(t.body, t.var) or unused_binder(t.body)
+    if isinstance(t, Choice):
+        return any(unused_binder(cont) for _, cont in t.branches)
+    return False
 
 
 def test_type_builders_and_pruners_agree_on_random_types():
+    """The builders, and reading their machines back, on 1,500 random
+    global and local types, some with binders that go unused."""
     rng = random.Random(43)
     errors = set()
+    unused = 0  # types read back that have a `rec` whose variable goes unused
     for _ in range(1500):
         g, l = random_global(rng), random_local(rng)
         assert_types_agree(g, l)
-        for result in (outcome(reference.global_to_psm, g),
-                       outcome(reference.local_to_fsm, l)):
+        for t, result in ((g, outcome(reference.global_to_psm, g)),
+                          (l, outcome(reference.local_to_fsm, l))):
             if isinstance(result, tuple):
                 errors.add(result[0])
+            else:
+                unused += unused_binder(t)
     assert errors == {TypeSyntaxError, KeyError}
+    assert unused == 742
 
 
 def test_type_builders_agree_on_read_back_types():
@@ -297,6 +319,8 @@ def test_type_builders_agree_on_read_back_types():
     for _ in range(150):
         tree = random_sender_driven_tree(rng, 10)
         local = random_local_tree(rng)
+        assert_readers_agree(psm_to_global_type, tree)
+        assert_readers_agree(fsm_to_local_type, local, "p")
         assert_types_agree(psm_to_global_type(tree),
                            fsm_to_local_type(local, "p"))
 

@@ -8,11 +8,13 @@ and for calls among these walkers, which go to the copies here.  The
 type builders and pruners are ported to the one session-type
 representation of `amp.transform`, whose choices hold events: the local
 builder reads its events off the branches instead of building them from
-a participant.
+a participant.  `_read_tree` is the tree reader as it stood before it
+decided each binder while reading: it binds a variable at every epsilon
+target and prunes the unused binders in a second walk.
 
 `test_walkers.py` runs these next to the library and requires equal
-sets, trace sets (in the same key order), machines, exceptions and
-witnesses.
+sets, trace sets (in the same key order), machines, types, exceptions
+and witnesses.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from amp.projection import _local_label
 from amp.psm import (DEFAULT_CONFIG_CAP, Config, ConfigCapExceeded,
                      ConfigGraph, NonFifo, UnboundedChannel)
 from amp.transform import (Choice, End, Rec, SessionType, Var,
-                           _check_global)
+                           _check_global, _recursion_vars)
 
 
 
@@ -340,3 +342,42 @@ def _uses_lvar(l: SessionType, var: str) -> bool:
     if isinstance(l, Choice):
         return any(_uses_lvar(c, var) for _, c in l.branches)
     return False
+
+
+def _read_tree(tree: StateMachine, check) -> SessionType:
+    """Read a type off a tree-shaped machine.
+
+    Finals become end; an epsilon edge to a state on the current path
+    becomes its recursion variable, while an epsilon edge forward is
+    followed transparently; branches become choices, once
+    `check(state, events)` accepts their events.  States targeted by
+    epsilon edges bind a recursion variable, pruned again if unused.
+    """
+    var_names = _recursion_vars(tree)
+    path: set[str] = set()  # the states on the current path
+
+    def traverse(q: str) -> SessionType:
+        if q in tree.finals:
+            return End()
+        path.add(q)
+        outs = tree.out(q)
+        if len(outs) == 1 and outs[0][0] is None:
+            dst = outs[0][1]
+            body: SessionType = (Var(var_names[dst]) if dst in path
+                                 else traverse(dst))
+        else:
+            branches = []
+            for ev, dst in outs:
+                if ev is None:
+                    raise ValueError("epsilon edge on a branching state")
+                branches.append((ev, traverse(dst)))
+            if not branches:
+                raise ValueError(f"non-final sink state {q!r}")
+            check(q, [ev for ev, _ in branches])
+            body = Choice(tuple(branches))
+        path.discard(q)
+        if q in var_names:
+            return Rec(var_names[q], body)
+        return body
+
+    return _prune_unused_recs(traverse(tree.initial))
