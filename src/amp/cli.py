@@ -56,6 +56,14 @@ def _emit(args, report: dict, summary: list[str]) -> None:
             print(line)
 
 
+def _write(args, text: str) -> None:
+    """`text` to the `-o` file, or to stdout without it."""
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        print(text, end="")
+
+
 def _witness_of(exc) -> list:
     witness = getattr(exc, "witness", None)
     return [str(ev) for ev in witness] if witness else []
@@ -192,12 +200,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode_fsm(args) -> int:
     machine = _load_machine(args.file)
-    decoded = encoding.decode_fsm(machine)
-    output = core.dump_machine(decoded)
-    if args.output:
-        Path(args.output).write_text(output)
-    else:
-        print(output, end="")
+    _write(args, core.dump_machine(encoding.decode_fsm(machine)))
     return OK
 
 
@@ -303,12 +306,7 @@ def cmd_to_global(args) -> int:
 
 def cmd_from_global(args) -> int:
     g = transform.parse_global_type(Path(args.file).read_text())
-    machine = transform.global_to_psm(g)
-    output = core.dump_machine(machine)
-    if args.output:
-        Path(args.output).write_text(output)
-    else:
-        print(output, end="")
+    _write(args, core.dump_machine(transform.global_to_psm(g)))
     return OK
 
 
@@ -392,10 +390,7 @@ def cmd_dot(args) -> int:
     else:
         output = core.machine_to_dot(_load_machine(args.file),
                                      name=Path(args.file).stem)
-    if args.output:
-        Path(args.output).write_text(output)
-    else:
-        print(output, end="")
+    _write(args, output)
     return OK
 
 

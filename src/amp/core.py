@@ -454,14 +454,15 @@ def maximal_capable(nodes: Iterable, out, finals: Iterable) -> set:
     return capable
 
 
-def fer_violation(pending: Iterable, out, capable: set):
+def fer_violation(pending: Iterable, out, nodes: Iterable, finals: Iterable):
     """Feasible eventual reception over a graph labelled with events.
 
     `pending` holds (node, channel, backlog) triples.  Returns the first
     node from which no path receives `backlog` messages on `channel` and
-    ends in a `capable` node, or None.  `capable` must be closed under
-    predecessors, as `maximal_capable` is.
+    ends in a node that can still reach a maximal run (`maximal_capable`
+    over `nodes` with `finals`), or None.
     """
+    capable = maximal_capable(nodes, out, finals)
     for node, channel, backlog in pending:
         seen = {(node, 0)}
         work = [(node, 0)]
@@ -590,8 +591,8 @@ def _payload_to_json(payload: Payload):
 
 
 class MalformedInput(ValueError):
-    """A machine or CSM document that does not have the shape its
-    reader expects."""
+    """A machine or CSM document, or a type or program text, that does
+    not have the shape its reader expects."""
 
 
 def _fields(data, what: str, *names: str) -> list:

@@ -412,7 +412,7 @@ class ExploreReport:
 
     __slots__ = ("deadlocks", "soft_deadlocks", "finals", "truncated",
                  "_kernel", "_cap", "_packed", "_index", "_size", "_parents",
-                 "_via", "_public", "_configs", "_edges", "_parent")
+                 "_via", "_configs", "_edges", "_parent")
 
     def __init__(self, kernel: _Kernel, cap: int, packed: list, index: dict,
                  size: int, parents: list, via: list, deadlocks: list,
@@ -420,7 +420,6 @@ class ExploreReport:
         self._kernel, self._cap, self._packed = kernel, cap, packed
         self._index, self._size = index, size
         self._parents, self._via = parents, via
-        self._public: dict = {}
         self._configs = self._edges = self._parent = None
         self.deadlocks = [self._config(i) for i in deadlocks]
         self.soft_deadlocks = [self._config(i) for i in soft_deadlocks]
@@ -432,10 +431,7 @@ class ExploreReport:
         return self._size
 
     def _config(self, i: int) -> Configuration:
-        config = self._public.get(i)
-        if config is None:
-            config = self._public[i] = self._kernel.public(self._packed[i])
-        return config
+        return self._kernel.public(self._packed[i])
 
     def out(self, i: int) -> list:
         """The (event, index) moves of configuration i, in `step` order;

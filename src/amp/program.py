@@ -21,14 +21,14 @@ import re
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .core import StateRef, reachable
+from .core import MalformedInput, StateRef, reachable
 from .csm import Csm, csm_from_json
 from .typecheck import (Definition, Endpoint, PCall, PEnd, PPar, PRecv, PRes,
                         PSend, Program, RecvBranch, SendBranch,
                         StateRegistry, Term, TypeCheckError, Unit, Var)
 
 
-class ProgramSyntaxError(ValueError):
+class ProgramSyntaxError(MalformedInput):
     pass
 
 
@@ -113,8 +113,7 @@ def parse_program(text: str, *, base_dir: Optional[Path] = None,
             raise ProgramSyntaxError(f"unknown declaration {keyword!r}")
     if main is None:
         raise ProgramSyntaxError("program has no main process")
-    program = Program(csms, order, defs, main)
-    program.theta = theta
+    program = Program(csms, order, defs, main, theta)
     _check_delegation_order(program)
     return program
 

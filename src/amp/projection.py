@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Event, PAIR, SEND, StateMachine, backward_closure,
-                   eps_closure, parent_word, recv, send, subset_moves, walk)
+from .core import (Event, PAIR, SEND, StateMachine, eps_closure, parent_word,
+                   reachable, recv, send, subset_moves, walk)
 from .csm import Csm, ProjectionVerdict, check_projection
 from .encoding import (channel_participants, decode_event, decode_fsm,
                        encode_psm, is_amicable, parse_channel_participant)
@@ -86,23 +86,30 @@ def subset_construction(machine: StateMachine, participant: str) -> StateMachine
 
 
 def minimize(machine: StateMachine) -> StateMachine:
-    """Merge language-equivalent states of a deterministic machine.
+    """Merge the reachable states of a deterministic machine that no
+    word tells apart: each word can be read from both or from neither,
+    and ends in a final state from both or from neither.
 
     Hopcroft's partition refinement in Valmari & Lehtinen's form for
     partial transition functions (STACS 2008): a missing transition
     leads to an implicit dead state, so every initial block starts on
     the worklist, and after that only the smaller half of each split.
-    A splitter is refined by just the events that enter it.  Class
-    names are derived from their members so the result is canonical.
+    A splitter is refined by just the events that enter it.
+
+    States that reach no final state are kept: in a subset machine such
+    a state is a participant that has stopped while the protocol goes on
+    without it, which the component must still reach.  Unreachable
+    states are dropped, so the breadth-first `canonical_names` names
+    every class.
     """
-    machine = machine.trim()
+    states = machine.reachable_states()
+    transitions = [t for t in machine.transitions if t[0] in states]
+    finals = machine.finals & states
     # incoming[dst][event] = the states with an `event` transition to dst
-    incoming: dict = {q: {} for q in machine.states}
-    for src, ev, dst in machine.transitions:
+    incoming: dict = {q: {} for q in states}
+    for src, ev, dst in transitions:
         incoming[dst].setdefault(ev, []).append(src)
-    blocks = [block for block in (set(machine.finals),
-                                  set(machine.states - machine.finals))
-              if block]
+    blocks = [block for block in (set(finals), set(states - finals)) if block]
     block_of = {q: b for b, block in enumerate(blocks) for q in block}
     work = list(range(len(blocks)))
     waiting = set(work)
@@ -129,12 +136,10 @@ def minimize(machine: StateMachine) -> StateMachine:
                     split = b
                 work.append(split)
                 waiting.add(split)
-    order = sorted(range(len(blocks)), key=lambda b: min(blocks[b]))
-    number = {b: i for i, b in enumerate(order)}
-    rename = {q: f"c{number[block_of[q]]}" for q in machine.states}
-    transitions = {(rename[s], ev, rename[d]) for s, ev, d in machine.transitions}
+    rename = {q: f"c{b}" for q, b in block_of.items()}
     merged = StateMachine(set(rename.values()), rename[machine.initial],
-                          {rename[q] for q in machine.finals}, transitions)
+                          {rename[q] for q in finals},
+                          {(rename[s], ev, rename[d]) for s, ev, d in transitions})
     return canonical_names(merged)
 
 
@@ -279,17 +284,20 @@ def subset_validity(source: StateMachine, participant: str,
                                   f"{decode_event(receives[0])}")
         if not sends and len({ev.sender for ev in receives}) < 2:
             continue
-        # the members' own moves, by their local label
+        # the members' own moves, by their local label, and each member's
+        # silent predecessors among them
         own: dict = {}
+        silent_from: dict = {}
         for q in members:
             for label, dst in machine.view(q):
-                if label is not None:
+                if label is None:
+                    silent_from.setdefault(dst, []).append(q)
+                else:
                     own.setdefault(label, []).append((q, dst))
         for ev in sends:
             able = {q for q, _ in own[ev]}
-            if len(able) < len(members) \
-                    and len(_silently_reaching(machine, members, able)) \
-                    < len(members):
+            if len(able) < len(members) and len(reachable(
+                    able, lambda q: silent_from.get(q, ()))) < len(members):
                 return failure(state, f"send validity: {{}} may send "
                                       f"{decode_event(ev)} after {{}}, which "
                                       f"not every run allows")
@@ -304,14 +312,6 @@ def subset_validity(source: StateMachine, participant: str,
                                    f"{decode_event(ev)} after {{}} where it "
                                    f"must receive {decode_event(waited)}")
     return None
-
-
-def _silently_reaching(machine: SubsetMachine, members: frozenset,
-                       targets: set) -> set:
-    """The members with a path of silent moves to one of `targets`."""
-    return backward_closure(members, lambda q: [
-        (label, dst) for label, dst in machine.view(q) if label is None],
-        targets)
 
 
 @dataclass
@@ -396,8 +396,11 @@ def check_against(psm: Psm, candidate: Csm, k: int) -> ProjectionVerdict:
     """Whether `candidate` implements the protocol.  Each word of a
     projection's component is its participant's view of a protocol word,
     so a component must follow it; one that does no more, deterministic
-    and with no epsilon move, moves as the projection does.  The bounded
-    oracle, at word length `k`, decides the rest."""
+    and with no epsilon move, moves as the projection does.  The
+    projection's components are compared as `project_tame` builds them,
+    minimal, deterministic and free of epsilon moves; only the
+    candidate's are determinised.  The bounded oracle, at word length
+    `k`, decides the rest."""
     try:
         spec = project_tame(psm).csm.components
     except NotTame:
@@ -407,12 +410,12 @@ def check_against(psm: Psm, candidate: Csm, k: int) -> ProjectionVerdict:
             return ProjectionVerdict(False, (f"not projectable: {exc}",))
         spec = {}
     determinised = []
-    for p, machine in spec.items():
+    for p, want in spec.items():
         if p not in candidate.components:
             return ProjectionVerdict(False, (f"no component for "
                                              f"participant {p}",))
-        want, have = (_subsets(m.initial, m.out, m.finals)
-                      for m in (machine, candidate.components[p]))
+        have = candidate.components[p]
+        have = _subsets(have.initial, have.out, have.finals)
         node, word = _first_lag(want, have)
         if node is not None:
             return ProjectionVerdict(False, (

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, expand_pairs,
-                   fer_violation, maximal_capable, parent_word, queue_get,
-                   queue_set, strongly_connected_components, subset_moves,
-                   walk)
+                   fer_violation, parent_word, queue_get, queue_set,
+                   strongly_connected_components, subset_moves, walk)
 
 DEFAULT_CONFIG_CAP = 1_000_000
 
@@ -153,7 +152,7 @@ def check_fer(graph: ConfigGraph) -> tuple[bool, Optional[Word]]:
     finals = [i for i in nodes if graph.nodes[i][0] & graph.machine.finals]
     pending = ((i, ch, len(content)) for i in nodes
                for ch, content in graph.nodes[i][1])
-    stuck = fer_violation(pending, out, maximal_capable(nodes, out, finals))
+    stuck = fer_violation(pending, out, nodes, finals)
     if stuck is not None:
         return False, graph.word_to(stuck)
     return True, None
@@ -360,23 +359,18 @@ class TameReport:
     tame: bool
     sink_final: bool
     choice: ChoiceReport
-    bounds: Optional[dict]
-    failures: tuple[str, ...]
+    bounds: Optional[dict]  # None when no bounds can be inferred
 
 
 def is_tame(psm: Psm) -> TameReport:
     """Sender-driven, sink-final, and respecting inferable channel bounds."""
     machine = psm.machine
-    failures: list[str] = []
     sink_final = machine.trim().is_sink_final()
-    if not sink_final:
-        failures.append("not sink-final")
     choice = classify_choice(machine)
-    if choice.kind not in (SENDER_DRIVEN, DIRECTED):
-        failures.append(f"choice is {choice.kind}, not sender-driven")
-    bounds: Optional[dict] = None
     try:
         bounds = infer_channel_bounds(psm)
-    except UnboundedLoop as exc:
-        failures.append(str(exc))
-    return TameReport(not failures, sink_final, choice, bounds, tuple(failures))
+    except UnboundedLoop:
+        bounds = None
+    tame = (sink_final and choice.kind in (SENDER_DRIVEN, DIRECTED)
+            and bounds is not None)
+    return TameReport(tame, sink_final, choice, bounds)

@@ -18,8 +18,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .core import (Event, PAIR, RECV, SEND, StateMachine, StateRef,
-                   backward_closure, pair, payload_suffix, recv, send)
+from .core import (Event, MalformedInput, PAIR, RECV, SEND, StateMachine,
+                   StateRef, backward_closure, pair, payload_suffix, recv,
+                   send)
 
 # -- session types ------------------------------------------------------------
 #
@@ -105,7 +106,7 @@ def _action(ev: Event) -> str:
     return str(ev)
 
 
-class TypeSyntaxError(ValueError):
+class TypeSyntaxError(MalformedInput):
     pass
 
 

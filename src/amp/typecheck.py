@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from .core import (RECV, SEND, StateMachine, StateRef, fer_violation,
-                   maximal_capable, payload_from_key, queue_get, queue_set)
+                   payload_from_key, queue_get, queue_set)
 from .csm import (Configuration, Csm, explore, is_final_config, step)
 
 # The configuration cap of every exploration the type checker makes, and
@@ -902,8 +902,7 @@ def _csm_fer(csm: Csm, report) -> bool:
     finals = [i for i in nodes if is_final_config(csm, configs[i])]
     pending = ((i, ch, len(content)) for i in nodes
                for ch, content in configs[i].channels)
-    capable = maximal_capable(nodes, edges.__getitem__, finals)
-    return fer_violation(pending, edges.__getitem__, capable) is None
+    return fer_violation(pending, edges.__getitem__, nodes, finals) is None
 
 
 # -- harnesses ------------------------------------------------------------------
@@ -982,19 +981,20 @@ def _contains_restriction(term: Term) -> bool:
 def sf_typecheck(program: Program, config: NormalConfig) -> SfReport:
     """The restricted judgement: one session, one thread per participant.
 
-    Each participant's thread is typed against its component of the one
-    annotated machine, seeded from a reachable configuration matching
-    the queues; threads may not open further sessions.
+    Threads may not open further sessions.  Under those preconditions
+    each reachable configuration of the one annotated machine that
+    matches the queues is tried with the runtime judgement's own check,
+    `_check_with_configs`: it types each thread against its
+    participant's state, and a participant with no thread must be done.
     """
     checker = typecheck_defs(program)
     if len(config.sessions) != 1:
         return SfReport(False, error="exactly one session is required")
     (session, csm_name), = config.sessions
-    csm = checker.registry.machines[csm_name]
     if any(_contains_restriction(t) for t in config.threads):
         return SfReport(False, error="threads may not open new sessions")
 
-    by_participant: dict[str, Term] = {}
+    acting: set = set()
     for thread in config.threads:
         owners = {ref.participant for ref in free_refs(thread)
                   if isinstance(ref, Endpoint) and ref.session == session}
@@ -1002,24 +1002,14 @@ def sf_typecheck(program: Program, config: NormalConfig) -> SfReport:
             return SfReport(False, error=f"thread {thread} does not act for "
                                          f"exactly one participant")
         owner = owners.pop()
-        if owner in by_participant:
+        if owner in acting:
             return SfReport(False, error=f"two threads for participant {owner}")
-        by_participant[owner] = thread
+        acting.add(owner)
 
     for machine_config in checker.matching_configs(
             csm_name, config.queue_of(session)):
         try:
-            for participant in csm.participants:
-                state = machine_config.state_of(participant)
-                thread = by_participant.get(participant)
-                if thread is not None:
-                    gamma = {Endpoint(session, participant): state}
-                    checker.check_process(gamma, thread)
-                elif not checker.registry.end_state(state):
-                    # A terminated participant's 0 thread was absorbed.
-                    raise TypeCheckError(
-                        f"{participant} has no thread but state {state} "
-                        f"is not done")
+            _check_with_configs(checker, config, {session: machine_config})
         except TypeCheckError:
             continue
         return SfReport(True, session, machine_config)

@@ -16,7 +16,11 @@ whose participant named like a forwarder makes the forwarder
 components not amicable, and which pins that `project` reports the
 name first (no generated input fails amicability alone); and, with
 `to-local`, on one whose participant p sends to a participant named
-like another channel's forwarder.  Two runs of the same code
+like another channel's forwarder.  Two protocols that end in a loop
+that a participant, or a channel's forwarder, takes no part in run
+`project --json`, `project -o` into the temporary directory,
+`check-csm --against` on that projection and `to-local` for each
+participant.  Two runs of the same code
 must print the same lines, whatever the hash seed:
 
     PYTHONHASHSEED=1 PYTHONPATH=src python tests/cli_sweep.py > a.txt
@@ -102,17 +106,25 @@ def _eps_csm() -> str:
                               step("q1", "q0")]}})
 
 
-def _line_machine(events) -> str:
+def _line_machine(events, back=None) -> str:
     """A protocol-machine file that takes `events`, (kind, sender,
-    receiver, label) tuples, in a row and then ends."""
+    receiver, label) tuples, in a row and then ends; or, given `back`,
+    goes back by an epsilon move to state s<back> and has no final
+    state."""
     states = [f"s{i}" for i in range(len(events) + 1)]
-    return json.dumps({
-        "states": states, "initial": "s0", "finals": [states[-1]],
-        "transitions": [
-            {"from": states[i], "to": states[i + 1], "event": {
-                "kind": kind, "sender": sender, "receiver": receiver,
-                "label": label, "payload": None}}
-            for i, (kind, sender, receiver, label) in enumerate(events)]})
+    transitions = [
+        {"from": states[i], "to": states[i + 1], "event": {
+            "kind": kind, "sender": sender, "receiver": receiver,
+            "label": label, "payload": None}}
+        for i, (kind, sender, receiver, label) in enumerate(events)]
+    if back is None:
+        finals = [states[-1]]
+    else:
+        finals = []
+        transitions.append({"from": states[-1], "to": f"s{back}",
+                            "event": {"kind": "eps"}})
+    return json.dumps({"states": states, "initial": "s0", "finals": finals,
+                       "transitions": transitions})
 
 
 def _burst_then(events) -> str:
@@ -147,6 +159,19 @@ REJECTED_INPUTS = {
     # decoding would move p's send to channel x>y
     "forwarder_named.psm.json": _line_machine([("send", "p", "(x,y)0", "m"),
                                                ("recv", "p", "(x,y)0", "m")]),
+}
+
+
+# protocols that end in a loop that one party takes no part in
+LOOPING_INPUTS = {
+    "silent_participant.gt": "q->p:x . rec X . p->r:m . r->p:n . X",
+    # q defers a to p, so q>p has a forwarder, silent in the loop
+    "silent_forwarder.psm.json": _line_machine(
+        [("send", "q", "p", "a"), ("send", "q", "r", "b"),
+         ("recv", "q", "r", "b"), ("recv", "q", "p", "a"),
+         ("send", "p", "q", "c"), ("recv", "p", "q", "c"),
+         ("send", "q", "r", "d"), ("recv", "q", "r", "d"),
+         ("send", "r", "p", "e"), ("recv", "r", "p", "e")], back=4),
 }
 
 
@@ -214,6 +239,13 @@ def commands() -> list[list[str]]:
                 "-K", "1"])
     out.append(["to-local", f"{GENERATED}/forwarder_named.psm.json",
                 "--participant", "p", "--json"])
+    for name in LOOPING_INPUTS:
+        path = f"{GENERATED}/{name}"
+        out.append(["project", path, "--json"])
+        out.append(["project", path, "-o", f"{path}.csm.json"])
+        out.append(["check-csm", f"{path}.csm.json", "--against", path])
+        for participant in RING:
+            out.append(["to-local", path, "--participant", participant])
     return out
 
 
@@ -236,7 +268,8 @@ def run(argv: list[str], tmp_dir: Path) -> tuple[int, str]:
 def main() -> int:
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in {**GENERATED_INPUTS, **REJECTED_INPUTS}.items():
+        for name, text in {**GENERATED_INPUTS, **REJECTED_INPUTS,
+                           **LOOPING_INPUTS}.items():
             (Path(tmp) / name).write_text(text + "\n")
         for argv in commands():
             code, digest = run(argv, Path(tmp))

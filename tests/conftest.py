@@ -8,6 +8,7 @@ import pytest
 
 from amp.core import StateMachine, pair, recv, send
 from amp.csm import Csm
+from amp.psm import detected_channels
 
 from .goldengen import kle_machine
 
@@ -261,6 +262,69 @@ def random_tame_psm(rng: random.Random, max_states: int = 8) -> StateMachine:
         else:
             transitions.append((src, ev, dst))
     return StateMachine(states, base.initial, base.finals, transitions)
+
+
+def random_looping_protocol(rng: random.Random,
+                            max_exchanges: int = 3) -> tuple[StateMachine, int]:
+    """A random protocol that runs forever, with the word length that
+    covers its row and one turn of its longest loop.
+
+    It has no final state: a row of exchanges, then one sender's choice
+    between one or two branches, each a row that goes back by an epsilon
+    move to its start or to the choice.  An exchange is a pair or a
+    deferred send: one to three messages on a channel, received only
+    after the exchange between them.  Regenerates until some participant
+    or some channel that needs a bound, and so its forwarders, takes no
+    part in one of the loops.  Such a protocol need not be tame: a loop
+    that defers a send may have no bound.
+    """
+    participants, labels = PARTICIPANTS[:3], LABELS[:3]
+    states, transitions = ["s0"], []
+
+    def row(start: str, count: int, parts, defer: float) -> str:
+        for _ in range(count):
+            a, b = rng.sample(parts, 2)
+            if rng.random() >= defer:
+                events = [pair(a, b, rng.choice(labels))]
+            else:
+                sent = [rng.choice(labels) for _ in range(rng.randint(1, 3))]
+                c, d = rng.sample(parts, 2)
+                between = [pair(c, d, rng.choice(labels))] \
+                    if (c, d) != (a, b) else []
+                events = ([send(a, b, m) for m in sent] + between
+                          + [recv(a, b, m) for m in sent])
+            for ev in events:
+                states.append(f"s{len(states)}")
+                transitions.append((start, ev, states[-1]))
+                start = states[-1]
+        return start
+
+    def letters(part) -> int:
+        return sum(len(ev.letters()) for _, ev, _ in part if ev is not None)
+
+    choice = row("s0", rng.randint(0, max_exchanges), participants, 0.5)
+    prefix = letters(transitions)
+    chooser, told = rng.sample(participants, 2)
+    branches, loops = [], []
+    for label in labels[:rng.choice((1, 2))]:
+        mark = len(transitions)
+        states.append(f"s{len(states)}")
+        transitions.append((choice, pair(chooser, told, label), states[-1]))
+        top = rng.choice((choice, states[-1]))
+        parts = rng.sample(participants, rng.choice((2, 3)))
+        end = row(states[-1], rng.randint(1, max_exchanges), parts, 0.1)
+        transitions.append((end, None, top))
+        branches.append(transitions[mark:])
+        loops.append(transitions[mark if top == choice else mark + 1:])
+    machine = StateMachine(states, "s0", (), transitions)
+    bounded = detected_channels(machine)
+    for loop in loops:
+        events = [ev for _, ev, _ in loop if ev is not None]
+        if set(machine.participants()) - {x for ev in events
+                                          for x in ev.channel} \
+                or bounded - {ev.channel for ev in events}:
+            return machine, prefix + max(map(letters, branches))
+    return random_looping_protocol(rng, max_exchanges)
 
 
 def random_local_tree(rng: random.Random, participant: str = "p",

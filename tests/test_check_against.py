@@ -33,7 +33,8 @@ from amp.psm import infer_channel_bounds, validate
 from perfbench import generators as gen
 
 from . import projection_reference as reference
-from .conftest import random_sender_driven_tree, random_tame_psm
+from .conftest import (random_looping_protocol, random_sender_driven_tree,
+                       random_tame_psm)
 from .test_projection_conditions import forwarder_clash, odd_ring_totals
 from .test_walkers import CSM_SOURCES, PROTOCOLS, PSM_SOURCES
 
@@ -162,6 +163,40 @@ def test_the_decision_agrees_with_the_oracle_on_random_protocols(draw):
         for name, candidate in mutations(projected, rng):
             seen[name, judge(psm, candidate)] += 1
     assert seen == TALLY[draw.__name__]
+
+
+def test_the_decision_agrees_with_the_oracle_on_protocols_that_loop():
+    """Protocols that end in a loop that some participant or forwarder
+    takes no part in, at a word length k that covers their row and one
+    turn of a loop.  An accepted projection has no deadlock, passes the
+    oracle and is decided without it.  A rejected protocol is rejected
+    by `check_against` too, and the oracle rejects the projection built
+    without the conditions by k or by `DEEPEST`, since a fault may need
+    a turn of one loop and then the other branch."""
+    rng = random.Random(25)
+    seen = Counter()
+    for _ in range(150):
+        machine, k = random_looping_protocol(rng)
+        psm = validate(machine)
+        try:
+            projected = project_tame(psm).csm
+        except NotTame:
+            seen["NotTame"] += 1
+            continue
+        except NotProjectable as exc:
+            unchecked = unchecked_projection(psm)
+            assert check_against(psm, unchecked, k).reasons == (
+                f"not projectable: {exc}",)
+            assert not check_projection(psm, unchecked,
+                                        max(k, DEEPEST)).passed
+            seen["not projectable"] += 1
+            continue
+        assert not csm.explore(projected).deadlocks
+        assert check_projection(psm, projected, k).passed
+        assert check_against(psm, projected, k) == ProjectionVerdict(True, ())
+        seen["forwarders" if infer_channel_bounds(psm) else "ok"] += 1
+    assert seen == {"ok": 27, "forwarders": 61, "not projectable": 32,
+                    "NotTame": 30}
 
 
 def corpus_pairs():

@@ -602,7 +602,7 @@ def test_binary_input_is_a_usage_error(tmp_path, capsys, name, argv):
 def test_global_type_names_must_be_words(tmp_path, capsys, text, token):
     source = tmp_path / "bad.gt"
     source.write_text(text)
-    assert main(["from-global", str(source)]) == 1
+    assert main(["from-global", str(source)]) == 2  # malformed input
     captured = capsys.readouterr()
     assert captured.err == f"error: expected a name, got {token!r}\n"
     assert captured.out == ""

@@ -3,9 +3,9 @@
 import pytest
 
 from amp.core import StateMachine, recv, send
-from amp.csm import (Csm, check_projection, csm_from_json, csm_language_upto,
-                     csm_to_dot, csm_to_json, dump_csm, explore, load_csm,
-                     simulate, step, word_embeds)
+from amp.csm import (Csm, _Kernel, check_projection, csm_from_json,
+                     csm_language_upto, csm_to_dot, csm_to_json, dump_csm,
+                     explore, load_csm, simulate, step, word_embeds)
 from amp.fifo import VIOLATION, is_fifo, swap_step
 from amp.psm import validate
 
@@ -67,17 +67,21 @@ def test_every_deadlock_is_soft():
         assert config in report.soft_deadlocks
 
 
-def test_check_csm_reads_build_no_public_view():
+def test_check_csm_reads_build_no_public_view(monkeypatch):
     """The count, the deadlock lists, the flag and the first witness,
     which `check-csm` reads, leave `configs`, `edges` and `parent`
     unbuilt, and build only the configurations those lists hold."""
+    built = []
+    public = _Kernel.public
+    monkeypatch.setattr(_Kernel, "public", lambda self, config: (
+        built.append(config), public(self, config))[1])
     report = explore(three_party_csm(v1="v1", v2="v2"), queue_cap=2)
     assert len(report) > 10 and report.truncated
     assert report.witness(report.deadlocks[0])
     assert report._configs is None and report._edges is None \
         and report._parent is None
     listed = report.deadlocks + report.soft_deadlocks + report.finals
-    assert len(report._public) == len(set(listed)) < len(report)
+    assert len(built) == len(listed) < len(report)
 
 
 def test_language_contains_kle_prefix():

@@ -2,11 +2,12 @@
 
 import pytest
 
-from amp.core import StateMachine, recv, send
-from amp.csm import check_projection, explore
+from amp.cli import main
+from amp.core import StateMachine, dump_machine, recv, send
+from amp.csm import ProjectionVerdict, check_projection, explore
 from amp.encoding import merge_immediate_pairs
-from amp.projection import (NotProjectable, NotTame, minimize, project_tame,
-                            strong_report, subset_construction)
+from amp.projection import (NotProjectable, NotTame, check_against, minimize,
+                            project_tame, strong_report, subset_construction)
 from amp.psm import validate
 from amp.transform import global_to_psm, parse_global_type
 
@@ -205,6 +206,52 @@ def test_peer_named_like_a_forwarder_rejected_not_crashed():
     with pytest.raises(NotProjectable) as caught:
         project_tame(validate(machine))
     assert str(caught.value) == "participant (x,y)0 is named like a forwarder"
+
+
+def silent_participant_loop() -> StateMachine:
+    """q speaks once, then p and r loop without it."""
+    return global_to_psm(parse_global_type(
+        "q->p:x . rec X . p->r:m . r->p:n . X"))
+
+
+def silent_forwarder_loop() -> StateMachine:
+    """q defers a to p behind b to r; then p, q and r loop on other
+    channels, so the forwarder of q>p falls silent.  No final state."""
+    events = [send("q", "p", "a"), send("q", "r", "b"), recv("q", "r", "b"),
+              recv("q", "p", "a"), send("p", "q", "c"), recv("p", "q", "c"),
+              send("q", "r", "d"), recv("q", "r", "d"), send("r", "p", "e"),
+              recv("r", "p", "e")]
+    return StateMachine(
+        [f"s{i}" for i in range(11)], "s0", (),
+        [(f"s{i}", ev, f"s{i + 1}") for i, ev in enumerate(events)]
+        + [("s10", None, "s4")])
+
+
+LOOPS_WITHOUT_A_PARTY = [(silent_participant_loop, 14, 6),
+                         (silent_forwarder_loop, 20, 16)]
+
+
+@pytest.mark.parametrize("machine, k, configurations", LOOPS_WITHOUT_A_PARTY,
+                         ids=["silent_participant", "silent_forwarder"])
+def test_a_party_that_stops_while_the_protocol_loops_keeps_its_moves(
+        tmp_path, capsys, machine, k, configurations):
+    """A participant or forwarder that has stopped while the others loop
+    keeps the moves that brought it there in its component, and
+    `check-csm --against` passes the projection."""
+    psm = validate(machine())
+    projected = project_tame(psm).csm
+    report = explore(projected)
+    assert len(report) == configurations and not report.deadlocks
+    assert check_projection(psm, projected, k).passed
+    assert check_against(psm, projected, k) == ProjectionVerdict(True, ())
+    source = tmp_path / "loop.psm.json"
+    source.write_text(dump_machine(machine()))
+    out = tmp_path / "loop.csm.json"
+    assert main(["project", str(source), "-o", str(out)]) == 0
+    assert main(["check-csm", str(out), "--against", str(source)]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        f"{configurations} configurations explored",
+        "deadlocks: 0  soft deadlocks: 0", "projection check: pass"]
 
 
 def test_random_tame_machines_project(rng):
