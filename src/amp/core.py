@@ -16,11 +16,14 @@ it on tiny graphs once per subset move, and `eps_closure` and
 `csm.explore` (it fills the packed kernel's arrays),
 `psm.build_config_graph` (it raises with a witness mid-walk),
 `fer_violation` (slower on `walk`), `fifo.closure_upto` (it counts
-against its cap), `bounded_traces` (it keeps words, not nodes) and the
-depth-first Tarjan, `psm._simple_cycles` and `transform` postorder.
+against its cap), `bounded_traces` (it keeps words, not nodes),
+`projection.Subsets` and the class numbering of `projection.minimize`
+(they number nodes as they find them) and the depth-first Tarjan,
+`psm._simple_cycles` and `transform` postorder.
 `subset_moves` is the step of the subset construction, which PSM
-validation, projection and the bounded oracle all read machines
-through; `bounded_traces` lists the words of length up to k of such a
+validation and the bounded oracle read machines through (projection
+runs its own on integer states, `projection.Subsets`);
+`bounded_traces` lists the words of length up to k of such a
 determinised walk; `parent_word` reads a witness off a breadth-first
 parent chain; `strongly_connected_components` is the one Tarjan; and
 `nodes_on_cycles`, `maximal_capable` and `fer_violation` answer "can
@@ -97,6 +100,7 @@ class Event:
     label: str
     payload: Payload = None
     _key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (SEND, RECV, PAIR):
@@ -109,9 +113,16 @@ class Event:
         object.__setattr__(self, "_key", (
             self.sender, self.receiver, self.label, _KIND_ORDER[self.kind],
             payload_key(self.payload)))
+        # Events key dicts and sets in every inner loop: hash them once.
+        object.__setattr__(self, "_hash", hash(self._key))
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
+
+    def __reduce__(self):
+        # A string's hash differs between processes: recompute on loading.
+        return (Event, (self.kind, self.sender, self.receiver, self.label,
+                        self.payload))
 
     @property
     def channel(self) -> tuple[str, str]:

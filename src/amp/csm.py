@@ -99,11 +99,12 @@ class _Queues:
 
     `push[m]` maps an id to the id after appending message m.  `pop[m]`
     maps an id to the id after removing its head, or to -1 when the
-    head is not m; both fill on first use.
+    head is not m; both fill on first use.  `content` and `intern` map
+    ids to contents and back, and remember what they computed.
     """
 
     __slots__ = ("channel", "messages", "number", "prefix", "last", "first",
-                 "length", "push", "pop", "_contents")
+                 "length", "push", "pop", "_contents", "_ids")
 
     def __init__(self, channel: Channel, messages):
         self.channel = channel
@@ -113,6 +114,7 @@ class _Queues:
         self.push = [{} for _ in self.messages]
         self.pop = [{} for _ in self.messages]
         self._contents = {0: ()}
+        self._ids = {(): 0}
 
     def appended(self, q: int, m: int) -> int:
         r = self.push[m].get(q)
@@ -156,6 +158,9 @@ class _Queues:
         return found
 
     def intern(self, content: tuple) -> int:
+        q = self._ids.get(content)
+        if q is not None:
+            return q
         q = 0
         for msg in content:
             m = self.number.get(msg)
@@ -165,6 +170,7 @@ class _Queues:
                 self.push.append({})
                 self.pop.append({})
             q = self.appended(q, m)
+        self._ids[content] = q
         return q
 
 

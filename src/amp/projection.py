@@ -2,6 +2,19 @@
 pipeline (encode, project, decode), whether a CSM implements a protocol
 (`check_against`), and strong-projection analysis.
 
+`project_tame` compiles the protocol it projects, the encoded protocol
+(determinised when it is not deterministic), to integers once
+(`_Compiled`): states numbered in name order and, per transition, its
+sender, its receiver and the ranks of its send and receive letters in
+`Event.sort_key` order.  Each participant's and forwarder's subset
+construction (`Subsets`), `subset_validity` with its channel-head
+search, and Hopcroft's refinement with the breadth-first numbering of
+the classes all run on those ints; the minimal machine is the one
+`StateMachine` built per component.  `Subsets` is the one
+subset-construction loop and `minimize` the one Hopcroft loop; the
+determinisation of a candidate component in `check_against` runs the
+same loop.
+
 Projectability is decided on the validity conditions of the subset
 projection, Send Validity and Receive Validity on every subset state
 (`subset_validity`, whose docstring states them), around the amicable
@@ -14,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Event, PAIR, SEND, StateMachine, eps_closure, parent_word,
-                   reachable, recv, send, subset_moves, walk)
+from .core import (Event, PAIR, RECV, SEND, StateMachine, parent_word,
+                   reachable, recv, send, walk)
 from .csm import Csm, ProjectionVerdict, check_projection
 from .encoding import (channel_participants, decode_event, decode_fsm,
                        encode_psm, is_amicable, parse_channel_participant)
@@ -24,102 +37,218 @@ from .psm import (Psm, PsmError, UnboundedLoop, infer_channel_bounds,
                   single_sender_branching, validate)
 
 
-def _local_label(ev: Event, participant: str) -> Optional[Event]:
-    """Erase a paired or lone event to `participant`'s local alphabet."""
-    if ev.kind == PAIR:
-        if ev.sender == participant:
-            return send(ev.sender, ev.receiver, ev.label, ev.payload)
-        if ev.receiver == participant:
-            return recv(ev.sender, ev.receiver, ev.label, ev.payload)
-        return None
-    if ev.subject == participant:
-        return ev
-    return None
+class _Compiled:
+    """A protocol machine compiled to integers, once, for projection.
 
-
-class SubsetMachine(StateMachine):
-    """A machine built by the subset construction.  `members` maps each
-    of its states to the set of source states that state stands for, and
-    `view(q)` lists the moves of source state q as the construction read
-    them: (label, successor) pairs, a None label being silent."""
-
-    __slots__ = ("members", "view")
-
-
-def _subsets(initial: str, out, finals: frozenset) -> SubsetMachine:
-    """The subset construction over the graph `out` describes, where a
-    None label is an epsilon move.  Subset states are canonically named
-    and final when they contain a final source state."""
-    moves: dict = {}  # subset -> its (label, successor) moves
-
-    def successors(states: frozenset) -> list:
-        step = subset_moves(states, out)
-        moves[states] = [(label, eps_closure(step[label], out))
-                         for label in sorted(step, key=Event.sort_key)]
-        return [succ for _, succ in moves[states]]
-
-    start = eps_closure((initial,), out)
-    index = {states: "{" + ",".join(sorted(states)) + "}"
-             for states in walk((start,), successors)}
-    machine = SubsetMachine(index.values(), index[start],
-                            {index[s] for s in index if s & finals},
-                            [(index[states], label, index[succ])
-                             for states, step in moves.items()
-                             for label, succ in step])
-    machine.members = {n: s for s, n in index.items()}
-    machine.view = out
-    return machine
-
-
-def subset_construction(machine: StateMachine, participant: str) -> StateMachine:
-    """Project a protocol machine onto one participant and determinise.
-
-    Transitions not involving the participant are erased to epsilon;
-    the result is a `SubsetMachine`.
+    State i is `names[i]`, states numbered in sorted name order, so
+    sorting state ids sorts their names.  `out[i]` lists state i's
+    transitions as (sender, receiver, send rank, receive rank,
+    successor): a participant sees the send letter when it is the
+    sender and the receive letter when it is the receiver, and a rank
+    of -1, or an epsilon move with sender and receiver -1, is silent to
+    it.  `letters[r]` is the letter of rank r, letters ranked in
+    `Event.sort_key` order, and `participants` numbers the names of the
+    senders and receivers.
     """
-    erased: dict[str, list[tuple[Optional[Event], str]]] = {
-        q: [] for q in machine.states}
-    for src, ev, dst in machine.transitions:
-        label = None if ev is None else _local_label(ev, participant)
-        erased[src].append((label, dst))
-    return _subsets(machine.initial, erased.__getitem__, machine.finals)
+
+    __slots__ = ("names", "initial", "finals", "out", "letters",
+                 "participants")
+
+    def __init__(self, states, initial: str, finals, transitions):
+        self.names = sorted(states)
+        number = {q: i for i, q in enumerate(self.names)}
+        self.initial = number[initial]
+        self.finals = frozenset(number[q] for q in finals)
+        sides = {}  # event -> (its send letter, its receive letter)
+        for _, ev, _ in transitions:
+            if ev is not None and ev not in sides:
+                sides[ev] = (
+                    send(ev.sender, ev.receiver, ev.label, ev.payload)
+                    if ev.kind == PAIR else ev if ev.kind == SEND else None,
+                    recv(ev.sender, ev.receiver, ev.label, ev.payload)
+                    if ev.kind == PAIR else ev if ev.kind == RECV else None)
+        self.letters = sorted({letter for both in sides.values()
+                               for letter in both if letter is not None},
+                              key=Event.sort_key)
+        rank = {letter: r for r, letter in enumerate(self.letters)}
+        rank[None] = -1
+        self.participants = {p: i for i, p in enumerate(sorted(
+            {ev.sender for ev in sides} | {ev.receiver for ev in sides}))}
+        people = self.participants
+        coded = {ev: (people[ev.sender], people[ev.receiver], rank[snd],
+                      rank[rcv]) for ev, (snd, rcv) in sides.items()}
+        coded[None] = (-1, -1, -1, -1)
+        out = [[] for _ in self.names]
+        for src, ev, dst in transitions:
+            out[number[src]].append(coded[ev] + (number[dst],))
+        self.out = out
 
 
-def minimize(machine: StateMachine) -> StateMachine:
-    """Merge the reachable states of a deterministic machine that no
-    word tells apart: each word can be read from both or from neither,
-    and ends in a final state from both or from neither.
+class Subsets:
+    """One run of the subset construction, on integer states.
+
+    Subset state i stands for the set `states[i]` of source states; 0 is
+    the initial one and the others follow in breadth-first order.
+    `moves[i]` lists its (rank, successor) moves by rank, `letters[r]`
+    is the event of rank r, and `finals` holds the subset states with a
+    final member.  `silent[q]` and `visible[q]` are source state q's
+    moves as the construction read them: its successors along silent
+    moves, and its (rank, successor) moves.  `names[q]` names source
+    state q, for `named` and `machine`.
+    """
+
+    initial = 0
+    __slots__ = ("states", "moves", "finals", "letters", "names", "silent",
+                 "visible")
+
+    def __init__(self, initial: int, finals, silent, visible, letters,
+                 names):
+        self.silent, self.visible = silent, visible
+        self.letters, self.names = letters, names
+
+        def closure(starts) -> frozenset:
+            return frozenset(reachable(starts, silent.__getitem__))
+
+        start = closure((initial,))
+        index = {start: 0}
+        self.states = [start]
+        self.moves = []
+        for members in self.states:  # grows as the walk finds subsets
+            step: dict = {}
+            for q in members:
+                for label, dst in visible[q]:
+                    targets = step.get(label)
+                    if targets is None:
+                        step[label] = {dst}
+                    else:
+                        targets.add(dst)
+            row = []
+            for label in sorted(step):
+                succ = closure(step[label])
+                i = index.get(succ)
+                if i is None:
+                    i = index[succ] = len(self.states)
+                    self.states.append(succ)
+                row.append((label, i))
+            self.moves.append(row)
+        self.finals = frozenset(i for i, members in enumerate(self.states)
+                                if not finals.isdisjoint(members))
+
+    def out(self, i: int) -> list:
+        """Subset state i's (event, successor) moves."""
+        return [(self.letters[label], j) for label, j in self.moves[i]]
+
+    def named(self) -> tuple:
+        """(states, initial, finals, transitions), each subset state named
+        `{a,b}` after the names of its members."""
+        names = ["{" + ",".join(sorted(self.names[q] for q in members)) + "}"
+                 for members in self.states]
+        return (names, names[0], [names[i] for i in self.finals],
+                [(names[i], self.letters[label], names[j])
+                 for i, row in enumerate(self.moves) for label, j in row])
+
+    def machine(self) -> StateMachine:
+        return StateMachine(*self.named())
+
+
+def _whole(machine: StateMachine) -> Subsets:
+    """The subset construction of `machine`, epsilon moves silent and
+    every other event a letter."""
+    names = sorted(machine.states)
+    number = {q: i for i, q in enumerate(names)}
+    letters = sorted(machine.alphabet(), key=Event.sort_key)
+    rank = {ev: r for r, ev in enumerate(letters)}
+    silent = [[number[dst] for ev, dst in machine.out(q) if ev is None]
+              for q in names]
+    visible = [[(rank[ev], number[dst]) for ev, dst in machine.out(q)
+                if ev is not None] for q in names]
+    return Subsets(number[machine.initial],
+                   frozenset(number[q] for q in machine.finals), silent,
+                   visible, letters, names)
+
+
+def _compiled(machine) -> _Compiled:
+    if isinstance(machine, _Compiled):
+        return machine
+    return _Compiled(machine.states, machine.initial, machine.finals,
+                     machine.transitions)
+
+
+def subset_construction(machine, participant: str) -> Subsets:
+    """Project a protocol machine, a `StateMachine` or one compiled by
+    `project_tame`, onto one participant and determinise: the moves the
+    participant does not see are silent."""
+    protocol = _compiled(machine)
+    me = protocol.participants.get(participant)
+    silent, visible = [], []
+    for row in protocol.out:
+        quiet, seen = [], []
+        for sender, receiver, snd, rcv, dst in row:
+            label = snd if sender == me else rcv if receiver == me else -1
+            if label < 0:
+                quiet.append(dst)
+            else:
+                seen.append((label, dst))
+        silent.append(quiet)
+        visible.append(seen)
+    return Subsets(protocol.initial, protocol.finals, silent, visible,
+                   protocol.letters, protocol.names)
+
+
+def minimize(machine) -> StateMachine:
+    """Merge the reachable states of a deterministic machine, a
+    `StateMachine` or `Subsets`, that no word tells apart: each word can
+    be read from both or from neither, and ends in a final state from
+    both or from neither.  An epsilon move counts as a letter here.
 
     Hopcroft's partition refinement in Valmari & Lehtinen's form for
     partial transition functions (STACS 2008): a missing transition
     leads to an implicit dead state, so every initial block starts on
     the worklist, and after that only the smaller half of each split.
-    A splitter is refined by just the events that enter it.
+    A splitter is refined by just the letters that enter it.
 
     States that reach no final state are kept: in a subset machine such
     a state is a participant that has stopped while the protocol goes on
     without it, which the component must still reach.  Unreachable
-    states are dropped, so the breadth-first `canonical_names` names
-    every class.
+    states are dropped, and the classes are named s0, s1, ... in
+    breadth-first order, as `canonical_names` names them.
     """
-    states = machine.reachable_states()
-    transitions = [t for t in machine.transitions if t[0] in states]
-    finals = machine.finals & states
-    # incoming[dst][event] = the states with an `event` transition to dst
-    incoming: dict = {q: {} for q in states}
-    for src, ev, dst in transitions:
-        incoming[dst].setdefault(ev, []).append(src)
-    blocks = [block for block in (set(finals), set(states - finals)) if block]
-    block_of = {q: b for b, block in enumerate(blocks) for q in block}
+    if isinstance(machine, Subsets):
+        moves, finals, letters = machine.moves, machine.finals, machine.letters
+    else:
+        order = list(walk((machine.initial,),
+                          lambda q: [dst for _, dst in machine.out(q)]))
+        number = {q: i for i, q in enumerate(order)}
+        # out(q) lists epsilon last, so it gets the last rank
+        letters = sorted(machine.alphabet(), key=Event.sort_key) + [None]
+        rank = {ev: r for r, ev in enumerate(letters)}
+        moves = [[(rank[ev], number[dst]) for ev, dst in machine.out(q)]
+                 for q in order]
+        finals = frozenset(number[q] for q in machine.finals if q in number)
+    n = len(moves)
+    incoming: list = [[] for _ in range(n)]  # dst -> its (letter, source)s
+    for q, row in enumerate(moves):
+        for label, dst in row:
+            incoming[dst].append((label, q))
+    blocks = [block for block in (set(finals), set(range(n)) - finals)
+              if block]
+    block_of = [0] * n
+    for b, block in enumerate(blocks):
+        for q in block:
+            block_of[q] = b
     work = list(range(len(blocks)))
-    waiting = set(work)
+    waiting = [True] * len(blocks)
     while work:
         splitter = work.pop()
-        waiting.discard(splitter)
-        preimages: dict = {}
+        waiting[splitter] = False
+        preimages: dict = {}  # deterministic: each source once per letter
         for dst in blocks[splitter]:
-            for ev, sources in incoming[dst].items():
-                preimages.setdefault(ev, set()).update(sources)
+            for label, q in incoming[dst]:
+                sources = preimages.get(label)
+                if sources is None:
+                    preimages[label] = [q]
+                else:
+                    sources.append(q)
         for sources in preimages.values():
             touched: dict = {}
             for q in sources:
@@ -130,17 +259,31 @@ def minimize(machine: StateMachine) -> StateMachine:
                 split = len(blocks)
                 blocks[b].difference_update(members)
                 blocks.append(set(members))
+                waiting.append(False)
                 for q in members:
                     block_of[q] = split
-                if b not in waiting and len(blocks[b]) < len(members):
+                if not waiting[b] and len(blocks[b]) < len(members):
                     split = b
                 work.append(split)
-                waiting.add(split)
-    rename = {q: f"c{b}" for q, b in block_of.items()}
-    merged = StateMachine(set(rename.values()), rename[machine.initial],
-                          {rename[q] for q in finals},
-                          {(rename[s], ev, rename[d]) for s, ev, d in transitions})
-    return canonical_names(merged)
+                waiting[split] = True
+    # Number the classes breadth first from the initial state's, reading
+    # each class's moves off one member.
+    number = {block_of[0]: 0}
+    order = [block_of[0]]
+    transitions = []
+    for i, b in enumerate(order):
+        for label, dst in moves[next(iter(blocks[b]))]:
+            c = block_of[dst]
+            j = number.get(c)
+            if j is None:
+                j = number[c] = len(order)
+                order.append(c)
+            transitions.append((i, label, j))
+    names = [f"s{i}" for i in range(len(order))]
+    return StateMachine(names, "s0",
+                        {names[number[block_of[q]]] for q in finals},
+                        [(names[i], letters[label], names[j])
+                         for i, label, j in transitions])
 
 
 def canonical_names(machine: StateMachine, prefix: str = "s") -> StateMachine:
@@ -198,32 +341,30 @@ def _lost_final(encoded: StateMachine, finals) -> Optional[NotProjectable]:
                           f"{show_word(word)}", word, decisive=False)
 
 
-def _heads(source: StateMachine, participant: str, start: str) -> set:
-    """The receives of `participant` whose messages can head their
-    channels while it waits at `start`, as `subset_validity` defines
-    them."""
+def _heads(source: _Compiled, me: int, start: int) -> set:
+    """The ranks of the receives of participant `me` whose messages can
+    head their channels while it waits at `start`, as `subset_validity`
+    defines them.  Blocked and passed senders are bit sets."""
     def successors(node):
         q, blocked, passed = node
-        for ev, dst in source.out(q):
-            if ev is None:
+        for sender, receiver, _, _, dst in source.out[q]:
+            if sender < 0:
                 yield dst, blocked, passed
-            elif ev.receiver == participant:
-                yield dst, blocked, passed | {ev.sender}
-            elif ev.sender in blocked:
-                yield dst, blocked | {ev.receiver}, passed
+            elif receiver == me:
+                yield dst, blocked, passed | 1 << sender
+            elif blocked >> sender & 1:
+                yield dst, blocked | 1 << receiver, passed
             else:
                 yield dst, blocked, passed
 
-    first = (start, frozenset((participant,)), frozenset())
-    return {_local_label(ev, participant)
-            for q, blocked, passed in walk((first,), successors)
-            for ev, _ in source.out(q)
-            if ev is not None and ev.receiver == participant
-            and ev.sender not in passed and ev.sender not in blocked}
+    return {rcv for q, blocked, passed in reachable(((start, 1 << me, 0),),
+                                                    successors)
+            for sender, receiver, _, rcv, _ in source.out[q]
+            if receiver == me and not (blocked | passed) >> sender & 1}
 
 
-def subset_validity(source: StateMachine, participant: str,
-                    machine: SubsetMachine) -> Optional[NotProjectable]:
+def subset_validity(source: _Compiled, participant: str,
+                    machine: Subsets) -> Optional[NotProjectable]:
     """The first state of `machine`, breadth first, that breaks Send
     Validity or Receive Validity, as a NotProjectable with the
     participant's word to that state as witness; None if every state
@@ -231,8 +372,8 @@ def subset_validity(source: StateMachine, participant: str,
 
     `machine` is `subset_construction(source, participant)`.  `source`
     is a deterministic protocol machine over paired exchanges and
-    epsilon moves, as `encode_psm` builds one; the participant is one of
-    its participants or forwarders.  Each state X of `machine` stands
+    epsilon moves, as `encode_psm` builds one, compiled; the participant
+    is one of its participants or forwarders.  Each state X of `machine` stands
     for its members M, the source states that the participant cannot
     tell apart: M is closed under the moves silent to the participant,
     which are the epsilon moves and the exchanges it takes no part in.
@@ -266,51 +407,54 @@ def subset_validity(source: StateMachine, participant: str,
     `tests/test_projection_conditions.py` checks this reading against
     the bounded oracle `csm.check_projection`.
     """
+    me = source.participants.get(participant)
+    letters = machine.letters
     heads: dict = {}
 
-    def failure(state: str, text: str) -> NotProjectable:
+    def failure(state: int, text: str) -> NotProjectable:
         word = tuple(map(decode_event, _first_word(
             machine.initial, machine.out, state.__eq__)[1]))
         return NotProjectable(text.format(participant, show_word(word)), word)
 
-    for state, members in machine.members.items():
+    for state, members in enumerate(machine.states):
         sends, receives = [], []
-        for ev, _ in machine.out(state):
-            (sends if ev.kind == SEND else receives).append(ev)
+        for label, _ in machine.moves[state]:
+            (sends if letters[label].kind == SEND else receives).append(label)
         if sends and receives:
             return failure(state, f"send validity: {{}} may send "
-                                  f"{decode_event(sends[0])} after {{}} where "
-                                  f"it must first receive "
-                                  f"{decode_event(receives[0])}")
-        if not sends and len({ev.sender for ev in receives}) < 2:
+                                  f"{decode_event(letters[sends[0]])} after "
+                                  f"{{}} where it must first receive "
+                                  f"{decode_event(letters[receives[0]])}")
+        if not sends and len({letters[r].sender for r in receives}) < 2:
             continue
         # the members' own moves, by their local label, and each member's
         # silent predecessors among them
         own: dict = {}
         silent_from: dict = {}
         for q in members:
-            for label, dst in machine.view(q):
-                if label is None:
-                    silent_from.setdefault(dst, []).append(q)
-                else:
-                    own.setdefault(label, []).append((q, dst))
-        for ev in sends:
-            able = {q for q, _ in own[ev]}
+            for dst in machine.silent[q]:
+                silent_from.setdefault(dst, []).append(q)
+            for label, dst in machine.visible[q]:
+                own.setdefault(label, []).append((q, dst))
+        for label in sends:
+            able = {q for q, _ in own[label]}
             if len(able) < len(members) and len(reachable(
                     able, lambda q: silent_from.get(q, ()))) < len(members):
                 return failure(state, f"send validity: {{}} may send "
-                                      f"{decode_event(ev)} after {{}}, which "
-                                      f"not every run allows")
+                                      f"{decode_event(letters[label])} after "
+                                      f"{{}}, which not every run allows")
         for waited in receives:
             for dst in sorted({dst for _, dst in own[waited]}):
                 if dst not in heads:
-                    heads[dst] = _heads(source, participant, dst)
-                for ev in receives:
-                    if ev.sender != waited.sender and ev in heads[dst]:
+                    heads[dst] = _heads(source, me, dst)
+                for label in receives:
+                    if letters[label].sender != letters[waited].sender \
+                            and label in heads[dst]:
                         return failure(
                             state, f"receive validity: {{}} may receive "
-                                   f"{decode_event(ev)} after {{}} where it "
-                                   f"must receive {decode_event(waited)}")
+                                   f"{decode_event(letters[label])} after {{}} "
+                                   f"where it must receive "
+                                   f"{decode_event(letters[waited])}")
     return None
 
 
@@ -372,9 +516,10 @@ def project_tame(source) -> ProjectionResult:
 
     # The conditions need one run per word: a protocol that repeats an
     # exchange at a choice is determinised first.  Both machines have the
-    # same language, so they give the same minimal projections.
-    protocol = (encoded if encoded.is_deterministic()
-                else _subsets(encoded.initial, encoded.out, encoded.finals))
+    # same language, so they give the same minimal projections.  Either
+    # is compiled to integers once, for every participant.
+    protocol = (_compiled(encoded) if encoded.is_deterministic()
+                else _Compiled(*_whole(encoded).named()))
     cps = channel_participants(bounds)
     minimal = {}
     for name in participants + [cp.name for cp in cps]:
@@ -414,8 +559,7 @@ def check_against(psm: Psm, candidate: Csm, k: int) -> ProjectionVerdict:
         if p not in candidate.components:
             return ProjectionVerdict(False, (f"no component for "
                                              f"participant {p}",))
-        have = candidate.components[p]
-        have = _subsets(have.initial, have.out, have.finals)
+        have = _whole(candidate.components[p])
         node, word = _first_lag(want, have)
         if node is not None:
             return ProjectionVerdict(False, (
@@ -425,7 +569,7 @@ def check_against(psm: Psm, candidate: Csm, k: int) -> ProjectionVerdict:
                 f"where its projection does",))
         determinised.append((want, have))
     if spec and spec.keys() == candidate.components.keys() and all(
-            all(len(q) == 1 for q in have.members.values())
+            all(len(members) == 1 for members in have.states)
             and _first_lag(have, want)[0] is None
             for want, have in determinised):
         return ProjectionVerdict(True, ())

@@ -4,19 +4,24 @@ refinement, channel bounds were read off the configuration graph, the
 cycle search was confined to strongly connected components and the
 derivative expansion found its ancestors through a dict; `is_amicable`,
 `check_validity` and `project_tame` as they stood before projection was
-decided by the subset projection conditions.  Kept as a test-only
-reference, verbatim but for absolute imports, the memo that the
-library's `canon` takes, here a fresh one per call, the names of the
-library functions that `project_tame` calls, and the fields of the
-`ProjectionResult` it returns, which no longer carries the validity
-report and the verdict.
+decided by the subset projection conditions; and the subset
+construction, Hopcroft's `minimize`, `subset_validity` and
+`project_tame` on string-named machines, as they stood before
+projection ran on a protocol compiled to integers (the `named_` and
+`hopcroft_` functions).  Kept as a test-only reference, verbatim but
+for absolute imports, the memo that the library's `canon` takes, here a
+fresh one per call, the names of the library functions that
+`project_tame` calls, and the fields of the `ProjectionResult` it
+returns, which no longer carries the validity report and the verdict.
 
 These are the Moore refinement with one round per state on a chain, the
 recursive simple-path and simple-cycle searches, which are exponential
 in the number of branches, the ancestor scans with structural equality,
-the amicability check over sender traces of bounded length and the
+the amicability check over sender traces of bounded length, the
 projection that accepts a candidate only after the bounded oracle
-`csm.check_projection`.  `test_projection_layers.py` and
+`csm.check_projection`, and the per-participant pipeline that builds a
+subset machine with states named `{a,b}`, a merged machine and its
+renamed copy.  `test_projection_layers.py` and
 `test_projection_conditions.py` run them next to the library and
 require equal machines, bounds, verdicts, exceptions and witnesses.
 """
@@ -26,13 +31,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from amp.core import (SEND, Event, StateMachine, Word, expand_pairs,
-                      payload_from_key, recv, send)
+from typing import Optional
+
+from amp.core import (SEND, Event, StateMachine, Word, eps_closure,
+                      expand_pairs, payload_from_key, reachable, recv, send,
+                      subset_moves, walk)
 from amp.csm import Csm, check_projection
-from amp.encoding import (channel_participants, decode_fsm, encode_psm,
+from amp.encoding import (channel_participants, decode_event, decode_fsm,
+                          encode_psm, is_amicable as library_is_amicable,
                           machine_is_forwarding, parse_channel_participant)
+from amp.fifo import show_word
 from amp.projection import (NotProjectable, NotTame, ProjectionResult,
-                            canonical_names, subset_construction)
+                            _first_word, _lost_final, canonical_names,
+                            subset_construction)
 from amp.projection import minimize as library_minimize
 from amp.psm import (Psm, UnboundedLoop, _has_return_chain,
                      detected_channels, single_sender_branching, validate)
@@ -41,6 +52,7 @@ from amp.transform import (Regex, brz_deriv, canon, first_letters, nullable,
                            regex_contains_eps, remove_eps)
 
 from .semantics import is_channel_ordered
+from .walker_reference import _local_label
 
 
 # -- amp.projection -----------------------------------------------------------
@@ -337,4 +349,221 @@ def project_tame(source, *, k: int = 6) -> ProjectionResult:
     verdict = check_projection(psm, csm, k)
     if not verdict.passed:
         raise NotProjectable("; ".join(verdict.reasons))
+    return ProjectionResult(csm, bounds, encoded)
+
+
+# -- amp.projection on string-named machines ------------------------------------
+
+
+class SubsetMachine(StateMachine):
+    """A machine built by the subset construction.  `members` maps each
+    of its states to the set of source states that state stands for, and
+    `view(q)` lists the moves of source state q as the construction read
+    them: (label, successor) pairs, a None label being silent."""
+
+    __slots__ = ("members", "view")
+
+
+def named_subsets(initial: str, out, finals: frozenset) -> SubsetMachine:
+    """The subset construction over the graph `out` describes, where a
+    None label is an epsilon move.  Subset states are canonically named
+    and final when they contain a final source state."""
+    moves: dict = {}  # subset -> its (label, successor) moves
+
+    def successors(states: frozenset) -> list:
+        step = subset_moves(states, out)
+        moves[states] = [(label, eps_closure(step[label], out))
+                         for label in sorted(step, key=Event.sort_key)]
+        return [succ for _, succ in moves[states]]
+
+    start = eps_closure((initial,), out)
+    index = {states: "{" + ",".join(sorted(states)) + "}"
+             for states in walk((start,), successors)}
+    machine = SubsetMachine(index.values(), index[start],
+                            {index[s] for s in index if s & finals},
+                            [(index[states], label, index[succ])
+                             for states, step in moves.items()
+                             for label, succ in step])
+    machine.members = {n: s for s, n in index.items()}
+    machine.view = out
+    return machine
+
+
+def named_subset_construction(machine: StateMachine,
+                              participant: str) -> SubsetMachine:
+    """Project a protocol machine onto one participant and determinise.
+
+    Transitions not involving the participant are erased to epsilon;
+    the result is a `SubsetMachine`.
+    """
+    erased: dict[str, list[tuple[Optional[Event], str]]] = {
+        q: [] for q in machine.states}
+    for src, ev, dst in machine.transitions:
+        label = None if ev is None else _local_label(ev, participant)
+        erased[src].append((label, dst))
+    return named_subsets(machine.initial, erased.__getitem__, machine.finals)
+
+
+def hopcroft_minimize(machine: StateMachine) -> StateMachine:
+    """Merge the reachable states of a deterministic machine that no
+    word tells apart, by Hopcroft's partition refinement in Valmari &
+    Lehtinen's form for partial transition functions, on state names."""
+    states = machine.reachable_states()
+    transitions = [t for t in machine.transitions if t[0] in states]
+    finals = machine.finals & states
+    # incoming[dst][event] = the states with an `event` transition to dst
+    incoming: dict = {q: {} for q in states}
+    for src, ev, dst in transitions:
+        incoming[dst].setdefault(ev, []).append(src)
+    blocks = [block for block in (set(finals), set(states - finals)) if block]
+    block_of = {q: b for b, block in enumerate(blocks) for q in block}
+    work = list(range(len(blocks)))
+    waiting = set(work)
+    while work:
+        splitter = work.pop()
+        waiting.discard(splitter)
+        preimages: dict = {}
+        for dst in blocks[splitter]:
+            for ev, sources in incoming[dst].items():
+                preimages.setdefault(ev, set()).update(sources)
+        for sources in preimages.values():
+            touched: dict = {}
+            for q in sources:
+                touched.setdefault(block_of[q], []).append(q)
+            for b, members in touched.items():
+                if len(members) == len(blocks[b]):
+                    continue
+                split = len(blocks)
+                blocks[b].difference_update(members)
+                blocks.append(set(members))
+                for q in members:
+                    block_of[q] = split
+                if b not in waiting and len(blocks[b]) < len(members):
+                    split = b
+                work.append(split)
+                waiting.add(split)
+    rename = {q: f"c{b}" for q, b in block_of.items()}
+    merged = StateMachine(set(rename.values()), rename[machine.initial],
+                          {rename[q] for q in finals},
+                          {(rename[s], ev, rename[d]) for s, ev, d in transitions})
+    return canonical_names(merged)
+
+
+def named_heads(source: StateMachine, participant: str, start: str) -> set:
+    """The receives of `participant` whose messages can head their
+    channels while it waits at `start`."""
+    def successors(node):
+        q, blocked, passed = node
+        for ev, dst in source.out(q):
+            if ev is None:
+                yield dst, blocked, passed
+            elif ev.receiver == participant:
+                yield dst, blocked, passed | {ev.sender}
+            elif ev.sender in blocked:
+                yield dst, blocked | {ev.receiver}, passed
+            else:
+                yield dst, blocked, passed
+
+    first = (start, frozenset((participant,)), frozenset())
+    return {_local_label(ev, participant)
+            for q, blocked, passed in walk((first,), successors)
+            for ev, _ in source.out(q)
+            if ev is not None and ev.receiver == participant
+            and ev.sender not in passed and ev.sender not in blocked}
+
+
+def named_subset_validity(source: StateMachine, participant: str,
+                          machine: SubsetMachine) -> Optional[NotProjectable]:
+    """The first state of `machine`, breadth first, that breaks Send
+    Validity or Receive Validity, as a NotProjectable with the
+    participant's word to that state as witness; None if every state
+    keeps both."""
+    heads: dict = {}
+
+    def failure(state: str, text: str) -> NotProjectable:
+        word = tuple(map(decode_event, _first_word(
+            machine.initial, machine.out, state.__eq__)[1]))
+        return NotProjectable(text.format(participant, show_word(word)), word)
+
+    for state, members in machine.members.items():
+        sends, receives = [], []
+        for ev, _ in machine.out(state):
+            (sends if ev.kind == SEND else receives).append(ev)
+        if sends and receives:
+            return failure(state, f"send validity: {{}} may send "
+                                  f"{decode_event(sends[0])} after {{}} where "
+                                  f"it must first receive "
+                                  f"{decode_event(receives[0])}")
+        if not sends and len({ev.sender for ev in receives}) < 2:
+            continue
+        own: dict = {}
+        silent_from: dict = {}
+        for q in members:
+            for label, dst in machine.view(q):
+                if label is None:
+                    silent_from.setdefault(dst, []).append(q)
+                else:
+                    own.setdefault(label, []).append((q, dst))
+        for ev in sends:
+            able = {q for q, _ in own[ev]}
+            if len(able) < len(members) and len(reachable(
+                    able, lambda q: silent_from.get(q, ()))) < len(members):
+                return failure(state, f"send validity: {{}} may send "
+                                      f"{decode_event(ev)} after {{}}, which "
+                                      f"not every run allows")
+        for waited in receives:
+            for dst in sorted({dst for _, dst in own[waited]}):
+                if dst not in heads:
+                    heads[dst] = named_heads(source, participant, dst)
+                for ev in receives:
+                    if ev.sender != waited.sender and ev in heads[dst]:
+                        return failure(
+                            state, f"receive validity: {{}} may receive "
+                                   f"{decode_event(ev)} after {{}} where it "
+                                   f"must receive {decode_event(waited)}")
+    return None
+
+
+def named_project_tame(source) -> ProjectionResult:
+    """`project_tame` with each component built as a subset machine,
+    minimised to a merged machine and renamed."""
+    psm = source if isinstance(source, Psm) else validate(source)
+    machine = psm.machine.trim()
+
+    if not machine.is_sink_final():
+        raise NotTame("machine is not sink-final")
+    ok, state = single_sender_branching(machine)
+    if not ok:
+        raise NotTame(f"state {state!r} branches on mixed or multi-sender actions")
+    try:
+        bounds = library_infer_channel_bounds(psm)
+    except UnboundedLoop as exc:
+        raise NotTame(f"no channel bounds: {exc}") from exc
+
+    encoded = encode_psm(machine, bounds)
+    participants = sorted(machine.participants())
+    named = [p for p in participants if parse_channel_participant(p)]
+    if named:
+        raise NotProjectable(f"participant {named[0]} is named like a "
+                             f"forwarder", decisive=False)
+    failure = _lost_final(encoded, machine.finals)
+    if failure is not None:
+        raise failure
+
+    protocol = (encoded if encoded.is_deterministic()
+                else named_subsets(encoded.initial, encoded.out,
+                                   encoded.finals))
+    cps = channel_participants(bounds)
+    minimal = {}
+    for name in participants + [cp.name for cp in cps]:
+        subsets = named_subset_construction(protocol, name)
+        failure = named_subset_validity(protocol, name, subsets)
+        if failure is not None:
+            raise failure
+        minimal[name] = hopcroft_minimize(subsets)
+    if cps and not library_is_amicable(minimal, bounds):
+        raise NotProjectable("forwarder components are not amicable")
+
+    csm = Csm({p: canonical_names(decode_fsm(minimal[p]), prefix=f"{p}_")
+               for p in participants})
     return ProjectionResult(csm, bounds, encoded)

@@ -22,7 +22,7 @@ from .semantics import languages_equal_upto, machine_isomorphic
 def test_subset_construction_one_buyer_seller():
     """The seller's view of the purchase, against the hand transcription."""
     machine = global_to_psm(parse_global_type(ONE_BUYER_GT))
-    seller = subset_construction(machine, "s")
+    seller = subset_construction(machine, "s").machine()
     assert machine_isomorphic(seller, one_buyer_seller_expected()) is not None
 
 
@@ -49,7 +49,7 @@ def test_subset_language_is_participant_projection():
     from amp.fifo import project
     machine = merge_immediate_pairs(three_party_machine(), {})
     for participant in ("p", "q", "r"):
-        local = subset_construction(machine, participant)
+        local = subset_construction(machine, participant).machine()
         projected = {project(w, participant=participant)
                      for w in complete_traces(maximal_traces_upto(machine, 8))}
         wide = {project(w, participant=participant)

@@ -1,0 +1,128 @@
+"""The projection on a protocol compiled to integers against the
+string-named pipeline it replaced (`projection_reference.py`): the
+subset machine with states named `{a,b}`, Hopcroft's refinement on
+state names and `subset_validity` on `StateMachine`s.
+
+On random protocols (trees, protocols with bounded channels, protocols
+that run forever), on every corpus protocol and on small sizes of the
+benchmark's chain, diamonds and burst families, `project_tame` must
+give the same CSM, bounds and encoding as the reference, or raise the
+same exception with the same message, witness and decisiveness; each
+participant's and forwarder's subset construction must name the same
+machine, and minimise to the same one.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from amp.cli import _load_machine
+from amp.core import StateMachine, dump_machine, load_machine
+from amp.csm import dump_csm
+from amp.encoding import channel_participants, encode_psm
+from amp.projection import minimize, project_tame, subset_construction
+from amp.psm import PsmError, infer_channel_bounds, validate
+from amp.transform import global_to_psm, parse_global_type
+from perfbench import generators as gen
+
+from . import projection_reference as reference
+from .conftest import (random_looping_protocol, random_sender_driven_tree,
+                       random_tame_psm)
+from .test_walkers import PSM_SOURCES
+
+
+def outcome(project, machine: StateMachine) -> tuple:
+    try:
+        result = project(machine)
+    except PsmError as exc:
+        return (type(exc).__name__, str(exc), exc.witness,
+                getattr(exc, "decisive", None))
+    return "ok", dump_csm(result.csm), result.bounds, result.encoded
+
+
+def assert_projections_agree(machine: StateMachine) -> str:
+    """`project_tame` against the reference; the outcome's kind."""
+    new = outcome(project_tame, machine)
+    assert new == outcome(reference.named_project_tame, machine)
+    return new[0]
+
+
+def assert_components_agree(machine: StateMachine) -> None:
+    """Each participant's and forwarder's subset construction and its
+    minimal machine, on the encoded protocol, against the reference."""
+    try:
+        bounds = infer_channel_bounds(validate(machine))
+    except PsmError:
+        return
+    encoded = encode_psm(machine.trim(), bounds)
+    names = list(machine.participants()) + [
+        cp.name for cp in channel_participants(bounds)]
+    for name in names:
+        subsets = subset_construction(encoded, name)
+        named = reference.named_subset_construction(encoded, name)
+        assert dump_machine(subsets.machine()) == dump_machine(named)
+        assert len(subsets.states) == len(named.states)
+        assert dump_machine(minimize(subsets)) == dump_machine(
+            reference.hopcroft_minimize(named))
+
+
+def gt(text: str) -> StateMachine:
+    return global_to_psm(parse_global_type(text))
+
+
+@pytest.mark.parametrize("draw", [random_tame_psm, random_sender_driven_tree],
+                         ids=["random_tame_psm", "random_sender_driven_tree"])
+def test_projection_agrees_on_random_protocols(draw):
+    rng = random.Random(26)
+    seen = set()
+    for _ in range(300):
+        machine = draw(rng, max_states=rng.choice((6, 8, 12)))
+        seen.add(assert_projections_agree(machine))
+        assert_components_agree(machine)
+    assert {"ok", "NotProjectable"} <= seen
+
+
+def test_projection_agrees_on_protocols_that_run_forever():
+    rng = random.Random(27)
+    seen = set()
+    for _ in range(200):
+        machine, _ = random_looping_protocol(rng)
+        seen.add(assert_projections_agree(machine))
+        assert_components_agree(machine)
+    assert {"ok", "NotProjectable", "NotTame"} <= seen
+
+
+@pytest.mark.parametrize("path", PSM_SOURCES, ids=lambda p: p.name)
+def test_projection_agrees_on_the_corpus(path):
+    machine = _load_machine(str(path))
+    assert_projections_agree(machine)
+    assert_components_agree(machine)
+
+
+def test_projection_agrees_on_the_benchmark_families():
+    rng = random.Random(28)
+    machines = []
+    for n in (1, 2, 7, 30):
+        machines.append(load_machine(gen.dump(gen.linear_psm(
+            gen.chain_messages(n, rng)))))
+    for d in (1, 2, 4):
+        machines.append(load_machine(gen.dump(gen.diamonds(d, rng))))
+    for b in (1, 2, 3, 9):
+        machines.append(load_machine(gen.dump(gen.burst(b, rng))))
+    for machine in machines:
+        assert assert_projections_agree(machine) == "ok"
+        assert_components_agree(machine)
+
+
+def test_projection_agrees_where_the_protocol_is_determinised_first():
+    """A choice that repeats its exchange, so `project_tame` compiles the
+    determinised protocol; and one that then fails Send Validity."""
+    for text in ("( c->d:m . d->e:a . 0 + c->d:m . d->e:b . 0 )",
+                 "( c->d:m . d->e:a . e->c:x . 0 + c->d:m . d->e:b . 0 )",
+                 "( c->d:m . q2->p:n . q1->p:m . 0"
+                 " + c->d:m . c->q1:b . q1->p:m . 0 )"):
+        machine = gt(text)
+        assert not encode_psm(machine, {}).is_deterministic()
+        assert_projections_agree(machine)

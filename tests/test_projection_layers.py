@@ -62,8 +62,12 @@ def blown_up(rng: random.Random, machine: StateMachine) -> StateMachine:
                         transitions)
 
 
-def assert_minimize_agrees(machine: StateMachine) -> None:
+def assert_minimize_agrees(machine) -> None:
+    """On a `StateMachine`, or on `Subsets` and the machine they name."""
     new = minimize(machine)
+    if not isinstance(machine, StateMachine):
+        machine = machine.machine()
+        assert minimize(machine) == new
     old = reference.minimize(machine)
     assert new == old
     assert dump_machine(new) == dump_machine(old)

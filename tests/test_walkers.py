@@ -134,7 +134,7 @@ def test_negative_bound_raises_the_same_error():
 
 def assert_subsets_agree(machine: StateMachine, participants) -> None:
     for participant in participants:
-        new = subset_construction(machine, participant)
+        new = subset_construction(machine, participant).machine()
         old = reference.subset_construction(machine, participant)
         assert new == old
         assert dump_machine(new) == dump_machine(old)

@@ -23,10 +23,10 @@ import itertools
 from collections import deque
 from typing import Optional
 
-from amp.core import (Event, RECV, SEND, StateMachine, TraceFlags, TraceSet,
-                      Word, expand_pairs, queue_get, queue_set)
+from amp.core import (Event, PAIR, RECV, SEND, StateMachine, TraceFlags,
+                      TraceSet, Word, expand_pairs, queue_get, queue_set,
+                      recv, send)
 from amp.csm import Configuration, ExploreReport
-from amp.projection import _local_label
 from amp.psm import (DEFAULT_CONFIG_CAP, Config, ConfigCapExceeded,
                      ConfigGraph, NonFifo, UnboundedChannel)
 from amp.transform import (Choice, End, Rec, SessionType, Var,
@@ -93,6 +93,19 @@ def maximal_traces_upto(m: StateMachine, k: int) -> TraceSet:
 
 
 # -- amp.projection ---------------------------------------------------------
+
+
+def _local_label(ev: Event, participant: str) -> Optional[Event]:
+    """Erase a paired or lone event to `participant`'s local alphabet."""
+    if ev.kind == PAIR:
+        if ev.sender == participant:
+            return send(ev.sender, ev.receiver, ev.label, ev.payload)
+        if ev.receiver == participant:
+            return recv(ev.sender, ev.receiver, ev.label, ev.payload)
+        return None
+    if ev.subject == participant:
+        return ev
+    return None
 
 
 def subset_construction(machine: StateMachine, participant: str) -> StateMachine:
