@@ -130,7 +130,7 @@ def _analysis_report(machine: core.StateMachine, config_cap: int) -> dict:
         # eventual reception
         "dense": True,
         "fer": True,
-        "choiceClass": tame.choice.kind,
+        "choiceClass": tame.choice,
         "sinkFinal": tame.sink_final,
         "tame": tame.tame,
     }
@@ -381,7 +381,8 @@ def cmd_dot(args) -> int:
         data = json.loads(text)
     except json.JSONDecodeError:
         data = None
-    if isinstance(data, dict) and "states" in data:
+    # a machine's states are a list; a CSM maps participants to machines
+    if isinstance(data, dict) and isinstance(data.get("states"), list):
         output = core.machine_to_dot(core.machine_from_json(data),
                                      name=Path(args.file).stem)
     elif isinstance(data, dict):

@@ -59,12 +59,6 @@ class Configuration:
     states: tuple[tuple[str, str], ...]          # (participant, state), sorted
     channels: tuple[tuple[Channel, tuple], ...]  # non-empty queues, sorted
 
-    def state_of(self, participant: str) -> str:
-        for p, q in self.states:
-            if p == participant:
-                return q
-        raise KeyError(participant)
-
     def queue(self, channel: Channel) -> tuple:
         return queue_get(self.channels, channel)
 
@@ -413,12 +407,12 @@ class ExploreReport:
     configuration again on the kernel, under the queue cap `_cap` it
     was explored with, rather than storing its moves.  `deadlocks`,
     `soft_deadlocks` and `finals` are lists of public `Configuration`s;
-    `configs`, `edges` and `parent` are built when first read.
+    `configs` is built when first read.
     """
 
     __slots__ = ("deadlocks", "soft_deadlocks", "finals", "truncated",
                  "_kernel", "_cap", "_packed", "_index", "_size", "_parents",
-                 "_via", "_configs", "_edges", "_parent")
+                 "_via", "_configs")
 
     def __init__(self, kernel: _Kernel, cap: int, packed: list, index: dict,
                  size: int, parents: list, via: list, deadlocks: list,
@@ -426,7 +420,7 @@ class ExploreReport:
         self._kernel, self._cap, self._packed = kernel, cap, packed
         self._index, self._size = index, size
         self._parents, self._via = parents, via
-        self._configs = self._edges = self._parent = None
+        self._configs = None
         self.deadlocks = [self._config(i) for i in deadlocks]
         self.soft_deadlocks = [self._config(i) for i in soft_deadlocks]
         self.finals = [self._config(i) for i in finals]
@@ -455,27 +449,6 @@ class ExploreReport:
         if self._configs is None:
             self._configs = [self._config(i) for i in range(self._size)]
         return self._configs
-
-    @property
-    def edges(self) -> dict:
-        if self._edges is None:
-            self._edges = {
-                config: tuple((ev, self._config(j)) for ev, j in self.out(i))
-                for i, config in enumerate(self.configs)}
-        return self._edges
-
-    @property
-    def parent(self) -> dict:
-        if self._parent is None:
-            configs = self.configs
-            self._parent = {configs[i]: (configs[self._parents[i]],
-                                         self._via[i])
-                            for i in range(1, self._size)}
-        return self._parent
-
-    @property
-    def deadlock_free(self) -> bool:
-        return not self.deadlocks
 
     def witness(self, config: Configuration) -> Word:
         """The events on the exploration's path to `config`, epsilon

@@ -9,11 +9,12 @@ sender, its receiver and the ranks of its send and receive letters in
 `Event.sort_key` order.  Each participant's and forwarder's subset
 construction (`Subsets`), `subset_validity` with its channel-head
 search, and Hopcroft's refinement with the breadth-first numbering of
-the classes all run on those ints; the minimal machine is the one
-`StateMachine` built per component.  `Subsets` is the one
-subset-construction loop and `minimize` the one Hopcroft loop; the
-determinisation of a candidate component in `check_against` runs the
-same loop.
+the classes all run on those ints.  `minimize` builds the first
+`StateMachine` of a component; `project_tame` then decodes it
+(`decode_fsm`) and renames its states after the participant
+(`canonical_names`).  `Subsets` is the one subset-construction loop and
+`minimize` the one Hopcroft loop; the determinisation of a candidate
+component in `check_against` runs the same loop.
 
 Projectability is decided on the validity conditions of the subset
 projection, Send Validity and Receive Validity on every subset state
@@ -94,7 +95,7 @@ class Subsets:
     final member.  `silent[q]` and `visible[q]` are source state q's
     moves as the construction read them: its successors along silent
     moves, and its (rank, successor) moves.  `names[q]` names source
-    state q, for `named` and `machine`.
+    state q, for `named`.
     """
 
     initial = 0
@@ -147,9 +148,6 @@ class Subsets:
                 [(names[i], self.letters[label], names[j])
                  for i, row in enumerate(self.moves) for label, j in row])
 
-    def machine(self) -> StateMachine:
-        return StateMachine(*self.named())
-
 
 def _whole(machine: StateMachine) -> Subsets:
     """The subset construction of `machine`, epsilon moves silent and
@@ -167,18 +165,10 @@ def _whole(machine: StateMachine) -> Subsets:
                    visible, letters, names)
 
 
-def _compiled(machine) -> _Compiled:
-    if isinstance(machine, _Compiled):
-        return machine
-    return _Compiled(machine.states, machine.initial, machine.finals,
-                     machine.transitions)
-
-
-def subset_construction(machine, participant: str) -> Subsets:
-    """Project a protocol machine, a `StateMachine` or one compiled by
-    `project_tame`, onto one participant and determinise: the moves the
-    participant does not see are silent."""
-    protocol = _compiled(machine)
+def subset_construction(protocol: _Compiled, participant: str) -> Subsets:
+    """Project a protocol machine, compiled by `project_tame`, onto one
+    participant and determinise: the moves the participant does not see
+    are silent."""
     me = protocol.participants.get(participant)
     silent, visible = [], []
     for row in protocol.out:
@@ -195,11 +185,10 @@ def subset_construction(machine, participant: str) -> Subsets:
                    protocol.letters, protocol.names)
 
 
-def minimize(machine) -> StateMachine:
-    """Merge the reachable states of a deterministic machine, a
-    `StateMachine` or `Subsets`, that no word tells apart: each word can
-    be read from both or from neither, and ends in a final state from
-    both or from neither.  An epsilon move counts as a letter here.
+def minimize(machine: Subsets) -> StateMachine:
+    """Merge the states of a subset construction that no word tells
+    apart: each word can be read from both or from neither, and ends in
+    a final state from both or from neither.
 
     Hopcroft's partition refinement in Valmari & Lehtinen's form for
     partial transition functions (STACS 2008): a missing transition
@@ -209,22 +198,11 @@ def minimize(machine) -> StateMachine:
 
     States that reach no final state are kept: in a subset machine such
     a state is a participant that has stopped while the protocol goes on
-    without it, which the component must still reach.  Unreachable
-    states are dropped, and the classes are named s0, s1, ... in
-    breadth-first order, as `canonical_names` names them.
+    without it, which the component must still reach.  Every subset
+    state is reachable, and the classes are named s0, s1, ... in
+    breadth-first order, as `canonical_names` numbers them.
     """
-    if isinstance(machine, Subsets):
-        moves, finals, letters = machine.moves, machine.finals, machine.letters
-    else:
-        order = list(walk((machine.initial,),
-                          lambda q: [dst for _, dst in machine.out(q)]))
-        number = {q: i for i, q in enumerate(order)}
-        # out(q) lists epsilon last, so it gets the last rank
-        letters = sorted(machine.alphabet(), key=Event.sort_key) + [None]
-        rank = {ev: r for r, ev in enumerate(letters)}
-        moves = [[(rank[ev], number[dst]) for ev, dst in machine.out(q)]
-                 for q in order]
-        finals = frozenset(number[q] for q in machine.finals if q in number)
+    moves, finals, letters = machine.moves, machine.finals, machine.letters
     n = len(moves)
     incoming: list = [[] for _ in range(n)]  # dst -> its (letter, source)s
     for q, row in enumerate(moves):
@@ -286,9 +264,9 @@ def minimize(machine) -> StateMachine:
                          for i, label, j in transitions])
 
 
-def canonical_names(machine: StateMachine, prefix: str = "s") -> StateMachine:
-    """Rename states to s0, s1, ... in breadth-first transition order,
-    unreachable states last in sorted order."""
+def canonical_names(machine: StateMachine, prefix: str) -> StateMachine:
+    """Rename states to `prefix`0, `prefix`1, ... in breadth-first
+    transition order, unreachable states last in sorted order."""
     order = list(walk((machine.initial,),
                       lambda q: [dst for _, dst in machine.out(q)]))
     order += sorted(machine.states.difference(order))
@@ -462,7 +440,6 @@ def subset_validity(source: _Compiled, participant: str,
 class ProjectionResult:
     csm: Csm
     bounds: dict
-    encoded: StateMachine
 
 
 def project_tame(source) -> ProjectionResult:
@@ -518,7 +495,8 @@ def project_tame(source) -> ProjectionResult:
     # exchange at a choice is determinised first.  Both machines have the
     # same language, so they give the same minimal projections.  Either
     # is compiled to integers once, for every participant.
-    protocol = (_compiled(encoded) if encoded.is_deterministic()
+    protocol = (_Compiled(encoded.states, encoded.initial, encoded.finals,
+                          encoded.transitions) if encoded.is_deterministic()
                 else _Compiled(*_whole(encoded).named()))
     cps = channel_participants(bounds)
     minimal = {}
@@ -534,7 +512,7 @@ def project_tame(source) -> ProjectionResult:
     # Distinct state names across components, so the CSM can type sessions.
     csm = Csm({p: canonical_names(decode_fsm(minimal[p]), prefix=f"{p}_")
                for p in participants})
-    return ProjectionResult(csm, bounds, encoded)
+    return ProjectionResult(csm, bounds)
 
 
 def check_against(psm: Psm, candidate: Csm, k: int) -> ProjectionVerdict:

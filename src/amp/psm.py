@@ -194,17 +194,11 @@ MIXED = "mixed"
 NON_DETERMINISTIC = "non-deterministic"
 
 
-@dataclass(frozen=True)
-class ChoiceReport:
-    kind: str
-    choice: dict  # branching state -> deciding sender, where defined
-
-
 def _branch_events(machine: StateMachine, q: str) -> list[Event]:
     return [ev for ev, _ in machine.out(q) if ev is not None]
 
 
-def classify_choice(machine: StateMachine) -> ChoiceReport:
+def classify_choice(machine: StateMachine) -> str:
     """Classify branching: directed < sender-driven < mixed < non-deterministic.
 
     Sender-driven means the machine is deterministic and every branching
@@ -212,23 +206,21 @@ def classify_choice(machine: StateMachine) -> ChoiceReport:
     additionally fixes the receiver; mixed requires determinism only.
     """
     if not machine.is_deterministic():
-        return ChoiceReport(NON_DETERMINISTIC, {})
-    choice: dict[str, str] = {}
+        return NON_DETERMINISTIC
     directed = True
-    for q in sorted(machine.states):
+    for q in machine.states:
         events = _branch_events(machine, q)
         senders = {ev.sender for ev in events if ev.kind in (SEND, PAIR)}
-        if len(senders) == 1:
-            choice[q] = next(iter(senders))
         if events and (any(ev.kind == RECV for ev in events)
                        or len(senders) != 1
                        or len({ev.receiver for ev in events}) != 1):
             directed = False
+            break
     if directed:
-        return ChoiceReport(DIRECTED, choice)
+        return DIRECTED
     if single_sender_branching(machine)[0]:
-        return ChoiceReport(SENDER_DRIVEN, choice)
-    return ChoiceReport(MIXED, choice)
+        return SENDER_DRIVEN
+    return MIXED
 
 
 def single_sender_branching(machine: StateMachine) -> tuple[bool, Optional[str]]:
@@ -358,7 +350,7 @@ def infer_channel_bounds(psm: Psm) -> dict:
 class TameReport:
     tame: bool
     sink_final: bool
-    choice: ChoiceReport
+    choice: str  # the `classify_choice` class
     bounds: Optional[dict]  # None when no bounds can be inferred
 
 
@@ -371,6 +363,6 @@ def is_tame(psm: Psm) -> TameReport:
         bounds = infer_channel_bounds(psm)
     except UnboundedLoop:
         bounds = None
-    tame = (sink_final and choice.kind in (SENDER_DRIVEN, DIRECTED)
+    tame = (sink_final and choice in (SENDER_DRIVEN, DIRECTED)
             and bounds is not None)
     return TameReport(tame, sink_final, choice, bounds)

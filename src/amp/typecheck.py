@@ -876,19 +876,17 @@ def _check_with_configs(checker: Checker, config: NormalConfig,
 class AnnotationReport:
     deadlock_free: bool
     fer: bool
-    exact: bool
 
     @classmethod
     def of(cls, csm: Csm, report) -> "AnnotationReport":
         """The verdicts on one exploration of `csm`."""
-        return cls(not report.deadlocks, _csm_fer(csm, report),
-                   not report.truncated)
+        return cls(not report.deadlocks, _csm_fer(csm, report))
 
 
 def check_well_annotated(csm: Csm, *, queue_cap: int = ANNOTATION_QUEUE_CAP,
                          config_cap: int = CONFIG_CAP) -> AnnotationReport:
     """Deadlock freedom and feasible eventual reception for an annotated
-    machine; exact when exploration completes within the caps."""
+    machine, on its exploration up to the caps."""
     return AnnotationReport.of(csm, explore(csm, queue_cap=queue_cap,
                                             config_cap=config_cap))
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from amp.core import StateMachine, dump_machine, recv, send
 from amp.csm import dump_csm
+from amp.encoding import encode_psm
 from amp.projection import project_tame
 from amp.psm import validate
 from amp.transform import global_to_psm, parse_global_type
@@ -120,8 +121,10 @@ def generate() -> dict[str, str]:
 
     kle = kle_machine()
     files["kle.psm.json"] = dump_machine(kle)
-    kle_result = project_tame(validate(kle))
-    files["kle_encoded.psm.json"] = dump_machine(kle_result.encoded)
+    kle_psm = validate(kle)
+    kle_result = project_tame(kle_psm)
+    files["kle_encoded.psm.json"] = dump_machine(
+        encode_psm(kle_psm.machine.trim(), kle_result.bounds))
     files["kle.csm.json"] = dump_csm(kle_result.csm)
 
     early = early_commit_machine()

@@ -208,10 +208,9 @@ def check_fer(graph: ConfigGraph) -> tuple[bool, Optional[Word]]:
 
 def _csm_fer(csm: Csm, report) -> bool:
     configs = report.configs
-    index = {c: i for i, c in enumerate(configs)}
-    edges = {index[c]: tuple((ev, index[d]) for ev, d in report.edges[c]
-                             if d in index)
-             for c in configs}
+    nodes = range(len(configs))
+    edges = {i: tuple((ev, j) for ev, j in report.out(i) if j in nodes)
+             for i in nodes}
     capable = _capable_nodes(csm, configs, edges)
     for i, config in enumerate(configs):
         for channel, content in config.channels:

@@ -11,8 +11,11 @@ projection ran on a protocol compiled to integers (the `named_` and
 `hopcroft_` functions).  Kept as a test-only reference, verbatim but
 for absolute imports, the memo that the library's `canon` takes, here a
 fresh one per call, the names of the library functions that
-`project_tame` calls, and the fields of the `ProjectionResult` it
-returns, which no longer carries the validity report and the verdict.
+`project_tame` calls, the compiled protocol (`compiled`) that the
+library's `subset_construction` takes, the prefix that `canonical_names`
+takes, and the fields of the `ProjectionResult` it returns, which no
+longer carries the validity report, the verdict and the encoded
+protocol.
 
 These are the Moore refinement with one round per state on a chain, the
 recursive simple-path and simple-cycle searches, which are exponential
@@ -42,8 +45,8 @@ from amp.encoding import (channel_participants, decode_event, decode_fsm,
                           machine_is_forwarding, parse_channel_participant)
 from amp.fifo import show_word
 from amp.projection import (NotProjectable, NotTame, ProjectionResult,
-                            _first_word, _lost_final, canonical_names,
-                            subset_construction)
+                            _Compiled, _first_word, _lost_final,
+                            canonical_names, subset_construction)
 from amp.projection import minimize as library_minimize
 from amp.psm import (Psm, UnboundedLoop, _has_return_chain,
                      detected_channels, single_sender_branching, validate)
@@ -56,6 +59,13 @@ from .walker_reference import _local_label
 
 
 # -- amp.projection -----------------------------------------------------------
+
+
+def compiled(machine: StateMachine) -> _Compiled:
+    """`machine` compiled as `project_tame` compiles the protocol it
+    projects, for `subset_construction`."""
+    return _Compiled(machine.states, machine.initial, machine.finals,
+                     machine.transitions)
 
 
 def minimize(machine: StateMachine) -> StateMachine:
@@ -88,7 +98,7 @@ def minimize(machine: StateMachine) -> StateMachine:
     transitions = {(rename[s], ev, rename[d]) for s, ev, d in machine.transitions}
     merged = StateMachine(set(rename.values()), rename[machine.initial],
                           {rename[q] for q in machine.finals}, transitions)
-    return canonical_names(merged)
+    return canonical_names(merged, "s")
 
 
 # -- amp.psm ------------------------------------------------------------------
@@ -329,9 +339,11 @@ def project_tame(source, *, k: int = 6) -> ProjectionResult:
     participants = set(machine.participants())
     cps = channel_participants(bounds)
 
-    projections = {p: library_minimize(subset_construction(encoded, p))
+    protocol = compiled(encoded)
+    projections = {p: library_minimize(subset_construction(protocol, p))
                    for p in sorted(participants)}
-    cp_machines = {cp.name: library_minimize(subset_construction(encoded, cp.name))
+    cp_machines = {cp.name: library_minimize(subset_construction(protocol,
+                                                                 cp.name))
                    for cp in cps}
 
     validity = check_validity({**projections, **cp_machines})
@@ -349,7 +361,7 @@ def project_tame(source, *, k: int = 6) -> ProjectionResult:
     verdict = check_projection(psm, csm, k)
     if not verdict.passed:
         raise NotProjectable("; ".join(verdict.reasons))
-    return ProjectionResult(csm, bounds, encoded)
+    return ProjectionResult(csm, bounds)
 
 
 # -- amp.projection on string-named machines ------------------------------------
@@ -446,7 +458,7 @@ def hopcroft_minimize(machine: StateMachine) -> StateMachine:
     merged = StateMachine(set(rename.values()), rename[machine.initial],
                           {rename[q] for q in finals},
                           {(rename[s], ev, rename[d]) for s, ev, d in transitions})
-    return canonical_names(merged)
+    return canonical_names(merged, "s")
 
 
 def named_heads(source: StateMachine, participant: str, start: str) -> set:
@@ -566,4 +578,4 @@ def named_project_tame(source) -> ProjectionResult:
 
     csm = Csm({p: canonical_names(decode_fsm(minimal[p]), prefix=f"{p}_")
                for p in participants})
-    return ProjectionResult(csm, bounds, encoded)
+    return ProjectionResult(csm, bounds)

@@ -45,8 +45,9 @@ def unchecked_projection(psm) -> Csm:
     """The projection's candidate built without its conditions, as the
     pipeline built it before it decided on them."""
     machine = psm.machine.trim()
-    encoded = encode_psm(machine, infer_channel_bounds(psm))
-    return Csm({p: decode_fsm(minimize(subset_construction(encoded, p)))
+    protocol = reference.compiled(encode_psm(machine,
+                                             infer_channel_bounds(psm)))
+    return Csm({p: decode_fsm(minimize(subset_construction(protocol, p)))
                 for p in machine.participants()})
 
 
@@ -55,7 +56,8 @@ def plain_projection(psm) -> Csm:
     encoding: a CSM that implements the protocol where one does and
     the channels need no forwarder."""
     machine = psm.machine.trim()
-    return Csm({p: minimize(subset_construction(machine, p))
+    protocol = reference.compiled(machine)
+    return Csm({p: minimize(subset_construction(protocol, p))
                 for p in machine.participants()})
 
 

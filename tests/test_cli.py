@@ -114,10 +114,11 @@ def test_encode_and_decode_fsm_roundtrip(tmp_path, capsys):
 
     from amp.core import dump_machine, load_machine
     from amp.projection import minimize, subset_construction
+    from .projection_reference import compiled
     local_file = tmp_path / "e_local.json"
     encoded = load_machine(encoded_file.read_text())
     local_file.write_text(dump_machine(
-        minimize(subset_construction(encoded, "e"))))
+        minimize(subset_construction(compiled(encoded), "e"))))
     code, out = run(capsys, "decode-fsm", str(local_file))
     assert code == 0
     decoded = json.loads(out)
@@ -278,6 +279,22 @@ def test_dot_outputs(capsys):
     assert code == 0 and out.startswith("digraph")
     code, out = run(capsys, "dot", str(PROTOCOLS / "kle.csm.json"))
     assert code == 0 and "cluster_e" in out
+
+
+def test_dot_reads_a_csm_with_a_participant_named_states(tmp_path, capsys):
+    """A CSM is told from a machine by shape, not by a `states` key."""
+    csm = json.loads((PROTOCOLS / "ping.csm.json").read_text())
+    csm["states"] = csm.pop("p")
+    for component in csm.values():
+        for t in component["transitions"]:
+            for side in ("sender", "receiver"):
+                if t["event"][side] == "p":
+                    t["event"][side] = "states"
+    path = tmp_path / "states.csm.json"
+    path.write_text(json.dumps(csm))
+    assert run(capsys, "check-csm", str(path))[0] == 0
+    code, out = run(capsys, "dot", str(path))
+    assert code == 0 and "cluster_states" in out
 
 
 def test_usage_error_exit_code(capsys):

@@ -38,12 +38,12 @@ def test_step_receive_needs_matching_head():
 
 def test_explore_good_instance_deadlock_free():
     report = explore(three_party_csm(), queue_cap=2)
-    assert report.deadlock_free
+    assert not report.deadlocks
     assert report.finals
     # The loop branch lets the chooser run one lap ahead, so a cap of
     # one message per channel truncates without creating deadlocks.
     capped = explore(three_party_csm(), queue_cap=1)
-    assert capped.deadlock_free and capped.truncated
+    assert not capped.deadlocks and capped.truncated
 
 
 def test_explore_finds_reply_mismatch_deadlock():
@@ -69,8 +69,8 @@ def test_every_deadlock_is_soft():
 
 def test_check_csm_reads_build_no_public_view(monkeypatch):
     """The count, the deadlock lists, the flag and the first witness,
-    which `check-csm` reads, leave `configs`, `edges` and `parent`
-    unbuilt, and build only the configurations those lists hold."""
+    which `check-csm` reads, leave `configs` unbuilt, and build only
+    the configurations those lists hold."""
     built = []
     public = _Kernel.public
     monkeypatch.setattr(_Kernel, "public", lambda self, config: (
@@ -78,8 +78,7 @@ def test_check_csm_reads_build_no_public_view(monkeypatch):
     report = explore(three_party_csm(v1="v1", v2="v2"), queue_cap=2)
     assert len(report) > 10 and report.truncated
     assert report.witness(report.deadlocks[0])
-    assert report._configs is None and report._edges is None \
-        and report._parent is None
+    assert report._configs is None
     listed = report.deadlocks + report.soft_deadlocks + report.finals
     assert len(built) == len(listed) < len(report)
 

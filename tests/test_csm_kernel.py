@@ -146,11 +146,24 @@ CORPUS = corpus()
 IDS = [name for name, _ in CORPUS]
 
 
+def tree(report) -> tuple:
+    """A report's moves and breadth-first tree, as the items of the
+    reference's `edges` and `parent` dicts; the library's are read off
+    `out`, `_parents` and `_via`."""
+    if not isinstance(report, kernel.ExploreReport):
+        return list(report.edges.items()), list(report.parent.items())
+    configs = report.configs
+    return ([(config, tuple((ev, report._config(j))
+                            for ev, j in report.out(i)))
+             for i, config in enumerate(configs)],
+            [(configs[i], (configs[report._parents[i]], report._via[i]))
+             for i in range(1, len(configs))])
+
+
 def assert_same_tree(new, old) -> None:
     """Equal reports, witnesses aside: they follow from `parent`."""
     assert new.configs == old.configs
-    assert list(new.edges.items()) == list(old.edges.items())
-    assert list(new.parent.items()) == list(old.parent.items())
+    assert tree(new) == tree(old)
     assert new.deadlocks == old.deadlocks
     assert new.soft_deadlocks == old.soft_deadlocks
     assert new.finals == old.finals

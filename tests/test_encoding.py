@@ -134,7 +134,7 @@ def test_encode_psm_preserves_sink_finality_and_choice():
     from amp.psm import DIRECTED, SENDER_DRIVEN, classify_choice
     encoded = encode_psm(kle_machine(), KLE_BOUNDS)
     assert encoded.trim().is_sink_final()
-    assert classify_choice(encoded).kind in (SENDER_DRIVEN, DIRECTED)
+    assert classify_choice(encoded) in (SENDER_DRIVEN, DIRECTED)
 
 
 def test_membership_transfer_on_kle():

@@ -122,3 +122,20 @@ def test_the_library_does_not_import_the_tests():
                 continue
             for target in targets:
                 assert target.split(".")[0] != "tests", (module, target)
+
+
+def test_every_imported_name_is_used():
+    """A deletion leaves no import behind that its module never reads."""
+    for module, tree in _modules().items():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0]
+                             for alias in node.names}
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported |= {alias.asname or alias.name
+                             for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        assert sorted(imported - read) == [], module

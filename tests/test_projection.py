@@ -6,8 +6,9 @@ from amp.cli import main
 from amp.core import StateMachine, dump_machine, recv, send
 from amp.csm import ProjectionVerdict, check_projection, explore
 from amp.encoding import merge_immediate_pairs
-from amp.projection import (NotProjectable, NotTame, check_against, minimize,
-                            project_tame, strong_report, subset_construction)
+from amp.projection import (NotProjectable, NotTame, _whole, check_against,
+                            minimize, project_tame, strong_report,
+                            subset_construction)
 from amp.psm import validate
 from amp.transform import global_to_psm, parse_global_type
 
@@ -15,28 +16,29 @@ from .conftest import (kle_expected_local_e, kle_machine,
                        one_buyer_seller_expected, three_party_csm,
                        three_party_machine)
 from .goldengen import ONE_BUYER_GT
-from .projection_reference import check_validity
+from .projection_reference import check_validity, compiled
 from .semantics import languages_equal_upto, machine_isomorphic
 
 
 def test_subset_construction_one_buyer_seller():
     """The seller's view of the purchase, against the hand transcription."""
     machine = global_to_psm(parse_global_type(ONE_BUYER_GT))
-    seller = subset_construction(machine, "s").machine()
+    seller = StateMachine(*subset_construction(compiled(machine),
+                                               "s").named())
     assert machine_isomorphic(seller, one_buyer_seller_expected()) is not None
 
 
 def test_subset_construction_merges_relay_branches():
     """The relay cannot tell the first two branches apart."""
     machine = merge_immediate_pairs(three_party_machine(), {})
-    relay = minimize(subset_construction(machine, "r"))
+    relay = minimize(subset_construction(compiled(machine), "r"))
     assert len(relay.states) == 4
     assert relay.is_deterministic()
 
 
 def test_subset_construction_trivial():
     machine = StateMachine({"a"}, "a", {"a"}, [])
-    result = subset_construction(machine, "p")
+    result = subset_construction(compiled(machine), "p")
     assert len(result.states) == 1 and result.finals == {result.initial}
 
 
@@ -49,7 +51,8 @@ def test_subset_language_is_participant_projection():
     from amp.fifo import project
     machine = merge_immediate_pairs(three_party_machine(), {})
     for participant in ("p", "q", "r"):
-        local = subset_construction(machine, participant).machine()
+        local = StateMachine(*subset_construction(compiled(machine),
+                                                  participant).named())
         projected = {project(w, participant=participant)
                      for w in complete_traces(maximal_traces_upto(machine, 8))}
         wide = {project(w, participant=participant)
@@ -113,7 +116,7 @@ def test_project_kle_e_component_exact():
     assert machine_isomorphic(result.csm.components["e"],
                               kle_expected_local_e()) is not None
     report = explore(result.csm, queue_cap=2)
-    assert report.deadlock_free and not report.truncated
+    assert not report.deadlocks and not report.truncated
     assert not report.soft_deadlocks
 
 
@@ -154,7 +157,7 @@ def test_minimize_merges_equivalent_states():
         {"a", "b", "c", "d", "e"}, "a", {"d", "e"},
         [("a", send("p", "q", "x"), "b"), ("a", send("p", "q", "y"), "c"),
          ("b", send("p", "q", "z"), "d"), ("c", send("p", "q", "z"), "e")])
-    merged = minimize(machine)
+    merged = minimize(_whole(machine))
     assert len(merged.states) == 3
     assert languages_equal_upto(machine, merged, 5)
 
@@ -179,7 +182,7 @@ def test_two_in_flight_ring_projects():
     result = project_tame(psm)
     assert result.bounds == {("p", "q"): 2}
     report = explore(result.csm, queue_cap=3)
-    assert report.deadlock_free and not report.truncated
+    assert not report.deadlocks and not report.truncated
 
 
 def test_odd_ring_totals_rejected_not_crashed():
@@ -268,5 +271,5 @@ def test_random_tame_machines_project(rng):
         checked += 1
         assert check_projection(psm, result.csm, 5).passed
         report = explore(result.csm, queue_cap=3)
-        assert report.deadlock_free
+        assert not report.deadlocks
     assert checked >= 5

@@ -6,7 +6,7 @@ state names and `subset_validity` on `StateMachine`s.
 On random protocols (trees, protocols with bounded channels, protocols
 that run forever), on every corpus protocol and on small sizes of the
 benchmark's chain, diamonds and burst families, `project_tame` must
-give the same CSM, bounds and encoding as the reference, or raise the
+give the same CSM and bounds as the reference, or raise the
 same exception with the same message, witness and decisiveness; each
 participant's and forwarder's subset construction must name the same
 machine, and minimise to the same one.
@@ -19,7 +19,7 @@ import random
 import pytest
 
 from amp.cli import _load_machine
-from amp.core import StateMachine, dump_machine, load_machine
+from amp.core import StateMachine, dump_machine, load_machine, recv, send
 from amp.csm import dump_csm
 from amp.encoding import channel_participants, encode_psm
 from amp.projection import minimize, project_tame, subset_construction
@@ -39,7 +39,7 @@ def outcome(project, machine: StateMachine) -> tuple:
     except PsmError as exc:
         return (type(exc).__name__, str(exc), exc.witness,
                 getattr(exc, "decisive", None))
-    return "ok", dump_csm(result.csm), result.bounds, result.encoded
+    return "ok", dump_csm(result.csm), result.bounds
 
 
 def assert_projections_agree(machine: StateMachine) -> str:
@@ -57,12 +57,14 @@ def assert_components_agree(machine: StateMachine) -> None:
     except PsmError:
         return
     encoded = encode_psm(machine.trim(), bounds)
+    protocol = reference.compiled(encoded)
     names = list(machine.participants()) + [
         cp.name for cp in channel_participants(bounds)]
     for name in names:
-        subsets = subset_construction(encoded, name)
+        subsets = subset_construction(protocol, name)
         named = reference.named_subset_construction(encoded, name)
-        assert dump_machine(subsets.machine()) == dump_machine(named)
+        assert dump_machine(StateMachine(*subsets.named())) == \
+            dump_machine(named)
         assert len(subsets.states) == len(named.states)
         assert dump_machine(minimize(subsets)) == dump_machine(
             reference.hopcroft_minimize(named))
@@ -126,3 +128,26 @@ def test_projection_agrees_where_the_protocol_is_determinised_first():
         machine = gt(text)
         assert not encode_psm(machine, {}).is_deterministic()
         assert_projections_agree(machine)
+
+
+def test_component_states_follow_the_decoded_machine():
+    """Decoding reorders p's first moves: `minimize` names the state
+    after p>(p,r)0!a s1, which sorts before p>q!m, but p>r!a sorts after
+    it, so the component numbers that state p_2."""
+    m, a, n = send("p", "q", "m"), send("p", "r", "a"), send("p", "q", "n")
+    machine = StateMachine(
+        {"0", "1", "2", "3", "4", "5", "6"}, "0", {"2", "6"},
+        [("0", m, "1"), ("1", recv("p", "q", "m"), "2"),
+         ("0", a, "3"), ("3", n, "4"), ("4", recv("p", "q", "n"), "5"),
+         ("5", recv("p", "r", "a"), "6")])
+    assert assert_projections_agree(machine) == "ok"
+    assert_components_agree(machine)
+    result = project_tame(machine)
+    assert result.bounds == {("p", "r"): 1}
+    minimal = minimize(subset_construction(
+        reference.compiled(encode_psm(machine, result.bounds)), "p"))
+    assert ("s0", send("p", "(p,r)0", "a"), "s1") in minimal.transitions
+    component = result.csm.components["p"]
+    assert component.finals == {"p_1"}
+    assert set(component.transitions) == {
+        ("p_0", m, "p_1"), ("p_0", a, "p_2"), ("p_2", n, "p_1")}

@@ -16,7 +16,7 @@ import pytest
 from amp.cli import _load_machine, main
 from amp.core import StateMachine, dump_machine, pair, recv, send
 from amp.encoding import channel_participants, encode_psm, merge_immediate_pairs
-from amp.projection import minimize, subset_construction
+from amp.projection import _whole, minimize, subset_construction
 from amp.psm import PsmError, _simple_cycles, infer_channel_bounds, validate
 from amp.transform import (make_sink_final, psm_to_global_type, psm_to_regex,
                            regex_to_psm)
@@ -28,7 +28,7 @@ from .test_transform import _random_regex
 from .test_walkers import PSM_SOURCES, outcome
 
 EVENTS = (send("p", "q", "a"), send("p", "q", "b"), recv("p", "q", "a"),
-          pair("q", "r", "a"), None)
+          pair("q", "r", "a"))
 
 
 # -- minimisation ---------------------------------------------------------------
@@ -63,11 +63,14 @@ def blown_up(rng: random.Random, machine: StateMachine) -> StateMachine:
 
 
 def assert_minimize_agrees(machine) -> None:
-    """On a `StateMachine`, or on `Subsets` and the machine they name."""
-    new = minimize(machine)
-    if not isinstance(machine, StateMachine):
-        machine = machine.machine()
-        assert minimize(machine) == new
+    """On a deterministic `StateMachine` through `_whole`, or on `Subsets`
+    and, through `_whole`, the machine they name."""
+    if isinstance(machine, StateMachine):
+        new = minimize(_whole(machine))
+    else:
+        new = minimize(machine)
+        machine = StateMachine(*machine.named())
+        assert minimize(_whole(machine)) == new
     old = reference.minimize(machine)
     assert new == old
     assert dump_machine(new) == dump_machine(old)
@@ -93,7 +96,7 @@ def test_minimize_keeps_reachable_dead_ends():
         {"x", "y", "z", "v", "w", "u"}, "x", {"z"},
         [("x", a, "y"), ("x", b, "z"), ("x", c, "v"), ("y", a, "w"),
          ("u", a, "x")])
-    assert minimize(machine) == StateMachine(
+    assert minimize(_whole(machine)) == StateMachine(
         {"s0", "s1", "s2", "s3"}, "s0", {"s2"},
         [("s0", a, "s1"), ("s0", b, "s2"), ("s0", c, "s3"),
          ("s1", a, "s3")])
@@ -112,9 +115,10 @@ def test_minimize_agrees_on_subset_machines_of_tame_protocols():
         encoded = encode_psm(machine, bounds)
         names = list(machine.participants()) + [
             cp.name for cp in channel_participants(bounds)]
+        protocols = (reference.compiled(encoded), reference.compiled(machine))
         for name in names:
-            assert_minimize_agrees(subset_construction(encoded, name))
-            assert_minimize_agrees(subset_construction(machine, name))
+            for protocol in protocols:
+                assert_minimize_agrees(subset_construction(protocol, name))
         checked += 1
 
 
@@ -125,10 +129,10 @@ def test_minimize_keeps_a_long_chain_with_repeated_labels():
     chain = StateMachine([f"s{i}" for i in range(n)], "s0", [f"s{n - 1}"],
                          [(f"s{i}", labels[i % 3], f"s{i + 1}")
                           for i in range(n - 1)])
-    assert minimize(chain) == chain
+    assert minimize(_whole(chain)) == chain
     looped = StateMachine(chain.states, "s0", chain.finals,
                           chain.transitions + (("s0", labels[2], "s0"),))
-    assert len(minimize(looped).states) == n
+    assert len(minimize(_whole(looped)).states) == n
 
 
 # -- channel-bound inference ---------------------------------------------------

@@ -116,7 +116,7 @@ def test_make_sink_final_introduces_nondeterminism():
         [("a", pair("p", "q", "m"), "b"), ("b", pair("p", "q", "m"), "b")])
     finalized = make_sink_final(machine)
     assert not finalized.is_deterministic()
-    assert classify_choice(finalized).kind == NON_DETERMINISTIC
+    assert classify_choice(finalized) == NON_DETERMINISTIC
 
 
 def test_make_sink_final_rejects_empty_word():
@@ -343,7 +343,7 @@ def test_full_workflow_three_party():
     g = psm_to_global_type(rebuilt)
     round_tripped = global_to_psm(g)
     assert languages_equal_upto(round_tripped, three_party_machine(), 10)
-    assert classify_choice(round_tripped).kind == classify_choice(machine).kind
+    assert classify_choice(round_tripped) == classify_choice(machine)
 
 
 def test_workflow_preserves_language_and_choice(rng):
@@ -355,7 +355,7 @@ def test_workflow_preserves_language_and_choice(rng):
         g = psm_to_global_type(rebuilt)
         again = global_to_psm(g)
         assert languages_equal_upto(machine, again, 8)
-        assert classify_choice(again).kind == classify_choice(machine).kind
+        assert classify_choice(again) == classify_choice(machine)
 
 
 def test_tree_of_builds_linearly_many_nodes_on_chains(monkeypatch):

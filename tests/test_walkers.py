@@ -32,6 +32,7 @@ from amp.transform import (Choice, End, Rec, TypeSyntaxError, Var,
                            psm_to_global_type)
 
 from . import walker_reference as reference
+from .projection_reference import compiled
 from .conftest import (random_local_tree, random_sender_driven_tree,
                        random_tame_psm)
 from .test_graph_analyses import random_csm, random_machine, random_protocol
@@ -133,8 +134,10 @@ def test_negative_bound_raises_the_same_error():
 
 
 def assert_subsets_agree(machine: StateMachine, participants) -> None:
+    protocol = compiled(machine)
     for participant in participants:
-        new = subset_construction(machine, participant).machine()
+        new = StateMachine(*subset_construction(protocol,
+                                                participant).named())
         old = reference.subset_construction(machine, participant)
         assert new == old
         assert dump_machine(new) == dump_machine(old)
@@ -212,9 +215,13 @@ def test_explore_witnesses_agree():
     for csm in csms:
         for queue_cap in (1, 3):
             report = explore(csm, queue_cap=queue_cap, config_cap=200)
-            for config in report.configs:
+            configs = report.configs
+            parent = {configs[i]: (configs[report._parents[i]],
+                                   report._via[i])
+                      for i in range(1, len(configs))}
+            for config in configs:
                 assert report.witness(config) == reference.witness(
-                    report, config)
+                    parent, config)
 
 
 # -- global and local types ---------------------------------------------------

@@ -496,9 +496,10 @@ def sf_typecheck(program: Program, config_or_term,
     for machine_config in report.configs:
         if not _queues_compatible(registry, concrete, machine_config):
             continue
+        states = dict(machine_config.states)
         try:
             for participant in csm.participants:
-                state = machine_config.state_of(participant)
+                state = states[participant]
                 thread = by_participant.get(participant)
                 if thread is None:
                     # A terminated participant's 0 thread was absorbed.

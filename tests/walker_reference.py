@@ -4,13 +4,15 @@ they stood before `amp.core` held one copy of each, kept as a test-only
 reference: verbatim but for absolute imports, for the configuration
 cap's exception, which became its own class, for the `StateMachine`
 methods and `ConfigGraph.word_to`, which take their object as `self`,
-and for calls among these walkers, which go to the copies here.  The
-type builders and pruners are ported to the one session-type
-representation of `amp.transform`, whose choices hold events: the local
-builder reads its events off the branches instead of building them from
-a participant.  `_read_tree` is the tree reader as it stood before it
-decided each binder while reading: it binds a variable at every epsilon
-target and prunes the unused binders in a second walk.
+for `witness`, which takes the parent map that the exploration report
+no longer builds, and for calls among these walkers, which go to the
+copies here.  The type builders and pruners are ported to the one
+session-type representation of `amp.transform`, whose choices hold
+events: the local builder reads its events off the branches instead of
+building them from a participant.  `_read_tree` is the tree reader as
+it stood before it decided each binder while reading: it binds a
+variable at every epsilon target and prunes the unused binders in a
+second walk.
 
 `test_walkers.py` runs these next to the library and requires equal
 sets, trace sets (in the same key order), machines, types, exceptions
@@ -26,7 +28,7 @@ from typing import Optional
 from amp.core import (Event, PAIR, RECV, SEND, StateMachine, TraceFlags,
                       TraceSet, Word, expand_pairs, queue_get, queue_set,
                       recv, send)
-from amp.csm import Configuration, ExploreReport
+from amp.csm import Configuration
 from amp.psm import (DEFAULT_CONFIG_CAP, Config, ConfigCapExceeded,
                      ConfigGraph, NonFifo, UnboundedChannel)
 from amp.transform import (Choice, End, Rec, SessionType, Var,
@@ -231,10 +233,12 @@ def build_config_graph(machine: StateMachine, *,
 # -- amp.csm ------------------------------------------------------------------
 
 
-def witness(self: ExploreReport, config: Configuration) -> Word:
+def witness(parent: dict, config: Configuration) -> Word:
+    """The witness off a parent map: configuration -> (the
+    configuration it was first reached from, event)."""
     events = []
-    while config in self.parent:
-        config, ev = self.parent[config]
+    while config in parent:
+        config, ev = parent[config]
         if ev is not None:
             events.append(ev)
     return tuple(reversed(events))
