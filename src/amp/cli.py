@@ -175,7 +175,7 @@ def cmd_bounds(args) -> int:
     except psm_mod.PsmError as exc:
         _emit(args, {"error": type(exc).__name__, "detail": str(exc)},
               [str(exc)])
-        return NEGATIVE
+        return _cap_or_negative(exc)
     report = {"perChannelBounds": {f"{p}>{q}": b for (p, q), b in bounds.items()}}
     _emit(args, report, [f"channel bounds: {report['perChannelBounds'] or {}}"])
     return OK

@@ -20,16 +20,18 @@ against its cap), `bounded_traces` (it keeps words, not nodes),
 `projection.Subsets` and the class numbering of `projection.minimize`
 (they number nodes as they find them) and the depth-first Tarjan,
 `psm._simple_cycles` and `transform` postorder.
-`subset_moves` is the step of the subset construction, which PSM
-validation and the bounded oracle read machines through (projection
-runs its own on integer states, `projection.Subsets`);
+`subset_moves` is the step of the subset construction, which the
+bounded oracle reads machines through (projection and PSM validation
+run their own on integer states, `projection.Subsets` and
+`psm.build_config_graph`);
 `bounded_traces` lists the words of length up to k of such a
 determinised walk; `parent_word` reads a witness off a breadth-first
 parent chain; `strongly_connected_components` is the one Tarjan; and
 `nodes_on_cycles`, `maximal_capable` and `fer_violation` answer "can
 this node still reach a maximal run?" and "can every pending message
-still be received?".  The channel-queue and payload-key helpers shared
-by those layers live here too.
+still be received?"; `fer_violation` reads edges labelled with the
+channel they receive on, or None.  The channel-queue and payload-key
+helpers shared by those layers live here too.
 """
 
 from __future__ import annotations
@@ -270,9 +272,11 @@ class StateMachine:
 
     def has_pure_eps_cycle(self) -> bool:
         """Detect a cycle consisting solely of epsilon transitions."""
-        return bool(nodes_on_cycles(
-            self.states,
-            lambda q: [(ev, dst) for ev, dst in self._out[q] if ev is None]))
+        eps: dict = {}
+        for src, ev, dst in self.transitions:
+            if ev is None:
+                eps.setdefault(src, []).append((None, dst))
+        return bool(nodes_on_cycles(eps, lambda q: eps.get(q, ())))
 
     # -- reachability ----------------------------------------------------
 
@@ -319,9 +323,8 @@ class StateMachine:
 # -- graph analyses -----------------------------------------------------
 #
 # A graph is given as (nodes, out): `out(v)` returns the (label,
-# successor) pairs leaving node v, as `StateMachine.out`,
-# `psm.ConfigGraph.edges.get` and `csm.ExploreReport.out` do.  A None
-# label is an epsilon edge.
+# successor) pairs leaving node v, as `StateMachine.out` and
+# `csm.ExploreReport.out` do.  A None label is an epsilon edge.
 
 
 def walk(starts: Iterable, successors) -> Iterator:
@@ -466,34 +469,47 @@ def maximal_capable(nodes: Iterable, out, finals: Iterable) -> set:
 
 
 def fer_violation(pending: Iterable, out, nodes: Iterable, finals: Iterable):
-    """Feasible eventual reception over a graph labelled with events.
+    """Feasible eventual reception over a graph whose edges are labelled
+    with the channel they receive on, or None.
 
     `pending` holds (node, channel, backlog) triples.  Returns the first
     node from which no path receives `backlog` messages on `channel` and
     ends in a node that can still reach a maximal run (`maximal_capable`
-    over `nodes` with `finals`), or None.
+    over `nodes` with `finals`), or None.  The triples are searched last
+    first, and each search stops where an earlier one on its channel
+    found how many receives a node's paths can or cannot make.
     """
     capable = maximal_capable(nodes, out, finals)
-    for node, channel, backlog in pending:
-        seen = {(node, 0)}
+    made: dict = {}    # channel -> node -> receives a found path makes
+    missed: dict = {}  # channel -> node -> receives no path makes
+    stuck = None
+    for node, channel, backlog in reversed(list(pending)):
+        most = made.setdefault(channel, {})
+        least = missed.setdefault(channel, {})
+        parent = {(node, 0): None}
         work = [(node, 0)]
         while work:
-            v, consumed = work.pop()
-            if consumed == backlog:
-                if v in capable:
-                    break
-                continue
-            for ev, w in out(v):
-                if ev is not None and ev.kind == RECV and ev.channel == channel:
-                    succ = (w, consumed + 1)
-                else:
-                    succ = (w, consumed)
-                if succ not in seen:
-                    seen.add(succ)
-                    work.append(succ)
+            state = work.pop()
+            v, consumed = state
+            need = backlog - consumed
+            if most.get(v, -1) >= need or (not need and v in capable):
+                while state is not None:
+                    v, consumed = state
+                    most[v] = max(most.get(v, 0), backlog - consumed)
+                    state = parent[state]
+                break
+            if need and least.get(v, need + 1) > need:
+                for label, w in out(v):
+                    succ = (w, consumed + 1) if label == channel \
+                        else (w, consumed)
+                    if succ not in parent:
+                        parent[succ] = state
+                        work.append(succ)
         else:
-            return node
-    return None
+            stuck = node
+            for v, consumed in parent:
+                least[v] = min(least.get(v, backlog), backlog - consumed)
+    return stuck
 
 
 # -- channel queues -----------------------------------------------------
@@ -653,17 +669,25 @@ def machine_from_json(data) -> StateMachine:
     MalformedInput on any other JSON value."""
     states, initial, finals, raw = _fields(
         data, "machine", "states", "initial", "finals", "transitions")
+    events: dict = {}  # an event object's items -> its Event
     try:
         transitions: list[Transition] = []
         for t in raw:
             src, event, dst = _fields(t, "transition", "from", "event", "to")
-            (kind,) = _fields(event, "event", "kind")
-            if kind == "eps":
-                ev = None
-            else:
-                ev = Event(kind, *_fields(event, "event", "sender",
-                                          "receiver", "label"),
-                           _payload_from_json(event.get("payload")))
+            try:
+                key = tuple(event.items())
+                ev = events.get(key, events)  # the dict itself: a miss
+            except (AttributeError, TypeError):  # no object, or a payload one
+                key = ev = events
+            if ev is events:
+                (kind,) = _fields(event, "event", "kind")
+                ev = None if kind == "eps" else Event(
+                    kind, *_fields(event, "event", "sender", "receiver",
+                                   "label"),
+                    _payload_from_json(event.get("payload")))
+                # Only strings and null: 1, 1.0 and true are equal keys.
+                if {str, type(None)}.issuperset(map(type, event.values())):
+                    events[key] = ev
             transitions.append((src, ev, dst))
         machine = StateMachine(states, initial, finals, transitions)
     except MalformedInput:

@@ -5,17 +5,21 @@ Validation walks a word-level configuration graph: each node holds the
 set of machine states a word can reach together with the word's channel
 contents.  Because channel contents are a function of the word alone,
 this determinised view answers language-level questions exactly.
+
+`build_config_graph` compiles the machine to integers once (see
+`ConfigGraph`), so its walk, the bound scan of `validate` and
+`check_fer` read only ints; `check_fer` hands `core.fer_violation`
+edges labelled with the channel they receive on.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, expand_pairs,
-                   fer_violation, parent_word, queue_get, queue_set,
-                   strongly_connected_components, subset_moves, walk)
+                   fer_violation, parent_word, reachable,
+                   strongly_connected_components, walk)
 
 DEFAULT_CONFIG_CAP = 1_000_000
 
@@ -67,21 +71,23 @@ class Psm:
         return self.bound_total <= 1
 
 
-Config = tuple[frozenset, tuple]  # (state set, sorted non-empty channel queues)
-
-
-@dataclass
 class ConfigGraph:
-    """Reachable (state set, channel contents) nodes of a machine."""
+    """Reachable configurations of a machine compiled to integers.
 
-    machine: StateMachine
-    nodes: list = field(default_factory=list)
-    index: dict = field(default_factory=dict)
-    edges: dict = field(default_factory=dict)   # node id -> tuple[(Event, id)]
-    parent: dict = field(default_factory=dict)  # node id -> (id, Event)
+    State i is the i-th state name in sorted order, and letter r is
+    `letters[r]`, letters ranked in `Event.sort_key` order.  Node i is
+    `nodes[i]`: (the frozenset of states a word reaches, and per channel
+    of the sorted `channels` the tuple of the ranks of the sends queued
+    on it).  `moves[i]` lists node i's (rank, successor) moves by rank,
+    `parent` maps each later node to (the node it was first reached from,
+    the rank between) and `finals` holds the final states.
+    """
+
+    __slots__ = ("letters", "channels", "finals", "nodes", "moves", "parent")
 
     def word_to(self, node_id: int) -> Word:
-        return parent_word(self.parent, node_id)
+        return tuple(self.letters[r]
+                     for r in parent_word(self.parent, node_id))
 
 
 def build_config_graph(machine: StateMachine, *,
@@ -96,47 +102,70 @@ def build_config_graph(machine: StateMachine, *,
     machine = expand_pairs(machine).trim()
     if queue_cap is None:
         queue_cap = max(4, 2 * len(machine.states))
-    graph = ConfigGraph(machine)
-    start: Config = (machine.eps_closure({machine.initial}), ())
-    graph.nodes.append(start)
-    graph.index[start] = 0
-    frontier = deque([0])
-    while frontier:
-        node_id = frontier.popleft()
-        stateset, queues = graph.nodes[node_id]
-        if stateset & machine.finals and queues:
+    number = {q: i for i, q in enumerate(sorted(machine.states))}
+    graph = ConfigGraph()
+    graph.letters = letters = sorted(machine.alphabet(), key=Event.sort_key)
+    graph.channels = channels = sorted({ev.channel for ev in letters})
+    lane = {ch: c for c, ch in enumerate(channels)}
+    sent = {(ev.channel, ev.message()): r
+            for r, ev in enumerate(letters) if ev.kind == SEND}
+    # per rank: its channel, and the send rank a receive needs at the head
+    # of that channel (-1 when no send matches; None for a send)
+    lanes = [lane[ev.channel] for ev in letters]
+    heads = [None if ev.kind == SEND
+             else sent.get((ev.channel, ev.message()), -1) for ev in letters]
+    rank = {ev: r for r, ev in enumerate(letters)}
+    eps = [[] for _ in number]
+    out = [[] for _ in number]
+    for src, ev, dst in machine.transitions:
+        if ev is None:
+            eps[number[src]].append(number[dst])
+        else:
+            out[number[src]].append((rank[ev], number[dst]))
+    closure = [frozenset(reachable((q,), eps.__getitem__)) if eps[q]
+               else frozenset((q,)) for q in range(len(number))]
+    graph.finals = finals = frozenset(number[q] for q in machine.finals)
+    start = (closure[number[machine.initial]], ((),) * len(channels))
+    graph.nodes = nodes = [start]
+    graph.moves = moves = []
+    graph.parent = parent = {}
+    index = {start: 0}
+    for node_id, (stateset, queues) in enumerate(nodes):
+        if any(queues) and not finals.isdisjoint(stateset):
             raise NonFifo("complete trace leaves unmatched sends",
                           graph.word_to(node_id))
-        moves = subset_moves(stateset, machine.out)
-        out = []
-        for ev in sorted(moves, key=Event.sort_key):
-            targets = machine.eps_closure(moves[ev])
-            content = queue_get(queues, ev.channel)
-            if ev.kind == SEND:
+        step: dict = {}
+        for q in stateset:
+            for r, t in out[q]:
+                step[r] = step[r] | closure[t] if r in step else closure[t]
+        row = []
+        for r in sorted(step):
+            c = lanes[r]
+            content = queues[c]
+            if heads[r] is None:
                 if len(content) >= queue_cap:
                     raise UnboundedChannel(
-                        f"channel {ev.channel} exceeded queue cap {queue_cap}",
-                        graph.word_to(node_id) + (ev,))
-                new_queues = queue_set(queues, ev.channel, content + (ev.message(),))
-            elif ev.kind == RECV:
-                if not content or content[0] != ev.message():
-                    raise NonFifo(
-                        f"receive {ev} does not match the channel head",
-                        graph.word_to(node_id) + (ev,))
-                new_queues = queue_set(queues, ev.channel, content[1:])
-            else:  # pragma: no cover - pairs were expanded above
-                raise AssertionError(ev)
-            succ: Config = (targets, new_queues)
-            if succ not in graph.index:
-                graph.index[succ] = len(graph.nodes)
-                graph.nodes.append(succ)
-                graph.parent[graph.index[succ]] = (node_id, ev)
-                if len(graph.nodes) > config_cap:
+                        f"channel {channels[c]} exceeded queue cap "
+                        f"{queue_cap}",
+                        graph.word_to(node_id) + (letters[r],))
+                content += (r,)
+            elif not content or content[0] != heads[r]:
+                raise NonFifo(
+                    f"receive {letters[r]} does not match the channel head",
+                    graph.word_to(node_id) + (letters[r],))
+            else:
+                content = content[1:]
+            succ = (step[r], queues[:c] + (content,) + queues[c + 1:])
+            j = index.get(succ)
+            if j is None:
+                j = index[succ] = len(nodes)
+                nodes.append(succ)
+                parent[j] = (node_id, r)
+                if len(nodes) > config_cap:
                     raise ConfigCapExceeded(
                         f"exploration exceeded {config_cap} configurations")
-                frontier.append(graph.index[succ])
-            out.append((ev, graph.index[succ]))
-        graph.edges[node_id] = tuple(out)
+            row.append((r, j))
+        moves.append(row)
     return graph
 
 
@@ -148,11 +177,16 @@ def check_fer(graph: ConfigGraph) -> tuple[bool, Optional[Word]]:
     maximal run.  Returns a witness word reaching the stuck send if not.
     """
     nodes = range(len(graph.nodes))
-    out = lambda v: graph.edges.get(v, ())
-    finals = [i for i in nodes if graph.nodes[i][0] & graph.machine.finals]
-    pending = ((i, ch, len(content)) for i in nodes
-               for ch, content in graph.nodes[i][1])
-    stuck = fer_violation(pending, out, nodes, finals)
+    lane = {ch: c for c, ch in enumerate(graph.channels)}
+    label = [lane[ev.channel] if ev.kind == RECV else None
+             for ev in graph.letters]
+    edges = [[(label[r], j) for r, j in row] for row in graph.moves]
+    finals = [i for i, (states, _) in enumerate(graph.nodes)
+              if not graph.finals.isdisjoint(states)]
+    pending = ((i, c, len(content))
+               for i, (_, queues) in enumerate(graph.nodes) if any(queues)
+               for c, content in enumerate(queues) if content)
+    stuck = fer_violation(pending, edges.__getitem__, nodes, finals)
     if stuck is not None:
         return False, graph.word_to(stuck)
     return True, None
@@ -173,17 +207,15 @@ def validate(machine: StateMachine, *,
         raise NotDense("machine contains a cycle of epsilon transitions")
     trimmed = machine.trim()
     graph = build_config_graph(trimmed, config_cap=config_cap)
-    per_channel: dict[Channel, int] = {}
-    total = 0
-    for _, queues in graph.nodes:
-        total = max(total, sum(len(c) for _, c in queues))
-        for ch, content in queues:
-            per_channel[ch] = max(per_channel.get(ch, 0), len(content))
+    queues = [q for _, q in graph.nodes]
+    total = max(sum(map(len, q)) for q in queues)
+    longest = [max(map(len, column)) for column in zip(*queues)]
+    per_channel = {ch: n for ch, n in zip(graph.channels, longest) if n}
     ok, witness = check_fer(graph)
     if not ok:
         raise FerViolation("a pending send can never be received", witness)
     return Psm(machine=trimmed, bound_total=total,
-               bound_by_channel=dict(sorted(per_channel.items())))
+               bound_by_channel=per_channel)
 
 
 # -- choice classification -----------------------------------------------

@@ -894,8 +894,8 @@ def check_well_annotated(csm: Csm, *, queue_cap: int = ANNOTATION_QUEUE_CAP,
 def _csm_fer(csm: Csm, report) -> bool:
     # Successors beyond the config cap are dropped.
     nodes = range(len(report))
-    edges = [[(ev, j) for ev, j in report.out(i) if j in nodes]
-             for i in nodes]
+    edges = [[(ev.channel if ev is not None and ev.kind == RECV else None, j)
+              for ev, j in report.out(i) if j in nodes] for i in nodes]
     configs = report.configs
     finals = [i for i in nodes if is_final_config(csm, configs[i])]
     pending = ((i, ch, len(content)) for i in nodes

@@ -1,7 +1,10 @@
 """The graph analyses and the ring-counter encoders as they stood before
 `amp.core` gained its one graph-analysis section, kept as a test-only
-reference: verbatim but for absolute imports, and for the two
-`StateMachine` methods, which take the machine as `self`.
+reference: verbatim but for absolute imports, for the two
+`StateMachine` methods, which take the machine as `self`, and for
+`fer_violation`, which reads channel labels as the library's does.  The
+configuration graph they read is the string-named one that
+`walker_reference.build_config_graph` builds.
 
 `test_graph_analyses.py` runs these next to the library and requires
 equal sets, verdicts, witnesses and machines.
@@ -12,11 +15,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from amp.core import PAIR, RECV, SEND, StateMachine, Word, pair, recv, send
+from amp.core import (PAIR, RECV, SEND, StateMachine, Word, maximal_capable,
+                      pair, recv, send)
 from amp.csm import Csm, is_final_config
 from amp.encoding import (ChannelParticipant, _counter_state,
                           merge_immediate_pairs)
-from amp.psm import ConfigGraph
+
+from .walker_reference import ConfigGraph
 
 
 # -- amp.core -------------------------------------------------------------
@@ -109,6 +114,33 @@ def _states_on_cycles(m: StateMachine) -> set[str]:
         if q not in index:
             strongconnect(q)
     return result
+
+
+def fer_violation(pending, out, nodes, finals):
+    """`amp.core.fer_violation` before it searched the triples last first
+    and remembered what each search found: one search per triple, first
+    to last, on edges labelled as the library's are."""
+    capable = maximal_capable(nodes, out, finals)
+    for node, channel, backlog in pending:
+        seen = {(node, 0)}
+        work = [(node, 0)]
+        while work:
+            v, consumed = work.pop()
+            if consumed == backlog:
+                if v in capable:
+                    break
+                continue
+            for label, w in out(v):
+                if label == channel:
+                    succ = (w, consumed + 1)
+                else:
+                    succ = (w, consumed)
+                if succ not in seen:
+                    seen.add(succ)
+                    work.append(succ)
+        else:
+            return node
+    return None
 
 
 # -- amp.psm --------------------------------------------------------------

@@ -480,6 +480,15 @@ def test_configuration_cap_in_validate_is_a_resource_cap(capsys):
     assert out == "unbounded channel: exploration exceeded 3 configurations\n"
 
 
+def test_configuration_cap_in_bounds_is_a_resource_cap(capsys):
+    code, out = run(capsys, "bounds", str(PROTOCOLS / "kle.psm.json"),
+                    "--config-cap", "2", "--json")
+    assert code == 3
+    assert json.loads(out) == {
+        "detail": "exploration exceeded 2 configurations",
+        "error": "ConfigCapExceeded"}
+
+
 @pytest.mark.parametrize("source,participant", [
     ("mixed_choice_toy.gt", "s"), ("kle_encoded.psm.json", "b"),
     ("kle.psm.json", "p")])

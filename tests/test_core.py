@@ -1,13 +1,14 @@
 """Tests for events, machines, and bounded trace languages."""
 
 import itertools
+import json
 import random
 
 import pytest
 
-from amp.core import (StateMachine, TraceFlags, dump_machine, expand_pairs,
-                      load_machine, machine_to_dot, maximal_traces_upto, pair,
-                      reachable, recv, send, walk)
+from amp.core import (MalformedInput, StateMachine, TraceFlags, dump_machine,
+                      expand_pairs, load_machine, machine_to_dot,
+                      maximal_traces_upto, pair, reachable, recv, send, walk)
 
 from .conftest import three_party_machine
 from .semantics import (complete_traces, languages_equal_upto,
@@ -135,6 +136,24 @@ def test_json_payloads_roundtrip():
     again = load_machine(dump_machine(machine))
     ev = [e for _, e, _ in again.transitions][0]
     assert ev.payload == StateRef("q0")
+
+
+def test_loaded_events_are_shared_only_between_equal_string_objects():
+    def document(*edges):
+        return json.dumps({"states": ["a", "b", "c"], "initial": "a",
+                           "finals": ["c"], "transitions": [
+            {"from": "a", "to": dst, "event": {
+                "kind": "send", "sender": "p", "receiver": "q",
+                "label": label, "payload": None}} for dst, label in edges]})
+
+    machine = load_machine(document(("b", "m"), ("c", "m")))
+    first, second = (ev for _, ev, _ in machine.transitions)
+    assert first is second
+    # 1 and true are equal keys, but the event to b keeps its own label.
+    with pytest.raises(MalformedInput, match="^malformed machine: True is "):
+        load_machine(document(("c", 1), ("b", True)))
+    with pytest.raises(MalformedInput, match="^malformed machine: 1 is "):
+        load_machine(document(("c", True), ("b", 1)))
 
 
 def test_eps_closure_idempotent_and_monotone():

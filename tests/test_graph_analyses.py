@@ -3,10 +3,12 @@ the per-module copies it replaced.
 
 `graph_reference` keeps the cycle finders, backward closures, maximal-run
 and feasible-eventual-reception searches and ring-counter encoders as
-they were.  Sets, verdicts, witness words and encoded machines (byte for
-byte) must be equal on random machines with epsilon edges, random CSMs
-explored with truncation, random tame protocols, the shipped corpus and
-hand-built reception failures.
+they were; its reception search reads the string-named configuration
+graph of `walker_reference`, and the library's the compiled one.  Sets,
+verdicts, witness words and encoded machines (byte for byte) must be
+equal on random labelled graphs, random machines with epsilon edges,
+random CSMs explored with truncation, random tame protocols, the shipped
+corpus and hand-built reception failures.
 """
 
 import random
@@ -16,7 +18,8 @@ import pytest
 
 from amp.cli import _load_machine
 from amp.core import (StateMachine, backward_closure, dump_machine,
-                      maximal_capable, nodes_on_cycles, pair, recv, send)
+                      fer_violation, maximal_capable, nodes_on_cycles, pair,
+                      recv, send)
 from amp.csm import Csm, explore, is_final_config, load_csm
 from amp.encoding import encode_psm
 from amp.psm import (FerViolation, NonFifo, PsmError,
@@ -26,6 +29,7 @@ from amp.transform import psm_to_regex
 from amp.typecheck import _csm_fer, check_well_annotated
 
 from . import graph_reference as reference
+from . import walker_reference
 from .conftest import random_local_tree, random_tame_psm
 from .semantics import encode_fsm
 
@@ -160,6 +164,31 @@ def test_epsilon_cycle_detection_without_recursion():
     assert not StateMachine(states, "s0", [], mixed).has_pure_eps_cycle()
 
 
+# -- feasible eventual reception on labelled graphs ----------------------
+
+
+def test_fer_violation_agrees_on_random_labelled_graphs():
+    """Many triples per channel, with backlogs up to 5, so that searches
+    meet what earlier ones found reachable and unreachable."""
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(3000):
+        size = rng.randrange(1, 12)
+        nodes = range(size)
+        edges = [[] for _ in nodes]
+        for _ in range(rng.randrange(size * 3)):
+            edges[rng.randrange(size)].append(
+                (rng.choice((None, None, 0, 1)), rng.randrange(size)))
+        finals = [v for v in nodes if rng.random() < 0.2]
+        pending = [(rng.randrange(size), rng.choice((0, 1)),
+                    rng.randrange(1, 6)) for _ in range(rng.randrange(12))]
+        stuck = fer_violation(pending, edges.__getitem__, nodes, finals)
+        assert stuck == reference.fer_violation(pending, edges.__getitem__,
+                                                nodes, finals)
+        verdicts.add(stuck is None)
+    assert verdicts == {True, False}
+
+
 # -- protocol configuration graphs: FER and its witness ------------------
 
 
@@ -170,13 +199,13 @@ def assert_fer_agrees(machine: StateMachine, **caps) -> bool:
         graph = build_config_graph(machine, **caps)
     except (NonFifo, UnboundedChannel):
         return True
+    old = walker_reference.build_config_graph(machine, **caps)
     nodes = range(len(graph.nodes))
-    finals = [i for i in nodes if graph.nodes[i][0] & graph.machine.finals]
-    out = lambda v: graph.edges.get(v, ())
-    assert (maximal_capable(nodes, out, finals)
-            == reference._maximal_capable(graph))
+    finals = [i for i in nodes if graph.finals & graph.nodes[i][0]]
+    assert (maximal_capable(nodes, graph.moves.__getitem__, finals)
+            == reference._maximal_capable(old))
     verdict = check_fer(graph)
-    assert verdict == reference.check_fer(graph)
+    assert verdict == reference.check_fer(old)
     return verdict[0]
 
 

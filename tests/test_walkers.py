@@ -4,11 +4,13 @@ against the per-module copies they replaced.
 `walker_reference` keeps the epsilon closures, reachability walks,
 subset-construction steps, bounded-word loop, parent-chain witnesses,
 type-to-machine builders, binder pruners and the two-pass tree reader
-as they were.  Sets, trace sets (key order included), machines (byte
-for byte), types, exceptions and witnesses must be equal on random
-machines with epsilon edges, random protocols that break FIFO order or
-outgrow the caps, random tame protocols projected onto every
-participant, random global and local types and the shipped corpus.
+as they were, and the string-named configuration graph, against which
+the compiled one is read back.  Sets, trace sets (key order included),
+machines (byte for byte), types, exceptions and witnesses must be equal
+on random machines with epsilon edges, random and hand-built protocols
+that break FIFO order or outgrow the caps, random tame protocols
+projected onto every participant, random global and local types and
+the shipped corpus.
 """
 
 import random
@@ -21,12 +23,13 @@ from amp import transform
 from amp.cli import _load_machine
 from amp.core import (Event, StateMachine, StateRef, dump_machine,
                       eps_closure, expand_pairs, maximal_traces_upto, pair,
-                      reachable)
+                      reachable, recv, send)
 from amp.csm import explore, load_csm
 from amp.encoding import encode_psm
 from amp.projection import subset_construction
-from amp.psm import (PsmError, build_config_graph, infer_channel_bounds,
-                     validate)
+from amp.psm import (ConfigCapExceeded, NonFifo, PsmError,
+                     UnboundedChannel, build_config_graph,
+                     infer_channel_bounds, validate)
 from amp.transform import (Choice, End, Rec, TypeSyntaxError, Var,
                            fsm_to_local_type, global_to_psm, local_to_fsm,
                            psm_to_global_type)
@@ -174,18 +177,20 @@ def test_subset_construction_agrees_on_corpus():
 
 
 def assert_config_graphs_agree(machine: StateMachine, **caps) -> None:
-    new = outcome(build_config_graph, machine, **caps)
+    graph = outcome(build_config_graph, machine, **caps)
     old = outcome(reference.build_config_graph, machine, **caps)
     if isinstance(old, tuple):
-        assert new == old
+        assert graph == old
         return
-    assert new.machine == old.machine
+    new = reference.named(graph, machine)
     assert new.nodes == old.nodes
     assert list(new.index.items()) == list(old.index.items())
     assert list(new.edges.items()) == list(old.edges.items())
     assert list(new.parent.items()) == list(old.parent.items())
+    names = sorted(old.machine.states)
+    assert {names[q] for q in graph.finals} == old.machine.finals
     for node_id in range(len(old.nodes)):
-        assert new.word_to(node_id) == old.word_to(node_id)
+        assert graph.word_to(node_id) == old.word_to(node_id)
 
 
 def test_config_graphs_agree_on_random_machines():
@@ -200,6 +205,49 @@ def test_config_graphs_agree_on_random_machines():
     assert {("NonFifo", "receive"), ("NonFifo", "complete"),
             ("UnboundedChannel", "channel"),
             ("ConfigCapExceeded", "exploration")} <= failures
+
+
+CAPPED = [
+    # p keeps sending to q, whose receive never comes: the queue fills.
+    (StateMachine({"s0"}, "s0", (), [("s0", send("p", "q", "m"), "s0")]), {},
+     UnboundedChannel),
+    # The same at a queue cap of 2, after an epsilon chain off the start.
+    (StateMachine({"s0", "s1", "s2"}, "s0", (),
+                  [("s0", None, "s1"), ("s1", None, "s2"),
+                   ("s2", send("p", "q", "m"), "s2")]), {"queue_cap": 2},
+     UnboundedChannel),
+    # q takes b while a heads the channel.
+    (StateMachine({"s0", "s1", "s2", "s3"}, "s0", {"s3"},
+                  [("s0", send("p", "q", "a"), "s1"),
+                   ("s1", send("p", "q", "b"), "s2"),
+                   ("s2", recv("p", "q", "b"), "s3")]), {}, NonFifo),
+    # q takes a message nobody sends, after epsilon moves.
+    (StateMachine({"s0", "s1", "s2", "s3", "s4"}, "s0", {"s4"},
+                  [("s0", None, "s1"), ("s1", send("p", "q", "a"), "s2"),
+                   ("s2", None, "s3"), ("s3", recv("p", "q", "c"), "s4")]),
+     {}, NonFifo),
+    # An exchange loop outgrows a cap of 3 configurations.
+    (StateMachine({"s0", "s1", "s2"}, "s0", {"s2"},
+                  [("s0", None, "s1"), ("s1", pair("p", "q", "a"), "s1"),
+                   ("s1", pair("q", "r", "b"), "s2")]), {"config_cap": 3},
+     ConfigCapExceeded),
+    # Epsilon chains off the start into a branch: no error.
+    (StateMachine({"s0", "s1", "s2", "s3", "s4"}, "s0", {"s4"},
+                  [("s0", None, "s1"), ("s1", None, "s2"),
+                   ("s0", None, "s3"), ("s2", pair("p", "q", "a"), "s4"),
+                   ("s3", pair("p", "q", "a"), "s4"),
+                   ("s3", pair("q", "p", "b"), "s4")]), {}, None),
+]
+
+
+@pytest.mark.parametrize("machine, caps, error", CAPPED)
+def test_config_graphs_agree_on_hand_built_failures(machine, caps, error):
+    assert_config_graphs_agree(machine, **caps)
+    result = outcome(build_config_graph, machine, **caps)
+    if error is None:
+        assert len(result.nodes) > 1
+    else:
+        assert result[0] is error
 
 
 def test_config_graphs_agree_on_corpus():

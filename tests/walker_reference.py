@@ -4,9 +4,11 @@ they stood before `amp.core` held one copy of each, kept as a test-only
 reference: verbatim but for absolute imports, for the configuration
 cap's exception, which became its own class, for the `StateMachine`
 methods and `ConfigGraph.word_to`, which take their object as `self`,
-for `witness`, which takes the parent map that the exploration report
-no longer builds, and for calls among these walkers, which go to the
-copies here.  The type builders and pruners are ported to the one
+for the string-named `ConfigGraph` itself, which `amp.psm` replaced by
+one on the machine compiled to integers (`named` reads that one back
+to this form), for `witness`, which takes the parent map that the
+exploration report no longer builds, and for calls among these
+walkers, which go to the copies here.  The type builders and pruners are ported to the one
 session-type representation of `amp.transform`, whose choices hold
 events: the local builder reads its events off the branches instead of
 building them from a participant.  `_read_tree` is the tree reader as
@@ -23,14 +25,15 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Optional
 
 from amp.core import (Event, PAIR, RECV, SEND, StateMachine, TraceFlags,
                       TraceSet, Word, expand_pairs, queue_get, queue_set,
                       recv, send)
 from amp.csm import Configuration
-from amp.psm import (DEFAULT_CONFIG_CAP, Config, ConfigCapExceeded,
-                     ConfigGraph, NonFifo, UnboundedChannel)
+from amp.psm import (DEFAULT_CONFIG_CAP, ConfigCapExceeded, NonFifo,
+                     UnboundedChannel)
 from amp.transform import (Choice, End, Rec, SessionType, Var,
                            _check_global, _recursion_vars)
 
@@ -161,13 +164,46 @@ def subset_construction(machine: StateMachine, participant: str) -> StateMachine
 # -- amp.psm ------------------------------------------------------------------
 
 
-class ReferenceConfigGraph(ConfigGraph):
+Config = tuple[frozenset, tuple]  # (state set, sorted non-empty channel queues)
+
+
+@dataclass
+class ConfigGraph:
+    """Reachable (state set, channel contents) nodes of a machine."""
+
+    machine: StateMachine
+    nodes: list = field(default_factory=list)
+    index: dict = field(default_factory=dict)
+    edges: dict = field(default_factory=dict)   # node id -> tuple[(Event, id)]
+    parent: dict = field(default_factory=dict)  # node id -> (id, Event)
+
     def word_to(self, node_id: int) -> Word:
         events = []
         while node_id in self.parent:
             node_id, ev = self.parent[node_id]
             events.append(ev)
         return tuple(reversed(events))
+
+
+def named(graph, machine: StateMachine) -> ConfigGraph:
+    """`amp.psm.build_config_graph(machine)` read back to state names,
+    events and channel queues of (label, payload key) messages."""
+    machine = expand_pairs(machine).trim()
+    names = sorted(machine.states)
+    letters = graph.letters
+    result = ConfigGraph(machine)
+    for i, (states, queues) in enumerate(graph.nodes):
+        node = (frozenset(names[q] for q in states),
+                tuple((channel, tuple(letters[r].message() for r in content))
+                      for channel, content in zip(graph.channels, queues)
+                      if content))
+        result.nodes.append(node)
+        result.index[node] = i
+        result.edges[i] = tuple((letters[r], j) for r, j in graph.moves[i])
+        if i:
+            source, r = graph.parent[i]
+            result.parent[i] = (source, letters[r])
+    return result
 
 
 def build_config_graph(machine: StateMachine, *,
@@ -182,7 +218,7 @@ def build_config_graph(machine: StateMachine, *,
     machine = expand_pairs(machine).trim()
     if queue_cap is None:
         queue_cap = max(4, 2 * len(machine.states))
-    graph = ReferenceConfigGraph(machine)
+    graph = ConfigGraph(machine)
     start: Config = (eps_closure(machine, {machine.initial}), ())
     graph.nodes.append(start)
     graph.index[start] = 0
