@@ -311,14 +311,6 @@ class StateMachine:
         trimmed._trimmed = True
         return trimmed
 
-    def rename(self, mapping: Mapping[str, str]) -> "StateMachine":
-        def m(q: str) -> str:
-            return mapping.get(q, q)
-
-        return StateMachine({m(q) for q in self.states}, m(self.initial),
-                            {m(q) for q in self.finals},
-                            [(m(s), e, m(d)) for s, e, d in self.transitions])
-
 
 # -- graph analyses -----------------------------------------------------
 #
@@ -689,20 +681,36 @@ def machine_from_json(data) -> StateMachine:
                 if {str, type(None)}.issuperset(map(type, event.values())):
                     events[key] = ev
             transitions.append((src, ev, dst))
-        machine = StateMachine(states, initial, finals, transitions)
+        names = list(states)
+        for src, ev, dst in transitions:
+            names += (src, dst) if ev is None else (
+                src, dst, ev.sender, ev.receiver, ev.label)
+        if not set(map(type, names)) <= {str}:
+            raise MalformedInput(f"malformed machine: "
+                                 f"{_odd_name(states, transitions)!r} is "
+                                 f"not a string")
+        return StateMachine(states, initial, finals, transitions)
     except MalformedInput:
         raise
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"malformed machine: {exc}") from None
-    # Other types would meet strings where names are sorted together.
-    names = list(machine.states)
-    for _, ev, _ in machine.transitions:
-        if ev is not None:
-            names += (ev.sender, ev.receiver, ev.label)
-    odd = [name for name in names if not isinstance(name, str)]
-    if odd:
-        raise MalformedInput(f"malformed machine: {odd[0]!r} is not a string")
-    return machine
+
+
+def _odd_name(states, transitions: list):
+    """The first name that is not a string: the states in their order,
+    then each transition's, transitions in the order a machine sorts
+    them.  A machine would compare such a name with strings in an order
+    that follows the hash seed; here it ties after every string, and
+    ties keep the document's order."""
+    def names(t):
+        src, ev, dst = t
+        return (src, dst) if ev is None else (
+            src, ev.sender, ev.receiver, ev.label, dst)
+
+    ordered = sorted(transitions, key=lambda t: [
+        (0, name) if isinstance(name, str) else (1,) for name in names(t)])
+    every = [*states, *(name for t in ordered for name in names(t))]
+    return next(name for name in every if not isinstance(name, str))
 
 
 # -- writing documents ------------------------------------------------------

@@ -3,10 +3,12 @@
 Bounded channels are rewritten to route each message through a ring of
 forwarder participants, one per buffer slot, turning deferred receives
 into immediately-received exchanges.  Protocol machines are encoded
-(`encode_psm`), and projected machines over the forwarders are decoded
-back to the original channels (`decode_fsm`).  The encoding of single
-words and of one participant's machine is kept as a test-only check in
-`tests/semantics.py`.
+(`encode_psm`), walking ring counters only where a ring has two or more
+slots.  Events over the forwarders are decoded back to the original
+channels one at a time (`decode_event`, which projection reads through
+one table per protocol), or a whole machine at once (`decode_fsm`).  The
+encoding of single words and of one participant's machine is kept as a
+test-only check in `tests/semantics.py`.
 """
 
 from __future__ import annotations
@@ -74,8 +76,12 @@ def merge_immediate_pairs(machine: StateMachine, bounds: dict) -> StateMachine:
     transitions = [replaced.get(t, t) for t in machine.transitions
                    if t[0] not in drop]
     states = machine.states - frozenset(drop)
-    return StateMachine(states, machine.initial, machine.finals & states,
-                        transitions).trim()
+    merged = StateMachine(states, machine.initial, machine.finals & states,
+                          transitions)
+    # A dropped state lay between a send and its receive, which are now
+    # one move: a trimmed machine stays trimmed.
+    merged._trimmed = machine._trimmed
+    return merged.trim()
 
 
 def _counter_state(q: str, snd: tuple, rcv_: tuple) -> str:
@@ -138,10 +144,11 @@ def encode_psm(machine: StateMachine, bounds: dict) -> StateMachine:
 
     States carry ring counters for each bounded channel; transitions on
     bounded channels become paired exchanges with the forwarder at the
-    current counter.  With empty bounds this is the identity.
+    current counter.  With no ring of two or more slots no counter moves,
+    so the merged machine is relabelled, or kept where no event needs
+    that, as with empty bounds.
     """
     machine = merge_immediate_pairs(machine, bounds)
-    # Rings of size one have a constant counter; no need to track them.
     channels = tuple(sorted(ch for ch, b in bounds.items() if b >= 2))
 
     def hop(ev: Event, cp: str) -> Optional[Event]:
@@ -151,7 +158,14 @@ def encode_psm(machine: StateMachine, bounds: dict) -> StateMachine:
             return pair(ev.sender, cp, ev.label, ev.payload)
         return pair(cp, ev.receiver, ev.label, ev.payload)
 
-    return _thread_counters(machine, bounds, channels, channels, hop)
+    if channels:
+        return _thread_counters(machine, bounds, channels, channels, hop)
+    if all(ev is None or ev.kind == PAIR for _, ev, _ in machine.transitions):
+        return machine
+    return StateMachine(machine.states, machine.initial, machine.finals, [
+        (src, None if ev is None else
+         hop(ev, ChannelParticipant(*ev.channel, 0).name) or ev, dst)
+        for src, ev, dst in machine.transitions])
 
 
 # -- per-participant machines ----------------------------------------------

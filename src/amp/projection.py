@@ -1,6 +1,7 @@
 """Projection: subset construction per participant, the tame-PSM
-pipeline (encode, project, decode), whether a CSM implements a protocol
-(`check_against`), and strong-projection analysis.
+pipeline (encode, project, write each component on the protocol's
+channels), whether a CSM implements a protocol (`check_against`), and
+strong-projection analysis.
 
 `project_tame` compiles the protocol it projects, the encoded protocol
 (determinised when it is not deterministic), to integers once
@@ -8,13 +9,13 @@ pipeline (encode, project, decode), whether a CSM implements a protocol
 sender, its receiver and the ranks of its send and receive letters in
 `Event.sort_key` order.  Each participant's and forwarder's subset
 construction (`Subsets`), `subset_validity` with its channel-head
-search, and Hopcroft's refinement with the breadth-first numbering of
-the classes all run on those ints.  `minimize` builds the first
-`StateMachine` of a component; `project_tame` then decodes it
-(`decode_fsm`) and renames its states after the participant
-(`canonical_names`).  `Subsets` is the one subset-construction loop and
-`minimize` the one Hopcroft loop; the determinisation of a candidate
-component in `check_against` runs the same loop.
+search, and Hopcroft's refinement (`minimize`, which returns the
+breadth-first numbered `Classes`) all run on those ints.  Each
+component's one `StateMachine` is written from its classes, events
+decoded through one table per protocol (`_machine_of`).  `Subsets` is
+the one subset-construction loop and `minimize` the one Hopcroft loop;
+the determinisation of a candidate component in `check_against` runs
+the same loop.
 
 Projectability is decided on the validity conditions of the subset
 projection, Send Validity and Receive Validity on every subset state
@@ -31,8 +32,8 @@ from typing import Optional
 from .core import (Event, PAIR, RECV, SEND, StateMachine, parent_word,
                    reachable, recv, send, walk)
 from .csm import Csm, ProjectionVerdict, check_projection
-from .encoding import (channel_participants, decode_event, decode_fsm,
-                       encode_psm, is_amicable, parse_channel_participant)
+from .encoding import (channel_participants, decode_event, encode_psm,
+                       is_amicable, parse_channel_participant)
 from .fifo import show_word
 from .psm import (Psm, PsmError, UnboundedLoop, infer_channel_bounds,
                   single_sender_branching, validate)
@@ -49,11 +50,13 @@ class _Compiled:
     of -1, or an epsilon move with sender and receiver -1, is silent to
     it.  `letters[r]` is the letter of rank r, letters ranked in
     `Event.sort_key` order, and `participants` numbers the names of the
-    senders and receivers.
+    senders and receivers.  `silent[i]` lists state i's successors, as
+    silent moves, and `takes_part[p]` the states where participant
+    number p moves.
     """
 
     __slots__ = ("names", "initial", "finals", "out", "letters",
-                 "participants")
+                 "participants", "silent", "takes_part")
 
     def __init__(self, states, initial: str, finals, transitions):
         self.names = sorted(states)
@@ -79,10 +82,13 @@ class _Compiled:
         coded = {ev: (people[ev.sender], people[ev.receiver], rank[snd],
                       rank[rcv]) for ev, (snd, rcv) in sides.items()}
         coded[None] = (-1, -1, -1, -1)
-        out = [[] for _ in self.names]
+        self.out = [[] for _ in self.names]
+        self.takes_part: dict = {}
         for src, ev, dst in transitions:
-            out[number[src]].append(coded[ev] + (number[dst],))
-        self.out = out
+            self.out[number[src]].append(coded[ev] + (number[dst],))
+            for p in coded[ev][:2]:
+                self.takes_part.setdefault(p, set()).add(number[src])
+        self.silent = [[move[4] for move in row] for row in self.out]
 
 
 class Subsets:
@@ -170,22 +176,33 @@ def subset_construction(protocol: _Compiled, participant: str) -> Subsets:
     participant and determinise: the moves the participant does not see
     are silent."""
     me = protocol.participants.get(participant)
-    silent, visible = [], []
-    for row in protocol.out:
+    silent = protocol.silent.copy()
+    visible = [()] * len(silent)
+    for q in protocol.takes_part.get(me, ()):
         quiet, seen = [], []
-        for sender, receiver, snd, rcv, dst in row:
+        for sender, receiver, snd, rcv, dst in protocol.out[q]:
             label = snd if sender == me else rcv if receiver == me else -1
             if label < 0:
                 quiet.append(dst)
             else:
                 seen.append((label, dst))
-        silent.append(quiet)
-        visible.append(seen)
+        silent[q], visible[q] = quiet, seen
     return Subsets(protocol.initial, protocol.finals, silent, visible,
                    protocol.letters, protocol.names)
 
 
-def minimize(machine: Subsets) -> StateMachine:
+@dataclass
+class Classes:
+    """`minimize`'s classes, numbered breadth first from the initial
+    one's: class i merges the subset states `states[i]`, `moves[i]`
+    lists its (rank, class) moves by rank, and `finals` the final ones."""
+
+    states: list
+    moves: list
+    finals: frozenset
+
+
+def minimize(machine: Subsets) -> Classes:
     """Merge the states of a subset construction that no word tells
     apart: each word can be read from both or from neither, and ends in
     a final state from both or from neither.
@@ -199,10 +216,10 @@ def minimize(machine: Subsets) -> StateMachine:
     States that reach no final state are kept: in a subset machine such
     a state is a participant that has stopped while the protocol goes on
     without it, which the component must still reach.  Every subset
-    state is reachable, and the classes are named s0, s1, ... in
-    breadth-first order, as `canonical_names` numbers them.
+    state is reachable, and the classes are numbered in breadth-first
+    order along their moves by rank.
     """
-    moves, finals, letters = machine.moves, machine.finals, machine.letters
+    moves, finals = machine.moves, machine.finals
     n = len(moves)
     incoming: list = [[] for _ in range(n)]  # dst -> its (letter, source)s
     for q, row in enumerate(moves):
@@ -248,29 +265,40 @@ def minimize(machine: Subsets) -> StateMachine:
     # each class's moves off one member.
     number = {block_of[0]: 0}
     order = [block_of[0]]
-    transitions = []
-    for i, b in enumerate(order):
+    rows = []
+    for b in order:
+        row = []
         for label, dst in moves[next(iter(blocks[b]))]:
             c = block_of[dst]
             j = number.get(c)
             if j is None:
                 j = number[c] = len(order)
                 order.append(c)
-            transitions.append((i, label, j))
-    names = [f"s{i}" for i in range(len(order))]
-    return StateMachine(names, "s0",
-                        {names[number[block_of[q]]] for q in finals},
+            row.append((label, j))
+        rows.append(row)
+    return Classes([blocks[b] for b in order], rows,
+                   frozenset(number[block_of[q]] for q in finals))
+
+
+def _machine_of(classes: Classes, letters, prefix: str) -> StateMachine:
+    """`classes` as a machine whose moves of rank r read `letters[r]`,
+    each class named `prefix` and its place breadth first along moves
+    sorted by letter, then by class number as a string: the order in
+    which a machine with the classes named s0, s1, ... lists them."""
+    def successors(i: int) -> list:
+        row = classes.moves[i]
+        if len(row) > 1:
+            row = sorted(row, key=lambda move: (letters[move[0]].sort_key(),
+                                                str(move[1])))
+        return [j for _, j in row]
+
+    names = [""] * len(classes.moves)
+    for k, i in enumerate(walk((0,), successors)):
+        names[i] = f"{prefix}{k}"
+    return StateMachine(names, names[0], [names[i] for i in classes.finals],
                         [(names[i], letters[label], names[j])
-                         for i, label, j in transitions])
-
-
-def canonical_names(machine: StateMachine, prefix: str) -> StateMachine:
-    """Rename states to `prefix`0, `prefix`1, ... in breadth-first
-    transition order, unreachable states last in sorted order."""
-    order = list(walk((machine.initial,),
-                      lambda q: [dst for _, dst in machine.out(q)]))
-    order += sorted(machine.states.difference(order))
-    return machine.rename({q: f"{prefix}{i}" for i, q in enumerate(order)})
+                         for i, row in enumerate(classes.moves)
+                         for label, j in row])
 
 
 class NotTame(PsmError):
@@ -506,11 +534,14 @@ def project_tame(source) -> ProjectionResult:
         if failure is not None:
             raise failure
         minimal[name] = minimize(subsets)
-    if cps and not is_amicable(minimal, bounds):
+    if cps and not is_amicable({name: _machine_of(m, protocol.letters, "s")
+                                for name, m in minimal.items()}, bounds):
         raise NotProjectable("forwarder components are not amicable")
 
-    # Distinct state names across components, so the CSM can type sessions.
-    csm = Csm({p: canonical_names(decode_fsm(minimal[p]), prefix=f"{p}_")
+    # Components on the protocol's channels, with states named after their
+    # participant, so that the CSM can type sessions.
+    decoded = list(map(decode_event, protocol.letters))
+    csm = Csm({p: _machine_of(minimal[p], decoded, f"{p}_")
                for p in participants})
     return ProjectionResult(csm, bounds)
 

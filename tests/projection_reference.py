@@ -8,11 +8,14 @@ decided by the subset projection conditions; and the subset
 construction, Hopcroft's `minimize`, `subset_validity` and
 `project_tame` on string-named machines, as they stood before
 projection ran on a protocol compiled to integers (the `named_` and
-`hopcroft_` functions).  Kept as a test-only reference, verbatim but
+`hopcroft_` functions), with `canonical_names`, which renamed each
+decoded component before the library wrote components straight from
+its classes.  Kept as a test-only reference, verbatim but
 for absolute imports, the memo that the library's `canon` takes, here a
 fresh one per call, the names of the library functions that
 `project_tame` calls, the compiled protocol (`compiled`) that the
-library's `subset_construction` takes, the prefix that `canonical_names`
+library's `subset_construction` takes, the library's classes read as a
+machine (`minimal_machine`), the prefix that `canonical_names`
 takes, and the fields of the `ProjectionResult` it returns, which no
 longer carries the validity report, the verdict and the encoded
 protocol.
@@ -45,8 +48,8 @@ from amp.encoding import (channel_participants, decode_event, decode_fsm,
                           machine_is_forwarding, parse_channel_participant)
 from amp.fifo import show_word
 from amp.projection import (NotProjectable, NotTame, ProjectionResult,
-                            _Compiled, _first_word, _lost_final,
-                            canonical_names, subset_construction)
+                            Subsets, _Compiled, _first_word, _lost_final,
+                            _machine_of, subset_construction)
 from amp.projection import minimize as library_minimize
 from amp.psm import (Psm, UnboundedLoop, _has_return_chain,
                      detected_channels, single_sender_branching, validate)
@@ -54,7 +57,7 @@ from amp.psm import infer_channel_bounds as library_infer_channel_bounds
 from amp.transform import (Regex, brz_deriv, canon, first_letters, nullable,
                            regex_contains_eps, remove_eps)
 
-from .semantics import is_channel_ordered
+from .semantics import is_channel_ordered, rename
 from .walker_reference import _local_label
 
 
@@ -66,6 +69,22 @@ def compiled(machine: StateMachine) -> _Compiled:
     projects, for `subset_construction`."""
     return _Compiled(machine.states, machine.initial, machine.finals,
                      machine.transitions)
+
+
+def minimal_machine(subsets: Subsets) -> StateMachine:
+    """The library's `minimize(subsets)` as the machine it returned
+    before it returned its classes: class i named s{i}, and each move
+    reading its letter."""
+    return _machine_of(library_minimize(subsets), subsets.letters, "s")
+
+
+def canonical_names(machine: StateMachine, prefix: str) -> StateMachine:
+    """Rename states to `prefix`0, `prefix`1, ... in breadth-first
+    transition order, unreachable states last in sorted order."""
+    order = list(walk((machine.initial,),
+                      lambda q: [dst for _, dst in machine.out(q)]))
+    order += sorted(machine.states.difference(order))
+    return rename(machine, {q: f"{prefix}{i}" for i, q in enumerate(order)})
 
 
 def minimize(machine: StateMachine) -> StateMachine:
@@ -340,10 +359,10 @@ def project_tame(source, *, k: int = 6) -> ProjectionResult:
     cps = channel_participants(bounds)
 
     protocol = compiled(encoded)
-    projections = {p: library_minimize(subset_construction(protocol, p))
+    projections = {p: minimal_machine(subset_construction(protocol, p))
                    for p in sorted(participants)}
-    cp_machines = {cp.name: library_minimize(subset_construction(protocol,
-                                                                 cp.name))
+    cp_machines = {cp.name: minimal_machine(subset_construction(protocol,
+                                                                cp.name))
                    for cp in cps}
 
     validity = check_validity({**projections, **cp_machines})

@@ -14,6 +14,10 @@ named next to it:
 - `machine_isomorphic`: a backtracking state renaming; checks the
   machines that `project_tame`, `encode_psm` and `decode_fsm` build
   against hand-drawn ones, up to state names.
+- `rename`: a machine with its states renamed, as the method
+  `StateMachine.rename` did before only tests called it; builds the
+  copies that `machine_isomorphic` and the reference `canonical_names`
+  of `projection_reference.py` read.
 
 `amp.csm`
 - `initial_config`, `is_final_sink_config`: the start configuration and
@@ -103,6 +107,15 @@ def languages_equal_upto(a: StateMachine, b: StateMachine, k: int) -> bool:
     tb = maximal_traces_upto(b, k)
     return (complete_traces(ta) == complete_traces(tb)
             and extendable_traces(ta) == extendable_traces(tb))
+
+
+def rename(machine: StateMachine, mapping: Mapping[str, str]) -> StateMachine:
+    def m(q: str) -> str:
+        return mapping.get(q, q)
+
+    return StateMachine({m(q) for q in machine.states}, m(machine.initial),
+                        {m(q) for q in machine.finals},
+                        [(m(s), e, m(d)) for s, e, d in machine.transitions])
 
 
 def machine_isomorphic(a: StateMachine, b: StateMachine) -> Optional[dict[str, str]]:
@@ -624,7 +637,7 @@ def psm_deriv_rooted(machine: StateMachine, new_root: str) -> StateMachine:
         if e is None and d == root:
             # Back edge to the removed root: splice in a copy of the machine.
             suffix = f"^{next(copies)}"
-            renamed = machine.rename({q: q + suffix for q in machine.states})
+            renamed = rename(machine, {q: q + suffix for q in machine.states})
             states |= renamed.states
             finals |= renamed.finals
             transitions.extend(renamed.transitions)
@@ -633,7 +646,7 @@ def psm_deriv_rooted(machine: StateMachine, new_root: str) -> StateMachine:
             transitions.append((s, e, d))
     if new_root == root:  # the a-edge looped straight back
         suffix = f"^{next(copies)}"
-        renamed = machine.rename({q: q + suffix for q in machine.states})
+        renamed = rename(machine, {q: q + suffix for q in machine.states})
         return renamed
     return StateMachine(states, new_root, finals, transitions).trim()
 
@@ -645,7 +658,7 @@ def _union_at_root(machines: list[StateMachine]) -> StateMachine:
     transitions: list = []
     is_final = False
     for i, m in enumerate(machines):
-        renamed = m.rename({q: f"{q}@{i}" for q in m.states})
+        renamed = rename(m, {q: f"{q}@{i}" for q in m.states})
         states |= renamed.states
         finals |= set(renamed.finals)
         transitions.extend(renamed.transitions)

@@ -27,7 +27,7 @@ from amp.core import StateMachine, dump_machine, recv, send
 from amp.csm import (Csm, ProjectionVerdict, check_projection, dump_csm,
                      load_csm)
 from amp.encoding import decode_fsm, encode_psm
-from amp.projection import (NotProjectable, NotTame, check_against, minimize,
+from amp.projection import (NotProjectable, NotTame, check_against,
                             project_tame, subset_construction)
 from amp.psm import infer_channel_bounds, validate
 from perfbench import generators as gen
@@ -47,8 +47,8 @@ def unchecked_projection(psm) -> Csm:
     machine = psm.machine.trim()
     protocol = reference.compiled(encode_psm(machine,
                                              infer_channel_bounds(psm)))
-    return Csm({p: decode_fsm(minimize(subset_construction(protocol, p)))
-                for p in machine.participants()})
+    return Csm({p: decode_fsm(reference.minimal_machine(
+        subset_construction(protocol, p))) for p in machine.participants()})
 
 
 def plain_projection(psm) -> Csm:
@@ -57,7 +57,7 @@ def plain_projection(psm) -> Csm:
     the channels need no forwarder."""
     machine = psm.machine.trim()
     protocol = reference.compiled(machine)
-    return Csm({p: minimize(subset_construction(protocol, p))
+    return Csm({p: reference.minimal_machine(subset_construction(protocol, p))
                 for p in machine.participants()})
 
 

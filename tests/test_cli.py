@@ -113,12 +113,12 @@ def test_encode_and_decode_fsm_roundtrip(tmp_path, capsys):
                for s in data["transitions"])
 
     from amp.core import dump_machine, load_machine
-    from amp.projection import minimize, subset_construction
-    from .projection_reference import compiled
+    from amp.projection import subset_construction
+    from .projection_reference import compiled, minimal_machine
     local_file = tmp_path / "e_local.json"
     encoded = load_machine(encoded_file.read_text())
     local_file.write_text(dump_machine(
-        minimize(subset_construction(compiled(encoded), "e"))))
+        minimal_machine(subset_construction(compiled(encoded), "e"))))
     code, out = run(capsys, "decode-fsm", str(local_file))
     assert code == 0
     decoded = json.loads(out)
@@ -350,6 +350,26 @@ def test_wrong_shaped_file_is_a_usage_error(tmp_path, capsys, command,
     bad.write_text(json.dumps(document))
     assert main([command, str(bad)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_mixed_label_types_name_one_label_under_every_hash_seed(tmp_path):
+    """Labels "x" and 1 on two sends of one state: sorting the machine's
+    transitions would compare them in an order that follows the hash
+    seed, so the names are checked first."""
+    sends = [{"from": "a", "to": dst, "event": {
+        "kind": "send", "sender": "p", "receiver": "q", "label": label}}
+        for dst, label in (("b", "x"), ("c", 1))]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"states": ["a", "b", "c"], "initial": "a",
+                               "finals": ["b", "c"], "transitions": sends}))
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", "amp.cli", "validate", str(bad)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (
+            2, "error: malformed machine: 1 is not a string\n"), seed
 
 
 def test_check_csm_against_a_wrong_shaped_machine_is_a_usage_error(

@@ -1,5 +1,7 @@
 """Tests for the forwarder encoding of words and machines."""
 
+import random
+
 import pytest
 
 from amp.core import StateMachine, maximal_traces_upto, recv, send
@@ -7,9 +9,10 @@ from amp.encoding import (ChannelParticipant, decode_fsm, encode_psm,
                           machine_is_forwarding, merge_immediate_pairs,
                           parse_channel_participant)
 from amp.fifo import closure_upto
-from amp.psm import validate
+from amp.psm import PsmError, infer_channel_bounds, validate
 
 from .conftest import (kle_encoded_expected, kle_machine, random_fifo_word,
+                       random_looping_protocol, random_tame_psm,
                        three_party_machine)
 from .semantics import (ALMOST, FORWARDING, NO, channel_participant_machine,
                         is_channel_ordered,
@@ -109,6 +112,23 @@ def test_merge_immediate_pairs():
     assert all(ev.kind == "pair" for _, ev, _ in merged.transitions
                if ev is not None)
     assert len(merged.states) == 10
+
+
+def test_merging_a_trimmed_machine_keeps_it_trimmed():
+    """`merge_immediate_pairs` does not trim again what was trimmed: the
+    merged machine, built afresh, must trim to itself."""
+    rng = random.Random(29)
+    for trial in range(300):
+        machine = (random_tame_psm(rng) if trial % 2
+                   else random_looping_protocol(rng)[0])
+        try:
+            psm = validate(machine)
+            bounds = infer_channel_bounds(psm)
+        except PsmError:
+            continue
+        merged = merge_immediate_pairs(psm.machine.trim(), bounds)
+        assert StateMachine(merged.states, merged.initial, merged.finals,
+                            merged.transitions).trim() == merged
 
 
 def test_merge_rejects_deferred_receive_on_unbounded_channel():

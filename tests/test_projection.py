@@ -7,8 +7,7 @@ from amp.core import StateMachine, dump_machine, recv, send
 from amp.csm import ProjectionVerdict, check_projection, explore
 from amp.encoding import merge_immediate_pairs
 from amp.projection import (NotProjectable, NotTame, _whole, check_against,
-                            minimize, project_tame, strong_report,
-                            subset_construction)
+                            project_tame, strong_report, subset_construction)
 from amp.psm import validate
 from amp.transform import global_to_psm, parse_global_type
 
@@ -16,7 +15,7 @@ from .conftest import (kle_expected_local_e, kle_machine,
                        one_buyer_seller_expected, three_party_csm,
                        three_party_machine)
 from .goldengen import ONE_BUYER_GT
-from .projection_reference import check_validity, compiled
+from .projection_reference import check_validity, compiled, minimal_machine
 from .semantics import languages_equal_upto, machine_isomorphic
 
 
@@ -31,7 +30,7 @@ def test_subset_construction_one_buyer_seller():
 def test_subset_construction_merges_relay_branches():
     """The relay cannot tell the first two branches apart."""
     machine = merge_immediate_pairs(three_party_machine(), {})
-    relay = minimize(subset_construction(compiled(machine), "r"))
+    relay = minimal_machine(subset_construction(compiled(machine), "r"))
     assert len(relay.states) == 4
     assert relay.is_deterministic()
 
@@ -157,7 +156,7 @@ def test_minimize_merges_equivalent_states():
         {"a", "b", "c", "d", "e"}, "a", {"d", "e"},
         [("a", send("p", "q", "x"), "b"), ("a", send("p", "q", "y"), "c"),
          ("b", send("p", "q", "z"), "d"), ("c", send("p", "q", "z"), "e")])
-    merged = minimize(_whole(machine))
+    merged = minimal_machine(_whole(machine))
     assert len(merged.states) == 3
     assert languages_equal_upto(machine, merged, 5)
 

@@ -363,7 +363,8 @@ KLE_BOUNDS = {("e", "o"): 1, ("o", "e"): 1}
 def components_of(machine: StateMachine, bounds: dict) -> dict:
     encoded = encode_psm(machine, bounds)
     protocol = reference.compiled(encoded)
-    return {name: minimize(subset_construction(protocol, name))
+    return {name: reference.minimal_machine(subset_construction(protocol,
+                                                                name))
             for name in sorted(encoded.participants())}
 
 

@@ -18,11 +18,12 @@ import random
 
 import pytest
 
+from amp import encoding, projection
 from amp.cli import _load_machine
 from amp.core import StateMachine, dump_machine, load_machine, recv, send
 from amp.csm import dump_csm
 from amp.encoding import channel_participants, encode_psm
-from amp.projection import minimize, project_tame, subset_construction
+from amp.projection import project_tame, subset_construction
 from amp.psm import PsmError, infer_channel_bounds, validate
 from amp.transform import global_to_psm, parse_global_type
 from perfbench import generators as gen
@@ -66,8 +67,8 @@ def assert_components_agree(machine: StateMachine) -> None:
         assert dump_machine(StateMachine(*subsets.named())) == \
             dump_machine(named)
         assert len(subsets.states) == len(named.states)
-        assert dump_machine(minimize(subsets)) == dump_machine(
-            reference.hopcroft_minimize(named))
+        assert dump_machine(reference.minimal_machine(subsets)) == \
+            dump_machine(reference.hopcroft_minimize(named))
 
 
 def gt(text: str) -> StateMachine:
@@ -144,10 +145,44 @@ def test_component_states_follow_the_decoded_machine():
     assert_components_agree(machine)
     result = project_tame(machine)
     assert result.bounds == {("p", "r"): 1}
-    minimal = minimize(subset_construction(
+    minimal = reference.minimal_machine(subset_construction(
         reference.compiled(encode_psm(machine, result.bounds)), "p"))
     assert ("s0", send("p", "(p,r)0", "a"), "s1") in minimal.transitions
     component = result.csm.components["p"]
     assert component.finals == {"p_1"}
     assert set(component.transitions) == {
         ("p_0", m, "p_1"), ("p_0", a, "p_2"), ("p_2", n, "p_1")}
+
+
+@pytest.mark.parametrize("family,built,walked", [
+    (lambda rng: gen.linear_psm(gen.chain_messages(30, rng)), 4, False),
+    (lambda rng: gen.diamonds(2, rng), 10, False),
+    (lambda rng: gen.burst(3, rng), 9, True)],
+    ids=["chain(30)", "diamonds(2)", "burst(3)"])
+def test_projection_builds_only_the_machines_it_writes(monkeypatch, family,
+                                                       built, walked):
+    """The merged protocol, the encoding where some event goes through a
+    forwarder, the machines `is_amicable` reads and builds where there
+    are forwarders, and one component per participant: no decoded or
+    renamed copy, and no ring counter walked without a ring of two or
+    more slots."""
+    psm = validate(load_machine(gen.dump(family(random.Random(1)))))
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(StateMachine, "__init__",
+                        counted("machine", StateMachine.__init__))
+    for module in (encoding, projection):
+        for name in ("decode_fsm", "_thread_counters"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    project_tame(psm)
+    assert calls.count("machine") == built
+    assert "decode_fsm" not in calls
+    assert ("_thread_counters" in calls) == walked
