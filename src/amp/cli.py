@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import importlib.util
 import json
 import sys
@@ -508,11 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit code.  The cyclic collector is off while it
+    runs (its working set lives until it ends), and on after it if it was."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except OSError as exc:
@@ -536,6 +541,9 @@ def main(argv=None) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return RESOURCE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -141,11 +141,15 @@ class Event:
         return self._key
 
     def letters(self) -> tuple["Event", ...]:
-        """The trace letters this transition label contributes."""
-        if self.kind == PAIR:
-            return (Event(SEND, self.sender, self.receiver, self.label, self.payload),
-                    Event(RECV, self.sender, self.receiver, self.label, self.payload))
-        return (self,)
+        """The trace letters this transition label contributes; a pair's
+        are built once, outside the fields that compare, print and pickle."""
+        if self.kind != PAIR:
+            return (self,)
+        if "_letters" not in self.__dict__:
+            self.__dict__["_letters"] = (
+                Event(SEND, self.sender, self.receiver, self.label, self.payload),
+                Event(RECV, self.sender, self.receiver, self.label, self.payload))
+        return self.__dict__["_letters"]
 
     def message(self) -> tuple[str, str]:
         return (self.label, payload_key(self.payload))

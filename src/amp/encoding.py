@@ -57,27 +57,29 @@ def channel_participants(bounds: dict) -> tuple[ChannelParticipant, ...]:
 
 def merge_immediate_pairs(machine: StateMachine, bounds: dict) -> StateMachine:
     """Fuse send transitions on unbounded channels with their immediate
-    receives into paired events; bounded-channel events stay separate."""
-    replaced: dict = {}
-    drop: set[str] = set()
+    receives into paired events, one per distinct send; bounded-channel
+    events stay separate."""
+    fused: dict = {}  # send -> its pair
+    transitions, drop, entered = [], set(), []
     for src, ev, dst in machine.transitions:
         if ev is None or ev.kind != SEND or ev.channel in bounds:
+            transitions.append((src, ev, dst))
+            entered.append(dst)
             continue
         after = machine.immediate_receive(ev, dst)
         if after is None:
             raise ValueError(
                 f"send {ev} on unbounded channel lacks an immediate receive")
-        replaced[(src, ev, dst)] = (src, pair(ev.sender, ev.receiver,
-                                              ev.label, ev.payload), after)
+        if ev not in fused:
+            fused[ev] = pair(ev.sender, ev.receiver, ev.label, ev.payload)
+        transitions.append((src, fused[ev], after))
         drop.add(dst)
-    for src, ev, dst in machine.transitions:
-        if dst in drop and (src, ev, dst) not in replaced:
-            raise ValueError(f"state {dst} mixes paired and other traffic")
-    transitions = [replaced.get(t, t) for t in machine.transitions
-                   if t[0] not in drop]
+    mixed = next((q for q in entered if q in drop), None)
+    if mixed is not None:
+        raise ValueError(f"state {mixed} mixes paired and other traffic")
     states = machine.states - frozenset(drop)
     merged = StateMachine(states, machine.initial, machine.finals & states,
-                          transitions)
+                          [t for t in transitions if t[0] not in drop])
     # A dropped state lay between a send and its receive, which are now
     # one move: a trimmed machine stays trimmed.
     merged._trimmed = machine._trimmed
@@ -151,12 +153,14 @@ def encode_psm(machine: StateMachine, bounds: dict) -> StateMachine:
     machine = merge_immediate_pairs(machine, bounds)
     channels = tuple(sorted(ch for ch, b in bounds.items() if b >= 2))
 
+    hops: dict = {}  # (event, forwarder) -> their exchange
+
     def hop(ev: Event, cp: str) -> Optional[Event]:
-        if ev.kind == PAIR:
-            return None
-        if ev.kind == SEND:
-            return pair(ev.sender, cp, ev.label, ev.payload)
-        return pair(cp, ev.receiver, ev.label, ev.payload)
+        if ev.kind != PAIR and (ev, cp) not in hops:
+            hops[ev, cp] = (pair(ev.sender, cp, ev.label, ev.payload)
+                            if ev.kind == SEND else
+                            pair(cp, ev.receiver, ev.label, ev.payload))
+        return hops.get((ev, cp))
 
     if channels:
         return _thread_counters(machine, bounds, channels, channels, hop)

@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Event, PAIR, RECV, SEND, StateMachine, parent_word,
-                   reachable, recv, send, walk)
+from .core import (Event, PAIR, SEND, StateMachine, parent_word, reachable,
+                   strongly_connected_components, walk)
 from .csm import Csm, ProjectionVerdict, check_projection
 from .encoding import (channel_participants, decode_event, encode_psm,
                        is_amicable, parse_channel_participant)
@@ -52,11 +52,12 @@ class _Compiled:
     `Event.sort_key` order, and `participants` numbers the names of the
     senders and receivers.  `silent[i]` lists state i's successors, as
     silent moves, and `takes_part[p]` the states where participant
-    number p moves.
+    number p moves.  `cyclic` lists the states that a cycle reaches, left
+    by Kahn's peeling, so it holds every successor of its states.
     """
 
     __slots__ = ("names", "initial", "finals", "out", "letters",
-                 "participants", "silent", "takes_part")
+                 "participants", "silent", "takes_part", "cyclic")
 
     def __init__(self, states, initial: str, finals, transitions):
         self.names = sorted(states)
@@ -66,11 +67,8 @@ class _Compiled:
         sides = {}  # event -> (its send letter, its receive letter)
         for _, ev, _ in transitions:
             if ev is not None and ev not in sides:
-                sides[ev] = (
-                    send(ev.sender, ev.receiver, ev.label, ev.payload)
-                    if ev.kind == PAIR else ev if ev.kind == SEND else None,
-                    recv(ev.sender, ev.receiver, ev.label, ev.payload)
-                    if ev.kind == PAIR else ev if ev.kind == RECV else None)
+                sides[ev] = (ev.letters() if ev.kind == PAIR else
+                             (ev, None) if ev.kind == SEND else (None, ev))
         self.letters = sorted({letter for both in sides.values()
                                for letter in both if letter is not None},
                               key=Event.sort_key)
@@ -84,11 +82,20 @@ class _Compiled:
         coded[None] = (-1, -1, -1, -1)
         self.out = [[] for _ in self.names]
         self.takes_part: dict = {}
+        indegree = [0] * len(self.names)
         for src, ev, dst in transitions:
             self.out[number[src]].append(coded[ev] + (number[dst],))
+            indegree[number[dst]] += 1
             for p in coded[ev][:2]:
                 self.takes_part.setdefault(p, set()).add(number[src])
         self.silent = [[move[4] for move in row] for row in self.out]
+        peeled = [q for q, d in enumerate(indegree) if not d]
+        for q in peeled:  # grows as states lose their last predecessor
+            for dst in self.silent[q]:
+                indegree[dst] -= 1
+                if not indegree[dst]:
+                    peeled.append(dst)
+        self.cyclic = [q for q, d in enumerate(indegree) if d]
 
 
 class Subsets:
@@ -397,6 +404,19 @@ def subset_validity(source: _Compiled, participant: str,
     and cannot take s), and every member of M reaches a transition that
     the participant sees as s along moves silent to it.
 
+    That holds exactly when each bottom component of M's silent graph,
+    a strongly connected component that no silent move leaves, holds a
+    member that offers s: each member reaches some bottom component,
+    and within one, every member of it.  A bottom component of one
+    state and no silent self-loop is a member with no silent move: a
+    sink of the protocol, or a state where every move is visible to the
+    participant.  Any other lies on a cycle of the protocol, so it is
+    among the states `_Compiled.cyclic` keeps, since peeling the states
+    that no cycle reaches peels no state of a cycle.  Only those states
+    get a component search, and an acyclic protocol gets none.  So the
+    check is: the members with no silent move offer s, and so does some
+    member of each bottom component that the search finds in M.
+
     Receive Validity.  When X offers the receives r1 = q1>p?m1 and
     r2 = q2>p?m2 with q1 != q2, the message m1 does not head channel
     q1>p at any target D of a transition from M that the participant p
@@ -416,6 +436,10 @@ def subset_validity(source: _Compiled, participant: str,
     me = source.participants.get(participant)
     letters = machine.letters
     heads: dict = {}
+    bottoms = source.cyclic and [
+        comp for comp in map(frozenset, strongly_connected_components(
+            source.cyclic, lambda q: [(None, dst) for dst in machine.silent[q]]))
+        if all(dst in comp for q in comp for dst in machine.silent[q])]
 
     def failure(state: int, text: str) -> NotProjectable:
         word = tuple(map(decode_event, _first_word(
@@ -433,19 +457,16 @@ def subset_validity(source: _Compiled, participant: str,
                                   f"{decode_event(letters[receives[0]])}")
         if not sends and len({letters[r].sender for r in receives}) < 2:
             continue
-        # the members' own moves, by their local label, and each member's
-        # silent predecessors among them
-        own: dict = {}
-        silent_from: dict = {}
+        own: dict = {}  # the members' own moves, by their local label
         for q in members:
-            for dst in machine.silent[q]:
-                silent_from.setdefault(dst, []).append(q)
             for label, dst in machine.visible[q]:
                 own.setdefault(label, []).append((q, dst))
         for label in sends:
             able = {q for q, _ in own[label]}
-            if len(able) < len(members) and len(reachable(
-                    able, lambda q: silent_from.get(q, ()))) < len(members):
+            if len(able) < len(members) and (any(
+                    not machine.silent[q] for q in members - able) or any(
+                    bottom.isdisjoint(able) and not bottom.isdisjoint(members)
+                    for bottom in bottoms)):
                 return failure(state, f"send validity: {{}} may send "
                                       f"{decode_event(letters[label])} after "
                                       f"{{}}, which not every run allows")

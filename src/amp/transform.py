@@ -13,6 +13,7 @@ of marked expressions are test-only checks in `tests/semantics.py`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -805,25 +806,26 @@ def parse_global_type(text: str) -> SessionType:
     """Parse the textual syntax: `0`, `p->q:m . G`, `( G + G )`,
     `rec X . G`, and `X`; payloads as `m<t>` or `m<@state>`."""
     tokens = _Tokens(text)
-    term = _parse_global(tokens)
+    term = _parse_global(tokens, functools.cache(pair))
     if tokens.peek() is not None:
         raise TypeSyntaxError(f"trailing input {tokens.peek()!r}")
     _check_global(term)
     return term
 
 
-def _parse_global(tokens: _Tokens) -> SessionType:
+def _parse_global(tokens: _Tokens, exchange) -> SessionType:
+    """One term, its events built by `exchange`: `pair`, cached per parse."""
     token = tokens.next()
     if token == "0":
         return End()
     if token == "rec":
         var = tokens.word()
         tokens.expect(".")
-        return Rec(var, _parse_global(tokens))
+        return Rec(var, _parse_global(tokens, exchange))
     if token == "(":
         branches: list = []
         while True:
-            term = _parse_global(tokens)
+            term = _parse_global(tokens, exchange)
             branches.append(term)
             token = tokens.next()
             if token == ")":
@@ -850,8 +852,8 @@ def _parse_global(tokens: _Tokens) -> SessionType:
     if tokens.peek() is not None and tokens.peek().startswith("<"):
         payload = _parse_payload(tokens)
     tokens.expect(".")
-    cont = _parse_global(tokens)
-    return Choice(((pair(sender, receiver, label, payload), cont),))
+    cont = _parse_global(tokens, exchange)
+    return Choice(((exchange(sender, receiver, label, payload), cont),))
 
 
 def parse_local_type(text: str, participant: str) -> SessionType:

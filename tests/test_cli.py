@@ -1,5 +1,6 @@
 """End-to-end tests of the command line."""
 
+import gc
 import json
 import os
 import subprocess
@@ -612,6 +613,50 @@ def test_memory_error_is_a_resource_cap(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "resource cap: out of memory\n"
+
+
+class Interrupted(BaseException):
+    """What a signal handler may raise mid-command, as a timeout does."""
+
+
+@pytest.mark.parametrize("collecting", [True, False],
+                         ids=["collector on", "collector off"])
+def test_the_collector_is_off_while_a_command_runs(monkeypatch, capsys,
+                                                   collecting):
+    """A command's working set lives until it ends, so `main` pauses the
+    cyclic collector around it, and leaves the caller's setting as it
+    found it however the command ends."""
+    from amp import cli
+
+    seen = []
+    load = cli._load_machine
+
+    def loader(failure=None):
+        def run(path):
+            seen.append(gc.isenabled())
+            if failure is not None:
+                raise failure
+            return load(path)
+        return run
+
+    path = str(PROTOCOLS / "kle.psm.json")
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for failure, code in ((None, 0), (ValueError("no"), 1)):
+            monkeypatch.setattr(cli, "_load_machine", loader(failure))
+            assert main(["validate", path]) == code
+            assert gc.isenabled() is collecting
+        assert main(["validate", path, "--no-such-flag"]) == 2
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr(cli, "_load_machine", loader(Interrupted()))
+        with pytest.raises(Interrupted):
+            main(["validate", path])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+    capsys.readouterr()
+    assert seen == [False, False, False]
 
 
 def test_a_directory_as_input_is_a_usage_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -18,6 +19,22 @@ from .semantics import (complete_traces, languages_equal_upto,
 def test_event_rejects_self_channel():
     with pytest.raises(ValueError):
         send("p", "p", "m")
+
+
+def test_a_pairs_letters_are_built_once_and_stay_out_of_its_fields():
+    exchange = pair("p", "q", "m", "int")
+    letters = exchange.letters()
+    assert letters == (send("p", "q", "m", "int"), recv("p", "q", "m", "int"))
+    assert all(a is b for a, b in zip(exchange.letters(), letters))
+    assert exchange == pair("p", "q", "m", "int")
+    assert repr(exchange) == repr(pair("p", "q", "m", "int"))
+    assert hash(exchange) == hash(pair("p", "q", "m", "int"))
+    loaded = pickle.loads(pickle.dumps(exchange))
+    assert loaded == exchange and "_letters" not in loaded.__dict__
+    assert loaded.letters() == letters
+    assert all(a is b for a, b in zip(loaded.letters(), loaded.letters()))
+    single = send("p", "q", "m")
+    assert single.letters() == (single,) and single.letters()[0] is single
 
 
 def test_machine_validates_endpoints():

@@ -19,8 +19,9 @@ import random
 import pytest
 
 from amp import encoding, projection
-from amp.cli import _load_machine
-from amp.core import StateMachine, dump_machine, load_machine, recv, send
+from amp.cli import _load_machine, main
+from amp.core import (Event, StateMachine, dump_machine, load_machine, recv,
+                      send)
 from amp.csm import dump_csm
 from amp.encoding import channel_participants, encode_psm
 from amp.projection import project_tame, subset_construction
@@ -154,18 +155,20 @@ def test_component_states_follow_the_decoded_machine():
         ("p_0", m, "p_1"), ("p_0", a, "p_2"), ("p_2", n, "p_1")}
 
 
-@pytest.mark.parametrize("family,built,walked", [
-    (lambda rng: gen.linear_psm(gen.chain_messages(30, rng)), 4, False),
-    (lambda rng: gen.diamonds(2, rng), 10, False),
-    (lambda rng: gen.burst(3, rng), 9, True)],
+@pytest.mark.parametrize("family,built,walked,events", [
+    (lambda rng: gen.linear_psm(gen.chain_messages(30, rng)), 4, False, 9),
+    (lambda rng: gen.diamonds(2, rng), 10, False, 88),
+    (lambda rng: gen.burst(3, rng), 9, True, 33)],
     ids=["chain(30)", "diamonds(2)", "burst(3)"])
 def test_projection_builds_only_the_machines_it_writes(monkeypatch, family,
-                                                       built, walked):
+                                                       built, walked, events):
     """The merged protocol, the encoding where some event goes through a
     forwarder, the machines `is_amicable` reads and builds where there
     are forwarders, and one component per participant: no decoded or
     renamed copy, and no ring counter walked without a ring of two or
-    more slots."""
+    more slots.  One pair is built per distinct exchange, and its two
+    letters once (chain(30) built 36 events when each transition had
+    its own)."""
     psm = validate(load_machine(gen.dump(family(random.Random(1)))))
     calls = []
 
@@ -177,6 +180,8 @@ def test_projection_builds_only_the_machines_it_writes(monkeypatch, family,
 
     monkeypatch.setattr(StateMachine, "__init__",
                         counted("machine", StateMachine.__init__))
+    monkeypatch.setattr(Event, "__post_init__",
+                        counted("event", Event.__post_init__))
     for module in (encoding, projection):
         for name in ("decode_fsm", "_thread_counters"):
             if hasattr(module, name):
@@ -184,5 +189,55 @@ def test_projection_builds_only_the_machines_it_writes(monkeypatch, family,
                                     counted(name, getattr(module, name)))
     project_tame(psm)
     assert calls.count("machine") == built
+    assert calls.count("event") == events
     assert "decode_fsm" not in calls
     assert ("_thread_counters" in calls) == walked
+
+
+def test_a_global_type_shares_one_pair_per_exchange(monkeypatch):
+    """40 messages over 3 distinct exchanges: 3 events, not 40."""
+    messages = gen.chain_messages(40, random.Random(1))
+    text = gen.global_text(messages)
+    built = []
+    post_init = Event.__post_init__
+
+    def counted(ev):
+        built.append(ev)
+        post_init(ev)
+
+    monkeypatch.setattr(Event, "__post_init__", counted)
+    term = parse_global_type(text)
+    monkeypatch.undo()
+    assert len(built) == len(set(messages)) == 3
+    assert parse_global_type(text) == term
+
+
+# Send Validity where the participant's silent graph has a bottom
+# component on a cycle.  In bottomcycle.gt, once r sends loop, q and r
+# ping and pong forever: that cycle is silent to p and no silent move
+# leaves it, so p may not send m at its start.  In exitcycle.gt the
+# cycle can always be left by stop, so every run lets p send m.
+BOTTOM_CYCLES = {
+    "bottomcycle.gt": (
+        "( r->q:loop . rec X . q->r:ping . r->q:pong . X"
+        " + r->q:stop . p->q:m . 0 )",
+        1, "not projectable: send validity: p may send p>q!m after ε, "
+           "which not every run allows\n"),
+    "exitcycle.gt": (
+        "rec X . ( r->q:loop . q->r:ping . X + r->q:stop . p->q:m . 0 )",
+        0, "tame, projectable\nchannel bounds: none needed\n"
+           "participants: p, q, r\n"),
+}
+
+
+@pytest.mark.parametrize("name", BOTTOM_CYCLES)
+def test_send_validity_reads_bottom_components_on_cycles(name, tmp_path,
+                                                         capsys):
+    text, code, printed = BOTTOM_CYCLES[name]
+    assert assert_projections_agree(gt(text)) == \
+        ("ok" if code == 0 else "NotProjectable")
+    assert_components_agree(gt(text))
+    path = tmp_path / name
+    path.write_text(text + "\n")
+    assert main(["project", str(path)]) == code
+    assert capsys.readouterr().out == printed
