@@ -6,7 +6,10 @@ into immediately-received exchanges.  Protocol machines are encoded
 (`encode_psm`), walking ring counters only where a ring has two or more
 slots.  Events over the forwarders are decoded back to the original
 channels one at a time (`decode_event`, which projection reads through
-one table per protocol), or a whole machine at once (`decode_fsm`).  The
+one table per protocol), or a whole machine at once (`decode_fsm`).
+Amicability (`is_amicable`) is decided on the projected components as
+`projection.minimize` returns them, moves by letter rank over integer
+classes, with the forwarders taken from the bounds, not from names.  The
 encoding of single words and of one participant's machine is kept as a
 test-only check in `tests/semantics.py`.
 """
@@ -17,8 +20,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Event, PAIR, RECV, SEND, StateMachine, expand_pairs,
-                   pair, payload_from_key, recv, send, walk)
+from .core import (Event, PAIR, RECV, SEND, StateMachine, pair, recv, send,
+                   walk)
 
 Channel = tuple[str, str]
 
@@ -196,113 +199,106 @@ def decode_fsm(machine: StateMachine) -> StateMachine:
                          for src, ev, dst in machine.transitions])
 
 
-# -- structural predicates ---------------------------------------------------
+# -- amicability -------------------------------------------------------------
 
 
-def machine_is_forwarding(machine: StateMachine, cp: ChannelParticipant) -> bool:
-    """Every reachable path alternates matched receive/forward steps."""
-    held = {machine.initial: None}  # state -> held message or None
+def is_amicable(components: dict, letters: list, bounds: dict) -> bool:
+    """Whether each forwarder can serve its sender, on runs of any length.
 
-    def successors(q: str):
-        """The states after q, or None after a step that breaks the
+    `components[name][i]` lists the (rank, class) moves of class i of a
+    participant's or forwarder's component over `letters`, class 0
+    initial, as `projection.Classes.moves` holds them: deterministic,
+    with no epsilon move.  The forwarders are found from `bounds`, not
+    by name.  Each must be forwarding.  Each sender is then run in
+    product with a ring counter per family of forwarder letters (its
+    sends to the forwarders of one channel, its receives from those of
+    another) and with the classes of the forwarders it sends to: on
+    every path it must use the ring slots of each family in order, and
+    send a forwarder only a message that the forwarder can receive and
+    pass on at that point.
+    """
+    by_name = {cp.name: cp for cp in channel_participants(bounds)}
+    passes: dict = {}  # forwarder -> {(class, message): class after}
+    served: dict = {}  # sender -> its forwarders
+    for name, cp in by_name.items():
+        if name in components:
+            passes[name] = _passes(components[name], letters, cp)
+            if passes[name] is None:
+                return False
+            if cp.source in components:
+                served.setdefault(cp.source, []).append(name)
+    # The slots each letter takes, as (family, index, bound), one per end
+    # that is a forwarder: a family is its channel, the kind and that end.
+    families: dict = {}
+    slots = [[(families.setdefault((cp.source, cp.target, ev.kind, end),
+                                   len(families)),
+               cp.index, bounds[cp.source, cp.target])
+              for end, cp in (("in", by_name.get(ev.receiver)),
+                              ("out", by_name.get(ev.sender)))
+              if cp is not None] for ev in letters]
+    return all(_serves(components[sender], forwarders, letters, slots,
+                       len(families), passes)
+               for sender, forwarders in served.items())
+
+
+def _passes(moves: list, letters: list,
+            cp: ChannelParticipant) -> Optional[dict]:
+    """Where forwarder `cp` is after it receives message m at class i and
+    passes it on, keyed (i, m); None if some run of it does not
+    alternate receiving a message and passing it on."""
+    held = {0: None}  # class -> the message it holds, or None
+
+    def successors(i: int):
+        """The classes after i, or None after a step that breaks the
         alternation."""
-        for ev, dst in machine.out(q):
-            if ev is None:
-                ok = False
-            elif held[q] is None:
+        for rank, j in moves[i]:
+            ev = letters[rank]
+            if held[i] is None:
                 ok = (ev.kind == RECV and ev.sender == cp.source
                       and ev.receiver == cp.name)
                 nxt = ev.message()
             else:
-                ok = ev == send(cp.name, cp.target, held[q][0],
-                                payload_from_key(held[q][1]))
+                ok = (ev.kind == SEND and ev.sender == cp.name
+                      and ev.receiver == cp.target
+                      and ev.message() == held[i])
                 nxt = None
-            if not ok or held.setdefault(dst, nxt) != nxt:
+            if not ok or held.setdefault(j, nxt) != nxt:
                 yield None
                 return
-            yield dst
+            yield j
 
-    return None not in walk((machine.initial,), successors)
-
-
-def is_amicable(components: dict[str, StateMachine], bounds: dict) -> bool:
-    """Whether each forwarder can serve its sender, on runs of any length.
-
-    Every forwarder's machine must be forwarding.  Every sender's machine
-    is then run in product with a ring counter per family of forwarder
-    events (its sends to the forwarders of one channel, its receives from
-    those of another) and with the states of the forwarders it sends to:
-    on every path it must use the ring slots of each family in order,
-    and it may send a forwarder only a message that the forwarder can
-    receive and pass on at that point.
-    """
-    served: dict = {}  # sender -> {forwarder name: its machine}
-    for name, machine in components.items():
-        cp = parse_channel_participant(name)
-        if cp is None:
-            continue
-        if not machine_is_forwarding(machine, cp):
-            return False
-        if cp.source in components:
-            served.setdefault(cp.source, {})[name] = machine
-    return all(_serves(expand_pairs(components[sender]), forwarders, bounds)
-               for sender, forwarders in served.items())
+    if None in walk((0,), successors):
+        return None
+    # A class that holds a message has one move: the send of it.
+    return {(i, letters[rank].message()): k for i, m in held.items()
+            if m is None for rank, j in moves[i] for _, k in moves[j]}
 
 
-def _ring_slots(ev: Event, bounds: dict) -> list:
-    """The slots `ev` takes, as (ring, index): one for each end of `ev`
-    that is a forwarder of a bounded channel.  A ring is that channel,
-    the kind of `ev` and the end the forwarder is at."""
-    slots = []
-    for end, name in (("in", ev.receiver), ("out", ev.sender)):
-        cp = parse_channel_participant(name)
-        if cp is not None and (cp.source, cp.target) in bounds:
-            slots.append(((cp.source, cp.target, ev.kind, end), cp.index))
-    return slots
-
-
-def _serves(sender: StateMachine, forwarders: dict, bounds: dict) -> bool:
-    """Whether `sender` keeps ring order and sends `forwarders` only what
-    they can pass on, on every path: the product `is_amicable` walks."""
-    names = sorted(forwarders)
+def _serves(moves: list, forwarders: list, letters: list, slots: list,
+            families: int, passes: dict) -> bool:
+    """Whether the sender with the moves `moves` keeps ring order and
+    sends `forwarders` only what they can pass on, on every path."""
+    place = {name: i for i, name in enumerate(forwarders)}
 
     def successors(node):
         """The nodes after `node`, or None after a step out of ring
         order or to a forwarder that cannot take it."""
         q, ring, held = node
-        for ev, dst in sender.out(q):
-            if ev is None:
-                yield dst, ring, held
-                continue
-            counters = dict(ring)
-            for family, index in _ring_slots(ev, bounds):
-                if index != counters.get(family, 0):
+        for rank, dst in moves[q]:
+            counters, after = list(ring), list(held)
+            for family, index, bound in slots[rank]:
+                if index != counters[family]:
                     yield None
                     return
-                counters[family] = (index + 1) % bounds[family[:2]]
-            after = held
-            if ev.kind == SEND and ev.receiver in forwarders:
-                i = names.index(ev.receiver)
-                states = _step_forwarder(forwarders[ev.receiver], held[i], ev)
-                if not states:
+                counters[family] = (index + 1) % bound
+            ev = letters[rank]
+            if ev.kind == SEND and ev.receiver in place:
+                i = place[ev.receiver]
+                after[i] = passes[ev.receiver].get((held[i], ev.message()))
+                if after[i] is None:
                     yield None
                     return
-                after = held[:i] + (states,) + held[i + 1:]
-            yield dst, tuple(sorted(counters.items())), after
+            yield dst, tuple(counters), tuple(after)
 
-    start = (sender.initial, (), tuple(
-        forwarders[name].eps_closure({forwarders[name].initial})
-        for name in names))
+    start = (0, (0,) * families, (0,) * len(forwarders))
     return None not in walk((start,), successors)
-
-
-def _step_forwarder(machine: StateMachine, states: frozenset,
-                    ev: Event) -> frozenset:
-    """Where `machine`, a forwarder in `states`, can be after it receives
-    the message of the send `ev` and passes it on; empty if it cannot."""
-    cp = parse_channel_participant(ev.receiver)
-    for hop in (recv(cp.source, cp.name, ev.label, ev.payload),
-                send(cp.name, cp.target, ev.label, ev.payload)):
-        states = machine.eps_closure(
-            {dst for q in states for e, dst in machine.out(q) if e == hop})
-    return states

@@ -10,9 +10,10 @@ sender, its receiver and the ranks of its send and receive letters in
 `Event.sort_key` order.  Each participant's and forwarder's subset
 construction (`Subsets`), `subset_validity` with its channel-head
 search, and Hopcroft's refinement (`minimize`, which returns the
-breadth-first numbered `Classes`) all run on those ints.  Each
-component's one `StateMachine` is written from its classes, events
-decoded through one table per protocol (`_machine_of`).  `Subsets` is
+breadth-first numbered `Classes`) all run on those ints, and so does
+amicability.  Each participant's component, the one `StateMachine`
+built after the encoding, is written from its classes, events decoded
+through one table per protocol (`_machine_of`).  `Subsets` is
 the one subset-construction loop and `minimize` the one Hopcroft loop;
 the determinisation of a candidate component in `check_against` runs
 the same loop.
@@ -288,10 +289,10 @@ def minimize(machine: Subsets) -> Classes:
 
 
 def _machine_of(classes: Classes, letters, prefix: str) -> StateMachine:
-    """`classes` as a machine whose moves of rank r read `letters[r]`,
-    each class named `prefix` and its place breadth first along moves
-    sorted by letter, then by class number as a string: the order in
-    which a machine with the classes named s0, s1, ... lists them."""
+    """A participant's `classes` as its component: moves of rank r read
+    `letters[r]`, and each class is named `prefix` and its place breadth
+    first along moves sorted by letter, ties to the class whose number
+    sorts first as a string: the numbering that written CSMs keep."""
     def successors(i: int) -> list:
         row = classes.moves[i]
         if len(row) > 1:
@@ -497,7 +498,8 @@ def project_tame(source) -> ProjectionResult:
 
     Encodes bounded channels through forwarder participants, runs the
     subset construction for every participant and forwarder, minimises
-    and decodes.  Raises NotTame when the structural gate fails
+    each to classes, and writes only the participants' classes, decoded,
+    as machines.  Raises NotTame when the structural gate fails
     (multi-sender branching, non-sink-final, no inferable bounds).  The
     projection is sound and complete for tame protocols, so the
     candidate is accepted exactly when it meets every condition below,
@@ -555,8 +557,8 @@ def project_tame(source) -> ProjectionResult:
         if failure is not None:
             raise failure
         minimal[name] = minimize(subsets)
-    if cps and not is_amicable({name: _machine_of(m, protocol.letters, "s")
-                                for name, m in minimal.items()}, bounds):
+    if cps and not is_amicable({name: m.moves for name, m in minimal.items()},
+                               protocol.letters, bounds):
         raise NotProjectable("forwarder components are not amicable")
 
     # Components on the protocol's channels, with states named after their

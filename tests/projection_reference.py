@@ -10,15 +10,17 @@ construction, Hopcroft's `minimize`, `subset_validity` and
 projection ran on a protocol compiled to integers (the `named_` and
 `hopcroft_` functions), with `canonical_names`, which renamed each
 decoded component before the library wrote components straight from
-its classes.  Kept as a test-only reference, verbatim but
-for absolute imports, the memo that the library's `canon` takes, here a
-fresh one per call, the names of the library functions that
-`project_tame` calls, the compiled protocol (`compiled`) that the
-library's `subset_construction` takes, the library's classes read as a
-machine (`minimal_machine`), the prefix that `canonical_names`
-takes, and the fields of the `ProjectionResult` it returns, which no
-longer carries the validity report, the verdict and the encoded
-protocol.
+its classes; and `named_is_amicable`, the amicability check on
+string-named component machines with `machine_is_forwarding`, as it
+stood before the library decided amicability on `minimize`'s classes.
+Kept as a test-only reference, verbatim but for absolute imports, the
+memo that the library's `canon` takes, here a fresh one per call, the
+names of the library functions that `project_tame` calls, the compiled
+protocol (`compiled`) that the library's `subset_construction` takes,
+the library's classes read as a machine (`minimal_machine`), the name
+`named_is_amicable`, the prefix that `canonical_names` takes, and the
+fields of the `ProjectionResult` it returns, which no longer carries
+the validity report, the verdict and the encoded protocol.
 
 These are the Moore refinement with one round per state on a chain, the
 recursive simple-path and simple-cycle searches, which are exponential
@@ -27,7 +29,8 @@ the amicability check over sender traces of bounded length, the
 projection that accepts a candidate only after the bounded oracle
 `csm.check_projection`, and the per-participant pipeline that builds a
 subset machine with states named `{a,b}`, a merged machine and its
-renamed copy.  `test_projection_layers.py` and
+renamed copy, which amicability reads with epsilon closures and names
+parsed back into forwarders.  `test_projection_layers.py` and
 `test_projection_conditions.py` run them next to the library and
 require equal machines, bounds, verdicts, exceptions and witnesses.
 """
@@ -39,13 +42,13 @@ from dataclasses import dataclass
 
 from typing import Optional
 
-from amp.core import (SEND, Event, StateMachine, Word, eps_closure,
+from amp.core import (RECV, SEND, Event, StateMachine, Word, eps_closure,
                       expand_pairs, payload_from_key, reachable, recv, send,
                       subset_moves, walk)
 from amp.csm import Csm, check_projection
-from amp.encoding import (channel_participants, decode_event, decode_fsm,
-                          encode_psm, is_amicable as library_is_amicable,
-                          machine_is_forwarding, parse_channel_participant)
+from amp.encoding import (ChannelParticipant, channel_participants,
+                          decode_event, decode_fsm, encode_psm,
+                          parse_channel_participant)
 from amp.fifo import show_word
 from amp.projection import (NotProjectable, NotTame, ProjectionResult,
                             Subsets, _Compiled, _first_word, _lost_final,
@@ -300,6 +303,116 @@ def _machine_accepts_prefix(machine: StateMachine, word: Word) -> bool:
             return False
         current = machine.eps_closure(nxt)
     return True
+
+
+def machine_is_forwarding(machine: StateMachine, cp: ChannelParticipant) -> bool:
+    """Every reachable path alternates matched receive/forward steps."""
+    held = {machine.initial: None}  # state -> held message or None
+
+    def successors(q: str):
+        """The states after q, or None after a step that breaks the
+        alternation."""
+        for ev, dst in machine.out(q):
+            if ev is None:
+                ok = False
+            elif held[q] is None:
+                ok = (ev.kind == RECV and ev.sender == cp.source
+                      and ev.receiver == cp.name)
+                nxt = ev.message()
+            else:
+                ok = ev == send(cp.name, cp.target, held[q][0],
+                                payload_from_key(held[q][1]))
+                nxt = None
+            if not ok or held.setdefault(dst, nxt) != nxt:
+                yield None
+                return
+            yield dst
+
+    return None not in walk((machine.initial,), successors)
+
+
+def named_is_amicable(components: dict[str, StateMachine],
+                      bounds: dict) -> bool:
+    """Whether each forwarder can serve its sender, on runs of any length.
+
+    Every forwarder's machine must be forwarding.  Every sender's machine
+    is then run in product with a ring counter per family of forwarder
+    events (its sends to the forwarders of one channel, its receives from
+    those of another) and with the states of the forwarders it sends to:
+    on every path it must use the ring slots of each family in order,
+    and it may send a forwarder only a message that the forwarder can
+    receive and pass on at that point.
+    """
+    served: dict = {}  # sender -> {forwarder name: its machine}
+    for name, machine in components.items():
+        cp = parse_channel_participant(name)
+        if cp is None:
+            continue
+        if not machine_is_forwarding(machine, cp):
+            return False
+        if cp.source in components:
+            served.setdefault(cp.source, {})[name] = machine
+    return all(_serves(expand_pairs(components[sender]), forwarders, bounds)
+               for sender, forwarders in served.items())
+
+
+def _ring_slots(ev: Event, bounds: dict) -> list:
+    """The slots `ev` takes, as (ring, index): one for each end of `ev`
+    that is a forwarder of a bounded channel.  A ring is that channel,
+    the kind of `ev` and the end the forwarder is at."""
+    slots = []
+    for end, name in (("in", ev.receiver), ("out", ev.sender)):
+        cp = parse_channel_participant(name)
+        if cp is not None and (cp.source, cp.target) in bounds:
+            slots.append(((cp.source, cp.target, ev.kind, end), cp.index))
+    return slots
+
+
+def _serves(sender: StateMachine, forwarders: dict, bounds: dict) -> bool:
+    """Whether `sender` keeps ring order and sends `forwarders` only what
+    they can pass on, on every path: the product `is_amicable` walks."""
+    names = sorted(forwarders)
+
+    def successors(node):
+        """The nodes after `node`, or None after a step out of ring
+        order or to a forwarder that cannot take it."""
+        q, ring, held = node
+        for ev, dst in sender.out(q):
+            if ev is None:
+                yield dst, ring, held
+                continue
+            counters = dict(ring)
+            for family, index in _ring_slots(ev, bounds):
+                if index != counters.get(family, 0):
+                    yield None
+                    return
+                counters[family] = (index + 1) % bounds[family[:2]]
+            after = held
+            if ev.kind == SEND and ev.receiver in forwarders:
+                i = names.index(ev.receiver)
+                states = _step_forwarder(forwarders[ev.receiver], held[i], ev)
+                if not states:
+                    yield None
+                    return
+                after = held[:i] + (states,) + held[i + 1:]
+            yield dst, tuple(sorted(counters.items())), after
+
+    start = (sender.initial, (), tuple(
+        forwarders[name].eps_closure({forwarders[name].initial})
+        for name in names))
+    return None not in walk((start,), successors)
+
+
+def _step_forwarder(machine: StateMachine, states: frozenset,
+                    ev: Event) -> frozenset:
+    """Where `machine`, a forwarder in `states`, can be after it receives
+    the message of the send `ev` and passes it on; empty if it cannot."""
+    cp = parse_channel_participant(ev.receiver)
+    for hop in (recv(cp.source, cp.name, ev.label, ev.payload),
+                send(cp.name, cp.target, ev.label, ev.payload)):
+        states = machine.eps_closure(
+            {dst for q in states for e, dst in machine.out(q) if e == hop})
+    return states
 
 
 # -- amp.projection -----------------------------------------------------------
@@ -592,7 +705,7 @@ def named_project_tame(source) -> ProjectionResult:
         if failure is not None:
             raise failure
         minimal[name] = hopcroft_minimize(subsets)
-    if cps and not library_is_amicable(minimal, bounds):
+    if cps and not named_is_amicable(minimal, bounds):
         raise NotProjectable("forwarder components are not amicable")
 
     csm = Csm({p: canonical_names(decode_fsm(minimal[p]), prefix=f"{p}_")

@@ -32,7 +32,8 @@ named next to it:
   `graph_reference.py` keeps its older copy.
 - `channel_participant_machine`, `is_forwarding` with `FORWARDING`,
   `ALMOST` and `NO`: a forwarder's machine and words; check
-  `encoding.machine_is_forwarding`, which `is_amicable` uses.
+  `projection_reference.machine_is_forwarding`, which the string-machine
+  amicability reference `named_is_amicable` uses.
 - `is_channel_ordered`: forwarder hops of one word in ring order;
   checks `encode_psm`, and the trace-bounded `is_amicable` of
   `projection_reference.py` is built on it.

@@ -6,14 +6,14 @@ import pytest
 
 from amp.core import StateMachine, maximal_traces_upto, recv, send
 from amp.encoding import (ChannelParticipant, decode_fsm, encode_psm,
-                          machine_is_forwarding, merge_immediate_pairs,
-                          parse_channel_participant)
+                          merge_immediate_pairs, parse_channel_participant)
 from amp.fifo import closure_upto
 from amp.psm import PsmError, infer_channel_bounds, validate
 
 from .conftest import (kle_encoded_expected, kle_machine, random_fifo_word,
                        random_looping_protocol, random_tame_psm,
                        three_party_machine)
+from .projection_reference import machine_is_forwarding
 from .semantics import (ALMOST, FORWARDING, NO, channel_participant_machine,
                         is_channel_ordered,
                         complete_traces, decode_word, encode_fsm, encode_word,
@@ -134,6 +134,30 @@ def test_merging_a_trimmed_machine_keeps_it_trimmed():
 def test_merge_rejects_deferred_receive_on_unbounded_channel():
     with pytest.raises(ValueError):
         merge_immediate_pairs(kle_machine(), {})
+
+
+def test_merge_rejects_a_receive_behind_an_epsilon_move():
+    """The send's target leaves only by an epsilon move, so the receive
+    after it is not immediate."""
+    machine = StateMachine(
+        ["s0", "s1", "s2", "s3"], "s0", ["s3"],
+        [("s0", send("p", "q", "m"), "s1"), ("s1", None, "s2"),
+         ("s2", recv("p", "q", "m"), "s3")])
+    with pytest.raises(ValueError, match=r"^send p>q!m on unbounded channel "
+                                         r"lacks an immediate receive$"):
+        merge_immediate_pairs(machine, {})
+
+
+def test_merge_rejects_a_dropped_state_that_an_epsilon_move_enters():
+    """s1, between the send and its receive, goes with the merge, but the
+    epsilon move from s2 still enters it."""
+    machine = StateMachine(
+        ["s0", "s1", "s2"], "s0", ["s2"],
+        [("s0", send("p", "q", "m"), "s1"), ("s1", recv("p", "q", "m"), "s2"),
+         ("s2", None, "s1")])
+    with pytest.raises(ValueError,
+                       match="^state s1 mixes paired and other traffic$"):
+        merge_immediate_pairs(machine, {})
 
 
 def test_encode_psm_kle_matches_expected_shape():

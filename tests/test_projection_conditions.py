@@ -12,8 +12,11 @@ both reject on the tameness gate.  Where the conditions reject a
 protocol that the oracle accepts at `k`, the oracle must find the fault
 by k = 12.
 
-The amicability check is compared the same way with the trace-bounded
-one it replaced, `projection_reference.is_amicable`.
+The amicability check, which reads `minimize`'s classes, is compared
+with the string-machine check it replaced,
+`projection_reference.named_is_amicable`, and with the trace-bounded one
+before that, `projection_reference.is_amicable`, on projections,
+mutated projections and hand-built components.
 """
 
 from __future__ import annotations
@@ -26,18 +29,21 @@ import pytest
 
 from amp import csm, projection
 from amp.cli import _load_machine, main
-from amp.core import StateMachine, load_machine, recv, send
+from amp.core import (RECV, SEND, Event, StateMachine, load_machine, recv,
+                      send, walk)
 from amp.csm import dump_csm
-from amp.encoding import encode_psm, is_amicable
+from amp.encoding import (ChannelParticipant, channel_participants,
+                          encode_psm, is_amicable)
 from amp.projection import (NotProjectable, NotTame, minimize, project_tame,
                             subset_construction)
-from amp.psm import UnboundedLoop, infer_channel_bounds, validate
+from amp.psm import PsmError, infer_channel_bounds, validate
 from amp.transform import global_to_psm, make_sink_final, parse_global_type
 from perfbench import generators as gen
 
 from . import projection_reference as reference
-from .conftest import (kle_machine, random_sender_driven_tree,
-                       random_tame_psm, three_party_machine)
+from .conftest import (kle_machine, random_looping_protocol,
+                       random_sender_driven_tree, random_tame_psm,
+                       three_party_machine)
 from .test_walkers import PROTOCOLS, PSM_SOURCES
 
 DEEPEST = 12
@@ -368,10 +374,36 @@ def components_of(machine: StateMachine, bounds: dict) -> dict:
             for name in sorted(encoded.participants())}
 
 
+def ranked(components: dict) -> tuple[dict, list]:
+    """Component machines as `is_amicable` reads them: each machine's
+    states numbered breadth first from its initial one, and its moves
+    ranked over one letter list that all the machines share."""
+    letters = sorted({ev for machine in components.values()
+                      for ev in machine.alphabet()}, key=Event.sort_key)
+    rank = {ev: r for r, ev in enumerate(letters)}
+    moves = {}
+    for name, machine in components.items():
+        assert machine.is_deterministic()
+        assert all(ev is not None for _, ev, _ in machine.transitions)
+        order = list(walk((machine.initial,),
+                          lambda q: [dst for _, dst in machine.out(q)]))
+        number = {q: i for i, q in enumerate(order)}
+        moves[name] = [sorted((rank[ev], number[dst])
+                              for ev, dst in machine.out(q)) for q in order]
+    return moves, letters
+
+
+def amicable(components: dict, bounds: dict) -> bool:
+    """The library's verdict, which must be the string reference's."""
+    verdict = is_amicable(*ranked(components), bounds)
+    assert verdict == reference.named_is_amicable(components, bounds)
+    return verdict
+
+
 def test_subset_components_of_encoding_amicable():
     components = components_of(kle_machine(), KLE_BOUNDS)
     assert set(components) == {"e", "o", "(e,o)0", "(o,e)0"}
-    assert is_amicable(components, KLE_BOUNDS)
+    assert amicable(components, KLE_BOUNDS)
 
 
 def test_reference_is_amicable_enumerates_each_sender_once(monkeypatch):
@@ -399,28 +431,114 @@ def test_reference_is_amicable_enumerates_each_sender_once(monkeypatch):
 
 
 def amicability_inputs():
-    """The components and bounds of every corpus protocol and random
-    tame draw that has forwarders."""
+    """The components and bounds of every corpus protocol, random tame
+    draw and random looping draw that has forwarders.  Only the looping
+    draws have rings of two or more slots."""
     machines = [_load_machine(str(path)) for path in PSM_SOURCES]
     rng = random.Random(7)
     machines += [random_tame_psm(rng, max_states=8) for _ in range(600)]
+    machines += [random_looping_protocol(rng)[0] for _ in range(200)]
     for machine in machines:
-        psm = validate(machine)
         try:
+            psm = validate(machine)
             bounds = infer_channel_bounds(psm)
-        except UnboundedLoop:
+        except PsmError:
             continue
         if bounds:
             yield components_of(psm.machine, bounds), bounds
 
 
 def test_amicability_agrees_with_the_bounded_reference():
+    """The library, the string reference and the trace-bounded one all
+    accept every projection that has forwarders."""
     checked = 0
     for components, bounds in amicability_inputs():
-        assert is_amicable(components, bounds)
+        assert amicable(components, bounds)
         assert reference.is_amicable(components, bounds, k=8)
         checked += 1
     assert checked >= 60
+
+
+def drop_a_move(machine: StateMachine, rng) -> StateMachine:
+    """`machine` without one of its transitions."""
+    kept = sorted(machine.transitions, key=str)
+    del kept[rng.randrange(len(kept))]
+    return StateMachine(machine.states, machine.initial, machine.finals, kept)
+
+
+def send_before_receive(machine: StateMachine, rng) -> StateMachine:
+    """A forwarder that sends one message before it receives it: the
+    labels of a receive and of the send after it swapped."""
+    transitions = sorted(machine.transitions, key=str)
+    i = rng.choice([i for i, (_, ev, _) in enumerate(transitions)
+                    if ev.kind == RECV])
+    src, received, mid = transitions[i]
+    j, (_, sent, dst) = next((j, t) for j, t in enumerate(transitions)
+                             if t[0] == mid)
+    transitions[i], transitions[j] = (src, sent, mid), (mid, received, dst)
+    return StateMachine(machine.states, machine.initial, machine.finals,
+                        transitions)
+
+
+def pass_another_message(machine: StateMachine, rng) -> StateMachine:
+    """A forwarder that passes on one message with another label than
+    the one it received."""
+    transitions = sorted(machine.transitions, key=str)
+    i = rng.choice([i for i, (_, ev, _) in enumerate(transitions)
+                    if ev.kind == SEND])
+    src, ev, dst = transitions[i]
+    transitions[i] = (src, send(ev.sender, ev.receiver, ev.label + "'",
+                                ev.payload), dst)
+    return StateMachine(machine.states, machine.initial, machine.finals,
+                        transitions)
+
+
+def skip_a_slot(machine: StateMachine, rng, bounds: dict) -> StateMachine:
+    """A sender that sends one message to the forwarder after the one
+    whose turn it is, on a ring of two or more slots."""
+    transitions = sorted(machine.transitions, key=str)
+    slots = {cp.name: cp for cp in channel_participants(bounds)
+             if bounds[cp.source, cp.target] >= 2}
+    i = rng.choice([i for i, (_, ev, _) in enumerate(transitions)
+                    if ev.kind == SEND and ev.receiver in slots])
+    src, ev, dst = transitions[i]
+    cp = slots[ev.receiver]
+    skipped = ChannelParticipant(cp.source, cp.target,
+                                 (cp.index + 1) % bounds[cp.source, cp.target])
+    transitions[i] = (src, send(ev.sender, skipped.name, ev.label, ev.payload),
+                      dst)
+    return StateMachine(machine.states, machine.initial, machine.finals,
+                        transitions)
+
+
+def test_mutated_projections_are_not_amicable():
+    """Each projection with forwarders, made not amicable four ways: a
+    forwarder loses one move, sends a message before it receives it or
+    passes on a message with another label, or a sender skips a slot of
+    a ring of two or more.  The library and the string reference both
+    refuse every mutant."""
+    rng = random.Random(33)
+    tally = Counter()
+    for components, bounds in amicability_inputs():
+        cps = [cp for cp in channel_participants(bounds)
+               if cp.name in components]
+        forwarder = rng.choice(cps).name
+        mutants = [("drop", forwarder,
+                    drop_a_move(components[forwarder], rng)),
+                   ("swap", forwarder,
+                    send_before_receive(components[forwarder], rng)),
+                   ("relabel", forwarder,
+                    pass_another_message(components[forwarder], rng))]
+        senders = sorted({cp.source for cp in cps
+                          if bounds[cp.source, cp.target] >= 2})
+        if senders:
+            sender = rng.choice(senders)
+            mutants.append(("skip", sender,
+                            skip_a_slot(components[sender], rng, bounds)))
+        for kind, name, mutant in mutants:
+            assert not amicable({**components, name: mutant}, bounds), kind
+            tally[kind] += 1
+    assert tally == {"drop": 255, "swap": 255, "relabel": 255, "skip": 80}
 
 
 def line(name: str, events, final: bool = True) -> StateMachine:
@@ -465,7 +583,7 @@ def test_non_amicable_components(case):
                       F1: forwarder(F1, "p", "q", "aa")}
         short = 4
     components = {"p": sender, **forwarders}
-    assert not is_amicable(components, RING)
+    assert not amicable(components, RING)
     assert not reference.is_amicable(components, RING, k=8)
     # the trace bound hides a violation deeper than it
     assert reference.is_amicable(components, RING, k=short) == (

@@ -157,16 +157,18 @@ def test_component_states_follow_the_decoded_machine():
 
 @pytest.mark.parametrize("family,built,walked,events", [
     (lambda rng: gen.linear_psm(gen.chain_messages(30, rng)), 4, False, 9),
-    (lambda rng: gen.diamonds(2, rng), 10, False, 88),
-    (lambda rng: gen.burst(3, rng), 9, True, 33)],
+    (lambda rng: gen.diamonds(2, rng), 5, False, 64),
+    (lambda rng: gen.burst(3, rng), 4, True, 24)],
     ids=["chain(30)", "diamonds(2)", "burst(3)"])
 def test_projection_builds_only_the_machines_it_writes(monkeypatch, family,
                                                        built, walked, events):
     """The merged protocol, the encoding where some event goes through a
-    forwarder, the machines `is_amicable` reads and builds where there
-    are forwarders, and one component per participant: no decoded or
-    renamed copy, and no ring counter walked without a ring of two or
-    more slots.  One pair is built per distinct exchange, and its two
+    forwarder, and one component per participant: no decoded or renamed
+    copy, no machine for the amicability check, which reads `minimize`'s
+    classes (diamonds(2) built 10 machines and 88 events, and burst(3) 9
+    and 33, when it read string machines and built events to compare
+    forwarder moves), and no ring counter walked without a ring of two
+    or more slots.  One pair is built per distinct exchange, and its two
     letters once (chain(30) built 36 events when each transition had
     its own)."""
     psm = validate(load_machine(gen.dump(family(random.Random(1)))))
