@@ -89,11 +89,12 @@ def _load_machine(path: str) -> core.StateMachine:
     return core.load_machine(text)
 
 
-def _load_bounds(path: str, machine: core.StateMachine) -> dict:
-    """The channel bounds of a JSON object mapping channels of `machine`,
-    written `p>q`, to positive counts, or MalformedInput.  Every channel
-    with a send whose receive does not follow at once needs a bound."""
-    channels = {ev.channel for ev in machine.alphabet()}
+def _load_bounds(path: str, form: core.Compiled) -> dict:
+    """The channel bounds of a JSON object mapping channels of the
+    compiled protocol, written `p>q`, to positive counts, or
+    MalformedInput.  Every channel that `detected_channels` finds needs
+    a bound."""
+    channels = {ev.channel for ev in form.letters}
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise core.MalformedInput(f"malformed bounds: expected a JSON object, "
@@ -112,7 +113,7 @@ def _load_bounds(path: str, machine: core.StateMachine) -> dict:
                 f"malformed bounds: {key} has bound {json.dumps(value)}, "
                 f"not a positive count")
         bounds[channel] = value
-    needed = sorted(psm_mod.detected_channels(machine) - bounds.keys())
+    needed = sorted(psm_mod.detected_channels(form) - bounds.keys())
     if needed:
         raise core.MalformedInput(
             "malformed bounds: the protocol needs a bound on "
@@ -188,7 +189,7 @@ def cmd_encode(args) -> int:
     if args.bounds == "auto":
         bounds = psm_mod.infer_channel_bounds(validated)
     else:
-        bounds = _load_bounds(args.bounds, validated.machine)
+        bounds = _load_bounds(args.bounds, validated.compiled)
     encoded = encoding.encode_psm(validated.machine, bounds)
     output = core.dump_machine(encoded)
     if args.output:
@@ -295,7 +296,7 @@ def cmd_to_global(args) -> int:
               ["machine keeps more than one message in flight; "
                "global types cannot express it"])
         return NEGATIVE
-    merged = encoding.merge_immediate_pairs(validated.machine, {})
+    merged = encoding.merge_immediate_pairs(validated.compiled, {})
     if not merged.trim().is_sink_final():
         merged = transform.make_sink_final(merged)
     g = transform.psm_to_global_type(transform.tree_of(merged))
@@ -384,14 +385,14 @@ def cmd_dot(args) -> int:
         data = None
     # a machine's states are a list; a CSM maps participants to machines
     if isinstance(data, dict) and isinstance(data.get("states"), list):
-        output = core.machine_to_dot(core.machine_from_json(data),
-                                     name=Path(args.file).stem)
+        output = csm_mod.machine_to_dot(core.machine_from_json(data),
+                                        name=Path(args.file).stem)
     elif isinstance(data, dict):
         output = csm_mod.csm_to_dot(csm_mod.csm_from_json(data),
                                     name=Path(args.file).stem)
     else:
-        output = core.machine_to_dot(_load_machine(args.file),
-                                     name=Path(args.file).stem)
+        output = csm_mod.machine_to_dot(_load_machine(args.file),
+                                        name=Path(args.file).stem)
     _write(args, output)
     return OK
 

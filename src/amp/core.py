@@ -4,34 +4,27 @@ Everything downstream (protocol validation, communicating machines,
 projection, the type checker) is built on the two types defined here:
 `Event` and `StateMachine`.  Machines are immutable once constructed and
 all derived data is precomputed, so they are safe to share freely.
+`Compiled` is a protocol machine compiled to integers, each pair split
+and the machine trimmed, once per machine: validation walks it, and
+projection reads it fused (`encoding.Fused`).
 
 The graph-analysis section holds the one copy of each walker that the
 other layers share, for any graph given as nodes and an out-edge
-function: state machines, protocol configuration graphs and compiled
-CSMs alike.  `walk` is the one breadth-first search; the other layers'
-searches are successor functions that it drives.  `reachable` finds
-the set `walk` yields with a loop of its own, since epsilon closures run
-it on tiny graphs once per subset move, and `eps_closure` and
-`backward_closure` run it forwards and backwards.  Outside `walk` stay
-`csm.explore` (it fills the packed kernel's arrays),
-`psm.build_config_graph` (it raises with a witness mid-walk),
-`fer_violation` (slower on `walk`), `fifo.closure_upto` (it counts
+function.  `walk` is the one breadth-first search; `reachable` finds the
+set it yields with a loop of its own, for tiny graphs and for
+`Compiled`'s trimming, and `eps_closure` and `backward_closure` run it
+forwards and backwards.  Outside `walk` stay `csm.explore` (it fills
+the packed kernel's arrays), `psm.build_config_graph` (it raises with a
+witness mid-walk), `fer_violation`, `fifo.closure_upto` (it counts
 against its cap), `bounded_traces` (it keeps words, not nodes),
-`projection.Subsets` and the class numbering of `projection.minimize`
-(they number nodes as they find them) and the depth-first Tarjan,
-`psm._simple_cycles` and `transform` postorder.
-`subset_moves` is the step of the subset construction, which the
-bounded oracle reads machines through (projection and PSM validation
-run their own on integer states, `projection.Subsets` and
-`psm.build_config_graph`);
-`bounded_traces` lists the words of length up to k of such a
-determinised walk; `parent_word` reads a witness off a breadth-first
-parent chain; `strongly_connected_components` is the one Tarjan; and
-`nodes_on_cycles`, `maximal_capable` and `fer_violation` answer "can
-this node still reach a maximal run?" and "can every pending message
-still be received?"; `fer_violation` reads edges labelled with the
-channel they receive on, or None.  The channel-queue and payload-key
-helpers shared by those layers live here too.
+`projection.Subsets` and `projection.minimize` (they number nodes as
+they find them) and the depth-first searches.  `subset_moves` is the
+subset-construction step of the bounded oracle; `parent_word` reads a
+witness off a breadth-first parent chain; `strongly_connected_components`
+is the one Tarjan; and `nodes_on_cycles`, `maximal_capable` and
+`fer_violation` answer "can this node still reach a maximal run?" and
+"can every pending message still be received?".  The channel-queue and
+payload-key helpers shared by those layers live here too.
 """
 
 from __future__ import annotations
@@ -182,7 +175,7 @@ Transition = tuple[str, Optional[Event], str]
 
 def _transition_key(t: Transition):
     src, ev, dst = t
-    return (src, (1,) if ev is None else (0,) + ev.sort_key(), dst)
+    return (src, ev is None, () if ev is None else ev._key, dst)
 
 
 class StateMachine:
@@ -201,7 +194,8 @@ class StateMachine:
         self.states = frozenset(states)
         self.initial = initial
         self.finals = frozenset(finals)
-        self.transitions = tuple(sorted(set(transitions), key=_transition_key))
+        self.transitions = tuple(sorted(  # sorted input sorts in linear time
+            dict.fromkeys(transitions), key=_transition_key))
         if self.initial not in self.states:
             raise ValueError(f"initial state {initial!r} not a state")
         if not self.finals <= self.states:
@@ -247,14 +241,6 @@ class StateMachine:
     def is_sink_final(self) -> bool:
         return all((q in self.finals) == self.is_sink(q) for q in self.states)
 
-    def is_dense(self) -> bool:
-        """Epsilon transitions are only allowed as a state's sole exit."""
-        for q in self.states:
-            outs = self._out[q]
-            if any(ev is None for ev, _ in outs) and len(outs) != 1:
-                return False
-        return True
-
     def is_deterministic(self) -> bool:
         """No state has two outgoing transitions with the same label."""
         for q in self.states:
@@ -262,25 +248,6 @@ class StateMachine:
             if len(labels) != len(set(labels)):
                 return False
         return True
-
-    def immediate_receive(self, ev: Event, dst: str) -> Optional[str]:
-        """Where the matching receive leads when it is the only exit of
-        `dst`, the target of the send `ev`; None otherwise."""
-        outs = self._out[dst]
-        if len(outs) == 1 and outs[0][0] is not None \
-                and outs[0][0].kind == RECV \
-                and outs[0][0].channel == ev.channel \
-                and outs[0][0].message() == ev.message():
-            return outs[0][1]
-        return None
-
-    def has_pure_eps_cycle(self) -> bool:
-        """Detect a cycle consisting solely of epsilon transitions."""
-        eps: dict = {}
-        for src, ev, dst in self.transitions:
-            if ev is None:
-                eps.setdefault(src, []).append((None, dst))
-        return bool(nodes_on_cycles(eps, lambda q: eps.get(q, ())))
 
     # -- reachability ----------------------------------------------------
 
@@ -453,10 +420,14 @@ def backward_closure(nodes: Iterable, out, targets: Iterable) -> set:
 
 
 def maximal_capable(nodes: Iterable, out, finals: Iterable) -> set:
-    """Nodes from which a maximal run exists: reach a final node or a cycle.
+    """Nodes from which a maximal run exists: reach a final node or a
+    cycle, along `out`, which leads only to nodes.
 
-    Cycles are looked for only when some node reaches no final node."""
-    nodes = list(nodes)
+    When every sink is final, every node can; cycles are looked for only
+    when some node reaches no final node."""
+    nodes, finals = list(nodes), set(finals)
+    if all(v in finals or out(v) for v in nodes):
+        return set(nodes)
     capable = backward_closure(nodes, out, finals)
     if len(capable) < len(nodes):
         capable = backward_closure(nodes, out,
@@ -551,6 +522,99 @@ def expand_pairs(m: StateMachine) -> StateMachine:
     return expanded
 
 
+class Compiled:
+    """A machine compiled to integers once, for the layers that read it.
+
+    State i < len(names) is `names[i]`, states numbered in sorted name
+    order, so that sorting their ids sorts their names; each paired
+    transition, in the machine's order, is split through a middle state
+    numbered after them, as `expand_pairs` splits it.  `dense` and
+    `eps_cycle` are read on the whole machine, the rest on it trimmed:
+    `keep` holds the states reachable from `initial` that can reach a
+    maximal run (a lone initial state with no final when it cannot),
+    `finals` the final ones, `letters[r]` the letter of rank r, letters
+    ranked in `Event.sort_key` order, `eps[q]` and `moves[q]` a kept
+    state's epsilon successors and (rank, successor) moves, and
+    `receive[r]` the rank of the receive of what the send of rank r puts
+    on its channel, or -1.
+    """
+
+    __slots__ = ("source", "names", "initial", "finals", "keep", "letters",
+                 "eps", "moves", "receive", "dense", "eps_cycle")
+
+    def __init__(self, machine: StateMachine):
+        self.source = machine
+        self.names = sorted(machine.states)
+        number = {q: i for i, q in enumerate(self.names)}
+        out: list = [[] for _ in self.names]  # (letter's code, successor)
+        eps: list = [[] for _ in self.names]
+        # Trimming walks the named states only: a pair's middle state is
+        # kept when both ends are.
+        succ: list = [[] for _ in self.names]
+        ends: list = []  # a middle state's ends, from the first one's on
+        # Letters are coded by object, which a Python-level hash would
+        # cost once per transition; equal letters are ranked together.
+        code: dict = {}  # id(letter) -> its index in `seen`
+        seen: list = []
+        for src, ev, dst in machine.transitions:
+            s, d = number[src], number[dst]
+            succ[s].append(d)
+            if ev is None:
+                eps[s].append(d)
+                continue
+            if ev.kind == PAIR:
+                snd, ev = ev.letters()
+                c = code.get(id(snd))
+                if c is None:
+                    c = code[id(snd)] = len(seen)
+                    seen.append(snd)
+                out[s].append((c, len(out)))
+                ends.append((s, d))
+                s = len(out)
+                out.append([])
+                eps.append(())
+            c = code.get(id(ev))
+            if c is None:
+                c = code[id(ev)] = len(seen)
+                seen.append(ev)
+            out[s].append((c, d))
+        self.dense = all(len(o) + len(e) == 1 or not e
+                         for o, e in zip(out, eps))
+        self.eps_cycle = any(eps) and bool(nodes_on_cycles(
+            [q for q, e in enumerate(eps) if e],
+            lambda q: [(None, d) for d in eps[q]]))
+        self.initial = number[machine.initial]
+        keep = reach = reachable((self.initial,), succ.__getitem__)
+        finals = reach.intersection(map(number.__getitem__, machine.finals))
+        # When every sink is final, every state can reach a maximal run.
+        if any(not succ[q] for q in reach.difference(finals)):
+            keep = maximal_capable(reach, lambda q: [
+                (None, d) for d in succ[q]], finals)
+        if self.initial not in keep:
+            keep, finals = {self.initial}, set()
+        keep.update(mid for mid, (s, d) in enumerate(ends, len(self.names))
+                    if s in keep and d in keep)
+        self.keep, self.finals = keep, frozenset(finals & keep)
+        whole = len(keep) == len(out)
+        used = seen if whole else [seen[c] for c in {
+            c for q in keep for c, d in out[q] if d in keep}]
+        keyed = sorted({ev._key: ev for ev in used}.items())
+        self.letters = [ev for _, ev in keyed]
+        rank = {key: r for r, (key, _) in enumerate(keyed)}
+        ranks = [rank.get(ev._key, -1) for ev in seen]
+        self.moves = [[(ranks[c], d) for c, d in row] for row in out] \
+            if whole else [[(ranks[c], d) for c, d in row if d in keep]
+                           if q in keep else [] for q, row in enumerate(out)]
+        self.eps = [e or () for e in eps] if whole else [
+            [d for d in e if d in keep] or () if q in keep else ()
+            for q, e in enumerate(eps)]
+        # A receive's key is its send's but for the kind.
+        receives = {key[:3] + key[4:]: r for key, r in rank.items()
+                    if key[3] == _KIND_ORDER[RECV]}
+        self.receive = [receives.get(key[:3] + key[4:], -1)
+                        if key[3] == _KIND_ORDER[SEND] else -1 for key in rank]
+
+
 # -- bounded trace languages -------------------------------------------
 
 
@@ -605,14 +669,6 @@ def maximal_traces_upto(m: StateMachine, k: int) -> TraceSet:
 # -- serialisation ------------------------------------------------------
 
 
-def _payload_to_json(payload: Payload):
-    if payload is None:
-        return None
-    if isinstance(payload, StateRef):
-        return {"state": payload.state}
-    return payload
-
-
 class MalformedInput(ValueError):
     """A machine or CSM document, or a type or program text, that does
     not have the shape its reader expects."""
@@ -637,39 +693,21 @@ def _payload_from_json(data) -> Payload:
     return data
 
 
-def machine_to_json(m: StateMachine) -> dict:
-    m = expand_pairs(m)
-    transitions = []
-    for src, ev, dst in m.transitions:
-        if ev is None:
-            event = {"kind": "eps"}
-        else:
-            event = {
-                "kind": ev.kind,
-                "sender": ev.sender,
-                "receiver": ev.receiver,
-                "label": ev.label,
-                "payload": _payload_to_json(ev.payload),
-            }
-        transitions.append({"from": src, "event": event, "to": dst})
-    return {
-        "states": sorted(m.states),
-        "initial": m.initial,
-        "finals": sorted(m.finals),
-        "transitions": transitions,
-    }
-
-
 def machine_from_json(data) -> StateMachine:
-    """The machine a `machine_to_json` document describes; raises
-    MalformedInput on any other JSON value."""
+    """The machine a document that `dump_machine` writes describes;
+    raises MalformedInput on any other JSON value."""
     states, initial, finals, raw = _fields(
         data, "machine", "states", "initial", "finals", "transitions")
     events: dict = {}  # an event object's items -> its Event
+    odd = False  # some transition names a non-string
     try:
         transitions: list[Transition] = []
         for t in raw:
-            src, event, dst = _fields(t, "transition", "from", "event", "to")
+            try:
+                src, event, dst = t["from"], t["event"], t["to"]
+            except (KeyError, TypeError):  # no object, or a field missing
+                src, event, dst = _fields(t, "transition", "from", "event",
+                                          "to")
             try:
                 key = tuple(event.items())
                 ev = events.get(key, events)  # the dict itself: a miss
@@ -677,19 +715,19 @@ def machine_from_json(data) -> StateMachine:
                 key = ev = events
             if ev is events:
                 (kind,) = _fields(event, "event", "kind")
-                ev = None if kind == "eps" else Event(
-                    kind, *_fields(event, "event", "sender", "receiver",
-                                   "label"),
-                    _payload_from_json(event.get("payload")))
+                ev = None
+                if kind != "eps":
+                    names = _fields(event, "event", "sender", "receiver",
+                                    "label")
+                    ev = Event(kind, *names, _payload_from_json(
+                        event.get("payload")))
+                    odd = odd or {str} != set(map(type, names))
                 # Only strings and null: 1, 1.0 and true are equal keys.
                 if {str, type(None)}.issuperset(map(type, event.values())):
                     events[key] = ev
+            odd = odd or type(src) is not str or type(dst) is not str
             transitions.append((src, ev, dst))
-        names = list(states)
-        for src, ev, dst in transitions:
-            names += (src, dst) if ev is None else (
-                src, dst, ev.sender, ev.receiver, ev.label)
-        if not set(map(type, names)) <= {str}:
+        if not all(type(q) is str for q in states) or odd:
             raise MalformedInput(f"malformed machine: "
                                  f"{_odd_name(states, transitions)!r} is "
                                  f"not a string")
@@ -719,114 +757,66 @@ def _odd_name(states, transitions: list):
 
 # -- writing documents ------------------------------------------------------
 #
-# `json.dumps(doc, indent=2, sort_keys=True)` runs the pure-Python encoder,
-# one generator frame per value.  The writer below knows the shape of a
-# `machine_to_json` document and prints the same bytes with the C string
-# quoter, formatting each distinct event once per document.
+# A machine's document is {"finals", "initial", "states", "transitions"},
+# its pairs split, and `json.dumps(doc, indent=2, sort_keys=True)` would
+# print it with the pure-Python encoder, one generator frame per value.
+# The writer below prints the same bytes straight from the machine's
+# sorted transitions, names through json's C string quoter, each
+# distinct event formatted once per document.
 
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json_at(value, pad: str) -> str:
-    """`value` as `json.dumps(value, indent=2, sort_keys=True)` prints it
-    where it starts at indentation `pad`."""
-    if value is None:
-        return "null"
-    if type(value) is str:
-        return _quote(value)
+def _event_at(ev: Optional[Event], pad: str) -> str:
+    """A transition's event object, printed where it starts at
+    indentation `pad`."""
     inner = pad + "  "
-    if type(value) is list and value:
-        items = (map(_quote, value) if all(type(v) is str for v in value)
-                 else [_json_at(v, inner) for v in value])
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    if type(value) is dict and value \
-            and all(type(key) is str for key in value):
-        return (f"{{\n{inner}" + f",\n{inner}".join(
-            [f"{_quote(key)}: {_json_at(item, inner)}"
-             for key, item in sorted(value.items())]) + f"\n{pad}}}")
-    # Numbers, empty containers and the like: json's own text, moved
-    # to `pad`.
-    return json.dumps(value, indent=2, sort_keys=True).replace(
-        "\n", "\n" + pad)
+    if ev is None:
+        return f'{{\n{inner}"kind": "eps"\n{pad}}}'
+    payload = ev.payload
+    if payload is None:
+        payload = "null"
+    elif isinstance(payload, StateRef):
+        payload = f'{{\n{inner}  "state": {_quote(payload.state)}\n{inner}}}'
+    else:
+        payload = _quote(payload)
+    return (f'{{\n{inner}"kind": {_quote(ev.kind)},\n'
+            f'{inner}"label": {_quote(ev.label)},\n'
+            f'{inner}"payload": {payload},\n'
+            f'{inner}"receiver": {_quote(ev.receiver)},\n'
+            f'{inner}"sender": {_quote(ev.sender)}\n{pad}}}')
 
 
-def _machine_at(doc: dict, pad: str, events: dict) -> str:
-    """A `machine_to_json` document as `_json_at` prints it.  `events`
-    maps an event object's items to its text at this indentation."""
+def _names_at(names: list, pad: str) -> str:
+    return (f"[\n{pad}  " + f",\n{pad}  ".join(map(_quote, names))
+            + f"\n{pad}]") if names else "[]"
+
+
+def _machine_at(m: StateMachine, pad: str, events: dict) -> str:
+    """`m`'s document, printed where it starts at indentation `pad`;
+    `events` maps each event printed at this indentation to its text."""
+    m = expand_pairs(m)
     p1 = pad + "  "
     p2 = p1 + "  "
     p3 = p2 + "  "
-    transitions = []
-    for t in doc["transitions"]:
-        event = t["event"]
-        key = tuple(event.items())
-        try:
-            text = events.get(key)
-        except TypeError:  # a payload object, which cannot be a key
-            text = None
+    rows = []
+    for src, ev, dst in m.transitions:
+        text = events.get(ev)
         if text is None:
-            text = _json_at(event, p3)
-            # Only strings and null: 1, 1.0 and true are equal keys.
-            if all(v is None or type(v) is str for v in event.values()):
-                events[key] = text
-        src, dst = t["from"], t["to"]
-        src = _quote(src) if type(src) is str else _json_at(src, p3)
-        dst = _quote(dst) if type(dst) is str else _json_at(dst, p3)
-        transitions.append(f"{p2}{{\n{p3}\"event\": {text},\n"
-                           f"{p3}\"from\": {src},\n{p3}\"to\": {dst}\n{p2}}}")
-    return (f"{{\n{p1}\"finals\": {_json_at(doc['finals'], p1)},\n"
-            f"{p1}\"initial\": {_json_at(doc['initial'], p1)},\n"
-            f"{p1}\"states\": {_json_at(doc['states'], p1)},\n"
-            f"{p1}\"transitions\": "
-            + ("[\n" + ",\n".join(transitions) + f"\n{p1}]"
-               if transitions else "[]")
+            text = events[ev] = _event_at(ev, p3)
+        rows.append(f'{p2}{{\n{p3}"event": {text},\n{p3}"from": '
+                    f'{_quote(src)},\n{p3}"to": {_quote(dst)}\n{p2}}}')
+    return (f'{{\n{p1}"finals": {_names_at(sorted(m.finals), p1)},\n'
+            f'{p1}"initial": {_quote(m.initial)},\n'
+            f'{p1}"states": {_names_at(sorted(m.states), p1)},\n'
+            f'{p1}"transitions": '
+            + ("[\n" + ",\n".join(rows) + f"\n{p1}]" if rows else "[]")
             + f"\n{pad}}}")
 
 
-def machine_json_text(doc: dict) -> str:
-    """`json.dumps(doc, indent=2, sort_keys=True)` for a `machine_to_json`
-    document."""
-    return _machine_at(doc, "", {})
-
-
-def machines_json_text(docs: dict) -> str:
-    """`json.dumps(docs, indent=2, sort_keys=True)` for a mapping of names
-    to `machine_to_json` documents, such as a CSM's."""
-    if not docs:
-        return "{}"
-    events: dict = {}
-    return ("{\n" + ",\n".join(f"  {_quote(name)}: "
-                               f"{_machine_at(docs[name], '  ', events)}"
-                               for name in sorted(docs)) + "\n}")
-
-
 def dump_machine(m: StateMachine) -> str:
-    return machine_json_text(machine_to_json(m)) + "\n"
+    return _machine_at(m, "", {}) + "\n"
 
 
 def load_machine(text: str) -> StateMachine:
     return machine_from_json(json.loads(text))
-
-
-def _dot_quoted(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def machine_to_dot(m: StateMachine, name: str = "machine") -> str:
-    # DOT reads `__start` and `"__start"` as one node: the start marker
-    # takes a name that no state has.
-    start = "__start"
-    while start in m.states:
-        start += "_"
-    lines = [f"digraph {_dot_quoted(name)} {{", "  rankdir=LR;",
-             f"  {start} [shape=point];"]
-    for q in sorted(m.states):
-        shape = "doublecircle" if q in m.finals else "circle"
-        lines.append(f"  {_dot_quoted(q)} [shape={shape}];")
-    lines.append(f"  {start} -> {_dot_quoted(m.initial)};")
-    for src, ev, dst in m.transitions:
-        label = "ε" if ev is None else str(ev)
-        lines.append(f"  {_dot_quoted(src)} -> {_dot_quoted(dst)} "
-                     f"[label={_dot_quoted(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

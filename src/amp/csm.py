@@ -15,9 +15,8 @@ from operator import getitem
 from typing import Optional
 
 from .core import (Event, MalformedInput, PAIR, RECV, SEND, StateMachine,
-                   Word, _dot_quoted, bounded_traces, machine_from_json,
-                   machine_to_json, machines_json_text, queue_get,
-                   reachable, walk)
+                   Word, _machine_at, _quote, bounded_traces,
+                   machine_from_json, queue_get, reachable, walk)
 from .fifo import project, show_word as _fmt
 from .psm import Psm
 
@@ -840,13 +839,10 @@ def simulate(csm: Csm, seed: int = 0, max_steps: int = 100) -> Word:
 # -- serialisation ---------------------------------------------------------
 
 
-def csm_to_json(csm: Csm) -> dict:
-    return {p: machine_to_json(m) for p, m in csm.components.items()}
-
-
 def csm_from_json(data) -> Csm:
-    """The CSM a `csm_to_json` document describes; raises MalformedInput
-    on any other JSON value."""
+    """The CSM a document that `dump_csm` writes describes, each
+    participant's machine under its name; raises MalformedInput on any
+    other JSON value."""
     if not isinstance(data, dict):
         raise MalformedInput(f"malformed CSM: expected a JSON object, "
                              f"got {type(data).__name__}")
@@ -858,11 +854,46 @@ def csm_from_json(data) -> Csm:
 
 
 def dump_csm(csm: Csm) -> str:
-    return machines_json_text(csm_to_json(csm)) + "\n"
+    """The document `json.dumps(doc, indent=2, sort_keys=True)` prints
+    for the mapping of each participant to its machine's document, as
+    `core.dump_machine` writes it."""
+    if not csm.components:
+        return "{}\n"
+    events: dict = {}
+    return "{\n" + ",\n".join(
+        f"  {_quote(p)}: {_machine_at(csm.components[p], '  ', events)}"
+        for p in sorted(csm.components)) + "\n}\n"
 
 
 def load_csm(text: str) -> Csm:
     return csm_from_json(json.loads(text))
+
+
+# -- DOT export ------------------------------------------------------------
+
+
+def _dot_quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def machine_to_dot(m: StateMachine, name: str = "machine") -> str:
+    # DOT reads `__start` and `"__start"` as one node: the start marker
+    # takes a name that no state has.
+    start = "__start"
+    while start in m.states:
+        start += "_"
+    lines = [f"digraph {_dot_quoted(name)} {{", "  rankdir=LR;",
+             f"  {start} [shape=point];"]
+    for q in sorted(m.states):
+        shape = "doublecircle" if q in m.finals else "circle"
+        lines.append(f"  {_dot_quoted(q)} [shape={shape}];")
+    lines.append(f"  {start} -> {_dot_quoted(m.initial)};")
+    for src, ev, dst in m.transitions:
+        label = "ε" if ev is None else str(ev)
+        lines.append(f"  {_dot_quoted(src)} -> {_dot_quoted(dst)} "
+                     f"[label={_dot_quoted(label)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def csm_to_dot(csm: Csm, name: str = "csm") -> str:

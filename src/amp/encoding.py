@@ -1,12 +1,16 @@
 """The channel-participant encoding.
 
-Bounded channels are rewritten to route each message through a ring of
-forwarder participants, one per buffer slot, turning deferred receives
-into immediately-received exchanges.  Protocol machines are encoded
-(`encode_psm`), walking ring counters only where a ring has two or more
-slots.  Events over the forwarders are decoded back to the original
-channels one at a time (`decode_event`, which projection reads through
-one table per protocol), or a whole machine at once (`decode_fsm`).
+A compiled protocol (`core.Compiled`) is read with each send on an
+unbounded channel joined to its immediate receive (`Fused`), the form
+that projection reads; `merge_immediate_pairs` writes it out as a
+machine where one is needed.  Bounded channels are rewritten to route
+each message through a ring of forwarder participants, one per buffer
+slot, turning deferred receives into immediately-received exchanges.
+Protocol machines are encoded (`encode_psm`), walking ring counters
+only where a ring has two or more slots.  Events over the forwarders
+are decoded back to the original channels one at a time
+(`decode_event`, which projection reads through one table per
+protocol), or a whole machine at once (`decode_fsm`).
 Amicability (`is_amicable`) is decided on the projected components as
 `projection.minimize` returns them, moves by letter rank over integer
 classes, with the forwarders taken from the bounds, not from names.  The
@@ -20,8 +24,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Event, PAIR, RECV, SEND, StateMachine, pair, recv, send,
-                   walk)
+from .core import (Compiled, Event, PAIR, RECV, SEND, StateMachine,
+                   expand_pairs, pair, recv, send, walk)
 
 Channel = tuple[str, str]
 
@@ -58,35 +62,118 @@ def channel_participants(bounds: dict) -> tuple[ChannelParticipant, ...]:
 # -- protocol machine encoding ---------------------------------------------
 
 
-def merge_immediate_pairs(machine: StateMachine, bounds: dict) -> StateMachine:
-    """Fuse send transitions on unbounded channels with their immediate
-    receives into paired events, one per distinct send; bounded-channel
-    events stay separate."""
-    fused: dict = {}  # send -> its pair
-    transitions, drop, entered = [], set(), []
-    for src, ev, dst in machine.transitions:
-        if ev is None or ev.kind != SEND or ev.channel in bounds:
-            transitions.append((src, ev, dst))
-            entered.append(dst)
-            continue
-        after = machine.immediate_receive(ev, dst)
-        if after is None:
-            raise ValueError(
-                f"send {ev} on unbounded channel lacks an immediate receive")
-        if ev not in fused:
-            fused[ev] = pair(ev.sender, ev.receiver, ev.label, ev.payload)
-        transitions.append((src, fused[ev], after))
-        drop.add(dst)
-    mixed = next((q for q in entered if q in drop), None)
-    if mixed is not None:
-        raise ValueError(f"state {mixed} mixes paired and other traffic")
-    states = machine.states - frozenset(drop)
-    merged = StateMachine(states, machine.initial, machine.finals & states,
-                          [t for t in transitions if t[0] not in drop])
-    # A dropped state lay between a send and its receive, which are now
-    # one move: a trimmed machine stays trimmed.
-    merged._trimmed = machine._trimmed
-    return merged.trim()
+class Fused:
+    """A compiled protocol (`core.Compiled`), trimmed, with each send on
+    an unbounded channel, and each pair that compiling split, joined to
+    its immediate receive: the protocol that `merge_immediate_pairs`
+    writes, on the compiled form's ints.
+
+    `states` lists, in name order, the kept states that no joined send
+    enters, each numbered as the form numbers it, so `names[q]` names
+    state q.  `out[q]` lists state q's transitions, each once, as
+    (sender, receiver, send rank, receive rank, successor): a joined
+    exchange has both ranks, a send or receive left alone has -1 for the
+    other, and an epsilon move has -1 for all four; any other state has
+    none.  `letters[r]` is the letter of rank r, letters ranked in
+    `Event.sort_key` order, and `participants` numbers the names of the
+    senders and receivers.  `deterministic` holds when no state has two
+    transitions with the same letters.
+
+    Raises ValueError, as `merge_immediate_pairs` reports it, on a send
+    to join whose target does not leave by its receive alone, and on a
+    state that such a send enters and another transition enters too.
+    """
+
+    __slots__ = ("names", "states", "initial", "finals", "out", "letters",
+                 "participants", "deterministic")
+
+    def __init__(self, form: Compiled, bounds: dict):
+        moves, eps, receive = form.moves, form.eps, form.receive
+        self.letters = letters = form.letters
+        self.participants = people = {p: i for i, p in enumerate(sorted(
+            {ev.sender for ev in letters} | {ev.receiver for ev in letters}))}
+        who = [(people[ev.sender], people[ev.receiver]) for ev in letters]
+        alone = [who[r] + ((r, -1) if ev.kind == SEND else (-1, r))
+                 for r, ev in enumerate(letters)]
+        join = [ev.kind == SEND and not (bounds and ev.channel in bounds)
+                for ev in letters]
+        split = len(form.names)  # a pair's middle state is numbered here on
+        self.out = out = [[] for _ in range(split)]
+        self.deterministic = True
+        entered = bytearray(split)
+        dropped = set()
+        for q in sorted(form.keep):
+            if q >= split:  # a pair's middle state: only its receive enters
+                entered[moves[q][0][1]] = 1
+                continue
+            row = out[q]
+            for r, d in moves[q]:
+                if join[r] or d >= split:
+                    after = moves[d]
+                    if len(after) != 1 or eps[d] or after[0][0] != receive[r]:
+                        raise ValueError(f"send {letters[r]} on unbounded "
+                                         f"channel lacks an immediate receive")
+                    row.append(who[r] + (r,) + after[0])
+                    if d < split:
+                        dropped.add(d)
+                else:
+                    row.append(alone[r] + (d,))
+                    entered[d] = 1
+            for d in eps[q]:
+                row.append((-1, -1, -1, -1, d))
+                entered[d] = 1
+            if len(row) > 1:
+                row[:] = dict.fromkeys(row)
+                if len({move[2:4] for move in row}) < len(row):
+                    self.deterministic = False
+        if any(entered[d] for d in dropped):
+            # the first such state in the order of the machine's transitions
+            names = {form.names[q] for q in dropped}
+            mixed = next(dst for _, ev, dst in expand_pairs(
+                form.source).trim().transitions if dst in names and (
+                    ev is None or ev.kind != SEND or ev.channel in bounds))
+            raise ValueError(f"state {mixed} mixes paired and other traffic")
+        for d in dropped:
+            out[d] = ()
+        self.names = form.names
+        self.states = [q for q in sorted(form.keep)
+                       if q < split and q not in dropped]
+        self.initial = form.initial
+        self.finals = form.finals.difference(dropped)
+
+    def machine(self) -> StateMachine:
+        """The fused protocol as a machine, a joined send and receive as
+        their pair, one per distinct send."""
+        joined: dict = {}  # send rank -> its pair
+
+        def event(snd: int, rcv: int) -> Optional[Event]:
+            if snd < 0 or rcv < 0:
+                return None if snd == rcv else self.letters[max(snd, rcv)]
+            if snd not in joined:
+                ev = self.letters[snd]
+                joined[snd] = pair(ev.sender, ev.receiver, ev.label,
+                                   ev.payload)
+            return joined[snd]
+
+        names = self.names
+        merged = StateMachine([names[q] for q in self.states],
+                              names[self.initial],
+                              [names[q] for q in self.finals],
+                              [(names[q], event(snd, rcv), names[d])
+                               for q in self.states
+                               for _, _, snd, rcv, d in self.out[q]])
+        # Trimmed: a dropped state lay between a send and its receive,
+        # which are now one move.
+        merged._trimmed = True
+        return merged
+
+
+def merge_immediate_pairs(form: Compiled, bounds: dict) -> StateMachine:
+    """The compiled protocol, trimmed, with send transitions on unbounded
+    channels fused with their immediate receives into paired events,
+    one per distinct send; bounded-channel events stay separate, and a
+    pair of the compiled machine stays a pair."""
+    return Fused(form, bounds).machine()
 
 
 def _counter_state(q: str, snd: tuple, rcv_: tuple) -> str:
@@ -153,7 +240,7 @@ def encode_psm(machine: StateMachine, bounds: dict) -> StateMachine:
     so the merged machine is relabelled, or kept where no event needs
     that, as with empty bounds.
     """
-    machine = merge_immediate_pairs(machine, bounds)
+    machine = merge_immediate_pairs(Compiled(machine), bounds)
     channels = tuple(sorted(ch for ch, b in bounds.items() if b >= 2))
 
     hops: dict = {}  # (event, forwarder) -> their exchange

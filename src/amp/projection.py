@@ -3,11 +3,14 @@ pipeline (encode, project, write each component on the protocol's
 channels), whether a CSM implements a protocol (`check_against`), and
 strong-projection analysis.
 
-`project_tame` compiles the protocol it projects, the encoded protocol
-(determinised when it is not deterministic), to integers once
-(`_Compiled`): states numbered in name order and, per transition, its
-sender, its receiver and the ranks of its send and receive letters in
-`Event.sort_key` order.  Each participant's and forwarder's subset
+`project_tame` reads the protocol it projects as the compiled form that
+validation made (`core.Compiled`), fused (`_Compiled`, an
+`encoding.Fused`): each exchange one transition with its sender, its
+receiver and the ranks of its send and receive letters in
+`Event.sort_key` order, states numbered in name order.  A protocol with
+a bounded channel is encoded first, and the encoded machine compiled
+and fused in its turn; a protocol that is not deterministic is
+determinised first.  Each participant's and forwarder's subset
 construction (`Subsets`), `subset_validity` with its channel-head
 search, and Hopcroft's refinement (`minimize`, which returns the
 breadth-first numbered `Classes`) all run on those ints, and so does
@@ -30,73 +33,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Event, PAIR, SEND, StateMachine, parent_word, reachable,
-                   strongly_connected_components, walk)
+from .core import (RECV, SEND, Compiled, Event, StateMachine, parent_word,
+                   reachable, strongly_connected_components, walk)
 from .csm import Csm, ProjectionVerdict, check_projection
-from .encoding import (channel_participants, decode_event, encode_psm,
+from .encoding import (Fused, channel_participants, decode_event, encode_psm,
                        is_amicable, parse_channel_participant)
 from .fifo import show_word
-from .psm import (Psm, PsmError, UnboundedLoop, infer_channel_bounds,
-                  single_sender_branching, validate)
+from .psm import Psm, PsmError, UnboundedLoop, infer_channel_bounds, validate
 
 
-class _Compiled:
-    """A protocol machine compiled to integers, once, for projection.
+class _Compiled(Fused):
+    """A compiled protocol fused (`encoding.Fused`, every channel
+    unbounded) as projection reads it.
 
-    State i is `names[i]`, states numbered in sorted name order, so
-    sorting state ids sorts their names.  `out[i]` lists state i's
-    transitions as (sender, receiver, send rank, receive rank,
-    successor): a participant sees the send letter when it is the
-    sender and the receive letter when it is the receiver, and a rank
-    of -1, or an epsilon move with sender and receiver -1, is silent to
-    it.  `letters[r]` is the letter of rank r, letters ranked in
-    `Event.sort_key` order, and `participants` numbers the names of the
-    senders and receivers.  `silent[i]` lists state i's successors, as
-    silent moves, and `takes_part[p]` the states where participant
-    number p moves.  `cyclic` lists the states that a cycle reaches, left
-    by Kahn's peeling, so it holds every successor of its states.
+    `silent[q]` lists state q's successors, as silent moves, and
+    `takes_part[p]` the states where participant number p moves.
+    `cyclic` lists the states that a cycle reaches, left by Kahn's
+    peeling, so it holds every successor of its states.
     """
 
-    __slots__ = ("names", "initial", "finals", "out", "letters",
-                 "participants", "silent", "takes_part", "cyclic")
+    __slots__ = ("silent", "takes_part", "cyclic")
 
-    def __init__(self, states, initial: str, finals, transitions):
-        self.names = sorted(states)
-        number = {q: i for i, q in enumerate(self.names)}
-        self.initial = number[initial]
-        self.finals = frozenset(number[q] for q in finals)
-        sides = {}  # event -> (its send letter, its receive letter)
-        for _, ev, _ in transitions:
-            if ev is not None and ev not in sides:
-                sides[ev] = (ev.letters() if ev.kind == PAIR else
-                             (ev, None) if ev.kind == SEND else (None, ev))
-        self.letters = sorted({letter for both in sides.values()
-                               for letter in both if letter is not None},
-                              key=Event.sort_key)
-        rank = {letter: r for r, letter in enumerate(self.letters)}
-        rank[None] = -1
-        self.participants = {p: i for i, p in enumerate(sorted(
-            {ev.sender for ev in sides} | {ev.receiver for ev in sides}))}
-        people = self.participants
-        coded = {ev: (people[ev.sender], people[ev.receiver], rank[snd],
-                      rank[rcv]) for ev, (snd, rcv) in sides.items()}
-        coded[None] = (-1, -1, -1, -1)
-        self.out = [[] for _ in self.names]
+    def __init__(self, form: Compiled):
+        super().__init__(form, {})
+        self.silent = [[move[4] for move in row] if row else ()
+                       for row in self.out]
         self.takes_part: dict = {}
-        indegree = [0] * len(self.names)
-        for src, ev, dst in transitions:
-            self.out[number[src]].append(coded[ev] + (number[dst],))
-            indegree[number[dst]] += 1
-            for p in coded[ev][:2]:
-                self.takes_part.setdefault(p, set()).add(number[src])
-        self.silent = [[move[4] for move in row] for row in self.out]
-        peeled = [q for q, d in enumerate(indegree) if not d]
+        indegree = [0] * len(self.out)
+        for q in self.states:
+            for sender, receiver, _, _, dst in self.out[q]:
+                indegree[dst] += 1
+                self.takes_part.setdefault(sender, set()).add(q)
+                self.takes_part.setdefault(receiver, set()).add(q)
+        peeled = [q for q in self.states if not indegree[q]]
         for q in peeled:  # grows as states lose their last predecessor
             for dst in self.silent[q]:
                 indegree[dst] -= 1
                 if not indegree[dst]:
                     peeled.append(dst)
-        self.cyclic = [q for q, d in enumerate(indegree) if d]
+        self.cyclic = [q for q in self.states if indegree[q]]
 
 
 class Subsets:
@@ -339,6 +314,22 @@ def _first_word(start, out, stop) -> tuple:
     return None, ()
 
 
+def _gate(form: Compiled) -> None:
+    """NotTame unless the compiled protocol, trimmed, is sink-final and
+    each state that branches offers only sends of one participant, the
+    first such state in name order reported."""
+    letters, moves, eps = form.letters, form.moves, form.eps
+    if any((q in form.finals) == bool(moves[q] or eps[q]) for q in form.keep):
+        raise NotTame("machine is not sink-final")
+    # A pair's middle state, numbered after the named ones, has one exit.
+    for q in sorted(form.keep):
+        if len(moves[q]) > 1 and (
+                any(letters[r].kind == RECV for r, _ in moves[q])
+                or len({letters[r].sender for r, _ in moves[q]}) != 1):
+            raise NotTame(f"state {form.names[q]!r} branches on mixed or "
+                          f"multi-sender actions")
+
+
 def _lost_final(encoded: StateMachine, finals) -> Optional[NotProjectable]:
     """The first of the protocol's `finals` that the encoding reaches with
     ring counters away from zero, where it is a sink but no longer final,
@@ -386,11 +377,12 @@ def subset_validity(source: _Compiled, participant: str,
 
     `machine` is `subset_construction(source, participant)`.  `source`
     is a deterministic protocol machine over paired exchanges and
-    epsilon moves, as `encode_psm` builds one, compiled; the participant
-    is one of its participants or forwarders.  Each state X of `machine` stands
-    for its members M, the source states that the participant cannot
-    tell apart: M is closed under the moves silent to the participant,
-    which are the epsilon moves and the exchanges it takes no part in.
+    epsilon moves, as `encode_psm` builds one, compiled and fused; the
+    participant is one of its participants or forwarders.  Each state X
+    of `machine` stands for its members M, the source states that the
+    participant cannot tell apart: M is closed under the moves silent to
+    the participant, which are the epsilon moves and the exchanges it
+    takes no part in.
 
     These are the conditions of Li, Stutz, Wies and Zufferey, "Complete
     multiparty session type projection with automata" (CAV 2023), for
@@ -520,35 +512,35 @@ def project_tame(source) -> ProjectionResult:
     are not `decisive`; the others are.
     """
     psm = source if isinstance(source, Psm) else validate(source)
-    machine = psm.machine.trim()
-
-    if not machine.is_sink_final():
-        raise NotTame("machine is not sink-final")
-    ok, state = single_sender_branching(machine)
-    if not ok:
-        raise NotTame(f"state {state!r} branches on mixed or multi-sender actions")
+    form = psm.compiled
+    _gate(form)
     try:
         bounds = infer_channel_bounds(psm)
     except UnboundedLoop as exc:
         raise NotTame(f"no channel bounds: {exc}") from exc
 
-    encoded = encode_psm(machine, bounds)
-    participants = sorted(machine.participants())
+    # With no bounded channel the encoding only fuses exchanges, which
+    # the fused view of the validated form does; otherwise the encoded
+    # machine is compiled in its turn.
+    encoded = encode_psm(psm.machine, bounds) if bounds else None
+    protocol = _Compiled(Compiled(encoded) if bounds else form)
+    participants = sorted({ev.sender for ev in form.letters}
+                          | {ev.receiver for ev in form.letters})
     named = [p for p in participants if parse_channel_participant(p)]
     if named:
         raise NotProjectable(f"participant {named[0]} is named like a "
                              f"forwarder", decisive=False)
-    failure = _lost_final(encoded, machine.finals)
-    if failure is not None:
-        raise failure
+    if any(b > 1 for b in bounds.values()):  # else no ring counter moves
+        failure = _lost_final(encoded, psm.machine.finals)
+        if failure is not None:
+            raise failure
 
     # The conditions need one run per word: a protocol that repeats an
     # exchange at a choice is determinised first.  Both machines have the
-    # same language, so they give the same minimal projections.  Either
-    # is compiled to integers once, for every participant.
-    protocol = (_Compiled(encoded.states, encoded.initial, encoded.finals,
-                          encoded.transitions) if encoded.is_deterministic()
-                else _Compiled(*_whole(encoded).named()))
+    # same language, so they give the same minimal projections.
+    if not protocol.deterministic:
+        protocol = _Compiled(Compiled(StateMachine(
+            *_whole(protocol.machine()).named())))
     cps = channel_participants(bounds)
     minimal = {}
     for name in participants + [cp.name for cp in cps]:

@@ -6,9 +6,10 @@ set of machine states a word can reach together with the word's channel
 contents.  Because channel contents are a function of the word alone,
 this determinised view answers language-level questions exactly.
 
-`build_config_graph` compiles the machine to integers once (see
-`ConfigGraph`), so its walk, the bound scan of `validate` and
-`check_fer` read only ints; `check_fer` hands `core.fer_violation`
+`validate` reads the machine's `core.Compiled` form, keeps it in the
+`Psm` it returns for the projection's gate and `detected_channels`, and
+walks it (`build_config_graph`): the walk, the bound scan and
+`check_fer` read only ints, and `check_fer` hands `core.fer_violation`
 edges labelled with the channel they receive on.
 """
 
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Event, PAIR, RECV, SEND, StateMachine, Word, expand_pairs,
-                   fer_violation, parent_word, reachable,
+from .core import (Compiled, Event, PAIR, RECV, SEND, StateMachine, Word,
+                   expand_pairs, fer_violation, parent_word, reachable,
                    strongly_connected_components, walk)
 
 DEFAULT_CONFIG_CAP = 1_000_000
@@ -58,13 +59,26 @@ class UnboundedLoop(PsmError):
     """Channel-bound inference failed on a loop with no return traffic."""
 
 
-@dataclass(frozen=True)
 class Psm:
-    """A validated protocol machine with its certified buffer bounds."""
+    """A validated protocol machine with its certified buffer bounds:
+    `compiled` is the machine's integer form, and `machine` the machine
+    trimmed, each pair split into its send and its receive, built from
+    that form when first read unless given."""
 
-    machine: StateMachine
-    bound_total: int
-    bound_by_channel: dict
+    def __init__(self, machine: Optional[StateMachine], bound_total: int,
+                 bound_by_channel: dict, compiled: Optional[Compiled] = None):
+        self.compiled = compiled or Compiled(machine)
+        self._machine = machine
+        self.bound_total, self.bound_by_channel = bound_total, bound_by_channel
+
+    @property
+    def machine(self) -> StateMachine:
+        if self._machine is None:
+            self._machine = expand_pairs(self.compiled.source)
+            if len(self.compiled.keep) < len(self.compiled.moves):
+                self._machine = self._machine.trim()
+            self._machine._trimmed = True
+        return self._machine
 
     @property
     def sum_one(self) -> bool:
@@ -74,7 +88,7 @@ class Psm:
 class ConfigGraph:
     """Reachable configurations of a machine compiled to integers.
 
-    State i is the i-th state name in sorted order, and letter r is
+    States are numbered as `core.Compiled` numbers them, and letter r is
     `letters[r]`, letters ranked in `Event.sort_key` order.  Node i is
     `nodes[i]`: (the frozenset of states a word reaches, and per channel
     of the sorted `channels` the tuple of the ranks of the sends queued
@@ -90,42 +104,34 @@ class ConfigGraph:
                      for r in parent_word(self.parent, node_id))
 
 
-def build_config_graph(machine: StateMachine, *,
+def build_config_graph(form: Compiled, *,
                        config_cap: int = DEFAULT_CONFIG_CAP,
                        queue_cap: Optional[int] = None) -> ConfigGraph:
-    """Explore the word-level configuration graph, checking FIFO discipline.
+    """Explore the word-level configuration graph of a compiled machine,
+    trimmed, checking FIFO discipline.
 
     Raises NonFifo on a receive that cannot consume its channel head, or
     on a complete trace with unmatched sends; raises UnboundedChannel
     when exploration outgrows the caps.
     """
-    machine = expand_pairs(machine).trim()
     if queue_cap is None:
-        queue_cap = max(4, 2 * len(machine.states))
-    number = {q: i for i, q in enumerate(sorted(machine.states))}
+        queue_cap = max(4, 2 * len(form.keep))
     graph = ConfigGraph()
-    graph.letters = letters = sorted(machine.alphabet(), key=Event.sort_key)
+    graph.letters = letters = form.letters
     graph.channels = channels = sorted({ev.channel for ev in letters})
     lane = {ch: c for c, ch in enumerate(channels)}
-    sent = {(ev.channel, ev.message()): r
-            for r, ev in enumerate(letters) if ev.kind == SEND}
     # per rank: its channel, and the send rank a receive needs at the head
     # of that channel (-1 when no send matches; None for a send)
     lanes = [lane[ev.channel] for ev in letters]
-    heads = [None if ev.kind == SEND
-             else sent.get((ev.channel, ev.message()), -1) for ev in letters]
-    rank = {ev: r for r, ev in enumerate(letters)}
-    eps = [[] for _ in number]
-    out = [[] for _ in number]
-    for src, ev, dst in machine.transitions:
-        if ev is None:
-            eps[number[src]].append(number[dst])
-        else:
-            out[number[src]].append((rank[ev], number[dst]))
+    heads = [None if ev.kind == SEND else -1 for ev in letters]
+    for r, received in enumerate(form.receive):
+        if received >= 0:
+            heads[received] = r
+    eps, out = form.eps, form.moves
     closure = [frozenset(reachable((q,), eps.__getitem__)) if eps[q]
-               else frozenset((q,)) for q in range(len(number))]
-    graph.finals = finals = frozenset(number[q] for q in machine.finals)
-    start = (closure[number[machine.initial]], ((),) * len(channels))
+               else frozenset((q,)) for q in range(len(out))]
+    graph.finals = finals = form.finals
+    start = (closure[form.initial], ((),) * len(channels))
     graph.nodes = nodes = [start]
     graph.moves = moves = []
     graph.parent = parent = {}
@@ -196,17 +202,17 @@ def validate(machine: StateMachine, *,
              config_cap: int = DEFAULT_CONFIG_CAP) -> Psm:
     """Certify a machine as a protocol state machine.
 
-    Checks density syntactically, then walks the configuration graph to
-    certify the least buffer bounds and feasible eventual reception.
-    The first violated condition is raised with a witness path.
+    Compiles it, checks density syntactically, then walks the
+    configuration graph to certify the least buffer bounds and feasible
+    eventual reception.  The first violated condition is raised with a
+    witness path.
     """
-    machine = expand_pairs(machine)
-    if not machine.is_dense():
+    form = Compiled(machine)
+    if not form.dense:
         raise NotDense("a state with an epsilon transition has other exits")
-    if machine.has_pure_eps_cycle():
+    if form.eps_cycle:
         raise NotDense("machine contains a cycle of epsilon transitions")
-    trimmed = machine.trim()
-    graph = build_config_graph(trimmed, config_cap=config_cap)
+    graph = build_config_graph(form, config_cap=config_cap)
     queues = [q for _, q in graph.nodes]
     total = max(sum(map(len, q)) for q in queues)
     longest = [max(map(len, column)) for column in zip(*queues)]
@@ -214,8 +220,7 @@ def validate(machine: StateMachine, *,
     ok, witness = check_fer(graph)
     if not ok:
         raise FerViolation("a pending send can never be received", witness)
-    return Psm(machine=trimmed, bound_total=total,
-               bound_by_channel=per_channel)
+    return Psm(None, total, per_channel, form)
 
 
 # -- choice classification -----------------------------------------------
@@ -276,17 +281,14 @@ def single_sender_branching(machine: StateMachine) -> tuple[bool, Optional[str]]
 # -- channel-bound inference ----------------------------------------------
 
 
-def detected_channels(machine: StateMachine) -> frozenset[Channel]:
-    """Channels where some send is not immediately followed by its
-    unique matching receive."""
-    machine = expand_pairs(machine)
-    detected: set[Channel] = set()
-    for src, ev, dst in machine.transitions:
-        if ev is None or ev.kind != SEND:
-            continue
-        if machine.immediate_receive(ev, dst) is None:
-            detected.add(ev.channel)
-    return frozenset(detected)
+def detected_channels(form: Compiled) -> frozenset[Channel]:
+    """Channels where some send of the compiled machine, trimmed, is not
+    immediately followed by its unique matching receive: the only exit
+    of the state it leads to."""
+    letters, moves, receive = form.letters, form.moves, form.receive
+    return frozenset(letters[r].channel for row in moves for r, d in row
+                     if letters[r].kind == SEND and (form.eps[d] or [
+                         rank for rank, _ in moves[d]] != [receive[r]]))
 
 
 def _simple_cycles(machine: StateMachine):
@@ -357,11 +359,11 @@ def infer_channel_bounds(psm: Psm) -> dict:
     leaves every loop with no net effect on any channel, so this is the
     maximum over loop-free paths from the initial state.
     """
-    machine = expand_pairs(psm.machine).trim()
-    detected = detected_channels(machine)
+    detected = detected_channels(psm.compiled)
     if not detected:
         return {}
 
+    machine = expand_pairs(psm.machine).trim()
     cycles = list(_simple_cycles(machine))
     for p, q in sorted(detected):
         for cycle in cycles:

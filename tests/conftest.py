@@ -8,8 +8,8 @@ import pytest
 
 from amp.core import StateMachine, pair, recv, send
 from amp.csm import Csm
-from amp.psm import detected_channels
 
+from .compiled_reference import detected_channels
 from .goldengen import kle_machine
 
 

@@ -18,9 +18,9 @@ from typing import Optional
 from amp.core import (PAIR, RECV, SEND, StateMachine, Word, maximal_capable,
                       pair, recv, send)
 from amp.csm import Csm, is_final_config
-from amp.encoding import (ChannelParticipant, _counter_state,
-                          merge_immediate_pairs)
+from amp.encoding import ChannelParticipant, _counter_state
 
+from .compiled_reference import merge_immediate_pairs
 from .walker_reference import ConfigGraph
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from typing import Optional
 
-from amp.core import (RECV, SEND, Event, StateMachine, Word, eps_closure,
+from amp.core import (PAIR, RECV, SEND, Event, StateMachine, Word, eps_closure,
                       expand_pairs, payload_from_key, reachable, recv, send,
                       subset_moves, walk)
 from amp.csm import Csm, check_projection
@@ -51,15 +51,16 @@ from amp.encoding import (ChannelParticipant, channel_participants,
                           parse_channel_participant)
 from amp.fifo import show_word
 from amp.projection import (NotProjectable, NotTame, ProjectionResult,
-                            Subsets, _Compiled, _first_word, _lost_final,
+                            Subsets, _first_word, _lost_final,
                             _machine_of, subset_construction)
 from amp.projection import minimize as library_minimize
 from amp.psm import (Psm, UnboundedLoop, _has_return_chain,
-                     detected_channels, single_sender_branching, validate)
+                     single_sender_branching, validate)
 from amp.psm import infer_channel_bounds as library_infer_channel_bounds
 from amp.transform import (Regex, brz_deriv, canon, first_letters, nullable,
                            regex_contains_eps, remove_eps)
 
+from .compiled_reference import detected_channels
 from .semantics import is_channel_ordered, rename
 from .walker_reference import _local_label
 
@@ -67,11 +68,71 @@ from .walker_reference import _local_label
 # -- amp.projection -----------------------------------------------------------
 
 
-def compiled(machine: StateMachine) -> _Compiled:
-    """`machine` compiled as `project_tame` compiles the protocol it
-    projects, for `subset_construction`."""
-    return _Compiled(machine.states, machine.initial, machine.finals,
-                     machine.transitions)
+class NamedCompiled:
+    """A protocol machine compiled to integers, once, for projection.
+
+    State i is `names[i]`, states numbered in sorted name order, so
+    sorting state ids sorts their names.  `out[i]` lists state i's
+    transitions as (sender, receiver, send rank, receive rank,
+    successor): a participant sees the send letter when it is the
+    sender and the receive letter when it is the receiver, and a rank
+    of -1, or an epsilon move with sender and receiver -1, is silent to
+    it.  `letters[r]` is the letter of rank r, letters ranked in
+    `Event.sort_key` order, and `participants` numbers the names of the
+    senders and receivers.  `silent[i]` lists state i's successors, as
+    silent moves, and `takes_part[p]` the states where participant
+    number p moves.  `cyclic` lists the states that a cycle reaches, left
+    by Kahn's peeling, so it holds every successor of its states.
+    """
+
+    __slots__ = ("names", "initial", "finals", "out", "letters",
+                 "participants", "silent", "takes_part", "cyclic")
+
+    def __init__(self, states, initial: str, finals, transitions):
+        self.names = sorted(states)
+        number = {q: i for i, q in enumerate(self.names)}
+        self.initial = number[initial]
+        self.finals = frozenset(number[q] for q in finals)
+        sides = {}  # event -> (its send letter, its receive letter)
+        for _, ev, _ in transitions:
+            if ev is not None and ev not in sides:
+                sides[ev] = (ev.letters() if ev.kind == PAIR else
+                             (ev, None) if ev.kind == SEND else (None, ev))
+        self.letters = sorted({letter for both in sides.values()
+                               for letter in both if letter is not None},
+                              key=Event.sort_key)
+        rank = {letter: r for r, letter in enumerate(self.letters)}
+        rank[None] = -1
+        self.participants = {p: i for i, p in enumerate(sorted(
+            {ev.sender for ev in sides} | {ev.receiver for ev in sides}))}
+        people = self.participants
+        coded = {ev: (people[ev.sender], people[ev.receiver], rank[snd],
+                      rank[rcv]) for ev, (snd, rcv) in sides.items()}
+        coded[None] = (-1, -1, -1, -1)
+        self.out = [[] for _ in self.names]
+        self.takes_part: dict = {}
+        indegree = [0] * len(self.names)
+        for src, ev, dst in transitions:
+            self.out[number[src]].append(coded[ev] + (number[dst],))
+            indegree[number[dst]] += 1
+            for p in coded[ev][:2]:
+                self.takes_part.setdefault(p, set()).add(number[src])
+        self.silent = [[move[4] for move in row] for row in self.out]
+        peeled = [q for q, d in enumerate(indegree) if not d]
+        for q in peeled:  # grows as states lose their last predecessor
+            for dst in self.silent[q]:
+                indegree[dst] -= 1
+                if not indegree[dst]:
+                    peeled.append(dst)
+        self.cyclic = [q for q, d in enumerate(indegree) if d]
+
+
+def compiled(machine: StateMachine) -> NamedCompiled:
+    """`machine`, a protocol over paired exchanges and epsilon moves as
+    `encode_psm` writes one, compiled as `project_tame` compiled the
+    protocol it projects, for `subset_construction`."""
+    return NamedCompiled(machine.states, machine.initial, machine.finals,
+                         machine.transitions)
 
 
 def minimal_machine(subsets: Subsets) -> StateMachine:

@@ -90,6 +90,8 @@ from amp.transform import (RAlt, RCat, REmpty, REps, RLetter, RStar, Regex,
                            first_letters, nullable)
 from amp.typecheck import Endpoint, StateRegistry
 
+from .compiled_reference import is_dense
+
 
 # -- amp.core: trace languages and isomorphism --------------------------------
 
@@ -739,7 +741,7 @@ def is_intermediate_recursion_free(machine: StateMachine) -> bool:
 
 
 def is_tree_shaped(machine: StateMachine) -> bool:
-    return (machine.trim().is_dense() and is_ancestor_recursive(machine)
+    return (is_dense(machine.trim()) and is_ancestor_recursive(machine)
             and is_non_merging(machine)
             and is_intermediate_recursion_free(machine))
 

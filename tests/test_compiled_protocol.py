@@ -1,0 +1,202 @@
+"""The compiled protocol (`core.Compiled`) and its fused view
+(`encoding.Fused`, which projection reads as `_Compiled`) against the
+string-named analyses they replaced (`compiled_reference.py`): the
+expanded machine, trimmed; density and epsilon cycles; sink-finality and
+the first state that branches on more than one sender's sends; the
+channels that need a bound; the merge of each send with its immediate
+receive, with its errors; and the protocol that projection compiled from
+`encode_psm`'s output (`projection_reference.NamedCompiled`).
+
+The draws are the generators of `conftest.py`, random machines that are
+neither dense nor trimmed, and every corpus protocol.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from amp.cli import _load_machine
+from amp.core import Compiled, StateMachine, expand_pairs, pair, recv, send
+from amp.encoding import encode_psm, merge_immediate_pairs
+from amp.projection import NotTame, _Compiled, _gate, project_tame
+from amp.psm import (PsmError, detected_channels, infer_channel_bounds,
+                     single_sender_branching, validate)
+from amp.transform import global_to_psm, parse_global_type
+from perfbench import generators as gen
+
+from . import compiled_reference as reference
+from .conftest import (random_looping_protocol, random_sender_driven_tree,
+                       random_tame_psm)
+from .graph_reference import encode_psm as reference_encode_psm
+from .projection_reference import NamedCompiled
+from .test_graph_analyses import random_bounds, random_machine
+from .test_walkers import PSM_SOURCES
+from .walker_reference import compiled_names
+
+
+def draws():
+    """Protocols from every generator, and machines of any shape."""
+    rng = random.Random(34)
+    for _ in range(150):
+        yield random_tame_psm(rng, max_states=rng.choice((6, 8, 12)))
+        yield random_sender_driven_tree(rng, max_states=8)
+        yield random_looping_protocol(rng)[0]
+        yield random_machine(rng, rng.randrange(1, 10),
+                             rng.choice((0.0, 0.3)))
+    for path in PSM_SOURCES:
+        yield _load_machine(str(path))
+
+
+def gate_outcome(check, machine) -> str:
+    try:
+        check(machine)
+    except NotTame as exc:
+        return str(exc)
+    return "tame"
+
+
+def named_gate(machine: StateMachine) -> None:
+    """The projection's gate as it read the string machine."""
+    machine = expand_pairs(machine).trim()
+    if not machine.is_sink_final():
+        raise NotTame("machine is not sink-final")
+    ok, state = single_sender_branching(machine)
+    if not ok:
+        raise NotTame(f"state {state!r} branches on mixed or multi-sender "
+                      f"actions")
+
+
+def test_the_compiled_form_answers_as_the_string_machine():
+    for machine in draws():
+        form = Compiled(machine)
+        expanded = expand_pairs(machine)
+        trimmed = expanded.trim()
+        names = compiled_names(machine)
+        assert {names[q] for q in form.keep} == trimmed.states
+        assert {names[q] for q in form.finals} == trimmed.finals
+        assert names[form.initial] == trimmed.initial
+        assert form.letters == sorted(trimmed.alphabet(),
+                                      key=lambda ev: ev.sort_key())
+        assert {(names[q], form.letters[r], names[d])
+                for q in form.keep for r, d in form.moves[q]} | {
+            (names[q], None, names[d]) for q in form.keep
+            for d in form.eps[q]} == set(trimmed.transitions)
+        assert form.dense == reference.is_dense(expanded)
+        assert form.eps_cycle == reference.has_pure_eps_cycle(expanded)
+        assert gate_outcome(_gate, form) == gate_outcome(named_gate, machine)
+        assert detected_channels(form) == \
+            reference.detected_channels(trimmed)
+
+
+def mixing(rng: random.Random) -> StateMachine:
+    """A line of exchanges, each a pair or a send and its receive, with
+    a few more transitions into states between a send and its receive,
+    or out of them: states that the merge drops and something else
+    enters."""
+    n = rng.randrange(2, 7)
+    states = [f"s{i}" for i in range(n + 1)] + [f"m{i}" for i in range(n)]
+    transitions = []
+    for i in range(n):
+        p, q = rng.sample(("p", "q", "r"), 2)
+        label = rng.choice("ab")
+        if rng.random() < 0.3:
+            transitions.append((f"s{i}", pair(p, q, label), f"s{i + 1}"))
+        else:
+            transitions += [(f"s{i}", send(p, q, label), f"m{i}"),
+                            (f"m{i}", recv(p, q, label), f"s{i + 1}")]
+    for _ in range(rng.randrange(3)):
+        p, q = rng.sample(("p", "q", "r"), 2)
+        transitions.append((rng.choice(states), rng.choice(
+            [None, pair(p, q, "x"), send(p, q, "a"), recv(p, q, "b")]),
+            rng.choice(states)))
+    return StateMachine(states, "s0", [f"s{n}"], transitions)
+
+
+def merge_outcome(merge, machine, bounds):
+    try:
+        return merge(machine, bounds)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_the_merge_agrees_with_the_string_merge_on_trimmed_machines():
+    """Every send on an unbounded channel joined to its immediate
+    receive, or the same error, on the trimmed machine with its pairs
+    split, as validation leaves it."""
+    rng = random.Random(35)
+    errors = set()
+    for machine in [*draws(), *(mixing(rng) for _ in range(500))]:
+        trimmed = expand_pairs(machine).trim()
+        for bounds in ({}, random_bounds(rng, trimmed)):
+            new = merge_outcome(lambda m, b: merge_immediate_pairs(
+                Compiled(m), b), trimmed, bounds)
+            assert new == merge_outcome(reference.merge_immediate_pairs,
+                                        trimmed, bounds)
+            if isinstance(new, str):
+                errors.add(new.split()[0])
+    assert errors == {"send", "state"}
+
+
+def shape(protocol, states) -> tuple:
+    """A compiled protocol read back to state names: its transitions,
+    initial and final states, letters, participants, who takes part
+    where, and the states on or after a cycle."""
+    names = protocol.names
+    return ({names[q]: sorted((*move[:4], names[move[4]])
+                              for move in protocol.out[q]) for q in states},
+            names[protocol.initial], {names[q] for q in protocol.finals},
+            protocol.letters, protocol.participants,
+            {p: {names[q] for q in qs}
+             for p, qs in protocol.takes_part.items()},
+            [names[q] for q in protocol.cyclic])
+
+
+def test_the_fused_view_is_the_protocol_projection_compiled():
+    """With no bounded channel, the validated form read fused; with
+    some, the encoded machine compiled and read fused: the protocol that
+    `project_tame` compiled from `encode_psm`'s output."""
+    bounded = unbounded = 0
+    for machine in draws():
+        try:
+            psm = validate(machine)
+            bounds = infer_channel_bounds(psm)
+            encoded = reference_encode_psm(psm.machine, bounds)
+        except (PsmError, ValueError):
+            continue
+        fused = _Compiled(Compiled(encode_psm(psm.machine, bounds))
+                          if bounds else psm.compiled)
+        assert fused.deterministic == encoded.is_deterministic()
+        assert fused.machine() == encoded
+        old = NamedCompiled(encoded.states, encoded.initial, encoded.finals,
+                            encoded.transitions)
+        assert shape(fused, fused.states) == \
+            shape(old, range(len(old.names)))
+        bounded += bool(bounds)
+        unbounded += not bounds
+    assert bounded > 20 and unbounded > 100
+
+
+@pytest.mark.parametrize("text", [
+    gen.global_text(gen.chain_messages(30, random.Random(3))),
+    "( c->d:m . d->e:a . 0 + c->d:m . d->e:b . 0 )"],
+    ids=["chain(30)", "determinised"])
+def test_a_global_type_builds_only_its_components(monkeypatch, text):
+    """Validation and projection of a global type, whose exchanges are
+    pairs, build one machine per written component: no expanded, merged
+    or encoded machine.  Where the protocol repeats an exchange at a
+    choice, the fused protocol is written out to be determinised, and
+    the determinised one compiled in its turn."""
+    machine = global_to_psm(parse_global_type(text))
+    built = []
+    init = StateMachine.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(StateMachine, "__init__", counted)
+    components = project_tame(validate(machine)).csm.components
+    assert built[-len(components):] == list(components.values())
+    assert len(built) == len(components) + 2 * ("+" in text)

@@ -4,12 +4,13 @@ import pytest
 
 from amp.core import StateMachine, recv, send
 from amp.csm import (Csm, _Kernel, check_projection, csm_from_json,
-                     csm_language_upto, csm_to_dot, csm_to_json, dump_csm,
-                     explore, load_csm, simulate, step, word_embeds)
+                     csm_language_upto, csm_to_dot, dump_csm, explore,
+                     load_csm, simulate, step, word_embeds)
 from amp.fifo import VIOLATION, is_fifo, swap_step
 from amp.psm import validate
 
 from .conftest import kle_machine, three_party_csm, three_party_machine
+from .json_reference import csm_to_json
 from .semantics import initial_config, parse_word
 
 

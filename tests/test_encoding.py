@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from amp.core import StateMachine, maximal_traces_upto, recv, send
+from amp.core import Compiled, StateMachine, maximal_traces_upto, recv, send
 from amp.encoding import (ChannelParticipant, decode_fsm, encode_psm,
                           merge_immediate_pairs, parse_channel_participant)
 from amp.fifo import closure_upto
@@ -108,7 +108,7 @@ def test_decode_preserves_swaps(rng):
 
 
 def test_merge_immediate_pairs():
-    merged = merge_immediate_pairs(three_party_machine(), {})
+    merged = merge_immediate_pairs(Compiled(three_party_machine()), {})
     assert all(ev.kind == "pair" for _, ev, _ in merged.transitions
                if ev is not None)
     assert len(merged.states) == 10
@@ -126,14 +126,14 @@ def test_merging_a_trimmed_machine_keeps_it_trimmed():
             bounds = infer_channel_bounds(psm)
         except PsmError:
             continue
-        merged = merge_immediate_pairs(psm.machine.trim(), bounds)
+        merged = merge_immediate_pairs(Compiled(psm.machine), bounds)
         assert StateMachine(merged.states, merged.initial, merged.finals,
                             merged.transitions).trim() == merged
 
 
 def test_merge_rejects_deferred_receive_on_unbounded_channel():
     with pytest.raises(ValueError):
-        merge_immediate_pairs(kle_machine(), {})
+        merge_immediate_pairs(Compiled(kle_machine()), {})
 
 
 def test_merge_rejects_a_receive_behind_an_epsilon_move():
@@ -145,7 +145,7 @@ def test_merge_rejects_a_receive_behind_an_epsilon_move():
          ("s2", recv("p", "q", "m"), "s3")])
     with pytest.raises(ValueError, match=r"^send p>q!m on unbounded channel "
                                          r"lacks an immediate receive$"):
-        merge_immediate_pairs(machine, {})
+        merge_immediate_pairs(Compiled(machine), {})
 
 
 def test_merge_rejects_a_dropped_state_that_an_epsilon_move_enters():
@@ -157,7 +157,7 @@ def test_merge_rejects_a_dropped_state_that_an_epsilon_move_enters():
          ("s2", None, "s1")])
     with pytest.raises(ValueError,
                        match="^state s1 mixes paired and other traffic$"):
-        merge_immediate_pairs(machine, {})
+        merge_immediate_pairs(Compiled(machine), {})
 
 
 def test_encode_psm_kle_matches_expected_shape():
@@ -169,7 +169,8 @@ def test_encode_psm_empty_bounds_is_merge():
     machine = three_party_machine()
     encoded = encode_psm(machine, {})
     assert machine_isomorphic(encoded,
-                              merge_immediate_pairs(machine, {})) is not None
+                              merge_immediate_pairs(Compiled(machine),
+                                                    {})) is not None
 
 
 def test_encode_psm_preserves_sink_finality_and_choice():

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from amp.cli import _load_machine
-from amp.core import (StateMachine, backward_closure, dump_machine,
+from amp.core import (Compiled, StateMachine, backward_closure, dump_machine,
                       fer_violation, maximal_capable, nodes_on_cycles, pair,
                       recv, send)
 from amp.csm import Csm, explore, is_final_config, load_csm
@@ -132,7 +132,7 @@ def assert_machine_analyses_agree(machine: StateMachine) -> None:
     assert machine.useful_states() == reference.useful_states(machine)
     assert (backward_closure(machine.states, machine.out, machine.finals)
             == reference._states_reaching(machine, machine.finals))
-    assert machine.has_pure_eps_cycle() == reference.has_pure_eps_cycle(
+    assert Compiled(machine).eps_cycle == reference.has_pure_eps_cycle(
         machine)
 
 
@@ -157,11 +157,11 @@ def test_epsilon_cycle_detection_without_recursion():
     n = 5000
     states = [f"s{i}" for i in range(n)]
     line = [(states[i], None, states[i + 1]) for i in range(n - 1)]
-    assert not StateMachine(states, "s0", [], line).has_pure_eps_cycle()
+    assert not Compiled(StateMachine(states, "s0", [], line)).eps_cycle
     looped = line + [(states[-1], None, "s0")]
-    assert StateMachine(states, "s0", [], looped).has_pure_eps_cycle()
+    assert Compiled(StateMachine(states, "s0", [], looped)).eps_cycle
     mixed = line + [(states[-1], send("p", "q", "m"), "s0")]
-    assert not StateMachine(states, "s0", [], mixed).has_pure_eps_cycle()
+    assert not Compiled(StateMachine(states, "s0", [], mixed)).eps_cycle
 
 
 # -- feasible eventual reception on labelled graphs ----------------------
@@ -196,7 +196,7 @@ def assert_fer_agrees(machine: StateMachine, **caps) -> bool:
     """Compare on the configuration graph, when one can be built; return
     the verdict."""
     try:
-        graph = build_config_graph(machine, **caps)
+        graph = build_config_graph(Compiled(machine), **caps)
     except (NonFifo, UnboundedChannel):
         return True
     old = walker_reference.build_config_graph(machine, **caps)

@@ -1,13 +1,18 @@
-"""The machine and CSM writer prints what `json.dumps(doc, indent=2,
-sort_keys=True)` prints, byte for byte."""
+"""The machine and CSM writers print what `json.dumps(doc, indent=2,
+sort_keys=True)` prints for the machine's document, byte for byte: the
+library's writers, which print straight from the machines, and the
+reference writer of dict documents that they replaced."""
 
 import json
 import random
 from pathlib import Path
 
-from amp.core import (dump_machine, load_machine, machine_json_text,
-                      machine_to_json, machines_json_text)
-from amp.csm import csm_to_json, dump_csm, load_csm
+from amp.core import (MalformedInput, StateMachine, dump_machine,
+                      load_machine, machine_from_json)
+from amp.csm import Csm, dump_csm, load_csm
+
+from .json_reference import (csm_to_json, machine_json_text, machine_to_json,
+                             machines_json_text)
 
 PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
 
@@ -78,6 +83,31 @@ def test_writer_matches_json_dumps_on_random_documents():
         docs = {_name(rng): _machine_doc(rng)
                 for _ in range(rng.randint(0, 3))}
         assert machines_json_text(docs) == _reference(docs)
+
+
+def test_library_writer_matches_json_dumps_on_random_machines():
+    """Every random document that loads as a machine, written straight
+    from the machine, and as a CSM component where its events have one
+    subject, next to a second component that shares its events."""
+    rng = random.Random(18)
+    loaded = csms = 0
+    for _ in range(3000):
+        try:
+            machine = machine_from_json(_machine_doc(rng))
+        except MalformedInput:
+            continue
+        loaded += 1
+        assert dump_machine(machine) == \
+            _reference(machine_to_json(machine)) + "\n"
+        subjects = {ev.subject for ev in machine.alphabet()}
+        if len(subjects) == 1:
+            (name,) = subjects
+            csm = Csm({name: machine, name + "'": StateMachine(
+                {"a"}, "a", {"a"}, ())})
+            assert dump_csm(csm) == _reference(csm_to_json(csm)) + "\n"
+            csms += 1
+    assert loaded > 100 and csms > 50
+    assert dump_csm(Csm({})) == _reference({}) + "\n"
 
 
 def test_writer_keeps_equal_payloads_of_different_types_apart():

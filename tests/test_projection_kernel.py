@@ -156,21 +156,24 @@ def test_component_states_follow_the_decoded_machine():
 
 
 @pytest.mark.parametrize("family,built,walked,events", [
-    (lambda rng: gen.linear_psm(gen.chain_messages(30, rng)), 4, False, 9),
+    (lambda rng: gen.linear_psm(gen.chain_messages(30, rng)), 3, False, 0),
     (lambda rng: gen.diamonds(2, rng), 5, False, 64),
     (lambda rng: gen.burst(3, rng), 4, True, 24)],
     ids=["chain(30)", "diamonds(2)", "burst(3)"])
 def test_projection_builds_only_the_machines_it_writes(monkeypatch, family,
                                                        built, walked, events):
-    """The merged protocol, the encoding where some event goes through a
-    forwarder, and one component per participant: no decoded or renamed
+    """One component per participant and, only where some channel is
+    bounded, the merged protocol and its encoding: no decoded or renamed
     copy, no machine for the amicability check, which reads `minimize`'s
     classes (diamonds(2) built 10 machines and 88 events, and burst(3) 9
     and 33, when it read string machines and built events to compare
     forwarder moves), and no ring counter walked without a ring of two
     or more slots.  One pair is built per distinct exchange, and its two
     letters once (chain(30) built 36 events when each transition had
-    its own)."""
+    its own).  chain(30) needs no bound, so its projection reads the
+    form that validation compiled, fused: no merged machine and no
+    event (it built 4 machines and 9 events when it merged the protocol
+    and compiled the merged machine again)."""
     psm = validate(load_machine(gen.dump(family(random.Random(1)))))
     calls = []
 

@@ -256,7 +256,7 @@ def test_regex_to_psm_agrees_on_corpus(source):
         return
     if not psm.sum_one:
         return
-    merged = merge_immediate_pairs(psm.machine, {})
+    merged = merge_immediate_pairs(psm.compiled, {})
     if not merged.trim().is_sink_final():
         merged = make_sink_final(merged)
     regex = psm_to_regex(merged)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from amp.core import StateMachine, maximal_traces_upto, recv, send
+from amp.core import Compiled, StateMachine, maximal_traces_upto, recv, send
 from amp.fifo import COMPLETE, OK, is_fifo
 from amp.psm import (DIRECTED, FerViolation, MIXED, NON_DETERMINISTIC, NonFifo,
                      NotDense, SENDER_DRIVEN, UnboundedChannel, UnboundedLoop,
@@ -10,6 +10,7 @@ from amp.psm import (DIRECTED, FerViolation, MIXED, NON_DETERMINISTIC, NonFifo,
                      is_tame, single_sender_branching, validate)
 from amp.transform import global_to_psm, parse_global_type
 
+from .compiled_reference import has_pure_eps_cycle
 from .conftest import epsilon_chain, kle_machine, three_party_machine
 from .semantics import complete_traces
 
@@ -127,8 +128,9 @@ def test_classification_is_monotone(rng):
 
 
 def test_detected_channels():
-    assert detected_channels(three_party_machine()) == frozenset()
-    assert detected_channels(kle_machine()) == {("e", "o"), ("o", "e")}
+    assert detected_channels(Compiled(three_party_machine())) == frozenset()
+    assert detected_channels(Compiled(kle_machine())) == {("e", "o"),
+                                                          ("o", "e")}
 
 
 def test_infer_bounds_examples():
@@ -207,4 +209,4 @@ def test_validate_long_epsilon_chain():
     # once per state.
     psm = validate(epsilon_chain(3000))
     assert psm.bound_by_channel == {("p", "q"): 1}
-    assert not psm.machine.has_pure_eps_cycle()
+    assert not has_pure_eps_cycle(psm.machine)

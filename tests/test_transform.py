@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from amp.core import StateMachine, maximal_traces_upto, pair, recv, send
+from amp.core import (Compiled, StateMachine, maximal_traces_upto, pair, recv,
+                      send)
 from amp.encoding import merge_immediate_pairs
 from amp.psm import (DIRECTED, MIXED, NON_DETERMINISTIC, SENDER_DRIVEN,
                      classify_choice)
@@ -15,6 +16,7 @@ from amp.transform import (Choice, End, MixedChoiceState, RAlt, RCat, REps,
                            parse_global_type, psm_to_global_type, psm_to_regex,
                            rcat, regex_to_psm, tree_of)
 
+from .compiled_reference import is_dense
 from .conftest import three_party_machine
 from .goldengen import THREE_PARTY_GT
 from .semantics import (complete_traces, languages_equal_upto, mark, psm_deriv,
@@ -58,7 +60,7 @@ def test_global_to_psm_loop_without_exit():
     eps = [(s, d) for s, e, d in machine.transitions if e is None]
     assert len(eps) == 2
     assert not machine.finals
-    assert machine.is_dense()
+    assert is_dense(machine)
 
 
 def test_global_to_psm_matches_flat_three_party():
@@ -72,7 +74,7 @@ def test_global_machine_structure():
                             is_intermediate_recursion_free, is_non_merging,
                             is_tree_shaped)
     machine = global_to_psm(parse_global_type(THREE_PARTY_GT))
-    assert machine.is_dense()
+    assert is_dense(machine)
     assert is_ancestor_recursive(machine)
     assert is_non_merging(machine)
     assert is_intermediate_recursion_free(machine)
@@ -145,7 +147,7 @@ def test_psm_to_regex_loop_then_exit():
 
 
 def test_psm_to_regex_three_party_language():
-    machine = merge_immediate_pairs(three_party_machine(), {})
+    machine = merge_immediate_pairs(Compiled(three_party_machine()), {})
     regex = psm_to_regex(machine)
     words = regex_lang_upto(regex, 8)
     traces = complete_traces(maximal_traces_upto(machine, 8))
@@ -263,7 +265,7 @@ def test_regex_to_psm_structure():
     regex = rcat(RStar(rcat(_letter("a"), _letter("b", "q", "r"))),
                  _letter("c"))
     machine = _machine_of(regex)
-    assert machine.is_dense()
+    assert is_dense(machine)
     assert machine.trim().is_sink_final()
     assert complete_traces(maximal_traces_upto(machine, 10)) == \
         regex_lang_upto(regex, 10)
@@ -337,7 +339,7 @@ def test_psm_to_global_single_final():
 
 
 def test_full_workflow_three_party():
-    machine = merge_immediate_pairs(three_party_machine(), {})
+    machine = merge_immediate_pairs(Compiled(three_party_machine()), {})
     regex = psm_to_regex(machine)
     rebuilt = regex_to_psm(regex)
     g = psm_to_global_type(rebuilt)

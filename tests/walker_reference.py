@@ -185,11 +185,27 @@ class ConfigGraph:
         return tuple(reversed(events))
 
 
-def named(graph, machine: StateMachine) -> ConfigGraph:
-    """`amp.psm.build_config_graph(machine)` read back to state names,
-    events and channel queues of (label, payload key) messages."""
-    machine = expand_pairs(machine).trim()
+def compiled_names(machine: StateMachine) -> list[str]:
+    """The name of each state of `core.Compiled(machine)`, by number: the
+    states in name order, then each pair's middle state, named as
+    `expand_pairs` names it."""
     names = sorted(machine.states)
+    taken = set(names)
+    for idx, (src, ev, _) in enumerate(machine.transitions):
+        if ev is not None and ev.kind == "pair":
+            mid = f"{src}~{idx}"
+            while mid in taken:
+                mid += "'"
+            taken.add(mid)
+            names.append(mid)
+    return names
+
+
+def named(graph, machine: StateMachine) -> ConfigGraph:
+    """`amp.psm.build_config_graph(Compiled(machine))` read back to state
+    names, events and channel queues of (label, payload key) messages."""
+    names = compiled_names(machine)
+    machine = expand_pairs(machine).trim()
     letters = graph.letters
     result = ConfigGraph(machine)
     for i, (states, queues) in enumerate(graph.nodes):
