@@ -72,9 +72,7 @@ def _witness_of(exc) -> list:
 
 def _witness_lines(exc) -> list[str]:
     witness = getattr(exc, "witness", None)
-    if not witness:
-        return []
-    return [f"witness: {fifo.format_word(witness)}"]
+    return [f"witness: {fifo.format_word(witness)}"] if witness else []
 
 
 def _cap_or_negative(exc: psm_mod.PsmError) -> int:
@@ -184,25 +182,19 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    machine = _load_machine(args.file)
-    validated = psm_mod.validate(machine)
-    if args.bounds == "auto":
-        bounds = psm_mod.infer_channel_bounds(validated)
-    else:
-        bounds = _load_bounds(args.bounds, validated.compiled)
-    encoded = encoding.encode_psm(validated.machine, bounds)
-    output = core.dump_machine(encoded)
+    validated = psm_mod.validate(_load_machine(args.file))
+    bounds = (psm_mod.infer_channel_bounds(validated) if args.bounds == "auto"
+              else _load_bounds(args.bounds, validated.compiled))
+    _write(args, core.dump_machine(
+        encoding.encode_psm(validated.compiled, bounds).machine()))
     if args.output:
-        Path(args.output).write_text(output)
         print(f"encoded machine written to {args.output}")
-    else:
-        print(output, end="")
     return OK
 
 
 def cmd_decode_fsm(args) -> int:
-    machine = _load_machine(args.file)
-    _write(args, core.dump_machine(encoding.decode_fsm(machine)))
+    _write(args, core.dump_machine(encoding.decode_fsm(
+        _load_machine(args.file))))
     return OK
 
 
@@ -296,7 +288,7 @@ def cmd_to_global(args) -> int:
               ["machine keeps more than one message in flight; "
                "global types cannot express it"])
         return NEGATIVE
-    merged = encoding.merge_immediate_pairs(validated.compiled, {})
+    merged = encoding.merge_immediate_pairs(validated.compiled)
     if not merged.trim().is_sink_final():
         merged = transform.make_sink_final(merged)
     g = transform.psm_to_global_type(transform.tree_of(merged))

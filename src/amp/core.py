@@ -499,24 +499,32 @@ def queue_set(queues: tuple, channel, content: tuple) -> tuple:
     return tuple(sorted(rest))
 
 
+def pair_middles(m: StateMachine) -> Iterator[str]:
+    """The names `expand_pairs` gives the middle states of `m`'s pairs."""
+    states = set(m.states)
+    for idx, (src, ev, _) in enumerate(m.transitions):
+        if ev is not None and ev.kind == PAIR:
+            mid = f"{src}~{idx}"
+            while mid in states:
+                mid += "'"
+            states.add(mid)
+            yield mid
+
+
 def expand_pairs(m: StateMachine) -> StateMachine:
     """Split each paired transition into a send and its immediate receive."""
     if all(ev is None or ev.kind != PAIR for _, ev, _ in m.transitions):
         return m
-    states = set(m.states)
+    middles = pair_middles(m)
     trans: list[Transition] = []
-    for idx, (src, ev, dst) in enumerate(m.transitions):
+    for src, ev, dst in m.transitions:
         if ev is None or ev.kind != PAIR:
             trans.append((src, ev, dst))
-            continue
-        mid = f"{src}~{idx}"
-        while mid in states:
-            mid += "'"
-        states.add(mid)
-        snd, rcv = ev.letters()
-        trans.append((src, snd, mid))
-        trans.append((mid, rcv, dst))
-    expanded = StateMachine(states, m.initial, m.finals, trans)
+        else:
+            mid, (snd, rcv) = next(middles), ev.letters()
+            trans += ((src, snd, mid), (mid, rcv, dst))
+    expanded = StateMachine(m.states.union(src for src, _, _ in trans),
+                            m.initial, m.finals, trans)
     # A pair's middle state is as reachable and useful as its ends.
     expanded._trimmed = m._trimmed
     return expanded

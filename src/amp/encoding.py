@@ -3,15 +3,15 @@
 A compiled protocol (`core.Compiled`) is read with each send on an
 unbounded channel joined to its immediate receive (`Fused`), the form
 that projection reads; `merge_immediate_pairs` writes it out as a
-machine where one is needed.  Bounded channels are rewritten to route
-each message through a ring of forwarder participants, one per buffer
-slot, turning deferred receives into immediately-received exchanges.
-Protocol machines are encoded (`encode_psm`), walking ring counters
-only where a ring has two or more slots.  Events over the forwarders
-are decoded back to the original channels one at a time
-(`decode_event`, which projection reads through one table per
-protocol), or a whole machine at once (`decode_fsm`).
-Amicability (`is_amicable`) is decided on the projected components as
+machine.  Bounded channels are rewritten to route each message through
+a ring of forwarder participants, one per buffer slot, turning deferred
+receives into immediately-received exchanges: `encode_psm` walks the
+fused view's product with the ring counters on ints, and returns it in
+`Fused`'s form, with the table that reads each letter back on the
+protocol's channels.  `Fused.machine` writes either form out.  Names
+are parsed only where they come from outside: by `decode_fsm`, on a
+machine read from a file, and by `forwarder_named`.  Amicability
+(`is_amicable`) is decided on the projected components as
 `projection.minimize` returns them, moves by letter rank over integer
 classes, with the forwarders taken from the bounds, not from names.  The
 encoding of single words and of one participant's machine is kept as a
@@ -24,8 +24,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Compiled, Event, PAIR, RECV, SEND, StateMachine,
-                   expand_pairs, pair, recv, send, walk)
+from .core import (Compiled, Event, RECV, SEND, StateMachine, expand_pairs,
+                   pair, pair_middles, recv, send, walk)
 
 Channel = tuple[str, str]
 
@@ -52,6 +52,12 @@ def parse_channel_participant(name: str) -> Optional[ChannelParticipant]:
     return ChannelParticipant(m["src"], m["dst"], int(m["idx"]))
 
 
+def forwarder_named(names) -> Optional[str]:
+    """The first of `names` written as a forwarder's, or None."""
+    return next((name for name in names if parse_channel_participant(name)),
+                None)
+
+
 def channel_participants(bounds: dict) -> tuple[ChannelParticipant, ...]:
     cps = []
     for (p, q), b in sorted(bounds.items()):
@@ -64,20 +70,23 @@ def channel_participants(bounds: dict) -> tuple[ChannelParticipant, ...]:
 
 class Fused:
     """A compiled protocol (`core.Compiled`), trimmed, with each send on
-    an unbounded channel, and each pair that compiling split, joined to
-    its immediate receive: the protocol that `merge_immediate_pairs`
-    writes, on the compiled form's ints.
+    an unbounded channel joined to its immediate receive, on the form's
+    ints; a pair that compiling split is joined again unless its channel
+    is bounded.  `encode_psm` returns the encoding in the same form.
 
-    `states` lists, in name order, the kept states that no joined send
-    enters, each numbered as the form numbers it, so `names[q]` names
-    state q.  `out[q]` lists state q's transitions, each once, as
-    (sender, receiver, send rank, receive rank, successor): a joined
-    exchange has both ranks, a send or receive left alone has -1 for the
-    other, and an epsilon move has -1 for all four; any other state has
-    none.  `letters[r]` is the letter of rank r, letters ranked in
-    `Event.sort_key` order, and `participants` numbers the names of the
-    senders and receivers.  `deterministic` holds when no state has two
-    transitions with the same letters.
+    `states` lists the kept states that no joined send enters, numbered
+    as the form numbers them: the named ones in name order, then the
+    middle states of the pairs left split, named as `expand_pairs` names
+    them, so `names[q]` names state q.  `out[q]` lists state q's
+    transitions, each once, as (sender, receiver, send rank, receive
+    rank, successor): a joined exchange has both ranks, a send or
+    receive left alone -1 for the other, and an epsilon move -1 for all
+    four.  `letters[r]` is the letter of rank r, in `Event.sort_key`
+    order, and `decoded[r]` that letter on the protocol's channels, here
+    itself.  `participants` numbers the names of the senders and
+    receivers, and `origin[q]` is the form's state that q stands for,
+    here q.  `deterministic` holds when no state has two transitions on
+    the same letters.
 
     Raises ValueError, as `merge_immediate_pairs` reports it, on a send
     to join whose target does not leave by its receive alone, and on a
@@ -85,65 +94,56 @@ class Fused:
     """
 
     __slots__ = ("names", "states", "initial", "finals", "out", "letters",
-                 "participants", "deterministic")
+                 "decoded", "participants", "origin", "deterministic")
 
     def __init__(self, form: Compiled, bounds: dict):
         moves, eps, receive = form.moves, form.eps, form.receive
-        self.letters = letters = form.letters
-        self.participants = people = {p: i for i, p in enumerate(sorted(
-            {ev.sender for ev in letters} | {ev.receiver for ev in letters}))}
+        self.letters = self.decoded = letters = form.letters
+        self.participants = people = _numbered(letters)
         who = [(people[ev.sender], people[ev.receiver]) for ev in letters]
-        alone = [who[r] + ((r, -1) if ev.kind == SEND else (-1, r))
-                 for r, ev in enumerate(letters)]
-        join = [ev.kind == SEND and not (bounds and ev.channel in bounds)
+        join = [ev.kind == SEND and ev.channel not in bounds
                 for ev in letters]
-        split = len(form.names)  # a pair's middle state is numbered here on
-        self.out = out = [[] for _ in range(split)]
-        self.deterministic = True
-        entered = bytearray(split)
+        self.out = out = [[] for _ in moves]
+        entered = bytearray(len(moves))
         dropped = set()
         for q in sorted(form.keep):
-            if q >= split:  # a pair's middle state: only its receive enters
-                entered[moves[q][0][1]] = 1
-                continue
             row = out[q]
             for r, d in moves[q]:
-                if join[r] or d >= split:
+                if join[r]:
                     after = moves[d]
                     if len(after) != 1 or eps[d] or after[0][0] != receive[r]:
                         raise ValueError(f"send {letters[r]} on unbounded "
                                          f"channel lacks an immediate receive")
                     row.append(who[r] + (r,) + after[0])
-                    if d < split:
-                        dropped.add(d)
+                    dropped.add(d)
                 else:
-                    row.append(alone[r] + (d,))
+                    row.append(who[r] + ((r, -1) if letters[r].kind == SEND
+                                         else (-1, r)) + (d,))
                     entered[d] = 1
             for d in eps[q]:
                 row.append((-1, -1, -1, -1, d))
                 entered[d] = 1
-            if len(row) > 1:
-                row[:] = dict.fromkeys(row)
-                if len({move[2:4] for move in row}) < len(row):
-                    self.deterministic = False
+        split = len(form.names)  # a pair's middle state is numbered here on
+        self.states = [q for q in sorted(form.keep) if q not in dropped]
+        self.names = form.names + list(pair_middles(form.source)) \
+            if self.states[-1] >= split else form.names
         if any(entered[d] for d in dropped):
             # the first such state in the order of the machine's transitions
-            names = {form.names[q] for q in dropped}
+            names = {self.names[q] for q in dropped if q < split}
             mixed = next(dst for _, ev, dst in expand_pairs(
                 form.source).trim().transitions if dst in names and (
                     ev is None or ev.kind != SEND or ev.channel in bounds))
             raise ValueError(f"state {mixed} mixes paired and other traffic")
         for d in dropped:
             out[d] = ()
-        self.names = form.names
-        self.states = [q for q in sorted(form.keep)
-                       if q < split and q not in dropped]
+        self.deterministic = _settle(out)
         self.initial = form.initial
         self.finals = form.finals.difference(dropped)
+        self.origin = range(len(moves))
 
     def machine(self) -> StateMachine:
-        """The fused protocol as a machine, a joined send and receive as
-        their pair, one per distinct send."""
+        """The protocol as a machine, a joined send and receive as their
+        pair, one per distinct send."""
         joined: dict = {}  # send rank -> its pair
 
         def event(snd: int, rcv: int) -> Optional[Event]:
@@ -156,110 +156,137 @@ class Fused:
             return joined[snd]
 
         names = self.names
-        merged = StateMachine([names[q] for q in self.states],
-                              names[self.initial],
-                              [names[q] for q in self.finals],
-                              [(names[q], event(snd, rcv), names[d])
-                               for q in self.states
-                               for _, _, snd, rcv, d in self.out[q]])
-        # Trimmed: a dropped state lay between a send and its receive,
-        # which are now one move.
-        merged._trimmed = True
-        return merged
+        written = StateMachine([names[q] for q in self.states],
+                               names[self.initial],
+                               [names[q] for q in self.finals],
+                               [(names[q], event(snd, rcv), names[d])
+                                for q in self.states
+                                for _, _, snd, rcv, d in self.out[q]])
+        # Trimmed when every sink is final: a dropped state lay between a
+        # send and its receive, which are now one move, and every state
+        # of the encoding is reachable.
+        written._trimmed = all(self.out[q] or q in self.finals
+                               for q in self.states)
+        return written
 
 
-def merge_immediate_pairs(form: Compiled, bounds: dict) -> StateMachine:
-    """The compiled protocol, trimmed, with send transitions on unbounded
-    channels fused with their immediate receives into paired events,
-    one per distinct send; bounded-channel events stay separate, and a
-    pair of the compiled machine stays a pair."""
-    return Fused(form, bounds).machine()
+def _numbered(letters: list) -> dict:
+    """The senders and receivers of `letters`, numbered in name order."""
+    return {p: i for i, p in enumerate(sorted(
+        {ev.sender for ev in letters} | {ev.receiver for ev in letters}))}
 
 
-def _counter_state(q: str, snd: tuple, rcv_: tuple) -> str:
-    def fmt(tag: str, items: tuple) -> str:
-        return tag + ",".join(f"({p},{r})={v}" for (p, r), v in items)
-
-    parts = [q]
-    if snd:
-        parts.append(fmt("s:", snd))
-    if rcv_:
-        parts.append(fmt("r:", rcv_))
-    return "|".join(parts)
+def _settle(out: list) -> bool:
+    """Drop each row's repeated transitions; whether no row is left with
+    two transitions on the same letters."""
+    for row in out:
+        if len(row) > 1:
+            row[:] = dict.fromkeys(row)
+    return all(len({move[2:4] for move in row}) == len(row)
+               for row in out if len(row) > 1)
 
 
-def _thread_counters(machine: StateMachine, bounds: dict, out_channels: tuple,
-                     in_channels: tuple, hop) -> StateMachine:
-    """Breadth-first product of `machine` with ring counters.
+def merge_immediate_pairs(form: Compiled) -> StateMachine:
+    """The compiled protocol, trimmed, with each send fused with its
+    immediate receive into a paired event, one per distinct send; a pair
+    of the compiled machine stays a pair."""
+    return Fused(form, {}).machine()
 
-    Each state carries a send counter per channel in `out_channels` and a
-    receive counter per channel in `in_channels`.  `hop(ev, cp)` gives the
-    exchange with forwarder `cp`, the one at the current counter, that
-    replaces the send or receive `ev` and advances its counter, or None to
-    keep `ev` and the counters as they are.  Only states with every counter
-    at zero stay final.
+
+def encode_psm(form: Compiled, bounds: dict) -> Fused:
+    """The compiled protocol with each channel of `bounds` routed through
+    a ring of forwarder participants, one per buffer slot, in `Fused`'s
+    form: the product of the fused view, which leaves each send and
+    receive on a bounded channel alone, with a send and a receive
+    counter per ring of two or more slots.  The send at counter i on p>q
+    becomes the exchange of p with forwarder (p,q)i, the receive at i
+    that of (p,q)i with q, each advancing its counter.  A state is named
+    q|s:(p,q)=i,...|r:(p,q)=j,... after the state q it stands for
+    (`origin`) and its counters.  States are numbered in name order and
+    moves listed as the machine written out lists them, so that a search
+    meets them in the order it met them on that machine, and a witness
+    does not change.  Only states with every counter at zero stay final.
+    `decoded` reads the letter of the participant in a forwarder
+    exchange as the one it stands for.
     """
-    moves: dict = {}  # node -> its (label, successor) moves
+    fused = Fused(form, bounds)
+    letters = fused.letters
+    rings = sorted(ch for ch, b in bounds.items() if b >= 2)
+    # A node's counters: the rings' send counters, then their receive
+    # counters; a letter left alone moves `counter[r]`, if it has one.
+    at = {ch: i for i, ch in enumerate(rings)}
+    counter = [at[ev.channel] + len(rings) * (ev.kind == RECV)
+               if ev.channel in at else -1 for ev in letters]
+    codes: dict = {}  # (send rank, receive rank, slot) -> exchange number
+    exchanges: list = []  # exchange number -> its send and receive letters
+    decoded: dict = {}  # a participant's forwarder letter -> the protocol's
 
-    def successors(node):
-        q, snd, rcv_ = node
-        out = moves[node] = []
-        for ev, dst in machine.out(q):
-            label, succ = ev, (dst, snd, rcv_)
-            if ev is not None:
-                sending = ev.kind == SEND
-                counters = snd if sending else rcv_
-                idx = dict(counters).get(ev.channel, 0)
-                rerouted = hop(ev, ChannelParticipant(*ev.channel, idx).name)
-                if rerouted is not None:
-                    label = rerouted
-                    ticked = tuple(
-                        (ch, (v + 1) % bounds[ch] if ch == ev.channel else v)
-                        for ch, v in counters)
-                    succ = (dst, ticked, rcv_) if sending else (dst, snd, ticked)
-            out.append((label, succ))
-        return [succ for _, succ in out]
+    def code(snd: int, rcv: int, slot: int) -> int:
+        """The number of an epsilon move (-1), a joined exchange (slot
+        -1), or the forwarder exchange at `slot` of a letter alone."""
+        if snd == rcv or (snd, rcv, slot) in codes:
+            return codes.get((snd, rcv, slot), -1)
+        codes[snd, rcv, slot] = len(exchanges)
+        if slot < 0:
+            exchanges.append((letters[snd], letters[rcv]))
+            return codes[snd, rcv, slot]
+        ev = letters[max(snd, rcv)]
+        cp = ChannelParticipant(*ev.channel, slot).name
+        ends = (ev.sender, cp) if ev.kind == SEND else (cp, ev.receiver)
+        both = (Event(SEND, *ends, ev.label, ev.payload),
+                Event(RECV, *ends, ev.label, ev.payload))
+        decoded[both[ev.kind == RECV]._key] = ev
+        exchanges.append(both)
+        return codes[snd, rcv, slot]
 
-    zero_out = tuple((ch, 0) for ch in out_channels)
-    zero_in = tuple((ch, 0) for ch in in_channels)
-    start = (machine.initial, zero_out, zero_in)
-    name = {node: _counter_state(*node) for node in walk((start,), successors)}
-    finals = [n for (q, snd, rcv_), n in name.items()
-              if q in machine.finals and snd == zero_out and rcv_ == zero_in]
-    return StateMachine(name.values(), name[start], finals,
-                        [(name[node], label, name[succ])
-                         for node, out in moves.items() for label, succ in out])
+    start = (fused.initial, (0,) * (2 * len(rings)))
+    index, nodes, moves = {start: 0}, [start], []
+    for q, c in nodes:  # grows as the walk finds nodes
+        row = []
+        for _, _, snd, rcv, d in fused.out[q]:
+            slot, after = -1, c
+            if (snd < 0) != (rcv < 0):  # a send or receive left alone
+                k = counter[max(snd, rcv)]
+                slot = c[k] if k >= 0 else 0
+                if k >= 0:
+                    ring = rings[k % len(rings)]
+                    after = (*c[:k], (slot + 1) % bounds[ring], *c[k + 1:])
+            succ = index.setdefault((d, after), len(nodes))
+            if succ == len(nodes):
+                nodes.append((d, after))
+            row.append((code(snd, rcv, slot), succ))
+        moves.append(row)
+
+    names = [fused.names[q] + _counted(rings, c) for q, c in nodes]
+    order = sorted(range(len(nodes)), key=names.__getitem__)
+    number = sorted(range(len(nodes)), key=order.__getitem__)  # its inverse
+    used = {ev._key: ev for both in exchanges for ev in both}
+    keys = sorted(used)
+    rank = {key: r for r, key in enumerate(keys)}
+    fused.letters = [used[key] for key in keys]
+    fused.decoded = [decoded.get(key, used[key]) for key in keys]
+    fused.participants = people = _numbered(fused.letters)
+    moved = [(people[snd.sender], people[snd.receiver], rank[snd._key],
+              rank[rcv._key]) for snd, rcv in exchanges] + [(-1,) * 4]
+    fused.out = [sorted((moved[c] + (number[succ],) for c, succ in moves[i]),
+                        key=lambda move: (move[2] < 0, move[2], move[4]))
+                 for i in order]
+    fused.deterministic = _settle(fused.out)
+    fused.finals = frozenset(number[i] for i, (q, c) in enumerate(nodes)
+                             if q in fused.finals and not any(c))
+    fused.names = [names[i] for i in order]
+    fused.states = list(range(len(nodes)))
+    fused.initial = number[0]
+    fused.origin = [nodes[i][0] for i in order]
+    return fused
 
 
-def encode_psm(machine: StateMachine, bounds: dict) -> StateMachine:
-    """Encode a protocol machine into one over the extended alphabet.
-
-    States carry ring counters for each bounded channel; transitions on
-    bounded channels become paired exchanges with the forwarder at the
-    current counter.  With no ring of two or more slots no counter moves,
-    so the merged machine is relabelled, or kept where no event needs
-    that, as with empty bounds.
-    """
-    machine = merge_immediate_pairs(Compiled(machine), bounds)
-    channels = tuple(sorted(ch for ch, b in bounds.items() if b >= 2))
-
-    hops: dict = {}  # (event, forwarder) -> their exchange
-
-    def hop(ev: Event, cp: str) -> Optional[Event]:
-        if ev.kind != PAIR and (ev, cp) not in hops:
-            hops[ev, cp] = (pair(ev.sender, cp, ev.label, ev.payload)
-                            if ev.kind == SEND else
-                            pair(cp, ev.receiver, ev.label, ev.payload))
-        return hops.get((ev, cp))
-
-    if channels:
-        return _thread_counters(machine, bounds, channels, channels, hop)
-    if all(ev is None or ev.kind == PAIR for _, ev, _ in machine.transitions):
-        return machine
-    return StateMachine(machine.states, machine.initial, machine.finals, [
-        (src, None if ev is None else
-         hop(ev, ChannelParticipant(*ev.channel, 0).name) or ev, dst)
-        for src, ev, dst in machine.transitions])
+def _counted(rings: list, counters: tuple) -> str:
+    """A node's `counters` as its name writes them after the protocol
+    state's: nothing when there is no ring."""
+    pairs = [f"({p},{q})={v}" for (p, q), v in zip(rings * 2, counters)]
+    half = ",".join(pairs[:len(rings)]), ",".join(pairs[len(rings):])
+    return f"|s:{half[0]}|r:{half[1]}" if rings else ""
 
 
 # -- per-participant machines ----------------------------------------------

@@ -4,19 +4,19 @@ channels), whether a CSM implements a protocol (`check_against`), and
 strong-projection analysis.
 
 `project_tame` reads the protocol it projects as the compiled form that
-validation made (`core.Compiled`), fused (`_Compiled`, an
+validation made (`core.Compiled`), fused (`_Compiled`, read from an
 `encoding.Fused`): each exchange one transition with its sender, its
 receiver and the ranks of its send and receive letters in
 `Event.sort_key` order, states numbered in name order.  A protocol with
-a bounded channel is encoded first, and the encoded machine compiled
-and fused in its turn; a protocol that is not deterministic is
-determinised first.  Each participant's and forwarder's subset
-construction (`Subsets`), `subset_validity` with its channel-head
-search, and Hopcroft's refinement (`minimize`, which returns the
-breadth-first numbered `Classes`) all run on those ints, and so does
-amicability.  Each participant's component, the one `StateMachine`
-built after the encoding, is written from its classes, events decoded
-through one table per protocol (`_machine_of`).  `Subsets` is
+a bounded channel is encoded on that form (`encoding.encode_psm`), and
+the final states it loses are sought on the encoding's ints; a protocol
+that is not deterministic is determinised first.  Each participant's
+and forwarder's subset construction (`Subsets`), `subset_validity` with
+its channel-head search, and Hopcroft's refinement (`minimize`, which
+returns the breadth-first numbered `Classes`) all run on those ints,
+and so does amicability.  Each participant's component, the one
+`StateMachine` built after validation, is written from its classes,
+letters decoded through the encoding's table (`_machine_of`).  `Subsets` is
 the one subset-construction loop and `minimize` the one Hopcroft loop;
 the determinisation of a candidate component in `check_against` runs
 the same loop.
@@ -36,15 +36,15 @@ from typing import Optional
 from .core import (RECV, SEND, Compiled, Event, StateMachine, parent_word,
                    reachable, strongly_connected_components, walk)
 from .csm import Csm, ProjectionVerdict, check_projection
-from .encoding import (Fused, channel_participants, decode_event, encode_psm,
-                       is_amicable, parse_channel_participant)
+from .encoding import (Fused, channel_participants, encode_psm,
+                       forwarder_named, is_amicable)
 from .fifo import show_word
 from .psm import Psm, PsmError, UnboundedLoop, infer_channel_bounds, validate
 
 
 class _Compiled(Fused):
-    """A compiled protocol fused (`encoding.Fused`, every channel
-    unbounded) as projection reads it.
+    """A protocol in `encoding.Fused`'s form, fused with every channel
+    unbounded or encoded (`encoding.encode_psm`), as projection reads it.
 
     `silent[q]` lists state q's successors, as silent moves, and
     `takes_part[p]` the states where participant number p moves.
@@ -54,8 +54,9 @@ class _Compiled(Fused):
 
     __slots__ = ("silent", "takes_part", "cyclic")
 
-    def __init__(self, form: Compiled):
-        super().__init__(form, {})
+    def __init__(self, protocol: Fused):
+        for name in Fused.__slots__:
+            setattr(self, name, getattr(protocol, name))
         self.silent = [[move[4] for move in row] if row else ()
                        for row in self.out]
         self.takes_part: dict = {}
@@ -330,19 +331,23 @@ def _gate(form: Compiled) -> None:
                           f"multi-sender actions")
 
 
-def _lost_final(encoded: StateMachine, finals) -> Optional[NotProjectable]:
-    """The first of the protocol's `finals` that the encoding reaches with
-    ring counters away from zero, where it is a sink but no longer final,
-    with the word to it on the protocol's channels."""
-    state, path = _first_word(encoded.initial, encoded.out, lambda q:
-                              encoded.is_sink(q) and q not in encoded.finals)
+def _lost_final(encoded: _Compiled, names: list,
+                forwarders) -> Optional[NotProjectable]:
+    """The first final state `names[q]` of the protocol that its encoding
+    reaches with ring counters away from zero, where it is a sink but no
+    longer final, with the word to it in the letters of every
+    participant but the `forwarders`, on the protocol's channels."""
+    state, path = _first_word(encoded.initial, lambda q: [
+        (move if move[2] >= 0 else None, move[4]) for move in encoded.out[q]],
+        lambda q: not encoded.out[q] and q not in encoded.finals)
     if state is None:
         return None
-    # `encode_psm` names it q|s:...|r:..., after the protocol's state q
-    final = max((q for q in finals if state.startswith(q + "|")), key=len)
-    word = tuple(decode_event(letter) for ev in path for letter in ev.letters()
-                 if parse_channel_participant(letter.subject) is None)
-    return NotProjectable(f"encoding loses final state {final} after "
+    ends = {encoded.participants.get(name) for name in forwarders}
+    word = tuple(encoded.decoded[r] for sender, receiver, snd, rcv, _ in path
+                 for r, end in ((snd, sender), (rcv, receiver))
+                 if end not in ends)
+    return NotProjectable(f"encoding loses final state "
+                          f"{names[encoded.origin[state]]} after "
                           f"{show_word(word)}", word, decisive=False)
 
 
@@ -376,9 +381,9 @@ def subset_validity(source: _Compiled, participant: str,
     keeps both.
 
     `machine` is `subset_construction(source, participant)`.  `source`
-    is a deterministic protocol machine over paired exchanges and
-    epsilon moves, as `encode_psm` builds one, compiled and fused; the
-    participant is one of its participants or forwarders.  Each state X
+    is a deterministic protocol over paired exchanges and epsilon moves,
+    as `encode_psm` returns one; the participant is one of its
+    participants or forwarders.  Each state X
     of `machine` stands for its members M, the source states that the
     participant cannot tell apart: M is closed under the moves silent to
     the participant, which are the epsilon moves and the exchanges it
@@ -427,7 +432,7 @@ def subset_validity(source: _Compiled, participant: str,
     the bounded oracle `csm.check_projection`.
     """
     me = source.participants.get(participant)
-    letters = machine.letters
+    letters, decoded = machine.letters, source.decoded
     heads: dict = {}
     bottoms = source.cyclic and [
         comp for comp in map(frozenset, strongly_connected_components(
@@ -435,8 +440,8 @@ def subset_validity(source: _Compiled, participant: str,
         if all(dst in comp for q in comp for dst in machine.silent[q])]
 
     def failure(state: int, text: str) -> NotProjectable:
-        word = tuple(map(decode_event, _first_word(
-            machine.initial, machine.out, state.__eq__)[1]))
+        word = tuple(map(decoded.__getitem__, _first_word(
+            machine.initial, machine.moves.__getitem__, state.__eq__)[1]))
         return NotProjectable(text.format(participant, show_word(word)), word)
 
     for state, members in enumerate(machine.states):
@@ -445,9 +450,9 @@ def subset_validity(source: _Compiled, participant: str,
             (sends if letters[label].kind == SEND else receives).append(label)
         if sends and receives:
             return failure(state, f"send validity: {{}} may send "
-                                  f"{decode_event(letters[sends[0]])} after "
+                                  f"{decoded[sends[0]]} after "
                                   f"{{}} where it must first receive "
-                                  f"{decode_event(letters[receives[0]])}")
+                                  f"{decoded[receives[0]]}")
         if not sends and len({letters[r].sender for r in receives}) < 2:
             continue
         own: dict = {}  # the members' own moves, by their local label
@@ -461,7 +466,7 @@ def subset_validity(source: _Compiled, participant: str,
                     bottom.isdisjoint(able) and not bottom.isdisjoint(members)
                     for bottom in bottoms)):
                 return failure(state, f"send validity: {{}} may send "
-                                      f"{decode_event(letters[label])} after "
+                                      f"{decoded[label]} after "
                                       f"{{}}, which not every run allows")
         for waited in receives:
             for dst in sorted({dst for _, dst in own[waited]}):
@@ -472,9 +477,9 @@ def subset_validity(source: _Compiled, participant: str,
                             and label in heads[dst]:
                         return failure(
                             state, f"receive validity: {{}} may receive "
-                                   f"{decode_event(letters[label])} after {{}} "
+                                   f"{decoded[label]} after {{}} "
                                    f"where it must receive "
-                                   f"{decode_event(letters[waited])}")
+                                   f"{decoded[waited]}")
     return None
 
 
@@ -488,11 +493,13 @@ def project_tame(source) -> ProjectionResult:
     """Project a tame protocol machine to a deadlock-free CSM that has
     the protocol's language.
 
-    Encodes bounded channels through forwarder participants, runs the
-    subset construction for every participant and forwarder, minimises
-    each to classes, and writes only the participants' classes, decoded,
-    as machines.  Raises NotTame when the structural gate fails
-    (multi-sender branching, non-sink-final, no inferable bounds).  The
+    Encodes bounded channels through forwarder participants on the form
+    that validation compiled (`encode_psm`), runs the subset
+    construction for every participant and forwarder, minimises each to
+    classes, and writes only the participants' classes, decoded, as
+    machines: no merged or encoded machine is built.  Raises NotTame
+    when the structural gate fails (multi-sender branching,
+    non-sink-final, no inferable bounds).  The
     projection is sound and complete for tame protocols, so the
     candidate is accepted exactly when it meets every condition below,
     with no CSM explored and no trace enumerated:
@@ -520,43 +527,45 @@ def project_tame(source) -> ProjectionResult:
         raise NotTame(f"no channel bounds: {exc}") from exc
 
     # With no bounded channel the encoding only fuses exchanges, which
-    # the fused view of the validated form does; otherwise the encoded
-    # machine is compiled in its turn.
-    encoded = encode_psm(psm.machine, bounds) if bounds else None
-    protocol = _Compiled(Compiled(encoded) if bounds else form)
+    # the fused view of the validated form does.
+    protocol = _Compiled(encode_psm(form, bounds) if bounds
+                         else Fused(form, {}))
     participants = sorted({ev.sender for ev in form.letters}
                           | {ev.receiver for ev in form.letters})
-    named = [p for p in participants if parse_channel_participant(p)]
-    if named:
-        raise NotProjectable(f"participant {named[0]} is named like a "
+    named = forwarder_named(participants)
+    if named is not None:
+        raise NotProjectable(f"participant {named} is named like a "
                              f"forwarder", decisive=False)
+    forwarders = [cp.name for cp in channel_participants(bounds)]
     if any(b > 1 for b in bounds.values()):  # else no ring counter moves
-        failure = _lost_final(encoded, psm.machine.finals)
+        failure = _lost_final(protocol, form.names, forwarders)
         if failure is not None:
             raise failure
 
     # The conditions need one run per word: a protocol that repeats an
     # exchange at a choice is determinised first.  Both machines have the
-    # same language, so they give the same minimal projections.
+    # same language, so they give the same minimal projections, over the
+    # same letters.
     if not protocol.deterministic:
-        protocol = _Compiled(Compiled(StateMachine(
-            *_whole(protocol.machine()).named())))
-    cps = channel_participants(bounds)
+        decoded = dict(zip(protocol.letters, protocol.decoded))
+        protocol = _Compiled(Fused(Compiled(StateMachine(
+            *_whole(protocol.machine()).named())), {}))
+        protocol.decoded = [decoded[ev] for ev in protocol.letters]
     minimal = {}
-    for name in participants + [cp.name for cp in cps]:
+    for name in participants + forwarders:
         subsets = subset_construction(protocol, name)
         failure = subset_validity(protocol, name, subsets)
         if failure is not None:
             raise failure
         minimal[name] = minimize(subsets)
-    if cps and not is_amicable({name: m.moves for name, m in minimal.items()},
-                               protocol.letters, bounds):
+    if forwarders and not is_amicable(
+            {name: m.moves for name, m in minimal.items()}, protocol.letters,
+            bounds):
         raise NotProjectable("forwarder components are not amicable")
 
     # Components on the protocol's channels, with states named after their
     # participant, so that the CSM can type sessions.
-    decoded = list(map(decode_event, protocol.letters))
-    csm = Csm({p: _machine_of(minimal[p], decoded, f"{p}_")
+    csm = Csm({p: _machine_of(minimal[p], protocol.decoded, f"{p}_")
                for p in participants})
     return ProjectionResult(csm, bounds)
 

@@ -124,7 +124,7 @@ def generate() -> dict[str, str]:
     kle_psm = validate(kle)
     kle_result = project_tame(kle_psm)
     files["kle_encoded.psm.json"] = dump_machine(
-        encode_psm(kle_psm.machine.trim(), kle_result.bounds))
+        encode_psm(kle_psm.compiled, kle_result.bounds).machine())
     files["kle.csm.json"] = dump_csm(kle_result.csm)
 
     early = early_commit_machine()

@@ -18,9 +18,10 @@ from typing import Optional
 from amp.core import (PAIR, RECV, SEND, StateMachine, Word, maximal_capable,
                       pair, recv, send)
 from amp.csm import Csm, is_final_config
-from amp.encoding import ChannelParticipant, _counter_state
+from amp.encoding import ChannelParticipant
 
 from .compiled_reference import merge_immediate_pairs
+from .semantics import _counter_state
 from .walker_reference import ConfigGraph
 
 

@@ -12,9 +12,15 @@ projection ran on a protocol compiled to integers (the `named_` and
 decoded component before the library wrote components straight from
 its classes; and `named_is_amicable`, the amicability check on
 string-named component machines with `machine_is_forwarding`, as it
-stood before the library decided amicability on `minimize`'s classes.
-Kept as a test-only reference, verbatim but for absolute imports, the
-memo that the library's `canon` takes, here a fresh one per call, the
+stood before the library decided amicability on `minimize`'s classes;
+and `_lost_final`, the search for a final state that the encoding
+loses, on the written encoding, as it stood before the library searched
+the encoding's ints (it names the lost state by the longest protocol
+state name that prefixes its name, which can be the wrong state).  The
+reference pipelines encode with the string encoder
+`graph_reference.encode_psm`.  Kept as a test-only reference, verbatim
+but for absolute imports, the memo that the library's `canon` takes,
+here a fresh one per call, the
 names of the library functions that `project_tame` calls, the compiled
 protocol (`compiled`) that the library's `subset_construction` takes,
 the library's classes read as a machine (`minimal_machine`), the name
@@ -47,12 +53,11 @@ from amp.core import (PAIR, RECV, SEND, Event, StateMachine, Word, eps_closure,
                       subset_moves, walk)
 from amp.csm import Csm, check_projection
 from amp.encoding import (ChannelParticipant, channel_participants,
-                          decode_event, decode_fsm, encode_psm,
-                          parse_channel_participant)
+                          decode_event, decode_fsm, parse_channel_participant)
 from amp.fifo import show_word
 from amp.projection import (NotProjectable, NotTame, ProjectionResult,
-                            Subsets, _first_word, _lost_final,
-                            _machine_of, subset_construction)
+                            Subsets, _first_word, _machine_of,
+                            subset_construction)
 from amp.projection import minimize as library_minimize
 from amp.psm import (Psm, UnboundedLoop, _has_return_chain,
                      single_sender_branching, validate)
@@ -61,6 +66,7 @@ from amp.transform import (Regex, brz_deriv, canon, first_letters, nullable,
                            regex_contains_eps, remove_eps)
 
 from .compiled_reference import detected_channels
+from .graph_reference import encode_psm
 from .semantics import is_channel_ordered, rename
 from .walker_reference import _local_label
 
@@ -675,6 +681,22 @@ def named_heads(source: StateMachine, participant: str, start: str) -> set:
             for ev, _ in source.out(q)
             if ev is not None and ev.receiver == participant
             and ev.sender not in passed and ev.sender not in blocked}
+
+
+def _lost_final(encoded: StateMachine, finals) -> Optional[NotProjectable]:
+    """The first of the protocol's `finals` that the encoding reaches with
+    ring counters away from zero, where it is a sink but no longer final,
+    with the word to it on the protocol's channels."""
+    state, path = _first_word(encoded.initial, encoded.out, lambda q:
+                              encoded.is_sink(q) and q not in encoded.finals)
+    if state is None:
+        return None
+    # `encode_psm` names it q|s:...|r:..., after the protocol's state q
+    final = max((q for q in finals if state.startswith(q + "|")), key=len)
+    word = tuple(decode_event(letter) for ev in path for letter in ev.letters()
+                 if parse_channel_participant(letter.subject) is None)
+    return NotProjectable(f"encoding loses final state {final} after "
+                          f"{show_word(word)}", word, decisive=False)
 
 
 def named_subset_validity(source: StateMachine, participant: str,

@@ -28,8 +28,10 @@ named next to it:
 - `encode_word`, `decode_word`: the forwarder encoding of one word;
   check that `encode_psm` encodes a protocol's language word by word.
 - `encode_fsm`: the encoding of one participant's machine, built on
-  `encoding._thread_counters`; checks `decode_fsm`, and
-  `graph_reference.py` keeps its older copy.
+  `_thread_counters` and `_counter_state`, the ring-counter product on
+  state names that `encoding.encode_psm` walked before it ran on the
+  compiled form; checks `decode_fsm`, and `graph_reference.py` keeps
+  its older copy.
 - `channel_participant_machine`, `is_forwarding` with `FORWARDING`,
   `ALMOST` and `NO`: a forwarder's machine and words; check
   `projection_reference.machine_is_forwarding`, which the string-machine
@@ -81,9 +83,9 @@ from typing import Iterable, Mapping, Optional
 
 from amp.core import (Event, PAIR, RECV, SEND, StateMachine, TraceFlags,
                       TraceSet, Word, maximal_traces_upto, payload_key,
-                      reachable, recv, send)
+                      reachable, recv, send, walk)
 from amp.csm import Configuration, Csm, is_final_config
-from amp.encoding import (Channel, ChannelParticipant, _thread_counters,
+from amp.encoding import (Channel, ChannelParticipant,
                           parse_channel_participant)
 from amp.fifo import DEFAULT_CLOSURE_CAP, VIOLATION, closure_upto, is_fifo
 from amp.transform import (RAlt, RCat, REmpty, REps, RLetter, RStar, Regex,
@@ -271,6 +273,61 @@ def decode_word(word: Word) -> Word:
             out.append(ev)
             i += 1
     return tuple(out)
+
+
+def _counter_state(q: str, snd: tuple, rcv_: tuple) -> str:
+    def fmt(tag: str, items: tuple) -> str:
+        return tag + ",".join(f"({p},{r})={v}" for (p, r), v in items)
+
+    parts = [q]
+    if snd:
+        parts.append(fmt("s:", snd))
+    if rcv_:
+        parts.append(fmt("r:", rcv_))
+    return "|".join(parts)
+
+
+def _thread_counters(machine: StateMachine, bounds: dict, out_channels: tuple,
+                     in_channels: tuple, hop) -> StateMachine:
+    """Breadth-first product of `machine` with ring counters.
+
+    Each state carries a send counter per channel in `out_channels` and a
+    receive counter per channel in `in_channels`.  `hop(ev, cp)` gives the
+    exchange with forwarder `cp`, the one at the current counter, that
+    replaces the send or receive `ev` and advances its counter, or None to
+    keep `ev` and the counters as they are.  Only states with every counter
+    at zero stay final.
+    """
+    moves: dict = {}  # node -> its (label, successor) moves
+
+    def successors(node):
+        q, snd, rcv_ = node
+        out = moves[node] = []
+        for ev, dst in machine.out(q):
+            label, succ = ev, (dst, snd, rcv_)
+            if ev is not None:
+                sending = ev.kind == SEND
+                counters = snd if sending else rcv_
+                idx = dict(counters).get(ev.channel, 0)
+                rerouted = hop(ev, ChannelParticipant(*ev.channel, idx).name)
+                if rerouted is not None:
+                    label = rerouted
+                    ticked = tuple(
+                        (ch, (v + 1) % bounds[ch] if ch == ev.channel else v)
+                        for ch, v in counters)
+                    succ = (dst, ticked, rcv_) if sending else (dst, snd, ticked)
+            out.append((label, succ))
+        return [succ for _, succ in out]
+
+    zero_out = tuple((ch, 0) for ch in out_channels)
+    zero_in = tuple((ch, 0) for ch in in_channels)
+    start = (machine.initial, zero_out, zero_in)
+    name = {node: _counter_state(*node) for node in walk((start,), successors)}
+    finals = [n for (q, snd, rcv_), n in name.items()
+              if q in machine.finals and snd == zero_out and rcv_ == zero_in]
+    return StateMachine(name.values(), name[start], finals,
+                        [(name[node], label, name[succ])
+                         for node, out in moves.items() for label, succ in out])
 
 
 def encode_fsm(machine: StateMachine, participant: str, bounds: dict) -> StateMachine:

@@ -86,7 +86,8 @@ def test_criterion_2_kle_pipeline_exact():
     with Budget("criterion 2 (KLE pipeline)", 5.0):
         psm = validate(kle_machine())
         assert infer_channel_bounds(psm) == {("e", "o"): 1, ("o", "e"): 1}
-        encoded = encode_psm(psm.machine, {("e", "o"): 1, ("o", "e"): 1})
+        encoded = encode_psm(psm.compiled,
+                             {("e", "o"): 1, ("o", "e"): 1}).machine()
         assert machine_isomorphic(encoded, kle_encoded_expected()) is not None
         result = project_tame(psm)
         assert machine_isomorphic(result.csm.components["e"],
@@ -164,7 +165,7 @@ def test_criterion_5_encoding_laws():
             machine = random_tame_psm(rng, max_states=5)
             psm = validate(machine)
             bounds = infer_channel_bounds(psm)
-            encoded = encode_psm(psm.machine, bounds)
+            encoded = encode_psm(psm.compiled, bounds).machine()
             plain = complete_traces(maximal_traces_upto(psm.machine, 6))
             routed = complete_traces(maximal_traces_upto(encoded, 12))
             if not plain:

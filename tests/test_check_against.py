@@ -45,8 +45,8 @@ def unchecked_projection(psm) -> Csm:
     """The projection's candidate built without its conditions, as the
     pipeline built it before it decided on them."""
     machine = psm.machine.trim()
-    protocol = reference.compiled(encode_psm(machine,
-                                             infer_channel_bounds(psm)))
+    protocol = reference.compiled(encode_psm(
+        psm.compiled, infer_channel_bounds(psm)).machine())
     return Csm({p: decode_fsm(reference.minimal_machine(
         subset_construction(protocol, p))) for p in machine.participants()})
 

@@ -4,8 +4,10 @@ string-named analyses they replaced (`compiled_reference.py`): the
 expanded machine, trimmed; density and epsilon cycles; sink-finality and
 the first state that branches on more than one sender's sends; the
 channels that need a bound; the merge of each send with its immediate
-receive, with its errors; and the protocol that projection compiled from
-`encode_psm`'s output (`projection_reference.NamedCompiled`).
+receive, with its errors; the encoding (`encode_psm`) against the
+protocol that projection compiled from the string encoder's output
+(`projection_reference.NamedCompiled`); and the lost-final search on the
+encoding against the string search (`projection_reference._lost_final`).
 
 The draws are the generators of `conftest.py`, random machines that are
 neither dense nor trimmed, and every corpus protocol.
@@ -14,13 +16,14 @@ neither dense nor trimmed, and every corpus protocol.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
 
 from amp.cli import _load_machine
 from amp.core import Compiled, StateMachine, expand_pairs, pair, recv, send
-from amp.encoding import encode_psm, merge_immediate_pairs
-from amp.projection import NotTame, _Compiled, _gate, project_tame
+from amp.encoding import Fused, channel_participants, encode_psm
+from amp.projection import NotTame, _Compiled, _gate, _lost_final, project_tame
 from amp.psm import (PsmError, detected_channels, infer_channel_bounds,
                      single_sender_branching, validate)
 from amp.transform import global_to_psm, parse_global_type
@@ -31,6 +34,7 @@ from .conftest import (random_looping_protocol, random_sender_driven_tree,
                        random_tame_psm)
 from .graph_reference import encode_psm as reference_encode_psm
 from .projection_reference import NamedCompiled
+from .projection_reference import _lost_final as named_lost_final
 from .test_graph_analyses import random_bounds, random_machine
 from .test_walkers import PSM_SOURCES
 from .walker_reference import compiled_names
@@ -130,8 +134,8 @@ def test_the_merge_agrees_with_the_string_merge_on_trimmed_machines():
     for machine in [*draws(), *(mixing(rng) for _ in range(500))]:
         trimmed = expand_pairs(machine).trim()
         for bounds in ({}, random_bounds(rng, trimmed)):
-            new = merge_outcome(lambda m, b: merge_immediate_pairs(
-                Compiled(m), b), trimmed, bounds)
+            new = merge_outcome(lambda m, b: Fused(Compiled(m), b).machine(),
+                                trimmed, bounds)
             assert new == merge_outcome(reference.merge_immediate_pairs,
                                         trimmed, bounds)
             if isinstance(new, str):
@@ -153,20 +157,31 @@ def shape(protocol, states) -> tuple:
             [names[q] for q in protocol.cyclic])
 
 
-def test_the_fused_view_is_the_protocol_projection_compiled():
-    """With no bounded channel, the validated form read fused; with
-    some, the encoded machine compiled and read fused: the protocol that
-    `project_tame` compiled from `encode_psm`'s output."""
-    bounded = unbounded = 0
+def encodings():
+    """Each draw that validates, with its bounds, and with rings of 3."""
     for machine in draws():
         try:
             psm = validate(machine)
             bounds = infer_channel_bounds(psm)
-            encoded = reference_encode_psm(psm.machine, bounds)
-        except (PsmError, ValueError):
+        except PsmError:
             continue
-        fused = _Compiled(Compiled(encode_psm(psm.machine, bounds))
-                          if bounds else psm.compiled)
+        yield psm, bounds
+        if bounds:
+            yield psm, {ch: 3 for ch in bounds}
+
+
+def test_the_fused_view_is_the_protocol_projection_compiled():
+    """With no bounded channel, the validated form read fused; with
+    some, its encoding: the protocol that `project_tame` compiled from
+    the string encoder's output, and that output when written."""
+    bounded = unbounded = 0
+    for psm, bounds in encodings():
+        try:
+            encoded = reference_encode_psm(psm.machine, bounds)
+        except ValueError:
+            continue
+        fused = _Compiled(encode_psm(psm.compiled, bounds) if bounds
+                          else Fused(psm.compiled, {}))
         assert fused.deterministic == encoded.is_deterministic()
         assert fused.machine() == encoded
         old = NamedCompiled(encoded.states, encoded.initial, encoded.finals,
@@ -175,7 +190,41 @@ def test_the_fused_view_is_the_protocol_projection_compiled():
             shape(old, range(len(old.names)))
         bounded += bool(bounds)
         unbounded += not bounds
-    assert bounded > 20 and unbounded > 100
+    assert bounded > 40 and unbounded > 100
+
+
+def lost_final_outcome(failure) -> Optional[tuple]:
+    return failure and (str(failure), failure.witness, failure.decisive)
+
+
+def test_the_lost_final_search_agrees_with_the_string_search():
+    """The first final state the encoding loses, with its word, on the
+    encoding's ints and on the string encoder's output, with rings of 2
+    and 3 slots on each channel that needs a bound."""
+    rng = random.Random(36)
+    lost = 0
+    for _ in range(300):
+        for machine in (random_tame_psm(rng), random_sender_driven_tree(rng),
+                        random_looping_protocol(rng)[0]):
+            try:
+                psm = validate(machine)
+                needed = infer_channel_bounds(psm)
+            except PsmError:
+                continue
+            for ring in (2, 3) if needed else ():
+                bounds = {ch: ring for ch in needed}
+                try:
+                    encoded = reference_encode_psm(psm.machine, bounds)
+                except ValueError:
+                    continue
+                new = lost_final_outcome(_lost_final(
+                    _Compiled(encode_psm(psm.compiled, bounds)),
+                    psm.compiled.names,
+                    [cp.name for cp in channel_participants(bounds)]))
+                assert new == lost_final_outcome(named_lost_final(
+                    encoded, psm.machine.finals))
+                lost += new is not None
+    assert lost > 50
 
 
 @pytest.mark.parametrize("text", [

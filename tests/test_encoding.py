@@ -5,7 +5,7 @@ import random
 import pytest
 
 from amp.core import Compiled, StateMachine, maximal_traces_upto, recv, send
-from amp.encoding import (ChannelParticipant, decode_fsm, encode_psm,
+from amp.encoding import (ChannelParticipant, Fused, decode_fsm, encode_psm,
                           merge_immediate_pairs, parse_channel_participant)
 from amp.fifo import closure_upto
 from amp.psm import PsmError, infer_channel_bounds, validate
@@ -108,15 +108,16 @@ def test_decode_preserves_swaps(rng):
 
 
 def test_merge_immediate_pairs():
-    merged = merge_immediate_pairs(Compiled(three_party_machine()), {})
+    merged = merge_immediate_pairs(Compiled(three_party_machine()))
     assert all(ev.kind == "pair" for _, ev, _ in merged.transitions
                if ev is not None)
     assert len(merged.states) == 10
 
 
 def test_merging_a_trimmed_machine_keeps_it_trimmed():
-    """`merge_immediate_pairs` does not trim again what was trimmed: the
-    merged machine, built afresh, must trim to itself."""
+    """The fused protocol, with bounded channels left alone as the
+    encoding's first stage leaves them, is trimmed: the machine written
+    out, built afresh, must trim to itself."""
     rng = random.Random(29)
     for trial in range(300):
         machine = (random_tame_psm(rng) if trial % 2
@@ -126,14 +127,14 @@ def test_merging_a_trimmed_machine_keeps_it_trimmed():
             bounds = infer_channel_bounds(psm)
         except PsmError:
             continue
-        merged = merge_immediate_pairs(Compiled(psm.machine), bounds)
+        merged = Fused(psm.compiled, bounds).machine()
         assert StateMachine(merged.states, merged.initial, merged.finals,
                             merged.transitions).trim() == merged
 
 
 def test_merge_rejects_deferred_receive_on_unbounded_channel():
     with pytest.raises(ValueError):
-        merge_immediate_pairs(Compiled(kle_machine()), {})
+        merge_immediate_pairs(Compiled(kle_machine()))
 
 
 def test_merge_rejects_a_receive_behind_an_epsilon_move():
@@ -145,7 +146,7 @@ def test_merge_rejects_a_receive_behind_an_epsilon_move():
          ("s2", recv("p", "q", "m"), "s3")])
     with pytest.raises(ValueError, match=r"^send p>q!m on unbounded channel "
                                          r"lacks an immediate receive$"):
-        merge_immediate_pairs(Compiled(machine), {})
+        merge_immediate_pairs(Compiled(machine))
 
 
 def test_merge_rejects_a_dropped_state_that_an_epsilon_move_enters():
@@ -157,27 +158,26 @@ def test_merge_rejects_a_dropped_state_that_an_epsilon_move_enters():
          ("s2", None, "s1")])
     with pytest.raises(ValueError,
                        match="^state s1 mixes paired and other traffic$"):
-        merge_immediate_pairs(Compiled(machine), {})
+        merge_immediate_pairs(Compiled(machine))
 
 
 def test_encode_psm_kle_matches_expected_shape():
-    encoded = encode_psm(kle_machine(), KLE_BOUNDS)
+    encoded = encode_psm(Compiled(kle_machine()), KLE_BOUNDS).machine()
     assert machine_isomorphic(encoded, kle_encoded_expected()) is not None
 
 
 def test_encode_psm_empty_bounds_is_merge():
     machine = three_party_machine()
-    encoded = encode_psm(machine, {})
-    assert machine_isomorphic(encoded,
-                              merge_immediate_pairs(Compiled(machine),
-                                                    {})) is not None
+    encoded = encode_psm(Compiled(machine), {}).machine()
+    assert machine_isomorphic(encoded, merge_immediate_pairs(
+        Compiled(machine))) is not None
 
 
 def test_encode_psm_preserves_sink_finality_and_choice():
     """Routing through dedicated forwarders can only sharpen the choice
     class: the game comes out directed."""
     from amp.psm import DIRECTED, SENDER_DRIVEN, classify_choice
-    encoded = encode_psm(kle_machine(), KLE_BOUNDS)
+    encoded = encode_psm(Compiled(kle_machine()), KLE_BOUNDS).machine()
     assert encoded.trim().is_sink_final()
     assert classify_choice(encoded) in (SENDER_DRIVEN, DIRECTED)
 
@@ -186,7 +186,7 @@ def test_membership_transfer_on_kle():
     """Complete traces of the machine encode exactly to complete traces
     of the encoded machine, up to swaps."""
     machine = validate(kle_machine())
-    encoded = encode_psm(machine.machine, KLE_BOUNDS)
+    encoded = encode_psm(machine.compiled, KLE_BOUNDS).machine()
     plain = complete_traces(maximal_traces_upto(machine.machine, 6))
     routed = complete_traces(maximal_traces_upto(encoded, 12))
     encoded_closure = closure_upto(routed)

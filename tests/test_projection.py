@@ -29,7 +29,7 @@ def test_subset_construction_one_buyer_seller():
 
 def test_subset_construction_merges_relay_branches():
     """The relay cannot tell the first two branches apart."""
-    machine = merge_immediate_pairs(Compiled(three_party_machine()), {})
+    machine = merge_immediate_pairs(Compiled(three_party_machine()))
     relay = minimal_machine(subset_construction(compiled(machine), "r"))
     assert len(relay.states) == 4
     assert relay.is_deterministic()
@@ -48,7 +48,7 @@ def test_subset_language_is_participant_projection():
     from amp.core import maximal_traces_upto
     from .semantics import complete_traces
     from amp.fifo import project
-    machine = merge_immediate_pairs(Compiled(three_party_machine()), {})
+    machine = merge_immediate_pairs(Compiled(three_party_machine()))
     for participant in ("p", "q", "r"):
         local = StateMachine(*subset_construction(compiled(machine),
                                                   participant).named())

@@ -29,8 +29,8 @@ import pytest
 
 from amp import csm, projection
 from amp.cli import _load_machine, main
-from amp.core import (RECV, SEND, Event, StateMachine, load_machine, recv,
-                      send, walk)
+from amp.core import (RECV, SEND, Compiled, Event, StateMachine, load_machine,
+                      recv, send, walk)
 from amp.csm import dump_csm
 from amp.encoding import (ChannelParticipant, channel_participants,
                           encode_psm, is_amicable)
@@ -256,6 +256,22 @@ def test_a_lost_final_state_is_reported_in_the_protocols_terms():
         "p>q!a p>q!b p>q?a p>q?b p>q!c p>q?c".split()
 
 
+def test_a_lost_final_state_is_named_by_the_state_it_stands_for():
+    """A second final state named like an encoded state of k6: the
+    encoding loses k6, whose encoded name k6|s:(p,q)=1|r:(p,q)=1 also
+    starts with the other's name, which was reported when the lost
+    state was found by its name."""
+    plain = odd_ring_totals()
+    named = "k6|s:(p,q)=1"
+    machine = StateMachine(
+        plain.states | {"z1", named}, plain.initial, plain.finals | {named},
+        plain.transitions + (("k0", send("p", "r", "z"), "z1"),
+                             ("z1", recv("p", "r", "z"), named)))
+    with pytest.raises(NotProjectable) as excinfo:
+        project_tame(validate(machine))
+    assert str(excinfo.value) == FAILING["lost final state"][1]
+
+
 def test_a_shallow_oracle_leaves_the_report_to_the_condition():
     """The reference oracle sees the send validity fault from k = 2;
     the condition reports it whatever the bound."""
@@ -367,7 +383,7 @@ KLE_BOUNDS = {("e", "o"): 1, ("o", "e"): 1}
 
 
 def components_of(machine: StateMachine, bounds: dict) -> dict:
-    encoded = encode_psm(machine, bounds)
+    encoded = encode_psm(Compiled(machine), bounds).machine()
     protocol = reference.compiled(encoded)
     return {name: reference.minimal_machine(subset_construction(protocol,
                                                                 name))

@@ -20,8 +20,8 @@ import pytest
 
 from amp import encoding, projection
 from amp.cli import _load_machine, main
-from amp.core import (Event, StateMachine, dump_machine, load_machine, recv,
-                      send)
+from amp.core import (Compiled, Event, StateMachine, dump_machine,
+                      load_machine, recv, send)
 from amp.csm import dump_csm
 from amp.encoding import channel_participants, encode_psm
 from amp.projection import project_tame, subset_construction
@@ -58,7 +58,7 @@ def assert_components_agree(machine: StateMachine) -> None:
         bounds = infer_channel_bounds(validate(machine))
     except PsmError:
         return
-    encoded = encode_psm(machine.trim(), bounds)
+    encoded = encode_psm(Compiled(machine), bounds).machine()
     protocol = reference.compiled(encoded)
     names = list(machine.participants()) + [
         cp.name for cp in channel_participants(bounds)]
@@ -128,7 +128,7 @@ def test_projection_agrees_where_the_protocol_is_determinised_first():
                  "( c->d:m . q2->p:n . q1->p:m . 0"
                  " + c->d:m . c->q1:b . q1->p:m . 0 )"):
         machine = gt(text)
-        assert not encode_psm(machine, {}).is_deterministic()
+        assert not encode_psm(Compiled(machine), {}).deterministic
         assert_projections_agree(machine)
 
 
@@ -147,7 +147,8 @@ def test_component_states_follow_the_decoded_machine():
     result = project_tame(machine)
     assert result.bounds == {("p", "r"): 1}
     minimal = reference.minimal_machine(subset_construction(
-        reference.compiled(encode_psm(machine, result.bounds)), "p"))
+        reference.compiled(encode_psm(Compiled(machine),
+                                      result.bounds).machine()), "p"))
     assert ("s0", send("p", "(p,r)0", "a"), "s1") in minimal.transitions
     component = result.csm.components["p"]
     assert component.finals == {"p_1"}
@@ -155,27 +156,33 @@ def test_component_states_follow_the_decoded_machine():
         ("p_0", m, "p_1"), ("p_0", a, "p_2"), ("p_2", n, "p_1")}
 
 
-@pytest.mark.parametrize("family,built,walked,events", [
-    (lambda rng: gen.linear_psm(gen.chain_messages(30, rng)), 3, False, 0),
-    (lambda rng: gen.diamonds(2, rng), 5, False, 64),
-    (lambda rng: gen.burst(3, rng), 4, True, 24)],
+@pytest.mark.parametrize("family,built,rings,events", [
+    (lambda rng: gen.linear_psm(gen.chain_messages(30, rng)), 3, None, 0),
+    (lambda rng: gen.diamonds(2, rng), 3, False, 32),
+    (lambda rng: gen.burst(3, rng), 2, True, 12)],
     ids=["chain(30)", "diamonds(2)", "burst(3)"])
 def test_projection_builds_only_the_machines_it_writes(monkeypatch, family,
-                                                       built, walked, events):
-    """One component per participant and, only where some channel is
-    bounded, the merged protocol and its encoding: no decoded or renamed
-    copy, no machine for the amicability check, which reads `minimize`'s
-    classes (diamonds(2) built 10 machines and 88 events, and burst(3) 9
-    and 33, when it read string machines and built events to compare
-    forwarder moves), and no ring counter walked without a ring of two
-    or more slots.  One pair is built per distinct exchange, and its two
-    letters once (chain(30) built 36 events when each transition had
-    its own).  chain(30) needs no bound, so its projection reads the
-    form that validation compiled, fused: no merged machine and no
-    event (it built 4 machines and 9 events when it merged the protocol
-    and compiled the merged machine again)."""
+                                                       built, rings, events):
+    """One component per participant: no merged or encoded protocol, no
+    decoded or renamed copy, and no machine for the amicability check,
+    which reads `minimize`'s classes.  diamonds(2) built 5 machines and
+    64 events, and burst(3) 4 and 24, when the encoding compiled the
+    protocol again and wrote its merged and encoded machines out (10 and
+    88, and 9 and 33, when amicability read string machines and built
+    events to compare forwarder moves).  They build 32 and 12 events:
+    the two letters of each forwarder exchange once per letter and slot,
+    and no pair for it.  One
+    pair is built per distinct exchange (chain(30) built 36 events when
+    each transition had its own).  chain(30) needs no bound, so its
+    projection reads the form that validation compiled, fused, and does
+    not encode it (it built 4 machines and 9 events when it merged the
+    protocol and compiled the merged machine again).  No ring counter
+    moves without a ring of two or more slots: the encoding of
+    diamonds(2), whose rings have one slot, names each state as the
+    protocol state it stands for, while burst(3)'s names each with its
+    counters."""
     psm = validate(load_machine(gen.dump(family(random.Random(1)))))
-    calls = []
+    calls, encoded = [], []
 
     def counted(name, fn):
         def call(*args):
@@ -183,20 +190,26 @@ def test_projection_builds_only_the_machines_it_writes(monkeypatch, family,
             return fn(*args)
         return call
 
+    def encode(*args):
+        encoded.append(encode_psm(*args))
+        return encoded[-1]
+
     monkeypatch.setattr(StateMachine, "__init__",
                         counted("machine", StateMachine.__init__))
     monkeypatch.setattr(Event, "__post_init__",
                         counted("event", Event.__post_init__))
-    for module in (encoding, projection):
-        for name in ("decode_fsm", "_thread_counters"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counted(name, getattr(module, name)))
+    monkeypatch.setattr(encoding, "decode_fsm",
+                        counted("decode_fsm", encoding.decode_fsm))
+    monkeypatch.setattr(projection, "encode_psm", encode)
     project_tame(psm)
     assert calls.count("machine") == built
     assert calls.count("event") == events
     assert "decode_fsm" not in calls
-    assert ("_thread_counters" in calls) == walked
+    assert len(encoded) == (rings is not None)
+    for protocol in encoded:
+        names = psm.compiled.names
+        assert {protocol.names[q] == names[protocol.origin[q]]
+                for q in protocol.states} == {not rings}
 
 
 def test_a_global_type_shares_one_pair_per_exchange(monkeypatch):

@@ -112,7 +112,7 @@ def test_minimize_agrees_on_subset_machines_of_tame_protocols():
         except PsmError:
             continue
         machine = psm.machine.trim()
-        encoded = encode_psm(machine, bounds)
+        encoded = encode_psm(psm.compiled, bounds).machine()
         names = list(machine.participants()) + [
             cp.name for cp in channel_participants(bounds)]
         protocols = (reference.compiled(encoded), reference.compiled(machine))
@@ -256,7 +256,7 @@ def test_regex_to_psm_agrees_on_corpus(source):
         return
     if not psm.sum_one:
         return
-    merged = merge_immediate_pairs(psm.compiled, {})
+    merged = merge_immediate_pairs(psm.compiled)
     if not merged.trim().is_sink_final():
         merged = make_sink_final(merged)
     regex = psm_to_regex(merged)

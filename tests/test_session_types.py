@@ -200,7 +200,7 @@ def test_corpus_agrees_with_reference(path):
     machine = _load_machine(str(path))
     validated = outcome(validate, machine)
     if not isinstance(validated, tuple) and validated.sum_one:
-        merged = merge_immediate_pairs(validated.compiled, {})
+        merged = merge_immediate_pairs(validated.compiled)
         if not merged.trim().is_sink_final():
             merged = outcome(make_sink_final, merged)
         if isinstance(merged, StateMachine):

@@ -147,7 +147,7 @@ def test_psm_to_regex_loop_then_exit():
 
 
 def test_psm_to_regex_three_party_language():
-    machine = merge_immediate_pairs(Compiled(three_party_machine()), {})
+    machine = merge_immediate_pairs(Compiled(three_party_machine()))
     regex = psm_to_regex(machine)
     words = regex_lang_upto(regex, 8)
     traces = complete_traces(maximal_traces_upto(machine, 8))
@@ -339,7 +339,7 @@ def test_psm_to_global_single_final():
 
 
 def test_full_workflow_three_party():
-    machine = merge_immediate_pairs(Compiled(three_party_machine()), {})
+    machine = merge_immediate_pairs(Compiled(three_party_machine()))
     regex = psm_to_regex(machine)
     rebuilt = regex_to_psm(regex)
     g = psm_to_global_type(rebuilt)

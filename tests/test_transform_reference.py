@@ -92,7 +92,7 @@ def _to_global_input(machine: StateMachine):
         return None
     if not validated.sum_one:
         return None
-    merged = encoding.merge_immediate_pairs(validated.compiled, {})
+    merged = encoding.merge_immediate_pairs(validated.compiled)
     if not merged.trim().is_sink_final():
         try:
             merged = transform.make_sink_final(merged)

@@ -162,7 +162,7 @@ def test_subset_construction_agrees_on_encoded_tame_protocols():
             bounds = infer_channel_bounds(psm)
         except PsmError:
             continue
-        encoded = encode_psm(psm.machine.trim(), bounds)
+        encoded = encode_psm(psm.compiled, bounds).machine()
         assert_subsets_agree(encoded, encoded.participants())
         checked += 1
     assert checked > 40
