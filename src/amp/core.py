@@ -30,7 +30,7 @@ payload-key helpers shared by those layers live here too.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 SEND = "send"
@@ -40,11 +40,47 @@ PAIR = "pair"
 _KIND_ORDER = {SEND: 0, RECV: 1, PAIR: 2}
 
 
-@dataclass(frozen=True)
-class StateRef:
+class Record:
+    """A value: equal to a record of its own class with equal fields,
+    hashed over its fields, printed `Name(field=value, ...)` and pickled
+    as its class called on them.  The fields are the names in the class's
+    `__slots__` that do not start with `_`, in the order its own
+    `__init__` takes them.  A record is not changed once built, so its
+    hash is kept."""
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(n for n in cls.__slots__ if n[0] != "_")
+        # a record with no fields reads its class's empty `_fields`
+        cls._values = attrgetter(*cls._fields or ("_fields",))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._values(self))
+            return self._hash
+
+    def __reduce__(self):
+        return (type(self), tuple(map(self.__getattribute__, self._fields)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class StateRef(Record):
     """A machine-state used as a payload type (for delegation)."""
 
-    state: str
+    __slots__ = ("state",)
+    def __init__(self, state: str):
+        self.state = state
 
     def __str__(self) -> str:
         return self.state
@@ -80,8 +116,7 @@ def payload_from_key(key: str) -> Payload:
     return key[1:]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(Record):
     """A send, receive, or paired message exchange over one channel.
 
     ``send`` means `sender` enqueues `label` on channel (sender, receiver);
@@ -89,35 +124,31 @@ class Event:
     succession and expands to two letters in any trace.
     """
 
-    kind: str
-    sender: str
-    receiver: str
-    label: str
-    payload: Payload = None
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.kind not in (SEND, RECV, PAIR):
-            raise ValueError(f"bad event kind {self.kind!r}")
-        if not self.sender or not self.receiver or self.label is None:
+    __slots__ = ("kind", "sender", "receiver", "label", "payload", "_key",
+                 "_letters")
+    def __init__(self, kind: str, sender: str, receiver: str, label: str,
+                 payload: Payload = None):
+        if kind not in (SEND, RECV, PAIR):
+            raise ValueError(f"bad event kind {kind!r}")
+        if not sender or not receiver or label is None:
             raise ValueError("events need a sender, receiver, and label")
-        if self.sender == self.receiver:
-            raise ValueError(f"self-channel event {self.sender}>{self.receiver}")
+        if sender == receiver:
+            raise ValueError(f"self-channel event {sender}>{receiver}")
+        self.kind, self.sender, self.receiver = kind, sender, receiver
+        self.label, self.payload = label, payload
         # Injective, since `payload_key` is: equal keys mean equal events.
-        object.__setattr__(self, "_key", (
-            self.sender, self.receiver, self.label, _KIND_ORDER[self.kind],
-            payload_key(self.payload)))
+        self._key = (sender, receiver, label, _KIND_ORDER[kind],
+                     payload_key(payload))
         # Events key dicts and sets in every inner loop: hash them once.
-        object.__setattr__(self, "_hash", hash(self._key))
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        if other.__class__ is not Event:
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # A string's hash differs between processes: recompute on loading.
-        return (Event, (self.kind, self.sender, self.receiver, self.label,
-                        self.payload))
 
     @property
     def channel(self) -> tuple[str, str]:
@@ -138,11 +169,11 @@ class Event:
         are built once, outside the fields that compare, print and pickle."""
         if self.kind != PAIR:
             return (self,)
-        if "_letters" not in self.__dict__:
-            self.__dict__["_letters"] = (
+        if not hasattr(self, "_letters"):
+            self._letters = (
                 Event(SEND, self.sender, self.receiver, self.label, self.payload),
                 Event(RECV, self.sender, self.receiver, self.label, self.payload))
-        return self.__dict__["_letters"]
+        return self._letters
 
     def message(self) -> tuple[str, str]:
         return (self.label, payload_key(self.payload))
@@ -626,10 +657,10 @@ class Compiled:
 # -- bounded trace languages -------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceFlags:
-    complete: bool
-    extendable: bool
+class TraceFlags(Record):
+    __slots__ = ("complete", "extendable")
+    def __init__(self, complete: bool, extendable: bool):
+        self.complete, self.extendable = complete, extendable
 
 
 TraceSet = dict  # Word -> TraceFlags

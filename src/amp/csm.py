@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from operator import getitem
 from typing import Optional
 
-from .core import (Event, MalformedInput, PAIR, RECV, SEND, StateMachine,
-                   Word, _machine_at, _quote, bounded_traces,
+from .core import (Event, MalformedInput, PAIR, RECV, Record, SEND,
+                   StateMachine, Word, _machine_at, _quote, bounded_traces,
                    machine_from_json, queue_get, reachable, walk)
 from .fifo import project, show_word as _fmt
 from .psm import Psm
@@ -53,10 +52,11 @@ class Csm:
         return f"Csm({', '.join(self.components)})"
 
 
-@dataclass(frozen=True)
-class Configuration:
-    states: tuple[tuple[str, str], ...]          # (participant, state), sorted
-    channels: tuple[tuple[Channel, tuple], ...]  # non-empty queues, sorted
+class Configuration(Record):
+    __slots__ = ("states", "channels")
+    def __init__(self, states: tuple, channels: tuple):
+        self.states = states      # ((participant, state), ...), sorted
+        self.channels = channels  # ((channel, queue), ...) non-empty, sorted
 
     def queue(self, channel: Channel) -> tuple:
         return queue_get(self.channels, channel)
@@ -556,11 +556,11 @@ def _eps_reach(kernel: _Kernel, configs) -> frozenset:
         move for move in kernel.moves(config, 0) if move <= kernel.full]))
 
 
-@dataclass(frozen=True)
-class ProjectionVerdict:
-    passed: bool
-    reasons: tuple[str, ...]
-    bounded_only: bool = False  # passed on words up to the oracle's k only
+class ProjectionVerdict(Record):
+    __slots__ = ("passed", "reasons", "bounded_only")
+    def __init__(self, passed: bool, reasons: tuple, bounded_only=False):
+        self.passed, self.reasons = passed, reasons
+        self.bounded_only = bounded_only  # passed on words up to k only
 
     def __bool__(self) -> bool:
         return self.passed

@@ -21,24 +21,22 @@ test-only check in `tests/semantics.py`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Compiled, Event, RECV, SEND, StateMachine, expand_pairs,
-                   pair, pair_middles, recv, send, walk)
+from .core import (Compiled, Event, RECV, Record, SEND, StateMachine,
+                   expand_pairs, pair, pair_middles, recv, send, walk)
 
 Channel = tuple[str, str]
 
 _CP_RE = re.compile(r"^\((?P<src>[^,()]+),(?P<dst>[^,()]+)\)(?P<idx>\d+)$")
 
 
-@dataclass(frozen=True)
-class ChannelParticipant:
+class ChannelParticipant(Record):
     """Forwarder number `index` for the channel source -> target."""
 
-    source: str
-    target: str
-    index: int
+    __slots__ = ("source", "target", "index")
+    def __init__(self, source: str, target: str, index: int):
+        self.source, self.target, self.index = source, target, index
 
     @property
     def name(self) -> str:

@@ -8,10 +8,9 @@ indistinguishability equivalence used throughout the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import Event, PAIR, RECV, SEND, Word
+from .core import Event, PAIR, RECV, Record, SEND, Word
 
 OK = "ok"
 COMPLETE = "complete"
@@ -38,10 +37,10 @@ def project(word: Word, *, participant: Optional[str] = None,
     return tuple(ev for ev in word if keep(ev))
 
 
-@dataclass(frozen=True)
-class FifoReport:
-    status: str
-    position: Optional[int] = None
+class FifoReport(Record):
+    __slots__ = ("status", "position")
+    def __init__(self, status: str, position: Optional[int] = None):
+        self.status, self.position = status, position
 
 
 def is_fifo(word: Word) -> FifoReport:

@@ -30,11 +30,10 @@ and a rejection reports the condition that failed, with its witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import (RECV, SEND, Compiled, Event, StateMachine, parent_word,
-                   reachable, strongly_connected_components, walk)
+from .core import (RECV, SEND, Compiled, Event, Record, StateMachine,
+                   parent_word, reachable, strongly_connected_components, walk)
 from .csm import Csm, ProjectionVerdict, check_projection
 from .encoding import (Fused, channel_participants, encode_psm,
                        forwarder_named, is_amicable)
@@ -175,15 +174,14 @@ def subset_construction(protocol: _Compiled, participant: str) -> Subsets:
                    protocol.letters, protocol.names)
 
 
-@dataclass
-class Classes:
+class Classes(Record):
     """`minimize`'s classes, numbered breadth first from the initial
     one's: class i merges the subset states `states[i]`, `moves[i]`
     lists its (rank, class) moves by rank, and `finals` the final ones."""
 
-    states: list
-    moves: list
-    finals: frozenset
+    __slots__ = ("states", "moves", "finals")
+    def __init__(self, states: list, moves: list, finals: frozenset):
+        self.states, self.moves, self.finals = states, moves, finals
 
 
 def minimize(machine: Subsets) -> Classes:
@@ -483,10 +481,10 @@ def subset_validity(source: _Compiled, participant: str,
     return None
 
 
-@dataclass
-class ProjectionResult:
-    csm: Csm
-    bounds: dict
+class ProjectionResult(Record):
+    __slots__ = ("csm", "bounds")
+    def __init__(self, csm: Csm, bounds: dict):
+        self.csm, self.bounds = csm, bounds
 
 
 def project_tame(source) -> ProjectionResult:
@@ -621,10 +619,11 @@ def _first_lag(want, have) -> tuple:
                        and n[1] not in have.finals)
 
 
-@dataclass(frozen=True)
-class StrongReport:
-    strong: bool
-    witnesses: tuple[tuple[str, str], ...]  # (participant, final non-sink state)
+class StrongReport(Record):
+    __slots__ = ("strong", "witnesses")
+    def __init__(self, strong: bool, witnesses: tuple):
+        # witnesses: ((participant, final non-sink state), ...)
+        self.strong, self.witnesses = strong, witnesses
 
 
 def strong_report(csm: Csm) -> StrongReport:

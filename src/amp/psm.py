@@ -8,18 +8,17 @@ this determinised view answers language-level questions exactly.
 
 `validate` reads the machine's `core.Compiled` form, keeps it in the
 `Psm` it returns for the projection's gate and `detected_channels`, and
-walks it (`build_config_graph`): the walk, the bound scan and
-`check_fer` read only ints, and `check_fer` hands `core.fer_violation`
-edges labelled with the channel they receive on.
+walks it (`build_config_graph`, which measures the bounds as it goes):
+the walk and `check_fer` read only ints, and `check_fer` hands
+`core.fer_violation` edges labelled with the channel they receive on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Compiled, Event, PAIR, RECV, SEND, StateMachine, Word,
-                   expand_pairs, fer_violation, parent_word, reachable,
+from .core import (Compiled, Event, PAIR, RECV, Record, SEND, StateMachine,
+                   Word, expand_pairs, fer_violation, parent_word, reachable,
                    strongly_connected_components, walk)
 
 DEFAULT_CONFIG_CAP = 1_000_000
@@ -94,10 +93,13 @@ class ConfigGraph:
     of the sorted `channels` the tuple of the ranks of the sends queued
     on it).  `moves[i]` lists node i's (rank, successor) moves by rank,
     `parent` maps each later node to (the node it was first reached from,
-    the rank between) and `finals` holds the final states.
+    the rank between) and `finals` holds the final states.  `bound` is the
+    most messages a node queues and `longest[c]` the longest queue on
+    channel c, read off each node as the walk makes it.
     """
 
-    __slots__ = ("letters", "channels", "finals", "nodes", "moves", "parent")
+    __slots__ = ("letters", "channels", "finals", "nodes", "moves", "parent",
+                 "bound", "longest")
 
     def word_to(self, node_id: int) -> Word:
         return tuple(self.letters[r]
@@ -135,6 +137,8 @@ def build_config_graph(form: Compiled, *,
     graph.nodes = nodes = [start]
     graph.moves = moves = []
     graph.parent = parent = {}
+    graph.longest = longest = [0] * len(channels)
+    sizes = [0]  # per node, the messages it queues
     index = {start: 0}
     for node_id, (stateset, queues) in enumerate(nodes):
         if any(queues) and not finals.isdisjoint(stateset):
@@ -167,11 +171,14 @@ def build_config_graph(form: Compiled, *,
                 j = index[succ] = len(nodes)
                 nodes.append(succ)
                 parent[j] = (node_id, r)
+                sizes.append(sizes[node_id] + len(content) - len(queues[c]))
+                longest[c] = max(longest[c], len(content))
                 if len(nodes) > config_cap:
                     raise ConfigCapExceeded(
                         f"exploration exceeded {config_cap} configurations")
             row.append((r, j))
         moves.append(row)
+    graph.bound = max(sizes)
     return graph
 
 
@@ -213,14 +220,11 @@ def validate(machine: StateMachine, *,
     if form.eps_cycle:
         raise NotDense("machine contains a cycle of epsilon transitions")
     graph = build_config_graph(form, config_cap=config_cap)
-    queues = [q for _, q in graph.nodes]
-    total = max(sum(map(len, q)) for q in queues)
-    longest = [max(map(len, column)) for column in zip(*queues)]
-    per_channel = {ch: n for ch, n in zip(graph.channels, longest) if n}
     ok, witness = check_fer(graph)
     if not ok:
         raise FerViolation("a pending send can never be received", witness)
-    return Psm(None, total, per_channel, form)
+    return Psm(None, graph.bound, {ch: n for ch, n in zip(
+        graph.channels, graph.longest) if n}, form)
 
 
 # -- choice classification -----------------------------------------------
@@ -380,12 +384,12 @@ def infer_channel_bounds(psm: Psm) -> dict:
     return {ch: psm.bound_by_channel.get(ch, 0) for ch in sorted(detected)}
 
 
-@dataclass(frozen=True)
-class TameReport:
-    tame: bool
-    sink_final: bool
-    choice: str  # the `classify_choice` class
-    bounds: Optional[dict]  # None when no bounds can be inferred
+class TameReport(Record):
+    __slots__ = ("tame", "sink_final", "choice", "bounds")
+    def __init__(self, tame: bool, sink_final: bool, choice: str, bounds):
+        self.tame, self.sink_final = tame, sink_final
+        self.choice = choice  # the `classify_choice` class
+        self.bounds = bounds  # None when no bounds can be inferred
 
 
 def is_tame(psm: Psm) -> TameReport:

@@ -16,12 +16,11 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .core import (Event, MalformedInput, PAIR, RECV, SEND, StateMachine,
-                   StateRef, backward_closure, pair, payload_suffix, recv,
-                   send)
+from .core import (Event, MalformedInput, PAIR, RECV, Record, SEND,
+                   StateMachine, StateRef, backward_closure, pair,
+                   payload_suffix, recv, send)
 
 # -- session types ------------------------------------------------------------
 #
@@ -30,32 +29,35 @@ from .core import (Event, MalformedInput, PAIR, RECV, SEND, StateMachine,
 # participant's sends or receives in a local type.
 
 
-@dataclass(frozen=True)
-class End:
+class End(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "0"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+    def __init__(self, name: str):
+        self.name = name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Rec:
-    var: str
-    body: "SessionType"
+class Rec(Record):
+    __slots__ = ("var", "body")
+    def __init__(self, var: str, body: "SessionType"):
+        self.var, self.body = var, body
 
     def __str__(self) -> str:
         return _format(self)
 
 
-@dataclass(frozen=True)
-class Choice:
-    branches: tuple  # tuple[(Event, SessionType), ...]
+class Choice(Record):
+    __slots__ = ("branches",)
+    def __init__(self, branches: tuple):
+        self.branches = branches  # ((Event, SessionType), ...)
 
     def __str__(self) -> str:
         return _format(self)
@@ -177,17 +179,19 @@ def _type_to_machine(term: SessionType, prefix: str) -> StateMachine:
 # -- regular expressions ------------------------------------------------------
 
 
-class _Node:
+class _Node(Record):
     """A regex node hashes in O(1): it computes its hash once, when it is
     built, from its children's cached hashes.  Equality tries identity,
     then the hashes, and only then the children, each of them again
     identity first, with an explicit stack, so deep terms compare
     without recursion."""
 
-    def __post_init__(self) -> None:
-        key = tuple(getattr(self, name) for name in self.__match_args__)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash((type(self), key)))
+    __slots__ = ("_key",)
+    def __init__(self, *fields):
+        for name, value in zip(self._fields, fields):
+            setattr(self, name, value)
+        self._key = fields
+        self._hash = hash((type(self), fields))
 
     def __hash__(self) -> int:
         return self._hash
@@ -208,47 +212,43 @@ class _Node:
         return True
 
 
-@dataclass(frozen=True, eq=False)
 class REmpty(_Node):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "∅"
 
 
-@dataclass(frozen=True, eq=False)
 class REps(_Node):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "ε"
 
 
-@dataclass(frozen=True, eq=False)
 class RLetter(_Node):
-    event: Event
+    __slots__ = ("event",)
 
     def __str__(self) -> str:
         return str(self.event)
 
 
-@dataclass(frozen=True, eq=False)
 class RAlt(_Node):
-    left: "Regex"
-    right: "Regex"
+    __slots__ = ("left", "right")
 
     def __str__(self) -> str:
         return _regex_text(self)
 
 
-@dataclass(frozen=True, eq=False)
 class RCat(_Node):
-    left: "Regex"
-    right: "Regex"
+    __slots__ = ("left", "right")
 
     def __str__(self) -> str:
         return _regex_text(self)
 
 
-@dataclass(frozen=True, eq=False)
 class RStar(_Node):
-    inner: "Regex"
+    __slots__ = ("inner",)
 
     def __str__(self) -> str:
         return _regex_text(self)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from .core import (RECV, SEND, StateMachine, StateRef, fer_violation,
-                   payload_from_key, queue_get, queue_set)
+from .core import (RECV, Record, SEND, StateMachine, StateRef,
+                   fer_violation, payload_from_key, queue_get, queue_set)
 from .csm import (Configuration, Csm, explore, is_final_config, step)
 
 # The configuration cap of every exploration the type checker makes, and
@@ -29,18 +28,19 @@ ANNOTATION_QUEUE_CAP = 4
 # -- terms ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+    def __init__(self, name: str):
+        self.name = name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    session: str
-    participant: str
+class Endpoint(Record):
+    __slots__ = ("session", "participant")
+    def __init__(self, session: str, participant: str):
+        self.session, self.participant = session, participant
 
     def __str__(self) -> str:
         return f"{self.session}[{self.participant}]"
@@ -49,8 +49,9 @@ class Endpoint:
 ChanRef = Union[Var, Endpoint]
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "unit"
 
@@ -58,32 +59,31 @@ class Unit:
 Value = Union[Unit, Endpoint]
 
 
-@dataclass(frozen=True)
-class PEnd:
+class PEnd(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "0"
 
 
-@dataclass(frozen=True)
-class SendBranch:
-    receiver: str
-    label: str
-    payload: Union[None, ChanRef, Unit]
-    cont: "Term"
+class SendBranch(Record):
+    __slots__ = ("receiver", "label", "payload", "cont")
+    def __init__(self, receiver: str, label: str, payload, cont: "Term"):
+        self.receiver, self.label = receiver, label
+        self.payload, self.cont = payload, cont  # payload: ChanRef | Unit
 
 
-@dataclass(frozen=True)
-class RecvBranch:
-    sender: str
-    label: str
-    binder: Optional[str]
-    cont: "Term"
+class RecvBranch(Record):
+    __slots__ = ("sender", "label", "binder", "cont")
+    def __init__(self, sender: str, label: str, binder, cont: "Term"):
+        self.sender, self.label = sender, label
+        self.binder, self.cont = binder, cont  # binder: a name or None
 
 
-@dataclass(frozen=True)
-class PSend:
-    subject: ChanRef
-    branches: tuple  # tuple[SendBranch, ...]
+class PSend(Record):
+    __slots__ = ("subject", "branches")
+    def __init__(self, subject: ChanRef, branches: tuple):
+        self.subject, self.branches = subject, branches  # SendBranch, ...
 
     def __str__(self) -> str:
         parts = []
@@ -93,10 +93,10 @@ class PSend:
         return parts[0] if len(parts) == 1 else "(+ " + "  ".join(parts) + " )"
 
 
-@dataclass(frozen=True)
-class PRecv:
-    subject: ChanRef
-    branches: tuple  # tuple[RecvBranch, ...]
+class PRecv(Record):
+    __slots__ = ("subject", "branches")
+    def __init__(self, subject: ChanRef, branches: tuple):
+        self.subject, self.branches = subject, branches  # RecvBranch, ...
 
     def __str__(self) -> str:
         parts = []
@@ -106,28 +106,28 @@ class PRecv:
         return parts[0] if len(parts) == 1 else "(& " + "  ".join(parts) + " )"
 
 
-@dataclass(frozen=True)
-class PPar:
-    parts: tuple
+class PPar(Record):
+    __slots__ = ("parts",)
+    def __init__(self, parts: tuple):
+        self.parts = parts
 
     def __str__(self) -> str:
         return "( " + " | ".join(str(p) for p in self.parts) + " )"
 
 
-@dataclass(frozen=True)
-class PRes:
-    session: str
-    csm_name: str
-    body: "Term"
+class PRes(Record):
+    __slots__ = ("session", "csm_name", "body")
+    def __init__(self, session: str, csm_name: str, body: "Term"):
+        self.session, self.csm_name, self.body = session, csm_name, body
 
     def __str__(self) -> str:
         return f"new {self.session} : {self.csm_name} in {self.body}"
 
 
-@dataclass(frozen=True)
-class PCall:
-    name: str
-    args: tuple  # tuple[ChanRef | Unit, ...]
+class PCall(Record):
+    __slots__ = ("name", "args")
+    def __init__(self, name: str, args: tuple):
+        self.name, self.args = name, args  # args: ChanRef | Unit, ...
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
@@ -136,10 +136,11 @@ class PCall:
 Msg = tuple  # (label, Value | None)
 
 
-@dataclass(frozen=True)
-class RQueue:
-    session: str
-    contents: tuple  # tuple[((p, q), tuple[Msg, ...]), ...] non-empty, sorted
+class RQueue(Record):
+    __slots__ = ("session", "contents")
+    def __init__(self, session: str, contents: tuple):
+        # contents: (((p, q), (Msg, ...)), ...), non-empty, sorted
+        self.session, self.contents = session, contents
 
     def queue(self, channel) -> tuple:
         return queue_get(self.contents, channel)
@@ -153,8 +154,9 @@ class RQueue:
         return f"{self.session}<{cells}>"
 
 
-@dataclass(frozen=True)
-class RErr:
+class RErr(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "err"
 
@@ -162,23 +164,23 @@ class RErr:
 Term = Union[PEnd, PSend, PRecv, PPar, PRes, PCall, RQueue, RErr]
 
 
-@dataclass(frozen=True)
-class Definition:
-    params: tuple  # tuple[str, ...]
-    body: Term
+class Definition(Record):
+    __slots__ = ("params", "body")
+    def __init__(self, params: tuple, body: Term):
+        self.params, self.body = params, body  # params: str, ...
 
 
-@dataclass
-class Program:
-    csms: dict            # name -> Csm
-    order: list           # [(smaller, larger)] pairs of csm names
-    defs: dict            # name -> Definition
-    main: Term
-    theta: dict = field(default_factory=dict)  # name -> parameter types
-    # The program's checker, built on first use by `typecheck_defs`; a
-    # program is not changed once it has been checked.
-    _checker: Optional["Checker"] = field(default=None, init=False,
-                                          repr=False, compare=False)
+class Program(Record):
+    __slots__ = ("csms", "order", "defs", "main", "theta", "_checker")
+    def __init__(self, csms: dict, order: list, defs: dict, main: Term,
+                 theta: Optional[dict] = None):
+        self.csms = csms    # name -> Csm
+        self.order = order  # [(smaller, larger)] pairs of csm names
+        self.defs, self.main = defs, main  # defs: name -> Definition
+        self.theta = {} if theta is None else theta  # name -> parameter types
+        # The program's checker, built on first use by `typecheck_defs`; a
+        # program is not changed once it has been checked.
+        self._checker: Optional[Checker] = None
 
 
 # -- free names, substitution, renaming ------------------------------------
@@ -300,14 +302,15 @@ def _freshen(term: Term, suffix: str) -> Term:
 # -- runtime configurations -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalConfig:
+class NormalConfig(Record):
     """Canonical multiset form of a runtime configuration: all active
     restrictions hoisted to the top, queues indexed by session."""
 
-    sessions: tuple       # ((name, csm_name), ...) sorted
-    queues: tuple         # ((name, contents), ...) sorted
-    threads: tuple        # sorted by display string
+    __slots__ = ("sessions", "queues", "threads")
+    def __init__(self, sessions: tuple, queues: tuple, threads: tuple):
+        self.sessions = sessions  # ((name, csm_name), ...) sorted
+        self.queues = queues      # ((name, contents), ...) sorted
+        self.threads = threads    # sorted by display string
 
     def queue_of(self, session: str) -> Optional[tuple]:
         for name, contents in self.queues:
@@ -499,12 +502,13 @@ class TypeCheckError(Exception):
 Type = Union[str, None]  # a machine state id, or a base-type name
 
 
-@dataclass
-class StateRegistry:
+class StateRegistry(Record):
     """All states of a program's annotated machines, with their owners."""
 
-    owner: dict           # state -> (csm name, participant)
-    machines: dict        # csm name -> Csm
+    __slots__ = ("owner", "machines")
+    def __init__(self, owner: dict, machines: dict):
+        self.owner = owner        # state -> (csm name, participant)
+        self.machines = machines  # csm name -> Csm
 
     @classmethod
     def build(cls, csms: Mapping[str, Csm]) -> "StateRegistry":
@@ -551,16 +555,17 @@ class StateRegistry:
 _MISSING = object()
 
 
-@dataclass
-class Checker:
-    registry: StateRegistry
-    theta: dict  # process name -> tuple of types
-    # Facts about the program, each computed once, on first use: () for
-    # the main process, a machine's name for its well-annotation,
-    # (machine name, queue cap) for its exploration, and ("successors",
-    # c) and ("typed", c) for the successors and the runtime typing of a
-    # configuration c.  A fact whose computation raises is not kept.
-    _facts: dict = field(default_factory=dict, init=False, repr=False)
+class Checker(Record):
+    __slots__ = ("registry", "theta", "_facts")
+    def __init__(self, registry: StateRegistry, theta: dict):
+        self.registry = registry
+        self.theta = theta  # process name -> tuple of types
+        # Facts about the program, each computed once, on first use: ()
+        # for the main process, a machine's name for its well-annotation,
+        # (machine name, queue cap) for its exploration, and ("successors",
+        # c) and ("typed", c) for the successors and the runtime typing of
+        # a configuration c.  A fact whose computation raises is not kept.
+        self._facts: dict = {}
 
     def _once(self, key, compute):
         # one lookup per hit; the main process's fact is None, so a
@@ -785,11 +790,11 @@ def typecheck_process(program: Program) -> Checker:
 # -- runtime typing ------------------------------------------------------------
 
 
-@dataclass
-class RuntimeTypingReport:
-    ok: bool
-    chosen: dict          # session -> Configuration
-    error: Optional[str] = None
+class RuntimeTypingReport(Record):
+    __slots__ = ("ok", "chosen", "error")
+    def __init__(self, ok: bool, chosen: dict, error: Optional[str] = None):
+        self.ok, self.error = ok, error
+        self.chosen = chosen  # session -> Configuration
 
 
 def typecheck_runtime(program: Program,
@@ -872,10 +877,10 @@ def _check_with_configs(checker: Checker, config: NormalConfig,
 # -- well-annotation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnnotationReport:
-    deadlock_free: bool
-    fer: bool
+class AnnotationReport(Record):
+    __slots__ = ("deadlock_free", "fer")
+    def __init__(self, deadlock_free: bool, fer: bool):
+        self.deadlock_free, self.fer = deadlock_free, fer
 
     @classmethod
     def of(cls, csm: Csm, report) -> "AnnotationReport":
@@ -912,11 +917,10 @@ def _successors(program: Program, config: NormalConfig) -> list:
         ("successors", config), lambda: reduce_config(config, program.defs))
 
 
-@dataclass
-class HarnessReport:
-    ok: bool
-    steps: list
-    failure: Optional[str] = None
+class HarnessReport(Record):
+    __slots__ = ("ok", "steps", "failure")
+    def __init__(self, ok: bool, steps: list, failure: Optional[str] = None):
+        self.ok, self.steps, self.failure = ok, steps, failure
 
 
 def subject_reduction_harness(program: Program, steps: int = 30,
@@ -958,12 +962,12 @@ def subject_reduction_harness(program: Program, steps: int = 30,
 # -- session fidelity and progress ------------------------------------------
 
 
-@dataclass
-class SfReport:
-    ok: bool
-    session: Optional[str] = None
-    config: Optional[Configuration] = None
-    error: Optional[str] = None
+class SfReport(Record):
+    __slots__ = ("ok", "session", "config", "error")
+    def __init__(self, ok: bool, session: Optional[str] = None,
+                 config: Optional[Configuration] = None, error=None):
+        self.ok, self.session = ok, session
+        self.config, self.error = config, error
 
 
 def _contains_restriction(term: Term) -> bool:

@@ -96,3 +96,43 @@ def test_fresh_interpreter_matches_in_process(argv, unused, tmp_path,
     assert not executed & unused, sorted(executed & unused)
     if argv[0] == "typecheck":
         assert {"typecheck", "program"} <= executed
+
+
+
+# What a class declared with `dataclasses` runs when its module is
+# executed: `dataclasses` itself, the `inspect` it imports, and the
+# methods it generates and executes from source text.
+GENERATED = ("dataclasses.py", "inspect.py", "<string>")
+
+
+def _child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS],
+                         ids=[argv[0] for argv, _ in COMMANDS])
+def test_no_command_executes_dataclasses_or_generated_code(argv, tmp_path):
+    record = tmp_path / "executed.txt"
+    subprocess.run([sys.executable, "-c", CHILD, str(record),
+                    *_argv(argv, tmp_path / "out")], cwd=tmp_path,
+                   env=_child_env(), capture_output=True, timeout=120)
+    executed = record.read_text().splitlines()
+    assert {"cli.py", "core.py"} <= {Path(f).name for f in executed}
+    assert [f for f in executed if f.endswith(GENERATED)] == []
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    """All ten modules in a fresh interpreter, each executed: reading an
+    attribute runs a module that `amp.cli` deferred."""
+    modules = ["core", "psm", "csm", "encoding", "fifo", "program",
+               "projection", "transform", "typecheck", "cli"]
+    code = ("import importlib, sys\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module('amp.' + name).__name__\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                           capture_output=True, text=True, timeout=120)
+    assert child.stdout == "[]\n", child.stderr

@@ -32,7 +32,7 @@ def test_a_pairs_letters_are_built_once_and_stay_out_of_its_fields():
     assert repr(exchange) == repr(pair("p", "q", "m", "int"))
     assert hash(exchange) == hash(pair("p", "q", "m", "int"))
     loaded = pickle.loads(pickle.dumps(exchange))
-    assert loaded == exchange and "_letters" not in loaded.__dict__
+    assert loaded == exchange and not hasattr(loaded, "_letters")
     assert loaded.letters() == letters
     assert all(a is b for a, b in zip(loaded.letters(), loaded.letters()))
     single = send("p", "q", "m")

@@ -196,8 +196,7 @@ def test_projection_builds_only_the_machines_it_writes(monkeypatch, family,
 
     monkeypatch.setattr(StateMachine, "__init__",
                         counted("machine", StateMachine.__init__))
-    monkeypatch.setattr(Event, "__post_init__",
-                        counted("event", Event.__post_init__))
+    monkeypatch.setattr(Event, "__init__", counted("event", Event.__init__))
     monkeypatch.setattr(encoding, "decode_fsm",
                         counted("decode_fsm", encoding.decode_fsm))
     monkeypatch.setattr(projection, "encode_psm", encode)
@@ -217,13 +216,13 @@ def test_a_global_type_shares_one_pair_per_exchange(monkeypatch):
     messages = gen.chain_messages(40, random.Random(1))
     text = gen.global_text(messages)
     built = []
-    post_init = Event.__post_init__
+    init = Event.__init__
 
-    def counted(ev):
+    def counted(ev, *args):
         built.append(ev)
-        post_init(ev)
+        init(ev, *args)
 
-    monkeypatch.setattr(Event, "__post_init__", counted)
+    monkeypatch.setattr(Event, "__init__", counted)
     term = parse_global_type(text)
     monkeypatch.undo()
     assert len(built) == len(set(messages)) == 3

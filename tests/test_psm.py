@@ -1,18 +1,26 @@
 """Tests for protocol machine validation, classification, and bounds."""
 
+import random
+from pathlib import Path
+
 import pytest
 
+from amp.cli import _load_machine
 from amp.core import Compiled, StateMachine, maximal_traces_upto, recv, send
 from amp.fifo import COMPLETE, OK, is_fifo
 from amp.psm import (DIRECTED, FerViolation, MIXED, NON_DETERMINISTIC, NonFifo,
-                     NotDense, SENDER_DRIVEN, UnboundedChannel, UnboundedLoop,
-                     classify_choice, detected_channels, infer_channel_bounds,
-                     is_tame, single_sender_branching, validate)
+                     NotDense, PsmError, SENDER_DRIVEN, UnboundedChannel,
+                     UnboundedLoop, build_config_graph, classify_choice,
+                     detected_channels, infer_channel_bounds, is_tame,
+                     single_sender_branching, validate)
 from amp.transform import global_to_psm, parse_global_type
 
 from .compiled_reference import has_pure_eps_cycle
-from .conftest import epsilon_chain, kle_machine, three_party_machine
+from .conftest import (epsilon_chain, kle_machine, random_looping_protocol,
+                       random_sender_driven_tree, random_tame_psm,
+                       three_party_machine)
 from .semantics import complete_traces
+from .test_graph_analyses import random_protocol
 
 
 def test_three_party_is_sum_one():
@@ -210,3 +218,36 @@ def test_validate_long_epsilon_chain():
     psm = validate(epsilon_chain(3000))
     assert psm.bound_by_channel == {("p", "q"): 1}
     assert not has_pure_eps_cycle(psm.machine)
+
+
+def _scanned_bounds(machine: StateMachine):
+    """The bounds as `validate` found them by scanning every node's queues
+    after the configuration walk."""
+    graph = build_config_graph(Compiled(machine))
+    queues = [q for _, q in graph.nodes]
+    total = max(sum(map(len, q)) for q in queues)
+    longest = [max(map(len, column)) for column in zip(*queues)]
+    return total, {ch: n for ch, n in zip(graph.channels, longest) if n}
+
+
+def test_the_walk_measures_the_bounds_the_node_scan_found():
+    protocols = Path(__file__).resolve().parent.parent / "protocols"
+    machines = [_load_machine(str(path)) for path in sorted(
+        protocols.glob("*.psm.json")) + sorted(protocols.glob("*.gt"))]
+    rng = random.Random(7)
+    for _ in range(150):
+        machines.append(random_sender_driven_tree(rng))
+        machines.append(random_tame_psm(rng))
+        machines.append(random_looping_protocol(rng)[0])
+        machines.append(random_protocol(rng, rng.randrange(2, 10)))
+    busy = checked = 0
+    for machine in machines:
+        try:
+            psm = validate(machine)
+        except PsmError:
+            continue
+        total, per_channel = _scanned_bounds(machine)
+        assert (psm.bound_total, psm.bound_by_channel) == (total, per_channel)
+        checked += 1
+        busy += total > 1
+    assert checked > 400 and busy > 50

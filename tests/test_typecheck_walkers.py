@@ -15,7 +15,6 @@ walk that the reference's runtime typing rejects and the library's
 accepts.
 """
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -23,13 +22,13 @@ import pytest
 
 from amp import typecheck
 from amp.program import parse_program
-from amp.typecheck import (Definition, Endpoint, PCall, PEnd, PPar, PRecv,
-                           PRes, Program, PSend, RErr, RQueue, RecvBranch,
-                           SendBranch, StuckCall, TypeCheckError, Unit, Var,
-                           _freshen, free_refs, free_sessions, normalize,
-                           progress_harness, reduce_config, sf_typecheck,
-                           subject_reduction_harness, substitute,
-                           typecheck_runtime)
+from amp.typecheck import (Definition, Endpoint, NormalConfig, PCall, PEnd,
+                           PPar, PRecv, PRes, Program, PSend, RErr, RQueue,
+                           RecvBranch, SendBranch, StuckCall, TypeCheckError,
+                           Unit, Var, _freshen, free_refs, free_sessions,
+                           normalize, progress_harness, reduce_config,
+                           sf_typecheck, subject_reduction_harness,
+                           substitute, typecheck_runtime)
 
 from . import typecheck_reference as reference
 from .typecheck_reference import r2c
@@ -356,9 +355,10 @@ def mutants(config):
     """Variants of a configuration that runtime typing should reject: an
     `err` thread, a missing thread, and each queue with its head message
     relabelled or given another payload."""
-    yield dataclasses.replace(config, threads=config.threads + (RErr(),))
+    yield NormalConfig(config.sessions, config.queues,
+                       config.threads + (RErr(),))
     if config.threads:
-        yield dataclasses.replace(config, threads=config.threads[1:])
+        yield NormalConfig(config.sessions, config.queues, config.threads[1:])
     for at, (session, contents) in enumerate(config.queues):
         if not contents:
             continue
@@ -366,7 +366,7 @@ def mutants(config):
         for head in (("zz", value), (label, None if value else Unit())):
             queues = list(config.queues)
             queues[at] = (session, ((channel, (head, *rest)), *others))
-            yield dataclasses.replace(config, queues=tuple(queues))
+            yield NormalConfig(config.sessions, tuple(queues), config.threads)
 
 
 @pytest.mark.parametrize("path", PROGRAMS, ids=lambda p: p.stem)
