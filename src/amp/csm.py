@@ -191,24 +191,26 @@ class _Kernel:
     which `views[i]` masks.  The offset `move - config` of each of its
     moves, rank bits included, is then a function of `config &
     views[i]` and the queue cap, because a channel's queue ids never
-    change meaning (`_Queues` only appends).  So `tables[cap]`, which
-    `tables_at` makes on first use, holds for each participant i
-    `views[i]`, a dict and `parts[i]`; the dict maps a local view met
-    under that cap to the participant's offsets and whether it left a
-    send out at the cap.  `moves` and `explore` read the tables alike:
-    one mask and one dict lookup per participant.  A hit adds the kept
-    offsets with one `+=`; a miss calls `derive`, the one
-    per-transition loop, which appends the participant's offsets in
-    place and keeps them while the dict holds fewer than
-    `_VIEWS_PER_TABLE` views.  Only `explore` reads whether a send was
-    left out, from the kept flag or `derive`'s result, to mark its
-    report truncated; `moves` returns the moves alone.
+    change meaning (`_Queues` only appends).  So are a group's, the
+    members of a connected component of "uses a channel the other
+    uses", whose view joins theirs: `groups` lists them, or each
+    participant alone when all make one group.  `tables[cap]` holds per
+    group its view mask, a dict from each local view met under that cap
+    to the group's offsets and whether it left a send out at the cap, a
+    part, and what fills the dict on a miss: `derive`, the one
+    per-transition loop, with a group of one's `parts` entry, or `fill`,
+    with its members' masks, dicts and parts.  Both append the offsets
+    in place and keep them while the dict holds fewer than
+    `_VIEWS_PER_TABLE` views.  `moves` and `explore` read the tables
+    alike: one mask and one lookup per group, a hit adding the kept
+    offsets with one `+=`.  Only `explore` reads whether a send was
+    left out, to mark its report truncated.
     """
 
     __slots__ = ("participants", "ids", "pairs", "channel_index", "queues",
                  "queue_shifts", "queue_mask", "events", "bits", "full",
-                 "fields", "parts", "views", "tables", "final", "final_sink",
-                 "initial")
+                 "fields", "parts", "views", "groups", "tables", "final",
+                 "final_sink", "initial")
 
     def __init__(self, components: dict[str, StateMachine]):
         self.participants = tuple(components)
@@ -265,6 +267,15 @@ class _Kernel:
             final_sink.append(tuple(q in m.finals and m.is_sink(q)
                                     for q in qs))
         self.parts, self.views = tuple(parts), tuple(views)
+        groups = []  # (members, joint view), joined where they share a channel
+        for i, view in enumerate(views):
+            members, joint = [i], view
+            for group in [g for g in groups if g[1] & view & self.queue_mask]:
+                groups.remove(group)
+                members, joint = group[0] + members, group[1] | joint
+            groups.append((sorted(members), joint))
+        self.groups = tuple(sorted(groups)) if len(groups) > 1 else tuple(
+            ([i], view) for i, view in enumerate(views))
         self.tables = {}
         self.final, self.final_sink = tuple(final), tuple(final_sink)
         self.initial = self.pack(
@@ -307,12 +318,15 @@ class _Kernel:
         return self.events[move >> self.bits]
 
     def tables_at(self, cap: int) -> tuple:
-        """Each participant's (view mask, move table, `parts` entry)
-        under queue cap `cap`."""
+        """Each group's (view mask, move table, part, fill) under queue
+        cap `cap`."""
         tables = self.tables.get(cap)
         if tables is None:
+            own = [(v, {}, part) for v, part in zip(self.views, self.parts)]
             tables = self.tables[cap] = tuple(
-                (view, {}, part) for view, part in zip(self.views, self.parts))
+                own[members[0]] + (self.derive,) if len(members) == 1 else
+                (joint, {}, tuple(own[i] for i in members), self.fill)
+                for members, joint in self.groups)
         return tables
 
     @staticmethod
@@ -349,16 +363,36 @@ class _Kernel:
             table[local] = (tuple(found[start:]), blocked)
         return blocked
 
+    @staticmethod
+    def fill(config: int, local: int, table: dict, members: tuple, cap: int,
+             found: list) -> bool:
+        """`derive` for a group: append to `found` its members' offsets,
+        each read from the member's own table or derived, keep them in
+        `table` as `derive` does, and return whether one left a send out."""
+        start = len(found)
+        blocked = False
+        for view, own, part in members:
+            mine = config & view
+            kept = own.get(mine)
+            if kept is None:  # `derive` appends the offsets itself
+                kept = (), _Kernel.derive(config, mine, own, part, cap, found)
+            found += kept[0]
+            if kept[1]:
+                blocked = True
+        if len(table) < _VIEWS_PER_TABLE:
+            table[local] = (tuple(found[start:]), blocked)
+        return blocked
+
     def moves(self, config: int, cap: int = _NO_CAP) -> list:
         """Every move from a configuration under queue cap `cap`,
         unsorted; a send that would grow its queue past the cap is left
         out."""
         offsets = []
-        for view, table, part in self.tables_at(cap):
+        for view, table, part, fill in self.tables_at(cap):
             local = config & view
             kept = table.get(local)
             if kept is None:
-                self.derive(config, local, table, part, cap, offsets)
+                fill(config, local, table, part, cap, offsets)
             else:
                 offsets += kept[0]
         return [config + offset for offset in offsets]
@@ -479,7 +513,7 @@ def explore(csm: Csm, *, queue_cap: int = 8,
     kernel = _compiled(csm)
     full, bits, events = kernel.full, kernel.bits, kernel.events
     queue_mask, is_final = kernel.queue_mask, kernel.is_final
-    tables, derive = kernel.tables_at(queue_cap), kernel.derive
+    tables = kernel.tables_at(queue_cap)
     admit = max(config_cap, 1)  # the initial configuration whatever the cap
     packed = [kernel.initial]
     index = {kernel.initial: 0}
@@ -491,11 +525,11 @@ def explore(csm: Csm, *, queue_cap: int = 8,
             break
         offsets = []
         capped = False
-        for view, table, part in tables:
+        for view, table, part, fill in tables:
             local = config & view
             kept = table.get(local)
             if kept is None:
-                if derive(config, local, table, part, queue_cap, offsets):
+                if fill(config, local, table, part, queue_cap, offsets):
                     capped = True
             else:
                 found, blocked = kept

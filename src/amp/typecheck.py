@@ -81,7 +81,7 @@ class RecvBranch(Record):
 
 
 class PSend(Record):
-    __slots__ = ("subject", "branches")
+    __slots__ = ("subject", "branches", "_free")
     def __init__(self, subject: ChanRef, branches: tuple):
         self.subject, self.branches = subject, branches  # SendBranch, ...
 
@@ -94,7 +94,7 @@ class PSend(Record):
 
 
 class PRecv(Record):
-    __slots__ = ("subject", "branches")
+    __slots__ = ("subject", "branches", "_free")
     def __init__(self, subject: ChanRef, branches: tuple):
         self.subject, self.branches = subject, branches  # RecvBranch, ...
 
@@ -107,7 +107,7 @@ class PRecv(Record):
 
 
 class PPar(Record):
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_free")
     def __init__(self, parts: tuple):
         self.parts = parts
 
@@ -116,7 +116,7 @@ class PPar(Record):
 
 
 class PRes(Record):
-    __slots__ = ("session", "csm_name", "body")
+    __slots__ = ("session", "csm_name", "body", "_free")
     def __init__(self, session: str, csm_name: str, body: "Term"):
         self.session, self.csm_name, self.body = session, csm_name, body
 
@@ -125,7 +125,7 @@ class PRes(Record):
 
 
 class PCall(Record):
-    __slots__ = ("name", "args")
+    __slots__ = ("name", "args", "_free")
     def __init__(self, name: str, args: tuple):
         self.name, self.args = name, args  # args: ChanRef | Unit, ...
 
@@ -137,7 +137,7 @@ Msg = tuple  # (label, Value | None)
 
 
 class RQueue(Record):
-    __slots__ = ("session", "contents")
+    __slots__ = ("session", "contents", "_free")
     def __init__(self, session: str, contents: tuple):
         # contents: (((p, q), (Msg, ...)), ...), non-empty, sorted
         self.session, self.contents = session, contents
@@ -195,35 +195,40 @@ def _queued_endpoints(contents: tuple):
 
 
 def free_refs(term: Term) -> frozenset:
-    """Free channel references (variables and endpoints) of a term."""
+    """Free channel references (variables and endpoints) of a term,
+    kept in a compound term's `_free` slot once computed."""
     if isinstance(term, (Var, Endpoint)):
         return frozenset({term})
     if isinstance(term, (PEnd, RErr, Unit)) or term is None:
         return frozenset()
+    out = getattr(term, "_free", None)
+    if out is not None:
+        return out
     if isinstance(term, PSend):
         out = free_refs(term.subject)
         for b in term.branches:
             out |= free_refs(b.payload) | free_refs(b.cont)
-        return out
-    if isinstance(term, PRecv):
+    elif isinstance(term, PRecv):
         out = free_refs(term.subject)
         for b in term.branches:
             inner = free_refs(b.cont)
             if b.binder is not None:
                 inner = inner - {Var(b.binder)}
             out |= inner
-        return out
-    if isinstance(term, PPar):
-        return frozenset().union(*(free_refs(p) for p in term.parts))
-    if isinstance(term, PRes):
-        return frozenset(r for r in free_refs(term.body)
-                         if not (isinstance(r, Endpoint)
-                                 and r.session == term.session))
-    if isinstance(term, PCall):
-        return frozenset().union(*(free_refs(a) for a in term.args))
-    if isinstance(term, RQueue):
-        return frozenset(_queued_endpoints(term.contents))
-    raise AssertionError(term)
+    elif isinstance(term, PPar):
+        out = frozenset().union(*(free_refs(p) for p in term.parts))
+    elif isinstance(term, PRes):
+        out = frozenset(r for r in free_refs(term.body)
+                        if not (isinstance(r, Endpoint)
+                                and r.session == term.session))
+    elif isinstance(term, PCall):
+        out = frozenset().union(*(free_refs(a) for a in term.args))
+    elif isinstance(term, RQueue):
+        out = frozenset(_queued_endpoints(term.contents))
+    else:
+        raise AssertionError(term)
+    term._free = out
+    return out
 
 
 def free_sessions(term: Term) -> frozenset[str]:

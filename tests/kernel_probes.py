@@ -7,7 +7,10 @@ whose participants meet a new local view at most configurations:
 
 - `tpc3` and `tpc4` are three-party choices with two and three looping
   branches, compiled by `from-global` and projected by `project`;
-- `two` is p sending any of 4 labels to q, one state each.
+- `two` is p sending any of 4 labels to q, one state each;
+- `twotwo` is `two` beside a renamed copy of itself at queue cap 6:
+  two groups of participants that share no channel, each meeting more
+  local views than its move table keeps.
 
     PYTHONPATH=src python tests/kernel_probes.py
     PYTHONPATH=src python tests/kernel_probes.py --check
@@ -62,20 +65,25 @@ def _pairs_csm(n: int, m: int) -> str:
     return json.dumps(components)
 
 
-def _two_csm() -> str:
-    def loop(owner: str, kind: str) -> dict:
+def _two_csm(*suffixes: str) -> str:
+    def loop(p: str, q: str, kind: str) -> dict:
         return {"states": ["s"], "initial": "s", "finals": ["s"],
                 "transitions": [{"from": "s", "to": "s",
-                                 "event": _event(kind, "p", "q", x)}
+                                 "event": _event(kind, p, q, x)}
                                 for x in "wxyz"]}
-    return json.dumps({"p": loop("p", "send"), "q": loop("q", "recv")})
+    components = {}
+    for s in suffixes:
+        components[f"p{s}"] = loop(f"p{s}", f"q{s}", "send")
+        components[f"q{s}"] = loop(f"p{s}", f"q{s}", "recv")
+    return json.dumps(components)
 
 
 INPUTS = {
     "pairs44.csm.json": _pairs_csm(4, 4),
     "tpc3.gt": TPC3,
     "tpc4.gt": TPC4,
-    "two.csm.json": _two_csm(),
+    "two.csm.json": _two_csm(""),
+    "twotwo.csm.json": _two_csm("", "2"),
 }
 
 PASS = ["deadlocks: 0  soft deadlocks: 0", "projection check: pass"]
@@ -95,6 +103,9 @@ COMMANDS = [
      ["100000 configurations explored (truncated)"] + PASS),
     (["check-csm", "two.csm.json"], 0,
      ["87381 configurations explored (truncated)",
+      "deadlocks: 0  soft deadlocks: 0"]),
+    (["check-csm", "twotwo.csm.json", "--queue-cap", "6"], 0,
+     ["100000 configurations explored (truncated)",
       "deadlocks: 0  soft deadlocks: 0"]),
 ]
 

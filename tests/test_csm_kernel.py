@@ -15,6 +15,11 @@ cap, also when the tables are full, and `pairs(4,4)` must derive
 moves once per local view.  `explore` reads the tables itself: it must
 match the reference at config caps around a CSM's size, and on tables
 that `csm_language_upto` filled, and never call `_Kernel.moves`.
+Participants that share no channel form groups with a table each:
+disjoint unions of the corpus CSMs and of the hand-drawn ones, with
+renamed participants, must match the reference too, with a group
+blocked at the cap beside one that is not, a participant on no
+channel, groups of one, and full tables.
 
 It also keeps the word-level oracle, which enumerates every CSM word
 and the swap closure of the protocol's words, while `amp.csm` compares
@@ -334,14 +339,18 @@ def test_move_tables_do_not_leak_across_caps_on_hand_drawn_csms(hand_drawn):
 
 
 def test_moves_are_derived_once_per_local_view():
-    """pairs(4,4) has 50,625 configurations, but each of its 8
-    participants sees only its own state and channel: 15 views each,
+    """pairs(4,4) has 50,625 configurations, but its pairs share no
+    channel, so it has 4 groups, and each group and each of its 8
+    participants sees only its own states and channel: 15 views each,
     one per (sent, received) count of its pair."""
     csm = pairs(4, 4)[1]
     assert len(kernel.explore(csm, queue_cap=8)) == 50_625
     tables = csm._kernel.tables
     assert list(tables) == [8]
-    assert [len(table) for _, table, _ in tables[8]] == [15] * 8
+    assert [fill for _, _, _, fill in tables[8]] == [kernel._Kernel.fill] * 4
+    assert [len(table) for _, table, _, _ in tables[8]] == [15] * 4
+    assert [len(table) for _, _, members, _ in tables[8]
+            for _, table, _ in members] == [15] * 8
 
 
 @pytest.mark.parametrize("name,csm", CORPUS, ids=IDS)
@@ -364,7 +373,7 @@ def test_move_tables_stop_growing_at_their_size():
     report = kernel.explore(csm, queue_cap=6)
     assert len(report) == 5461
     assert_same_tree(report, reference.explore(csm, queue_cap=6))
-    assert [len(table) for _, table, _ in csm._kernel.tables[6]] == \
+    assert [len(table) for _, table, _, _ in csm._kernel.tables[6]] == \
         [kernel._VIEWS_PER_TABLE] * 2
 
 
@@ -707,3 +716,147 @@ def test_wide_fields_match_reference():
     assert len({c.queue(("p", "q")) for c in old.configs}) == 511
     for config in old.configs[::97]:
         assert kernel.step(csm, config) == reference.step(csm, config)
+
+
+# -- disjoint unions: one move table per group -----------------------------
+
+
+def renamed(csm: Csm, suffix: str) -> dict:
+    """The components of `csm`, each participant renamed with `suffix`
+    in its name and in every event."""
+    def event(ev):
+        return ev and Event(ev.kind, ev.sender + suffix, ev.receiver + suffix,
+                            ev.label, ev.payload)
+
+    return {p + suffix: StateMachine(m.states, m.initial, m.finals,
+                                     [(src, event(ev), dst)
+                                      for src, ev, dst in m.transitions])
+            for p, m in csm.components.items()}
+
+
+def union(*csms: Csm) -> Csm:
+    """The CSMs side by side, sharing no channel: the i-th one's
+    participants get the suffix i, so in sorted order the groups'
+    members interleave."""
+    components = {}
+    for i, csm in enumerate(csms):
+        components.update(renamed(csm, str(i)))
+    return Csm(components)
+
+
+def lone_csm() -> Csm:
+    """Two groups of one: z takes epsilon moves on no channel, and y
+    sends to a participant the CSM does not have, so its sends block
+    at every queue cap."""
+    z = StateMachine({"z0", "z1"}, "z0", {"z1"},
+                     [("z0", None, "z1"), ("z1", None, "z0")])
+    y = StateMachine({"y0", "y1"}, "y0", {"y1"},
+                     [("y0", send("y", "x", "m"), "y0"),
+                      ("y0", None, "y1")])
+    return Csm({"z": z, "y": y})
+
+
+UNIONS = [(f"{a} + {b}", union(x, y))
+          for (a, x), (b, y) in zip(CORPUS, CORPUS[1:] + CORPUS[:1])]
+UNIONS += [
+    ("eps blocked + pairs(1,1)", union(eps_blocked_csm(), pairs(1, 1)[1])),
+    ("lone + tied", Csm({**lone_csm().components, **tied_csm().components})),
+    ("pairs(1,2) x3", union(*[pairs(1, 2)[1]] * 3)),
+]
+UNION_IDS = [name for name, _ in UNIONS]
+
+
+def group_members(csm: Csm) -> list:
+    return [members for members, _ in kernel._compiled(csm).groups]
+
+
+def test_unions_are_explored_by_groups():
+    """A union of two CSMs that each connect their participants has
+    two groups; a CSM of one group keeps a table per participant; z,
+    on no channel, and y, alone on its channel, are groups of one."""
+    assert group_members(union(tied_csm(), tied_csm())) == [[0, 2], [1, 3]]
+    assert group_members(tied_csm()) == [[0], [1]]
+    lone = Csm({**lone_csm().components, **tied_csm().components})
+    assert lone.participants == ("p", "q", "y", "z")
+    assert group_members(lone) == [[0, 1], [2], [3]]
+    fills = [fill for _, _, _, fill in kernel._compiled(lone).tables_at(2)]
+    assert fills == [kernel._Kernel.fill] + [kernel._Kernel.derive] * 2
+    for name, csm in CORPUS:
+        if not name.startswith("pairs"):
+            assert len(group_members(csm)) == len(csm.participants), name
+
+
+def test_a_group_blocked_at_the_cap_beside_one_that_is_not():
+    """At queue cap 2 the first group leaves sends out and the second
+    never does; the union's report is truncated as the first one's is,
+    and every group table keeps its own flag."""
+    csm = union(eps_blocked_csm(), pairs(1, 1)[1])
+    new = kernel.explore(csm, queue_cap=2)
+    assert_same_report(new, reference.explore(csm, queue_cap=2))
+    assert new.truncated and not new.deadlocks
+    blocked = [{flag for _, flag in table.values()}
+               for _, table, _, _ in csm._kernel.tables[2]]
+    assert blocked == [{False, True}, {False}]
+
+
+@pytest.mark.parametrize("queue_cap", QUEUE_CAPS)
+@pytest.mark.parametrize("name,csm", UNIONS, ids=UNION_IDS)
+def test_explore_matches_reference_on_unions(name, csm, queue_cap):
+    """The config cap keeps the largest unions, a product of two
+    corpus CSMs, small enough for the reference."""
+    for config_cap in (1, 5, 2000):
+        assert_same_report(
+            kernel.explore(csm, queue_cap=queue_cap, config_cap=config_cap),
+            reference.explore(csm, queue_cap=queue_cap,
+                              config_cap=config_cap))
+
+
+@pytest.mark.parametrize("name,csm", UNIONS, ids=UNION_IDS)
+def test_step_simulate_and_language_match_reference_on_unions(name, csm):
+    for config in reference.explore(csm, queue_cap=2, config_cap=300).configs:
+        assert kernel.step(csm, config) == reference.step(csm, config)
+    for seed in range(3):
+        assert (kernel.simulate(csm, seed=seed, max_steps=30)
+                == reference.simulate(csm, seed=seed, max_steps=30))
+    for queue_cap in (None, 1):
+        new = kernel.csm_language_upto(csm, 4, queue_cap=queue_cap)
+        old = reference.csm_language_upto(csm, 4, queue_cap=queue_cap)
+        assert list(new.items()) == list(old.items())
+
+
+SMALL_UNIONS = [(name, csm) for name, csm in UNIONS
+                if len(kernel.explore(csm, config_cap=1001)) <= 1000]
+
+
+@pytest.mark.parametrize("name,csm", SMALL_UNIONS,
+                         ids=[name for name, _ in SMALL_UNIONS])
+@pytest.mark.parametrize("views", [None, 2])
+def test_group_tables_do_not_leak_across_caps(name, csm, views, monkeypatch):
+    """With room for two views a table, group and member tables both
+    fill, and a miss in either derives the same moves."""
+    if views is not None:
+        monkeypatch.setattr(kernel, "_VIEWS_PER_TABLE", views)
+    assert_tables_do_not_leak(csm)
+
+
+def test_unions_of_random_hand_drawn_csms_match_reference(hand_drawn):
+    checked = 0
+    for x, y in zip(hand_drawn[::2], hand_drawn[1::2]):
+        csm = union(x, y)
+        if len(kernel.explore(csm, config_cap=3001)) > 3000:
+            continue
+        checked += 1
+        for queue_cap in (1, 2, 8):
+            for caps in ({"config_cap": 5}, {}):
+                assert_same_report(
+                    kernel.explore(csm, queue_cap=queue_cap, **caps),
+                    reference.explore(csm, queue_cap=queue_cap, **caps))
+        for config in reference.explore(csm, queue_cap=2,
+                                        config_cap=200).configs:
+            assert kernel.step(csm, config) == reference.step(csm, config)
+        assert (kernel.simulate(csm, seed=checked, max_steps=30)
+                == reference.simulate(csm, seed=checked, max_steps=30))
+        new = kernel.csm_language_upto(csm, 3, queue_cap=1)
+        old = reference.csm_language_upto(csm, 3, queue_cap=1)
+        assert list(new.items()) == list(old.items())
+    assert checked > 100

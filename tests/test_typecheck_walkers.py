@@ -15,12 +15,13 @@ walk that the reference's runtime typing rejects and the library's
 accepts.
 """
 
+import pickle
 import random
 from pathlib import Path
 
 import pytest
 
-from amp import typecheck
+from amp import cli, typecheck
 from amp.program import parse_program
 from amp.typecheck import (Definition, Endpoint, NormalConfig, PCall, PEnd,
                            PPar, PRecv, PRes, Program, PSend, RErr, RQueue,
@@ -154,6 +155,35 @@ def test_free_names_match_reference(seed):
     for term in random_terms(seed, 500):
         assert free_refs(term) == reference.free_refs(term), term
         assert free_sessions(term) == reference.free_sessions(term), term
+
+
+def test_free_names_are_computed_once_per_term(monkeypatch, capsys):
+    """`typecheck three_party.amp --harness` asks for the free names of
+    the same terms again and again: each compound term computes them
+    once and keeps them outside its fields, so it compares, hashes,
+    prints and pickles as before."""
+    calls, computed, seen = [], [], {}
+    real = typecheck.free_refs
+
+    def spy(term):
+        if isinstance(term, (PSend, PRecv, PPar, PRes, PCall, RQueue)):
+            calls.append(term)
+            seen[id(term)] = term
+            if not hasattr(term, "_free"):
+                computed.append(id(term))
+        return real(term)
+
+    monkeypatch.setattr(typecheck, "free_refs", spy)
+    path = next(p for p in PROGRAMS if p.name == "three_party.amp")
+    assert cli.main(["typecheck", str(path), "--harness"]) == 0
+    capsys.readouterr()
+    assert sorted(computed) == sorted(seen)
+    assert len(calls) > 2 * len(seen) > 200
+    for term in seen.values():
+        loaded = pickle.loads(pickle.dumps(term))
+        assert not hasattr(loaded, "_free")
+        assert loaded == term and hash(loaded) == hash(term)
+        assert repr(loaded) == repr(term)
 
 
 @pytest.mark.parametrize("seed", range(3))
