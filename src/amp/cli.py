@@ -239,21 +239,20 @@ def cmd_project(args) -> int:
 
 def cmd_check_csm(args) -> int:
     machine_csm = csm_mod.load_csm(Path(args.file).read_text())
-    report = csm_mod.explore(machine_csm, queue_cap=args.queue_cap)
+    result = csm_mod.deadlock_verdict(machine_csm, queue_cap=args.queue_cap)
     data = {
-        "configurations": len(report),
-        "deadlocks": len(report.deadlocks),
-        "softDeadlocks": len(report.soft_deadlocks),
-        "truncated": report.truncated,
+        "configurations": result.configurations,
+        "deadlocks": result.deadlocks,
+        "softDeadlocks": result.soft_deadlocks,
+        "truncated": result.truncated,
     }
-    summary = [f"{len(report)} configurations explored"
-               + (" (truncated)" if report.truncated else ""),
-               f"deadlocks: {len(report.deadlocks)}  "
-               f"soft deadlocks: {len(report.soft_deadlocks)}"]
-    if report.deadlocks:
-        witness = report.witness(report.deadlocks[0])
-        data["witness"] = fifo.format_word(witness)
-        summary.append(f"deadlock witness: {fifo.show_word(witness)}")
+    summary = [f"{result.configurations} configurations explored"
+               + (" (truncated)" if result.truncated else ""),
+               f"deadlocks: {result.deadlocks}  "
+               f"soft deadlocks: {result.soft_deadlocks}"]
+    if result.deadlocks:
+        data["witness"] = fifo.format_word(result.witness)
+        summary.append(f"deadlock witness: {fifo.show_word(result.witness)}")
     if args.against:
         validated = psm_mod.validate(_load_machine(args.against))
         verdict = projection.check_against(validated, machine_csm, args.bound)
@@ -266,7 +265,7 @@ def cmd_check_csm(args) -> int:
         summary.append(f"projection check: {'pass' if verdict else 'fail'}"
                        + (f" ({note})" if note else ""))
     _emit(args, data, summary)
-    negative = report.deadlocks or (
+    negative = result.deadlocks or (
         args.against and not data["projection"]["passed"])
     return NEGATIVE if negative else OK
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from math import prod
 from operator import getitem
 from typing import Optional
 
@@ -193,9 +194,10 @@ class _Kernel:
     views[i]` and the queue cap, because a channel's queue ids never
     change meaning (`_Queues` only appends).  So are a group's, the
     members of a connected component of "uses a channel the other
-    uses", whose view joins theirs: `groups` lists them, or each
-    participant alone when all make one group.  `tables[cap]` holds per
-    group its view mask, a dict from each local view met under that cap
+    uses", whose view joins theirs: `groups` lists them, as (members,
+    joint view), and `deadlock_verdict` explores each as its own CSM.
+    `tables[cap]` holds per group, or per participant when all make one
+    group, its view mask, a dict from each local view met under that cap
     to the group's offsets and whether it left a send out at the cap, a
     part, and what fills the dict on a miss: `derive`, the one
     per-transition loop, with a group of one's `parts` entry, or `fill`,
@@ -274,8 +276,7 @@ class _Kernel:
                 groups.remove(group)
                 members, joint = group[0] + members, group[1] | joint
             groups.append((sorted(members), joint))
-        self.groups = tuple(sorted(groups)) if len(groups) > 1 else tuple(
-            ([i], view) for i, view in enumerate(views))
+        self.groups = tuple(sorted(groups))
         self.tables = {}
         self.final, self.final_sink = tuple(final), tuple(final_sink)
         self.initial = self.pack(
@@ -323,10 +324,13 @@ class _Kernel:
         tables = self.tables.get(cap)
         if tables is None:
             own = [(v, {}, part) for v, part in zip(self.views, self.parts)]
+            # one group gains nothing from a joint table
+            layout = self.groups if len(self.groups) > 1 else [
+                ([i], view) for i, view in enumerate(self.views)]
             tables = self.tables[cap] = tuple(
                 own[members[0]] + (self.derive,) if len(members) == 1 else
                 (joint, {}, tuple(own[i] for i in members), self.fill)
-                for members, joint in self.groups)
+                for members, joint in layout)
         return tables
 
     @staticmethod
@@ -560,6 +564,89 @@ def explore(csm: Csm, *, queue_cap: int = 8,
     return ExploreReport(kernel, queue_cap, packed, index,
                          min(len(packed), admit), parents, via, deadlocks,
                          soft_deadlocks, finals, truncated)
+
+
+class DeadlockVerdict(Record):
+    """What `check-csm` reports of an exploration: the number of
+    configurations explored, of deadlocks and of soft deadlocks, whether
+    a cap was hit, and the events to the first deadlock (None without
+    one)."""
+
+    __slots__ = ("configurations", "deadlocks", "soft_deadlocks",
+                 "truncated", "witness")
+
+    def __init__(self, configurations: int, deadlocks: int,
+                 soft_deadlocks: int, truncated: bool,
+                 witness: Optional[Word]):
+        self.configurations, self.deadlocks = configurations, deadlocks
+        self.soft_deadlocks, self.truncated = soft_deadlocks, truncated
+        self.witness = witness
+
+
+def deadlock_verdict(csm: Csm, *, queue_cap: int = 8,
+                     config_cap: int = 100_000) -> DeadlockVerdict:
+    """The counts, flag and witness of `explore` under the same caps,
+    composed from each group's own exploration where that gives them.
+
+    The groups of `_Kernel.groups` share no channel, so a move of one
+    changes only its own states and channels, and which moves it has,
+    capped sends included, depends only on them.  The configurations
+    the CSM reaches under a queue cap are therefore exactly the tuples
+    of configurations each group reaches on its own under that cap:
+    their number is the product of the groups' numbers.  A tuple has no
+    move and no send left out at the cap (is stuck) exactly when each
+    component is stuck; it is final, or final with every participant in
+    a sink, exactly when each component is.  So the deadlocks, stuck
+    and not final, number the product of the groups' stuck counts less
+    the product of their stuck final counts, and the soft deadlocks,
+    stuck and not a final sink, likewise.  A cap is hit exactly when
+    one group hits it.  A group's stuck count is its deadlocks plus its
+    finals with no move at all (`step`, which applies no queue cap).
+
+    Two answers need the whole walk: the first deadlock's witness is
+    the breadth-first path in the whole CSM, where the groups'
+    events interleave, and past the config cap which configurations
+    are admitted, and so which deadlocks are counted, depends on the
+    breadth-first order.  So the whole CSM is explored when its
+    product has a deadlock, when it exceeds the config cap, or when
+    it is one group.  Each of the k groups is explored up to its share
+    of the cap, the integer part of the cap's k-th root, so a product
+    within every share fits the cap; the whole CSM is explored as soon
+    as one group passes its share.
+    """
+    kernel = _compiled(csm)
+    if len(kernel.groups) > 1:
+        groups = [Csm({p: csm.components[p] for p in
+                       map(kernel.participants.__getitem__, members)})
+                  for members, _ in kernel.groups]
+        admit, k = max(config_cap, 1), len(groups)
+        share = round(admit ** (1 / k))  # then lowered to the integer part
+        while share ** k > admit:
+            share -= 1
+        reports = []
+        for group in groups:
+            reports.append(explore(group, queue_cap=queue_cap,
+                                   config_cap=share + 1))
+            if len(reports[-1]) > share:
+                break
+        else:
+            stuck = stuck_final = stuck_sink = 1
+            for group, report in zip(groups, reports):
+                finals = sum(not step(group, c) for c in report.finals)
+                stuck *= len(report.deadlocks) + finals
+                stuck_final *= finals
+                stuck_sink *= (len(report.deadlocks) + finals
+                               - len(report.soft_deadlocks))
+            if stuck == stuck_final:  # no deadlock
+                return DeadlockVerdict(
+                    prod(map(len, reports)), 0, stuck - stuck_sink,
+                    any(report.truncated for report in reports), None)
+    report = explore(csm, queue_cap=queue_cap, config_cap=config_cap)
+    witness = (report.witness(report.deadlocks[0]) if report.deadlocks
+               else None)
+    return DeadlockVerdict(len(report), len(report.deadlocks),
+                           len(report.soft_deadlocks), report.truncated,
+                           witness)
 
 
 def csm_language_upto(csm: Csm, k: int, *,

@@ -2,15 +2,23 @@
 command's output and wall time.
 
 `pairs(4,4)` is four disjoint sender/receiver pairs of four messages
-each, whose participants see few local views.  The probes are CSMs
-whose participants meet a new local view at most configurations:
+each, whose participants see few local views; `check-csm` composes its
+verdict from each pair's 15 configurations.  In `pairs(4,4) wrong` the
+first receiver expects its labels in reverse order, so the CSM
+deadlocks and `check-csm` explores it whole for the breadth-first
+witness.  The other probes are CSMs whose participants meet a new
+local view at most configurations:
 
 - `tpc3` and `tpc4` are three-party choices with two and three looping
   branches, compiled by `from-global` and projected by `project`;
 - `two` is p sending any of 4 labels to q, one state each;
 - `twotwo` is `two` beside a renamed copy of itself at queue cap 6:
   two groups of participants that share no channel, each meeting more
-  local views than its move table keeps.
+  local views than its move table keeps.  Their product passes the
+  config cap, so `check-csm` explores it whole, after 317
+  configurations of the first group (each group reaches 5,461; its
+  share of the config cap is 316, the integer part of 100,000's square
+  root).
 
     PYTHONPATH=src python tests/kernel_probes.py
     PYTHONPATH=src python tests/kernel_probes.py --check
@@ -55,13 +63,14 @@ def _line(owner: str, events: list) -> dict:
                              "event": ev} for i, ev in enumerate(events)]}
 
 
-def _pairs_csm(n: int, m: int) -> str:
+def _pairs_csm(n: int, m: int, wrong: bool = False) -> str:
     components = {}
     for i in range(1, n + 1):
         p, q = f"p{i}", f"q{i}"
         labels = [f"l{j}" for j in range(m)]
+        received = labels[::-1] if wrong and i == 1 else labels
         components[p] = _line(p, [_event("send", p, q, x) for x in labels])
-        components[q] = _line(q, [_event("recv", p, q, x) for x in labels])
+        components[q] = _line(q, [_event("recv", p, q, x) for x in received])
     return json.dumps(components)
 
 
@@ -80,6 +89,7 @@ def _two_csm(*suffixes: str) -> str:
 
 INPUTS = {
     "pairs44.csm.json": _pairs_csm(4, 4),
+    "pairs44-wrong.csm.json": _pairs_csm(4, 4, wrong=True),
     "tpc3.gt": TPC3,
     "tpc4.gt": TPC4,
     "two.csm.json": _two_csm(""),
@@ -92,6 +102,12 @@ PASS = ["deadlocks: 0  soft deadlocks: 0", "projection check: pass"]
 COMMANDS = [
     (["check-csm", "pairs44.csm.json"], 0,
      ["50625 configurations explored", "deadlocks: 0  soft deadlocks: 0"]),
+    (["check-csm", "pairs44-wrong.csm.json"], 1,
+     ["16875 configurations explored", "deadlocks: 1  soft deadlocks: 1",
+      "deadlock witness: " + " ".join(
+          f"p1>q1!l{j}" for j in range(4)) + "".join(
+          f" p{i}>q{i}!l{j} p{i}>q{i}?l{j}"
+          for i in range(2, 5) for j in range(4))]),
     (["from-global", "tpc3.gt", "-o", "tpc3.psm.json"], 0, None),
     (["project", "tpc3.psm.json", "-o", "tpc3.csm.json"], 0, None),
     (["check-csm", "tpc3.csm.json", "--against", "tpc3.psm.json"], 0,

@@ -8,8 +8,8 @@ their projection's words, and leaves the rest to the oracle, with the
 protocols that the encoding cannot carry.  Where it rejects, the oracle
 must find the fault by k = 12; where it accepts, the oracle must pass
 at every k tried.  On every shipped pair that it decides, and on the
-benchmark's `pairs` candidates, neither the oracle nor a second
-exploration runs.
+benchmark's `pairs` candidates, neither the oracle nor an exploration
+beyond those of `check-csm` alone runs.
 """
 
 from __future__ import annotations
@@ -225,9 +225,9 @@ def pairs_inputs(tmp_path):
 
 def test_the_projection_decides_without_the_oracle(tmp_path, monkeypatch,
                                                   capsys):
-    """Neither `check_projection` nor a second `explore` runs on the
-    100 shipped pairs of a tame protocol that the encoding carries and
-    on the `pairs` candidates."""
+    """Neither `check_projection` nor an `explore` beyond those of
+    `check-csm` alone runs on the 100 shipped pairs of a tame protocol
+    that the encoding carries and on the `pairs` candidates."""
     def refuse(*args, **kwargs):
         raise AssertionError("check-csm --against ran the oracle")
 
@@ -235,8 +235,8 @@ def test_the_projection_decides_without_the_oracle(tmp_path, monkeypatch,
     real_explore = csm.explore
     for name, replacement in (
             ("check_projection", refuse),
-            ("explore", lambda *a, **kw: explored.append(a) or real_explore(
-                *a, **kw))):
+            ("explore", lambda machine, **kw: explored.append(
+                (machine.participants, kw)) or real_explore(machine, **kw))):
         original = getattr(csm, name)
         for module in list(sys.modules.values()):
             if module is not None and module.__name__.startswith("amp") \
@@ -247,10 +247,14 @@ def test_the_projection_decides_without_the_oracle(tmp_path, monkeypatch,
     seen = Counter()
     for candidate, protocol in pairs + list(pairs_inputs(tmp_path)):
         explored.clear()
+        main(["check-csm", str(candidate), "--json"])
+        capsys.readouterr()
+        alone = explored[:]
+        explored.clear()
         main(["check-csm", str(candidate), "--against", str(protocol),
               "-K", "4", "--json"])
         report = json.loads(capsys.readouterr().out)["projection"]
-        assert len(explored) == 1 and not report["boundedOnly"]
+        assert explored == alone and alone and not report["boundedOnly"]
         seen["c" if report["passed"]
              else "a" if report["reasons"][0].startswith("not projectable: ")
              else "b"] += 1

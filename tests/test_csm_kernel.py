@@ -19,7 +19,11 @@ Participants that share no channel form groups with a table each:
 disjoint unions of the corpus CSMs and of the hand-drawn ones, with
 renamed participants, must match the reference too, with a group
 blocked at the cap beside one that is not, a participant on no
-channel, groups of one, and full tables.
+channel, groups of one, and full tables.  `deadlock_verdict` composes
+what `check-csm` prints from the groups' own explorations: on the
+unions, on unions of the hand-drawn CSMs and on edge cases around the
+caps it must give what `explore` gives, and compose exactly when the
+CSM has several groups, fits the config cap and has no deadlock.
 
 It also keeps the word-level oracle, which enumerates every CSM word
 and the swap closure of the protocol's words, while `amp.csm` compares
@@ -35,7 +39,7 @@ from pathlib import Path
 
 import pytest
 
-from amp import csm as kernel
+from amp import cli, csm as kernel
 from amp.cli import _load_machine
 from amp.core import (RECV, Event, StateMachine, StateRef, pair, recv,
                       send)
@@ -775,7 +779,7 @@ def test_unions_are_explored_by_groups():
     two groups; a CSM of one group keeps a table per participant; z,
     on no channel, and y, alone on its channel, are groups of one."""
     assert group_members(union(tied_csm(), tied_csm())) == [[0, 2], [1, 3]]
-    assert group_members(tied_csm()) == [[0], [1]]
+    assert group_members(tied_csm()) == [[0, 1]]
     lone = Csm({**lone_csm().components, **tied_csm().components})
     assert lone.participants == ("p", "q", "y", "z")
     assert group_members(lone) == [[0, 1], [2], [3]]
@@ -783,7 +787,9 @@ def test_unions_are_explored_by_groups():
     assert fills == [kernel._Kernel.fill] + [kernel._Kernel.derive] * 2
     for name, csm in CORPUS:
         if not name.startswith("pairs"):
-            assert len(group_members(csm)) == len(csm.participants), name
+            assert len(group_members(csm)) == 1, name
+            assert len(kernel._compiled(csm).tables_at(2)) == \
+                len(csm.participants), name
 
 
 def test_a_group_blocked_at_the_cap_beside_one_that_is_not():
@@ -860,3 +866,159 @@ def test_unions_of_random_hand_drawn_csms_match_reference(hand_drawn):
         old = reference.csm_language_upto(csm, 3, queue_cap=1)
         assert list(new.items()) == list(old.items())
     assert checked > 100
+
+
+# -- verdicts composed from the groups' explorations -----------------------
+
+
+def verdict_of(report) -> kernel.DeadlockVerdict:
+    """What `check-csm` prints of one exploration of the whole CSM."""
+    return kernel.DeadlockVerdict(
+        len(report), len(report.deadlocks), len(report.soft_deadlocks),
+        report.truncated,
+        report.witness(report.deadlocks[0]) if report.deadlocks else None)
+
+
+@pytest.fixture
+def explored(monkeypatch) -> list:
+    """Each CSM `explore` is called on, with its report's length."""
+    calls = []
+    explore = kernel.explore
+
+    def recording(csm, **caps):
+        report = explore(csm, **caps)
+        calls.append((csm, len(report)))
+        return report
+
+    monkeypatch.setattr(kernel, "explore", recording)
+    return calls
+
+
+def composed(csm: Csm, explored: list, queue_cap: int = 8,
+             config_cap: int = 100_000) -> bool:
+    """Whether `deadlock_verdict` composed its answer from the groups'
+    explorations rather than exploring `csm` whole.  Its answer must be
+    what `explore` gives, and it must compose exactly when `csm` has two
+    or more groups, has no deadlock and each of its k groups reaches no
+    more configurations than the largest share whose k-th power the
+    config cap admits."""
+    explored.clear()
+    verdict = kernel.deadlock_verdict(csm, queue_cap=queue_cap,
+                                      config_cap=config_cap)
+    taken = all(c is not csm for c, _ in explored)
+    report = kernel.explore(csm, queue_cap=queue_cap, config_cap=config_cap)
+    assert verdict == verdict_of(report)
+    groups = [Csm({csm.participants[i]: csm.components[csm.participants[i]]
+                   for i in members}) for members, _ in csm._kernel.groups]
+    admit, share = max(config_cap, 1), 0
+    while len(groups) > 1 and (share + 1) ** len(groups) <= admit:
+        share += 1
+    fits = len(groups) > 1 and all(
+        len(kernel.explore(group, queue_cap=queue_cap,
+                           config_cap=share + 1)) <= share
+        for group in groups)
+    assert taken == (fits and not verdict.deadlocks)
+    explored.clear()
+    return taken
+
+
+@pytest.mark.parametrize("name,csm", UNIONS, ids=UNION_IDS)
+def test_deadlock_verdict_matches_explore_on_unions(name, csm, explored):
+    for queue_cap in QUEUE_CAPS:
+        for config_cap in (1, 5, 2000, 100_000):
+            composed(csm, explored, queue_cap, config_cap)
+
+
+def test_deadlock_verdict_matches_explore_on_unions_of_hand_drawn_csms(
+        hand_drawn, explored):
+    taken = [composed(union(x, y), explored, queue_cap, config_cap)
+             for x, y in zip(hand_drawn, hand_drawn[1:])
+             for queue_cap in QUEUE_CAPS
+             for config_cap in (5, 3000)]
+    assert len(taken) == 1794 and sum(taken) > 300
+
+
+def stopped(name: str, final: bool = True) -> Csm:
+    """One participant with one state and no transition."""
+    return Csm({name: StateMachine({"s"}, "s", {"s"} if final else set(),
+                                   [])})
+
+
+# nonsink_choice stops in a final state that is not a sink
+NONSINK_PING = union(
+    load_csm((PROTOCOLS / "nonsink_choice.csm.json").read_text()),
+    load_csm((PROTOCOLS / "ping.csm.json").read_text()))
+
+
+@pytest.mark.parametrize("csm", [
+    Csm({}),
+    stopped("a"),
+    Csm({"z": lone_csm().components["z"]}),
+    Csm({**lone_csm().components, **tied_csm().components}),
+    NONSINK_PING,
+    Csm({**stopped("a", final=False).components,
+         **eps_blocked_csm().components}),
+], ids=["empty", "one participant", "one participant on no channel",
+        "lone + tied", "nonsink_choice + ping", "not final + eps blocked"])
+def test_deadlock_verdict_matches_explore_on_edge_cases(csm, explored):
+    for queue_cap in (0,) + QUEUE_CAPS:
+        for config_cap in (0, 1, 2, 100_000):
+            composed(csm, explored, queue_cap, config_cap)
+
+
+def test_a_soft_deadlock_in_one_group_is_composed(explored):
+    """Beside ping, nonsink_choice's stuck final configurations that
+    are not sinks make soft deadlocks and no deadlock."""
+    assert composed(NONSINK_PING, explored)
+    verdict = kernel.deadlock_verdict(NONSINK_PING)
+    assert verdict.soft_deadlocks > 0 and verdict.deadlocks == 0
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_a_group_at_the_config_cap_beside_a_group_of_one(first, explored):
+    """eps blocked reaches n configurations at queue cap 2, and a
+    participant with one state one: the product is n.  At config caps
+    around n, the eps blocked group passes its share of the cap, the
+    cap's square root, so the CSM is explored whole; from n * n on it
+    is composed, whether the group of one comes first or last."""
+    group = eps_blocked_csm()
+    n = len(kernel.explore(group, queue_cap=2))
+    csm = Csm({**stopped("a" if first else "z").components,
+               **group.components})
+    for config_cap in (n - 1, n, n + 1, n * n - 1, n * n):
+        assert composed(csm, explored, 2, config_cap) == (
+            config_cap >= n * n)
+    kernel.deadlock_verdict(csm, queue_cap=2, config_cap=n)
+    share = int(n ** 0.5)
+    walks = [1, share + 1, n] if first else [share + 1, n]
+    assert [size for _, size in explored] == walks
+    explored.clear()
+    # two groups of n beside the group of one: shares are cube roots
+    csm = Csm({**csm.components, **renamed(group, "2")})
+    for config_cap in (n * n, n ** 3 - 1, n ** 3):
+        assert composed(csm, explored, 2, config_cap) == (
+            config_cap >= n ** 3)
+
+
+def test_a_product_past_the_config_cap_is_found_early(explored):
+    """`two` beside a copy reaches 85 configurations a group at queue
+    cap 3.  At a config cap of 100 each group's share is 10: the first
+    group's walk stops at 11, so the CSM is explored whole without
+    walking the second group."""
+    two = Csm({p: StateMachine({"s"}, "s", {"s"}, [
+        ("s", (send if p == "p" else recv)("p", "q", label), "s")
+        for label in "wxyz"]) for p in "pq"})
+    csm = union(two, two)
+    verdict = kernel.deadlock_verdict(csm, queue_cap=3, config_cap=100)
+    assert [n for _, n in explored] == [11, 100]
+    assert verdict == verdict_of(kernel.explore(csm, queue_cap=3,
+                                                config_cap=100))
+
+
+def test_check_csm_on_pairs_explores_each_pair_alone(tmp_path, explored):
+    """`pairs(4,4)` has 50,625 configurations, the product of its four
+    pairs' 15; `check-csm` explores each pair alone."""
+    path = tmp_path / "pairs44.csm.json"
+    path.write_text(kernel.dump_csm(pairs(4, 4)[1]))
+    assert cli.main(["check-csm", str(path)]) == 0
+    assert [n for _, n in explored] == [15] * 4
