@@ -892,7 +892,7 @@ def check_projection(psm: Psm, csm: Csm, k: int) -> ProjectionVerdict:
     printed form, except that an added prefix is the first word
     `csm_language_upto` lists.
     """
-    from .core import expand_pairs, maximal_traces_upto
+    from .core import maximal_traces_upto
     reasons: list[str] = []
     per_channel = max(psm.bound_by_channel.values(), default=psm.bound_total)
     report = explore(csm, queue_cap=max(per_channel, 1) + 1)
@@ -918,12 +918,11 @@ def check_projection(psm: Psm, csm: Csm, k: int) -> ProjectionVerdict:
         reasons.append("CSM adds complete word "
                        + _fmt(views.first(csm_complete - psm_complete)))
 
-    trimmed = expand_pairs(psm.machine).trim()
     unembedded: list = []
     for vector in sorted(csm_vectors, key=views.length):
         if unembedded and views.length(vector) > views.length(unembedded[0]):
             break
-        if not _embeds(trimmed, views.parts(vector)):
+        if not _embeds(psm.machine, views.parts(vector)):
             unembedded.append(vector)
     if unembedded:
         word = min((views.least(v, _letter_keys) for v in unembedded),

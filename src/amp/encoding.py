@@ -24,7 +24,7 @@ import re
 from typing import Optional
 
 from .core import (Compiled, Event, RECV, Record, SEND, StateMachine,
-                   expand_pairs, pair, pair_middles, recv, send, walk)
+                   _transition_key, pair, pair_middles, recv, send, walk)
 
 Channel = tuple[str, str]
 
@@ -127,10 +127,12 @@ class Fused:
             if self.states[-1] >= split else form.names
         if any(entered[d] for d in dropped):
             # the first such state in the order of the machine's transitions
-            names = {self.names[q] for q in dropped if q < split}
-            mixed = next(dst for _, ev, dst in expand_pairs(
-                form.source).trim().transitions if dst in names and (
-                    ev is None or ev.kind != SEND or ev.channel in bounds))
+            names = form.names + list(pair_middles(form.source))
+            mixed = min([(names[q], letters[r], names[d]) for q in form.keep
+                         for r, d in moves[q] if d in dropped and not join[r]]
+                        + [(names[q], None, names[d]) for q in form.keep
+                           for d in eps[q] if d in dropped],
+                        key=_transition_key)[2]
             raise ValueError(f"state {mixed} mixes paired and other traffic")
         for d in dropped:
             out[d] = ()

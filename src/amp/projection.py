@@ -32,13 +32,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import (RECV, SEND, Compiled, Event, Record, StateMachine,
+from .core import (SEND, Compiled, Event, Record, StateMachine,
                    parent_word, reachable, strongly_connected_components, walk)
 from .csm import Csm, ProjectionVerdict, check_projection
 from .encoding import (Fused, channel_participants, encode_psm,
                        forwarder_named, is_amicable)
 from .fifo import show_word
-from .psm import Psm, PsmError, UnboundedLoop, infer_channel_bounds, validate
+from .psm import (Psm, PsmError, UnboundedLoop, choice_report,
+                  infer_channel_bounds, validate)
 
 
 class _Compiled(Fused):
@@ -313,22 +314,6 @@ def _first_word(start, out, stop) -> tuple:
     return None, ()
 
 
-def _gate(form: Compiled) -> None:
-    """NotTame unless the compiled protocol, trimmed, is sink-final and
-    each state that branches offers only sends of one participant, the
-    first such state in name order reported."""
-    letters, moves, eps = form.letters, form.moves, form.eps
-    if any((q in form.finals) == bool(moves[q] or eps[q]) for q in form.keep):
-        raise NotTame("machine is not sink-final")
-    # A pair's middle state, numbered after the named ones, has one exit.
-    for q in sorted(form.keep):
-        if len(moves[q]) > 1 and (
-                any(letters[r].kind == RECV for r, _ in moves[q])
-                or len({letters[r].sender for r, _ in moves[q]}) != 1):
-            raise NotTame(f"state {form.names[q]!r} branches on mixed or "
-                          f"multi-sender actions")
-
-
 def _lost_final(encoded: _Compiled, names: list,
                 forwarders) -> Optional[NotProjectable]:
     """The first final state `names[q]` of the protocol that its encoding
@@ -496,8 +481,9 @@ def project_tame(source) -> ProjectionResult:
     construction for every participant and forwarder, minimises each to
     classes, and writes only the participants' classes, decoded, as
     machines: no merged or encoded machine is built.  Raises NotTame
-    when the structural gate fails (multi-sender branching,
-    non-sink-final, no inferable bounds).  The
+    when the structural gate fails (non-sink-final, then multi-sender
+    branching, both read by `psm.choice_report`, then no inferable
+    bounds), before it infers any bound.  The
     projection is sound and complete for tame protocols, so the
     candidate is accepted exactly when it meets every condition below,
     with no CSM explored and no trace enumerated:
@@ -518,7 +504,12 @@ def project_tame(source) -> ProjectionResult:
     """
     psm = source if isinstance(source, Psm) else validate(source)
     form = psm.compiled
-    _gate(form)
+    sink_final, _, branching = choice_report(form)
+    if not sink_final:
+        raise NotTame("machine is not sink-final")
+    if branching is not None:
+        raise NotTame(f"state {branching!r} branches on mixed or "
+                      f"multi-sender actions")
     try:
         bounds = infer_channel_bounds(psm)
     except UnboundedLoop as exc:

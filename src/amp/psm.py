@@ -7,17 +7,20 @@ contents.  Because channel contents are a function of the word alone,
 this determinised view answers language-level questions exactly.
 
 `validate` reads the machine's `core.Compiled` form, keeps it in the
-`Psm` it returns for the projection's gate and `detected_channels`, and
-walks it (`build_config_graph`, which measures the bounds as it goes):
-the walk and `check_fer` read only ints, and `check_fer` hands
-`core.fer_violation` edges labelled with the channel they receive on.
+`Psm` it returns, and walks it (`build_config_graph`, which measures
+the bounds as it goes): the walk and `check_fer` read only ints, and
+`check_fer` hands `core.fer_violation` edges labelled with the channel
+they receive on.  The form's one branching scan, `choice_report`, gives
+`is_tame` and `projection.project_tame` sink-finality, the choice
+class and the first state that branches on a receive or on two
+senders, and `detected_channels` reads the form too.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .core import (Compiled, Event, PAIR, RECV, Record, SEND, StateMachine,
+from .core import (Compiled, Event, RECV, Record, SEND, StateMachine,
                    Word, expand_pairs, fer_violation, parent_word, reachable,
                    strongly_connected_components, walk)
 
@@ -62,12 +65,13 @@ class Psm:
     """A validated protocol machine with its certified buffer bounds:
     `compiled` is the machine's integer form, and `machine` the machine
     trimmed, each pair split into its send and its receive, built from
-    that form when first read unless given."""
+    that form when first read: only bound inference's loop check and
+    the bounded oracle (`csm.check_projection`) read it."""
 
     def __init__(self, machine: Optional[StateMachine], bound_total: int,
                  bound_by_channel: dict, compiled: Optional[Compiled] = None):
         self.compiled = compiled or Compiled(machine)
-        self._machine = machine
+        self._machine = None
         self.bound_total, self.bound_by_channel = bound_total, bound_by_channel
 
     @property
@@ -235,51 +239,48 @@ MIXED = "mixed"
 NON_DETERMINISTIC = "non-deterministic"
 
 
-def _branch_events(machine: StateMachine, q: str) -> list[Event]:
-    return [ev for ev, _ in machine.out(q) if ev is not None]
+def choice_report(form: Compiled) -> tuple[bool, str, Optional[str]]:
+    """How a compiled machine, trimmed, branches: whether it is
+    sink-final, its choice class, and the first state in name order
+    that branches on a receive or on two senders (None if none does).
 
-
-def classify_choice(machine: StateMachine) -> str:
-    """Classify branching: directed < sender-driven < mixed < non-deterministic.
-
+    The classes run directed < sender-driven < mixed < non-deterministic.
     Sender-driven means the machine is deterministic and every branching
-    state offers only send actions by a single participant; directed
-    additionally fixes the receiver; mixed requires determinism only.
+    state offers only sends by a single participant; directed
+    additionally has no receive move and fixes the receiver at each
+    branching state; mixed requires determinism only.  The branching
+    state is read on nondeterministic machines too: it is the structural
+    half of tameness, and projection rejects duplicated actions later
+    with a semantic witness instead.
     """
-    if not machine.is_deterministic():
-        return NON_DETERMINISTIC
-    directed = True
-    for q in machine.states:
-        events = _branch_events(machine, q)
-        senders = {ev.sender for ev in events if ev.kind in (SEND, PAIR)}
-        if events and (any(ev.kind == RECV for ev in events)
-                       or len(senders) != 1
-                       or len({ev.receiver for ev in events}) != 1):
-            directed = False
-            break
-    if directed:
-        return DIRECTED
-    if single_sender_branching(machine)[0]:
-        return SENDER_DRIVEN
-    return MIXED
-
-
-def single_sender_branching(machine: StateMachine) -> tuple[bool, Optional[str]]:
-    """Every branching state offers only sends by one participant.
-
-    This is the structural half of tameness; unlike sender-driven choice
-    it tolerates duplicated actions, which the projection pipeline
-    rejects later with a semantic witness instead.
-    """
-    for q in sorted(machine.states):
-        events = _branch_events(machine, q)
-        if len(events) <= 1:
+    letters, moves, eps, finals = (form.letters, form.moves, form.eps,
+                                   form.finals)
+    sink_final = all((q in finals) != bool(moves[q] or eps[q])
+                     for q in form.keep)
+    # The letters are those of the kept moves, so a receive anywhere
+    # rules directed choice out.
+    receives = [ev.kind == RECV for ev in letters]
+    # In a dense form a state with an epsilon move has no other exit.
+    deterministic = form.dense or max(map(len, eps), default=0) < 2
+    directed, branching = not any(receives), None
+    # States are numbered in name order, and a pair's middle state,
+    # numbered after the named ones, has one exit.
+    for q, row in enumerate(moves):
+        if len(row) < 2:
             continue
-        if any(ev.kind == RECV for ev in events):
-            return False, q
-        if len({ev.sender for ev in events}) != 1:
-            return False, q
-    return True, None
+        events = [letters[r] for r, _ in row]
+        if len({r for r, _ in row}) < len(row):
+            deterministic = False
+        if any(receives[r] for r, _ in row) \
+                or len({ev.sender for ev in events}) != 1:
+            directed = False
+            if branching is None:
+                branching = form.names[q]
+        elif len({ev.receiver for ev in events}) != 1:
+            directed = False
+    choice = (NON_DETERMINISTIC if not deterministic else DIRECTED if directed
+              else SENDER_DRIVEN if branching is None else MIXED)
+    return sink_final, choice, branching
 
 
 # -- channel-bound inference ----------------------------------------------
@@ -367,8 +368,7 @@ def infer_channel_bounds(psm: Psm) -> dict:
     if not detected:
         return {}
 
-    machine = expand_pairs(psm.machine).trim()
-    cycles = list(_simple_cycles(machine))
+    cycles = list(_simple_cycles(psm.machine))
     for p, q in sorted(detected):
         for cycle in cycles:
             events = [ev for _, ev, _ in cycle if ev is not None]
@@ -388,15 +388,13 @@ class TameReport(Record):
     __slots__ = ("tame", "sink_final", "choice", "bounds")
     def __init__(self, tame: bool, sink_final: bool, choice: str, bounds):
         self.tame, self.sink_final = tame, sink_final
-        self.choice = choice  # the `classify_choice` class
+        self.choice = choice  # the `choice_report` class
         self.bounds = bounds  # None when no bounds can be inferred
 
 
 def is_tame(psm: Psm) -> TameReport:
     """Sender-driven, sink-final, and respecting inferable channel bounds."""
-    machine = psm.machine
-    sink_final = machine.trim().is_sink_final()
-    choice = classify_choice(machine)
+    sink_final, choice, _ = choice_report(psm.compiled)
     try:
         bounds = infer_channel_bounds(psm)
     except UnboundedLoop:

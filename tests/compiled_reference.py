@@ -1,22 +1,24 @@
-"""The string-named analyses that `core.Compiled` and `encoding.Fused`
-replaced, kept as a test-only reference, verbatim but for absolute
-imports and for the `StateMachine` methods `is_dense`,
+"""The string-named analyses that `core.Compiled`, `encoding.Fused` and
+`psm.choice_report` replaced, kept as a test-only reference, verbatim
+but for absolute imports and for the `StateMachine` methods `is_dense`,
 `immediate_receive` and `has_pure_eps_cycle`, here functions that take
 the machine as `self`: density, the epsilon-cycle check, the receive
 that immediately follows a send, `psm.detected_channels` on a machine,
-and `encoding.merge_immediate_pairs`, which fused exchanges on the
-machine it was given and trimmed what it built.  `validate` and the
-projection's gate ran these on the expanded, trimmed machine, and
-`test_compiled_protocol.py` requires the compiled form to give the
-same answers.
+`encoding.merge_immediate_pairs`, which fused exchanges on the machine
+it was given and trimmed what it built, and the choice classifier with
+its single-sender check (`classify_choice`, `single_sender_branching`).
+`validate`, `is_tame` and the projection's gate ran these on the
+expanded, trimmed machine, and `test_compiled_protocol.py` requires the
+compiled form to give the same answers.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from amp.core import (RECV, SEND, Event, StateMachine, expand_pairs,
+from amp.core import (PAIR, RECV, SEND, Event, StateMachine, expand_pairs,
                       nodes_on_cycles, pair)
+from amp.psm import DIRECTED, MIXED, NON_DETERMINISTIC, SENDER_DRIVEN
 
 Channel = tuple[str, str]
 
@@ -93,3 +95,50 @@ def merge_immediate_pairs(machine: StateMachine, bounds: dict) -> StateMachine:
     # one move: a trimmed machine stays trimmed.
     merged._trimmed = machine._trimmed
     return merged.trim()
+
+
+def _branch_events(machine: StateMachine, q: str) -> list[Event]:
+    return [ev for ev, _ in machine.out(q) if ev is not None]
+
+
+def classify_choice(machine: StateMachine) -> str:
+    """Classify branching: directed < sender-driven < mixed < non-deterministic.
+
+    Sender-driven means the machine is deterministic and every branching
+    state offers only send actions by a single participant; directed
+    additionally fixes the receiver; mixed requires determinism only.
+    """
+    if not machine.is_deterministic():
+        return NON_DETERMINISTIC
+    directed = True
+    for q in machine.states:
+        events = _branch_events(machine, q)
+        senders = {ev.sender for ev in events if ev.kind in (SEND, PAIR)}
+        if events and (any(ev.kind == RECV for ev in events)
+                       or len(senders) != 1
+                       or len({ev.receiver for ev in events}) != 1):
+            directed = False
+            break
+    if directed:
+        return DIRECTED
+    if single_sender_branching(machine)[0]:
+        return SENDER_DRIVEN
+    return MIXED
+
+
+def single_sender_branching(machine: StateMachine) -> tuple[bool, Optional[str]]:
+    """Every branching state offers only sends by one participant.
+
+    This is the structural half of tameness; unlike sender-driven choice
+    it tolerates duplicated actions, which the projection pipeline
+    rejects later with a semantic witness instead.
+    """
+    for q in sorted(machine.states):
+        events = _branch_events(machine, q)
+        if len(events) <= 1:
+            continue
+        if any(ev.kind == RECV for ev in events):
+            return False, q
+        if len({ev.sender for ev in events}) != 1:
+            return False, q
+    return True, None

@@ -59,13 +59,12 @@ from amp.projection import (NotProjectable, NotTame, ProjectionResult,
                             Subsets, _first_word, _machine_of,
                             subset_construction)
 from amp.projection import minimize as library_minimize
-from amp.psm import (Psm, UnboundedLoop, _has_return_chain,
-                     single_sender_branching, validate)
+from amp.psm import Psm, UnboundedLoop, _has_return_chain, validate
 from amp.psm import infer_channel_bounds as library_infer_channel_bounds
 from amp.transform import (Regex, brz_deriv, canon, first_letters, nullable,
                            regex_contains_eps, remove_eps)
 
-from .compiled_reference import detected_channels
+from .compiled_reference import detected_channels, single_sender_branching
 from .graph_reference import encode_psm
 from .semantics import is_channel_ordered, rename
 from .walker_reference import _local_label

@@ -15,12 +15,13 @@ from amp.encoding import encode_psm
 from amp.fifo import closure_upto, is_fifo, swap_step
 from amp.projection import (NotProjectable, NotTame, project_tame,
                             strong_report)
-from amp.psm import (DIRECTED, SENDER_DRIVEN, classify_choice,
+from amp.psm import (DIRECTED, SENDER_DRIVEN, choice_report,
                      infer_channel_bounds, validate)
 from amp.transform import (brz_deriv, first_letters, global_to_psm,
                            parse_global_type, psm_to_global_type, psm_to_regex,
                            regex_to_psm)
 
+from .compiled_reference import classify_choice
 from .conftest import (kle_encoded_expected, kle_expected_local_e,
                        kle_machine, random_fifo_word,
                        random_sender_driven_tree, random_tame_psm,
@@ -61,7 +62,7 @@ def test_criterion_1_figure_corpus_exact():
         machine = global_to_psm(parse_global_type(THREE_PARTY_GT))
         psm = validate(machine)
         assert psm.sum_one
-        assert classify_choice(psm.machine) in (SENDER_DRIVEN, DIRECTED)
+        assert choice_report(psm.compiled)[1] in (SENDER_DRIVEN, DIRECTED)
         result = project_tame(psm)
         drawn = three_party_csm()
         assert set(result.csm.components) == set(drawn.components)

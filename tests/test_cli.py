@@ -42,6 +42,60 @@ def test_validate_empty_protocol_trivially_ok(tmp_path, capsys):
     assert report["bound"] == 0 and report["tame"] is True
 
 
+CORPUS = sorted(PROTOCOLS.glob("*.psm.json")) + sorted(PROTOCOLS.glob("*.gt"))
+
+
+def test_choice_is_directed_only_for_a_protocol_with_no_message(tmp_path,
+                                                                 capsys):
+    """`validate` and `classify` read the choice class with each pair
+    split into its send and its receive, so every message adds a state
+    that moves on a receive, and only a protocol with no message is
+    directed.  Pinned as it stands: whether directed should be read on
+    the exchanges is a contract change of its own."""
+    printed = {}
+    for path in CORPUS:
+        for command in ("validate", "classify"):
+            code, out = run(capsys, command, str(path))
+            assert code == 0
+            printed.setdefault(path.name, set()).add(out.splitlines()[-1])
+    choice = dict.fromkeys(printed, "sender-driven")
+    choice.update({"mixed_choice_toy.gt": "mixed",
+                   "three_party_label_clash.gt": "non-deterministic"})
+    assert len(printed) == 12 and printed == {
+        name: {f"choice: {c}  tame: {c == 'sender-driven'}"}
+        for name, c in choice.items()}
+    empty = tmp_path / "empty.psm.json"
+    empty.write_text(json.dumps({
+        "states": ["a"], "initial": "a", "finals": ["a"], "transitions": []}))
+    code, out = run(capsys, "classify", str(empty))
+    assert code == 0 and out.splitlines()[-1] == "choice: directed  tame: True"
+
+
+def test_validate_builds_no_machine_but_the_loaded_one(monkeypatch):
+    """`validate` and `classify` read sink-finality and the choice class
+    off the compiled form: where no channel needs a bound, they build no
+    `StateMachine` once the protocol is loaded."""
+    from amp import cli, core, psm
+    built = []
+    init = core.StateMachine.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    checked = 0
+    for path in CORPUS:
+        machine = cli._load_machine(str(path))
+        if psm.detected_channels(core.Compiled(machine)):
+            continue
+        monkeypatch.setattr(core.StateMachine, "__init__", counted)
+        cli._analysis_report(machine, psm.DEFAULT_CONFIG_CAP)
+        monkeypatch.undo()
+        assert built == [], path.name
+        checked += 1
+    assert checked == 10
+
+
 def test_validate_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -1,11 +1,13 @@
 """The compiled protocol (`core.Compiled`) and its fused view
 (`encoding.Fused`, which projection reads as `_Compiled`) against the
 string-named analyses they replaced (`compiled_reference.py`): the
-expanded machine, trimmed; density and epsilon cycles; sink-finality and
-the first state that branches on more than one sender's sends; the
-channels that need a bound; the merge of each send with its immediate
-receive, with its errors; the encoding (`encode_psm`) against the
-protocol that projection compiled from the string encoder's output
+expanded machine, trimmed; density and epsilon cycles; the branching
+scan (`psm.choice_report`: sink-finality, the choice class and the
+first state that branches on a receive or on two senders) and the
+`NotTame` text `project_tame` reads from it; the channels that need a
+bound; the merge of each send with its immediate receive, with its
+errors; the encoding (`encode_psm`) against the protocol that
+projection compiled from the string encoder's output
 (`projection_reference.NamedCompiled`); and the lost-final search on the
 encoding against the string search (`projection_reference._lost_final`).
 
@@ -23,9 +25,9 @@ import pytest
 from amp.cli import _load_machine
 from amp.core import Compiled, StateMachine, expand_pairs, pair, recv, send
 from amp.encoding import Fused, channel_participants, encode_psm
-from amp.projection import NotTame, _Compiled, _gate, _lost_final, project_tame
-from amp.psm import (PsmError, detected_channels, infer_channel_bounds,
-                     single_sender_branching, validate)
+from amp.projection import NotTame, _Compiled, _lost_final, project_tame
+from amp.psm import (PsmError, UnboundedLoop, choice_report,
+                     detected_channels, infer_channel_bounds, validate)
 from amp.transform import global_to_psm, parse_global_type
 from perfbench import generators as gen
 
@@ -53,25 +55,6 @@ def draws():
         yield _load_machine(str(path))
 
 
-def gate_outcome(check, machine) -> str:
-    try:
-        check(machine)
-    except NotTame as exc:
-        return str(exc)
-    return "tame"
-
-
-def named_gate(machine: StateMachine) -> None:
-    """The projection's gate as it read the string machine."""
-    machine = expand_pairs(machine).trim()
-    if not machine.is_sink_final():
-        raise NotTame("machine is not sink-final")
-    ok, state = single_sender_branching(machine)
-    if not ok:
-        raise NotTame(f"state {state!r} branches on mixed or multi-sender "
-                      f"actions")
-
-
 def test_the_compiled_form_answers_as_the_string_machine():
     for machine in draws():
         form = Compiled(machine)
@@ -89,7 +72,6 @@ def test_the_compiled_form_answers_as_the_string_machine():
             for d in form.eps[q]} == set(trimmed.transitions)
         assert form.dense == reference.is_dense(expanded)
         assert form.eps_cycle == reference.has_pure_eps_cycle(expanded)
-        assert gate_outcome(_gate, form) == gate_outcome(named_gate, machine)
         assert detected_channels(form) == \
             reference.detected_channels(trimmed)
 
@@ -116,6 +98,60 @@ def mixing(rng: random.Random) -> StateMachine:
             [None, pair(p, q, "x"), send(p, q, "a"), recv(p, q, "b")]),
             rng.choice(states)))
     return StateMachine(states, "s0", [f"s{n}"], transitions)
+
+
+def not_tame(psm) -> Optional[str]:
+    """The NotTame text of `project_tame`, or None when it passes the
+    gate (whatever it does after)."""
+    try:
+        project_tame(psm)
+    except NotTame as exc:
+        return str(exc)
+    except (PsmError, ValueError):
+        pass
+    return None
+
+
+def named_not_tame(psm) -> Optional[str]:
+    """The projection's gate as it read the string machine, and then
+    bound inference."""
+    machine = expand_pairs(psm.compiled.source).trim()
+    if not machine.is_sink_final():
+        return "machine is not sink-final"
+    ok, state = reference.single_sender_branching(machine)
+    if not ok:
+        return f"state {state!r} branches on mixed or multi-sender actions"
+    try:
+        infer_channel_bounds(psm)
+    except UnboundedLoop as exc:
+        return f"no channel bounds: {exc}"
+    return None
+
+
+def test_the_branching_scan_reads_as_the_string_classifier():
+    """Sink-finality, the choice class and the first state that
+    branches on a receive or on two senders, on the compiled form and
+    on the string machine; and, on each machine that validates, the
+    NotTame text of the projection's gate."""
+    rng = random.Random(39)
+    classes, texts = set(), set()
+    for machine in [*draws(), *(mixing(rng) for _ in range(500))]:
+        trimmed = expand_pairs(machine).trim()
+        sink_final, choice, branching = choice_report(Compiled(machine))
+        assert sink_final == trimmed.is_sink_final()
+        assert choice == reference.classify_choice(trimmed)
+        ok, state = reference.single_sender_branching(trimmed)
+        assert (branching is None, branching) == (ok, state)
+        classes.add(choice)
+        try:
+            psm = validate(machine)
+        except PsmError:
+            continue
+        text = not_tame(psm)
+        assert text == named_not_tame(psm)
+        texts.add(text and text.split()[0])
+    assert len(classes) == 4
+    assert texts == {None, "machine", "state", "no"}
 
 
 def merge_outcome(merge, machine, bounds):

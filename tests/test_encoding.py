@@ -176,7 +176,9 @@ def test_encode_psm_empty_bounds_is_merge():
 def test_encode_psm_preserves_sink_finality_and_choice():
     """Routing through dedicated forwarders can only sharpen the choice
     class: the game comes out directed."""
-    from amp.psm import DIRECTED, SENDER_DRIVEN, classify_choice
+    from amp.psm import DIRECTED, SENDER_DRIVEN
+
+    from .compiled_reference import classify_choice
     encoded = encode_psm(Compiled(kle_machine()), KLE_BOUNDS).machine()
     assert encoded.trim().is_sink_final()
     assert classify_choice(encoded) in (SENDER_DRIVEN, DIRECTED)

@@ -10,9 +10,9 @@ from amp.core import Compiled, StateMachine, maximal_traces_upto, recv, send
 from amp.fifo import COMPLETE, OK, is_fifo
 from amp.psm import (DIRECTED, FerViolation, MIXED, NON_DETERMINISTIC, NonFifo,
                      NotDense, PsmError, SENDER_DRIVEN, UnboundedChannel,
-                     UnboundedLoop, build_config_graph, classify_choice,
+                     UnboundedLoop, build_config_graph, choice_report,
                      detected_channels, infer_channel_bounds, is_tame,
-                     single_sender_branching, validate)
+                     validate)
 from amp.transform import global_to_psm, parse_global_type
 
 from .compiled_reference import has_pure_eps_cycle
@@ -109,6 +109,10 @@ def test_traces_of_valid_psm_are_fifo():
                 assert status in (OK, COMPLETE)
 
 
+def classify_choice(machine: StateMachine) -> str:
+    return choice_report(Compiled(machine))[1]
+
+
 def test_classify_examples():
     assert classify_choice(three_party_machine()) == SENDER_DRIVEN
     assert classify_choice(kle_machine()) == SENDER_DRIVEN
@@ -180,8 +184,7 @@ def test_is_tame_examples():
          ("a", send("q", "p", "n"), "d"), ("d", recv("q", "p", "n"), "e")])
     mixed_report = is_tame(validate(mixed))
     assert not mixed_report.tame
-    ok, state = single_sender_branching(mixed)
-    assert not ok and state == "a"
+    assert choice_report(Compiled(mixed))[2] == "a"
 
 
 def test_sink_finalized_nondeterministic_not_tame():

@@ -7,8 +7,7 @@ import pytest
 from amp.core import (Compiled, StateMachine, maximal_traces_upto, pair, recv,
                       send)
 from amp.encoding import merge_immediate_pairs
-from amp.psm import (DIRECTED, MIXED, NON_DETERMINISTIC, SENDER_DRIVEN,
-                     classify_choice)
+from amp.psm import DIRECTED, MIXED, NON_DETERMINISTIC, SENDER_DRIVEN
 from amp.transform import (Choice, End, MixedChoiceState, RAlt, RCat, REps,
                            RLetter, RStar, TypeSyntaxError, brz_deriv,
                            first_letters, fsm_to_local_type, global_to_psm,
@@ -16,7 +15,7 @@ from amp.transform import (Choice, End, MixedChoiceState, RAlt, RCat, REps,
                            parse_global_type, psm_to_global_type, psm_to_regex,
                            rcat, regex_to_psm, tree_of)
 
-from .compiled_reference import is_dense
+from .compiled_reference import classify_choice, is_dense
 from .conftest import three_party_machine
 from .goldengen import THREE_PARTY_GT
 from .semantics import (complete_traces, languages_equal_upto, mark, psm_deriv,
