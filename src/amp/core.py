@@ -61,11 +61,10 @@ class Record:
         return self._values(self) == self._values(other)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(self._values(self))
-            return self._hash
+        value = getattr(self, "_hash", None)
+        if value is None:
+            value = self._hash = hash(self._values(self))
+        return value
 
     def __reduce__(self):
         return (type(self), tuple(map(self.__getattribute__, self._fields)))

@@ -1,13 +1,16 @@
 """Protocol state machine validation: buffer bounds, density, feasible
 eventual reception, choice classification, channel-bound inference.
 
-Validation walks a word-level configuration graph: each node holds the
+Validation reads a word-level configuration graph: each node holds the
 set of machine states a word can reach together with the word's channel
 contents.  Because channel contents are a function of the word alone,
 this determinised view answers language-level questions exactly.
 
-`validate` reads the machine's `core.Compiled` form, keeps it in the
-`Psm` it returns, and walks it (`build_config_graph`, which measures
+`validate` reads the machine's `core.Compiled` form and keeps it in the
+`Psm` it returns.  A form that receives each send at once, as every
+global type does, is its own graph, certified by one scan; any other
+form (a bounded channel, a receive behind an epsilon move, a choice
+between equal letters) is walked (`build_config_graph`, which measures
 the bounds as it goes): the walk and `check_fer` read only ints, and
 `check_fer` hands `core.fer_violation` edges labelled with the channel
 they receive on.  The form's one branching scan, `choice_report`, gives
@@ -99,7 +102,10 @@ class ConfigGraph:
     `parent` maps each later node to (the node it was first reached from,
     the rank between) and `finals` holds the final states.  `bound` is the
     most messages a node queues and `longest[c]` the longest queue on
-    channel c, read off each node as the walk makes it.
+    channel c, read off each node as the walk makes it.  `validate`
+    walks only forms that are not immediate (`_immediate_configs`): those
+    that queue two messages, keep one past an epsilon move, reach two
+    states on one word or break FIFO order.
     """
 
     __slots__ = ("letters", "channels", "finals", "nodes", "moves", "parent",
@@ -209,20 +215,66 @@ def check_fer(graph: ConfigGraph) -> tuple[bool, Optional[Word]]:
     return True, None
 
 
+def _immediate_configs(form: Compiled) -> int:
+    """The configurations `build_config_graph` makes of an immediate
+    form, or 0 for any other.  Immediate: each kept row moves on distinct
+    ranks; a send's target, a middle state, is not initial or final and
+    moves only on the send's receive (so, the form being dense, on no
+    epsilon); only sends enter a middle state, and only middle states
+    receive."""
+    moves, receive = form.moves, form.receive
+    sends = [ev.kind == SEND for ev in form.letters]
+    middles = {d for q in form.keep for r, d in moves[q] if sends[r]}
+    if form.initial in middles or not middles.isdisjoint(form.finals):
+        return 0
+    configs = {form.initial}
+    for q in form.keep:
+        row, eps = moves[q], form.eps[q]
+        if eps and eps[0] in middles \
+                or len(row) > 1 and len({r for r, _ in row}) < len(row):
+            return 0
+        for r, d in row:
+            if not sends[r]:
+                if q not in middles:
+                    return 0
+                configs.add(d)
+            elif len(moves[d]) != 1 or moves[d][0][0] != receive[r] \
+                    or moves[d][0][1] in middles:
+                return 0
+    return len(configs | middles)
+
+
 def validate(machine: StateMachine, *,
              config_cap: int = DEFAULT_CONFIG_CAP) -> Psm:
     """Certify a machine as a protocol state machine.
 
-    Compiles it, checks density syntactically, then walks the
+    Compiles it, checks density syntactically, then reads the
     configuration graph to certify the least buffer bounds and feasible
     eventual reception.  The first violated condition is raised with a
     witness path.
+
+    An immediate form (`_immediate_configs`) is certified without the
+    walk: each word reaches one state's epsilon closure with at most the
+    message just sent queued, so the walk would make one node per kept
+    state that is initial or a move target, raise nothing, measure bound
+    1 on each channel sent on, and end each FER search after one receive
+    in a kept state, which can reach a maximal run.
     """
     form = Compiled(machine)
     if not form.dense:
         raise NotDense("a state with an epsilon transition has other exits")
     if form.eps_cycle:
         raise NotDense("machine contains a cycle of epsilon transitions")
+    configs = _immediate_configs(form)
+    # the walk checks the cap as it adds a node: never on a graph of one
+    if configs > max(config_cap, 1):
+        raise ConfigCapExceeded(
+            f"exploration exceeded {config_cap} configurations")
+    if configs:
+        channels = sorted({ev.channel for ev in form.letters
+                           if ev.kind == SEND})
+        return Psm(None, min(len(channels), 1), dict.fromkeys(channels, 1),
+                   form)
     graph = build_config_graph(form, config_cap=config_cap)
     ok, witness = check_fer(graph)
     if not ok:

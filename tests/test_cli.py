@@ -564,6 +564,26 @@ def test_configuration_cap_in_bounds_is_a_resource_cap(capsys):
         "error": "ConfigCapExceeded"}
 
 
+@pytest.mark.parametrize("command,capped", [
+    ("validate", {"detail": "exploration exceeded 18 configurations",
+                  "error": "unbounded-channel", "witness": []}),
+    ("classify", {"detail": "exploration exceeded 18 configurations",
+                  "error": "unbounded-channel", "witness": []}),
+    ("bounds", {"detail": "exploration exceeded 18 configurations",
+                "error": "ConfigCapExceeded"})])
+def test_the_configuration_cap_holds_where_no_graph_is_walked(
+        capsys, command, capped):
+    """one_buyer receives each message at once: validation counts its 19
+    configurations without walking them, and still honours the cap."""
+    source = str(PROTOCOLS / "one_buyer.gt")
+    code, out = run(capsys, command, source, "--config-cap", "18", "--json")
+    assert code == 3
+    assert json.loads(out) == capped
+    code, out = run(capsys, command, source, "--config-cap", "19", "--json")
+    assert code == 0
+    assert "error" not in json.loads(out)
+
+
 @pytest.mark.parametrize("source,participant", [
     ("mixed_choice_toy.gt", "s"), ("kle_encoded.psm.json", "b"),
     ("kle.psm.json", "p")])

@@ -2,25 +2,28 @@
 
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from amp.cli import _load_machine
-from amp.core import Compiled, StateMachine, maximal_traces_upto, recv, send
+from amp import psm as psm_module
+from amp.cli import _load_machine, main
+from amp.core import (Compiled, StateMachine, maximal_traces_upto, pair, recv,
+                      send)
 from amp.fifo import COMPLETE, OK, is_fifo
 from amp.psm import (DIRECTED, FerViolation, MIXED, NON_DETERMINISTIC, NonFifo,
                      NotDense, PsmError, SENDER_DRIVEN, UnboundedChannel,
-                     UnboundedLoop, build_config_graph, choice_report,
-                     detected_channels, infer_channel_bounds, is_tame,
-                     validate)
+                     UnboundedLoop, build_config_graph, check_fer,
+                     choice_report, detected_channels, infer_channel_bounds,
+                     is_tame, validate)
 from amp.transform import global_to_psm, parse_global_type
 
 from .compiled_reference import has_pure_eps_cycle
-from .conftest import (epsilon_chain, kle_machine, random_looping_protocol,
-                       random_sender_driven_tree, random_tame_psm,
-                       three_party_machine)
+from .conftest import (epsilon_chain, kle_machine, paired_chain,
+                       random_looping_protocol, random_sender_driven_tree,
+                       random_tame_psm, three_party_machine)
 from .semantics import complete_traces
-from .test_graph_analyses import random_protocol
+from .test_graph_analyses import random_machine, random_protocol
 
 
 def test_three_party_is_sum_one():
@@ -254,3 +257,149 @@ def test_the_walk_measures_the_bounds_the_node_scan_found():
         checked += 1
         busy += total > 1
     assert checked > 400 and busy > 50
+
+
+# -- immediate forms: validation without the configuration walk ----------
+
+PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
+CORPUS = sorted(PROTOCOLS.glob("*.psm.json")) + sorted(PROTOCOLS.glob("*.gt"))
+# the corpus protocols where every send is received at once
+IMMEDIATE = ["kle_encoded.psm.json", "three_party_choice.psm.json",
+             "leader_election.gt", "leader_election_lose.gt",
+             "mixed_choice_toy.gt", "nonsink_choice.gt", "one_buyer.gt",
+             "three_party_choice.gt", "three_party_reply_mismatch.gt"]
+
+
+def _verdict(machine: StateMachine, **caps):
+    """`validate`'s bounds, channel order included, or its error."""
+    try:
+        got = validate(machine, **caps)
+    except PsmError as exc:
+        return type(exc), str(exc), exc.witness
+    return got.bound_total, list(got.bound_by_channel.items())
+
+
+def assert_shortcut_agrees(machine: StateMachine, *caps) -> bool:
+    """`validate` answers as it does when it walks every form, under each
+    of `caps` (config caps) and none; a form it certifies without the
+    walk is one whose walk raises nothing, passes FER and makes as many
+    nodes as the shortcut counted.  Returns whether it skipped the walk."""
+    form = Compiled(machine)
+    configs = (form.dense and not form.eps_cycle
+               and psm_module._immediate_configs(form))
+    runs = [{}] + [{"config_cap": cap} for cap in caps]
+    with mock.patch.object(psm_module, "_immediate_configs", return_value=0):
+        walked = [_verdict(machine, **run) for run in runs]
+    assert [_verdict(machine, **run) for run in runs] == walked
+    if configs:
+        graph = build_config_graph(form)
+        assert check_fer(graph) == (True, None)
+        assert len(graph.nodes) == configs
+        assert walked[0] == (graph.bound, [
+            (ch, n) for ch, n in zip(graph.channels, graph.longest) if n])
+    return bool(configs)
+
+
+def _caps(machine: StateMachine):
+    """Config caps around the walk's node count, and the smallest ones."""
+    try:
+        nodes = len(build_config_graph(Compiled(machine)).nodes)
+    except PsmError:
+        nodes = 2
+    return 0, 1, nodes - 1, nodes
+
+
+def test_the_shortcut_agrees_with_the_walk_on_the_corpus():
+    immediate = []
+    for path in CORPUS:
+        machine = _load_machine(str(path))
+        if assert_shortcut_agrees(machine, *_caps(machine)):
+            immediate.append(path.name)
+    assert sorted(immediate) == sorted(IMMEDIATE)
+
+
+def test_the_shortcut_agrees_with_the_walk_on_random_machines():
+    rng = random.Random(41)
+    machines = [paired_chain(n) for n in range(5)] + [
+        epsilon_chain(n) for n in range(1, 5)]
+    for _ in range(150):
+        machines.append(random_sender_driven_tree(rng))
+        machines.append(random_tame_psm(rng))
+        machines.append(random_looping_protocol(rng)[0])
+        machines.append(random_protocol(rng, rng.randrange(2, 10)))
+        machines.append(random_machine(rng, rng.randrange(1, 8), eps=0.1))
+    skipped = sum(assert_shortcut_agrees(machine, *_caps(machine))
+                  for machine in machines)
+    # both paths are taken, each on a hundred draws or more
+    assert 100 < skipped < len(machines) - 100
+
+
+def _machine(finals, *transitions, initial="s0"):
+    states = {q for src, _, dst in transitions for q in (src, dst)}
+    return StateMachine(states | {initial}, initial, finals, transitions)
+
+
+NEAR_MISSES = {
+    # sum one, but the receive waits behind an epsilon move
+    "send-eps-receive": _machine(
+        {"s3"}, ("s0", send("p", "q", "m"), "s1"), ("s1", None, "s2"),
+        ("s2", recv("p", "q", "m"), "s3")),
+    "receive-first": _machine({"s1"}, ("s0", recv("p", "q", "m"), "s1")),
+    "final-middle": _machine(
+        {"s1", "s2"}, ("s0", send("p", "q", "m"), "s1"),
+        ("s1", recv("p", "q", "m"), "s2")),
+    # after the receive, an epsilon move goes back to the middle state
+    "eps-into-middle": _machine(
+        {"s2"}, ("s0", send("p", "q", "m"), "s1"),
+        ("s1", recv("p", "q", "m"), "s2"), ("s2", None, "s1")),
+    "two-sends-one-middle": _machine(
+        {"s2"}, ("s0", send("p", "q", "a"), "s1"),
+        ("s0", send("p", "q", "b"), "s1"), ("s1", recv("p", "q", "a"), "s2")),
+    "two-receives-one-middle": _machine(
+        {"s2"}, ("s0", send("p", "q", "a"), "s1"),
+        ("s0", send("p", "q", "b"), "s1"), ("s1", recv("p", "q", "a"), "s2"),
+        ("s1", recv("p", "q", "b"), "s2")),
+    # a send loops back to the initial state, a middle one
+    "send-into-initial": _machine(
+        set(), ("s0", send("p", "q", "m"), "s0")),
+    "initial-middle": _machine(
+        {"s1"}, ("s0", recv("p", "q", "m"), "s1"),
+        ("s1", send("p", "q", "m"), "s0")),
+    # the receive of a enters the state where b is received
+    "receive-into-middle": _machine(
+        {"s4"}, ("s0", send("p", "q", "a"), "s1"),
+        ("s1", recv("p", "q", "a"), "s2"), ("s2", recv("p", "q", "b"), "s4"),
+        ("s4", pair("q", "p", "x"), "s3"), ("s3", send("p", "q", "b"), "s2")),
+    # equal letters from one state: the graph determinises them
+    "equal-letters": _machine(
+        {"s2", "s3"}, ("s0", pair("p", "q", "m"), "s1"),
+        ("s0", pair("p", "q", "m"), "s2"), ("s1", pair("q", "p", "a"), "s3")),
+    "label-clash": _load_machine(str(PROTOCOLS / "three_party_label_clash.gt")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+def test_the_shortcut_declines_near_misses(name):
+    machine = NEAR_MISSES[name]
+    assert not assert_shortcut_agrees(machine, *_caps(machine))
+
+
+def test_an_exchange_loop_back_to_the_initial_state_is_immediate():
+    loop = _machine({"s0"}, ("s0", pair("p", "q", "m"), "s1"),
+                    ("s1", pair("q", "p", "n"), "s0"))
+    assert assert_shortcut_agrees(loop, *_caps(loop))
+    assert validate(loop).bound_by_channel == {("p", "q"): 1, ("q", "p"): 1}
+
+
+@pytest.mark.parametrize("name", IMMEDIATE)
+def test_commands_on_immediate_protocols_walk_no_graph(tmp_path, capsys,
+                                                       name):
+    source = str(PROTOCOLS / name)
+    out = str(tmp_path / "out.csm.json")
+    with mock.patch.object(psm_module, "build_config_graph",
+                           side_effect=AssertionError("walked")) as walk:
+        codes = [main(["validate", source]), main(["bounds", source]),
+                 main(["project", source, "-o", out])]
+    capsys.readouterr()
+    assert not walk.called
+    assert codes[:2] == [0, 0] and codes[2] in (0, 1)
