@@ -65,26 +65,17 @@ def _write(args, text: str) -> None:
         print(text, end="")
 
 
-def _witness_of(exc) -> list:
-    witness = getattr(exc, "witness", None)
-    return [str(ev) for ev in witness] if witness else []
-
-
-def _witness_lines(exc) -> list[str]:
-    witness = getattr(exc, "witness", None)
-    return [f"witness: {fifo.format_word(witness)}"] if witness else []
-
-
 def _cap_or_negative(exc: psm_mod.PsmError) -> int:
     """Exit 3 when exploration hit the configuration cap, else 1."""
     return RESOURCE if isinstance(exc, psm_mod.ConfigCapExceeded) else NEGATIVE
 
 
-def _load_machine(path: str) -> core.StateMachine:
+def _load_protocol(path: str) -> core.Compiled:
+    """A `.gt` global type or a protocol-machine document, compiled."""
     text = Path(path).read_text()
     if path.endswith(".gt"):
-        return transform.global_to_psm(transform.parse_global_type(text))
-    return core.load_machine(text)
+        return transform.compile_global(transform.parse_global_type(text))
+    return core.load_protocol(text)
 
 
 def _load_bounds(path: str, form: core.Compiled) -> dict:
@@ -119,8 +110,8 @@ def _load_bounds(path: str, form: core.Compiled) -> dict:
     return bounds
 
 
-def _analysis_report(machine: core.StateMachine, config_cap: int) -> dict:
-    validated = psm_mod.validate(machine, config_cap=config_cap)
+def _analysis_report(form: core.Compiled, config_cap: int) -> dict:
+    validated = psm_mod.validate(form, config_cap=config_cap)
     tame = psm_mod.is_tame(validated)
     return {
         "bound": validated.bound_total,
@@ -136,19 +127,24 @@ def _analysis_report(machine: core.StateMachine, config_cap: int) -> dict:
     }
 
 
+def _failed(args, exc: psm_mod.PsmError, error: str, what: str) -> int:
+    """Report a validation failure with its witness, if it has one."""
+    witness = exc.witness or ()
+    _emit(args, {"error": error, "detail": str(exc),
+                 "witness": [str(ev) for ev in witness]},
+          [f"{what}: {exc}"]
+          + ([f"witness: {fifo.format_word(witness)}"] if witness else []))
+    return _cap_or_negative(exc)
+
+
 def cmd_validate(args) -> int:
     try:
-        report = _analysis_report(_load_machine(args.file), args.config_cap)
+        report = _analysis_report(_load_protocol(args.file), args.config_cap)
     except psm_mod.UnboundedChannel as exc:
-        _emit(args, {"error": "unbounded-channel", "detail": str(exc),
-                     "witness": _witness_of(exc)},
-              [f"unbounded channel: {exc}"] + _witness_lines(exc))
-        return _cap_or_negative(exc)
+        return _failed(args, exc, "unbounded-channel", "unbounded channel")
     except psm_mod.PsmError as exc:
-        _emit(args, {"error": type(exc).__name__, "detail": str(exc),
-                     "witness": _witness_of(exc)},
-              [f"not a valid protocol machine: {exc}"] + _witness_lines(exc))
-        return NEGATIVE
+        return _failed(args, exc, type(exc).__name__,
+                       "not a valid protocol machine")
     _emit(args, report, [
         f"buffer bound: {report['bound']} (per channel: "
         f"{report['perChannelBounds'] or 'none needed'})",
@@ -165,9 +161,11 @@ def cmd_classify(args) -> int:
 
 def cmd_bounds(args) -> int:
     try:
-        validated = psm_mod.validate(_load_machine(args.file),
+        validated = psm_mod.validate(_load_protocol(args.file),
                                      config_cap=args.config_cap)
         bounds = psm_mod.infer_channel_bounds(validated)
+    except psm_mod.ConfigCapExceeded as exc:
+        return _failed(args, exc, "unbounded-channel", "unbounded channel")
     except psm_mod.UnboundedLoop as exc:
         _emit(args, {"error": "unbounded-loop", "detail": str(exc)},
               [f"no channel bounds: {exc}"])
@@ -182,7 +180,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    validated = psm_mod.validate(_load_machine(args.file))
+    validated = psm_mod.validate(_load_protocol(args.file))
     bounds = (psm_mod.infer_channel_bounds(validated) if args.bounds == "auto"
               else _load_bounds(args.bounds, validated.compiled))
     _write(args, core.dump_machine(
@@ -194,14 +192,13 @@ def cmd_encode(args) -> int:
 
 def cmd_decode_fsm(args) -> int:
     _write(args, core.dump_machine(encoding.decode_fsm(
-        _load_machine(args.file))))
+        _load_protocol(args.file).source)))
     return OK
 
 
 def cmd_project(args) -> int:
-    machine = _load_machine(args.file)
     try:
-        result = projection.project_tame(machine)
+        result = projection.project_tame(_load_protocol(args.file))
     except projection.NotTame as exc:
         _emit(args, {"result": "NotTame", "detail": str(exc)},
               [f"not tame: {exc}"])
@@ -254,7 +251,7 @@ def cmd_check_csm(args) -> int:
         data["witness"] = fifo.format_word(result.witness)
         summary.append(f"deadlock witness: {fifo.show_word(result.witness)}")
     if args.against:
-        validated = psm_mod.validate(_load_machine(args.against))
+        validated = psm_mod.validate(_load_protocol(args.against))
         verdict = projection.check_against(validated, machine_csm, args.bound)
         data["projection"] = {"passed": verdict.passed,
                               "reasons": list(verdict.reasons),
@@ -280,8 +277,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_to_global(args) -> int:
-    machine = _load_machine(args.file)
-    validated = psm_mod.validate(machine)
+    validated = psm_mod.validate(_load_protocol(args.file))
     if not validated.sum_one:
         _emit(args, {"error": "not-sum-one"},
               ["machine keeps more than one message in flight; "
@@ -304,7 +300,8 @@ def cmd_from_global(args) -> int:
 
 
 def cmd_to_local(args) -> int:
-    machine = _load_machine(args.file)
+    form = _load_protocol(args.file)
+    machine = form.source
     local_events = all(ev.kind != core.PAIR and ev.subject == args.participant
                        for ev in machine.alphabet())
     if not local_events:
@@ -315,7 +312,7 @@ def cmd_to_local(args) -> int:
                   [f"no participant {args.participant!r} in the protocol"])
             return USAGE
         try:
-            result = projection.project_tame(machine)
+            result = projection.project_tame(form)
         except (projection.NotTame, projection.NotProjectable) as exc:
             _emit(args, {"error": type(exc).__name__, "detail": str(exc)},
                   [f"cannot project: {exc}"])
@@ -382,7 +379,7 @@ def cmd_dot(args) -> int:
         output = csm_mod.csm_to_dot(csm_mod.csm_from_json(data),
                                     name=Path(args.file).stem)
     else:
-        output = csm_mod.machine_to_dot(_load_machine(args.file),
+        output = csm_mod.machine_to_dot(_load_protocol(args.file).source,
                                         name=Path(args.file).stem)
     _write(args, output)
     return OK
@@ -409,50 +406,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "multiparty protocols.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, caps=True):
+    def command(func, help: str, caps: bool = False):
+        """The subcommand `func` runs, named after it, with the arguments
+        every subcommand takes."""
+        p = sub.add_parser(func.__name__[4:].replace("_", "-"), help=help)
         p.add_argument("file", help="input file (.json machine, .gt global type)")
         p.add_argument("--json", action="store_true",
                        help="print a machine-readable report only")
         if caps:
             p.add_argument("--config-cap", type=_count, default=1_000_000,
                            help="configuration exploration cap")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="certify a protocol machine")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("classify", help="report bounds and choice class")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("bounds", help="infer per-channel buffer bounds")
-    common(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("encode", help="apply the forwarder encoding")
-    common(p, caps=False)
+    command(cmd_validate, "certify a protocol machine", caps=True)
+    command(cmd_classify, "report bounds and choice class", caps=True)
+    command(cmd_bounds, "infer per-channel buffer bounds", caps=True)
+    p = command(cmd_encode, "apply the forwarder encoding")
     p.add_argument("--bounds", default="auto",
                    help="'auto' or a JSON file of per-channel bounds")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("decode-fsm", help="undo the forwarder relabelling")
-    common(p, caps=False)
+    p = command(cmd_decode_fsm, "undo the forwarder relabelling")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_decode_fsm)
-
-    p = sub.add_parser("project", help="project to a deadlock-free CSM")
-    common(p, caps=False)
+    p = command(cmd_project, "project to a deadlock-free CSM")
     p.add_argument("--strong", action="store_true",
                    help="also require every component to be sink-final")
     p.add_argument("-K", "--bound", type=_count, default=6,
                    help="accepted for compatibility; the result does not "
                         "depend on it")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("check-csm", help="explore a CSM for deadlocks")
-    common(p, caps=False)
+    p = command(cmd_check_csm, "explore a CSM for deadlocks")
     p.add_argument("--queue-cap", type=_count, default=8,
                    help="leave out sends that would grow a queue past this "
                         "length, and report the exploration truncated")
@@ -461,42 +444,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word length up to which --against compares the "
                         "CSM with the protocol, where the projection cannot "
                         "decide")
-    p.set_defaults(func=cmd_check_csm)
-
-    p = sub.add_parser("simulate", help="run one pseudorandom schedule")
-    common(p, caps=False)
+    p = command(cmd_simulate, "run one pseudorandom schedule")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=_count, default=100)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("to-global", help="reconstruct a global type")
-    common(p, caps=False)
+    p = command(cmd_to_global, "reconstruct a global type")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_to_global)
-
-    p = sub.add_parser("from-global", help="compile a global type to a machine")
-    common(p, caps=False)
+    p = command(cmd_from_global, "compile a global type to a machine")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_from_global)
-
-    p = sub.add_parser("to-local", help="read a local type off a machine")
-    common(p, caps=False)
+    p = command(cmd_to_local, "read a local type off a machine")
     p.add_argument("--participant", required=True)
-    p.set_defaults(func=cmd_to_local)
-
-    p = sub.add_parser("typecheck", help="type check a session program")
-    common(p, caps=False)
+    p = command(cmd_typecheck, "type check a session program")
     p.add_argument("--harness", action="store_true",
                    help="also run the subject-reduction harness")
     p.add_argument("--steps", type=_count, default=30)
     p.add_argument("--seeds", type=_count, default=5)
-    p.set_defaults(func=cmd_typecheck)
-
-    p = sub.add_parser("dot", help="export a machine or CSM to DOT")
-    common(p, caps=False)
+    p = command(cmd_dot, "export a machine or CSM to DOT")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_dot)
-
     return parser
 
 
@@ -512,7 +475,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, core.MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except UnicodeDecodeError as exc:
@@ -520,9 +483,6 @@ def main(argv=None) -> int:
         return USAGE
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return USAGE
-    except core.MalformedInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,14 @@
-"""Events, finite state machines, bounded trace languages, and machine I/O.
+"""Events, finite state machines, the compiled protocol, bounded trace
+languages, and machine I/O.
 
-Everything downstream (protocol validation, communicating machines,
-projection, the type checker) is built on the two types defined here:
-`Event` and `StateMachine`.  Machines are immutable once constructed and
-all derived data is precomputed, so they are safe to share freely.
-`Compiled` is a protocol machine compiled to integers, each pair split
-and the machine trimmed, once per machine: validation walks it, and
-projection reads it fused (`encoding.Fused`).
+`Event` and `StateMachine` are the string form: immutable once built,
+with their derived data precomputed, so safe to share.  `Compiled` is a
+protocol machine compiled to integers once, each pair split and the
+machine trimmed: validation walks it and projection reads it fused
+(`encoding.Fused`).  A protocol is loaded straight into it
+(`load_protocol`, or `transform.compile_global` for a global type), its
+`StateMachine` built only when a command that writes or transforms the
+input reads `source`; CSM components load as machines.
 
 The graph-analysis section holds the one copy of each walker that the
 other layers share, for any graph given as nodes and an out-edge
@@ -259,11 +261,7 @@ class StateMachine:
         return frozenset(ev for _, ev, _ in self.transitions if ev is not None)
 
     def participants(self) -> tuple[str, ...]:
-        seen = set()
-        for ev in self.alphabet():
-            seen.add(ev.sender)
-            seen.add(ev.receiver)
-        return tuple(sorted(seen))
+        return tuple(sorted({p for ev in self.alphabet() for p in ev.channel}))
 
     def is_sink(self, q: str) -> bool:
         return not self._out[q]
@@ -273,11 +271,8 @@ class StateMachine:
 
     def is_deterministic(self) -> bool:
         """No state has two outgoing transitions with the same label."""
-        for q in self.states:
-            labels = [ev for ev, _ in self._out[q]]
-            if len(labels) != len(set(labels)):
-                return False
-        return True
+        return all(len({ev for ev, _ in out}) == len(out)
+                   for out in self._out.values())
 
     # -- reachability ----------------------------------------------------
 
@@ -575,55 +570,91 @@ class Compiled:
     state's epsilon successors and (rank, successor) moves, and
     `receive[r]` the rank of the receive of what the send of rank r puts
     on its channel, or -1.
+
+    `Compiled(machine)` compiles a machine, and `Compiled.load` the parts
+    it is built from, raising what it would raise: the machine, `source`,
+    is then built only when first read.
     """
 
-    __slots__ = ("source", "names", "initial", "finals", "keep", "letters",
+    __slots__ = ("_source", "names", "initial", "finals", "keep", "letters",
                  "eps", "moves", "receive", "dense", "eps_cycle")
 
     def __init__(self, machine: StateMachine):
-        self.source = machine
-        self.names = sorted(machine.states)
-        number = {q: i for i, q in enumerate(self.names)}
-        out: list = [[] for _ in self.names]  # (letter's code, successor)
-        eps: list = [[] for _ in self.names]
+        self._source = machine
+        self._build(*machine._key)
+
+    @classmethod
+    def load(cls, *parts) -> "Compiled":
+        form = cls.__new__(cls)
+        form._source = parts
+        form._build(*parts)
+        return form
+
+    @property
+    def source(self) -> StateMachine:
+        """The machine compiled."""
+        if type(self._source) is tuple:
+            self._source = StateMachine(*self._source)
+        return self._source
+
+    def _build(self, states, initial, finals, transitions) -> None:
+        try:
+            # A document lists its states sorted: `sorted` keeps the order
+            # in linear time.
+            self.names = sorted(dict.fromkeys(states))
+            number = dict(zip(self.names, range(len(self.names))))
+            final = [number[q] for q in frozenset(finals)]
+            self.initial = number[initial]
+            # Labels ranked as `_transition_key` orders them, epsilon last,
+            # and transitions as int triples that sort as it sorts them.
+            events = {id(ev): ev for _, ev, _ in transitions}
+            labels = sorted({ev._key: ev for ev in events.values()
+                             if ev is not None}.items())
+            rank = {key: r for r, (key, _) in enumerate(labels)}
+            code = {i: rank[ev._key] if ev is not None else len(labels)
+                    for i, ev in events.items()}
+            triples = sorted(dict.fromkeys([
+                (number[src], code[id(ev)], number[dst])
+                for src, ev, dst in transitions]))
+        except (KeyError, TypeError):
+            # the machine names the fault, as it would have raised it
+            StateMachine(states, initial, finals, transitions)
+            raise
+        # Letters ranked in `Event.sort_key` order, the labels' own unless
+        # a pair splits into its send and its receive; each label's first
+        # and last letter's rank.
+        keyed = labels
+        if any(ev.kind == PAIR for _, ev in labels):
+            keyed = sorted({letter._key: letter for _, ev in labels
+                            for letter in ev.letters()}.items())
+            rank = {key: r for r, (key, _) in enumerate(keyed)}
+        split = [(rank[ev.letters()[0]._key], rank[ev.letters()[-1]._key])
+                 for _, ev in labels]
+        out: list = [[] for _ in self.names]  # (rank, successor)
+        eps: list = [()] * len(self.names)
         # Trimming walks the named states only: a pair's middle state is
         # kept when both ends are.
         succ: list = [[] for _ in self.names]
         ends: list = []  # a middle state's ends, from the first one's on
-        # Letters are coded by object, which a Python-level hash would
-        # cost once per transition; equal letters are ranked together.
-        code: dict = {}  # id(letter) -> its index in `seen`
-        seen: list = []
-        for src, ev, dst in machine.transitions:
-            s, d = number[src], number[dst]
+        for s, r, d in triples:
             succ[s].append(d)
-            if ev is None:
-                eps[s].append(d)
+            if r == len(labels):
+                eps[s] = eps[s] + [d] if eps[s] else [d]
                 continue
-            if ev.kind == PAIR:
-                snd, ev = ev.letters()
-                c = code.get(id(snd))
-                if c is None:
-                    c = code[id(snd)] = len(seen)
-                    seen.append(snd)
+            c, r = split[r]
+            if c != r:  # a pair, through a middle state
                 out[s].append((c, len(out)))
                 ends.append((s, d))
                 s = len(out)
                 out.append([])
                 eps.append(())
-            c = code.get(id(ev))
-            if c is None:
-                c = code[id(ev)] = len(seen)
-                seen.append(ev)
-            out[s].append((c, d))
-        self.dense = all(len(o) + len(e) == 1 or not e
-                         for o, e in zip(out, eps))
-        self.eps_cycle = any(eps) and bool(nodes_on_cycles(
-            [q for q, e in enumerate(eps) if e],
-            lambda q: [(None, d) for d in eps[q]]))
-        self.initial = number[machine.initial]
+            out[s].append((r, d))
+        silent = [q for q, e in enumerate(eps) if e]
+        self.dense = all(len(out[q]) + len(eps[q]) == 1 for q in silent)
+        self.eps_cycle = bool(silent) and bool(nodes_on_cycles(
+            silent, lambda q: [(None, d) for d in eps[q]]))
         keep = reach = reachable((self.initial,), succ.__getitem__)
-        finals = reach.intersection(map(number.__getitem__, machine.finals))
+        finals = reach.intersection(final)
         # When every sink is final, every state can reach a maximal run.
         if any(not succ[q] for q in reach.difference(finals)):
             keep = maximal_capable(reach, lambda q: [
@@ -633,19 +664,17 @@ class Compiled:
         keep.update(mid for mid, (s, d) in enumerate(ends, len(self.names))
                     if s in keep and d in keep)
         self.keep, self.finals = keep, frozenset(finals & keep)
-        whole = len(keep) == len(out)
-        used = seen if whole else [seen[c] for c in {
-            c for q in keep for c, d in out[q] if d in keep}]
-        keyed = sorted({ev._key: ev for ev in used}.items())
+        self.moves, self.eps = out, eps
+        if len(keep) < len(out):  # rank the letters left again
+            used = sorted({c for q in keep for c, d in out[q] if d in keep})
+            ranks = dict(zip(used, range(len(used))))
+            keyed = [keyed[c] for c in used]
+            rank = {key: r for r, (key, _) in enumerate(keyed)}
+            self.moves = [[(ranks[c], d) for c, d in row if d in keep]
+                          if q in keep else [] for q, row in enumerate(out)]
+            self.eps = [[d for d in e if d in keep] or () if q in keep
+                        else () for q, e in enumerate(eps)]
         self.letters = [ev for _, ev in keyed]
-        rank = {key: r for r, (key, _) in enumerate(keyed)}
-        ranks = [rank.get(ev._key, -1) for ev in seen]
-        self.moves = [[(ranks[c], d) for c, d in row] for row in out] \
-            if whole else [[(ranks[c], d) for c, d in row if d in keep]
-                           if q in keep else [] for q, row in enumerate(out)]
-        self.eps = [e or () for e in eps] if whole else [
-            [d for d in e if d in keep] or () if q in keep else ()
-            for q, e in enumerate(eps)]
         # A receive's key is its send's but for the kind.
         receives = {key[:3] + key[4:]: r for key, r in rank.items()
                     if key[3] == _KIND_ORDER[RECV]}
@@ -731,9 +760,11 @@ def _payload_from_json(data) -> Payload:
     return data
 
 
-def machine_from_json(data) -> StateMachine:
-    """The machine a document that `dump_machine` writes describes;
-    raises MalformedInput on any other JSON value."""
+def machine_from_json(data, build=StateMachine):
+    """The machine a document that `dump_machine` writes describes, built
+    by `build` from its states, initial state, finals and transitions
+    (`Compiled.load` compiles them instead); raises MalformedInput on any
+    other JSON value."""
     states, initial, finals, raw = _fields(
         data, "machine", "states", "initial", "finals", "transitions")
     events: dict = {}  # an event object's items -> its Event
@@ -769,11 +800,18 @@ def machine_from_json(data) -> StateMachine:
             raise MalformedInput(f"malformed machine: "
                                  f"{_odd_name(states, transitions)!r} is "
                                  f"not a string")
-        return StateMachine(states, initial, finals, transitions)
+        return build(states, initial, finals, transitions)
     except MalformedInput:
         raise
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"malformed machine: {exc}") from None
+
+
+def load_protocol(text: str) -> Compiled:
+    """The compiled form of the machine a document's text describes, with
+    the MalformedInput `machine_from_json` would raise, built with no
+    machine."""
+    return machine_from_json(json.loads(text), Compiled.load)
 
 
 def _odd_name(states, transitions: list):
@@ -854,7 +892,3 @@ def _machine_at(m: StateMachine, pad: str, events: dict) -> str:
 
 def dump_machine(m: StateMachine) -> str:
     return _machine_at(m, "", {}) + "\n"
-
-
-def load_machine(text: str) -> StateMachine:
-    return machine_from_json(json.loads(text))

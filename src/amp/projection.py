@@ -537,8 +537,8 @@ def project_tame(source) -> ProjectionResult:
     # same letters.
     if not protocol.deterministic:
         decoded = dict(zip(protocol.letters, protocol.decoded))
-        protocol = _Compiled(Fused(Compiled(StateMachine(
-            *_whole(protocol.machine()).named())), {}))
+        protocol = _Compiled(Fused(Compiled.load(
+            *_whole(protocol.machine()).named()), {}))
         protocol.decoded = [decoded[ev] for ev in protocol.letters]
     minimal = {}
     for name in participants + forwarders:

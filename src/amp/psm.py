@@ -6,8 +6,8 @@ set of machine states a word can reach together with the word's channel
 contents.  Because channel contents are a function of the word alone,
 this determinised view answers language-level questions exactly.
 
-`validate` reads the machine's `core.Compiled` form and keeps it in the
-`Psm` it returns.  A form that receives each send at once, as every
+`validate` reads a protocol's `core.Compiled` form, as loaded, and keeps
+it in the `Psm` it returns.  A form that receives each send at once, as every
 global type does, is its own graph, certified by one scan; any other
 form (a bounded channel, a receive behind an epsilon move, a choice
 between equal letters) is walked (`build_config_graph`, which measures
@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import (Compiled, Event, RECV, Record, SEND, StateMachine,
-                   Word, expand_pairs, fer_violation, parent_word, reachable,
-                   strongly_connected_components, walk)
+from .core import (Compiled, Event, RECV, Record, SEND, StateMachine, Word,
+                   expand_pairs, fer_violation, nodes_on_cycles, parent_word,
+                   reachable, strongly_connected_components, walk)
 
 DEFAULT_CONFIG_CAP = 1_000_000
 
@@ -68,12 +68,13 @@ class Psm:
     """A validated protocol machine with its certified buffer bounds:
     `compiled` is the machine's integer form, and `machine` the machine
     trimmed, each pair split into its send and its receive, built from
-    that form when first read: only bound inference's loop check and
-    the bounded oracle (`csm.check_projection`) read it."""
+    the form's `source` when first read: only bound inference's loop
+    check, on a form with a cycle, and the bounded oracle
+    (`csm.check_projection`) read it."""
 
-    def __init__(self, machine: Optional[StateMachine], bound_total: int,
-                 bound_by_channel: dict, compiled: Optional[Compiled] = None):
-        self.compiled = compiled or Compiled(machine)
+    def __init__(self, compiled: Compiled, bound_total: int,
+                 bound_by_channel: dict):
+        self.compiled = compiled
         self._machine = None
         self.bound_total, self.bound_by_channel = bound_total, bound_by_channel
 
@@ -244,11 +245,12 @@ def _immediate_configs(form: Compiled) -> int:
     return len(configs | middles)
 
 
-def validate(machine: StateMachine, *,
+def validate(machine: StateMachine | Compiled, *,
              config_cap: int = DEFAULT_CONFIG_CAP) -> Psm:
-    """Certify a machine as a protocol state machine.
+    """Certify a machine, or its compiled form, as a protocol state
+    machine.
 
-    Compiles it, checks density syntactically, then reads the
+    Compiles a machine, checks density syntactically, then reads the
     configuration graph to certify the least buffer bounds and feasible
     eventual reception.  The first violated condition is raised with a
     witness path.
@@ -260,7 +262,7 @@ def validate(machine: StateMachine, *,
     1 on each channel sent on, and end each FER search after one receive
     in a kept state, which can reach a maximal run.
     """
-    form = Compiled(machine)
+    form = machine if isinstance(machine, Compiled) else Compiled(machine)
     if not form.dense:
         raise NotDense("a state with an epsilon transition has other exits")
     if form.eps_cycle:
@@ -273,14 +275,13 @@ def validate(machine: StateMachine, *,
     if configs:
         channels = sorted({ev.channel for ev in form.letters
                            if ev.kind == SEND})
-        return Psm(None, min(len(channels), 1), dict.fromkeys(channels, 1),
-                   form)
+        return Psm(form, min(len(channels), 1), dict.fromkeys(channels, 1))
     graph = build_config_graph(form, config_cap=config_cap)
     ok, witness = check_fer(graph)
     if not ok:
         raise FerViolation("a pending send can never be received", witness)
-    return Psm(None, graph.bound, {ch: n for ch, n in zip(
-        graph.channels, graph.longest) if n}, form)
+    return Psm(form, graph.bound, {ch: n for ch, n in zip(
+        graph.channels, graph.longest) if n})
 
 
 # -- choice classification -----------------------------------------------
@@ -414,13 +415,17 @@ def infer_channel_bounds(psm: Psm) -> dict:
     the sender; then bound each detected channel by its maximum backlog
     over the configuration graph that `validate` explored.  Validation
     leaves every loop with no net effect on any channel, so this is the
-    maximum over loop-free paths from the initial state.
+    maximum over loop-free paths from the initial state.  The loops are
+    listed on the string machine only when the compiled form has one.
     """
-    detected = detected_channels(psm.compiled)
+    form = psm.compiled
+    detected = detected_channels(form)
     if not detected:
         return {}
 
-    cycles = list(_simple_cycles(psm.machine))
+    cycles = list(_simple_cycles(psm.machine)) if nodes_on_cycles(
+        form.keep, lambda q: form.moves[q] + [(None, d) for d in form.eps[q]]
+    ) else []
     for p, q in sorted(detected):
         for cycle in cycles:
             events = [ev for _, ev, _ in cycle if ev is not None]

@@ -18,8 +18,8 @@ import itertools
 import re
 from typing import Iterable, Optional, Union
 
-from .core import (Event, MalformedInput, PAIR, RECV, Record, SEND,
-                   StateMachine, StateRef, backward_closure, pair,
+from .core import (Compiled, Event, MalformedInput, PAIR, RECV, Record,
+                   SEND, StateMachine, StateRef, backward_closure, pair,
                    payload_suffix, recv, send)
 
 # -- session types ------------------------------------------------------------
@@ -140,40 +140,47 @@ def global_to_psm(g: SessionType) -> StateMachine:
     epsilon transitions; the end subterms are final.
     """
     _check_global(g)
-    return _type_to_machine(g, "g")
+    return StateMachine(*_type_parts(g, "g"))
+
+
+def compile_global(g: SessionType) -> Compiled:
+    """The compiled form of `global_to_psm(g)`, for a type that
+    `parse_global_type` has checked, built with no machine."""
+    return Compiled.load(*_type_parts(g, "g"))
 
 
 def local_to_fsm(l: SessionType) -> StateMachine:
     """The state-machine reading of a local type."""
-    return _type_to_machine(l, "l")
+    return StateMachine(*_type_parts(l, "l"))
 
 
-def _type_to_machine(term: SessionType, prefix: str) -> StateMachine:
-    """The machine of a global or local type: states `prefix`1, 2, ...
-    name the subterms in preorder."""
-    counter = itertools.count(1)
+def _type_parts(term: SessionType, prefix: str) -> tuple:
+    """The states, initial state, finals and transitions of the machine
+    of a global or local type: states `prefix`1, 2, ... name the
+    subterms in preorder.  An explicit stack of (subterm, the state
+    before it, the event between), so the depth of the type is not
+    bounded by Python's recursion limit."""
     states: list[str] = []
-    finals: set[str] = set()
+    finals: list[str] = []
     transitions: list = []
     binders: dict[str, str] = {}
-
-    def visit(term: SessionType) -> str:
-        sid = f"{prefix}{next(counter)}"
+    stack: list = [(term, None, None)]
+    while stack:
+        term, src, ev = stack.pop()
+        sid = f"{prefix}{len(states) + 1}"
         states.append(sid)
+        if src is not None:
+            transitions.append((src, ev, sid))
         if isinstance(term, End):
-            finals.add(sid)
+            finals.append(sid)
         elif isinstance(term, Var):
             transitions.append((sid, None, binders[term.name]))
         elif isinstance(term, Rec):
             binders[term.var] = sid
-            transitions.append((sid, None, visit(term.body)))
+            stack.append((term.body, sid, None))
         else:
-            for ev, cont in term.branches:
-                transitions.append((sid, ev, visit(cont)))
-        return sid
-
-    initial = visit(term)
-    return StateMachine(states, initial, finals, transitions)
+            stack += [(cont, sid, ev) for ev, cont in reversed(term.branches)]
+    return states, states[0], finals, transitions
 
 
 # -- regular expressions ------------------------------------------------------
@@ -750,36 +757,40 @@ def fsm_to_local_type(machine: StateMachine, participant: str) -> SessionType:
 # -- text formats --------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<sym>[().+:]|rec\b)|(?P<word>[^\s().+:<>-]+)"
-    r"|(?P<payload><[^>]*>))")
+    r"(\s*(?:(?P<arrow>->)|(?P<sym>[().+:]|rec\b)|(?P<word>[^\s().+:<>-]+)"
+    r"|(?P<payload><[^>]*>)))")
 
 
 class _Tokens:
     def __init__(self, text: str, operators: tuple = ()):
-        self.tokens: list[str] = []
-        self.words: list[bool] = []  # whether each token can be a name
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise TypeSyntaxError(f"stray input at {text[pos:pos+20]!r}")
-                break
-            token = m.group().strip()
-            self.tokens.append(token)
-            self.words.append(m.lastgroup == "word" and token not in operators)
-            pos = m.end()
+        # Each match is (its text, arrow, sym, word, payload), one of the
+        # last four the token.
+        found = _TOKEN_RE.findall(text)
+        self.tokens = [a or s or w or p for _, a, s, w, p in found]
+        # whether each token can be a name
+        self.words = [bool(w) and w not in operators
+                      for _, _, _, w, _ in found]
         self.pos = 0
+        # A token ends on a character that is not white space, so the
+        # matches leave none out exactly when they span the text but its
+        # trailing white space.
+        if len("".join([match[0] for match in found])) != len(text.rstrip()):
+            pos = 0
+            for m in _TOKEN_RE.finditer(text):
+                if m.start() != pos:
+                    break
+                pos = m.end()
+            raise TypeSyntaxError(f"stray input at {text[pos:pos+20]!r}")
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def next(self) -> str:
-        token = self.peek()
-        if token is None:
+        pos = self.pos
+        if pos >= len(self.tokens):
             raise TypeSyntaxError("unexpected end of input")
-        self.pos += 1
-        return token
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def expect(self, token: str) -> None:
         got = self.next()

@@ -197,7 +197,8 @@ def commands() -> list[list[str]]:
             out.append(["from-global", path])
         else:
             out.append(["decode-fsm", path])
-        for participant in cli._load_machine(path).participants() + ("zz",):
+        machine = cli._load_protocol(path).source
+        for participant in machine.participants() + ("zz",):
             out.append(["to-local", path, "--participant", participant])
     for path in csms:
         out.append(["check-csm", path])

@@ -22,7 +22,7 @@ from collections import Counter
 import pytest
 
 from amp import csm
-from amp.cli import _load_machine, main
+from amp.cli import _load_protocol, main
 from amp.core import StateMachine, dump_machine, recv, send
 from amp.csm import (Csm, ProjectionVerdict, check_projection, dump_csm,
                      load_csm)
@@ -332,7 +332,7 @@ def test_the_bound_does_not_change_a_decided_report(capsys, candidate,
 def test_a_component_that_cannot_end_is_rejected():
     """The witness is the first word, breadth first in `Event.sort_key`
     order, after which the projection's component can end."""
-    psm = validate(_load_machine(str(PROTOCOLS / "kle.psm.json")))
+    psm = validate(_load_protocol(str(PROTOCOLS / "kle.psm.json")))
     candidate = load_csm((PROTOCOLS / "kle.csm.json").read_text())
     verdict = check_against(psm, with_component(candidate, "e",
                                                 finals=frozenset()), 6)

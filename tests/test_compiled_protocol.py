@@ -22,7 +22,7 @@ from typing import Optional
 
 import pytest
 
-from amp.cli import _load_machine
+from amp.cli import _load_protocol
 from amp.core import Compiled, StateMachine, expand_pairs, pair, recv, send
 from amp.encoding import Fused, channel_participants, encode_psm
 from amp.projection import NotTame, _Compiled, _lost_final, project_tame
@@ -52,7 +52,7 @@ def draws():
         yield random_machine(rng, rng.randrange(1, 10),
                              rng.choice((0.0, 0.3)))
     for path in PSM_SOURCES:
-        yield _load_machine(str(path))
+        yield _load_protocol(str(path)).source
 
 
 def test_the_compiled_form_answers_as_the_string_machine():
@@ -271,8 +271,8 @@ def test_a_global_type_builds_only_its_components(monkeypatch, text):
     """Validation and projection of a global type, whose exchanges are
     pairs, build one machine per written component: no expanded, merged
     or encoded machine.  Where the protocol repeats an exchange at a
-    choice, the fused protocol is written out to be determinised, and
-    the determinised one compiled in its turn."""
+    choice, the fused protocol is written out to be determinised; the
+    determinised one is compiled from its parts, with no machine."""
     machine = global_to_psm(parse_global_type(text))
     built = []
     init = StateMachine.__init__
@@ -284,4 +284,4 @@ def test_a_global_type_builds_only_its_components(monkeypatch, text):
     monkeypatch.setattr(StateMachine, "__init__", counted)
     components = project_tame(validate(machine)).csm.components
     assert built[-len(components):] == list(components.values())
-    assert len(built) == len(components) + 2 * ("+" in text)
+    assert len(built) == len(components) + ("+" in text)

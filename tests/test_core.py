@@ -8,7 +8,7 @@ import random
 import pytest
 
 from amp.core import (MalformedInput, StateMachine, TraceFlags, dump_machine,
-                      expand_pairs, load_machine, maximal_traces_upto, pair,
+                      expand_pairs, load_protocol, maximal_traces_upto, pair,
                       reachable, recv, send, walk)
 from amp.csm import machine_to_dot
 
@@ -142,7 +142,7 @@ def test_isomorphism_up_to_renaming():
 def test_json_roundtrip_and_stability():
     machine = three_party_machine()
     text = dump_machine(machine)
-    again = load_machine(text)
+    again = load_protocol(text).source
     assert again == expand_pairs(machine)
     assert dump_machine(again) == text
 
@@ -152,7 +152,7 @@ def test_json_payloads_roundtrip():
     machine = StateMachine(
         {"a", "b"}, "a", {"b"},
         [("a", send("p", "q", "l", StateRef("q0")), "b")])
-    again = load_machine(dump_machine(machine))
+    again = load_protocol(dump_machine(machine)).source
     ev = [e for _, e, _ in again.transitions][0]
     assert ev.payload == StateRef("q0")
 
@@ -165,14 +165,14 @@ def test_loaded_events_are_shared_only_between_equal_string_objects():
                 "kind": "send", "sender": "p", "receiver": "q",
                 "label": label, "payload": None}} for dst, label in edges]})
 
-    machine = load_machine(document(("b", "m"), ("c", "m")))
+    machine = load_protocol(document(("b", "m"), ("c", "m"))).source
     first, second = (ev for _, ev, _ in machine.transitions)
     assert first is second
     # 1 and true are equal keys, but the event to b keeps its own label.
     with pytest.raises(MalformedInput, match="^malformed machine: True is "):
-        load_machine(document(("c", 1), ("b", True)))
+        load_protocol(document(("c", 1), ("b", True)))
     with pytest.raises(MalformedInput, match="^malformed machine: 1 is "):
-        load_machine(document(("c", True), ("b", 1)))
+        load_protocol(document(("c", True), ("b", 1)))
 
 
 def test_eps_closure_idempotent_and_monotone():

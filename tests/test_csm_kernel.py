@@ -40,9 +40,9 @@ from pathlib import Path
 import pytest
 
 from amp import cli, csm as kernel
-from amp.cli import _load_machine
-from amp.core import (RECV, Event, StateMachine, StateRef, pair, recv,
-                      send)
+from amp.cli import _load_protocol
+from amp.core import (RECV, Compiled, Event, StateMachine, StateRef, pair,
+                      recv, send)
 from amp.csm import Csm, load_csm
 from amp.fifo import VIOLATION, is_fifo
 from amp.projection import NotProjectable, NotTame, project_tame
@@ -435,7 +435,7 @@ def test_check_projection_matches_reference_on_negative_controls(
         return real(psm, csm, k, **options)
 
     monkeypatch.setattr(projection_reference, "check_projection", spy)
-    machine = _load_machine(str(PROTOCOLS / f"{name}.gt"))
+    machine = _load_protocol(str(PROTOCOLS / f"{name}.gt")).source
     with pytest.raises(NotProjectable) as excinfo:
         projection_reference.project_tame(machine, k=6)
     (psm, csm, k, options), = calls
@@ -478,7 +478,7 @@ def test_check_projection_matches_reference_on_goldens(stem):
     source = next(path for path in (PROTOCOLS / f"{stem}.psm.json",
                                     PROTOCOLS / f"{stem}.gt")
                   if path.exists())
-    psm = validate(_load_machine(str(source)))
+    psm = validate(_load_protocol(str(source)))
     csm = load_csm((PROTOCOLS / f"{stem}.csm.json").read_text())
     assert kernel.check_projection(psm, csm, 6) == \
         reference.check_projection(psm, csm, 6)
@@ -546,8 +546,8 @@ def test_check_projection_matches_reference_on_hand_drawn_csms(machine, csm):
 
 
 def test_word_embeds_matches_reference(rng):
-    for machine in (pairs(2, 2)[0], _load_machine(
-            str(PROTOCOLS / "three_party_choice.gt"))):
+    for machine in (pairs(2, 2)[0], _load_protocol(
+            str(PROTOCOLS / "three_party_choice.gt")).source):
         alphabet = sorted({letter for ev in machine.alphabet()
                            for letter in ev.letters()},
                           key=lambda ev: ev.sort_key())
@@ -575,7 +575,7 @@ def test_check_projection_matches_reference_past_a_dead_end():
         [("a", act("p", "q", "a"), "b"), ("a", act("p", "q", "b"), "c"),
          ("c", act("p", "q", "c"), "d")])
         for owner, act in (("p", send), ("q", recv))})
-    for psm in (validate(machine), Psm(machine, 1, {("p", "q"): 1})):
+    for psm in (validate(machine), Psm(Compiled(machine), 1, {("p", "q"): 1})):
         old = reference.check_projection(psm, csm, 4)
         assert kernel.check_projection(psm, csm, 4) == old
         assert "CSM adds prefix p>q!b" in old.reasons

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from amp.cli import _load_machine
+from amp.cli import _load_protocol
 from amp.core import (Compiled, StateMachine, backward_closure, dump_machine,
                       expand_pairs, fer_violation, maximal_capable,
                       nodes_on_cycles, pair, recv, send)
@@ -236,7 +236,7 @@ def test_fer_agrees_on_random_tame_protocols():
 
 @pytest.mark.parametrize("source", PSM_SOURCES, ids=lambda p: p.name)
 def test_corpus_protocols_agree(source):
-    machine = _load_machine(str(source))
+    machine = _load_protocol(str(source)).source
     assert_machine_analyses_agree(machine)
     assert_fer_agrees(machine)
 
@@ -388,7 +388,7 @@ def test_encode_psm_agrees_on_random_machines():
 @pytest.mark.parametrize("source", PSM_SOURCES, ids=lambda p: p.name)
 def test_encode_psm_agrees_on_corpus(source):
     try:
-        psm = validate(_load_machine(str(source)))
+        psm = validate(_load_protocol(str(source)))
         bounds = infer_channel_bounds(psm)
     except PsmError:
         return

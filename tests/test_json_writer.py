@@ -8,7 +8,7 @@ import random
 from pathlib import Path
 
 from amp.core import (MalformedInput, StateMachine, dump_machine,
-                      load_machine, machine_from_json)
+                      load_protocol, machine_from_json)
 from amp.csm import Csm, dump_csm, load_csm
 
 from .json_reference import (csm_to_json, machine_json_text, machine_to_json,
@@ -123,7 +123,7 @@ def test_writer_matches_json_dumps_on_shipped_documents():
     csms = sorted(PROTOCOLS.glob("*.csm.json"))
     assert machines and csms
     for path in machines:
-        machine = load_machine(path.read_text())
+        machine = load_protocol(path.read_text()).source
         assert dump_machine(machine) == \
             _reference(machine_to_json(machine)) + "\n", path.name
     for path in csms:

@@ -28,9 +28,9 @@ from collections import Counter
 import pytest
 
 from amp import csm, projection
-from amp.cli import _load_machine, main
-from amp.core import (RECV, SEND, Compiled, Event, StateMachine, load_machine,
-                      recv, send, walk)
+from amp.cli import _load_protocol, main
+from amp.core import (RECV, SEND, Compiled, Event, StateMachine,
+                      load_protocol, recv, send, walk)
 from amp.csm import dump_csm
 from amp.encoding import (ChannelParticipant, channel_participants,
                           encode_psm, is_amicable)
@@ -117,7 +117,8 @@ FAILING = {
                          "encoding loses final state k6 after p>q!a p>q!b "
                          "p>q?a p>q?b p>q!c p>q?c"),
     "named like a forwarder": (
-        load_machine((PROTOCOLS / "kle_encoded.psm.json").read_text()),
+        load_protocol(
+            (PROTOCOLS / "kle_encoded.psm.json").read_text()).source,
         "participant (e,o)0 is named like a forwarder"),
 }
 
@@ -128,7 +129,7 @@ FAILING = {
 @pytest.mark.parametrize("path", PSM_SOURCES, ids=lambda p: p.name)
 def test_conditions_agree_with_the_oracle_on_the_corpus(path):
     k = 8 if path.name.startswith("kle") else 6
-    assert verdicts(validate(_load_machine(str(path))), k) != "deep"
+    assert verdicts(validate(_load_protocol(str(path))), k) != "deep"
 
 
 def test_conditions_agree_with_the_oracle_on_the_negative_controls():
@@ -166,12 +167,12 @@ def generated_families():
     rng = random.Random(18)
     for n in (1, 3, 12, 40):
         messages = gen.chain_messages(n, rng)
-        yield load_machine(gen.dump(gen.linear_psm(messages)))
+        yield load_protocol(gen.dump(gen.linear_psm(messages))).source
         yield gt(gen.global_text(gen.chain_messages(n, rng)))
     for d in (1, 2, 3, 5):
-        yield load_machine(gen.dump(gen.diamonds(d, rng)))
+        yield load_protocol(gen.dump(gen.diamonds(d, rng))).source
     for b in (1, 2, 3, 6):
-        yield load_machine(gen.dump(gen.burst(b, rng)))
+        yield load_protocol(gen.dump(gen.burst(b, rng))).source
 
 
 def test_conditions_agree_with_the_oracle_on_the_generator_families():
@@ -329,7 +330,7 @@ def test_amicability_is_decisive(monkeypatch, capsys):
     monkeypatch.setattr(projection, "is_amicable", lambda *args: False)
     monkeypatch.setattr(projection, "check_projection", refuse)
     with pytest.raises(NotProjectable) as excinfo:
-        project_tame(validate(_load_machine(str(PROTOCOLS / "kle.psm.json"))))
+        project_tame(_load_protocol(str(PROTOCOLS / "kle.psm.json")))
     assert str(excinfo.value) == "forwarder components are not amicable"
     assert excinfo.value.decisive
     assert main(["check-csm", str(PROTOCOLS / "kle.csm.json"), "--against",
@@ -352,7 +353,7 @@ def test_project_never_calls_the_oracle_or_the_explorer(monkeypatch):
             if module is not None and module.__name__.startswith("amp") \
                     and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, refuse)
-    machines = [_load_machine(str(path)) for path in PSM_SOURCES]
+    machines = [_load_protocol(str(path)).source for path in PSM_SOURCES]
     machines += [machine for machine, _ in FAILING.values()]
     for draw in (random_tame_psm, random_sender_driven_tree):
         rng = random.Random(7)
@@ -450,7 +451,7 @@ def amicability_inputs():
     """The components and bounds of every corpus protocol, random tame
     draw and random looping draw that has forwarders.  Only the looping
     draws have rings of two or more slots."""
-    machines = [_load_machine(str(path)) for path in PSM_SOURCES]
+    machines = [_load_protocol(str(path)).source for path in PSM_SOURCES]
     rng = random.Random(7)
     machines += [random_tame_psm(rng, max_states=8) for _ in range(600)]
     machines += [random_looping_protocol(rng)[0] for _ in range(200)]

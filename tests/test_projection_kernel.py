@@ -19,9 +19,9 @@ import random
 import pytest
 
 from amp import encoding, projection
-from amp.cli import _load_machine, main
+from amp.cli import _load_protocol, main
 from amp.core import (Compiled, Event, StateMachine, dump_machine,
-                      load_machine, recv, send)
+                      load_protocol, recv, send)
 from amp.csm import dump_csm
 from amp.encoding import channel_participants, encode_psm
 from amp.projection import project_tame, subset_construction
@@ -100,7 +100,7 @@ def test_projection_agrees_on_protocols_that_run_forever():
 
 @pytest.mark.parametrize("path", PSM_SOURCES, ids=lambda p: p.name)
 def test_projection_agrees_on_the_corpus(path):
-    machine = _load_machine(str(path))
+    machine = _load_protocol(str(path)).source
     assert_projections_agree(machine)
     assert_components_agree(machine)
 
@@ -109,12 +109,12 @@ def test_projection_agrees_on_the_benchmark_families():
     rng = random.Random(28)
     machines = []
     for n in (1, 2, 7, 30):
-        machines.append(load_machine(gen.dump(gen.linear_psm(
-            gen.chain_messages(n, rng)))))
+        machines.append(load_protocol(gen.dump(gen.linear_psm(
+            gen.chain_messages(n, rng)))).source)
     for d in (1, 2, 4):
-        machines.append(load_machine(gen.dump(gen.diamonds(d, rng))))
+        machines.append(load_protocol(gen.dump(gen.diamonds(d, rng))).source)
     for b in (1, 2, 3, 9):
-        machines.append(load_machine(gen.dump(gen.burst(b, rng))))
+        machines.append(load_protocol(gen.dump(gen.burst(b, rng))).source)
     for machine in machines:
         assert assert_projections_agree(machine) == "ok"
         assert_components_agree(machine)
@@ -181,7 +181,7 @@ def test_projection_builds_only_the_machines_it_writes(monkeypatch, family,
     diamonds(2), whose rings have one slot, names each state as the
     protocol state it stands for, while burst(3)'s names each with its
     counters."""
-    psm = validate(load_machine(gen.dump(family(random.Random(1)))))
+    psm = validate(load_protocol(gen.dump(family(random.Random(1)))))
     calls, encoded = [], []
 
     def counted(name, fn):

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from amp.cli import _load_machine, main
+from amp.cli import _load_protocol, main
 from amp.core import StateMachine, dump_machine, pair, recv, send
 from amp.encoding import channel_participants, encode_psm, merge_immediate_pairs
 from amp.projection import _whole, subset_construction
@@ -180,7 +180,7 @@ def test_bounds_agree_on_random_dense_machines():
 @pytest.mark.parametrize("source", PSM_SOURCES, ids=lambda p: p.name)
 def test_bounds_agree_on_corpus(source):
     try:
-        psm = validate(_load_machine(str(source)))
+        psm = validate(_load_protocol(str(source)))
     except PsmError:
         return
     assert_bounds_agree(psm)
@@ -251,7 +251,7 @@ def test_regex_to_psm_agrees_on_random_trees():
 def test_regex_to_psm_agrees_on_corpus(source):
     # The regex `amp to-global` builds its global type from.
     try:
-        psm = validate(_load_machine(str(source)))
+        psm = validate(_load_protocol(str(source)))
     except PsmError:
         return
     if not psm.sum_one:

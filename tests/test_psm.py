@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 from amp import psm as psm_module
-from amp.cli import _load_machine, main
+from amp.cli import _load_protocol, main
 from amp.core import (Compiled, StateMachine, maximal_traces_upto, pair, recv,
                       send)
 from amp.fifo import COMPLETE, OK, is_fifo
@@ -238,7 +238,7 @@ def _scanned_bounds(machine: StateMachine):
 
 def test_the_walk_measures_the_bounds_the_node_scan_found():
     protocols = Path(__file__).resolve().parent.parent / "protocols"
-    machines = [_load_machine(str(path)) for path in sorted(
+    machines = [_load_protocol(str(path)).source for path in sorted(
         protocols.glob("*.psm.json")) + sorted(protocols.glob("*.gt"))]
     rng = random.Random(7)
     for _ in range(150):
@@ -312,7 +312,7 @@ def _caps(machine: StateMachine):
 def test_the_shortcut_agrees_with_the_walk_on_the_corpus():
     immediate = []
     for path in CORPUS:
-        machine = _load_machine(str(path))
+        machine = _load_protocol(str(path)).source
         if assert_shortcut_agrees(machine, *_caps(machine)):
             immediate.append(path.name)
     assert sorted(immediate) == sorted(IMMEDIATE)
@@ -374,7 +374,8 @@ NEAR_MISSES = {
     "equal-letters": _machine(
         {"s2", "s3"}, ("s0", pair("p", "q", "m"), "s1"),
         ("s0", pair("p", "q", "m"), "s2"), ("s1", pair("q", "p", "a"), "s3")),
-    "label-clash": _load_machine(str(PROTOCOLS / "three_party_label_clash.gt")),
+    "label-clash": _load_protocol(
+        str(PROTOCOLS / "three_party_label_clash.gt")).source,
 }
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from amp.cli import _load_machine
+from amp.cli import _load_protocol
 from amp.core import SEND, StateMachine, dump_machine, pair, recv, send
 from amp.encoding import merge_immediate_pairs
 from amp.projection import project_tame
@@ -197,7 +197,7 @@ def test_corpus_agrees_with_reference(path):
         assert str(g) == reference.format_global_type(old)
         assert dump_machine(global_to_psm(g)) == \
             dump_machine(reference.global_to_psm(old))
-    machine = _load_machine(str(path))
+    machine = _load_protocol(str(path)).source
     validated = outcome(validate, machine)
     if not isinstance(validated, tuple) and validated.sum_one:
         merged = merge_immediate_pairs(validated.compiled)

@@ -211,7 +211,7 @@ def test_random_local_machines_match_reference(rng):
 
 @pytest.mark.parametrize("path", CORPUS)
 def test_corpus_matches_reference(path):
-    machine = cli._load_machine(str(ROOT / path))
+    machine = cli._load_protocol(str(ROOT / path)).source
     merged = _to_global_input(machine)
     if merged is not None:
         _same_global(merged)

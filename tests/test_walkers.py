@@ -20,7 +20,7 @@ from unittest import mock
 import pytest
 
 from amp import transform
-from amp.cli import _load_machine
+from amp.cli import _load_protocol
 from amp.core import (Compiled, Event, StateMachine, StateRef, dump_machine,
                       eps_closure, expand_pairs, maximal_traces_upto, pair,
                       reachable, recv, send)
@@ -68,7 +68,7 @@ def random_machines(seed: int, count: int):
 
 
 def corpus_machines():
-    return [_load_machine(str(path)) for path in PSM_SOURCES]
+    return [_load_protocol(str(path)).source for path in PSM_SOURCES]
 
 
 # -- reachability and epsilon closures ---------------------------------------
@@ -382,6 +382,6 @@ def test_type_builders_agree_on_read_back_types():
 
 @pytest.mark.parametrize("path", PSM_SOURCES, ids=lambda p: p.name)
 def test_corpus_expansion_agrees(path):
-    machine = expand_pairs(_load_machine(str(path)))
+    machine = expand_pairs(_load_protocol(str(path)).source)
     assert_subsets_agree(machine, machine.participants())
     assert_traces_agree(machine, 6)
