@@ -278,6 +278,8 @@ MALFORMED = {
         _move("a", "b", label="n"), _move("b", "a", label=2)]),
     "true and 1 as labels": _doc(transitions=[
         _move("a", "b", label=True), _move("a", "b", label=1)]),
+    "1 and true as labels": _doc(transitions=[
+        _move("a", "b", label=1), _move("a", "b", label=True)]),
     "a pair to an unknown state": _doc(transitions=[
         _move("a", "z", kind="pair")]),
 }
